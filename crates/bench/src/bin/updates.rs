@@ -9,19 +9,25 @@
 //!    offline one-shot build of the same edges.
 //! 2. `mixed_throughput` — a 70:30 insert:delete stream (ops/sec), with
 //!    tombstoning and threshold compaction in play.
-//! 3. `snapshot_cost` — epoch freezes at a fixed cadence during a mixed
-//!    stream: median/p95 snapshot latency, exercising partition-level
-//!    copy-on-write reuse.
+//! 3. `snapshot_cost` — epoch freezes during a mixed stream, swept over
+//!    the delta size (a snapshot every 50 / 500 / 5 000 ops): median/p95
+//!    snapshot latency and partitions re-frozen per epoch, beside
+//!    `full_rebuild_ms`, the offline build of the same graph. A snapshot
+//!    re-freezes only the partitions its epoch changed (DESIGN.md §11.2),
+//!    so the cost must follow the delta and stay well under the rebuild.
 //! 4. `serve_under_mutation` — a writer thread applies the stream and
 //!    publishes epochs to a [`MatchServer`] while a reader keeps a q2/q3
 //!    workload in flight: per-query latency (p50/p95), served throughput
 //!    and concurrent update throughput.
 //!
 //! Results print as TSV; `--json PATH` writes the committed
-//! `BENCH_updates.json` baseline shape.
+//! `BENCH_updates.json` baseline shape. `--check` turns the delta-
+//! proportional publish claim into a hard gate: the median snapshot at 500
+//! ops per epoch must cost at most half a full rebuild.
 //!
 //! Usage: `updates [--dataset NAME] [--ops N] [--threads N]
-//!                 [--snapshot-every N] [--json PATH]`.
+//!                 [--snapshot-every N] [--json PATH] [--check]`.
+//! `--snapshot-every` is the publish cadence of phase 4; phase 3 sweeps.
 //! `HGMATCH_BENCH_SMOKE=1` shrinks the stream for the CI bench-smoke job.
 
 use std::fmt::Write as _;
@@ -38,6 +44,23 @@ use hgmatch_datasets::{
 };
 use hgmatch_hypergraph::{DynamicHypergraph, Hypergraph, UpdateOp};
 
+/// Delta sizes (ops per snapshot) of the `snapshot_cost` sweep.
+const SNAPSHOT_SWEEP: [usize; 3] = [50, 500, 5_000];
+/// The delta size `--check` gates, and its bound against a full rebuild.
+const GATED_EVERY: usize = 500;
+const GATE_MAX_RATIO: f64 = 0.5;
+/// Offline rebuilds timed for the `full_rebuild_ms` reference (median).
+const REBUILD_REPS: usize = 5;
+
+/// One row of the `snapshot_cost` sweep.
+struct SnapshotCost {
+    every: usize,
+    p50_ms: f64,
+    p95_ms: f64,
+    /// Share of the partitions of all snapshots whose body was re-frozen.
+    frozen_frac: f64,
+}
+
 fn main() {
     let smoke = bench_smoke();
     let mut dataset = "CH".to_string();
@@ -45,6 +68,7 @@ fn main() {
     let mut threads = num_cpus();
     let mut snapshot_every = if smoke { 100 } else { 500 };
     let mut json_path: Option<String> = None;
+    let mut check = false;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -75,6 +99,7 @@ fn main() {
                 i += 1;
                 json_path = Some(args.get(i).expect("--json PATH").clone());
             }
+            "--check" => check = true,
             other => panic!("unknown flag {other:?}"),
         }
         i += 1;
@@ -82,8 +107,9 @@ fn main() {
 
     let profile = profile_by_name(&dataset).expect("known dataset");
     let base = profile.generate();
+    let host_cpus = num_cpus();
     println!(
-        "# updates: {} ({} vertices, {} edges), {ops} ops, snapshot every {snapshot_every}, {threads} threads",
+        "# updates: {} ({} vertices, {} edges), {ops} ops, snapshot every {snapshot_every}, {threads} threads, host_cpus={host_cpus}",
         profile.name,
         base.num_vertices(),
         base.num_edges(),
@@ -143,23 +169,65 @@ fn main() {
         ops - deletes
     );
 
-    // Phase 3: snapshot cost at a fixed cadence over a fresh mixed stream.
-    let mut dynamic = DynamicHypergraph::from_hypergraph(&base);
-    let mut snapshot_secs: Vec<f64> = Vec::new();
-    for chunk in mixed_stream.chunks(snapshot_every) {
-        for op in chunk {
-            dynamic.apply(op).expect("stream op applies");
+    // Phase 3: snapshot cost over the same mixed stream, swept over the
+    // delta size, against a full offline rebuild of the graph it ends on.
+    let mut sweep: Vec<SnapshotCost> = Vec::new();
+    let mut last = Arc::clone(&built);
+    for every in SNAPSHOT_SWEEP.into_iter().filter(|&every| every <= ops) {
+        let mut dynamic = DynamicHypergraph::from_hypergraph(&base);
+        dynamic.snapshot();
+        let mut secs: Vec<f64> = Vec::new();
+        let mut frozen = 0usize;
+        let mut partitions = 0usize;
+        for chunk in mixed_stream.chunks(every) {
+            for op in chunk {
+                dynamic.apply(op).expect("stream op applies");
+            }
+            let t = Instant::now();
+            let delta = dynamic.snapshot();
+            secs.push(t.elapsed().as_secs_f64());
+            frozen += delta.partitions_frozen;
+            partitions += delta.graph.partitions().len();
+            last = delta.graph;
         }
-        let t = Instant::now();
-        let _ = dynamic.snapshot();
-        snapshot_secs.push(t.elapsed().as_secs_f64());
+        let cost = SnapshotCost {
+            every,
+            p50_ms: median(&secs) * 1e3,
+            p95_ms: percentile(&secs, 95.0) * 1e3,
+            frozen_frac: frozen as f64 / partitions.max(1) as f64,
+        };
+        println!(
+            "snapshot_cost\tevery {every}\tp50 {:.3}ms\tp95 {:.3}ms\t{:.1}% of partitions re-frozen\t({} snapshots)",
+            cost.p50_ms,
+            cost.p95_ms,
+            cost.frozen_frac * 100.0,
+            secs.len()
+        );
+        sweep.push(cost);
     }
-    println!(
-        "snapshot_cost\tp50 {:.3}ms\tp95 {:.3}ms\t({} snapshots)",
-        median(&snapshot_secs) * 1e3,
-        percentile(&snapshot_secs, 95.0) * 1e3,
-        snapshot_secs.len()
-    );
+    let rebuild_secs: Vec<f64> = (0..REBUILD_REPS)
+        .map(|_| {
+            let t = Instant::now();
+            let rebuilt = rebuild_oracle(&last);
+            let secs = t.elapsed().as_secs_f64();
+            assert_eq!(*last, rebuilt, "snapshot must equal the rebuild");
+            secs
+        })
+        .collect();
+    let full_rebuild_ms = median(&rebuild_secs) * 1e3;
+    // The gated row exists only when the stream is long enough for it
+    // (`--ops` below the gated delta size leaves it out of the sweep).
+    let gate_ratio = sweep
+        .iter()
+        .find(|c| c.every == GATED_EVERY)
+        .map(|gated| gated.p50_ms / full_rebuild_ms);
+    println!("snapshot_cost\tfull_rebuild {full_rebuild_ms:.3}ms");
+    if let Some(ratio) = gate_ratio {
+        println!(
+            "snapshot_cost\tgate p50@{GATED_EVERY}/rebuild = {ratio:.3} (<= {GATE_MAX_RATIO}: {})",
+            ratio <= GATE_MAX_RATIO
+        );
+    }
 
     // Phase 4: serving under concurrent mutation.
     let mut dynamic = DynamicHypergraph::from_hypergraph(&base);
@@ -238,7 +306,7 @@ fn main() {
         out.push_str("{\n");
         let _ = writeln!(
             out,
-            "  \"dataset\": \"{}\", \"ops\": {ops}, \"threads\": {threads}, \"snapshot_every\": {snapshot_every},",
+            "  \"dataset\": \"{}\", \"ops\": {ops}, \"threads\": {threads}, \"host_cpus\": {host_cpus}, \"snapshot_every\": {snapshot_every},",
             profile.name
         );
         let _ = writeln!(
@@ -249,11 +317,25 @@ fn main() {
             out,
             "  \"mixed_throughput\": {{\"ops_per_s\": {mixed_ops_per_sec:.0}, \"deletes_per_s\": {deletes_per_sec:.0}}},"
         );
+        let rows: Vec<String> = sweep
+            .iter()
+            .map(|c| {
+                format!(
+                    "{{\"every\": {}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"frozen_frac\": {:.4}}}",
+                    c.every, c.p50_ms, c.p95_ms, c.frozen_frac
+                )
+            })
+            .collect();
+        let gate = gate_ratio.map_or("null".to_string(), |ratio| {
+            format!(
+                "{{\"every\": {GATED_EVERY}, \"p50_over_rebuild\": {ratio:.4}, \"max\": {GATE_MAX_RATIO}, \"pass\": {}}}",
+                ratio <= GATE_MAX_RATIO
+            )
+        });
         let _ = writeln!(
             out,
-            "  \"snapshot_cost\": {{\"p50_ms\": {:.3}, \"p95_ms\": {:.3}}},",
-            median(&snapshot_secs) * 1e3,
-            percentile(&snapshot_secs, 95.0) * 1e3
+            "  \"snapshot_cost\": {{\"full_rebuild_ms\": {full_rebuild_ms:.3}, \"sweep\": [\n    {}\n  ], \"gate\": {gate}}},",
+            rows.join(",\n    ")
         );
         let _ = writeln!(
             out,
@@ -266,5 +348,16 @@ fn main() {
         out.push_str("}\n");
         std::fs::write(&path, out).expect("write json report");
         println!("# wrote {path}");
+    }
+
+    if check {
+        let ratio = gate_ratio.unwrap_or_else(|| {
+            panic!("--check gates the snapshot at {GATED_EVERY} ops per epoch; --ops {ops} is too short for it")
+        });
+        assert!(
+            ratio <= GATE_MAX_RATIO,
+            "snapshot gate: p50 at {GATED_EVERY} ops is {ratio:.3} x full rebuild ({full_rebuild_ms:.3}ms), bound {GATE_MAX_RATIO}"
+        );
+        println!("# CHECK OK");
     }
 }

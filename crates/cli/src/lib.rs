@@ -1037,10 +1037,12 @@ fn do_update(args: &[String]) -> Result<(), String> {
         }
         let snap_begin = Instant::now();
         let delta = dynamic.snapshot();
-        snapshot_time += snap_begin.elapsed();
+        let snap_elapsed = snap_begin.elapsed();
+        snapshot_time += snap_elapsed;
         let epoch = round + 1;
         println!(
-            "epoch {epoch}: applied {} ops (graph: {} edges, {} touched labels, sids {})",
+            "epoch {epoch}: applied {} ops (graph: {} edges, {} touched labels, sids {}), \
+             snapshot {:.3} ms ({} partitions frozen, {} shared)",
             chunk.len(),
             delta.graph.num_edges(),
             delta.touched_labels.len(),
@@ -1049,6 +1051,9 @@ fn do_update(args: &[String]) -> Result<(), String> {
             } else {
                 "shifted"
             },
+            snap_elapsed.as_secs_f64() * 1e3,
+            delta.partitions_frozen,
+            delta.partitions_shared,
         );
         if let Some(server) = &server {
             server.update_data(

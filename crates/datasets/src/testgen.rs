@@ -207,6 +207,20 @@ pub fn rebuild_oracle(graph: &Hypergraph) -> Hypergraph {
     b.build().expect("rebuild")
 }
 
+/// Asserts that the lazily derived state of `got` — incidence lists,
+/// degrees, adjacency counts — equals `want`'s, vertex by vertex.
+/// `Hypergraph: PartialEq` leaves that state out (it is a function of the
+/// compared content), so the snapshot-vs-rebuild and save-vs-load
+/// differentials check it through this.
+pub fn assert_derived_state_eq(got: &Hypergraph, want: &Hypergraph) {
+    assert_eq!(got.num_vertices(), want.num_vertices());
+    for v in (0..want.num_vertices()).map(VertexId::from_index) {
+        assert_eq!(got.incident_edges(v), want.incident_edges(v), "he({v:?})");
+        assert_eq!(got.degree(v), want.degree(v), "d({v:?})");
+        assert_eq!(got.adjacent_count(v), want.adjacent_count(v), "adj({v:?})");
+    }
+}
+
 /// Deterministic splitmix64 stream for deriving op sequences and random
 /// orders from a test-chosen seed — the shared RNG of the differential
 /// suites (`prop_dynamic`, `prop_stats`, `prop_orders`), which want

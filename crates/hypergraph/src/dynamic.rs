@@ -23,9 +23,13 @@
 //! * **Readers get epoch-pinned snapshots.** [`DynamicHypergraph::snapshot`]
 //!   freezes the live state into a canonical immutable [`Hypergraph`] —
 //!   *identical* to rebuilding from scratch over the surviving hyperedges
-//!   (the differential-testing oracle) — while reusing the [`Arc`] of every
-//!   partition the writer did not touch since the previous snapshot
-//!   (copy-on-write at partition granularity). The returned
+//!   (the differential-testing oracle). A partition is a thin envelope
+//!   (canonical signature id, global edge ids) around an [`Arc`]-shared
+//!   body (rows, inverted index, stats); a snapshot re-freezes the body
+//!   of exactly the partitions whose rows changed since the
+//!   previous one and re-issues only the envelope of every other, so its
+//!   cost follows the epoch's delta, not the graph (copy-on-write at
+//!   partition granularity; DESIGN.md §11.2). The returned
 //!   [`SnapshotDelta`] carries the labels touched since the previous epoch
 //!   and whether partition ids stayed stable, which is exactly what a plan
 //!   cache needs to invalidate selectively (`hgmatch-core`'s
@@ -46,7 +50,7 @@ use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::hypergraph::{EdgeLocation, Hypergraph};
 use crate::ids::{EdgeId, Label, SignatureId, VertexId};
 use crate::inverted::{choose_repr, forced_repr, InvertedIndex, ReprKind};
-use crate::partition::Partition;
+use crate::partition::{Partition, PartitionBody};
 use crate::signature::{Signature, SignatureInterner};
 use crate::stats::{degree_bucket, LabelCardinality, PartitionStats, DEGREE_HIST_BUCKETS};
 
@@ -175,6 +179,19 @@ pub struct SnapshotDelta {
     /// re-ordered), plans compiled against the previous epoch may reference
     /// re-numbered partitions and must all be dropped.
     pub sids_stable: bool,
+    /// Partitions whose body (rows, index, stats) this snapshot rebuilt:
+    /// those whose rows changed since the previous one. An exact count
+    /// that repeats for a given update stream.
+    pub partitions_frozen: usize,
+    /// Partitions that share their body with the previous snapshot and got
+    /// only a new envelope. `partitions_frozen + partitions_shared` is the
+    /// snapshot's partition count.
+    ///
+    /// The benchmark's traced `hypergraph.dynamic.partitions_reused_ratio`
+    /// compares envelope pointers (`Arc<Partition>`), which are new every
+    /// epoch, and so keeps reading ≈ 0; these two fields are the counters
+    /// of body reuse.
+    pub partitions_shared: usize,
 }
 
 /// One posting set of the mutable index, in one of the three adaptive
@@ -490,8 +507,9 @@ struct DynPartition {
     dead: usize,
     index: DynIndex,
     stats: StatsAcc,
-    /// Mutated since the last snapshot freeze (clears partition reuse).
-    dirty: bool,
+    /// The body last frozen from these rows, for the next snapshot to
+    /// share; `None` once a row was inserted or deleted since.
+    frozen: Option<Arc<PartitionBody>>,
 }
 
 impl DynPartition {
@@ -504,7 +522,7 @@ impl DynPartition {
             dead: 0,
             index: DynIndex::default(),
             stats: StatsAcc::default(),
-            dirty: true,
+            frozen: None,
         }
     }
 
@@ -514,10 +532,6 @@ impl DynPartition {
 
     fn live_len(&self) -> usize {
         self.global.len() - self.dead
-    }
-
-    fn max_gid(&self) -> Option<u32> {
-        self.global.last().copied()
     }
 
     /// Appends a live row, linking it into the index and stats. Returns
@@ -533,7 +547,7 @@ impl DynPartition {
             self.stats
                 .on_degree_change(labels[v as usize], new_degree - 1, new_degree);
         }
-        self.dirty = true;
+        self.frozen = None;
         row
     }
 
@@ -542,7 +556,7 @@ impl DynPartition {
         debug_assert!(self.live[row as usize], "double delete");
         self.live[row as usize] = false;
         self.dead += 1;
-        self.dirty = true;
+        self.frozen = None;
         let a = self.arity as usize;
         let row_space = self.global.len();
         for i in 0..a {
@@ -586,11 +600,26 @@ impl DynPartition {
     }
 
     /// Freezes this (compacted) partition into the immutable form under a
-    /// canonical signature id and edge-id remap. The CSR index is emitted
-    /// straight from the maintained postings — no re-sort, and by
-    /// construction byte-identical to a fresh [`InvertedIndex::build`].
-    fn freeze(&self, canon_sid: SignatureId, gid_remap: &[u32]) -> Partition {
+    /// canonical signature id and edge-id remap: always a new envelope,
+    /// around the body of the previous freeze unless a row changed since.
+    fn freeze(&mut self, canon_sid: SignatureId, gid_remap: &[u32]) -> Partition {
         debug_assert_eq!(self.dead, 0, "freeze requires a compacted partition");
+        if self.frozen.is_none() {
+            self.frozen = Some(Arc::new(self.freeze_body()));
+        }
+        let global_ids = self
+            .global
+            .iter()
+            .map(|&g| EdgeId::new(gid_remap[g as usize]))
+            .collect();
+        let body = Arc::clone(self.frozen.as_ref().expect("frozen above"));
+        Partition::from_body(canon_sid, global_ids, body)
+    }
+
+    /// Builds the immutable body of the current rows. The CSR index is
+    /// emitted straight from the maintained postings — no re-sort, and by
+    /// construction byte-identical to a fresh [`InvertedIndex::build`].
+    fn freeze_body(&self) -> PartitionBody {
         // Packed cells store no raw list; decode them into an owned arena
         // first (fully, so later pushes can't invalidate borrowed slices),
         // then mix those slices with the list-backed cells. `finish`
@@ -613,16 +642,9 @@ impl DynPartition {
         cells.sort_unstable_by_key(|&(v, _)| v);
         let index =
             InvertedIndex::from_sorted_postings(cells.into_iter(), self.rows_total() as u32);
-        let global_ids = self
-            .global
-            .iter()
-            .map(|&g| EdgeId::new(gid_remap[g as usize]))
-            .collect();
-        Partition::from_parts(
-            canon_sid,
+        PartitionBody::from_parts(
             self.arity,
             self.vertices.clone(),
-            global_ids,
             index,
             // Compacted: every remaining row is live, and the maintained
             // summaries are exactly what a recompute would produce.
@@ -631,7 +653,8 @@ impl DynPartition {
     }
 }
 
-/// What the previous snapshot looked like, for copy-on-write reuse.
+/// What the previous snapshot looked like: republished while nothing
+/// changes, and the reference `sids_stable` is judged against.
 #[derive(Debug)]
 struct SnapCache {
     graph: Arc<Hypergraph>,
@@ -676,9 +699,6 @@ pub struct DynamicHypergraph {
     epoch: u64,
     /// Labels of signatures touched since the last snapshot.
     touched: FxHashSet<Label>,
-    /// Smallest dynamic gid deleted since the last snapshot: partitions
-    /// whose gids all lie below it kept their canonical edge ids.
-    min_deleted_gid: Option<u32>,
     cache: Option<SnapCache>,
 }
 
@@ -689,13 +709,31 @@ impl DynamicHypergraph {
     }
 
     /// Seeds a dynamic hypergraph from an existing immutable one (same
-    /// vertices, same hyperedges in the same order).
+    /// vertices, same hyperedges in the same order). Partitions adopt
+    /// `h`'s bodies, so the first snapshot shares them instead of
+    /// re-freezing the graph it was seeded from. A body is adopted only if
+    /// it is what a freeze here would emit: same rows in the same order,
+    /// every posting in the representation this process chooses (its
+    /// planner stats are taken as `h` carries them).
     pub fn from_hypergraph(h: &Hypergraph) -> Self {
         let mut d = Self::new();
         d.labels = h.labels().to_vec();
         for (_, vs) in h.iter_edges() {
             d.insert_hyperedge(vs.to_vec())
                 .expect("edges of a built hypergraph are valid");
+        }
+        for (sid, signature) in d.interner.iter() {
+            let part = &mut d.parts[sid.index()];
+            // Edges were replayed in `h`'s order, so a partition's rows are
+            // `h`'s rows unless `h` was not laid out in that order. A seed
+            // index in another representation than this process would
+            // choose (a snapshot file written under a different
+            // `HGMATCH_FORCE_REPR`) is re-frozen like any dirty partition.
+            if let Some(seed) = h.partition_of(signature) {
+                if seed.raw_vertices() == part.vertices && seed.index().is_canonical() {
+                    part.frozen = Some(Arc::clone(seed.body_arc()));
+                }
+            }
         }
         // Seeding is epoch 0, not a stream of updates.
         d.epoch = 0;
@@ -810,7 +848,6 @@ impl DynamicHypergraph {
         part.delete_row(loc.row, &self.labels);
         self.live_edges -= 1;
         self.epoch += 1;
-        self.min_deleted_gid = Some(self.min_deleted_gid.map_or(gid, |m| m.min(gid)));
         if part.should_compact() {
             self.compact_partition(loc.signature);
         }
@@ -847,8 +884,13 @@ impl DynamicHypergraph {
     /// would produce from the live hyperedges replayed in insertion order —
     /// partitions in first-encounter order, edges densely renumbered —
     /// which makes rebuild-from-scratch a byte-level oracle for this path.
-    /// Partitions untouched since the previous snapshot are shared with it
-    /// via [`Arc`] instead of being re-frozen.
+    ///
+    /// Cost: the rows of the partitions mutated since the previous
+    /// snapshot (their bodies are re-frozen), plus one id per live edge and
+    /// the locator (every envelope is rewritten, because deletions shift
+    /// the dense edge ids and extinctions the signature ids). The body of
+    /// every other partition is shared with the previous snapshot via
+    /// [`Arc`], wherever its ids moved to.
     pub fn snapshot(&mut self) -> SnapshotDelta {
         if let Some(cache) = &self.cache {
             if cache.epoch == self.epoch {
@@ -858,6 +900,8 @@ impl DynamicHypergraph {
                     epoch: self.epoch,
                     touched_labels: Vec::new(),
                     sids_stable: true,
+                    partitions_frozen: 0,
+                    partitions_shared: cache.graph.partitions().len(),
                 };
             }
         }
@@ -890,30 +934,19 @@ impl DynamicHypergraph {
             next_gid += 1;
         }
 
-        // Freeze dirty partitions; reuse the Arc of clean ones whose
-        // canonical sid and edge ids are provably unchanged.
+        // One reuse rule: rows unchanged ⇒ body shared. Every partition
+        // gets a new envelope under its canonical sid and edge ids.
+        let mut partitions_frozen = 0;
         let partitions: Vec<Arc<Partition>> = dyn_of_canon
             .iter()
             .enumerate()
             .map(|(canon_idx, &dyn_sid)| {
-                let canon_sid = SignatureId::from_index(canon_idx);
-                let part = &self.parts[dyn_sid];
-                let ids_unshifted = self
-                    .min_deleted_gid
-                    .is_none_or(|h| part.max_gid().is_none_or(|m| m < h));
-                let reusable = !part.dirty
-                    && ids_unshifted
-                    && self.cache.as_ref().is_some_and(|c| {
-                        c.canon_of_dyn.get(dyn_sid).copied().flatten() == Some(canon_sid)
-                    });
-                if reusable {
-                    let cache = self.cache.as_ref().expect("reusable implies cache");
-                    Arc::clone(cache.graph.partition_arc(canon_sid))
-                } else {
-                    Arc::new(part.freeze(canon_sid, &gid_remap))
-                }
+                let part = &mut self.parts[dyn_sid];
+                partitions_frozen += usize::from(part.frozen.is_none());
+                Arc::new(part.freeze(SignatureId::from_index(canon_idx), &gid_remap))
             })
             .collect();
+        let partitions_shared = partitions.len() - partitions_frozen;
 
         // Canonical locator: live edges in insertion order; rows are the
         // (compacted) dynamic rows, which match the frozen tables.
@@ -947,10 +980,6 @@ impl DynamicHypergraph {
         };
         let mut touched_labels: Vec<Label> = self.touched.drain().collect();
         touched_labels.sort_unstable();
-        self.min_deleted_gid = None;
-        for part in &mut self.parts {
-            part.dirty = false;
-        }
         self.cache = Some(SnapCache {
             graph: Arc::clone(&graph),
             epoch: self.epoch,
@@ -961,6 +990,8 @@ impl DynamicHypergraph {
             epoch: self.epoch,
             touched_labels,
             sids_stable,
+            partitions_frozen,
+            partitions_shared,
         }
     }
 }
@@ -1040,28 +1071,77 @@ mod tests {
         assert_eq!(*snap.graph, rebuild(&labels, &[vec![2, 3], vec![0, 1]]));
     }
 
+    /// The body-reuse oracle: the partition of `signature` has the same
+    /// body allocation in both graphs.
+    fn shares_body(a: &Hypergraph, b: &Hypergraph, signature: &[u32]) -> bool {
+        let signature = Signature::new(signature.iter().copied().map(Label::new).collect());
+        let (a, b) = (a.partition_of(&signature), b.partition_of(&signature));
+        Arc::ptr_eq(a.unwrap().body_arc(), b.unwrap().body_arc())
+    }
+
     #[test]
-    fn clean_partitions_are_arc_shared_across_snapshots() {
+    fn clean_partitions_share_their_body_across_snapshots() {
         let mut d = DynamicHypergraph::new();
         d.add_vertices(6, Label::new(0));
         d.add_vertices(2, Label::new(1));
         d.insert_hyperedge(vec![0, 1]).unwrap(); // {0,0}
         d.insert_hyperedge(vec![0, 6]).unwrap(); // {0,1}
         let first = d.snapshot();
+        assert_eq!((first.partitions_frozen, first.partitions_shared), (2, 0));
         // Touch only the {0,0,0} signature (new partition appended last).
         d.insert_hyperedge(vec![2, 3, 4]).unwrap();
         let second = d.snapshot();
         assert!(second.sids_stable);
-        for sid in 0..2 {
+        assert!(shares_body(&first.graph, &second.graph, &[0, 0]));
+        assert!(shares_body(&first.graph, &second.graph, &[0, 1]));
+        assert_eq!((second.partitions_frozen, second.partitions_shared), (1, 2));
+    }
+
+    #[test]
+    fn deleting_the_lowest_gid_keeps_untouched_bodies_shared() {
+        // Deleting edge 0 shifts the dense id of every later edge, in every
+        // partition: the envelopes change, the untouched bodies must not.
+        let labels: Vec<Label> = [0u32, 0, 0, 0, 1, 1, 2, 2].map(Label::new).to_vec();
+        let edges = vec![
+            vec![0, 1],    // {0,0}, gid 0: deleted below
+            vec![4, 5],    // {1,1}
+            vec![2, 3],    // {0,0}
+            vec![0, 4, 6], // {0,1,2}
+            vec![6, 7],    // {2,2}
+        ];
+        let mut d = DynamicHypergraph::from_hypergraph(&rebuild(&labels, &edges));
+        let first = d.snapshot();
+        d.delete_hyperedge(&[0, 1]).unwrap();
+        let second = d.snapshot();
+        assert_eq!(*second.graph, rebuild(&labels, &edges[1..]));
+        for untouched in [&[1, 1][..], &[0, 1, 2], &[2, 2]] {
             assert!(
-                Arc::ptr_eq(
-                    first.graph.partition_arc(SignatureId::from_index(sid)),
-                    second.graph.partition_arc(SignatureId::from_index(sid)),
-                ),
-                "untouched partition {sid} must be shared"
+                shares_body(&first.graph, &second.graph, untouched),
+                "untouched partition {untouched:?} must share its body"
             );
         }
-        assert_eq!(second.graph.partitions().len(), 3);
+        assert!(!shares_body(&first.graph, &second.graph, &[0, 0]));
+        assert_eq!((second.partitions_frozen, second.partitions_shared), (1, 3));
+    }
+
+    #[test]
+    fn extinction_shifts_sids_but_keeps_untouched_bodies_shared() {
+        let labels: Vec<Label> = [0u32, 0, 1, 1, 2, 2].map(Label::new).to_vec();
+        let edges = vec![vec![0, 1], vec![2, 3], vec![4, 5], vec![2, 4]];
+        let mut d = DynamicHypergraph::from_hypergraph(&rebuild(&labels, &edges));
+        let first = d.snapshot();
+        // {0,0} goes extinct: every other signature moves down one sid.
+        d.delete_hyperedge(&[0, 1]).unwrap();
+        let second = d.snapshot();
+        assert!(!second.sids_stable);
+        assert_eq!(*second.graph, rebuild(&labels, &edges[1..]));
+        for untouched in [&[1, 1][..], &[2, 2], &[1, 2]] {
+            assert!(
+                shares_body(&first.graph, &second.graph, untouched),
+                "untouched partition {untouched:?} must share its body"
+            );
+        }
+        assert_eq!((second.partitions_frozen, second.partitions_shared), (0, 3));
     }
 
     #[test]
@@ -1341,7 +1421,7 @@ mod tests {
     }
 
     #[test]
-    fn from_hypergraph_round_trips() {
+    fn from_hypergraph_adopts_the_seed_bodies() {
         let labels: Vec<Label> = [0u32, 1, 0, 1].map(Label::new).to_vec();
         let edges = vec![vec![0, 1], vec![2, 3], vec![0, 2]];
         let base = rebuild(&labels, &edges);
@@ -1349,5 +1429,10 @@ mod tests {
         assert_eq!(d.epoch(), 0);
         let snap = d.snapshot();
         assert_eq!(*snap.graph, base);
+        // The first snapshot re-freezes nothing of the graph it came from.
+        assert_eq!((snap.partitions_frozen, snap.partitions_shared), (0, 2));
+        for (got, seed) in snap.graph.partitions().iter().zip(base.partitions()) {
+            assert!(Arc::ptr_eq(got.body_arc(), seed.body_arc()));
+        }
     }
 }

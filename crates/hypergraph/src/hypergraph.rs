@@ -1,12 +1,14 @@
 //! The immutable, indexed data hypergraph (paper §IV).
 //!
 //! A [`Hypergraph`] is the product of offline preprocessing: vertex labels,
-//! signature-partitioned hyperedge tables with inverted indices, a global
-//! edge locator, and a global vertex→edge incidence CSR (used by the
-//! match-by-vertex baselines and the IHS filter).
+//! signature-partitioned hyperedge tables with inverted indices and a global
+//! edge locator. The global vertex→edge incidence CSR and the adjacency
+//! counts (used by the match-by-vertex baselines, the IHS filter and the
+//! query samplers — never by the HGMatch engine) are derived from those on
+//! first use.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -21,10 +23,8 @@ use crate::stats::HypergraphStats;
 /// writer's compaction remaps them across epochs — so executor scratch
 /// caches keyed by edge id (the expansion level stack) must be invalidated
 /// whenever they are reused against a different snapshot, even one with
-/// overlapping edge ids. Equality is intentionally always-true: snapshot
-/// identity is not part of hypergraph *content*, and the dynamic
-/// differential oracle's `snapshot == rebuild` check must keep comparing
-/// content only.
+/// overlapping edge ids. Snapshot identity is not part of hypergraph
+/// *content*: [`Hypergraph`]'s equality leaves it out.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SnapshotUid(u64);
 
@@ -33,12 +33,6 @@ impl SnapshotUid {
         // Starts at 1 so 0 can mean "no snapshot yet" in caches.
         static NEXT: AtomicU64 = AtomicU64::new(1);
         Self(NEXT.fetch_add(1, Ordering::Relaxed))
-    }
-}
-
-impl PartialEq for SnapshotUid {
-    fn eq(&self, _: &Self) -> bool {
-        true
     }
 }
 
@@ -51,37 +45,54 @@ pub struct EdgeLocation {
     pub row: u32,
 }
 
+/// Global incidence CSR: `offsets[v]..offsets[v+1]` indexes the sorted
+/// global edge ids incident to vertex `v`.
+#[derive(Debug, Clone)]
+pub(crate) struct Incidence {
+    pub(crate) offsets: Vec<u64>,
+    pub(crate) edges: Vec<u32>,
+}
+
 /// An immutable vertex-labelled hypergraph in HGMatch's partitioned layout.
 ///
-/// Partitions are [`Arc`]-shared so that the dynamic snapshot path
-/// ([`crate::dynamic`]) can produce a new consistent `Hypergraph` per epoch
-/// while reusing every partition the writer did not touch (copy-on-write at
-/// partition granularity).
-#[derive(Debug, Clone, PartialEq)]
+/// Partitions are [`Arc`]-shared, and each shares its row content (the
+/// partition body, see [`crate::partition`]) with the previous epoch's
+/// when the dynamic snapshot path ([`crate::dynamic`]) found its rows
+/// unchanged.
+///
+/// Equality compares content: labels, signatures, partitions and locator.
+/// The incidence CSR and adjacency counts are functions of those and the
+/// snapshot uid is identity, so none of the three takes part.
+#[derive(Debug, Clone)]
 pub struct Hypergraph {
     pub(crate) labels: Vec<Label>,
     pub(crate) num_labels: u32,
     pub(crate) interner: SignatureInterner,
     pub(crate) partitions: Vec<Arc<Partition>>,
     pub(crate) locator: Vec<EdgeLocation>,
-    /// Global incidence CSR: `incidence_offsets[v]..incidence_offsets[v+1]`
-    /// indexes sorted global edge ids incident to vertex `v`.
-    pub(crate) incidence_offsets: Vec<u64>,
-    pub(crate) incidence_edges: Vec<u32>,
-    /// `|adj(v)|` per vertex (number of distinct adjacent vertices),
-    /// precomputed for the IHS filter.
-    pub(crate) adj_counts: Vec<u32>,
-    /// Process-unique snapshot identity (excluded from content equality).
+    /// Built by the first reader ([`Hypergraph::incidence`]).
+    incidence: OnceLock<Incidence>,
+    /// `|adj(v)|` per vertex (number of distinct adjacent vertices), for
+    /// the IHS filter; built by the first reader.
+    adj_counts: OnceLock<Vec<u32>>,
+    /// Process-unique snapshot identity.
     pub(crate) uid: SnapshotUid,
 }
 
+impl PartialEq for Hypergraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.labels == other.labels
+            && self.interner == other.interner
+            && self.partitions == other.partitions
+            && self.locator == other.locator
+    }
+}
+
 impl Hypergraph {
-    /// Assembles a hypergraph from its partition tables and edge locator,
-    /// deriving everything downstream of them: the label-alphabet size, the
-    /// global incidence CSR and the per-vertex adjacency counts. Shared by
-    /// the offline [`crate::builder::HypergraphBuilder`] and the dynamic
-    /// snapshot path ([`crate::dynamic`]), so both produce identical
-    /// derived state for identical partition content.
+    /// Assembles a hypergraph from its partition tables and edge locator.
+    /// Shared by the offline [`crate::builder::HypergraphBuilder`] and the
+    /// dynamic snapshot path ([`crate::dynamic`]); the derived state is
+    /// left to its first reader, so neither pays for it.
     pub(crate) fn assemble(
         labels: Vec<Label>,
         interner: SignatureInterner,
@@ -89,89 +100,74 @@ impl Hypergraph {
         locator: Vec<EdgeLocation>,
     ) -> Self {
         let num_labels = labels.iter().map(|l| l.raw() + 1).max().unwrap_or(0);
-
-        // Global incidence CSR: vertex → sorted global edge ids.
-        let mut degrees = vec![0u64; labels.len()];
-        for p in &partitions {
-            for (_, row) in p.iter_rows() {
-                for &v in row {
-                    degrees[v as usize] += 1;
-                }
-            }
-        }
-        let mut incidence_offsets = Vec::with_capacity(labels.len() + 1);
-        incidence_offsets.push(0u64);
-        for &d in &degrees {
-            incidence_offsets.push(incidence_offsets.last().unwrap() + d);
-        }
-        let total = *incidence_offsets.last().unwrap() as usize;
-        let mut incidence_edges = vec![0u32; total];
-        let mut cursor = incidence_offsets[..labels.len()].to_vec();
-        // Fill in ascending global edge order so per-vertex lists are sorted.
-        let mut by_global: Vec<(EdgeId, SignatureId, u32)> = Vec::new();
-        for p in &partitions {
-            for (r, _) in p.iter_rows() {
-                by_global.push((p.global_id(r), p.signature(), r));
-            }
-        }
-        by_global.sort_unstable_by_key(|(g, _, _)| *g);
-        for (g, sid, r) in by_global {
-            for &v in partitions[sid.index()].row(r) {
-                let c = &mut cursor[v as usize];
-                incidence_edges[*c as usize] = g.raw();
-                *c += 1;
-            }
-        }
-
-        // |adj(v)| per vertex via sort+dedup of neighbour lists.
-        let graph = Hypergraph {
+        Hypergraph {
             labels,
             num_labels,
             interner,
             partitions,
             locator,
-            incidence_offsets,
-            incidence_edges,
-            adj_counts: Vec::new(),
+            incidence: OnceLock::new(),
+            adj_counts: OnceLock::new(),
             uid: SnapshotUid::fresh(),
-        };
-        let adj_counts = (0..graph.num_vertices())
-            .map(|v| graph.adjacent_vertices(VertexId::from_index(v)).len() as u32)
-            .collect();
-        Hypergraph {
-            adj_counts,
-            ..graph
         }
     }
 
     /// Reassembles a hypergraph from fully serialized parts — the HGMB v2
     /// snapshot load path ([`crate::io`]). Unlike [`Hypergraph::assemble`],
-    /// nothing is derived: the incidence CSR and adjacency counts arrive
-    /// precomputed, so restore cost is deserialization alone (the ≥10×
-    /// restore-vs-reindex win of DESIGN.md §17). The caller (the decoder)
-    /// has already validated cross-structure invariants; only the label
-    /// alphabet size and a fresh snapshot uid are computed here.
+    /// the incidence CSR and adjacency counts arrive precomputed and are
+    /// seeded directly, so no reader of a restored graph derives them.
+    /// The caller (the decoder) has already validated cross-structure
+    /// invariants.
     pub(crate) fn from_serialized_parts(
         labels: Vec<Label>,
         interner: SignatureInterner,
         partitions: Vec<Arc<Partition>>,
         locator: Vec<EdgeLocation>,
-        incidence_offsets: Vec<u64>,
-        incidence_edges: Vec<u32>,
+        incidence: Incidence,
         adj_counts: Vec<u32>,
     ) -> Self {
-        let num_labels = labels.iter().map(|l| l.raw() + 1).max().unwrap_or(0);
         Hypergraph {
-            labels,
-            num_labels,
-            interner,
-            partitions,
-            locator,
-            incidence_offsets,
-            incidence_edges,
-            adj_counts,
-            uid: SnapshotUid::fresh(),
+            incidence: OnceLock::from(incidence),
+            adj_counts: OnceLock::from(adj_counts),
+            ..Self::assemble(labels, interner, partitions, locator)
         }
+    }
+
+    /// The global incidence CSR, built on first use by walking the locator
+    /// — already in ascending global-id order, so per-vertex lists come
+    /// out sorted.
+    pub(crate) fn incidence(&self) -> &Incidence {
+        self.incidence.get_or_init(|| {
+            let nv = self.labels.len();
+            let mut offsets = vec![0u64; nv + 1];
+            for p in &self.partitions {
+                for &v in p.raw_vertices() {
+                    offsets[v as usize + 1] += 1;
+                }
+            }
+            for v in 0..nv {
+                offsets[v + 1] += offsets[v];
+            }
+            let mut cursor = offsets[..nv].to_vec();
+            let mut edges = vec![0u32; offsets[nv] as usize];
+            for (g, loc) in self.locator.iter().enumerate() {
+                for &v in self.partitions[loc.signature.index()].row(loc.row) {
+                    let c = &mut cursor[v as usize];
+                    edges[*c as usize] = g as u32;
+                    *c += 1;
+                }
+            }
+            Incidence { offsets, edges }
+        })
+    }
+
+    /// `|adj(v)|` per vertex, built on first use.
+    pub(crate) fn adj_counts(&self) -> &[u32] {
+        self.adj_counts.get_or_init(|| {
+            (0..self.num_vertices())
+                .map(|v| self.adjacent_vertices(VertexId::from_index(v)).len() as u32)
+                .collect()
+        })
     }
 
     /// Process-unique identity of this snapshot (never 0).
@@ -234,13 +230,6 @@ impl Hypergraph {
         &self.partitions[id.index()]
     }
 
-    /// The partition for `id` as its shared handle (the dynamic snapshot
-    /// path reuses untouched partitions across epochs through this).
-    #[inline]
-    pub(crate) fn partition_arc(&self, id: SignatureId) -> &Arc<Partition> {
-        &self.partitions[id.index()]
-    }
-
     /// Finds the partition holding hyperedges with `signature`, if any.
     pub fn partition_of(&self, signature: &Signature) -> Option<&Partition> {
         self.interner.get(signature).map(|id| self.partition(id))
@@ -281,15 +270,14 @@ impl Hypergraph {
     /// Sorted global edge ids incident to vertex `v` — `he(v)`.
     #[inline]
     pub fn incident_edges(&self, v: VertexId) -> &[u32] {
-        let start = self.incidence_offsets[v.index()] as usize;
-        let end = self.incidence_offsets[v.index() + 1] as usize;
-        &self.incidence_edges[start..end]
+        let inc = self.incidence();
+        &inc.edges[inc.offsets[v.index()] as usize..inc.offsets[v.index() + 1] as usize]
     }
 
     /// Degree `d(v) = |he(v)|`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        (self.incidence_offsets[v.index() + 1] - self.incidence_offsets[v.index()]) as usize
+        self.incident_edges(v).len()
     }
 
     /// `|he_a(v)|`: number of incident hyperedges of arity `a`.
@@ -309,7 +297,7 @@ impl Hypergraph {
     /// Number of distinct adjacent vertices `|adj(v)|`.
     #[inline]
     pub fn adjacent_count(&self, v: VertexId) -> usize {
-        self.adj_counts[v.index()] as usize
+        self.adj_counts()[v.index()] as usize
     }
 
     /// Collects the distinct adjacent vertices of `v`, sorted.
@@ -480,6 +468,34 @@ mod tests {
         // v0 is in e3 {v0,v1,v2} and e5 {v0,v1,v4,v6} → adj = {1,2,4,6}.
         assert_eq!(h.adjacent_vertices(VertexId::new(0)), vec![1, 2, 4, 6]);
         assert_eq!(h.adjacent_count(VertexId::new(0)), 4);
+    }
+
+    #[test]
+    fn derived_state_is_outside_equality_and_built_once_under_a_race() {
+        let h = paper_data_graph();
+        let unread = paper_data_graph();
+        // Eight threads race the first use; `OnceLock` admits one builder,
+        // so all of them must see the same allocation and the same values.
+        let barrier = std::sync::Barrier::new(8);
+        let seen: Vec<(&[u32], usize)> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let edges = h.incident_edges(VertexId::new(4));
+                        (edges, h.adjacent_count(VertexId::new(0)))
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        for &(edges, adj) in &seen {
+            assert_eq!((edges, adj), (&[0, 1, 4, 5][..], 4));
+            assert_eq!(edges.as_ptr(), seen[0].0.as_ptr());
+        }
+        // A graph whose derived state was read equals one where it never was.
+        assert!(unread.incidence.get().is_none() && h.incidence.get().is_some());
+        assert_eq!(h, unread);
     }
 
     #[test]

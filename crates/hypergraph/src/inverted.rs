@@ -438,6 +438,18 @@ impl InvertedIndex {
         }
     }
 
+    /// Whether every key carries the representation [`choose_repr`] gives
+    /// it in this process now. False for an index decoded from a snapshot
+    /// written under another `HGMATCH_FORCE_REPR`, or built before
+    /// [`set_forced_repr`] changed; the dynamic writer adopts only
+    /// canonical indices, so its snapshots keep equalling a fresh build.
+    pub(crate) fn is_canonical(&self) -> bool {
+        (0..self.keys.len()).all(|i| {
+            let posting = self.posting_at(i);
+            posting.repr() == choose_repr(posting.len(), self.num_rows as usize)
+        })
+    }
+
     /// Number of keys carrying a dense (bitmap) representation.
     #[inline]
     pub fn num_dense_keys(&self) -> usize {

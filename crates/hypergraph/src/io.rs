@@ -32,7 +32,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::builder::HypergraphBuilder;
 use crate::error::{HypergraphError, Result};
-use crate::hypergraph::{EdgeLocation, Hypergraph};
+use crate::hypergraph::{EdgeLocation, Hypergraph, Incidence};
 use crate::ids::{EdgeId, Label, SignatureId};
 use crate::inverted::InvertedIndex;
 use crate::partition::Partition;
@@ -410,16 +410,19 @@ pub fn encode_snapshot(h: &Hypergraph) -> Bytes {
                     payload.put_u32_le(loc.row);
                 }
             }
+            // The two derived sections force the lazily built state, so
+            // the bytes are those of an eagerly derived graph.
             SECTION_INCIDENCE => {
-                for &o in &h.incidence_offsets {
+                let incidence = h.incidence();
+                for &o in &incidence.offsets {
                     payload.put_u64_le(o);
                 }
-                for &e in &h.incidence_edges {
+                for &e in &incidence.edges {
                     payload.put_u32_le(e);
                 }
             }
             SECTION_ADJACENCY => {
-                for &a in &h.adj_counts {
+                for &a in h.adj_counts() {
                     payload.put_u32_le(a);
                 }
             }
@@ -690,8 +693,10 @@ pub fn decode_snapshot(data: &[u8]) -> Result<Hypergraph> {
         interner,
         partitions,
         locator,
-        incidence_offsets,
-        incidence_edges,
+        Incidence {
+            offsets: incidence_offsets,
+            edges: incidence_edges,
+        },
         adj_counts,
     ))
 }

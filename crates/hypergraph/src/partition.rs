@@ -4,6 +4,16 @@
 //! table of sorted vertex lists plus the partition's [`InvertedIndex`]. The
 //! row count of the table *is* the hyperedge cardinality `Card(eq, H)` used
 //! by the matching-order planner (Definition V.2), available in `O(1)`.
+//!
+//! A partition is two layers. The body (`PartitionBody`) — vertex table,
+//! inverted index, planner stats — is a function of the partition's rows
+//! alone and sits behind an [`Arc`]; the envelope around it (`signature`,
+//! `global_ids`) is what a snapshot's canonical renumbering assigns. The
+//! dynamic writer ([`crate::dynamic`]) re-issues only envelopes for
+//! partitions whose rows an epoch did not change, so their bodies are
+//! shared across epochs.
+
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -11,23 +21,54 @@ use crate::ids::{EdgeId, Label, SignatureId};
 use crate::inverted::InvertedIndex;
 use crate::stats::PartitionStats;
 
-/// One hyperedge table: every hyperedge in it has the same signature.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Partition {
-    signature: SignatureId,
+/// The row content of one hyperedge table: immutable once built, and
+/// independent of which signature id and global edge ids a snapshot gives
+/// the partition.
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) struct PartitionBody {
     /// Arity shared by all rows (signatures fix the arity).
     arity: u32,
     /// Flattened sorted vertex lists; row `r` is
     /// `vertices[r*arity..(r+1)*arity]`.
     vertices: Vec<u32>,
-    /// Global edge id of each local row.
-    global_ids: Vec<EdgeId>,
     /// vertex → sorted local rows.
     index: InvertedIndex,
     /// Cardinality summaries for the cost-based planner (DESIGN.md §13).
     /// Covered by `PartialEq`, so the dynamic snapshot-vs-rebuild oracle
     /// also proves the incremental stats maintenance.
     stats: PartitionStats,
+}
+
+impl PartitionBody {
+    /// Assembles a body from already-flattened rows, a prebuilt index and
+    /// already computed stats.
+    pub(crate) fn from_parts(
+        arity: u32,
+        vertices: Vec<u32>,
+        index: InvertedIndex,
+        stats: PartitionStats,
+    ) -> Self {
+        debug_assert_eq!(vertices.len(), index.num_rows() as usize * arity as usize);
+        Self {
+            arity,
+            vertices,
+            index,
+            stats,
+        }
+    }
+}
+
+/// One hyperedge table: every hyperedge in it has the same signature.
+///
+/// Equality compares content — the envelope and the body's rows, index and
+/// stats — never body identity, so snapshot == rebuild-from-scratch stays a
+/// byte-level oracle whether or not bodies are shared.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Partition {
+    signature: SignatureId,
+    /// Global edge id of each local row.
+    global_ids: Vec<EdgeId>,
+    body: Arc<PartitionBody>,
 }
 
 impl Partition {
@@ -61,21 +102,14 @@ impl Partition {
         }
         let row_slices: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
         let index = InvertedIndex::build(&row_slices);
-        let mut partition = Self {
-            signature,
-            arity,
-            vertices,
-            global_ids,
-            index,
-            stats: PartitionStats::default(),
-        };
-        partition.stats = PartitionStats::recompute(&partition, labels);
-        partition
+        let stats = PartitionStats::recompute_from_index(&index, rows.len(), labels);
+        Self::from_parts(signature, arity, vertices, global_ids, index, stats)
     }
 
     /// Assembles a partition from already-flattened parts, a prebuilt
-    /// index and incrementally maintained stats — the dynamic snapshot's
-    /// freeze path ([`crate::dynamic`]), which must not rebuild either.
+    /// index and already computed stats — the snapshot decoder
+    /// ([`crate::io`]) and the sharded merge ([`crate::sharded`]), which
+    /// must not rebuild either.
     pub(crate) fn from_parts(
         signature: SignatureId,
         arity: u32,
@@ -84,15 +118,30 @@ impl Partition {
         index: InvertedIndex,
         stats: PartitionStats,
     ) -> Self {
-        debug_assert_eq!(vertices.len(), global_ids.len() * arity as usize);
+        let body = PartitionBody::from_parts(arity, vertices, index, stats);
+        Self::from_body(signature, global_ids, Arc::new(body))
+    }
+
+    /// Wraps a shared body in a fresh envelope — the dynamic snapshot's
+    /// freeze path ([`crate::dynamic`]), which writes only this for a
+    /// partition whose rows did not change.
+    pub(crate) fn from_body(
+        signature: SignatureId,
+        global_ids: Vec<EdgeId>,
+        body: Arc<PartitionBody>,
+    ) -> Self {
+        debug_assert_eq!(global_ids.len(), body.index.num_rows() as usize);
         Self {
             signature,
-            arity,
-            vertices,
             global_ids,
-            index,
-            stats,
+            body,
         }
+    }
+
+    /// The body's shared handle (the dynamic writer keeps and re-issues it).
+    #[inline]
+    pub(crate) fn body_arc(&self) -> &Arc<PartitionBody> {
+        &self.body
     }
 
     /// The signature id all rows in this partition share.
@@ -104,7 +153,7 @@ impl Partition {
     /// Arity of every hyperedge in this partition.
     #[inline]
     pub fn arity(&self) -> u32 {
-        self.arity
+        self.body.arity
     }
 
     /// Number of hyperedges — the `O(1)` cardinality used by the planner.
@@ -122,9 +171,9 @@ impl Partition {
     /// Sorted vertex list of local row `row`.
     #[inline]
     pub fn row(&self, row: u32) -> &[u32] {
-        let a = self.arity as usize;
+        let a = self.body.arity as usize;
         let start = row as usize * a;
-        &self.vertices[start..start + a]
+        &self.body.vertices[start..start + a]
     }
 
     /// Global edge id of local row `row`.
@@ -142,21 +191,21 @@ impl Partition {
     /// The partition's inverted hyperedge index.
     #[inline]
     pub fn index(&self) -> &InvertedIndex {
-        &self.index
+        &self.body.index
     }
 
     /// The flattened vertex table (`len * arity` sorted lists back to
     /// back) — the serialisation path writes it verbatim.
     #[inline]
     pub(crate) fn raw_vertices(&self) -> &[u32] {
-        &self.vertices
+        &self.body.vertices
     }
 
     /// The planner's cardinality summaries for this partition
     /// ([`PartitionStats`], DESIGN.md §13).
     #[inline]
     pub fn stats(&self) -> &PartitionStats {
-        &self.stats
+        &self.body.stats
     }
 
     /// Posting set of local rows incident to `vertex` — `he(v, s)` for this
@@ -165,7 +214,7 @@ impl Partition {
     /// blocks); Algorithm 4 dispatches on it to pick the cheapest kernel.
     #[inline]
     pub fn incident_posting(&self, vertex: u32) -> crate::inverted::Posting<'_> {
-        self.index.posting(vertex)
+        self.body.index.posting(vertex)
     }
 
     /// Iterates `(local row, vertex list)` pairs.
@@ -176,13 +225,13 @@ impl Partition {
     /// Approximate heap size of the table (vertex lists + global ids),
     /// excluding the inverted index.
     pub fn table_size_bytes(&self) -> usize {
-        self.vertices.len() * std::mem::size_of::<u32>()
+        self.body.vertices.len() * std::mem::size_of::<u32>()
             + self.global_ids.len() * std::mem::size_of::<EdgeId>()
     }
 
     /// Approximate heap size of the inverted index.
     pub fn index_size_bytes(&self) -> usize {
-        self.index.size_bytes()
+        self.body.index.size_bytes()
     }
 }
 

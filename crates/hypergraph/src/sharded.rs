@@ -337,12 +337,17 @@ impl ShardedHypergraph {
         touched_labels.sort_unstable();
         touched_labels.dedup();
 
+        // The merge re-derives every merged partition from the shards'
+        // postings, so none shares a body with the previous merged epoch.
+        let partitions_frozen = partitions.len();
         let graph = Arc::new(Hypergraph::assemble(labels, interner, partitions, locator));
         let delta = SnapshotDelta {
             graph,
             epoch: self.epoch,
             touched_labels,
             sids_stable,
+            partitions_frozen,
+            partitions_shared: 0,
         };
         self.cached = Some(CachedMerge {
             epoch: self.epoch,

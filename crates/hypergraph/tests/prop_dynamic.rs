@@ -2,18 +2,21 @@
 //! interleaved insert/delete sequences on [`DynamicHypergraph`] must
 //! produce snapshots — partitions, inverted indices with their bitmap
 //! postings, locator, incidence CSR — equal in every field to a fresh
-//! [`HypergraphBuilder`] build over the surviving hyperedges.
+//! [`HypergraphBuilder`] build over the surviving hyperedges, and each
+//! snapshot must re-freeze no more partitions than its epoch touched.
 //!
 //! Kernel modes: index construction is kernel-independent, but the CI
 //! matrix replays this whole suite under `HGMATCH_FORCE_SCALAR=1` alongside
 //! the core-level matching differentials, so a representation bug that only
 //! bites one kernel family still fails the PR.
 
-use hgmatch_datasets::testgen::TestRng;
+use hgmatch_datasets::testgen::{assert_derived_state_eq, TestRng};
 use hgmatch_hypergraph::{
     env_shards, DynamicHypergraph, Hypergraph, HypergraphBuilder, Label, ShardedHypergraph,
+    SnapshotDelta,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// The reference model: vertex labels plus live edges in (re-)insertion
 /// order — exactly what a fresh build would consume.
@@ -33,6 +36,34 @@ impl Model {
         }
         b.build().expect("model builds")
     }
+
+    /// The signature (sorted label multiset) of `edge`.
+    fn signature(&self, edge: &[u32]) -> Vec<Label> {
+        let mut labels: Vec<Label> = edge.iter().map(|&v| self.labels[v as usize]).collect();
+        labels.sort_unstable();
+        labels
+    }
+}
+
+/// Delta-proportional publish: a snapshot rebuilds the body of at most the
+/// partitions whose signature an op since the previous snapshot named, and
+/// shares every other. `touched` is reset for the next epoch.
+fn assert_frozen_within_touched(
+    snap: &SnapshotDelta,
+    touched: &mut BTreeSet<Vec<Label>>,
+) -> Result<(), TestCaseError> {
+    prop_assert!(
+        snap.partitions_frozen <= touched.len(),
+        "{} partitions frozen, {} signatures touched",
+        snap.partitions_frozen,
+        touched.len()
+    );
+    prop_assert_eq!(
+        snap.partitions_frozen + snap.partitions_shared,
+        snap.graph.partitions().len()
+    );
+    touched.clear();
+    Ok(())
 }
 
 /// Applies `ops` random operations, snapshotting along the way with
@@ -49,12 +80,13 @@ fn run_case(seed: u64, nv: usize, nl: u64, ops: usize) -> Result<(), TestCaseErr
         dynamic.add_vertex(l);
     }
 
-    let mut snapshots_taken = 0usize;
+    let mut touched: BTreeSet<Vec<Label>> = BTreeSet::new();
     for _ in 0..ops {
         let delete = !model.live.is_empty() && rng.below(100) < 40;
         if delete {
             let idx = rng.below(model.live.len() as u64) as usize;
             let edge = model.live.remove(idx);
+            touched.insert(model.signature(&edge));
             let removed = dynamic.delete_hyperedge(&edge).expect("delete is Ok");
             prop_assert!(removed, "model edge {edge:?} must be live");
         } else {
@@ -67,6 +99,7 @@ fn run_case(seed: u64, nv: usize, nl: u64, ops: usize) -> Result<(), TestCaseErr
                 }
             }
             edge.sort_unstable();
+            touched.insert(model.signature(&edge));
             let duplicate = model.live.contains(&edge);
             let inserted = dynamic
                 .insert_hyperedge(edge.clone())
@@ -83,19 +116,20 @@ fn run_case(seed: u64, nv: usize, nl: u64, ops: usize) -> Result<(), TestCaseErr
         }
 
         if rng.below(100) < 25 {
-            snapshots_taken += 1;
             let snap = dynamic.snapshot();
             assert_snapshot_matches(&snap.graph, &model)?;
+            assert_frozen_within_touched(&snap, &mut touched)?;
         }
     }
 
     let snap = dynamic.snapshot();
     assert_snapshot_matches(&snap.graph, &model)?;
+    assert_frozen_within_touched(&snap, &mut touched)?;
     prop_assert_eq!(snap.graph.num_edges(), model.live.len());
     // Republishing without mutations must be the identical Arc.
     let again = dynamic.snapshot();
     prop_assert!(std::sync::Arc::ptr_eq(&snap.graph, &again.graph));
-    let _ = snapshots_taken;
+    prop_assert_eq!(again.partitions_frozen, 0);
     Ok(())
 }
 
@@ -170,9 +204,11 @@ fn run_sharded_case(
 }
 
 /// Field-by-field equality of a snapshot against the rebuild oracle. The
-/// top-level `PartialEq` covers everything; the per-partition assertions
-/// exist to localise failures (and to state the acceptance criterion —
-/// inverted indices *including bitmap postings* byte-equal — explicitly).
+/// top-level `PartialEq` covers all stored content; the per-partition
+/// assertions exist to localise failures (and to state the acceptance
+/// criterion — inverted indices *including bitmap postings* byte-equal —
+/// explicitly). The lazily derived incidence CSR and adjacency counts are
+/// outside `PartialEq`, so they are compared vertex by vertex.
 fn assert_snapshot_matches(snap: &Hypergraph, model: &Model) -> Result<(), TestCaseError> {
     let oracle = model.rebuild();
     prop_assert_eq!(snap.num_vertices(), oracle.num_vertices());
@@ -187,6 +223,7 @@ fn assert_snapshot_matches(snap: &Hypergraph, model: &Model) -> Result<(), TestC
         prop_assert_eq!(got.index().num_dense_keys(), want.index().num_dense_keys());
     }
     prop_assert_eq!(snap, &oracle);
+    assert_derived_state_eq(snap, &oracle);
     Ok(())
 }
 

@@ -1,0 +1,53 @@
+//! Seeding a writer from a snapshot whose postings were written in a
+//! representation this process would not choose (another
+//! `HGMATCH_FORCE_REPR`): `DynamicHypergraph::from_hypergraph` must not
+//! adopt those bodies, or adopted and re-frozen partitions would disagree
+//! and `snapshot == rebuild-from-scratch` would fail.
+//!
+//! The only test in this file: it flips the process-wide forced
+//! representation, which must not race other tests.
+
+use hgmatch_hypergraph::inverted::{forced_repr, set_forced_repr, ReprKind};
+use hgmatch_hypergraph::io::{decode_snapshot, encode_snapshot};
+use hgmatch_hypergraph::{DynamicHypergraph, Hypergraph, HypergraphBuilder, Label};
+
+fn build(edges: &[Vec<u32>]) -> Hypergraph {
+    let mut b = HypergraphBuilder::new();
+    for l in [0u32, 1, 0, 1, 2, 2] {
+        b.add_vertex(Label::new(l));
+    }
+    for e in edges {
+        b.add_edge(e.clone()).unwrap();
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn seed_in_a_foreign_representation_is_refrozen_not_adopted() {
+    let mut edges = vec![vec![0, 1], vec![2, 3], vec![0, 2], vec![1, 4], vec![3, 5]];
+    // Any representation but the one every key of this small graph gets
+    // here (the repr-stress CI legs force one through the environment).
+    let foreign = match forced_repr() {
+        Some(ReprKind::Compressed) => ReprKind::List,
+        _ => ReprKind::Compressed,
+    };
+    set_forced_repr(Some(foreign));
+    let file = encode_snapshot(&build(&edges));
+    set_forced_repr(None);
+
+    // Postings decode verbatim, so the seed differs from a build here.
+    let seed = decode_snapshot(&file).unwrap();
+    assert_ne!(seed, build(&edges));
+
+    let mut d = DynamicHypergraph::from_hypergraph(&seed);
+    let first = d.snapshot();
+    assert_eq!(*first.graph, build(&edges));
+    assert_eq!(first.partitions_shared, 0);
+
+    // A later epoch mixes one re-frozen partition with shared bodies.
+    d.insert_hyperedge(vec![0, 3]).unwrap();
+    edges.push(vec![0, 3]);
+    let second = d.snapshot();
+    assert_eq!(*second.graph, build(&edges));
+    assert_eq!(second.partitions_frozen, 1);
+}

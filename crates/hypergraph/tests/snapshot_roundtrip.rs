@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use hgmatch_datasets::testgen::random_arity_hypergraph;
+use hgmatch_datasets::testgen::{assert_derived_state_eq, random_arity_hypergraph};
 use hgmatch_datasets::update_stream::{generate_update_stream, UpdateStreamConfig};
 use hgmatch_hypergraph::io::{decode_snapshot, encode_snapshot, load_snapshot, save_snapshot};
 use hgmatch_hypergraph::{
@@ -77,6 +77,7 @@ fn golden_fixture_is_byte_stable() {
             "fresh fixture build no longer matches the committed snapshot"
         );
         assert_eq!(decoded, fixture_graph());
+        assert_derived_state_eq(&decoded, &fixture_graph());
     }
 }
 
@@ -104,6 +105,7 @@ fn snapshot_roundtrips_across_dynamic_streams() {
             let bytes = encode_snapshot(&snap.graph);
             let restored = decode_snapshot(&bytes).expect("snapshot must decode");
             assert_eq!(restored, *snap.graph, "decode lost state at op {i}");
+            assert_derived_state_eq(&restored, &snap.graph);
             assert_eq!(
                 encode_snapshot(&restored),
                 bytes,
@@ -143,7 +145,9 @@ fn sharded_snapshot_files_match_monolithic() {
                 let path = dir.join(format!("shard{num_shards}.hgsnap"));
                 save_snapshot(&merged, &path).unwrap();
                 let restored = load_snapshot(&path).unwrap();
-                assert_eq!(restored, *mono.snapshot().graph);
+                let mono = mono.snapshot().graph;
+                assert_eq!(restored, *mono);
+                assert_derived_state_eq(&restored, &mono);
             }
         }
     }
