@@ -13,7 +13,10 @@
 //!    * `steal` — per-worker LIFO deques with FIFO batch stealing, no
 //!      mid-flight splitting (split threshold 0).
 //!    * `assist` — stealing plus splittable candidate ranges: a hot
-//!      expansion's validation loop is joined mid-flight by idle peers.
+//!      expansion's validation loop is joined mid-flight by idle peers
+//!      (at the bench's `--split-threshold`).
+//!    * `assist_default` — the same at the production default threshold
+//!      (`MatchConfig::default().split_threshold`, 2048).
 //!
 //!    The scaling signal is the per-worker busy spread:
 //!    `parallelism = Σ busy / max busy` (≈ pool size when the query's
@@ -51,16 +54,23 @@ enum Mode {
     RoundRobin,
     Steal,
     Assist,
+    AssistDefault,
 }
 
 impl Mode {
-    const ALL: [Mode; 3] = [Mode::RoundRobin, Mode::Steal, Mode::Assist];
+    const ALL: [Mode; 4] = [
+        Mode::RoundRobin,
+        Mode::Steal,
+        Mode::Assist,
+        Mode::AssistDefault,
+    ];
 
     fn name(self) -> &'static str {
         match self {
             Mode::RoundRobin => "round_robin",
             Mode::Steal => "steal",
             Mode::Assist => "assist",
+            Mode::AssistDefault => "assist_default",
         }
     }
 
@@ -79,6 +89,8 @@ impl Mode {
                 mc.work_stealing = true;
                 mc.split_threshold = split_threshold;
             }
+            // `MatchConfig::parallel` already carries the default threshold.
+            Mode::AssistDefault => mc.work_stealing = true,
         }
         ServeConfig {
             threads: workers,
@@ -285,10 +297,11 @@ fn main() {
         out.push_str("{\n");
         let _ = writeln!(
             out,
-            "  \"dataset\": \"{}\", \"host_cpus\": {}, \"split_threshold\": {}, \"timeout_s\": {},",
+            "  \"dataset\": \"{}\", \"host_cpus\": {}, \"split_threshold\": {}, \"default_split_threshold\": {}, \"timeout_s\": {},",
             profile.name,
             num_cpus(),
             split_threshold,
+            MatchConfig::default().split_threshold,
             timeout.as_secs()
         );
         // Always set: every mode × worker run above asserted Completed.

@@ -1,42 +1,24 @@
-//! `result_pipeline` — the reduce-then-scan result-pipeline benchmark
-//! (DESIGN.md §18), written to `BENCH_scan.json`.
+//! `result_pipeline` — the aggregation-mode benchmark (DESIGN.md §18),
+//! written to `BENCH_scan.json`.
 //!
-//! Three experiments:
+//! One embedding-heavy query runs through every [`AggregateMode`]:
+//! materialize, count-only, top-k, sampled. All modes must agree on the
+//! exact count (asserted).
 //!
-//! 1. **compact** — [`hgmatch_core::scan::ParallelCompact`] (8
-//!    participants, the claim→reduce→lookback→emit loop) versus the
-//!    single-participant [`hgmatch_core::scan::compact_into`] on a large
-//!    candidate-id array.
-//! 2. **extract** — [`hgmatch_core::scan::ParallelExtract`] (bitmap→sorted
-//!    row list, the dense-split handoff) versus
-//!    [`hgmatch_core::scan::extract_bits_into`].
-//! 3. **aggregate** — one embedding-heavy query through every
-//!    [`AggregateMode`]: materialize, count-only, top-k, sampled. All modes
-//!    must agree on the exact count (asserted).
+//! `--check` turns the committed gate into a hard assertion: count-only
+//! answers the query ≥ 3× faster than materialize (zero-materialization is
+//! the point of the mode split).
 //!
-//! `--check` turns the two committed gates into hard assertions:
-//!
-//! * parallel compact at 8 participants sustains ≥ `scale ×` the
-//!   sequential throughput, where `scale` is core-scaled — 2.0 with ≥ 8
-//!   cores, `2.0 · cores / 8` with ≥ 2, and 0.25 on a single core (8
-//!   oversubscribed participants may run slower than one; the gate then
-//!   bounds the protocol overhead instead of demanding a speedup). The
-//!   applied scale is recorded in the report.
-//! * count-only answers the embedding-heavy query ≥ 3× faster than
-//!   materialize (zero-materialization is the point of the mode split).
-//!
-//! Usage: `result_pipeline [--elements N] [--blowup N] [--reps N]
-//!                         [--workers N] [--json PATH] [--check]`.
+//! Usage: `result_pipeline [--blowup N] [--reps N] [--workers N]
+//!                         [--json PATH] [--check]`.
 //! `HGMATCH_BENCH_SMOKE=1` shrinks every knob for the CI bench-smoke job.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use hgmatch_bench::experiments::{bench_smoke, num_cpus};
-use hgmatch_core::scan::{compact_into, extract_bits_into, ParallelCompact, ParallelExtract};
 use hgmatch_core::{AggregateMode, MatchConfig, Matcher, ScoreFn};
 use hgmatch_datasets::testgen::blowup;
-use hgmatch_hypergraph::bitmap::Bitmap;
 
 /// Best-of-`reps` wall time of `f`.
 fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
@@ -51,22 +33,12 @@ fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
     (best, last.expect("reps >= 1"))
 }
 
-fn throughput(elements: usize, wall: Duration) -> f64 {
-    elements as f64 / wall.as_secs_f64().max(1e-9) / 1e6
-}
-
-/// Core-scaled compact gate: the committed 2× target assumes ≥ 8 cores;
-/// fewer cores scale it linearly, and a single core only bounds the
-/// protocol overhead (oversubscription cannot speed anything up).
-fn compact_gate_scale(cores: usize) -> f64 {
-    if cores >= 8 {
-        2.0
-    } else if cores >= 2 {
-        2.0 * cores as f64 / 8.0
-    } else {
-        0.25
-    }
-}
+/// Why this report no longer has `compact` / `extract` rows: the last
+/// measurement of the parallel scan against its sequential twin, taken at
+/// the commit before `core::scan` was deleted (DESIGN.md §18.1).
+const REMOVED_ROWS_NOTE: &str = "compact/extract rows removed with core::scan: at host_cpus 2 \
+the parallel compact ran 0.44x (2 participants) / 0.51x (8) and the parallel extract 0.48x / 0.56x \
+of their sequential twins on 16.8M elements (parent 576a480)";
 
 struct ModePoint {
     name: &'static str,
@@ -77,7 +49,6 @@ struct ModePoint {
 
 fn main() {
     let smoke = bench_smoke();
-    let mut elements: usize = if smoke { 1 << 20 } else { 1 << 24 };
     let mut blowup_n: u32 = if smoke { 28 } else { 56 };
     let mut reps: usize = if smoke { 3 } else { 5 };
     let mut workers: usize = 8;
@@ -88,13 +59,6 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--elements" => {
-                i += 1;
-                elements = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--elements N");
-            }
             "--blowup" => {
                 i += 1;
                 blowup_n = args
@@ -124,85 +88,10 @@ fn main() {
     }
 
     let cores = num_cpus();
-    println!(
-        "# result_pipeline: {elements} elements, blowup n={blowup_n}, {workers} participants, host_cpus={cores}"
-    );
+    println!("# result_pipeline: blowup n={blowup_n}, {workers} workers, host_cpus={cores}");
 
-    // Experiment 1: compaction. A pseudo-random id array, keeping ~60%.
-    let input: Vec<u32> = (0..elements as u32)
-        .map(|i| i.wrapping_mul(2_654_435_761))
-        .collect();
-    let keep = |x: u32| x % 5 < 3;
-    let (seq_compact, expect) = best_of(reps, || {
-        let mut out = Vec::new();
-        compact_into(&input, &mut out, keep);
-        out
-    });
-    let (par_compact, got) = best_of(reps, || {
-        let pc = ParallelCompact::new(&input, keep);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| assert!(pc.run(&mut || false)));
-            }
-        });
-        let mut out = Vec::new();
-        pc.collect_into(&mut out);
-        out
-    });
-    assert_eq!(got, expect, "parallel compact diverged from sequential");
-    let compact_speedup = seq_compact.as_secs_f64() / par_compact.as_secs_f64().max(1e-9);
-    println!("compact\tvariant\twall_s\tMelem_per_s");
-    println!(
-        "compact\tsequential\t{:.4}\t{:.1}",
-        seq_compact.as_secs_f64(),
-        throughput(elements, seq_compact)
-    );
-    println!(
-        "compact\tparallel_{workers}\t{:.4}\t{:.1}\t(speedup {compact_speedup:.2}x)",
-        par_compact.as_secs_f64(),
-        throughput(elements, par_compact)
-    );
-
-    // Experiment 2: bitmap→list extraction over the kept *positions* — the
-    // shape of the candidate-generation handoff (a dense bitmap over the
-    // edge-id domain, ~60% populated).
-    let mut bm = Bitmap::new(elements as u32);
-    for (pos, &x) in input.iter().enumerate() {
-        if keep(x) {
-            bm.insert(pos as u32);
-        }
-    }
-    let popcount = bm.count_ones();
-    let (seq_extract, expect) = best_of(reps, || {
-        let mut out = Vec::new();
-        extract_bits_into(bm.words(), &mut out);
-        out
-    });
-    let (par_extract, got) = best_of(reps, || {
-        let px = ParallelExtract::new(bm.words().to_vec(), popcount);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| assert!(px.run(&mut || false)));
-            }
-        });
-        (0..px.len()).map(|i| px.row(i)).collect::<Vec<u32>>()
-    });
-    assert_eq!(got, expect, "parallel extract diverged from sequential");
-    let extract_speedup = seq_extract.as_secs_f64() / par_extract.as_secs_f64().max(1e-9);
-    println!("extract\tvariant\twall_s\tMrow_per_s");
-    println!(
-        "extract\tsequential\t{:.4}\t{:.1}",
-        seq_extract.as_secs_f64(),
-        throughput(popcount as usize, seq_extract)
-    );
-    println!(
-        "extract\tparallel_{workers}\t{:.4}\t{:.1}\t(speedup {extract_speedup:.2}x)",
-        par_extract.as_secs_f64(),
-        throughput(popcount as usize, par_extract)
-    );
-
-    // Experiment 3: aggregation modes on an embedding-heavy query — a
-    // clique blow-up whose 3-edge path query produces far more embeddings
+    // Aggregation modes on an embedding-heavy query — a clique blow-up
+    // whose 3-edge path query produces far more embeddings
     // than candidates, so delivery (not candidate generation) dominates.
     let (data, query) = blowup(blowup_n, 3);
     let matcher = Matcher::with_config(&data, MatchConfig::parallel(workers.min(cores.max(1))));
@@ -250,14 +139,8 @@ fn main() {
     let count_speedup = points[0].wall.as_secs_f64() / points[1].wall.as_secs_f64().max(1e-9);
     println!("# count_only speedup over materialize: {count_speedup:.2}x");
 
-    // Gates.
-    let scale = compact_gate_scale(cores);
-    let compact_pass = compact_speedup >= scale;
+    // Gate.
     let count_pass = count_speedup >= 3.0;
-    println!(
-        "# gate compact: parallel/sequential {compact_speedup:.2}x >= {scale:.2}x (cores={cores}) -> {}",
-        if compact_pass { "pass" } else { "FAIL" }
-    );
     println!(
         "# gate count_only: {count_speedup:.2}x >= 3.00x -> {}",
         if count_pass { "pass" } else { "FAIL" }
@@ -268,21 +151,7 @@ fn main() {
         out.push_str("{\n");
         let _ = writeln!(
             out,
-            "  \"host_cpus\": {cores}, \"participants\": {workers}, \"elements\": {elements}, \"blowup_n\": {blowup_n}, \"reps\": {reps},"
-        );
-        let _ = writeln!(
-            out,
-            "  \"compact\": {{\"sequential_s\": {:.6}, \"parallel_s\": {:.6}, \"speedup\": {:.4}}},",
-            seq_compact.as_secs_f64(),
-            par_compact.as_secs_f64(),
-            compact_speedup
-        );
-        let _ = writeln!(
-            out,
-            "  \"extract\": {{\"rows\": {popcount}, \"sequential_s\": {:.6}, \"parallel_s\": {:.6}, \"speedup\": {:.4}}},",
-            seq_extract.as_secs_f64(),
-            par_extract.as_secs_f64(),
-            extract_speedup
+            "  \"host_cpus\": {cores}, \"workers\": {workers}, \"blowup_n\": {blowup_n}, \"reps\": {reps},"
         );
         let _ = writeln!(
             out,
@@ -301,18 +170,15 @@ fn main() {
         let _ = writeln!(out, "  }}, \"count_only_speedup\": {count_speedup:.4}}},");
         let _ = writeln!(
             out,
-            "  \"gates\": {{\"compact_scale\": {scale:.4}, \"compact_pass\": {compact_pass}, \"count_only_target\": 3.0, \"count_only_pass\": {count_pass}}}"
+            "  \"gates\": {{\"count_only_target\": 3.0, \"count_only_pass\": {count_pass}}},"
         );
+        let _ = writeln!(out, "  \"notes\": \"{REMOVED_ROWS_NOTE}\"");
         out.push_str("}\n");
         std::fs::write(&path, out).expect("write json report");
         println!("# wrote {path}");
     }
 
     if check {
-        assert!(
-            compact_pass,
-            "compact gate: parallel {compact_speedup:.2}x < required {scale:.2}x (cores={cores})"
-        );
         assert!(
             count_pass,
             "count-only gate: {count_speedup:.2}x < required 3.00x over materialize"

@@ -108,7 +108,6 @@ update flags:
   --threads N       worker threads for --queries (default 4)
   --save FILE       write the final graph (index included) as an HGMB v2
                     snapshot; `snapshot load` / `listen --snapshot` restore it
-update shards its data plane across HGMATCH_SHARDS writers (default 1).
 profiles: HC MA CH CP SB HB WT TC SA AR";
 
 /// Executes one CLI invocation; `args` excludes the program name.
@@ -936,31 +935,7 @@ fn do_listen(args: &[String]) -> Result<(), String> {
 fn do_update(args: &[String]) -> Result<(), String> {
     use hgmatch_core::{delta_match, DeltaBatch};
     use hgmatch_hypergraph::dynamic::parse_update_stream;
-    use hgmatch_hypergraph::{DynamicHypergraph, ShardedHypergraph, SnapshotDelta, UpdateOp};
-
-    /// The update stream's write path: one monolithic writer, or a
-    /// hash-partitioned sharded plane (`HGMATCH_SHARDS` > 1) whose merged
-    /// snapshots are indistinguishable from the monolithic ones.
-    enum DataPlane {
-        Mono(DynamicHypergraph),
-        Sharded(ShardedHypergraph),
-    }
-
-    impl DataPlane {
-        fn apply(&mut self, op: &UpdateOp) -> hgmatch_hypergraph::Result<bool> {
-            match self {
-                DataPlane::Mono(d) => d.apply(op),
-                DataPlane::Sharded(s) => s.apply(op),
-            }
-        }
-
-        fn snapshot(&mut self) -> SnapshotDelta {
-            match self {
-                DataPlane::Mono(d) => d.snapshot(),
-                DataPlane::Sharded(s) => s.snapshot(),
-            }
-        }
-    }
+    use hgmatch_hypergraph::{DynamicHypergraph, UpdateOp};
 
     if args.len() < 3 {
         return Err("update needs <labels> <edges> <stream.txt>".into());
@@ -986,15 +961,7 @@ fn do_update(args: &[String]) -> Result<(), String> {
         }
     }
 
-    let num_shards = hgmatch_hypergraph::env_shards();
-    let mut dynamic = if num_shards > 1 {
-        println!("data plane: {num_shards} shards (HGMATCH_SHARDS)");
-        DataPlane::Sharded(
-            ShardedHypergraph::from_hypergraph(&base, num_shards).map_err(|e| e.to_string())?,
-        )
-    } else {
-        DataPlane::Mono(DynamicHypergraph::from_hypergraph(&base))
-    };
+    let mut dynamic = DynamicHypergraph::from_hypergraph(&base);
     let mut previous = dynamic.snapshot().graph;
     let server = (!queries.is_empty()).then(|| {
         MatchServer::new(

@@ -632,41 +632,6 @@ fn listen_serves_from_snapshot_file() {
     );
 }
 
-/// `HGMATCH_SHARDS` swaps the update path onto the sharded data plane;
-/// the saved snapshot is byte-identical to the monolithic run's. Spawns
-/// the real binary so the env var can't leak into sibling tests.
-#[test]
-fn update_honors_hgmatch_shards() {
-    let dir = TempDir::new("update-sharded");
-    let (dl, de, _, _) = write_paper_files(&dir);
-    let stream = write_update_stream_file(&dir);
-    let mut saved: Vec<Vec<u8>> = Vec::new();
-    for shards in ["1", "3"] {
-        let out = dir.path(&format!("s{shards}.hgsnap"));
-        let cmd = std::process::Command::new(env!("CARGO_BIN_EXE_hgmatch"))
-            .args(["update", &dl, &de, &stream, "--batch", "2", "--save", &out])
-            .env("HGMATCH_SHARDS", shards)
-            .output()
-            .expect("spawn hgmatch update");
-        assert!(
-            cmd.status.success(),
-            "{}",
-            String::from_utf8_lossy(&cmd.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&cmd.stdout);
-        assert_eq!(
-            stdout.contains("data plane: 3 shards"),
-            shards == "3",
-            "{stdout}"
-        );
-        saved.push(std::fs::read(&out).unwrap());
-    }
-    assert_eq!(
-        saved[0], saved[1],
-        "sharded snapshot diverged from monolithic"
-    );
-}
-
 #[test]
 fn listen_rejects_bad_flags() {
     let dir = TempDir::new("listen-bad");

@@ -23,15 +23,16 @@
 //!   runs with the same seed, while still being a uniform random subset
 //!   over the seed choice.
 //!
-//! Sinks (`crate::sink`, `crate::serve::query`) wrap [`TopKState`] /
+//! [`AggregateSink`] dispatches on the mode over [`TopKState`] /
 //! [`SampleState`]; the summary side of a finished query is
 //! [`AggregateSummary`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
 use crate::embedding::Embedding;
+use crate::sink::Sink;
 
 /// Pluggable per-embedding score used by [`AggregateMode::TopK`]. Scores
 /// are computed from the embedding's data-edge ids (query-edge order), so
@@ -379,6 +380,147 @@ impl SampleState {
             .collect();
         embs.sort_unstable();
         embs
+    }
+}
+
+/// The crate's one mode-dispatching sink, run by both
+/// [`crate::Matcher::aggregate_with`] and the serving layer: counts always,
+/// aggregates embeddings per the query's [`AggregateMode`], and flips to
+/// *satisfied* once `limit` results are reached so workers stop expanding
+/// the query (not merely stop recording results).
+///
+/// Mode dispatch (DESIGN.md §18.2):
+/// * `Materialize` — bounded collection, results sorted and truncated to
+///   the limit at take-out.
+/// * `CountOnly` — nothing is ever allocated; counts ride the bulk
+///   `add_count` path.
+/// * `TopK`/`Sampled` — embeddings are offered to the shared bounded
+///   accumulator; the exact count still comes from `add_count`.
+#[derive(Debug)]
+pub struct AggregateSink {
+    mode: AggregateMode,
+    limit: Option<u64>,
+    count: AtomicU64,
+    results: Mutex<Vec<Embedding>>,
+    topk: Option<TopKState>,
+    sample: Option<SampleState>,
+    satisfied: AtomicBool,
+}
+
+impl AggregateSink {
+    /// Creates the sink for `mode`, stopping after `limit` results if set.
+    pub fn new(mode: AggregateMode, limit: Option<u64>) -> Self {
+        let (topk, sample) = match mode {
+            AggregateMode::TopK { k, score } => (Some(TopKState::new(k, score)), None),
+            AggregateMode::Sampled { budget, seed } => (None, Some(SampleState::new(budget, seed))),
+            _ => (None, None),
+        };
+        Self {
+            mode,
+            limit,
+            count: AtomicU64::new(0),
+            results: Mutex::new(Vec::new()),
+            topk,
+            sample,
+            satisfied: AtomicBool::new(limit == Some(0)),
+        }
+    }
+
+    /// Extracts the final `(count, embeddings, summary)` triple. Collected
+    /// embeddings are sorted for determinism and truncated to the limit;
+    /// the raw count is clamped to the limit as well (non-materialising
+    /// limited queries may overshoot by up to one flush batch before the
+    /// early-exit lands).
+    pub fn take_output(&self) -> (u64, Option<Vec<Embedding>>, AggregateSummary) {
+        let limit = self.limit.unwrap_or(u64::MAX);
+        match self.mode {
+            AggregateMode::Materialize => {
+                let mut v = std::mem::take(&mut *self.results.lock());
+                v.sort_unstable();
+                v.truncate(limit.min(usize::MAX as u64) as usize);
+                (v.len() as u64, Some(v), AggregateSummary::Materialized)
+            }
+            AggregateMode::CountOnly => (
+                self.count.load(Ordering::Relaxed).min(limit),
+                None,
+                AggregateSummary::Count,
+            ),
+            AggregateMode::TopK { k, score } => {
+                let (embs, scores) = self.topk.as_ref().expect("topk state").finish();
+                (
+                    self.count.load(Ordering::Relaxed).min(limit),
+                    Some(embs),
+                    AggregateSummary::TopK { k, score, scores },
+                )
+            }
+            AggregateMode::Sampled { budget, seed } => {
+                let embs = self.sample.as_ref().expect("sample state").finish();
+                let sampled = embs.len() as u64;
+                // The exact count can never be below the number of distinct
+                // embeddings actually delivered to the sampler.
+                let total = self.count.load(Ordering::Relaxed).min(limit).max(sampled);
+                let fraction = if total == 0 {
+                    1.0
+                } else {
+                    sampled as f64 / total as f64
+                };
+                (
+                    total,
+                    Some(embs),
+                    AggregateSummary::Sampled {
+                        budget,
+                        seed,
+                        sampled,
+                        fraction,
+                        ci95: ci95_half_width(sampled, total),
+                    },
+                )
+            }
+        }
+    }
+}
+
+impl Sink for AggregateSink {
+    fn needs_embeddings(&self) -> bool {
+        self.mode.needs_embeddings()
+    }
+
+    fn consume(&self, embedding: &[u32]) {
+        match self.mode {
+            AggregateMode::Materialize => {
+                let limit = self.limit.unwrap_or(u64::MAX) as usize;
+                let mut guard = self.results.lock();
+                if guard.len() < limit {
+                    guard.push(Embedding::new(embedding.to_vec()));
+                }
+                if guard.len() >= limit {
+                    self.satisfied.store(true, Ordering::Release);
+                }
+            }
+            AggregateMode::CountOnly => {}
+            AggregateMode::TopK { .. } => self.topk.as_ref().expect("topk state").offer(embedding),
+            AggregateMode::Sampled { .. } => {
+                self.sample.as_ref().expect("sample state").offer(embedding)
+            }
+        }
+    }
+
+    fn add_count(&self, n: u64) {
+        let total = self.count.fetch_add(n, Ordering::Relaxed) + n;
+        // In every mode but Materialize the *count* is the limit signal
+        // (materialising queries saturate on the collected length instead,
+        // so the kept set is exactly the first `limit` delivered).
+        if !matches!(self.mode, AggregateMode::Materialize) {
+            if let Some(limit) = self.limit {
+                if total >= limit {
+                    self.satisfied.store(true, Ordering::Release);
+                }
+            }
+        }
+    }
+
+    fn is_satisfied(&self) -> bool {
+        self.satisfied.load(Ordering::Acquire)
     }
 }
 

@@ -32,7 +32,6 @@ use hgmatch_hypergraph::setops;
 
 use crate::config::MatchConfig;
 use crate::plan::Step;
-use crate::scan;
 
 use hgmatch_hypergraph::inverted::{Posting, MIN_BITMAP_ROWS};
 
@@ -163,13 +162,6 @@ impl ExpansionState {
         self.vertices().len()
     }
 
-    /// Takes the accumulator bitmap's backing words after a
-    /// [`GenOutput::Dense`] return (bit `i` = candidate row `i`); the
-    /// scratch bitmap re-grows on its next reset.
-    pub fn take_acc_words(&mut self) -> Vec<u64> {
-        self.acc_bits.take_words()
-    }
-
     /// Rebuilds the state for the partial embedding `emb` (global edge ids,
     /// matching-order positions) at `step`.
     ///
@@ -293,44 +285,9 @@ pub fn generate_candidates_with_abort(
     config: &MatchConfig,
     abort: &mut dyn FnMut() -> bool,
 ) -> Option<usize> {
-    match generate_candidates_dense(data, step, emb, state, config, 0, abort)? {
-        GenOutput::List(n) => Some(n),
-        GenOutput::Dense(_) => unreachable!("dense_min = 0 always materialises"),
-    }
-}
-
-/// How [`generate_candidates_dense`] returned its candidate set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GenOutput {
-    /// `state.candidates` holds the materialised sorted list (its length).
-    List(usize),
-    /// The candidates are still the accumulator *bitmap* (`count` set
-    /// bits): generation ended on the dense representation and the set is
-    /// at least `dense_min` large, so the caller opted to take the words
-    /// ([`ExpansionState::take_acc_words`]) and materialise them with the
-    /// shared reduce-then-scan extraction instead of paying a sequential
-    /// decode here (DESIGN.md §18.1).
-    Dense(u32),
-}
-
-/// [`generate_candidates_with_abort`] with a *dense handoff*: when the
-/// final representation is the bitmap accumulator and it holds at least
-/// `dense_min` candidates (`dense_min > 0`), the bitmap is left in place
-/// and [`GenOutput::Dense`] returned instead of sequentially extracting a
-/// row list — the engine then publishes the words as a splittable
-/// parallel extraction. `dense_min = 0` disables the handoff.
-pub fn generate_candidates_dense(
-    data: &Hypergraph,
-    step: &Step,
-    emb: &[u32],
-    state: &mut ExpansionState,
-    config: &MatchConfig,
-    dense_min: usize,
-    abort: &mut dyn FnMut() -> bool,
-) -> Option<GenOutput> {
     state.candidates.clear();
     let Some(pid) = step.partition else {
-        return Some(GenOutput::List(0)); // signature absent from the data: no candidates
+        return Some(0); // signature absent from the data: no candidates
     };
     let partition = data.partition(pid);
     let rows = partition.len();
@@ -380,7 +337,7 @@ pub fn generate_candidates_dense(
             }
             if postings.is_empty() {
                 state.candidates.clear();
-                return Some(GenOutput::List(0));
+                return Some(0);
             }
 
             // Representation switch (DESIGN.md §5.5): a bitmap accumulator
@@ -424,7 +381,7 @@ pub fn generate_candidates_dense(
                 }
                 state.acc_bits.intersect_assign(&state.anchor_bits);
                 if state.acc_bits.is_empty() {
-                    return Some(GenOutput::List(0));
+                    return Some(0);
                 }
             } else if dense {
                 // Sorted-list accumulator filtered through the anchor's
@@ -433,20 +390,12 @@ pub fn generate_candidates_dense(
                 if union_postings_into_bitmap(&postings, rows, &mut state.anchor_bits, abort) {
                     return None;
                 }
-                {
-                    // Disjoint field borrows: the membership closure reads
-                    // `anchor_bits` while the compact writes `tmp`.
-                    let ExpansionState {
-                        anchor_bits,
-                        candidates,
-                        tmp,
-                        ..
-                    } = state;
-                    scan::compact_into(candidates, tmp, |i| anchor_bits.contains(i));
-                }
+                state
+                    .anchor_bits
+                    .filter_list_into(&state.candidates, &mut state.tmp);
                 std::mem::swap(&mut state.candidates, &mut state.tmp);
                 if state.candidates.is_empty() {
-                    return Some(GenOutput::List(0));
+                    return Some(0);
                 }
             } else if let [Posting::Compressed(c)] = postings.as_slice() {
                 // Single compressed anchor: fused decode-and-intersect, one
@@ -455,7 +404,7 @@ pub fn generate_candidates_dense(
                 setops::intersect_compressed_into(c, &state.candidates, &mut state.tmp);
                 std::mem::swap(&mut state.candidates, &mut state.tmp);
                 if state.candidates.is_empty() {
-                    return Some(GenOutput::List(0));
+                    return Some(0);
                 }
             } else {
                 let mut lists: Vec<&[u32]> = Vec::with_capacity(postings.len());
@@ -466,7 +415,7 @@ pub fn generate_candidates_dense(
                 setops::intersect_into(&state.candidates, &state.union, &mut state.tmp);
                 std::mem::swap(&mut state.candidates, &mut state.tmp);
                 if state.candidates.is_empty() {
-                    return Some(GenOutput::List(0));
+                    return Some(0);
                 }
             }
         }
@@ -476,7 +425,7 @@ pub fn generate_candidates_dense(
             }
             // Still dense: apply eager Observation V.3 word-wise (one OR
             // pass + one AND-NOT pass) instead of falling through to the
-            // list-difference below, then decide the output representation.
+            // list-difference below, then decode the surviving rows.
             if config.prune_non_incident && !state.non_incident.is_empty() {
                 let mut postings: Vec<Posting<'_>> = Vec::new();
                 for &v in &state.non_incident {
@@ -492,17 +441,10 @@ pub fn generate_candidates_dense(
                     state.acc_bits.difference_assign(&state.anchor_bits);
                 }
             }
-            let count = state.acc_bits.count_ones();
-            if count == 0 {
-                return Some(GenOutput::List(0));
-            }
-            if dense_min > 0 && count as usize >= dense_min {
-                // Dense handoff: the caller takes the words and
-                // materialises them as a shared parallel extraction.
-                return Some(GenOutput::Dense(count));
-            }
-            scan::extract_bits_into(state.acc_bits.words(), &mut state.candidates);
-            return Some(GenOutput::List(state.candidates.len()));
+            let count = state.acc_bits.count_ones() as usize;
+            state.candidates.reserve(count);
+            state.acc_bits.extract_into(&mut state.candidates);
+            return Some(count);
         }
     }
 
@@ -550,7 +492,7 @@ pub fn generate_candidates_dense(
         }
     }
 
-    Some(GenOutput::List(state.candidates.len()))
+    Some(state.candidates.len())
 }
 
 /// Unions postings of any representation into `acc`, reset to the

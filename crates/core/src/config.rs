@@ -70,20 +70,6 @@ pub(crate) fn default_split_chunk() -> usize {
         .max(1)
 }
 
-/// Relative cardinality drift past which the serving layer drops a cached
-/// plan and re-plans the query shape on its next submission (DESIGN.md
-/// §13.4). Overridable via `HGMATCH_REPLAN_DRIFT`; negative values clamp
-/// to 0 (re-plan on any change).
-pub(crate) fn default_replan_drift() -> f64 {
-    static CACHE: std::sync::OnceLock<Option<f64>> = std::sync::OnceLock::new();
-    let parsed = *CACHE.get_or_init(|| {
-        std::env::var("HGMATCH_REPLAN_DRIFT")
-            .ok()
-            .and_then(|v| v.parse().ok())
-    });
-    parsed.unwrap_or(0.5).max(0.0)
-}
-
 /// Observed/estimated candidate-count ratio past which the engine
 /// re-plans the unmatched suffix of an in-flight query (DESIGN.md §15).
 /// `0` (or negative, which clamps to 0) disables mid-query
@@ -110,18 +96,8 @@ pub(crate) fn default_replan_ratio() -> f64 {
 /// flipping on noise. The default of 2 reflects that per-step selectivity
 /// estimates multiply across joins, so small predicted wins are within
 /// the model's error bars while real planning mistakes (hub fan-outs)
-/// show up as several-fold predicted gaps. Overridable via
-/// `HGMATCH_PLAN_MARGIN`; values below 1 clamp to 1 (always trust the
-/// search).
-pub(crate) fn default_plan_margin() -> f64 {
-    static CACHE: std::sync::OnceLock<Option<f64>> = std::sync::OnceLock::new();
-    let parsed = *CACHE.get_or_init(|| {
-        std::env::var("HGMATCH_PLAN_MARGIN")
-            .ok()
-            .and_then(|v| v.parse().ok())
-    });
-    parsed.unwrap_or(2.0).max(1.0)
-}
+/// show up as several-fold predicted gaps.
+pub(crate) const PLAN_MARGIN: f64 = 2.0;
 
 /// Beam width of the cost-based order search for queries above the
 /// exhaustive bound (DESIGN.md §13). Overridable via `HGMATCH_PLAN_BEAM`

@@ -39,7 +39,7 @@ use std::fmt::Write as _;
 
 use hgmatch_hypergraph::{Hypergraph, SignatureId};
 
-use crate::config::{default_plan_beam, default_plan_exhaustive, default_plan_margin};
+use crate::config::{default_plan_beam, default_plan_exhaustive, PLAN_MARGIN};
 use crate::query::QueryGraph;
 
 /// Cost estimate of one step of a candidate matching order.
@@ -475,7 +475,7 @@ impl Explain {
         let model = CostModel::new(query, data);
         let beam = default_plan_beam();
         let exhaustive_max = default_plan_exhaustive();
-        let margin = default_plan_margin();
+        let margin = PLAN_MARGIN;
         let greedy_order = crate::plan::Planner::greedy_order(query, data);
         let searched_order = model.best_order_bounded(beam, exhaustive_max);
         let chosen_order = model.choose_order(greedy_order.clone(), searched_order.clone(), margin);

@@ -31,12 +31,11 @@ use crossbeam::deque::{Steal, Stealer, Worker as Deque};
 use hgmatch_hypergraph::{Hypergraph, Partition};
 
 use crate::adaptive::AdaptiveState;
-use crate::candidates::{generate_candidates_dense, ExpansionState, GenOutput};
+use crate::candidates::{generate_candidates_with_abort, ExpansionState};
 use crate::config::MatchConfig;
 use crate::memory::MemoryTracker;
 use crate::metrics::MatchMetrics;
 use crate::plan::Plan;
-use crate::scan::ParallelExtract;
 use crate::sink::Sink;
 use crate::validate::{validate_candidate, ValidateScratch, Validation};
 
@@ -112,9 +111,9 @@ pub(crate) struct SplitExpansion {
     /// The partial embedding this expansion extends (matching-order data
     /// edge ids; its length is the step index).
     emb: Vec<u32>,
-    /// The shared candidate range (materialised list or dense bitmap
-    /// pending extraction).
-    source: SplitSource,
+    /// The shared candidate range: the sorted row list Algorithm 4
+    /// produced on the owner.
+    cands: Vec<u32>,
     /// Next unclaimed candidate index; `fetch_add(chunk)` claims
     /// `[old, old + chunk)`.
     next: AtomicUsize,
@@ -127,50 +126,12 @@ pub(crate) struct SplitExpansion {
     ver: u32,
 }
 
-/// The candidate range of a [`SplitExpansion`], in one of two
-/// representations.
-#[derive(Debug)]
-pub(crate) enum SplitSource {
-    /// Algorithm 4 produced a materialised sorted row list on the owner.
-    List(Vec<u32>),
-    /// Generation ended on the dense bitmap representation and handed the
-    /// words over un-decoded ([`crate::candidates::GenOutput::Dense`]):
-    /// every participant first joins the block-state reduce-then-scan
-    /// extraction (DESIGN.md §18.1) before claiming validation chunks, so
-    /// the bitmap→list materialization itself is parallel across the same
-    /// assist tickets that parallelise validation.
-    Dense(ParallelExtract),
-}
-
 impl SplitExpansion {
     /// Heap bytes this shared expansion materialises (tracked against the
     /// query's [`MemoryTracker`]: allocated at split, released by the
     /// participant that claims the final chunk).
     fn bytes(&self) -> usize {
-        self.emb.len() * std::mem::size_of::<u32>()
-            + match &self.source {
-                SplitSource::List(c) => c.len() * std::mem::size_of::<u32>(),
-                SplitSource::Dense(x) => x.bytes(),
-            }
-    }
-
-    /// Total candidate rows in the shared range.
-    fn total(&self) -> usize {
-        match &self.source {
-            SplitSource::List(c) => c.len(),
-            SplitSource::Dense(x) => x.len(),
-        }
-    }
-
-    /// Candidate row at index `i`. For a dense source this is only
-    /// meaningful once the shared extraction completed (participants run
-    /// it to completion before claiming).
-    #[inline]
-    fn row(&self, i: usize) -> u32 {
-        match &self.source {
-            SplitSource::List(c) => c[i],
-            SplitSource::Dense(x) => x.row(i),
-        }
+        (self.emb.len() + self.cands.len()) * std::mem::size_of::<u32>()
     }
 
     /// The plan version this split's candidates belong to.
@@ -329,7 +290,7 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
     /// ticket popped after the range drained — or after the query stopped —
     /// degenerates to accounting.
     fn execute_assist(&mut self, shared: &SplitExpansion) {
-        if (self.abort)() || shared.next.load(Ordering::Relaxed) >= shared.total() {
+        if (self.abort)() || shared.next.load(Ordering::Relaxed) >= shared.cands.len() {
             return;
         }
         let step = &self.env.plan.steps()[shared.emb.len()];
@@ -382,65 +343,28 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
         }
         let plan = self.env.plan;
         let data = self.env.data;
+        let cfg = self.env.config;
         let step = &plan.steps()[depth];
+        self.metrics.expansions += 1;
         // A step whose signature is absent from the data can never extend
         // anything: skip the (non-trivial) state preparation outright.
         let Some(pid) = step.partition else {
-            self.metrics.expansions += 1;
             return;
         };
         self.scratch.state.prepare(data, step, emb);
-        // Dense handoff floor: when a split could actually recruit peers
-        // (stealing on, threshold set, >1 worker), a bitmap accumulator at
-        // least this large skips the sequential decode entirely and is
-        // published as a shared parallel extraction instead. The floor
-        // guarantees the ticket formula below yields ≥ 1 for every dense
-        // return (`count - 1 >= chunk`), so a dense split always has a
-        // range worth sharing.
-        let cfg = self.env.config;
-        let chunk = cfg.split_chunk.max(1);
-        let dense_min = if cfg.split_threshold > 0 && cfg.work_stealing && cfg.threads > 1 {
-            cfg.split_threshold.max(chunk + 1)
-        } else {
-            0
-        };
         // Generation probes the abort signal at anchor/block boundaries
         // (compressed decodes and anchor-less scans can emit far more than
         // ABORT_PROBE rows in one call); a mid-generation abort leaves the
         // candidate buffer partial, so nothing below may run.
-        let Some(out) = generate_candidates_dense(
+        let Some(produced) = generate_candidates_with_abort(
             data,
             step,
             emb,
             &mut self.scratch.state,
             cfg,
-            dense_min,
             self.abort,
         ) else {
-            self.metrics.expansions += 1;
             return;
-        };
-        self.metrics.expansions += 1;
-        let produced = match out {
-            GenOutput::List(n) => n,
-            GenOutput::Dense(count) => {
-                // The candidates are still the accumulator bitmap: publish
-                // it as a splittable expansion whose participants first run
-                // the shared reduce-then-scan extraction, then validate.
-                self.metrics.candidates += count as u64;
-                let words = self.scratch.state.take_acc_words();
-                let tickets = ((count as usize - 1) / chunk).min(cfg.threads - 1);
-                debug_assert!(tickets > 0, "dense_min guarantees a shareable range");
-                self.publish_split(
-                    emb,
-                    SplitSource::Dense(ParallelExtract::new(words, count)),
-                    count as u64,
-                    depth,
-                    chunk,
-                    tickets,
-                );
-                return;
-            }
         };
         self.metrics.candidates += produced as u64;
         let partition = data.partition(pid);
@@ -459,6 +383,7 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
         // plain serial loop below is strictly cheaper. With one worker
         // this also keeps delivery order exactly the sequential
         // executor's — the `max_results` determinism contract.
+        let chunk = cfg.split_chunk.max(1);
         let tickets =
             if cfg.split_threshold > 0 && cfg.work_stealing && cands.len() >= cfg.split_threshold {
                 ((cands.len() - 1) / chunk).min(cfg.threads.saturating_sub(1))
@@ -471,9 +396,9 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
             // forfeit its warmed capacity on every split. One exact-size
             // copy is cheaper than regrowing the buffer from empty past
             // the (large) split threshold on the next expansion.
-            let source = SplitSource::List(cands.clone());
+            let shared = cands.clone();
             self.scratch.state.candidates = cands;
-            self.publish_split(emb, source, produced as u64, depth, chunk, tickets);
+            self.publish_split(emb, shared, chunk, tickets);
             return;
         }
 
@@ -518,18 +443,12 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
     /// sit at the cold end of its LIFO deque — exactly where thieves steal
     /// from — while the children spawned by the claim loop stack on the
     /// hot end for the owner's own depth-first descent.
-    fn publish_split(
-        &mut self,
-        emb: &[u32],
-        source: SplitSource,
-        produced: u64,
-        depth: usize,
-        chunk: usize,
-        tickets: usize,
-    ) {
+    fn publish_split(&mut self, emb: &[u32], cands: Vec<u32>, chunk: usize, tickets: usize) {
+        let depth = emb.len();
+        let produced = cands.len() as u64;
         let shared = Arc::new(SplitExpansion {
             emb: emb.to_vec(),
-            source,
+            cands,
             next: AtomicUsize::new(0),
             chunk,
             ver: self.env.ver,
@@ -561,25 +480,10 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
     /// this participant's share of child expansions locally (so the assist
     /// hands the thief a subtree to descend, not a one-off batch).
     ///
-    /// A dense source has a phase before the claims: every participant
-    /// joins the shared reduce-then-scan extraction until *all* blocks are
-    /// emitted (late joiners shorten it; a lone owner degenerates to a
-    /// sequential decode), because claimed validation ranges index the
-    /// extracted output.
-    ///
     /// [`ExpansionState::prepare`] must have run for `shared.emb` on this
     /// worker's scratch (the owner did so before generating candidates;
     /// [`Exec::execute_assist`] does it for thieves).
     fn run_split(&mut self, shared: &SplitExpansion, owner: bool) {
-        if let SplitSource::Dense(extract) = &shared.source {
-            if !extract.run(self.abort) {
-                // Aborted mid-extraction: the query is stopping, so no
-                // claims are made (rows may be partial garbage). The
-                // stop signal is sticky — every other participant bails
-                // the same way, so nobody reads the partial output.
-                return;
-            }
-        }
         let depth = shared.emb.len();
         let plan = self.env.plan;
         let step = &plan.steps()[depth];
@@ -588,7 +492,7 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
         };
         let partition = self.env.data.partition(pid);
         let last = depth + 1 == plan.len();
-        let total = shared.total();
+        let total = shared.cands.len();
         let mut valid = std::mem::take(&mut self.scratch.valid);
         valid.clear();
         let mut aborted = false;
@@ -615,12 +519,11 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
                     ad.split_finished();
                 }
             }
-            for (i, idx) in (start..end).enumerate() {
+            for (i, &row) in shared.cands[start..end].iter().enumerate() {
                 if i % ABORT_PROBE == ABORT_PROBE - 1 && (self.abort)() {
                     aborted = true;
                     break 'claim;
                 }
-                let row = shared.row(idx);
                 self.validate_row(partition, step, depth, &shared.emb, row, last, &mut valid);
             }
             // Per-chunk probe: stop claiming promptly once the query stops
@@ -908,7 +811,7 @@ mod tests {
         assert!(produced > 0);
         let shared = Arc::new(SplitExpansion {
             emb,
-            source: SplitSource::List(std::mem::take(&mut state.candidates)),
+            cands: std::mem::take(&mut state.candidates),
             next: AtomicUsize::new(0),
             chunk: 2,
             ver: 0,

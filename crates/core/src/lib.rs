@@ -83,7 +83,6 @@ pub mod metrics;
 pub mod operators;
 pub mod plan;
 pub mod query;
-pub mod scan;
 pub mod serve;
 pub mod sink;
 pub mod validate;
@@ -99,4 +98,4 @@ pub use metrics::{MatchMetrics, StepCounts, MAX_PLAN_STEPS};
 pub use plan::{Plan, Planner};
 pub use query::{validate_query_shape, QueryGraph, MAX_QUERY_EDGES};
 pub use serve::{MatchServer, QueryHandle, QueryOptions, QueryOutcome, QueryStatus, ServeConfig};
-pub use sink::{CollectSink, CountSink, FirstKSink, SampleSink, Sink, TopKSink};
+pub use sink::{CollectSink, CountSink, FirstKSink, Sink};

@@ -7,7 +7,7 @@
 
 use hgmatch_hypergraph::Hypergraph;
 
-use crate::aggregate::{ci95_half_width, AggregateMode, AggregateSummary};
+use crate::aggregate::{AggregateMode, AggregateSink, AggregateSummary};
 use crate::config::MatchConfig;
 use crate::embedding::Embedding;
 use crate::engine::ParallelEngine;
@@ -15,7 +15,7 @@ use crate::error::Result;
 use crate::exec::{RunStats, SequentialExecutor};
 use crate::plan::{Plan, Planner};
 use crate::query::QueryGraph;
-use crate::sink::{CollectSink, CountSink, FirstKSink, SampleSink, Sink, TopKSink};
+use crate::sink::{CollectSink, CountSink, FirstKSink, Sink};
 
 /// Result of [`Matcher::aggregate`]: the exact embedding count, whatever
 /// embeddings the mode kept, the mode-specific summary and the run's
@@ -151,64 +151,14 @@ impl<'a> Matcher<'a> {
         query: &Hypergraph,
         mode: AggregateMode,
     ) -> Result<AggregateOutcome> {
-        Ok(match mode {
-            AggregateMode::Materialize => {
-                let sink = CollectSink::new();
-                let stats = self.run(query, &sink)?;
-                let embeddings = sink.into_results();
-                AggregateOutcome {
-                    count: embeddings.len() as u64,
-                    embeddings: Some(embeddings),
-                    summary: AggregateSummary::Materialized,
-                    stats,
-                }
-            }
-            AggregateMode::CountOnly => {
-                let sink = CountSink::new();
-                let stats = self.run(query, &sink)?;
-                AggregateOutcome {
-                    count: sink.count(),
-                    embeddings: None,
-                    summary: AggregateSummary::Count,
-                    stats,
-                }
-            }
-            AggregateMode::TopK { k, score } => {
-                let sink = TopKSink::new(k, score);
-                let stats = self.run(query, &sink)?;
-                let count = sink.count();
-                let (embeddings, scores) = sink.into_results();
-                AggregateOutcome {
-                    count,
-                    embeddings: Some(embeddings),
-                    summary: AggregateSummary::TopK { k, score, scores },
-                    stats,
-                }
-            }
-            AggregateMode::Sampled { budget, seed } => {
-                let sink = SampleSink::new(budget, seed);
-                let stats = self.run(query, &sink)?;
-                let count = sink.count();
-                let embeddings = sink.into_results();
-                let sampled = embeddings.len() as u64;
-                let fraction = if count == 0 {
-                    1.0
-                } else {
-                    sampled as f64 / count as f64
-                };
-                AggregateOutcome {
-                    count,
-                    embeddings: Some(embeddings),
-                    summary: AggregateSummary::Sampled {
-                        budget,
-                        seed,
-                        sampled,
-                        fraction,
-                        ci95: ci95_half_width(sampled, count),
-                    },
-                    stats,
-                }
-            }
+        let sink = AggregateSink::new(mode, None);
+        let stats = self.run(query, &sink)?;
+        let (count, embeddings, summary) = sink.take_output();
+        Ok(AggregateOutcome {
+            count,
+            embeddings,
+            summary,
+            stats,
         })
     }
 

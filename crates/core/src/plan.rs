@@ -180,14 +180,14 @@ impl Planner {
     /// small queries, beam search above the exhaustive bound; DESIGN.md
     /// §13), then per-step anchor/profile compilation. The searched order
     /// replaces the greedy Algorithm 3 baseline only when the model
-    /// predicts a win beyond the confidence margin
-    /// (`HGMATCH_PLAN_MARGIN`); near-ties keep the baseline.
+    /// predicts a win beyond the planner's 2× confidence margin;
+    /// near-ties keep the baseline.
     pub fn plan(query: &QueryGraph, data: &Hypergraph) -> Result<Plan> {
         let model = CostModel::new(query, data);
         let order = model.choose_order(
             Self::greedy_order(query, data),
             model.best_order(),
-            crate::config::default_plan_margin(),
+            crate::config::PLAN_MARGIN,
         );
         Ok(Self::compile_with_model(query, data, order, &model))
     }

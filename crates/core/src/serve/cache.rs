@@ -27,9 +27,9 @@
 //! * an entry whose labels *were* touched is checked for **stats drift**
 //!   (DESIGN.md §13.4): each entry carries the per-signature cardinalities
 //!   its plan was costed against, and as long as the relative change stays
-//!   within the replan threshold ([`crate::ServeConfig::replan_drift`],
-//!   env `HGMATCH_REPLAN_DRIFT`) the plan is still near-optimal and its
-//!   partition ids are still valid, so it is re-tagged; past the threshold
+//!   within the replan threshold ([`crate::ServeConfig::replan_drift`])
+//!   the plan is still near-optimal and its partition ids are still
+//!   valid, so it is re-tagged; past the threshold
 //!   (including any signature appearing or going extinct — infinite drift)
 //!   it is dropped and counted in `plans_replanned`, forcing a fresh
 //!   cost-based plan on the shape's next submission.

@@ -116,7 +116,8 @@ pub struct ServeConfig {
     /// whose labels an update touched is dropped and the shape re-planned
     /// on its next submission (DESIGN.md §13.4). Below the threshold the
     /// entry carries over — its partition ids are still valid and its
-    /// order still near-optimal. Default: `HGMATCH_REPLAN_DRIFT` or 0.5.
+    /// order still near-optimal. Default 0.5; negative values behave as 0
+    /// (re-plan on any change).
     pub replan_drift: f64,
     /// Timeout applied to queries that do not set their own.
     pub default_timeout: Option<Duration>,
@@ -139,7 +140,7 @@ impl Default for ServeConfig {
             threads: 4,
             fairness_quantum: 64,
             plan_cache_capacity: 128,
-            replan_drift: crate::config::default_replan_drift(),
+            replan_drift: 0.5,
             default_timeout: None,
             default_aggregate: None,
             match_config: MatchConfig::default(),

@@ -9,8 +9,7 @@ use parking_lot::Mutex;
 use hgmatch_hypergraph::Hypergraph;
 
 use crate::adaptive::AdaptiveState;
-use crate::aggregate::{ci95_half_width, AggregateMode, AggregateSummary, SampleState, TopKState};
-use crate::embedding::Embedding;
+use crate::aggregate::{AggregateMode, AggregateSink};
 use crate::memory::MemoryTracker;
 use crate::metrics::MatchMetrics;
 use crate::plan::Plan;
@@ -36,145 +35,6 @@ pub(crate) enum StopCause {
 
 const RUNNING: u8 = 0;
 
-/// The server-side sink: counts always, aggregates embeddings per the
-/// query's [`AggregateMode`], and flips to *satisfied* once `max_results`
-/// is reached so workers stop expanding this query (not merely stop
-/// recording results).
-///
-/// Mode dispatch (DESIGN.md §18.2):
-/// * `Materialize` — bounded collection, results sorted and truncated to
-///   the limit at take-out.
-/// * `CountOnly` — nothing is ever allocated; counts ride the bulk
-///   `add_count` path.
-/// * `TopK`/`Sampled` — embeddings are offered to the shared bounded
-///   accumulator; the exact count still comes from `add_count`.
-#[derive(Debug)]
-pub(crate) struct ServeSink {
-    mode: AggregateMode,
-    limit: Option<u64>,
-    count: AtomicU64,
-    results: Mutex<Vec<Embedding>>,
-    topk: Option<TopKState>,
-    sample: Option<SampleState>,
-    satisfied: AtomicBool,
-}
-
-impl ServeSink {
-    pub(crate) fn new(mode: AggregateMode, limit: Option<u64>) -> Self {
-        let (topk, sample) = match mode {
-            AggregateMode::TopK { k, score } => (Some(TopKState::new(k, score)), None),
-            AggregateMode::Sampled { budget, seed } => (None, Some(SampleState::new(budget, seed))),
-            _ => (None, None),
-        };
-        Self {
-            mode,
-            limit,
-            count: AtomicU64::new(0),
-            results: Mutex::new(Vec::new()),
-            topk,
-            sample,
-            satisfied: AtomicBool::new(limit == Some(0)),
-        }
-    }
-
-    /// Extracts the final `(count, embeddings, summary)` triple. Collected
-    /// embeddings are sorted for determinism and truncated to the limit;
-    /// the raw count is clamped to the limit as well (non-materialising
-    /// limited queries may overshoot by up to one flush batch before the
-    /// early-exit lands).
-    pub(crate) fn take_output(&self) -> (u64, Option<Vec<Embedding>>, AggregateSummary) {
-        let limit = self.limit.unwrap_or(u64::MAX);
-        match self.mode {
-            AggregateMode::Materialize => {
-                let mut v = std::mem::take(&mut *self.results.lock());
-                v.sort_unstable();
-                v.truncate(limit.min(usize::MAX as u64) as usize);
-                (v.len() as u64, Some(v), AggregateSummary::Materialized)
-            }
-            AggregateMode::CountOnly => (
-                self.count.load(Ordering::Relaxed).min(limit),
-                None,
-                AggregateSummary::Count,
-            ),
-            AggregateMode::TopK { k, score } => {
-                let (embs, scores) = self.topk.as_ref().expect("topk state").finish();
-                (
-                    self.count.load(Ordering::Relaxed).min(limit),
-                    Some(embs),
-                    AggregateSummary::TopK { k, score, scores },
-                )
-            }
-            AggregateMode::Sampled { budget, seed } => {
-                let embs = self.sample.as_ref().expect("sample state").finish();
-                let sampled = embs.len() as u64;
-                // The exact count can never be below the number of distinct
-                // embeddings actually delivered to the sampler.
-                let total = self.count.load(Ordering::Relaxed).min(limit).max(sampled);
-                let fraction = if total == 0 {
-                    1.0
-                } else {
-                    sampled as f64 / total as f64
-                };
-                (
-                    total,
-                    Some(embs),
-                    AggregateSummary::Sampled {
-                        budget,
-                        seed,
-                        sampled,
-                        fraction,
-                        ci95: ci95_half_width(sampled, total),
-                    },
-                )
-            }
-        }
-    }
-}
-
-impl Sink for ServeSink {
-    fn needs_embeddings(&self) -> bool {
-        self.mode.needs_embeddings()
-    }
-
-    fn consume(&self, embedding: &[u32]) {
-        match self.mode {
-            AggregateMode::Materialize => {
-                let limit = self.limit.unwrap_or(u64::MAX) as usize;
-                let mut guard = self.results.lock();
-                if guard.len() < limit {
-                    guard.push(Embedding::new(embedding.to_vec()));
-                }
-                if guard.len() >= limit {
-                    self.satisfied.store(true, Ordering::Release);
-                }
-            }
-            AggregateMode::CountOnly => {}
-            AggregateMode::TopK { .. } => self.topk.as_ref().expect("topk state").offer(embedding),
-            AggregateMode::Sampled { .. } => {
-                self.sample.as_ref().expect("sample state").offer(embedding)
-            }
-        }
-    }
-
-    fn add_count(&self, n: u64) {
-        let total = self.count.fetch_add(n, Ordering::Relaxed) + n;
-        // In every mode but Materialize the *count* is the limit signal
-        // (materialising queries saturate on the collected length instead,
-        // so the kept set is exactly the first `limit` delivered).
-        if !matches!(self.mode, AggregateMode::Materialize) {
-            if let Some(limit) = self.limit {
-                if total >= limit {
-                    self.satisfied.store(true, Ordering::Release);
-                }
-            }
-        }
-    }
-
-    fn is_satisfied(&self) -> bool {
-        self.satisfied.load(Ordering::Acquire)
-    }
-}
-
 /// One admitted query: plan, sink, control flags and accounting, shared
 /// between the submitter's [`super::QueryHandle`] and every task of the
 /// query in flight.
@@ -196,7 +56,7 @@ pub(crate) struct ActiveQuery {
     /// Plan-cache key of this query's shape, kept (only for adaptive
     /// queries) so finalisation can write a corrected plan back.
     pub(crate) cache_key: Option<PlanKey>,
-    pub(crate) sink: ServeSink,
+    pub(crate) sink: AggregateSink,
     /// The root scan task, waiting for its first worker. Children bypass
     /// this slot and go straight to worker deques.
     pub(crate) seed: Mutex<Option<Task>>,
@@ -244,7 +104,7 @@ impl ActiveQuery {
             plan,
             adaptive,
             cache_key,
-            sink: ServeSink::new(mode, options.max_results),
+            sink: AggregateSink::new(mode, options.max_results),
             seed: Mutex::new(None),
             pending: AtomicU64::new(0),
             stop_cause: AtomicU8::new(RUNNING),
@@ -357,11 +217,12 @@ impl ActiveQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::ScoreFn;
+    use crate::aggregate::{AggregateSummary, ScoreFn};
+    use crate::embedding::Embedding;
 
     #[test]
     fn sink_counts_and_limits() {
-        let s = ServeSink::new(AggregateMode::CountOnly, Some(5));
+        let s = AggregateSink::new(AggregateMode::CountOnly, Some(5));
         assert!(!s.is_satisfied());
         s.add_count(3);
         assert!(!s.is_satisfied());
@@ -375,7 +236,7 @@ mod tests {
 
     #[test]
     fn sink_collects_up_to_limit() {
-        let s = ServeSink::new(AggregateMode::Materialize, Some(2));
+        let s = AggregateSink::new(AggregateMode::Materialize, Some(2));
         s.consume(&[3]);
         assert!(!s.is_satisfied());
         s.consume(&[1]);
@@ -392,13 +253,13 @@ mod tests {
 
     #[test]
     fn zero_limit_is_immediately_satisfied() {
-        assert!(ServeSink::new(AggregateMode::Materialize, Some(0)).is_satisfied());
-        assert!(ServeSink::new(AggregateMode::CountOnly, Some(0)).is_satisfied());
+        assert!(AggregateSink::new(AggregateMode::Materialize, Some(0)).is_satisfied());
+        assert!(AggregateSink::new(AggregateMode::CountOnly, Some(0)).is_satisfied());
     }
 
     #[test]
     fn unlimited_sink_never_satisfies() {
-        let s = ServeSink::new(AggregateMode::CountOnly, None);
+        let s = AggregateSink::new(AggregateMode::CountOnly, None);
         s.add_count(1_000_000);
         assert!(!s.is_satisfied());
         assert_eq!(s.take_output().0, 1_000_000);
@@ -410,7 +271,7 @@ mod tests {
             k: 2,
             score: ScoreFn::EdgeIdSum,
         };
-        let s = ServeSink::new(mode, None);
+        let s = AggregateSink::new(mode, None);
         assert!(s.needs_embeddings());
         for e in [[1u32, 1], [9, 9], [4, 4], [7, 7]] {
             s.consume(&e);
@@ -434,7 +295,7 @@ mod tests {
     #[test]
     fn sampled_sink_reports_fraction_and_ci() {
         let mode = AggregateMode::Sampled { budget: 8, seed: 1 };
-        let s = ServeSink::new(mode, None);
+        let s = AggregateSink::new(mode, None);
         for i in 0..100u32 {
             s.consume(&[i]);
             s.add_count(1);

@@ -9,7 +9,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-use crate::aggregate::{SampleState, ScoreFn, TopKState};
 use crate::embedding::Embedding;
 
 /// Consumes match results. Implementations must be thread-safe: workers
@@ -153,92 +152,6 @@ impl Sink for FirstKSink {
     }
 }
 
-/// Keeps the best `k` embeddings by a pluggable score
-/// ([`crate::aggregate::TopKState`]): deterministic for a fixed result
-/// multiset regardless of worker count, never satisfied early (every
-/// embedding must be seen to know the best k).
-#[derive(Debug)]
-pub struct TopKSink {
-    count: AtomicU64,
-    state: TopKState,
-}
-
-impl TopKSink {
-    /// Creates a sink keeping the best `k` embeddings by `score`.
-    pub fn new(k: usize, score: ScoreFn) -> Self {
-        Self {
-            count: AtomicU64::new(0),
-            state: TopKState::new(k, score),
-        }
-    }
-
-    /// Total matches delivered so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// The kept embeddings best-first, with their scores.
-    pub fn into_results(self) -> (Vec<Embedding>, Vec<u64>) {
-        self.state.finish()
-    }
-}
-
-impl Sink for TopKSink {
-    fn needs_embeddings(&self) -> bool {
-        true
-    }
-
-    fn consume(&self, embedding: &[u32]) {
-        self.state.offer(embedding);
-    }
-
-    fn add_count(&self, n: u64) {
-        self.count.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Keeps a seed-reproducible uniform sample of at most `budget`
-/// embeddings ([`crate::aggregate::SampleState`]); the count stays exact.
-#[derive(Debug)]
-pub struct SampleSink {
-    count: AtomicU64,
-    state: SampleState,
-}
-
-impl SampleSink {
-    /// Creates a sink sampling at most `budget` embeddings under `seed`.
-    pub fn new(budget: usize, seed: u64) -> Self {
-        Self {
-            count: AtomicU64::new(0),
-            state: SampleState::new(budget, seed),
-        }
-    }
-
-    /// Total matches delivered so far (exact, not the sample size).
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// The sampled embeddings in sorted order.
-    pub fn into_results(self) -> Vec<Embedding> {
-        self.state.finish()
-    }
-}
-
-impl Sink for SampleSink {
-    fn needs_embeddings(&self) -> bool {
-        true
-    }
-
-    fn consume(&self, embedding: &[u32]) {
-        self.state.offer(embedding);
-    }
-
-    fn add_count(&self, n: u64) {
-        self.count.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
 /// Streams each embedding to a callback.
 pub struct CallbackSink<F: Fn(&[u32]) + Sync> {
     count: AtomicU64,
@@ -318,32 +231,6 @@ mod tests {
         let s = FirstKSink::new(0);
         assert!(s.is_satisfied());
         assert!(s.into_results().is_empty());
-    }
-
-    #[test]
-    fn topk_sink_counts_all_keeps_best() {
-        let s = TopKSink::new(2, ScoreFn::EdgeIdSum);
-        s.consume(&[1, 1]);
-        s.consume(&[9, 9]);
-        s.consume(&[4, 4]);
-        s.add_count(3);
-        assert_eq!(s.count(), 3);
-        assert!(s.needs_embeddings());
-        assert!(!s.is_satisfied());
-        let (embs, scores) = s.into_results();
-        assert_eq!(scores, vec![18, 8]);
-        assert_eq!(embs[0].raw(), &[9, 9]);
-    }
-
-    #[test]
-    fn sample_sink_exact_count_bounded_sample() {
-        let s = SampleSink::new(3, 17);
-        for i in 0..10u32 {
-            s.consume(&[i]);
-        }
-        s.add_count(10);
-        assert_eq!(s.count(), 10);
-        assert_eq!(s.into_results().len(), 3);
     }
 
     #[test]

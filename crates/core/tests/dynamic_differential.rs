@@ -20,10 +20,7 @@ use hgmatch_datasets::{
     generate_update_stream, sample_query, standard_settings, UpdateStreamConfig,
 };
 use hgmatch_hypergraph::setops::{set_kernel_mode, KernelMode};
-use hgmatch_hypergraph::{
-    env_shards, DynamicHypergraph, Hypergraph, HypergraphBuilder, Label, ShardedHypergraph,
-    UpdateOp,
-};
+use hgmatch_hypergraph::{DynamicHypergraph, Hypergraph, HypergraphBuilder, Label, UpdateOp};
 
 /// q2/q3 queries sampled from `graph` (planted, so they have embeddings).
 fn sampled_queries(graph: &Hypergraph, seed: u64) -> Vec<Hypergraph> {
@@ -89,68 +86,6 @@ fn dynamic_snapshots_answer_like_rebuilt_static() {
             }
         }
         set_kernel_mode(KernelMode::Auto);
-    }
-}
-
-/// Acceptance (DESIGN.md §17): matching over a sharded data plane returns
-/// the same embedding multiset as the monolithic build — for shard counts
-/// {1, 2, 4} plus the CI matrix's `HGMATCH_SHARDS`, in both kernel modes,
-/// through sequential and parallel matchers, across an update stream.
-#[test]
-fn sharded_data_plane_matches_like_monolithic() {
-    let base = random_arity_hypergraph(0x5A4D, 110, 240, 3, 2, 4);
-    let stream = generate_update_stream(
-        &base,
-        &UpdateStreamConfig {
-            ops: 180,
-            insert_ratio: 0.6,
-            seed: 17,
-            ..Default::default()
-        },
-    );
-
-    let mut shard_counts = vec![1usize, 2, 4];
-    if !shard_counts.contains(&env_shards()) {
-        shard_counts.push(env_shards());
-    }
-    for num_shards in shard_counts {
-        let mut mono = DynamicHypergraph::from_hypergraph(&base);
-        let mut sharded = ShardedHypergraph::from_hypergraph(&base, num_shards).unwrap();
-        for (checkpoint, chunk) in stream.chunks(90).enumerate() {
-            for op in chunk {
-                let a = mono.apply(op).unwrap();
-                let b = sharded.apply(op).unwrap();
-                assert_eq!(a, b, "{num_shards} shards: divergent effect for {op:?}");
-            }
-            let merged = sharded.snapshot().graph;
-            let reference = mono.snapshot().graph;
-            assert_eq!(
-                *merged, *reference,
-                "{num_shards} shards, checkpoint {checkpoint}: merged snapshot drifted"
-            );
-
-            let queries = sampled_queries(&reference, 400 + checkpoint as u64);
-            assert!(!queries.is_empty(), "checkpoint {checkpoint}: no queries");
-            for mode in [KernelMode::Auto, KernelMode::ForceScalar] {
-                set_kernel_mode(mode);
-                for (qi, query) in queries.iter().enumerate() {
-                    let want = Matcher::new(&reference).find_all(query).unwrap();
-                    let got = Matcher::new(&merged).find_all(query).unwrap();
-                    assert_eq!(
-                        got, want,
-                        "{num_shards} shards q{qi} ({mode:?}): sequential differs"
-                    );
-                    let par = Matcher::with_config(&merged, MatchConfig::parallel(env_workers(4)))
-                        .find_all(query)
-                        .unwrap();
-                    assert_eq!(
-                        par, want,
-                        "{num_shards} shards q{qi} ({mode:?}): parallel differs"
-                    );
-                }
-            }
-            set_kernel_mode(KernelMode::Auto);
-        }
     }
 }
 

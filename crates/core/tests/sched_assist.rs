@@ -19,6 +19,7 @@
 
 use std::sync::Arc;
 
+use hgmatch_core::engine::ParallelEngine;
 use hgmatch_core::exec::SequentialExecutor;
 use hgmatch_core::serve::{MatchServer, QueryOptions, QueryStatus, ServeConfig};
 use hgmatch_core::sink::CollectSink;
@@ -68,7 +69,7 @@ fn served_embeddings_match_sequential_across_workers_and_kernels() {
             else {
                 continue;
             };
-            // ServeSink sorts; sort the oracle once per seed the same way.
+            // The serve sink sorts; sort the oracle once per seed the same way.
             let mut expected = sequential_embeddings(&data, &query);
             expected.sort_unstable();
 
@@ -126,6 +127,58 @@ fn engine_split_counts_match_unsplit() {
                 .count(&query)
                 .unwrap();
             assert_eq!(plain, split, "seed {seed}, mode {mode:?}");
+        }
+    }
+    set_kernel_mode(KernelMode::Auto);
+}
+
+/// A hub expansion whose generation ends on the *bitmap* accumulator: the
+/// hub's posting covers the whole {A,B} partition (≥ `MIN_BITMAP_ROWS`
+/// rows), so Algorithm 4 finishes dense and must decode the bitmap into
+/// the row list before the list is published as a split. Skipping that
+/// decode would share an empty range and lose every embedding.
+#[test]
+fn dense_hub_split_matches_sequential_across_workers_and_kernels() {
+    use hgmatch_hypergraph::{HypergraphBuilder, Label};
+    let leaves = 300u32;
+    let mut b = HypergraphBuilder::new();
+    b.add_vertex(Label::new(0)); // hub A
+    b.add_vertices(leaves as usize, Label::new(1));
+    for leaf in 1..=leaves {
+        b.add_edge(vec![0, leaf]).unwrap();
+    }
+    let data = b.build().unwrap();
+    // Two {A,B} edges sharing the A vertex: step 1 is anchored on the hub.
+    let mut qb = HypergraphBuilder::new();
+    qb.add_vertex(Label::new(0));
+    qb.add_vertices(2, Label::new(1));
+    qb.add_edge(vec![0, 1]).unwrap();
+    qb.add_edge(vec![0, 2]).unwrap();
+    let query = qb.build().unwrap();
+    let plan = Planner::plan(&QueryGraph::new(&query).unwrap(), &data).unwrap();
+    if hgmatch_hypergraph::inverted::forced_repr().is_none() {
+        let partition = data.partition(plan.steps()[1].partition.unwrap());
+        assert!(partition.incident_posting(0).bits().is_some());
+    }
+
+    for mode in [KernelMode::Auto, KernelMode::ForceScalar] {
+        set_kernel_mode(mode);
+        let expected = sequential_embeddings(&data, &query);
+        assert_eq!(expected.len() as u32, leaves * (leaves - 1));
+        for workers in [1usize, 2, 8] {
+            let sink = CollectSink::new();
+            let stats = ParallelEngine::run(&plan, &data, &sink, &splitty(workers));
+            let got: Vec<Vec<u32>> = sink
+                .into_results()
+                .into_iter()
+                .map(|e| e.raw().to_vec())
+                .collect();
+            assert_eq!(got, expected, "workers {workers}, mode {mode:?}");
+            assert_eq!(
+                stats.metrics.split_expansions > 0,
+                workers > 1,
+                "workers {workers}, mode {mode:?}: every hub expansion is splittable"
+            );
         }
     }
     set_kernel_mode(KernelMode::Auto);

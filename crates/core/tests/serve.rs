@@ -11,7 +11,7 @@ use hgmatch_core::serve::{MatchServer, QueryOptions, QueryStatus, ServeConfig};
 use hgmatch_core::sink::{CountSink, FirstKSink};
 use hgmatch_core::{MatchConfig, Planner, QueryGraph};
 use hgmatch_datasets::testgen::{blowup, paper_data, random_arity_hypergraph, workload_queries};
-use hgmatch_hypergraph::{env_shards, Hypergraph, HypergraphBuilder, Label, ShardedHypergraph};
+use hgmatch_hypergraph::{Hypergraph, HypergraphBuilder, Label};
 
 /// A deterministic random hypergraph over `nl` labels, arities 2–4.
 fn random_data(nv: u32, nl: u32, ne: u32, seed: u64) -> Hypergraph {
@@ -313,52 +313,6 @@ fn repeated_mixed_workload_is_stable() {
 /// inserted, evicted and invalidated. Every published snapshot has the
 /// same content, so any wrong answer means a query ran a plan from the
 /// wrong epoch or a half-swept cache.
-#[test]
-fn serving_from_sharded_snapshots_matches_monolithic_counts() {
-    // Honor the CI shard matrix (`HGMATCH_SHARDS` ∈ {2,4}); always also
-    // exercise the merge path even when the env default of 1 applies.
-    let mut shard_counts = vec![env_shards()];
-    if !shard_counts.contains(&3) {
-        shard_counts.push(3);
-    }
-    let base = random_data(140, 3, 350, 0x51A2D);
-    let queries = workload_queries();
-    for num_shards in shard_counts {
-        let mut sharded = ShardedHypergraph::from_hypergraph(&base, num_shards).unwrap();
-        let first = sharded.snapshot();
-        let server = MatchServer::new(
-            Arc::clone(&first.graph),
-            ServeConfig::default().with_threads(3),
-        );
-        // Churn a few epochs through the facade; after each publish, served
-        // counts must equal the sequential oracle on the merged snapshot.
-        for round in 0..4u32 {
-            for i in 0..25u32 {
-                let e = vec![(round * 25 + i) % 140, ((round + 2) * 31 + i * 7) % 140];
-                if e[0] != e[1] {
-                    let _ = sharded.insert_hyperedge(e).unwrap();
-                }
-            }
-            let delta = sharded.snapshot();
-            server.update_data(
-                Arc::clone(&delta.graph),
-                &delta.touched_labels,
-                delta.sids_stable,
-            );
-            for (qi, q) in queries.iter().enumerate() {
-                let outcome = server.run(q, QueryOptions::count()).unwrap();
-                assert_eq!(outcome.status, QueryStatus::Completed);
-                assert_eq!(
-                    outcome.count,
-                    sequential_count(&delta.graph, q),
-                    "{num_shards} shards, round {round}, q{qi}: served count drifted"
-                );
-            }
-        }
-        server.shutdown();
-    }
-}
-
 #[test]
 fn update_data_epoch_storm_keeps_results_exact() {
     let data = Arc::new(random_data(150, 3, 400, 0x5EED));

@@ -149,21 +149,12 @@ impl Bitmap {
     }
 
     /// The backing words, 64 row-bits apiece (bit `i` lives at
-    /// `words()[i >> 6] & (1 << (i & 63))`). Exposed so block-structured
-    /// consumers (the reduce-then-scan extraction of `hgmatch-core::scan`)
-    /// can popcount and decode word ranges without going through the
-    /// per-bit API.
+    /// `words()[i >> 6] & (1 << (i & 63))`). Exposed so word-structured
+    /// consumers can popcount and decode word ranges without going through
+    /// the per-bit API.
     #[inline]
     pub fn words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// Takes the backing words out, leaving an empty zero-domain bitmap.
-    /// Used to hand a dense candidate set to a shared parallel extraction
-    /// without copying; the scratch bitmap re-grows on its next `reset`.
-    pub fn take_words(&mut self) -> Vec<u64> {
-        self.domain = 0;
-        std::mem::take(&mut self.words)
     }
 
     /// Appends the set bits, ascending, to `out`.

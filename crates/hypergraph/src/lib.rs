@@ -36,7 +36,6 @@ pub mod inverted;
 pub mod io;
 pub mod partition;
 pub mod setops;
-pub mod sharded;
 pub mod signature;
 pub mod stats;
 
@@ -49,6 +48,5 @@ pub use hypergraph::Hypergraph;
 pub use ids::{EdgeId, Label, SignatureId, VertexId};
 pub use inverted::{InvertedIndex, Posting, ReprBreakdown, ReprKind};
 pub use partition::Partition;
-pub use sharded::{env_shards, ShardedHypergraph};
 pub use signature::{Signature, SignatureInterner};
 pub use stats::{HypergraphStats, LabelCardinality, PartitionStats};

@@ -108,8 +108,7 @@ impl Partition {
 
     /// Assembles a partition from already-flattened parts, a prebuilt
     /// index and already computed stats — the snapshot decoder
-    /// ([`crate::io`]) and the sharded merge ([`crate::sharded`]), which
-    /// must not rebuild either.
+    /// ([`crate::io`]), which must not rebuild either.
     pub(crate) fn from_parts(
         signature: SignatureId,
         arity: u32,

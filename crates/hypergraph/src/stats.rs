@@ -131,7 +131,7 @@ impl PartitionStats {
 
     /// The same summary computed straight from an inverted index and its
     /// row count — for callers that build the index before the partition
-    /// exists (the sharded merge path, [`crate::sharded`]).
+    /// exists ([`Partition::new`]).
     pub(crate) fn recompute_from_index(
         index: &crate::inverted::InvertedIndex,
         rows: usize,

@@ -11,10 +11,7 @@
 //! bites one kernel family still fails the PR.
 
 use hgmatch_datasets::testgen::{assert_derived_state_eq, TestRng};
-use hgmatch_hypergraph::{
-    env_shards, DynamicHypergraph, Hypergraph, HypergraphBuilder, Label, ShardedHypergraph,
-    SnapshotDelta,
-};
+use hgmatch_hypergraph::{DynamicHypergraph, Hypergraph, HypergraphBuilder, Label, SnapshotDelta};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -133,76 +130,6 @@ fn run_case(seed: u64, nv: usize, nl: u64, ops: usize) -> Result<(), TestCaseErr
     Ok(())
 }
 
-/// The sharded replay of [`run_case`]: the same random interleaved
-/// insert/delete sequence fed to a [`ShardedHypergraph`] facade, whose
-/// scatter-gather merged snapshots must equal both the rebuild oracle and
-/// the monolithic [`DynamicHypergraph`] snapshot — the sharded==monolithic
-/// differential of DESIGN.md §17 at the storage level.
-fn run_sharded_case(
-    seed: u64,
-    nv: usize,
-    nl: u64,
-    ops: usize,
-    num_shards: usize,
-) -> Result<(), TestCaseError> {
-    let mut rng = TestRng(seed);
-    let mut model = Model {
-        labels: (0..nv).map(|_| Label::new(rng.below(nl) as u32)).collect(),
-        live: Vec::new(),
-    };
-    let mut mono = DynamicHypergraph::new();
-    let mut sharded = ShardedHypergraph::new(num_shards);
-    for &l in &model.labels {
-        mono.add_vertex(l);
-        sharded.add_vertex(l);
-    }
-
-    for _ in 0..ops {
-        let delete = !model.live.is_empty() && rng.below(100) < 40;
-        if delete {
-            let idx = rng.below(model.live.len() as u64) as usize;
-            let edge = model.live.remove(idx);
-            prop_assert!(mono.delete_hyperedge(&edge).expect("delete is Ok"));
-            prop_assert!(sharded.delete_hyperedge(&edge).expect("delete is Ok"));
-        } else {
-            let arity = 1 + rng.below(4.min(nv as u64)) as usize;
-            let mut edge: Vec<u32> = Vec::new();
-            while edge.len() < arity {
-                let v = rng.below(nv as u64) as u32;
-                if !edge.contains(&v) {
-                    edge.push(v);
-                }
-            }
-            edge.sort_unstable();
-            let duplicate = model.live.contains(&edge);
-            let a = mono.insert_hyperedge(edge.clone()).expect("insert is Ok");
-            let b = sharded
-                .insert_hyperedge(edge.clone())
-                .expect("insert is Ok");
-            prop_assert_eq!(a.is_some(), !duplicate);
-            prop_assert_eq!(b, !duplicate);
-            if !duplicate {
-                model.live.push(edge);
-            }
-        }
-
-        if rng.below(100) < 25 {
-            let merged = sharded.snapshot();
-            assert_snapshot_matches(&merged.graph, &model)?;
-            prop_assert_eq!(&*merged.graph, &*mono.snapshot().graph);
-        }
-    }
-
-    let merged = sharded.snapshot();
-    assert_snapshot_matches(&merged.graph, &model)?;
-    prop_assert_eq!(&*merged.graph, &*mono.snapshot().graph);
-    prop_assert_eq!(sharded.num_edges(), model.live.len());
-    // Republishing without mutations must be the identical Arc.
-    let again = sharded.snapshot();
-    prop_assert!(std::sync::Arc::ptr_eq(&merged.graph, &again.graph));
-    Ok(())
-}
-
 /// Field-by-field equality of a snapshot against the rebuild oracle. The
 /// top-level `PartialEq` covers all stored content; the per-partition
 /// assertions exist to localise failures (and to state the acceptance
@@ -254,25 +181,6 @@ proptest! {
         ops in 100usize..260,
     ) {
         run_case(seed, 6, 2, ops)?;
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Sharded==monolithic: the same update stream through a sharded
-    /// facade produces byte-equal merged snapshots for every shard count
-    /// in {1, 2, 4} plus whatever `HGMATCH_SHARDS` the CI matrix exports.
-    #[test]
-    fn sharded_snapshots_match_rebuild(
-        seed in 0u64..u64::MAX,
-        nv in 2usize..14,
-        nl in 1u64..4,
-        ops in 1usize..48,
-        shard_choice in 0usize..4,
-    ) {
-        let num_shards = [1, 2, 4, env_shards()][shard_choice];
-        run_sharded_case(seed, nv, nl, ops, num_shards)?;
     }
 }
 

@@ -4,14 +4,10 @@
 //! the committed golden fixture pins the on-disk layout so accidental
 //! format drift fails CI (`UPDATE_GOLDEN=1` regenerates it deliberately).
 
-use std::sync::Arc;
-
 use hgmatch_datasets::testgen::{assert_derived_state_eq, random_arity_hypergraph};
 use hgmatch_datasets::update_stream::{generate_update_stream, UpdateStreamConfig};
-use hgmatch_hypergraph::io::{decode_snapshot, encode_snapshot, load_snapshot, save_snapshot};
-use hgmatch_hypergraph::{
-    DynamicHypergraph, Hypergraph, HypergraphBuilder, Label, ShardedHypergraph,
-};
+use hgmatch_hypergraph::io::{decode_snapshot, encode_snapshot};
+use hgmatch_hypergraph::{DynamicHypergraph, Hypergraph, HypergraphBuilder, Label};
 
 /// The deterministic fixture graph: the paper's Fig. 1b data graph plus a
 /// hub block big enough that the adaptive index uses all three posting
@@ -113,43 +109,4 @@ fn snapshot_roundtrips_across_dynamic_streams() {
             );
         }
     }
-}
-
-/// The same differential through the sharded facade and real files: a
-/// sharded data plane's merged snapshot, saved and loaded per checkpoint,
-/// must equal the monolithic graph fed the same stream.
-#[test]
-fn sharded_snapshot_files_match_monolithic() {
-    let base = random_arity_hypergraph(5, 30, 40, 3, 1, 4);
-    let ops = generate_update_stream(
-        &base,
-        &UpdateStreamConfig {
-            ops: 200,
-            insert_ratio: 0.65,
-            seed: 41,
-            ..UpdateStreamConfig::default()
-        },
-    );
-    let dir = std::env::temp_dir().join("hgmatch-snapshot-roundtrip");
-    std::fs::create_dir_all(&dir).unwrap();
-
-    for num_shards in [1usize, 2, 4] {
-        let mut mono = DynamicHypergraph::from_hypergraph(&base);
-        let mut sharded = ShardedHypergraph::from_hypergraph(&base, num_shards).unwrap();
-        for (i, op) in ops.iter().enumerate() {
-            let a = mono.apply(op).expect("stream ops are valid");
-            let b = sharded.apply(op).expect("stream ops are valid");
-            assert_eq!(a, b, "shards diverged on op {i}");
-            if i % 67 == 0 || i + 1 == ops.len() {
-                let merged: Arc<Hypergraph> = sharded.snapshot().graph;
-                let path = dir.join(format!("shard{num_shards}.hgsnap"));
-                save_snapshot(&merged, &path).unwrap();
-                let restored = load_snapshot(&path).unwrap();
-                let mono = mono.snapshot().graph;
-                assert_eq!(restored, *mono);
-                assert_derived_state_eq(&restored, &mono);
-            }
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
