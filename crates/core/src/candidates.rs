@@ -4,24 +4,32 @@
 //! candidates are data hyperedges that
 //!
 //! * live in the partition with signature `S(eq)` (Observation V.1),
-//! * are incident, for every *anchor* — a `(previously matched adjacent
-//!   query edge e, shared vertex u ∈ e ∩ eq)` pair — to at least one vertex
-//!   of `f(e)` that carries `u`'s label and has matching degree within the
-//!   partial embedding (Observations V.2 and V.4),
+//! * are incident, for every *profile class* of the step — a distinct
+//!   `(label, earlier incident edges)` profile among the query vertices
+//!   `eq` shares with the edges matched before it
+//!   ([`crate::plan::Anchor`]) — to at least one *member* of the class: a
+//!   vertex of `V(m)` with that label lying in exactly those matched edges
+//!   (Observations V.2 and V.4, with the degree test sharpened to the exact
+//!   edge set),
 //! * and (optionally, eager Observation V.3) touch no vertex matched by a
 //!   non-adjacent query edge.
 //!
-//! Everything is posting-list algebra: per anchor a *union* of `he(v,
-//! S(eq))` lists, then an *intersection* across anchors, and optionally a
+//! [`ExpansionState::prepare`] writes every vertex of `V(m)` its class code
+//! into one dense byte table; generation reads members off it and
+//! validation ([`crate::validate`]) counts a candidate's vertices by it
+//! (DESIGN.md §6.5).
+//!
+//! Everything else is posting-list algebra: per class a *union* of `he(v,
+//! S(eq))` lists, then an *intersection* across classes, and optionally a
 //! *difference* against the non-incident union — exactly the three set
 //! operations the paper highlights. Each union picks the cheaper of two
-//! representations per anchor (DESIGN.md §5.5): the k-way sorted-list merge
+//! representations per class (DESIGN.md §5.5): the k-way sorted-list merge
 //! of [`setops::union_many_into`], or a [`Bitmap`] accumulator over the
 //! partition's row space when the postings are dense (hub vertices carry
 //! precomputed bitmaps in the inverted index, OR-ing 64 rows per
 //! instruction). Mid-density keys arrive as delta-bitpacked
 //! [`CompressedPostings`](hgmatch_hypergraph::compressed::CompressedPostings)
-//! (DESIGN.md §14): single-posting anchors run the
+//! (DESIGN.md §14): single-posting classes run the
 //! *fused* kernels of [`setops`] that decode one block at a time into a
 //! stack scratch, multi-posting unions decode into reused arena buffers.
 
@@ -29,6 +37,7 @@ use hgmatch_hypergraph::bitmap::Bitmap;
 use hgmatch_hypergraph::compressed::BLOCK_LEN;
 use hgmatch_hypergraph::hypergraph::Hypergraph;
 use hgmatch_hypergraph::setops;
+use hgmatch_hypergraph::Partition;
 
 use crate::config::MatchConfig;
 use crate::plan::Step;
@@ -63,10 +72,9 @@ pub struct MVertex {
     pub v: u32,
     /// `d_Hm(v)`: its degree within the partial embedding.
     pub degree: u32,
-    /// Bit `j` set ⇔ the edge at matching-order position `j` contains `v`.
-    /// This is the precomputed prev-edge membership set that validation
-    /// (Algorithm 5) folds into vertex profiles without re-searching every
-    /// previous edge.
+    /// Bit `j` set ⇔ the edge at matching-order position `j` contains `v`:
+    /// the data-side half of a vertex profile (Definition V.3), which
+    /// [`ExpansionState::prepare`] turns into the vertex's class code.
     pub mask: u64,
 }
 
@@ -86,7 +94,9 @@ struct Level {
 /// prefix with) the previously prepared one only merges the new edges'
 /// vertices instead of re-sorting the whole embedding — under the engines'
 /// depth-first order almost every preparation is a single `O(|V(m)|)` merge
-/// (DESIGN.md §6.3).
+/// (DESIGN.md §6.3). On top of the stack sits the *class-code table*
+/// (DESIGN.md §6.5): one byte per data vertex saying which profile class of
+/// the prepared step the vertex is a member of.
 #[derive(Debug, Default)]
 pub struct ExpansionState {
     /// Multiset stack; `levels[p]` covers `emb[..=p]`.
@@ -99,6 +109,14 @@ pub struct ExpansionState {
     /// queries pinned to *different* epochs, whose compaction may have
     /// remapped ids, so a uid change must drop the cache.
     data_uid: u64,
+    /// Class code per data vertex for the prepared `(step, emb)`:
+    /// [`CODE_ABSENT`] outside `V(m)`, `i + 1` for a member of
+    /// `step.anchors[i]`, `step.anchors.len() + 1` for a vertex of `V(m)` in
+    /// no class (a valid candidate contains none). Non-zero exactly at
+    /// [`ExpansionState::vertices`]: `prepare` zeroes the entries of the
+    /// level it leaves and never the whole table. Sized to the snapshot's
+    /// vertex count on first use and whenever that count changes.
+    codes: Vec<u8>,
     /// Sorted vertices matched by non-adjacent previous edges
     /// (`V_n_incdt` of Algorithm 4 line 1). Rebuilt per preparation.
     pub non_incident: Vec<u32>,
@@ -114,9 +132,17 @@ pub struct ExpansionState {
     /// (single compressed postings never land here — they go through the
     /// fused kernels instead).
     decode_arena: Vec<Vec<u32>>,
+    /// The allocations behind generation's per-class posting and slice
+    /// lists, parked empty between calls (their elements borrow from the
+    /// snapshot of the call; see [`recycle`]).
+    postings: Vec<Posting<'static>>,
+    lists: Vec<&'static [u32]>,
 }
 
 static EMPTY_LEVEL: &[MVertex] = &[];
+
+/// Table code of a data vertex outside the partial embedding.
+pub(crate) const CODE_ABSENT: u8 = 0;
 
 impl ExpansionState {
     /// Creates empty state.
@@ -127,11 +153,7 @@ impl ExpansionState {
     /// The current embedding's distinct vertices, sorted by id.
     #[inline]
     pub fn vertices(&self) -> &[MVertex] {
-        if self.depth == 0 {
-            EMPTY_LEVEL
-        } else {
-            &self.levels[self.depth - 1].m
-        }
+        top_level(&self.levels, self.depth)
     }
 
     /// Looks up the [`MVertex`] entry of `v`, if it is in the embedding.
@@ -162,13 +184,31 @@ impl ExpansionState {
         self.vertices().len()
     }
 
+    /// The class-code table of the prepared `(step, emb)`, indexed by data
+    /// vertex id.
+    #[inline]
+    pub(crate) fn codes(&self) -> &[u8] {
+        &self.codes
+    }
+
     /// Rebuilds the state for the partial embedding `emb` (global edge ids,
     /// matching-order positions) at `step`.
     ///
     /// Levels shared with the previously prepared embedding are reused; only
     /// positions where `emb` diverges are (re)built, each by one linear
-    /// merge of the new edge's vertices into the previous level.
+    /// merge of the new edge's vertices into the previous level. The code
+    /// table is rewritten for `step` on every call (the same embedding
+    /// under another step, or another plan version, has other classes).
     pub fn prepare(&mut self, data: &Hypergraph, step: &Step, emb: &[u32]) {
+        // Un-write the codes of the level being left while it still says
+        // which entries they are (the table is as long as the snapshot
+        // that level was built against has vertices).
+        for e in top_level(&self.levels, self.depth) {
+            self.codes[e.v as usize] = CODE_ABSENT;
+        }
+        if self.codes.len() != data.num_vertices() {
+            self.codes.resize(data.num_vertices(), CODE_ABSENT);
+        }
         // Cached levels describe edge ids of the snapshot they were built
         // against; against any other snapshot (even an equal-content one)
         // the ids may denote different edges, so the cache is dropped.
@@ -204,6 +244,15 @@ impl ExpansionState {
         }
         self.depth = emb.len();
 
+        let no_class = step.anchors.len() as u8 + 1;
+        for e in top_level(&self.levels, self.depth) {
+            let label = data.label(e.v.into());
+            self.codes[e.v as usize] = step
+                .anchors
+                .binary_search_by_key(&(label, e.mask), |a| (a.label, a.prev_mask))
+                .map_or(no_class, |class| class as u8 + 1);
+        }
+
         self.non_incident.clear();
         for &pos in &step.nonadjacent_prev {
             self.non_incident
@@ -211,6 +260,16 @@ impl ExpansionState {
         }
         self.non_incident.sort_unstable();
         self.non_incident.dedup();
+    }
+}
+
+/// The level covering the whole prepared embedding (free-standing so
+/// `prepare` can walk it while writing the code table).
+#[inline]
+fn top_level(levels: &[Level], depth: usize) -> &[MVertex] {
+    match depth.checked_sub(1) {
+        Some(top) => &levels[top].m,
+        None => EMPTY_LEVEL,
     }
 }
 
@@ -271,12 +330,15 @@ pub fn generate_candidates(
 }
 
 /// [`generate_candidates`] with a cooperative stop signal: `abort` is
-/// polled at anchor boundaries, every `GEN_PROBE_BLOCKS` compressed
+/// polled at class boundaries, every `GEN_PROBE_BLOCKS` compressed
 /// blocks of a decode, and every `GEN_ABORT_PROBE` rows of the
-/// anchor-less partition scan, so a cancel/timeout lands within a bounded
+/// class-less partition scan, so a cancel/timeout lands within a bounded
 /// candidate budget even when a single posting decodes to millions of
 /// rows. Returns `None` when aborted mid-generation — `state.candidates`
 /// then holds partial garbage and the caller must emit nothing.
+///
+/// Once the state's buffers have grown to the workload, a call allocates
+/// nothing (DESIGN.md §6; `tests/alloc_free.rs` counts).
 pub fn generate_candidates_with_abort(
     data: &Hypergraph,
     step: &Step,
@@ -284,6 +346,36 @@ pub fn generate_candidates_with_abort(
     state: &mut ExpansionState,
     config: &MatchConfig,
     abort: &mut dyn FnMut() -> bool,
+) -> Option<usize> {
+    let mut postings = std::mem::take(&mut state.postings);
+    let produced = generate_into(data, step, emb, state, config, abort, &mut postings);
+    state.postings = recycle(postings);
+    produced
+}
+
+/// Empties `v` and hands its allocation back as a vec of `U` — used with
+/// `T` and `U` the same type up to a lifetime, where collecting a
+/// `vec::IntoIter` reuses the buffer in place. That reuse is the standard
+/// library's implementation, not its contract: without it this allocates
+/// afresh and stays correct, and `tests/alloc_free.rs` notices.
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter()
+        .map(|_| -> U { unreachable!("the vec was just cleared") })
+        .collect()
+}
+
+/// The body of [`generate_candidates_with_abort`], with the per-class
+/// posting list borrowed from the caller so every exit leaves its
+/// allocation behind.
+fn generate_into<'d>(
+    data: &'d Hypergraph,
+    step: &Step,
+    emb: &[u32],
+    state: &mut ExpansionState,
+    config: &MatchConfig,
+    abort: &mut dyn FnMut() -> bool,
+    postings: &mut Vec<Posting<'d>>,
 ) -> Option<usize> {
     state.candidates.clear();
     let Some(pid) = step.partition else {
@@ -305,146 +397,112 @@ pub fn generate_candidates_with_abort(
             state.candidates.extend(row..end);
             row = end;
         }
-    } else {
-        let mut first = true;
-        let mut use_bits = false;
-        let mut postings: Vec<Posting<'_>> = Vec::new();
-        for anchor in &step.anchors {
-            // Anchor boundary: every set operation below is bounded by the
-            // operand sizes this probe (and the blockwise ones) guard.
-            if abort() {
-                return None;
-            }
-            let prev = emb[anchor.prev_pos as usize];
-            postings.clear();
-            let mut total = 0usize;
-            let mut have_bits = false;
-            for &v in data.edge_vertices(prev.into()) {
-                // V_incdt filter: label, embedding degree, not in V_n_incdt.
-                if data.label(v.into()) != anchor.label
-                    || state.embedding_degree(v) != anchor.required_degree
-                    || state.non_incident.binary_search(&v).is_ok()
-                {
-                    continue;
-                }
-                let posting = partition.incident_posting(v);
-                if posting.is_empty() {
-                    continue;
-                }
-                total += posting.len();
-                have_bits |= posting.bits().is_some();
-                postings.push(posting);
-            }
-            if postings.is_empty() {
-                state.candidates.clear();
-                return Some(0);
-            }
+    }
 
-            // Representation switch (DESIGN.md §5.5): a bitmap accumulator
-            // when the postings are dense in the row space, the k-way list
-            // merge otherwise.
-            let dense = rows >= MIN_BITMAP_ROWS && (have_bits || total * LIST_DENSITY_DIV >= rows);
+    // Whether the running intersection is `state.acc_bits` (dense) instead
+    // of the sorted list `state.candidates`.
+    let mut use_bits = false;
+    for (class, code) in step.anchors.iter().zip(1u8..) {
+        // Class boundary: every set operation below is bounded by the
+        // operand sizes this probe (and the blockwise ones) guard.
+        if abort() {
+            return None;
+        }
+        // The class's members all lie in the edge matched at its lowest
+        // position; the code table says which of that edge's vertices they
+        // are.
+        postings.clear();
+        let members = data
+            .edge_vertices(emb[class.prev_pos as usize].into())
+            .iter()
+            .filter(|&&v| state.codes[v as usize] == code);
+        let (total, have_bits) = collect_postings(partition, members, postings);
+        // A valid candidate contains `need` members, each listing it.
+        if postings.len() < class.need as usize {
+            state.candidates.clear();
+            return Some(0);
+        }
 
-            if first {
-                first = false;
-                if dense {
-                    use_bits = true;
-                    if union_postings_into_bitmap(&postings, rows, &mut state.acc_bits, abort) {
-                        return None;
-                    }
-                } else if let [Posting::Compressed(c)] = postings.as_slice() {
-                    // Single compressed anchor: decode once, no merge —
-                    // blockwise, probing at block boundaries so a huge
-                    // posting (width-0 runs especially) cannot outrun a
-                    // stop signal by the whole decode.
-                    state.candidates.clear();
-                    let mut scratch = [0u32; BLOCK_LEN];
-                    for bi in 0..c.num_blocks() {
-                        if bi % GEN_PROBE_BLOCKS == GEN_PROBE_BLOCKS - 1 && abort() {
-                            return None;
-                        }
-                        state
-                            .candidates
-                            .extend_from_slice(c.decode_block(bi, &mut scratch));
-                    }
-                } else {
-                    let mut lists: Vec<&[u32]> = Vec::with_capacity(postings.len());
-                    if postings_as_lists(&postings, &mut state.decode_arena, &mut lists, abort) {
-                        return None;
-                    }
-                    setops::union_many_into(&mut lists, &mut state.candidates, &mut state.mw);
-                }
-            } else if use_bits {
-                // C' ∩ next anchor union, word-wise.
-                if union_postings_into_bitmap(&postings, rows, &mut state.anchor_bits, abort) {
+        // Representation switch (DESIGN.md §5.5): a bitmap accumulator
+        // when the postings are dense in the row space, the k-way list
+        // merge otherwise.
+        let dense = is_dense(rows, total, have_bits);
+
+        if code == 1 {
+            if dense {
+                use_bits = true;
+                if union_postings_into_bitmap(postings, rows, &mut state.acc_bits, abort) {
                     return None;
-                }
-                state.acc_bits.intersect_assign(&state.anchor_bits);
-                if state.acc_bits.is_empty() {
-                    return Some(0);
-                }
-            } else if dense {
-                // Sorted-list accumulator filtered through the anchor's
-                // bitmap union: O(|C'|) membership tests, no materialised
-                // union.
-                if union_postings_into_bitmap(&postings, rows, &mut state.anchor_bits, abort) {
-                    return None;
-                }
-                state
-                    .anchor_bits
-                    .filter_list_into(&state.candidates, &mut state.tmp);
-                std::mem::swap(&mut state.candidates, &mut state.tmp);
-                if state.candidates.is_empty() {
-                    return Some(0);
                 }
             } else if let [Posting::Compressed(c)] = postings.as_slice() {
-                // Single compressed anchor: fused decode-and-intersect, one
-                // block at a time against the accumulator (output bounded
-                // by the accumulator, which earlier probes already bounded).
-                setops::intersect_compressed_into(c, &state.candidates, &mut state.tmp);
-                std::mem::swap(&mut state.candidates, &mut state.tmp);
-                if state.candidates.is_empty() {
-                    return Some(0);
-                }
-            } else {
-                let mut lists: Vec<&[u32]> = Vec::with_capacity(postings.len());
-                if postings_as_lists(&postings, &mut state.decode_arena, &mut lists, abort) {
-                    return None;
-                }
-                setops::union_many_into(&mut lists, &mut state.union, &mut state.mw);
-                setops::intersect_into(&state.candidates, &state.union, &mut state.tmp);
-                std::mem::swap(&mut state.candidates, &mut state.tmp);
-                if state.candidates.is_empty() {
-                    return Some(0);
-                }
-            }
-        }
-        if use_bits {
-            if abort() {
-                return None;
-            }
-            // Still dense: apply eager Observation V.3 word-wise (one OR
-            // pass + one AND-NOT pass) instead of falling through to the
-            // list-difference below, then decode the surviving rows.
-            if config.prune_non_incident && !state.non_incident.is_empty() {
-                let mut postings: Vec<Posting<'_>> = Vec::new();
-                for &v in &state.non_incident {
-                    let posting = partition.incident_posting(v);
-                    if !posting.is_empty() {
-                        postings.push(posting);
-                    }
-                }
-                if !postings.is_empty() {
-                    if union_postings_into_bitmap(&postings, rows, &mut state.anchor_bits, abort) {
+                // Single compressed member: decode once, no merge —
+                // blockwise, probing at block boundaries so a huge
+                // posting (width-0 runs especially) cannot outrun a
+                // stop signal by the whole decode.
+                let mut scratch = [0u32; BLOCK_LEN];
+                for bi in 0..c.num_blocks() {
+                    if bi % GEN_PROBE_BLOCKS == GEN_PROBE_BLOCKS - 1 && abort() {
                         return None;
                     }
-                    state.acc_bits.difference_assign(&state.anchor_bits);
+                    state
+                        .candidates
+                        .extend_from_slice(c.decode_block(bi, &mut scratch));
                 }
+            } else if union_postings_into_list(
+                postings,
+                &mut state.decode_arena,
+                &mut state.lists,
+                &mut state.candidates,
+                &mut state.mw,
+                abort,
+            ) {
+                return None;
             }
-            let count = state.acc_bits.count_ones() as usize;
-            state.candidates.reserve(count);
-            state.acc_bits.extract_into(&mut state.candidates);
-            return Some(count);
+            continue;
+        }
+
+        if use_bits {
+            // C' ∩ next class union, word-wise.
+            if union_postings_into_bitmap(postings, rows, &mut state.anchor_bits, abort) {
+                return None;
+            }
+            state.acc_bits.intersect_assign(&state.anchor_bits);
+            if state.acc_bits.is_empty() {
+                return Some(0);
+            }
+            continue;
+        }
+        if dense {
+            // Sorted-list accumulator filtered through the class's
+            // bitmap union: O(|C'|) membership tests, no materialised
+            // union.
+            if union_postings_into_bitmap(postings, rows, &mut state.anchor_bits, abort) {
+                return None;
+            }
+            state
+                .anchor_bits
+                .filter_list_into(&state.candidates, &mut state.tmp);
+        } else if let [Posting::Compressed(c)] = postings.as_slice() {
+            // Single compressed member: fused decode-and-intersect, one
+            // block at a time against the accumulator (output bounded
+            // by the accumulator, which earlier probes already bounded).
+            setops::intersect_compressed_into(c, &state.candidates, &mut state.tmp);
+        } else {
+            if union_postings_into_list(
+                postings,
+                &mut state.decode_arena,
+                &mut state.lists,
+                &mut state.union,
+                &mut state.mw,
+                abort,
+            ) {
+                return None;
+            }
+            setops::intersect_into(&state.candidates, &state.union, &mut state.tmp);
+        }
+        std::mem::swap(&mut state.candidates, &mut state.tmp);
+        if state.candidates.is_empty() {
+            return Some(0);
         }
     }
 
@@ -454,45 +512,105 @@ pub fn generate_candidates_with_abort(
         }
         // Eager Observation V.3: drop candidates touching forbidden
         // vertices, with the same representation switch.
-        let mut postings: Vec<Posting<'_>> = Vec::new();
-        let mut total = 0usize;
-        let mut have_bits = false;
-        for &v in &state.non_incident {
-            let posting = partition.incident_posting(v);
-            if posting.is_empty() {
-                continue;
-            }
-            total += posting.len();
-            have_bits |= posting.bits().is_some();
-            postings.push(posting);
-        }
+        postings.clear();
+        let (total, have_bits) = collect_postings(partition, &state.non_incident, postings);
         if !postings.is_empty() {
-            let dense = rows >= MIN_BITMAP_ROWS && (have_bits || total * LIST_DENSITY_DIV >= rows);
-            if dense {
-                if union_postings_into_bitmap(&postings, rows, &mut state.anchor_bits, abort) {
+            if use_bits || is_dense(rows, total, have_bits) {
+                if union_postings_into_bitmap(postings, rows, &mut state.anchor_bits, abort) {
                     return None;
                 }
-                state
-                    .anchor_bits
-                    .filter_list_out(&state.candidates, &mut state.tmp);
+                if use_bits {
+                    // Still dense: one AND-NOT pass, word-wise.
+                    state.acc_bits.difference_assign(&state.anchor_bits);
+                } else {
+                    state
+                        .anchor_bits
+                        .filter_list_out(&state.candidates, &mut state.tmp);
+                }
             } else if let [Posting::Compressed(c)] = postings.as_slice() {
                 // Fused difference: subtract the compressed union one
                 // decoded block at a time (output bounded by the already
                 // probe-bounded candidate list).
                 setops::difference_list_compressed_into(&state.candidates, c, &mut state.tmp);
             } else {
-                let mut lists: Vec<&[u32]> = Vec::with_capacity(postings.len());
-                if postings_as_lists(&postings, &mut state.decode_arena, &mut lists, abort) {
+                if union_postings_into_list(
+                    postings,
+                    &mut state.decode_arena,
+                    &mut state.lists,
+                    &mut state.union,
+                    &mut state.mw,
+                    abort,
+                ) {
                     return None;
                 }
-                setops::union_many_into(&mut lists, &mut state.union, &mut state.mw);
                 setops::difference_into(&state.candidates, &state.union, &mut state.tmp);
             }
-            std::mem::swap(&mut state.candidates, &mut state.tmp);
+            if !use_bits {
+                std::mem::swap(&mut state.candidates, &mut state.tmp);
+            }
         }
     }
 
+    if use_bits {
+        if abort() {
+            return None;
+        }
+        // Decode the surviving rows.
+        state
+            .candidates
+            .reserve(state.acc_bits.count_ones() as usize);
+        state.acc_bits.extract_into(&mut state.candidates);
+    }
     Some(state.candidates.len())
+}
+
+/// Whether a union of postings holding `total` entries over a partition of
+/// `rows` rows goes through a bitmap accumulator (DESIGN.md §5.5).
+fn is_dense(rows: usize, total: usize, have_bits: bool) -> bool {
+    rows >= MIN_BITMAP_ROWS && (have_bits || total * LIST_DENSITY_DIV >= rows)
+}
+
+/// Pushes the non-empty postings of `vertices` in `partition` onto
+/// `postings`; returns their total length and whether any carries a
+/// precomputed bitmap.
+fn collect_postings<'d, 'v>(
+    partition: &'d Partition,
+    vertices: impl IntoIterator<Item = &'v u32>,
+    postings: &mut Vec<Posting<'d>>,
+) -> (usize, bool) {
+    let mut total = 0usize;
+    let mut have_bits = false;
+    for &v in vertices {
+        let posting = partition.incident_posting(v);
+        if posting.is_empty() {
+            continue;
+        }
+        total += posting.len();
+        have_bits |= posting.bits().is_some();
+        postings.push(posting);
+    }
+    (total, have_bits)
+}
+
+/// Unions `postings` as sorted lists into `out` (cleared first) by the
+/// k-way merge, decoding compressed ones into `arena`; `lists` lends the
+/// allocation for the slice list. Returns `true` when aborted mid-decode
+/// (`out` is then untouched).
+fn union_postings_into_list(
+    postings: &[Posting<'_>],
+    arena: &mut Vec<Vec<u32>>,
+    lists: &mut Vec<&'static [u32]>,
+    out: &mut Vec<u32>,
+    mw: &mut setops::MultiwayScratch,
+    abort: &mut dyn FnMut() -> bool,
+) -> bool {
+    let mut slices: Vec<&[u32]> = std::mem::take(lists);
+    if postings_as_lists(postings, arena, &mut slices, abort) {
+        return true;
+    }
+    setops::union_many_into(&mut slices, out, mw);
+    *lists = recycle(slices);
+    false
 }
 
 /// Unions postings of any representation into `acc`, reset to the
@@ -666,14 +784,63 @@ mod tests {
         assert!(state.vertex_entry(6).is_none());
     }
 
+    /// Prepares `reused` for `(step, emb)` and checks everything a caller
+    /// can observe of it against a state that has never seen anything
+    /// else: the level, the code table (all of it — a stale entry anywhere
+    /// is a wrong verdict waiting for its vertex), the candidates and the
+    /// verdict on every row of the partition.
+    fn assert_agrees_with_fresh(
+        reused: &mut ExpansionState,
+        data: &Hypergraph,
+        step: &Step,
+        emb: &[u32],
+    ) {
+        use crate::validate::{validate_candidate, ValidateScratch};
+
+        let mut fresh = ExpansionState::new();
+        fresh.prepare(data, step, emb);
+        reused.prepare(data, step, emb);
+        assert_eq!(reused.vertices(), fresh.vertices(), "emb {emb:?}");
+        assert_eq!(reused.non_incident, fresh.non_incident, "emb {emb:?}");
+        assert_eq!(reused.codes(), fresh.codes(), "emb {emb:?}");
+        assert_eq!(reused.codes().len(), data.num_vertices());
+        let coded = reused.codes().iter().filter(|&&c| c != CODE_ABSENT).count();
+        assert_eq!(coded, reused.num_vertices(), "codes live exactly on V(m)");
+
+        let config = MatchConfig::default();
+        generate_candidates(data, step, emb, &mut fresh, &config);
+        generate_candidates(data, step, emb, reused, &config);
+        assert_eq!(reused.candidates, fresh.candidates, "emb {emb:?}");
+
+        let Some(pid) = step.partition else { return };
+        let partition = data.partition(pid);
+        let mut scratch = ValidateScratch::new();
+        for (row, vertices) in partition.iter_rows() {
+            let global = partition.global_id(row).raw();
+            let mut verdict = |state: &ExpansionState| {
+                validate_candidate(
+                    data,
+                    step,
+                    emb.len(),
+                    emb,
+                    state,
+                    global,
+                    vertices,
+                    &mut scratch,
+                )
+            };
+            assert_eq!(verdict(reused), verdict(&fresh), "emb {emb:?} row {row}");
+        }
+    }
+
     #[test]
     fn prepare_is_incremental_across_prefixes() {
         // Preparing a sibling after a deep descent must still be correct:
-        // the level stack rebuilds only from the divergence point.
+        // the level stack rebuilds only from the divergence point, and the
+        // code table forgets exactly the level it leaves.
         let data = paper_data();
         let query = paper_query();
         let plan = Planner::plan_with_order(&query, &data, vec![0, 1, 2]).unwrap();
-        let mut fresh = ExpansionState::new();
         let mut reused = ExpansionState::new();
 
         let sequences: Vec<Vec<u32>> = vec![
@@ -683,18 +850,38 @@ mod tests {
             vec![0, 3], // sibling at depth 1
             vec![1, 3], // diverges at depth 0
             vec![1],    // shrink
+            vec![],     // all the way up: the scan step
             vec![1, 3], // regrow
         ];
         for emb in &sequences {
-            let step = &plan.steps()[emb.len().min(2)];
-            reused.prepare(&data, step, emb);
-            fresh.prepare(&data, step, emb);
-            // An independent, freshly built state must agree exactly.
-            let mut fresh2 = ExpansionState::new();
-            fresh2.prepare(&data, step, emb);
-            assert_eq!(reused.vertices(), fresh2.vertices(), "emb {emb:?}");
-            assert_eq!(reused.non_incident, fresh2.non_incident, "emb {emb:?}");
+            let step = &plan.steps()[emb.len()];
+            assert_agrees_with_fresh(&mut reused, &data, step, emb);
         }
+    }
+
+    #[test]
+    fn prepare_rewrites_codes_for_another_plan_version() {
+        // An adaptive re-plan (DESIGN.md §15) hands a worker the same
+        // embedding prefix under another plan version: the levels are
+        // reused as they are, but the step — and with it every class code —
+        // is another one. Orders (q0, q1, q2) and (q0, q2, q1) share
+        // position 0 and differ at position 1.
+        let data = paper_data();
+        let query = paper_query();
+        let v0 = Planner::plan_with_order(&query, &data, vec![0, 1, 2]).unwrap();
+        let v1 = Planner::plan_with_order(&query, &data, vec![0, 2, 1]).unwrap();
+        assert_ne!(v0.steps()[1].anchors, v1.steps()[1].anchors);
+
+        let mut reused = ExpansionState::new();
+        for emb in [[0u32], [1]] {
+            for plan in [&v0, &v1, &v0] {
+                assert_agrees_with_fresh(&mut reused, &data, &plan.steps()[1], &emb);
+            }
+        }
+        // And deeper, where the two versions have matched different edges.
+        assert_agrees_with_fresh(&mut reused, &data, &v0.steps()[2], &[0, 2]);
+        assert_agrees_with_fresh(&mut reused, &data, &v1.steps()[2], &[0, 4]);
+        assert_agrees_with_fresh(&mut reused, &data, &v0.steps()[2], &[1, 3]);
     }
 
     #[test]
@@ -703,41 +890,52 @@ mod tests {
         // snapshots (the dynamic writer's compaction remaps ids), and the
         // serving pool reuses one scratch across queries pinned to
         // different epochs: reusing a state against a second graph must
-        // rebuild the level cache even though the edge-id prefix matches.
+        // rebuild the level cache even though the edge-id prefix matches,
+        // and must carry no code over — also when the second graph has
+        // more vertices than the table was sized for, or fewer.
         let data_a = paper_data();
-        let mut b = HypergraphBuilder::new();
-        for &l in &[0u32, 2, 0, 0, 1, 2, 0] {
-            b.add_vertex(Label::new(l));
-        }
-        b.add_edge(vec![0, 4]).unwrap(); // e0: same {A,B} signature as
-                                         // data_a's e0 {2,4}, different set
-        b.add_edge(vec![4, 6]).unwrap();
-        b.add_edge(vec![0, 1, 2]).unwrap();
-        b.add_edge(vec![3, 5, 6]).unwrap();
-        b.add_edge(vec![0, 1, 4, 6]).unwrap();
-        b.add_edge(vec![2, 3, 4, 5]).unwrap();
-        let data_b = b.build().unwrap();
+        let variant = |extra_vertices: usize| {
+            let mut b = HypergraphBuilder::new();
+            for &l in &[0u32, 2, 0, 0, 1, 2, 0] {
+                b.add_vertex(Label::new(l));
+            }
+            b.add_vertices(extra_vertices, Label::new(0));
+            b.add_edge(vec![0, 4]).unwrap(); // e0: same {A,B} signature as
+                                             // data_a's e0 {2,4}, different set
+            b.add_edge(vec![4, 6]).unwrap();
+            b.add_edge(vec![0, 1, 2]).unwrap();
+            b.add_edge(vec![3, 5, 6]).unwrap();
+            b.add_edge(vec![0, 1, 4, 6]).unwrap();
+            b.add_edge(vec![2, 3, 4, 5]).unwrap();
+            b.build().unwrap()
+        };
+        let data_b = variant(0);
+        let data_big = variant(5);
+        assert!(data_big.num_vertices() > data_a.num_vertices());
 
         let query = paper_query();
         let plan_a = Planner::plan_with_order(&query, &data_a, vec![0, 1, 2]).unwrap();
         let plan_b = Planner::plan_with_order(&query, &data_b, vec![0, 1, 2]).unwrap();
+        let plan_big = Planner::plan_with_order(&query, &data_big, vec![0, 1, 2]).unwrap();
 
         let mut reused = ExpansionState::new();
         reused.prepare(&data_a, &plan_a.steps()[1], &[0]);
         assert!(reused.contains_vertex(2), "data_a's e0 is {{2,4}}");
-        reused.prepare(&data_b, &plan_b.steps()[1], &[0]);
-
-        let mut fresh = ExpansionState::new();
-        fresh.prepare(&data_b, &plan_b.steps()[1], &[0]);
-        assert_eq!(reused.vertices(), fresh.vertices());
+        assert_agrees_with_fresh(&mut reused, &data_b, &plan_b.steps()[1], &[0]);
         assert!(!reused.contains_vertex(2), "data_b's e0 is {{0,4}}");
+
+        // Grow, shrink, and grow again mid-descent.
+        assert_agrees_with_fresh(&mut reused, &data_big, &plan_big.steps()[2], &[0, 2]);
+        assert_agrees_with_fresh(&mut reused, &data_a, &plan_a.steps()[2], &[0, 2]);
+        assert_agrees_with_fresh(&mut reused, &data_big, &plan_big.steps()[1], &[1]);
+        assert_agrees_with_fresh(&mut reused, &data_a, &plan_a.steps()[0], &[]);
     }
 
     #[test]
     fn second_step_candidates() {
         // After matching q0 → e0 {v2,v4}, candidates for q1 {A,A,C} must be
-        // incident to v2 (the A vertex of e0 with the right partial degree):
-        // only e2 {0,1,2} qualifies (e3 does not touch v2).
+        // incident to v2 (the A vertex of e0, the one member of the step's
+        // one class): only e2 {0,1,2} qualifies (e3 does not touch v2).
         let data = paper_data();
         let query = paper_query();
         let plan = Planner::plan_with_order(&query, &data, vec![0, 1, 2]).unwrap();
@@ -781,7 +979,7 @@ mod tests {
     #[test]
     fn eager_non_incident_pruning_drops_rows() {
         // Disconnected query: two {A,B} edges. After matching the first to
-        // e0 {v2,v4}, the second step has no anchors; with eager pruning the
+        // e0 {v2,v4}, the second step has no classes; with eager pruning the
         // candidate set must exclude rows touching v2 or v4.
         let data = paper_data();
         let mut b = HypergraphBuilder::new();
@@ -843,10 +1041,11 @@ mod tests {
             .iter()
             .map(|&r| partition.global_id(r).raw())
             .collect();
-        // The degree filter (Observation V.4) rejects e4 even though v4 is
-        // shared: within (e1, e3), v6 has embedding degree 2 but u0/u2's
-        // partial-query degrees demand 1, so only v3/v5 anchor — both point
-        // at e5 alone.
+        // The classes reject e4 even though it contains v4 and v6: within
+        // (e1, e3), v6 lies in both matched edges, but every shared query
+        // vertex of q2 lies in exactly one, so v6 is in no class; the class
+        // members are v4 (B, in e1), v3 (A, in e3) and v5 (C, in e3), and
+        // only e5 is incident to one of each.
         assert_eq!((n, globals), (1, vec![5]));
     }
 
@@ -1023,7 +1222,7 @@ mod tests {
         let emb = [0u32];
         state.prepare(&data, step, &emb);
 
-        // One grace probe: the anchor-boundary probe passes, the first
+        // One grace probe: the class-boundary probe passes, the first
         // in-decode probe (whichever representation path takes it) fires.
         let (probes, mut abort) = probe_fuse(1);
         let out = generate_candidates_with_abort(

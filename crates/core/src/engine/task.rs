@@ -682,6 +682,11 @@ mod tests {
     /// query: every expansion of a matched first edge sees a fat candidate
     /// list (every other edge in the single {A,A} partition).
     fn pair_clique(n: u32) -> (Hypergraph, Plan) {
+        path_over_clique(n, 2)
+    }
+
+    /// The same data under a path query of `path_edges` edges.
+    fn path_over_clique(n: u32, path_edges: u32) -> (Hypergraph, Plan) {
         let mut d = HypergraphBuilder::new();
         d.add_vertices(n as usize, Label::new(0));
         for i in 0..n {
@@ -691,9 +696,10 @@ mod tests {
         }
         let data = d.build().unwrap();
         let mut q = HypergraphBuilder::new();
-        q.add_vertices(3, Label::new(0));
-        q.add_edge(vec![0, 1]).unwrap();
-        q.add_edge(vec![1, 2]).unwrap();
+        q.add_vertices(path_edges as usize + 1, Label::new(0));
+        for i in 0..path_edges {
+            q.add_edge(vec![i, i + 1]).unwrap();
+        }
         let query = QueryGraph::new(&q.build().unwrap()).unwrap();
         let plan = Planner::plan(&query, &data).unwrap();
         (data, plan)
@@ -704,6 +710,18 @@ mod tests {
     /// splits, this drains assist tickets after the owner's claim loop —
     /// the degenerate-ticket path.
     fn drain(
+        data: &Hypergraph,
+        plan: &Plan,
+        config: &MatchConfig,
+        root: Task,
+    ) -> (u64, u64, MatchMetrics) {
+        drain_on(&mut ExecScratch::new(), data, plan, config, root)
+    }
+
+    /// [`drain`] on a caller-supplied scratch, whatever earlier tasks left
+    /// in it.
+    fn drain_on(
+        scratch: &mut ExecScratch,
         data: &Hypergraph,
         plan: &Plan,
         config: &MatchConfig,
@@ -720,20 +738,14 @@ mod tests {
             ver: 0,
             adaptive: None,
         };
-        let mut scratch = ExecScratch::new();
         let mut metrics = MatchMetrics::default();
         let mut queue = vec![root];
         let mut delivered = 0;
         let mut executed = 0;
         while let Some(task) = queue.pop() {
-            delivered += execute_task(
-                &env,
-                &mut scratch,
-                &mut metrics,
-                task,
-                &mut || false,
-                &mut |t| queue.push(t),
-            );
+            delivered += execute_task(&env, scratch, &mut metrics, task, &mut || false, &mut |t| {
+                queue.push(t)
+            });
             executed += 1;
         }
         (delivered, executed, metrics)
@@ -834,6 +846,61 @@ mod tests {
         let (rest, executed, m2) = drain(&data, &plan, &config, Task::Assist { shared });
         assert_eq!((rest, executed), (0, 1));
         assert_eq!(m2.assist_chunks, 0);
+    }
+
+    /// The thief path as it really happens: the ticket lands on a scratch
+    /// that has just descended somewhere else entirely. Its level stack and
+    /// class-code table describe another embedding — one step deeper, so
+    /// more vertices carry a code than the ticket's embedding has — and
+    /// `execute_assist`'s one `prepare` must leave no trace of it.
+    #[test]
+    fn assist_ticket_resumes_on_a_used_scratch() {
+        let (data, plan) = path_over_clique(9, 3);
+        let config = MatchConfig::parallel(2).with_split_threshold(0);
+        let step = &plan.steps()[1];
+        let expand = |first: u32| {
+            let mut emb = [0u32; INLINE_EMB];
+            emb[0] = first;
+            Task::Expand {
+                depth: 1,
+                ver: 0,
+                emb,
+            }
+        };
+        let ticket_for = |emb: Vec<u32>| {
+            let mut state = ExpansionState::new();
+            state.prepare(&data, step, &emb);
+            generate_candidates(&data, step, &emb, &mut state, &config);
+            Task::Assist {
+                shared: Arc::new(SplitExpansion {
+                    emb,
+                    cands: std::mem::take(&mut state.candidates),
+                    next: AtomicUsize::new(0),
+                    chunk: 2,
+                    ver: 0,
+                }),
+            }
+        };
+
+        let mut scratch = ExecScratch::new();
+        for (own, stolen) in [(35u32, 0u32), (0, 20), (20, 35)] {
+            // The thief's own work first: a whole subtree under `own`.
+            let (own_count, _, _) = drain_on(&mut scratch, &data, &plan, &config, expand(own));
+            assert!(own_count > 0);
+            // Then the ticket for an unrelated embedding.
+            let (expect, _, _) = drain(&data, &plan, &config, expand(stolen));
+            let (got, _, _) = drain_on(
+                &mut scratch,
+                &data,
+                &plan,
+                &config,
+                ticket_for(vec![stolen]),
+            );
+            assert_eq!(
+                got, expect,
+                "ticket for e{stolen} after working under e{own}"
+            );
+        }
     }
 
     /// A stop raised *during* candidate generation (not just between

@@ -13,6 +13,14 @@ pub enum MatchError {
     /// The query has more hyperedges than the engine supports (vertex
     /// profiles pack hyperedge incidence into a 64-bit mask).
     QueryTooLarge { edges: usize, max: usize },
+    /// A query hyperedge's vertices carry more distinct
+    /// `(label, incident hyperedges)` profiles than a plan step can encode
+    /// (one byte per data vertex, [`crate::plan::MAX_PROFILE_CLASSES`]).
+    TooManyProfileClasses {
+        query_edge: u32,
+        classes: usize,
+        max: usize,
+    },
     /// Thread count must be at least one.
     InvalidThreadCount,
 }
@@ -25,6 +33,17 @@ impl fmt::Display for MatchError {
                 write!(
                     f,
                     "query has {edges} hyperedges; the engine supports at most {max}"
+                )
+            }
+            Self::TooManyProfileClasses {
+                query_edge,
+                classes,
+                max,
+            } => {
+                write!(
+                    f,
+                    "query hyperedge {query_edge} has {classes} distinct vertex profiles; \
+                     the engine supports at most {max}"
                 )
             }
             Self::InvalidThreadCount => write!(f, "thread count must be >= 1"),
@@ -44,6 +63,13 @@ mod tests {
         assert!(MatchError::QueryTooLarge { edges: 70, max: 64 }
             .to_string()
             .contains("70"));
+        assert!(MatchError::TooManyProfileClasses {
+            query_edge: 3,
+            classes: 255,
+            max: 254
+        }
+        .to_string()
+        .contains("255 distinct vertex profiles"));
         assert!(MatchError::InvalidThreadCount.to_string().contains(">= 1"));
     }
 }

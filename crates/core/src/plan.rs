@@ -11,39 +11,52 @@
 //! order-invariant).
 //!
 //! The resulting [`Plan`] precomputes everything the runtime operators need
-//! at every step: the target partition, the candidate-generation *anchors*
-//! (one per `(previous adjacent edge, shared vertex)` pair of Algorithm 4),
-//! the non-adjacent previous positions (Observation V.3), and the static
-//! query-side vertex profiles used by validation (Algorithm 5).
+//! at every step: the target partition, the step's *profile classes* — the
+//! distinct `(label, earlier incident edges)` profiles of the query
+//! vertices the new hyperedge shares with the partial query, each with its
+//! multiplicity — which anchor candidate generation (Algorithm 4) and are
+//! all that validation (Algorithm 5) compares (DESIGN.md §6.5), and the
+//! non-adjacent previous positions (Observation V.3).
 
 use hgmatch_hypergraph::{Hypergraph, Label, SignatureId};
 
 use crate::cost::CostModel;
-use crate::error::Result;
+use crate::error::{MatchError, Result};
 use crate::query::QueryGraph;
 
-/// One candidate-generation anchor: a `(previous edge, shared vertex)` pair
-/// of Algorithm 4 lines 3–6, compiled to what the runtime actually needs.
+/// Most profile classes one step may carry. A class's code is a byte in
+/// the expansion state's per-vertex table
+/// ([`crate::candidates::ExpansionState`]): 0 is "not in the embedding",
+/// `1..=classes` the classes, `classes + 1` "in the embedding, no class".
+pub const MAX_PROFILE_CLASSES: usize = 254;
+
+/// One profile class of a step: a distinct `(label, prev_mask)` profile
+/// among the query vertices the step's hyperedge shares with the earlier
+/// ones, and how many of them carry it.
 ///
-/// At runtime the anchor selects, from the data hyperedge matched at
-/// `prev_pos`, the vertices with label `label` whose degree *within the
-/// partial embedding* equals `required_degree` (Observation V.4); the
-/// candidate hyperedge must be incident to at least one of them.
+/// A data vertex of the partial embedding is a *member* of the class when
+/// it has the class's label and lies in exactly the matched edges at the
+/// positions of `prev_mask`. A valid candidate contains exactly `need`
+/// members of every class and no other vertex of the embedding, so
+/// generation unions the members' postings per class and intersects across
+/// classes (Algorithm 4 with Observations V.2 and V.4 at their tightest),
+/// and validation only counts (Algorithm 5).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Anchor {
-    /// Position (in matching order) of the previously matched adjacent edge.
+    /// Lowest position in `prev_mask`: every member is a vertex of the data
+    /// edge matched there.
     pub prev_pos: u32,
-    /// Label the shared query vertex carries.
+    /// Label the class's query vertices carry.
     pub label: Label,
-    /// `d_q'(u)`: the shared vertex's degree in the partial query *before*
-    /// this step.
+    /// `d_q'(u)`, the class's degree in the partial query *before* this
+    /// step: the number of positions in `prev_mask`.
     pub required_degree: u32,
+    /// Matching-order positions `< step` of the query edges incident to the
+    /// class's vertices.
+    pub prev_mask: u64,
+    /// Query vertices of the step's hyperedge carrying this profile.
+    pub need: u32,
 }
-
-/// A static query-side vertex profile: the label of a vertex of the current
-/// query hyperedge and the mask (over matching-order positions `0..=step`)
-/// of query hyperedges incident to it (Definition V.3, compiled to masks).
-pub type QueryProfile = (Label, u64);
 
 /// One step of the plan: how to match the query hyperedge at this position.
 #[derive(Debug, Clone)]
@@ -57,16 +70,14 @@ pub struct Step {
     pub arity: u32,
     /// `|V(q')|` after this step (Observation V.5 check).
     pub vertices_after: u32,
-    /// Candidate-generation anchors (empty at step 0, or when the query is
-    /// disconnected and this step starts a new component).
+    /// The step's profile classes, sorted by `(label, prev_mask)`; at most
+    /// [`MAX_PROFILE_CLASSES`]. Empty at step 0, or when the query is
+    /// disconnected and this step starts a new component.
     pub anchors: Vec<Anchor>,
     /// Positions `< step` whose query edges are *not* adjacent to this one;
     /// their matched vertices must not occur in the candidate
     /// (Observation V.3, used to build `V_n_incdt`).
     pub nonadjacent_prev: Vec<u32>,
-    /// Sorted static vertex profiles of the current query hyperedge's
-    /// vertices, masks taken over positions `0..=step`.
-    pub profiles: Vec<QueryProfile>,
 }
 
 /// A compiled execution plan: matching order plus per-step structure.
@@ -189,14 +200,14 @@ impl Planner {
             model.best_order(),
             crate::config::PLAN_MARGIN,
         );
-        Ok(Self::compile_with_model(query, data, order, &model))
+        Self::compile_with_model(query, data, order, &model)
     }
 
     /// Compiles a plan using the paper's greedy Algorithm 3 order — the
     /// baseline the cost-based planner is compared against (`explain`,
     /// `plan_quality`).
     pub fn plan_greedy(query: &QueryGraph, data: &Hypergraph) -> Result<Plan> {
-        Ok(Self::compile(query, data, Self::greedy_order(query, data)))
+        Self::compile(query, data, Self::greedy_order(query, data))
     }
 
     /// Compiles a plan with a caller-chosen matching order. The order must
@@ -204,7 +215,7 @@ impl Planner {
     /// connected order (§V-A).
     pub fn plan_with_order(query: &QueryGraph, data: &Hypergraph, order: Vec<u32>) -> Result<Plan> {
         Self::assert_permutation(query, &order);
-        Ok(Self::compile(query, data, order))
+        Self::compile(query, data, order)
     }
 
     /// Like [`Planner::plan_with_order`], but compiles against a
@@ -222,7 +233,7 @@ impl Planner {
         model: &CostModel<'_>,
     ) -> Result<Plan> {
         Self::assert_permutation(query, &order);
-        Ok(Self::compile_with_model(query, data, order, model))
+        Self::compile_with_model(query, data, order, model)
     }
 
     fn assert_permutation(query: &QueryGraph, order: &[u32]) {
@@ -297,7 +308,38 @@ impl Planner {
         order
     }
 
-    fn compile(query: &QueryGraph, data: &Hypergraph, order: Vec<u32>) -> Plan {
+    /// Refuses a query some order of which needs more than
+    /// [`MAX_PROFILE_CLASSES`] classes at one step. A hyperedge matched last
+    /// has one class per distinct `(label, incidence set)` among its
+    /// vertices of query degree ≥ 2, and no order gives it more (the earlier
+    /// positions are a function of the incidence set), so the verdict does
+    /// not depend on the order: a query that compiles once compiles under
+    /// any re-planned order too.
+    fn check_profile_classes(query: &QueryGraph) -> Result<()> {
+        for e in 0..query.num_edges() {
+            let vs = query.edge(e);
+            if vs.len() <= MAX_PROFILE_CLASSES {
+                continue;
+            }
+            let mut profiles: Vec<(Label, u64)> = vs
+                .iter()
+                .map(|&u| (query.label(u), query.incident_edges(u)))
+                .filter(|&(_, incident)| incident != 1 << e)
+                .collect();
+            profiles.sort_unstable();
+            profiles.dedup();
+            if profiles.len() > MAX_PROFILE_CLASSES {
+                return Err(MatchError::TooManyProfileClasses {
+                    query_edge: e as u32,
+                    classes: profiles.len(),
+                    max: MAX_PROFILE_CLASSES,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    fn compile(query: &QueryGraph, data: &Hypergraph, order: Vec<u32>) -> Result<Plan> {
         let model = CostModel::new(query, data);
         Self::compile_with_model(query, data, order, &model)
     }
@@ -307,7 +349,8 @@ impl Planner {
         data: &Hypergraph,
         order: Vec<u32>,
         model: &CostModel<'_>,
-    ) -> Plan {
+    ) -> Result<Plan> {
+        Self::check_profile_classes(query)?;
         let estimate = model.estimate_order(&order);
         let cost = estimate.total_cost;
         let est_candidates: Vec<f64> = estimate.steps.iter().map(|s| s.partials_out).collect();
@@ -325,38 +368,43 @@ impl Planner {
         let mut covered = vec![false; query.num_vertices()];
         let mut vertices_so_far = 0u32;
 
-        for (pos, &eq) in order.iter().enumerate() {
+        for &eq in &order {
             let eq_us = eq as usize;
             let partition = data.interner().get(query.signature(eq_us));
             if partition.is_none() {
                 infeasible = true;
             }
 
-            // Anchors: previously matched edges adjacent to eq; one anchor
-            // per (prev edge, shared vertex) pair, deduplicated when two
-            // shared vertices compile to the identical constraint.
-            let mut anchors: Vec<Anchor> = Vec::new();
-            let adjacent_matched = query.adjacent_edges(eq_us) & matched_mask;
-            let mut am = adjacent_matched;
-            while am != 0 {
-                let prev_edge = am.trailing_zeros();
-                am &= am - 1;
-                let prev_pos = position[prev_edge as usize];
-                for &u in query.edge(prev_edge as usize) {
-                    if query.incident_edges(u) & (1 << eq) == 0 {
-                        continue; // u not shared with eq
-                    }
-                    let anchor = Anchor {
-                        prev_pos,
-                        label: query.label(u),
-                        // d_q'(u): degree among edges matched before this step.
-                        required_degree: query.degree_within(u, matched_mask),
-                    };
-                    if !anchors.contains(&anchor) {
-                        anchors.push(anchor);
-                    }
+            // Profile classes: the distinct (label, earlier incident
+            // positions) profiles of eq's vertices that some earlier edge
+            // also contains, with multiplicities.
+            let mut shared: Vec<(Label, u64)> = Vec::new();
+            for &u in query.edge(eq_us) {
+                let mut prev_mask = 0u64;
+                let mut inc = query.incident_edges(u) & matched_mask;
+                while inc != 0 {
+                    prev_mask |= 1 << position[inc.trailing_zeros() as usize];
+                    inc &= inc - 1;
+                }
+                if prev_mask != 0 {
+                    shared.push((query.label(u), prev_mask));
                 }
             }
+            shared.sort_unstable();
+            let mut anchors: Vec<Anchor> = Vec::new();
+            for (label, prev_mask) in shared {
+                match anchors.last_mut() {
+                    Some(a) if (a.label, a.prev_mask) == (label, prev_mask) => a.need += 1,
+                    _ => anchors.push(Anchor {
+                        prev_pos: prev_mask.trailing_zeros(),
+                        label,
+                        required_degree: prev_mask.count_ones(),
+                        prev_mask,
+                        need: 1,
+                    }),
+                }
+            }
+            debug_assert!(anchors.len() <= MAX_PROFILE_CLASSES);
 
             // Non-adjacent previously matched positions.
             let nonadj = matched_mask & !query.adjacent_edges(eq_us);
@@ -368,26 +416,6 @@ impl Planner {
                 nonadjacent_prev.push(position[e as usize]);
             }
             nonadjacent_prev.sort_unstable();
-
-            // Static query profiles for the new edge's vertices: masks over
-            // matching-order *positions* of incident query edges among
-            // matched ∪ {eq}.
-            let after_mask = matched_mask | (1 << eq);
-            let mut profiles: Vec<QueryProfile> = query
-                .edge(eq_us)
-                .iter()
-                .map(|&u| {
-                    let mut mask = 0u64;
-                    let mut inc = query.incident_edges(u) & after_mask;
-                    while inc != 0 {
-                        let e = inc.trailing_zeros();
-                        inc &= inc - 1;
-                        mask |= 1 << position[e as usize];
-                    }
-                    (query.label(u), mask)
-                })
-                .collect();
-            profiles.sort_unstable();
 
             for &v in query.edge(eq_us) {
                 if !std::mem::replace(&mut covered[v as usize], true) {
@@ -402,13 +430,11 @@ impl Planner {
                 vertices_after: vertices_so_far,
                 anchors,
                 nonadjacent_prev,
-                profiles,
             });
             matched_mask |= 1 << eq;
-            let _ = pos;
         }
 
-        Plan {
+        Ok(Plan {
             steps,
             order,
             position,
@@ -416,7 +442,7 @@ impl Planner {
             infeasible,
             cost,
             est_candidates,
-        }
+        })
     }
 }
 
@@ -520,18 +546,98 @@ mod tests {
     }
 
     #[test]
-    fn profiles_are_sorted_and_cover_edge() {
+    fn classes_describe_the_shared_vertices() {
         let data = paper_data();
-        let plan = Planner::plan(&paper_query(), &data).unwrap();
-        for (i, step) in plan.steps().iter().enumerate() {
-            assert_eq!(step.profiles.len(), step.arity as usize);
-            assert!(step.profiles.windows(2).all(|w| w[0] <= w[1]));
-            for &(_, mask) in &step.profiles {
-                // Every profile contains the current position's bit.
-                assert!(mask & (1 << i) != 0);
-                // And no bits beyond the current position.
-                assert_eq!(mask >> (i + 1), 0);
+        let q = paper_query();
+        // ϕ = (q0 {u2,u4}, q1 {u0,u1,u2}, q2 {u0,u1,u3,u4}).
+        let plan = Planner::plan_with_order(&q, &data, vec![0, 1, 2]).unwrap();
+        assert!(plan.steps()[0].anchors.is_empty());
+        // q1 shares u2 (A) with q0.
+        assert_eq!(
+            plan.steps()[1].anchors,
+            vec![Anchor {
+                prev_pos: 0,
+                label: Label::new(0),
+                required_degree: 1,
+                prev_mask: 0b01,
+                need: 1,
+            }]
+        );
+        // q2 shares u4 (B) with q0, and u0 (A) and u1 (C) with q1; u2 is in
+        // q0 and q1 but not in q2, so no class has two earlier positions.
+        let classes: Vec<(u32, u64, u32)> = plan.steps()[2]
+            .anchors
+            .iter()
+            .map(|a| (a.label.raw(), a.prev_mask, a.need))
+            .collect();
+        assert_eq!(classes, vec![(0, 0b10, 1), (1, 0b01, 1), (2, 0b10, 1)]);
+        for step in plan.steps() {
+            for a in &step.anchors {
+                assert_eq!(a.prev_pos, a.prev_mask.trailing_zeros());
+                assert_eq!(a.required_degree, a.prev_mask.count_ones());
             }
+            let shared: u32 = step.anchors.iter().map(|a| a.need).sum();
+            assert!(shared <= step.arity);
+        }
+    }
+
+    #[test]
+    fn equal_profiles_fold_into_one_class_with_multiplicity() {
+        // Two A-labelled vertices shared with the same earlier edge are one
+        // class needed twice; a vertex in two earlier edges is its own
+        // class, anchored at the lower position.
+        let mut b = HypergraphBuilder::new();
+        b.add_vertices(5, Label::new(0));
+        b.add_edge(vec![0, 1, 2]).unwrap();
+        b.add_edge(vec![2, 3]).unwrap();
+        b.add_edge(vec![0, 1, 2, 4]).unwrap();
+        let graph = b.build().unwrap();
+        let q = QueryGraph::new(&graph).unwrap();
+        let plan = Planner::plan_with_order(&q, &graph, vec![0, 1, 2]).unwrap();
+        let classes: Vec<(u32, u64, u32, u32)> = plan.steps()[2]
+            .anchors
+            .iter()
+            .map(|a| (a.prev_pos, a.prev_mask, a.required_degree, a.need))
+            .collect();
+        assert_eq!(classes, vec![(0, 0b01, 1, 2), (0, 0b11, 2, 1)]);
+    }
+
+    /// A two-edge query whose second edge shares `shared` vertices of
+    /// pairwise distinct labels with the first.
+    fn wide_query(shared: u32) -> Hypergraph {
+        let mut b = HypergraphBuilder::new();
+        for l in 0..=shared {
+            b.add_vertex(Label::new(l));
+        }
+        b.add_edge((0..shared).collect()).unwrap();
+        b.add_edge((0..=shared).collect()).unwrap();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn class_codes_never_wrap() {
+        // 254 classes fill the byte codes exactly (0 absent, 255 no class).
+        let graph = wide_query(MAX_PROFILE_CLASSES as u32);
+        let q = QueryGraph::new(&graph).unwrap();
+        let plan = Planner::plan_with_order(&q, &graph, vec![0, 1]).unwrap();
+        assert_eq!(plan.steps()[1].anchors.len(), MAX_PROFILE_CLASSES);
+
+        // One more is refused under every entry point and order, not
+        // wrapped onto code 0.
+        let graph = wide_query(MAX_PROFILE_CLASSES as u32 + 1);
+        let q = QueryGraph::new(&graph).unwrap();
+        let refused = MatchError::TooManyProfileClasses {
+            query_edge: 0,
+            classes: MAX_PROFILE_CLASSES + 1,
+            max: MAX_PROFILE_CLASSES,
+        };
+        assert_eq!(Planner::plan(&q, &graph).unwrap_err(), refused);
+        assert_eq!(Planner::plan_greedy(&q, &graph).unwrap_err(), refused);
+        for order in [vec![0, 1], vec![1, 0]] {
+            assert_eq!(
+                Planner::plan_with_order(&q, &graph, order).unwrap_err(),
+                refused
+            );
         }
     }
 

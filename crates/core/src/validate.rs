@@ -3,23 +3,28 @@
 //! Candidate generation can produce false positives; instead of falling
 //! back to backtracking search for a vertex bijection (Lemma V.1), HGMatch
 //! compares multisets of *vertex profiles* (Definition V.3, Theorem V.2):
+//! `(label, incident matched hyperedges)` of the new query hyperedge's
+//! vertices against those of the candidate's vertices, after a cheap check
+//! that the number of distinct vertices matches (Observation V.5). The
+//! paper measures that ≈ 97 % of the candidates surviving the count check
+//! are true positives — [`crate::MatchMetrics::filtered_precision`], which
+//! [`Validation`]'s four-way split keeps exact.
 //!
-//! 1. a fast check that the number of distinct vertices matches
-//!    (Observation V.5) — this alone removes the vast majority of false
-//!    positives (the paper measures ≈97% of survivors are true positives);
-//! 2. a multiset comparison of `(label, incident-matched-hyperedges)`
-//!    profiles between the new query hyperedge's vertices and the candidate
-//!    data hyperedge's vertices.
-//!
-//! Query profiles are compiled statically into the plan
-//! ([`crate::plan::Step::profiles`]); incidence sets are 64-bit masks over
-//! matching-order positions, so a profile comparison is a sort + equality
-//! test of at most `a_max` two-word pairs.
+//! Here the comparison is compiled away (DESIGN.md §6.5). A candidate comes
+//! from the step's partition, so its label multiset is the query
+//! hyperedge's; the profiles of vertices *new* to the embedding then agree
+//! as soon as the profiles of the *shared* ones do, and so does the vertex
+//! count. The shared query profiles are the step's classes
+//! ([`crate::plan::Anchor`]), and [`ExpansionState::prepare`] has written
+//! every vertex of the partial embedding its class code into a dense byte
+//! table. Validating a candidate is: count its vertices by code — one table
+//! load each, no search, no sort — and compare the few counters against the
+//! classes' multiplicities. Which of the paper's two checks a reject fails
+//! is read off the same counters afterwards.
 
 use hgmatch_hypergraph::hypergraph::Hypergraph;
-use hgmatch_hypergraph::Label;
 
-use crate::candidates::ExpansionState;
+use crate::candidates::{ExpansionState, CODE_ABSENT};
 use crate::plan::Step;
 
 /// Outcome of validating one candidate.
@@ -37,23 +42,33 @@ pub enum Validation {
     Valid,
 }
 
-/// Reusable scratch for profile construction.
-#[derive(Debug, Default)]
+/// Reusable per-code vertex counters. A code is a byte, so indexing needs
+/// no bounds check; the counters are `u32` like vertex ids, so no candidate
+/// arity can wrap one.
+#[derive(Debug)]
 pub struct ValidateScratch {
-    profiles: Vec<(Label, u64)>,
+    counts: [u32; 256],
 }
 
 impl ValidateScratch {
     /// Creates empty scratch.
     pub fn new() -> Self {
-        Self::default()
+        Self { counts: [0; 256] }
     }
 }
 
-/// Validates extending `emb` (positions `0..step_index`) with the candidate
-/// whose global id is `cand_global` and sorted vertex list `cand_vertices`.
+impl Default for ValidateScratch {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Validates extending `emb` (positions `0..step_index`, itself a valid
+/// partial embedding) with the candidate whose global id is `cand_global`
+/// and sorted vertex list `cand_vertices`, a row of `step`'s partition.
 ///
-/// `state` must have been [`ExpansionState::prepare`]d for `(step, emb)`.
+/// `state` must have been [`ExpansionState::prepare`]d for `(step, emb)`
+/// on `data`.
 #[allow(clippy::too_many_arguments)] // hot-path kernel: explicit borrows beat a context struct here
 pub fn validate_candidate(
     data: &Hypergraph,
@@ -66,38 +81,118 @@ pub fn validate_candidate(
     scratch: &mut ValidateScratch,
 ) -> Validation {
     debug_assert_eq!(emb.len(), step_index);
+    debug_assert_eq!(state.codes().len(), data.num_vertices());
 
     if emb.contains(&cand_global) {
         return Validation::Duplicate;
     }
 
-    // One pass over the candidate's vertices builds both checks from the
-    // expansion state's precomputed per-vertex prev-edge membership masks
-    // (one binary search per vertex instead of one per previous edge):
-    // the distinct-vertex count of Observation V.5 and the dynamic side of
-    // the Theorem V.2 vertex profiles.
-    let current_bit = 1u64 << step_index;
-    let mut new_vertices = 0usize;
-    scratch.profiles.clear();
+    // Codes: 0 absent, 1..=classes the classes, classes + 1 no class.
+    let classes = step.anchors.len();
+    let codes = state.codes();
+    // Few classes is the rule: a fixed-size clear is a couple of stores.
+    scratch.counts[..8].fill(0);
+    if classes + 2 > 8 {
+        scratch.counts[8..classes + 2].fill(0);
+    }
     for &v in cand_vertices {
-        let mask = match state.vertex_entry(v) {
-            Some(entry) => entry.mask | current_bit,
-            None => {
-                new_vertices += 1;
-                current_bit
-            }
-        };
-        scratch.profiles.push((data.label(v.into()), mask));
+        scratch.counts[codes[v as usize] as usize] += 1;
     }
 
-    // Observation V.5 — cheap first: |V(Hm')| must equal |V(q')|.
-    if state.num_vertices() + new_vertices != step.vertices_after as usize {
+    // Theorem V.2 on the shared vertices: every class exactly as often as
+    // the query hyperedge has it, nothing else of the embedding.
+    let mut mismatch = scratch.counts[classes + 1];
+    for (class, &count) in step.anchors.iter().zip(&scratch.counts[1..]) {
+        mismatch |= count ^ class.need;
+    }
+
+    // A reject failed Observation V.5 if its distinct-vertex count is off —
+    // the absent vertices are the new ones — and the profile comparison
+    // otherwise.
+    let new_vertices = scratch.counts[CODE_ABSENT as usize] as usize;
+    let reject = if state.num_vertices() + new_vertices != step.vertices_after as usize {
+        Validation::WrongVertexCount
+    } else {
+        Validation::WrongProfiles
+    };
+    if mismatch == 0 {
+        Validation::Valid
+    } else {
+        reject
+    }
+}
+
+/// Algorithm 5 as the paper writes it, kept as the oracle the class
+/// counting is tested against: collect `V(m)` and the candidate's
+/// `(label, incident matched positions)` profiles by searching every
+/// matched edge, check the distinct-vertex count (Observation V.5), then
+/// sort and compare with the query hyperedge's profiles (Theorem V.2). It
+/// shares nothing with [`validate_candidate`]: no expansion state, no plan
+/// classes — the query side is derived from the query graph and the
+/// matching order.
+#[cfg(test)]
+pub(crate) fn validate_reference(
+    data: &Hypergraph,
+    query: &crate::query::QueryGraph,
+    plan: &crate::plan::Plan,
+    emb: &[u32],
+    cand_global: u32,
+) -> Validation {
+    use hgmatch_hypergraph::Label;
+
+    if emb.contains(&cand_global) {
+        return Validation::Duplicate;
+    }
+    let pos = emb.len();
+    let step = &plan.steps()[pos];
+    let cand_vertices = data.edge_vertices(cand_global.into());
+
+    let mut embedded: Vec<u32> = emb
+        .iter()
+        .flat_map(|&e| data.edge_vertices(e.into()))
+        .copied()
+        .collect();
+    embedded.sort_unstable();
+    embedded.dedup();
+    let new_vertices = cand_vertices
+        .iter()
+        .filter(|v| embedded.binary_search(v).is_err())
+        .count();
+    if embedded.len() + new_vertices != step.vertices_after as usize {
         return Validation::WrongVertexCount;
     }
 
-    // Theorem V.2 — compare vertex-profile multisets for the new hyperedge.
-    scratch.profiles.sort_unstable();
-    if scratch.profiles == step.profiles {
+    let mut got: Vec<(Label, u64)> = cand_vertices
+        .iter()
+        .map(|&v| {
+            let mut mask = 1u64 << pos;
+            for (j, &e) in emb.iter().enumerate() {
+                if data.edge_vertices(e.into()).binary_search(&v).is_ok() {
+                    mask |= 1 << j;
+                }
+            }
+            (data.label(v.into()), mask)
+        })
+        .collect();
+    got.sort_unstable();
+
+    let order = plan.order();
+    let mut want: Vec<(Label, u64)> = query
+        .edge(order[pos] as usize)
+        .iter()
+        .map(|&u| {
+            let mut mask = 0u64;
+            for (j, &e) in order[..=pos].iter().enumerate() {
+                if query.incident_edges(u) & (1 << e) != 0 {
+                    mask |= 1 << j;
+                }
+            }
+            (query.label(u), mask)
+        })
+        .collect();
+    want.sort_unstable();
+
+    if got == want {
         Validation::Valid
     } else {
         Validation::WrongProfiles
@@ -107,10 +202,13 @@ pub fn validate_candidate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidates::ExpansionState;
-    use crate::plan::Planner;
+    use crate::candidates::{generate_candidates, ExpansionState};
+    use crate::config::MatchConfig;
+    use crate::plan::{Plan, Planner};
     use crate::query::QueryGraph;
+    use hgmatch_datasets::testgen::{random_arity_hypergraph, random_subquery};
     use hgmatch_hypergraph::{EdgeId, HypergraphBuilder, Label};
+    use proptest::prelude::*;
 
     fn paper_data() -> Hypergraph {
         let mut b = HypergraphBuilder::new();
@@ -137,106 +235,57 @@ mod tests {
         QueryGraph::new(&b.build().unwrap()).unwrap()
     }
 
+    /// Validates data edge `cand` as the extension of `emb` under `plan`,
+    /// on a freshly prepared state.
+    fn verdict(data: &Hypergraph, plan: &Plan, emb: &[u32], cand: u32) -> Validation {
+        let step = &plan.steps()[emb.len()];
+        let mut state = ExpansionState::new();
+        state.prepare(data, step, emb);
+        validate_candidate(
+            data,
+            step,
+            emb.len(),
+            emb,
+            &state,
+            cand,
+            data.edge_vertices(EdgeId::new(cand)),
+            &mut ValidateScratch::new(),
+        )
+    }
+
     #[test]
     fn paper_embeddings_validate() {
         let data = paper_data();
-        let query = paper_query();
-        let plan = Planner::plan_with_order(&query, &data, vec![0, 1, 2]).unwrap();
-        let mut state = ExpansionState::new();
-        let mut scratch = ValidateScratch::new();
-
-        // Final step of the first paper embedding (e0, e2) + e4.
-        let step = &plan.steps()[2];
-        let emb = [0u32, 2];
-        state.prepare(&data, step, &emb);
-        let v = validate_candidate(
-            &data,
-            step,
-            2,
-            &emb,
-            &state,
-            4,
-            data.edge_vertices(EdgeId::new(4)),
-            &mut scratch,
-        );
-        assert_eq!(v, Validation::Valid);
-
-        // Second embedding (e1, e3) + e5.
-        let emb = [1u32, 3];
-        state.prepare(&data, step, &emb);
-        let v = validate_candidate(
-            &data,
-            step,
-            2,
-            &emb,
-            &state,
-            5,
-            data.edge_vertices(EdgeId::new(5)),
-            &mut scratch,
-        );
-        assert_eq!(v, Validation::Valid);
+        let plan = Planner::plan_with_order(&paper_query(), &data, vec![0, 1, 2]).unwrap();
+        // Final step of the first paper embedding (e0, e2) + e4, and of the
+        // second, (e1, e3) + e5.
+        assert_eq!(verdict(&data, &plan, &[0, 2], 4), Validation::Valid);
+        assert_eq!(verdict(&data, &plan, &[1, 3], 5), Validation::Valid);
     }
 
     #[test]
     fn cross_embedding_mix_rejected() {
         // (e0, e2) extended with e5 has the wrong incidence structure.
         let data = paper_data();
-        let query = paper_query();
-        let plan = Planner::plan_with_order(&query, &data, vec![0, 1, 2]).unwrap();
-        let step = &plan.steps()[2];
-        let emb = [0u32, 2];
-        let mut state = ExpansionState::new();
-        state.prepare(&data, step, &emb);
-        let mut scratch = ValidateScratch::new();
-        let v = validate_candidate(
-            &data,
-            step,
-            2,
-            &emb,
-            &state,
-            5,
-            data.edge_vertices(EdgeId::new(5)),
-            &mut scratch,
-        );
-        assert_ne!(v, Validation::Valid);
+        let plan = Planner::plan_with_order(&paper_query(), &data, vec![0, 1, 2]).unwrap();
+        assert_ne!(verdict(&data, &plan, &[0, 2], 5), Validation::Valid);
     }
 
     #[test]
     fn duplicate_edge_rejected() {
         let data = paper_data();
-        let query = paper_query();
-        let plan = Planner::plan_with_order(&query, &data, vec![0, 1, 2]).unwrap();
-        let step = &plan.steps()[1];
-        let emb = [0u32];
-        let mut state = ExpansionState::new();
-        state.prepare(&data, step, &emb);
-        let mut scratch = ValidateScratch::new();
-        let v = validate_candidate(
-            &data,
-            step,
-            1,
-            &emb,
-            &state,
-            0,
-            data.edge_vertices(EdgeId::new(0)),
-            &mut scratch,
-        );
-        assert_eq!(v, Validation::Duplicate);
+        let plan = Planner::plan_with_order(&paper_query(), &data, vec![0, 1, 2]).unwrap();
+        assert_eq!(verdict(&data, &plan, &[0], 0), Validation::Duplicate);
     }
 
     #[test]
     fn vertex_count_check_fires() {
-        // Fig. 4's shape: a candidate that glues two query vertices onto one
-        // data vertex changes the distinct-vertex count. Build a tiny case:
-        // query path e0={u0,u1}, e1={u1,u2} (A,A,A) expects 3 vertices; data
-        // has e0={v0,v1}, e1={v0,v1} impossible (dup), so use overlapping
-        // triangle: data e0={v0,v1}, e1={v1,v2}, plus bad e2={v0,v1} dup...
-        // Simplest: data e0={v0,v1}, e1={v0,v1,..}— instead craft candidate
-        // sharing BOTH vertices: e1'={v0,v1} can't exist twice, so use a
-        // 3-edge query. Data: e0={v0,v1}, e1={v1,v2}, e2={v0,v2};
-        // query: e0={u0,u1}, e1={u1,u2}, e2={u2,u3} (path, 4 vertices).
-        // Partial (e0, e1); candidate e2={v0,v2} closes the triangle:
-        // 3 data vertices ≠ 4 query vertices → WrongVertexCount.
+        // Query: the path e0={u0,u1}, e1={u1,u2}, e2={u2,u3}, one label,
+        // four vertices. Data: the triangle e0={v0,v1}, e1={v1,v2},
+        // e2={v0,v2}. After (e0, e1) the candidate e2 closes the triangle:
+        // it touches v2 as the query asks, but its other vertex v0 is
+        // already in the embedding where the query wants a new one —
+        // 3 data vertices against 4 query vertices.
         let mut d = HypergraphBuilder::new();
         d.add_vertices(3, Label::new(0));
         d.add_edge(vec![0, 1]).unwrap();
@@ -252,55 +301,27 @@ mod tests {
         let query = QueryGraph::new(&q.build().unwrap()).unwrap();
         let plan = Planner::plan_with_order(&query, &data, vec![0, 1, 2]).unwrap();
 
-        let step = &plan.steps()[2];
-        let emb = [0u32, 1];
-        let mut state = ExpansionState::new();
-        state.prepare(&data, step, &emb);
-        let mut scratch = ValidateScratch::new();
-        let v = validate_candidate(
-            &data,
-            step,
-            2,
-            &emb,
-            &state,
-            2,
-            data.edge_vertices(EdgeId::new(2)),
-            &mut scratch,
+        assert_eq!(
+            verdict(&data, &plan, &[0, 1], 2),
+            Validation::WrongVertexCount
         );
-        assert_eq!(v, Validation::WrongVertexCount);
     }
 
     #[test]
     fn profile_check_fires_when_counts_agree() {
-        // Fig. 4 of the paper: profiles differ although counts match.
-        // Query: e0={u0,u1}, e1={u2,u3}, e2={u1,u2,u4} over labels
-        // B,A,A,A,A — mirrors the partial query q' of the figure closely
-        // enough to exercise WrongProfiles: build data where the candidate
-        // has the right vertex count but wrong incidence pattern.
-        //
-        // Query (A-labelled path with a branch):
-        //   e0 = {u0,u1}, e1 = {u1,u2}, e2 = {u0,u2}  (triangle, 3 vertices)
-        // Data:
-        //   e0 = {v0,v1}, e1 = {v1,v2}, e2 = {v2,v3}, and v3 forms
-        //   e3 = {v0, v3}? For the last query edge {u0,u2} the candidate
-        //   must touch both earlier edges through distinct vertices; a
-        //   candidate {v2,v3} has count 3+1=4 ≠ 3 → count check. Use
-        //   {v0,v1} dup instead… Simplest true WrongProfiles: candidate
-        //   re-uses the shared vertex.
-        // Data triangle-ish: e0={v0,v1}, e1={v1,v2}, e2={v1,v3}:
-        //   candidate e2 for query edge {u0,u2}: vertices {v1,v3}, count =
-        //   3 existing {v0,v1,v2} + 1 new = 4? No. Make query have 4
-        //   vertices: e0={u0,u1}, e1={u1,u2}, e2={u0,u3} (path + pendant,
-        //   4 vertices). Candidate for e2 must touch f(u0)=v0:
-        //   good = {v0,v3}; bad with right count = {v1,v3} (touches e0 AND
-        //   e1 through v1 — profile of v1 has two prev bits, expected u0
-        //   profile has only e0's bit).
+        // Query: e0={u0,u1}, e1={u1,u2}, e2={u0,u3}, one label — a path
+        // with a pendant edge at its *end* vertex u0, four vertices. Data:
+        // e0={v0,v1}, e1={v1,v2}, then e2={v1,v3} and e3={v0,v3}. After
+        // (e0, e1), so f(u0)=v0, f(u1)=v1, f(u2)=v2, both e2 and e3 bring
+        // one new vertex, so both pass the count check; but e2 hangs off
+        // v1, which lies in e0 *and* e1, where the query's shared vertex u0
+        // lies in e0 only. Only the profile comparison tells them apart.
         let mut d = HypergraphBuilder::new();
         d.add_vertices(4, Label::new(0));
         d.add_edge(vec![0, 1]).unwrap(); // e0
         d.add_edge(vec![1, 2]).unwrap(); // e1
-        d.add_edge(vec![1, 3]).unwrap(); // e2 (bad candidate)
-        d.add_edge(vec![0, 3]).unwrap(); // e3 (good candidate)
+        d.add_edge(vec![1, 3]).unwrap(); // e2: right count, wrong profile
+        d.add_edge(vec![0, 3]).unwrap(); // e3: valid
         let data = d.build().unwrap();
 
         let mut q = HypergraphBuilder::new();
@@ -311,34 +332,163 @@ mod tests {
         let query = QueryGraph::new(&q.build().unwrap()).unwrap();
         let plan = Planner::plan_with_order(&query, &data, vec![0, 1, 2]).unwrap();
 
-        let step = &plan.steps()[2];
-        let emb = [0u32, 1]; // f(e0)=e0, f(e1)=e1 → f(u0)=v0, f(u1)=v1, f(u2)=v2
-        let mut state = ExpansionState::new();
-        state.prepare(&data, step, &emb);
-        let mut scratch = ValidateScratch::new();
+        assert_eq!(verdict(&data, &plan, &[0, 1], 2), Validation::WrongProfiles);
+        assert_eq!(verdict(&data, &plan, &[0, 1], 3), Validation::Valid);
+    }
 
-        let bad = validate_candidate(
-            &data,
-            step,
-            2,
-            &emb,
-            &state,
-            2,
-            data.edge_vertices(EdgeId::new(2)),
-            &mut scratch,
-        );
-        assert_eq!(bad, Validation::WrongProfiles);
+    #[test]
+    fn counters_do_not_wrap_on_wide_candidates() {
+        // A 300-vertex query edge sharing 299 same-label vertices with the
+        // first: one class needed 299 times, a count a byte cannot hold.
+        // The candidate that shares only 299 - 256 = 43 of them would pass
+        // a wrapped counter compare against a wrapped need; both must be
+        // exact.
+        let n = 300u32;
+        let mut b = HypergraphBuilder::new();
+        b.add_vertices(2 * n as usize, Label::new(0));
+        b.add_edge((0..n - 1).collect()).unwrap(); // e0
+        b.add_edge((0..n).collect()).unwrap(); // e1 ⊃ e0: valid
+                                               // e2: 43 vertices of e0, the rest outside.
+        b.add_edge((0..43).chain(n..2 * n - 43).collect()).unwrap();
+        let data = b.build().unwrap();
+        assert_eq!(data.edge_vertices(EdgeId::new(2)).len(), n as usize);
 
-        let good = validate_candidate(
-            &data,
-            step,
-            2,
-            &emb,
-            &state,
-            3,
-            data.edge_vertices(EdgeId::new(3)),
-            &mut scratch,
-        );
-        assert_eq!(good, Validation::Valid);
+        let mut q = HypergraphBuilder::new();
+        q.add_vertices(n as usize, Label::new(0));
+        q.add_edge((0..n - 1).collect()).unwrap();
+        q.add_edge((0..n).collect()).unwrap();
+        let query = QueryGraph::new(&q.build().unwrap()).unwrap();
+        let plan = Planner::plan_with_order(&query, &data, vec![0, 1]).unwrap();
+        assert_eq!(plan.steps()[1].anchors[0].need, n - 1);
+
+        for (cand, want) in [
+            (1, Validation::Valid),
+            (2, Validation::WrongVertexCount),
+            (0, Validation::Duplicate),
+        ] {
+            assert_eq!(verdict(&data, &plan, &[0], cand), want);
+            assert_eq!(validate_reference(&data, &query, &plan, &[0], cand), want);
+        }
+    }
+
+    /// All permutations of `0..k`.
+    fn all_orders(k: u32) -> Vec<Vec<u32>> {
+        let mut orders: Vec<Vec<u32>> = vec![Vec::new()];
+        for _ in 0..k {
+            let mut longer = Vec::new();
+            for prefix in &orders {
+                for e in (0..k).filter(|e| !prefix.contains(e)) {
+                    longer.push(prefix.iter().copied().chain([e]).collect());
+                }
+            }
+            orders = longer;
+        }
+        orders
+    }
+
+    /// Walks every partial embedding of `plan` depth first — extensions
+    /// chosen by the reference oracle over the *whole* partition, so the
+    /// walk owes nothing to generation — and at every one checks, on a
+    /// single reused state:
+    ///
+    /// * each partition row gets the reference's verdict, variant for
+    ///   variant;
+    /// * generation keeps every row the reference accepts.
+    ///
+    /// Returns the number of complete embeddings.
+    fn walk(
+        data: &Hypergraph,
+        query: &QueryGraph,
+        plan: &Plan,
+        emb: &mut Vec<u32>,
+        state: &mut ExpansionState,
+        scratch: &mut ValidateScratch,
+    ) -> Result<u64, TestCaseError> {
+        let pos = emb.len();
+        if pos == plan.len() {
+            return Ok(1);
+        }
+        let step = &plan.steps()[pos];
+        let Some(pid) = step.partition else {
+            return Ok(0);
+        };
+        let partition = data.partition(pid);
+        state.prepare(data, step, emb);
+        generate_candidates(data, step, emb, state, &MatchConfig::sequential());
+        let generated = state.candidates.clone();
+
+        let mut valid = Vec::new();
+        for (row, vertices) in partition.iter_rows() {
+            let global = partition.global_id(row).raw();
+            let want = if pos == 0 {
+                Validation::Valid // scan rows: signature equality is the whole test
+            } else {
+                validate_reference(data, query, plan, emb, global)
+            };
+            if pos > 0 {
+                let got =
+                    validate_candidate(data, step, pos, emb, state, global, vertices, scratch);
+                prop_assert_eq!(
+                    got,
+                    want,
+                    "order {:?} emb {:?} candidate {}",
+                    plan.order(),
+                    emb,
+                    global
+                );
+            }
+            if want == Validation::Valid {
+                prop_assert!(
+                    generated.binary_search(&row).is_ok(),
+                    "order {:?} emb {:?}: generation dropped valid row {}",
+                    plan.order(),
+                    emb,
+                    row
+                );
+                valid.push(global);
+            }
+        }
+
+        let mut total = 0;
+        for global in valid {
+            emb.push(global);
+            total += walk(data, query, plan, emb, state, scratch)?;
+            emb.pop();
+        }
+        Ok(total)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Class counting is Algorithm 5: on random labelled hypergraphs,
+        /// planted queries and *every* matching order (disconnected ones
+        /// included), each `(step, partial embedding, partition row)` gets
+        /// the reference's verdict, the `Duplicate` / `WrongVertexCount` /
+        /// `WrongProfiles` split included; and all orders count the same
+        /// embeddings.
+        #[test]
+        fn class_counting_agrees_with_the_reference(
+            seed in 0u64..1u64 << 48,
+            nv in 6usize..14,
+            ne in 8usize..36,
+            labels in 1u32..4,
+            k in 2usize..5,
+        ) {
+            let data = random_arity_hypergraph(seed, nv, ne, labels, 2, 4);
+            let Some(query) = random_subquery(&data, seed ^ 0x5EED, k) else {
+                return Ok(()); // dead-end walk: nothing to check
+            };
+            let query = QueryGraph::new(&query).unwrap();
+            let mut state = ExpansionState::new();
+            let mut scratch = ValidateScratch::new();
+            let mut counts = Vec::new();
+            for order in all_orders(k as u32) {
+                let plan = Planner::plan_with_order(&query, &data, order).unwrap();
+                counts.push(walk(&data, &query, &plan, &mut Vec::new(), &mut state, &mut scratch)?);
+            }
+            prop_assert!(counts[0] >= 1, "the planted embedding is found");
+            prop_assert!(counts.iter().all(|&c| c == counts[0]), "counts per order: {:?}", counts);
+        }
     }
 }

@@ -1,0 +1,176 @@
+//! DESIGN.md §6 says a warmed-up expansion — `ExpansionState::prepare`,
+//! `generate_candidates`, `validate_candidate` over its candidates —
+//! allocates nothing. This binary counts: a global allocator that tallies
+//! per thread, one pass over a fixed list of expansions to grow the
+//! state's buffers, then the same pass again with the tally required to
+//! stay at zero, under every posting representation.
+//!
+//! It is also the watch on `candidates::recycle`, whose buffer reuse rests
+//! on how the standard library collects a `vec::IntoIter`, not on a
+//! documented guarantee.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use hgmatch_core::candidates::{generate_candidates, ExpansionState};
+use hgmatch_core::validate::{validate_candidate, ValidateScratch, Validation};
+use hgmatch_core::{MatchConfig, Plan, Planner, QueryGraph};
+use hgmatch_hypergraph::inverted::set_forced_repr;
+use hgmatch_hypergraph::{Hypergraph, HypergraphBuilder, Label, ReprKind};
+
+thread_local! {
+    /// Allocations and reallocations made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every request is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the tally is a `const`-initialised
+// thread-local `Cell` with no destructor, so touching it neither allocates
+// nor re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's obligations are `System.alloc`'s own.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: as for `dealloc`; `new_size` is the caller's obligation.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// One label, every vertex triple inside a sliding window of four: a
+/// single partition of ≈ 3n rows in which neighbouring edges share two
+/// vertices, so a step's class has several members (a k-way union, not a
+/// single posting) and multiplicity 2.
+fn band(n: u32) -> Hypergraph {
+    let mut b = HypergraphBuilder::new();
+    b.add_vertices(n as usize, Label::new(0));
+    for i in 0..n - 3 {
+        b.add_edge(vec![i, i + 1, i + 2]).unwrap();
+        b.add_edge(vec![i, i + 1, i + 3]).unwrap();
+        b.add_edge(vec![i, i + 2, i + 3]).unwrap();
+    }
+    b.build().unwrap()
+}
+
+/// `{0,1,2}`, `{0,1,3}`, `{3,4,5}`: the second edge shares two vertices
+/// with the first; the third shares one with the second and none with the
+/// first, so eager Observation V.3 has postings to subtract.
+fn query() -> QueryGraph {
+    let mut b = HypergraphBuilder::new();
+    b.add_vertices(6, Label::new(0));
+    b.add_edge(vec![0, 1, 2]).unwrap();
+    b.add_edge(vec![0, 1, 3]).unwrap();
+    b.add_edge(vec![3, 4, 5]).unwrap();
+    QueryGraph::new(&b.build().unwrap()).unwrap()
+}
+
+/// One expansion as the executors run it — prepare, generate, validate every
+/// candidate — on the caller's state; hands each valid extension's global id
+/// to `on_valid` and returns the number of candidates. Allocates nothing of
+/// its own.
+fn expand(
+    data: &Hypergraph,
+    plan: &Plan,
+    state: &mut ExpansionState,
+    scratch: &mut ValidateScratch,
+    emb: &[u32],
+    mut on_valid: impl FnMut(u32),
+) -> usize {
+    let step = &plan.steps()[emb.len()];
+    let partition = data.partition(step.partition.expect("the query is planted"));
+    let config = MatchConfig::sequential().with_prune_non_incident(true);
+    state.prepare(data, step, emb);
+    let produced = generate_candidates(data, step, emb, state, &config);
+    for &row in &state.candidates {
+        let global = partition.global_id(row).raw();
+        let verdict = validate_candidate(
+            data,
+            step,
+            emb.len(),
+            emb,
+            state,
+            global,
+            partition.row(row),
+            scratch,
+        );
+        if verdict == Validation::Valid {
+            on_valid(global);
+        }
+    }
+    produced
+}
+
+#[test]
+fn a_warmed_up_expansion_allocates_nothing() {
+    for repr in [
+        None,
+        Some(ReprKind::List),
+        Some(ReprKind::Bitmap),
+        Some(ReprKind::Compressed),
+    ] {
+        set_forced_repr(repr);
+        let data = band(400);
+        let plan = Planner::plan_with_order(&query(), &data, vec![0, 1, 2]).unwrap();
+        assert!(plan.steps()[1].anchors.iter().any(|class| class.need == 2));
+        assert_eq!(plan.steps()[2].nonadjacent_prev, vec![0]);
+
+        // The expansions to replay: some first edges and all their valid
+        // extensions, found with throw-away state.
+        let mut expansions: Vec<Vec<u32>> = Vec::new();
+        for first in (0..data.num_edges() as u32).step_by(97) {
+            expansions.push(vec![first]);
+            let before = expansions.len();
+            expand(
+                &data,
+                &plan,
+                &mut ExpansionState::new(),
+                &mut ValidateScratch::new(),
+                &[first],
+                |second| expansions.push(vec![first, second]),
+            );
+            assert!(expansions.len() > before, "every band edge has a neighbour");
+        }
+
+        let mut state = ExpansionState::new();
+        let mut scratch = ValidateScratch::new();
+        let mut replay = || {
+            let before = ALLOCATIONS.with(Cell::get);
+            let candidates: usize = expansions
+                .iter()
+                .map(|emb| expand(&data, &plan, &mut state, &mut scratch, emb, |_| {}))
+                .sum();
+            (candidates, ALLOCATIONS.with(Cell::get) - before)
+        };
+        let (warm_candidates, warm_allocations) = replay();
+        assert!(warm_candidates > expansions.len());
+        assert!(warm_allocations > 0, "the first pass grows the buffers");
+        let (candidates, allocations) = replay();
+        assert_eq!(candidates, warm_candidates);
+        assert_eq!(
+            allocations, 0,
+            "a warmed-up expansion allocated under {repr:?}"
+        );
+    }
+    set_forced_repr(None);
+}
