@@ -918,8 +918,17 @@ fn do_listen(args: &[String]) -> Result<(), String> {
 
     let stats = door.shutdown();
     println!(
-        "drained: {} admitted, {} completed, {} limit, {} timed out, {} cancelled",
-        stats.admitted, stats.completed, stats.limit_reached, stats.timed_out, stats.cancelled,
+        "drained: {} admitted, {} completed, {} limit, {} timed out, {} cancelled, {} failed",
+        stats.admitted,
+        stats.completed,
+        stats.limit_reached,
+        stats.timed_out,
+        stats.cancelled,
+        stats.failed,
+    );
+    println!(
+        "venue: {} ran on the handler thread (caller-first), {} of them spilled to the pool",
+        stats.ran_inline, stats.spilled,
     );
     println!(
         "latency split: queue-wait {:.4}s total, execution {:.4}s total",

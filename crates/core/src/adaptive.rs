@@ -58,8 +58,9 @@ struct Versions {
 
 /// Shared adaptive re-optimization state for one query execution.
 ///
-/// Owns a clone of the query graph (re-planning rebuilds a
-/// [`CostModel`], which borrows the query) and the full version table;
+/// Shares the query graph (re-planning rebuilds a [`CostModel`], which
+/// borrows the query — the serving layer hands in the plan cache's copy,
+/// so arming a cached shape builds nothing) and owns the version table;
 /// workers interact through three lock-free paths — [`observe`],
 /// [`resolve`], split bracketing — and fall into the version mutex only
 /// after a re-plan has actually been adopted.
@@ -68,7 +69,7 @@ struct Versions {
 /// [`resolve`]: AdaptiveState::resolve
 #[derive(Debug)]
 pub(crate) struct AdaptiveState {
-    query: QueryGraph,
+    query: Arc<QueryGraph>,
     base: Arc<Plan>,
     ratio: f64,
     versions: Mutex<Versions>,
@@ -95,14 +96,14 @@ pub(crate) struct AdaptiveState {
 
 impl AdaptiveState {
     /// `ratio` must be > 0 (callers gate on `MatchConfig::replan_ratio`).
-    pub(crate) fn new(query: QueryGraph, base: Arc<Plan>, ratio: f64) -> Self {
+    pub(crate) fn new(query: impl Into<Arc<QueryGraph>>, base: Arc<Plan>, ratio: f64) -> Self {
         let len = base.len().min(MAX_PLAN_STEPS);
         let ests = base.est_candidates()[..len]
             .iter()
             .map(|&e| AtomicU64::new(e.to_bits()))
             .collect();
         Self {
-            query,
+            query: query.into(),
             versions: Mutex::new(Versions {
                 plans: vec![Arc::clone(&base)],
                 agree: vec![len as u32],

@@ -76,9 +76,27 @@ impl PlanKey {
     }
 }
 
+/// What [`PlanCache::plan_for`] hands a submission: the plan plus the
+/// per-shape values a hit would otherwise derive again per query.
+#[derive(Debug)]
+pub(crate) struct Planned {
+    pub(crate) plan: Arc<Plan>,
+    /// The query graph the plan was compiled from, shared with the cache
+    /// entry (mid-query re-planning needs it; a hit must not rebuild it).
+    pub(crate) query: Arc<QueryGraph>,
+    /// The canonical key the lookup built, for [`PlanCache::write_back`];
+    /// `None` when caching is disabled.
+    pub(crate) key: Option<PlanKey>,
+    /// Whether planning was skipped.
+    pub(crate) cached: bool,
+}
+
 #[derive(Debug)]
 struct Entry {
     plan: Arc<Plan>,
+    /// Built once per shape; epoch-independent (a function of the query
+    /// hypergraph alone), so it survives `write_back` and `revalidate`.
+    query: Arc<QueryGraph>,
     last_used: u64,
     /// Data epoch this plan is valid for. A key match at a stale epoch is
     /// a miss (the entry is replaced by the re-planned result).
@@ -157,17 +175,22 @@ impl PlanCache {
 
     /// Returns the plan for `query` against `data` (the snapshot of
     /// `epoch`), reusing a cached one when the canonical form matches at
-    /// the same epoch. The boolean is `true` on a hit.
+    /// the same epoch. A hit derives nothing from `query` beyond the key.
     pub(crate) fn plan_for(
         &self,
         query: &Hypergraph,
         data: &Hypergraph,
         epoch: u64,
-    ) -> Result<(Arc<Plan>, bool)> {
+    ) -> Result<Planned> {
         if self.capacity == 0 {
-            let q = QueryGraph::new(query)?;
+            let q = Arc::new(QueryGraph::new(query)?);
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return Ok((Arc::new(Planner::plan(&q, data)?), false));
+            return Ok(Planned {
+                plan: Arc::new(Planner::plan(&q, data)?),
+                query: q,
+                key: None,
+                cached: false,
+            });
         }
 
         let key = PlanKey::new(query);
@@ -178,10 +201,15 @@ impl PlanCache {
             if let Some(entry) = inner.map.get_mut(&key) {
                 if entry.epoch == epoch {
                     entry.last_used = tick;
-                    let plan = Arc::clone(&entry.plan);
+                    let (plan, query) = (Arc::clone(&entry.plan), Arc::clone(&entry.query));
                     drop(inner);
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((plan, true));
+                    return Ok(Planned {
+                        plan,
+                        query,
+                        key: Some(key),
+                        cached: true,
+                    });
                 }
                 // Stale epoch (e.g. inserted by a submission racing an
                 // update): fall through to re-plan and overwrite.
@@ -191,7 +219,7 @@ impl PlanCache {
         // Plan outside the lock: planning is cheap but not free, and
         // submissions should not serialise behind each other's planning.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let q = QueryGraph::new(query)?;
+        let q = Arc::new(QueryGraph::new(query)?);
         let plan = Arc::new(Planner::plan(&q, data)?);
         let sig_cards = fingerprint(&q, data);
 
@@ -210,8 +238,9 @@ impl PlanCache {
                 inner.map.remove(&victim);
             }
         }
-        let entry = inner.map.entry(key).or_insert_with(|| Entry {
+        let entry = inner.map.entry(key.clone()).or_insert_with(|| Entry {
             plan: Arc::clone(&plan),
+            query: Arc::clone(&q),
             last_used: tick,
             epoch,
             sig_cards: sig_cards.clone(),
@@ -221,12 +250,18 @@ impl PlanCache {
             // one a racing submitter installed meanwhile.
             *entry = Entry {
                 plan: Arc::clone(&plan),
+                query: Arc::clone(&q),
                 last_used: tick,
                 epoch,
                 sig_cards,
             };
         }
-        Ok((plan, false))
+        Ok(Planned {
+            plan,
+            query: q,
+            key: Some(key),
+            cached: false,
+        })
     }
 
     /// Writes a mid-query corrected plan (DESIGN.md §15) back to `key`'s
@@ -367,8 +402,16 @@ mod tests {
     fn hit_on_identical_query() {
         let data = tiny_data();
         let cache = PlanCache::new(4);
-        let (p1, hit1) = cache.plan_for(&ab_query(1), &data, 0).unwrap();
-        let (p2, hit2) = cache.plan_for(&ab_query(1), &data, 0).unwrap();
+        let Planned {
+            plan: p1,
+            cached: hit1,
+            ..
+        } = cache.plan_for(&ab_query(1), &data, 0).unwrap();
+        let Planned {
+            plan: p2,
+            cached: hit2,
+            ..
+        } = cache.plan_for(&ab_query(1), &data, 0).unwrap();
         assert!(!hit1);
         assert!(hit2);
         assert!(Arc::ptr_eq(&p1, &p2));
@@ -380,7 +423,7 @@ mod tests {
         let data = tiny_data();
         let cache = PlanCache::new(4);
         cache.plan_for(&ab_query(1), &data, 0).unwrap();
-        let (_, hit) = cache.plan_for(&ab_query(0), &data, 0).unwrap();
+        let hit = cache.plan_for(&ab_query(0), &data, 0).unwrap().cached;
         assert!(!hit);
         assert_eq!(cache.len(), 2);
     }
@@ -403,9 +446,9 @@ mod tests {
         cache.plan_for(&q3, &data, 0).unwrap();
         assert_eq!(cache.len(), 2);
 
-        let (_, hit1) = cache.plan_for(&q1, &data, 0).unwrap();
+        let hit1 = cache.plan_for(&q1, &data, 0).unwrap().cached;
         assert!(hit1, "recently-used entry must survive eviction");
-        let (_, hit2) = cache.plan_for(&q2, &data, 0).unwrap();
+        let hit2 = cache.plan_for(&q2, &data, 0).unwrap().cached;
         assert!(!hit2, "LRU entry must have been evicted");
     }
 
@@ -414,7 +457,7 @@ mod tests {
         let data = tiny_data();
         let cache = PlanCache::new(0);
         cache.plan_for(&ab_query(1), &data, 0).unwrap();
-        let (_, hit) = cache.plan_for(&ab_query(1), &data, 0).unwrap();
+        let hit = cache.plan_for(&ab_query(1), &data, 0).unwrap().cached;
         assert!(!hit);
         assert_eq!(cache.len(), 0);
     }
@@ -432,10 +475,10 @@ mod tests {
         let data = tiny_data();
         let cache = PlanCache::new(4);
         cache.plan_for(&ab_query(1), &data, 0).unwrap();
-        let (_, hit) = cache.plan_for(&ab_query(1), &data, 1).unwrap();
+        let hit = cache.plan_for(&ab_query(1), &data, 1).unwrap().cached;
         assert!(!hit, "entry tagged epoch 0 must not serve epoch 1");
         // The entry was upgraded in place: epoch 1 now hits.
-        let (_, hit) = cache.plan_for(&ab_query(1), &data, 1).unwrap();
+        let hit = cache.plan_for(&ab_query(1), &data, 1).unwrap().cached;
         assert!(hit);
         assert_eq!(cache.len(), 1);
     }
@@ -470,7 +513,7 @@ mod tests {
             (cache.len(), cache.invalidated(), cache.replanned()),
             (1, 0, 0)
         );
-        let (_, hit) = cache.plan_for(&ab_query(1), &drifted, 1).unwrap();
+        let hit = cache.plan_for(&ab_query(1), &drifted, 1).unwrap().cached;
         assert!(hit, "below-threshold drift keeps the entry");
     }
 
@@ -490,9 +533,9 @@ mod tests {
             (cache.len(), cache.invalidated(), cache.replanned()),
             (1, 1, 1)
         );
-        let (_, hit) = cache.plan_for(&ab_query(1), &drifted, 1).unwrap();
+        let hit = cache.plan_for(&ab_query(1), &drifted, 1).unwrap().cached;
         assert!(!hit, "drifted entry was dropped");
-        let (_, hit) = cache.plan_for(&ab_query(2), &drifted, 1).unwrap();
+        let hit = cache.plan_for(&ab_query(2), &drifted, 1).unwrap().cached;
         assert!(hit, "undrifted entry survived");
     }
 
@@ -528,7 +571,7 @@ mod tests {
         // The normal chain (entry at the superseded epoch) still carries.
         cache.plan_for(&ab_query(1), &data, 2).unwrap();
         cache.revalidate(3, &[Label::new(9)], true, &data, 0.5);
-        let (_, hit) = cache.plan_for(&ab_query(1), &data, 3).unwrap();
+        let hit = cache.plan_for(&ab_query(1), &data, 3).unwrap().cached;
         assert!(hit, "contiguous-epoch entry survives");
     }
 
@@ -537,14 +580,18 @@ mod tests {
         let data = tiny_data();
         let cache = PlanCache::new(4);
         let q = ab_query(1);
-        let (original, _) = cache.plan_for(&q, &data, 0).unwrap();
+        let original = cache.plan_for(&q, &data, 0).unwrap().plan;
         let corrected = Arc::new({
             let qg = QueryGraph::new(&q).unwrap();
             Planner::plan(&qg, &data).unwrap()
         });
         assert!(cache.write_back(&PlanKey::new(&q), Arc::clone(&corrected), 0));
         assert_eq!(cache.corrections(), 1);
-        let (served, hit) = cache.plan_for(&q, &data, 0).unwrap();
+        let Planned {
+            plan: served,
+            cached: hit,
+            ..
+        } = cache.plan_for(&q, &data, 0).unwrap();
         assert!(hit);
         assert!(
             Arc::ptr_eq(&served, &corrected) && !Arc::ptr_eq(&served, &original),
@@ -560,13 +607,17 @@ mod tests {
         cache.plan_for(&q, &data, 0).unwrap();
         // The entry moved on to epoch 1 (re-planned against fresher
         // statistics): a stale epoch-0 correction must not land.
-        let (newer, _) = cache.plan_for(&q, &data, 1).unwrap();
+        let newer = cache.plan_for(&q, &data, 1).unwrap().plan;
         let stale = Arc::new({
             let qg = QueryGraph::new(&q).unwrap();
             Planner::plan(&qg, &data).unwrap()
         });
         assert!(!cache.write_back(&PlanKey::new(&q), Arc::clone(&stale), 0));
-        let (served, hit) = cache.plan_for(&q, &data, 1).unwrap();
+        let Planned {
+            plan: served,
+            cached: hit,
+            ..
+        } = cache.plan_for(&q, &data, 1).unwrap();
         assert!(hit && Arc::ptr_eq(&served, &newer));
         // Absent shapes and disabled caches are no-ops.
         assert!(!cache.write_back(&PlanKey::new(&ab_query(0)), Arc::clone(&stale), 1));
@@ -579,7 +630,7 @@ mod tests {
         let data = tiny_data();
         let cache = PlanCache::new(4);
         let q = ab_query(1);
-        let (plan, _) = cache.plan_for(&q, &data, 0).unwrap();
+        let plan = cache.plan_for(&q, &data, 0).unwrap().plan;
         // The sweep dropped the entry (sids shifted): a correction pinned
         // to the swept epoch must not re-insert a plan that may embed
         // dangling partition ids.
@@ -614,7 +665,7 @@ mod tests {
                             .wrapping_add(1442695040888963407);
                         let shape = ab_query(((state >> 33) % 5) as u32);
                         let e = epoch.load(Ordering::Relaxed);
-                        let (plan, _hit) = cache.plan_for(&shape, data, e).unwrap();
+                        let plan = cache.plan_for(&shape, data, e).unwrap().plan;
                         plan_calls.fetch_add(1, Ordering::Relaxed);
                         if state & 1 == 0 && cache.write_back(&PlanKey::new(&shape), plan, e) {
                             landed.fetch_add(1, Ordering::Relaxed);

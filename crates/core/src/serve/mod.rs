@@ -21,6 +21,11 @@
 //!   workers pick seeds up round-robin and, after a fairness quantum of
 //!   consecutive tasks on one query, prioritise other queries' seeds, so a
 //!   huge query cannot starve small ones.
+//! * **Caller-first execution** — [`MatchServer::run`] executes a query
+//!   whose plan estimate is small on the calling thread, through the same
+//!   per-task code the pool runs, and hands the pool only what outgrows a
+//!   task budget (DESIGN.md §8.5): a point query pays no thread hand-off.
+//!   [`MatchServer::submit`] always uses the pool.
 //! * **Per-query control** — cooperative cancellation
 //!   ([`QueryHandle::cancel`]), wall-clock timeouts and `max_results`
 //!   early-exit all stop *expansion* (workers drop the query's remaining
@@ -93,14 +98,42 @@ use crate::adaptive::AdaptiveState;
 use crate::aggregate::{AggregateMode, AggregateSummary};
 use crate::config::MatchConfig;
 use crate::embedding::Embedding;
-use crate::engine::task::Task;
+use crate::engine::task::{ExecScratch, Task};
 use crate::error::Result;
 use crate::metrics::MatchMetrics;
-use crate::query::QueryGraph;
 
-use cache::PlanCache;
+use cache::{PlanCache, Planned};
 use query::{ActiveQuery, StopCause};
-use worker::{worker_loop, ServeTask};
+use worker::{run_one, worker_loop, ServeTask};
+
+/// Largest plan estimate ([`crate::Plan::cost`], in candidates — the
+/// number the front door's cost gate reads) [`MatchServer::run`] starts on
+/// the calling thread. It is the break-even of a pool hand-off against
+/// validation: the hand-off `run` avoids (seed publish, worker wake-up,
+/// `done_cv` wake-up) measures 6–7 µs on one pinned CPU
+/// (`point_http/lat_p50_ms` 0.028 → 0.021, `server.door.overhead_us`
+/// 32.3 → 25.4) and a validate call 19 ns, so a query estimated under
+/// ≈ 300 candidates is done before a worker would have started it; 256 is
+/// the power of two below. Above it the pool's second worker is worth more
+/// than the hand-off costs, and a handler thread executing engine code
+/// would compete with the pool for the same CPUs. Not configurable: both
+/// inputs are measured properties of this code (DESIGN.md §8.5).
+const INLINE_MAX_COST: f64 = 256.0;
+
+/// Tasks a caller-first run executes before handing the rest of its stack
+/// to the pool. The estimate can be wrong (stale statistics, a hub
+/// vertex), so the inline phase is bounded in the unit the loop already
+/// counts. From below, an honestly estimated query must never reach it:
+/// `point_http` runs 3.1 tasks a query (none spill), `update_mix` 4.8
+/// (0.25 % of inline runs spill). From above, it is how long a submitting
+/// thread may be kept from its caller by a query that turns out large: a
+/// task under the gate costs 0.3 µs (WT-S) to 1.4 µs (AR-S), 4.3 µs on
+/// HB-S's hub postings, so 64 tasks are 20–90 µs, 275 µs at worst — noise
+/// beside the milliseconds such a query then spends in the pool
+/// (`enum_http`: 8 % of requests estimate under the gate, three quarters
+/// of those spill, no metric moves). 64 is an order of magnitude above
+/// what an honest query needs (DESIGN.md §8.5).
+const INLINE_TASK_BUDGET: u32 = 64;
 
 /// Configuration of a [`MatchServer`].
 #[derive(Debug, Clone)]
@@ -292,6 +325,10 @@ pub enum QueryStatus {
     TimedOut,
     /// The query was cancelled; results are whatever was found first.
     Cancelled,
+    /// A task of the query panicked. The panic was contained — the thread
+    /// that ran it and every other query are unaffected — and the query's
+    /// remaining work was dropped; results are a lower bound.
+    Failed,
 }
 
 impl std::fmt::Display for QueryStatus {
@@ -301,6 +338,7 @@ impl std::fmt::Display for QueryStatus {
             Self::LimitReached => "limit-reached",
             Self::TimedOut => "timed-out",
             Self::Cancelled => "cancelled",
+            Self::Failed => "failed",
         })
     }
 }
@@ -343,6 +381,10 @@ pub struct QueryOutcome {
     /// Epoch of the data snapshot this query executed against (pinned at
     /// submission; see [`MatchServer::update_data`]).
     pub data_epoch: u64,
+    /// Whether every task ran on the submitting thread
+    /// ([`MatchServer::run`]'s caller-first path, never spilled): the pool
+    /// was not involved and [`QueryOutcome::queue_wait`] is ≈ 0.
+    pub inline: bool,
 }
 
 /// A handle to an in-flight (or finished) query.
@@ -391,7 +433,10 @@ pub struct ServeStats {
     pub timed_out: u64,
     /// Queries cancelled by their submitter (or by shutdown).
     pub cancelled: u64,
-    /// Queries currently admitted and not yet finished.
+    /// Queries that ended [`QueryStatus::Failed`] (a contained task panic).
+    pub failed: u64,
+    /// Queries waiting for or running on the pool. A caller-first run is
+    /// counted only once it spills: until then the pool does not know it.
     pub active: usize,
     /// Tasks spawned across all queries: seed scans plus every child task
     /// and assist ticket emitted by executions. After the pool drains this
@@ -458,6 +503,19 @@ pub struct ServeStats {
     pub queries_top_k: u64,
     /// Finished queries that ran under sampled aggregation.
     pub queries_sampled: u64,
+    /// Queries [`MatchServer::run`] started on the calling thread.
+    pub ran_inline: u64,
+    /// Of those, the ones that outgrew the inline budget (or published a
+    /// split) and handed their remaining stack to the pool.
+    pub spilled: u64,
+    /// Task executions that panicked and were contained.
+    pub tasks_panicked: u64,
+    /// Wall-clock submitting threads spent executing tasks — the
+    /// caller-first share of the work [`MatchServer::worker_stats`] cannot
+    /// see.
+    pub caller_busy: Duration,
+    /// Tasks executed on submitting threads.
+    pub caller_tasks: u64,
 }
 
 #[derive(Debug, Default)]
@@ -467,6 +525,7 @@ pub(crate) struct Counters {
     pub(crate) limit_reached: AtomicU64,
     pub(crate) timed_out: AtomicU64,
     pub(crate) cancelled: AtomicU64,
+    pub(crate) failed: AtomicU64,
     pub(crate) spawned: AtomicU64,
     pub(crate) tasks: AtomicU64,
     pub(crate) steals: AtomicU64,
@@ -481,6 +540,47 @@ pub(crate) struct Counters {
     pub(crate) queries_count_only: AtomicU64,
     pub(crate) queries_top_k: AtomicU64,
     pub(crate) queries_sampled: AtomicU64,
+    pub(crate) ran_inline: AtomicU64,
+    pub(crate) spilled: AtomicU64,
+    pub(crate) tasks_panicked: AtomicU64,
+    pub(crate) caller_busy_ns: AtomicU64,
+    pub(crate) caller_tasks: AtomicU64,
+}
+
+/// What a submitting thread needs to execute tasks itself: the engine
+/// scratch (which owns a `num_vertices`-byte class table, so it must stay
+/// warm across calls) and the private LIFO stack of a caller-first run.
+/// Checked out of [`ServeShared::caller_scratch`] per run, never built per
+/// request once warm.
+#[derive(Debug, Default)]
+pub(crate) struct CallerScratch {
+    exec: ExecScratch,
+    stack: Vec<Task>,
+}
+
+/// Test-only fault injection: makes one task execution of one query panic
+/// inside [`worker::run_one`], wherever it runs.
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) struct PanicHook {
+    query: AtomicU64,
+    after: AtomicU64,
+}
+
+#[cfg(test)]
+impl PanicHook {
+    /// The `after`-th (0-based) task execution of query `id` panics.
+    fn arm(&self, id: u64, after: u64) {
+        self.after.store(after, Ordering::SeqCst);
+        self.query.store(id, Ordering::SeqCst);
+    }
+
+    pub(crate) fn fire(&self, id: u64) {
+        if self.query.load(Ordering::SeqCst) == id && self.after.fetch_sub(1, Ordering::SeqCst) == 0
+        {
+            panic!("injected task panic (query {id})");
+        }
+    }
 }
 
 /// Per-worker accounting of the serving pool, snapshot via
@@ -523,7 +623,12 @@ pub(crate) struct ServeShared {
     pub(crate) idle_cv: Condvar,
     pub(crate) counters: Counters,
     pub(crate) cache: PlanCache,
+    /// Free-list of caller-side scratches, one per concurrent
+    /// [`MatchServer::run`] at the high-water mark.
+    caller_scratch: Mutex<Vec<CallerScratch>>,
     next_id: AtomicU64,
+    #[cfg(test)]
+    pub(crate) panic_hook: PanicHook,
 }
 
 impl ServeShared {
@@ -532,13 +637,18 @@ impl ServeShared {
     /// exactly one thread per query (the one retiring its last pending
     /// task, or the submitter for trivially-empty queries).
     pub(crate) fn finalize(&self, query: &Arc<ActiveQuery>) {
-        self.queries.lock().retain(|q| q.id != query.id);
+        // A caller-first run that never spilled was never registered.
+        let inline = query.inline.load(Ordering::Relaxed);
+        if !inline {
+            self.queries.lock().retain(|q| q.id != query.id);
+        }
         let status = query.status();
         match status {
             QueryStatus::Completed => &self.counters.completed,
             QueryStatus::LimitReached => &self.counters.limit_reached,
             QueryStatus::TimedOut => &self.counters.timed_out,
             QueryStatus::Cancelled => &self.counters.cancelled,
+            QueryStatus::Failed => &self.counters.failed,
         }
         .fetch_add(1, Ordering::Relaxed);
         let metrics = *query.metrics.lock();
@@ -592,7 +702,73 @@ impl ServeShared {
             peak_memory_bytes: query.tracker.peak_bytes(),
             plan_cached: query.plan_cached,
             data_epoch: query.data_epoch,
+            inline,
         });
+    }
+
+    /// Wakes one parked worker. Notifying under `idle_mutex` pairs with
+    /// [`worker::park`] re-checking the seed slots under the same lock: a
+    /// worker is either already waiting (and is woken) or has yet to look
+    /// (and finds the seed) — a wake-up is never lost, and one seed wakes
+    /// one worker, not the pool.
+    fn wake_one(&self) {
+        let _guard = self.idle_mutex.lock().unwrap_or_else(|e| e.into_inner());
+        self.idle_cv.notify_one();
+    }
+
+    /// Moves what is left of a caller-first run to the pool, order
+    /// preserved; the first spill of a query also registers it.
+    fn spill(&self, query: &Arc<ActiveQuery>, stack: &mut Vec<Task>) {
+        if query.inline.swap(false, Ordering::Relaxed) {
+            self.counters.spilled.fetch_add(1, Ordering::Relaxed);
+            self.queries.lock().push(Arc::clone(query));
+        }
+        query.seed.lock().append(stack);
+        self.wake_one();
+    }
+
+    /// The caller-first path of [`MatchServer::run`] (DESIGN.md §8.5):
+    /// executes `root` and its descendants depth-first from a private LIFO
+    /// stack on this thread, through the pool's own [`run_one`]. Ends when
+    /// the stack drains (the last task finalised the query), when
+    /// [`INLINE_TASK_BUDGET`] runs out, or as soon as a task publishes a
+    /// work-assisting split — the rest then moves to the pool.
+    fn run_inline(&self, query: &Arc<ActiveQuery>, root: Task) {
+        let mut caller = self.caller_scratch.lock().pop().unwrap_or_default();
+        let CallerScratch { exec, stack } = &mut caller;
+        self.counters.ran_inline.fetch_add(1, Ordering::Relaxed);
+        query.inline.store(true, Ordering::Relaxed);
+        stack.push(root);
+        let mut budget = INLINE_TASK_BUDGET;
+        while let Some(task) = stack.pop() {
+            // A stopped query's tasks degenerate to accounting: draining
+            // them here is cheaper than handing them over.
+            if budget == 0 && !query.stopped() {
+                stack.push(task);
+                break;
+            }
+            budget = budget.saturating_sub(1);
+            let mut split = false;
+            run_one(None, query, task, self, exec, |t| {
+                // An assist ticket is an invitation to the pool: it must be
+                // stealable while this thread is still validating the
+                // split's range, so it goes out at once, with the stack
+                // below it.
+                let ticket = matches!(t, Task::Assist { .. });
+                stack.push(t);
+                if ticket {
+                    split = true;
+                    self.spill(query, stack);
+                }
+            });
+            if split {
+                break;
+            }
+        }
+        if !stack.is_empty() {
+            self.spill(query, stack);
+        }
+        self.caller_scratch.lock().push(caller);
     }
 }
 
@@ -612,6 +788,24 @@ pub struct MatchServer {
 impl MatchServer {
     /// Spawns the worker pool over `data`.
     pub fn new(data: Arc<Hypergraph>, config: ServeConfig) -> Self {
+        let (mut server, deques) = Self::unstarted(data, config);
+        server.workers = deques
+            .into_iter()
+            .enumerate()
+            .map(|(wid, deque)| {
+                let shared = Arc::clone(&server.shared);
+                std::thread::Builder::new()
+                    .name(format!("hgmatch-serve-{wid}"))
+                    .spawn(move || worker_loop(wid, deque, shared))
+                    .expect("spawn serve worker")
+            })
+            .collect();
+        server
+    }
+
+    /// The server and its worker deques before any thread exists (the
+    /// parking test drives a deque by hand).
+    fn unstarted(data: Arc<Hypergraph>, config: ServeConfig) -> (Self, Vec<Deque<ServeTask>>) {
         let threads = config.threads.max(1);
         let deques: Vec<Deque<ServeTask>> = (0..threads).map(|_| Deque::new_lifo()).collect();
         let stealers: Vec<Stealer<ServeTask>> = deques.iter().map(Deque::stealer).collect();
@@ -639,38 +833,74 @@ impl MatchServer {
             idle_cv: Condvar::new(),
             counters: Counters::default(),
             cache: PlanCache::new(config.plan_cache_capacity),
+            caller_scratch: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(0),
+            #[cfg(test)]
+            panic_hook: PanicHook {
+                query: AtomicU64::new(u64::MAX),
+                after: AtomicU64::new(0),
+            },
         });
-        let default_timeout = config.default_timeout;
-        let default_aggregate = config.default_aggregate;
-
-        let workers = deques
-            .into_iter()
-            .enumerate()
-            .map(|(wid, deque)| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("hgmatch-serve-{wid}"))
-                    .spawn(move || worker_loop(wid, deque, shared))
-                    .expect("spawn serve worker")
-            })
-            .collect();
-
-        Self {
+        let server = Self {
             shared,
-            workers,
-            default_timeout,
-            default_aggregate,
-        }
+            workers: Vec::new(),
+            default_timeout: config.default_timeout,
+            default_aggregate: config.default_aggregate,
+        };
+        (server, deques)
     }
 
     /// Admits `query`: plans it (or hits the plan cache), registers it
     /// with the pool and returns a handle for cancellation and waiting.
+    /// Always pooled — a handle that can be cancelled from another thread
+    /// needs the query to run somewhere other than here; see
+    /// [`MatchServer::run`] for the caller-first path.
     ///
     /// # Errors
     /// Fails when the query is empty or exceeds the engine's 64-hyperedge
     /// limit (same conditions as [`crate::Matcher`]).
     pub fn submit(&self, query: &Hypergraph, options: QueryOptions) -> Result<QueryHandle> {
+        let (active, root) = self.admit(query, options)?;
+        match root {
+            // Nothing to do: resolve inline, never touching the pool.
+            None => self.shared.finalize(&active),
+            Some(root) => self.pooled(&active, root),
+        }
+        Ok(QueryHandle { query: active })
+    }
+
+    /// Runs `query` to completion and returns its outcome, **caller
+    /// first**: admission is [`MatchServer::submit`]'s, but when the plan's
+    /// estimate is at most `INLINE_MAX_COST` the calling thread executes
+    /// the query itself — through the same per-task code as the pool, with
+    /// no seed, no worker wake-up and no completion wait — and hands the
+    /// pool only what outgrows `INLINE_TASK_BUDGET` tasks (or publishes a
+    /// work-assisting split). Costlier queries take the pooled path at
+    /// once. Results, limits, timeouts and statistics are the same either
+    /// way; [`QueryOutcome::inline`] says which way it went.
+    ///
+    /// # Errors
+    /// Same conditions as [`MatchServer::submit`].
+    pub fn run(&self, query: &Hypergraph, options: QueryOptions) -> Result<QueryOutcome> {
+        let (active, root) = self.admit(query, options)?;
+        match root {
+            None => self.shared.finalize(&active),
+            Some(root) if active.plan.cost() <= INLINE_MAX_COST => {
+                self.shared.run_inline(&active, root)
+            }
+            Some(root) => self.pooled(&active, root),
+        }
+        Ok(active.wait_outcome())
+    }
+
+    /// Admission, shared by both entry points: pins the snapshot, fetches
+    /// or compiles the plan and builds the query's state. Returns the root
+    /// scan task, or `None` when there is nothing to scan.
+    fn admit(
+        &self,
+        query: &Hypergraph,
+        options: QueryOptions,
+    ) -> Result<(Arc<ActiveQuery>, Option<Task>)> {
         let shared = &self.shared;
         // Pin the published snapshot and its epoch together: everything
         // below (planning, seeding, execution) sees this one view, however
@@ -679,7 +909,12 @@ impl MatchServer {
             let current = shared.data.lock();
             (Arc::clone(&current.graph), current.epoch)
         };
-        let (plan, cached) = shared.cache.plan_for(query, &data, epoch)?;
+        let Planned {
+            plan,
+            query,
+            key,
+            cached,
+        } = shared.cache.plan_for(query, &data, epoch)?;
         let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
         let deadline = options
             .timeout
@@ -688,17 +923,14 @@ impl MatchServer {
         // Arm mid-query re-optimization (DESIGN.md §15) when the trigger
         // is enabled and the plan has a suffix to re-order. The cache key
         // is kept so finalisation can write a corrected plan back.
-        let adaptive =
+        let (adaptive, cache_key) =
             if shared.config.replan_ratio > 0.0 && plan.len() > 1 && !plan.is_infeasible() {
-                Some(AdaptiveState::new(
-                    QueryGraph::new(query)?,
-                    Arc::clone(&plan),
-                    shared.config.replan_ratio,
-                ))
+                let state =
+                    AdaptiveState::new(query, Arc::clone(&plan), shared.config.replan_ratio);
+                (Some(state), key)
             } else {
-                None
+                (None, None)
             };
-        let cache_key = adaptive.as_ref().map(|_| cache::PlanKey::new(query));
         let mode = options.effective_aggregate(self.default_aggregate);
         let active = Arc::new(ActiveQuery::new(
             id, data, epoch, plan, &options, mode, cached, deadline, adaptive, cache_key,
@@ -714,25 +946,23 @@ impl MatchServer {
                 .len() as u32
         };
         if scan_rows == 0 {
-            // Nothing to do: resolve inline, never touching the pool.
-            shared.finalize(&active);
-        } else {
-            shared.counters.spawned.fetch_add(1, Ordering::Relaxed);
-            active.pending.store(1, Ordering::Relaxed);
-            *active.seed.lock() = Some(Task::Scan {
-                start: 0,
-                end: scan_rows,
-            });
-            shared.queries.lock().push(Arc::clone(&active));
-            shared.idle_cv.notify_all();
+            return Ok((active, None));
         }
-        Ok(QueryHandle { query: active })
+        shared.counters.spawned.fetch_add(1, Ordering::Relaxed);
+        active.pending.store(1, Ordering::Relaxed);
+        let root = Task::Scan {
+            start: 0,
+            end: scan_rows,
+        };
+        Ok((active, Some(root)))
     }
 
-    /// Submits `query` and blocks for its outcome — the convenience path
-    /// for callers that do not interleave submissions.
-    pub fn run(&self, query: &Hypergraph, options: QueryOptions) -> Result<QueryOutcome> {
-        Ok(self.submit(query, options)?.wait())
+    /// Seeds `root` into the pool: the query joins the registry and one
+    /// worker is woken for it.
+    fn pooled(&self, active: &Arc<ActiveQuery>, root: Task) {
+        active.seed.lock().push(root);
+        self.shared.queries.lock().push(Arc::clone(active));
+        self.shared.wake_one();
     }
 
     /// Plans `query` (through the plan cache) against the currently
@@ -752,7 +982,7 @@ impl MatchServer {
             let current = self.shared.data.lock();
             (Arc::clone(&current.graph), current.epoch)
         };
-        let (plan, _cached) = self.shared.cache.plan_for(query, &data, epoch)?;
+        let plan = self.shared.cache.plan_for(query, &data, epoch)?.plan;
         Ok(if plan.is_infeasible() {
             0.0
         } else {
@@ -816,6 +1046,7 @@ impl MatchServer {
             limit_reached: c.limit_reached.load(Ordering::Relaxed),
             timed_out: c.timed_out.load(Ordering::Relaxed),
             cancelled: c.cancelled.load(Ordering::Relaxed),
+            failed: c.failed.load(Ordering::Relaxed),
             active: self.shared.queries.lock().len(),
             tasks_spawned: c.spawned.load(Ordering::Relaxed),
             tasks_executed: c.tasks.load(Ordering::Relaxed),
@@ -838,6 +1069,11 @@ impl MatchServer {
             queries_count_only: c.queries_count_only.load(Ordering::Relaxed),
             queries_top_k: c.queries_top_k.load(Ordering::Relaxed),
             queries_sampled: c.queries_sampled.load(Ordering::Relaxed),
+            ran_inline: c.ran_inline.load(Ordering::Relaxed),
+            spilled: c.spilled.load(Ordering::Relaxed),
+            tasks_panicked: c.tasks_panicked.load(Ordering::Relaxed),
+            caller_busy: Duration::from_nanos(c.caller_busy_ns.load(Ordering::Relaxed)),
+            caller_tasks: c.caller_tasks.load(Ordering::Relaxed),
         }
     }
 
@@ -891,5 +1127,89 @@ impl MatchServer {
 impl Drop for MatchServer {
     fn drop(&mut self) {
         self.shutdown_inner();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Matcher;
+    use hgmatch_datasets::testgen::{random_hypergraph, workload_queries};
+
+    fn data() -> Arc<Hypergraph> {
+        Arc::new(random_hypergraph(11, 40, 160, 3, 3))
+    }
+
+    /// The lost wake-up: a worker polls, finds nothing, and only then
+    /// takes `idle_mutex` to wait — a seed published (and notified) in
+    /// between used to sit until `PARK_TIMEOUT`. With no worker thread
+    /// running, the order is forced: the publish below happens after an
+    /// empty poll by construction, and its notify finds nobody waiting.
+    /// Parking must come back with the seed instead of waiting it out.
+    #[test]
+    fn seed_published_after_an_empty_poll_is_claimed_without_parking() {
+        let (server, deques) =
+            MatchServer::unstarted(data(), ServeConfig::default().with_threads(1));
+        let (local, mut cursor) = (&deques[0], 0);
+        let query = &workload_queries()[0];
+        let handle = server.submit(query, QueryOptions::count()).unwrap();
+
+        let claimed = worker::park(&server.shared, local, &mut cursor)
+            .expect("park re-checks the seed slots under the lock it waits on");
+        assert_eq!(claimed.query.id, handle.id());
+        assert!(matches!(claimed.task, Task::Scan { start: 0, .. }));
+        assert!(
+            handle.query.seed.lock().is_empty(),
+            "the whole slot is adopted"
+        );
+    }
+
+    /// ROADMAP 8(a) where execution has two homes: a task panicking on the
+    /// submitting thread (caller-first) or on a resident worker (pooled)
+    /// fails its own query and nothing else.
+    #[test]
+    fn a_panicking_task_fails_its_query_and_nothing_else() {
+        let data = data();
+        let queries = workload_queries();
+        let (cheap, heavy) = (&queries[1], &queries[6]);
+        let oracle = Matcher::new(&data);
+        let (cheap_count, heavy_count) =
+            (oracle.count(cheap).unwrap(), oracle.count(heavy).unwrap());
+        assert!(cheap_count > 0 && heavy_count > 0);
+        let server = MatchServer::new(Arc::clone(&data), ServeConfig::default().with_threads(1));
+        let next_id = || server.shared.next_id.load(Ordering::Relaxed);
+
+        // Home 1: this thread. A concurrent pooled query is unaffected.
+        let concurrent = server.submit(heavy, QueryOptions::count()).unwrap();
+        server.shared.panic_hook.arm(next_id(), 0);
+        let failed = server.run(cheap, QueryOptions::count()).unwrap();
+        assert_eq!(failed.status, QueryStatus::Failed);
+        assert!(failed.inline);
+        assert_eq!(concurrent.wait().count, heavy_count);
+        // This thread survived, with a usable scratch.
+        let after = server.run(cheap, QueryOptions::count()).unwrap();
+        assert_eq!(
+            (after.status, after.count),
+            (QueryStatus::Completed, cheap_count)
+        );
+        assert!(after.inline);
+
+        // Home 2: the pool's only worker, one task into the query. If the
+        // panic killed it, or stranded `pending`, the waits below hang.
+        server.shared.panic_hook.arm(next_id(), 1);
+        let failed = server.submit(heavy, QueryOptions::count()).unwrap().wait();
+        assert_eq!(failed.status, QueryStatus::Failed);
+        let after = server.submit(heavy, QueryOptions::count()).unwrap().wait();
+        assert_eq!(
+            (after.status, after.count),
+            (QueryStatus::Completed, heavy_count)
+        );
+
+        let stats = server.stats();
+        assert_eq!((stats.failed, stats.tasks_panicked), (2, 2));
+        assert_eq!(stats.active, 0);
+        assert_eq!(stats.admitted, 5);
+        assert_eq!(stats.completed, 3);
+        assert_eq!(stats.tasks_spawned, stats.tasks_executed);
     }
 }

@@ -31,6 +31,9 @@ pub(crate) enum StopCause {
     Timeout = 2,
     /// [`super::QueryHandle::cancel`] or server shutdown.
     Cancelled = 3,
+    /// One of the query's tasks panicked; the panic was contained
+    /// (`serve::worker::run_one`) and the rest of the query dropped.
+    Failed = 4,
 }
 
 const RUNNING: u8 = 0;
@@ -57,9 +60,16 @@ pub(crate) struct ActiveQuery {
     /// queries) so finalisation can write a corrected plan back.
     pub(crate) cache_key: Option<PlanKey>,
     pub(crate) sink: AggregateSink,
-    /// The root scan task, waiting for its first worker. Children bypass
-    /// this slot and go straight to worker deques.
-    pub(crate) seed: Mutex<Option<Task>>,
+    /// Tasks waiting for their first pool worker, as a LIFO stack (hot end
+    /// last): the root scan of a pooled submission, or the unfinished
+    /// stack a caller-first run handed over (DESIGN.md §8.5). The worker
+    /// that claims the slot adopts the whole stack onto its deque;
+    /// children spawned on a worker bypass the slot.
+    pub(crate) seed: Mutex<Vec<Task>>,
+    /// Set while every task of this query has run on the submitting
+    /// thread: raised when a caller-first run starts, lowered when it
+    /// spills to the pool. Such a query is in no registry.
+    pub(crate) inline: AtomicBool,
     /// Tasks queued or executing. The worker that decrements it to zero
     /// finalises the query.
     pub(crate) pending: AtomicU64,
@@ -78,7 +88,7 @@ pub(crate) struct ActiveQuery {
     pub(crate) plan_cached: bool,
     /// Completion slot: the finalising worker stores the outcome and
     /// notifies; [`super::QueryHandle::wait`] takes it.
-    outcome: StdMutex<Option<QueryOutcome>>,
+    outcome: StdMutex<Completion>,
     finished: AtomicBool,
     done_cv: Condvar,
 }
@@ -105,7 +115,8 @@ impl ActiveQuery {
             adaptive,
             cache_key,
             sink: AggregateSink::new(mode, options.max_results),
-            seed: Mutex::new(None),
+            seed: Mutex::new(Vec::new()),
+            inline: AtomicBool::new(false),
             pending: AtomicU64::new(0),
             stop_cause: AtomicU8::new(RUNNING),
             deadline,
@@ -114,7 +125,7 @@ impl ActiveQuery {
             tracker: MemoryTracker::new(),
             metrics: Mutex::new(MatchMetrics::default()),
             plan_cached,
-            outcome: StdMutex::new(None),
+            outcome: StdMutex::new(Completion::default()),
             finished: AtomicBool::new(false),
             done_cv: Condvar::new(),
         }
@@ -174,6 +185,7 @@ impl ActiveQuery {
             1 => Some(StopCause::Limit),
             2 => Some(StopCause::Timeout),
             3 => Some(StopCause::Cancelled),
+            4 => Some(StopCause::Failed),
             _ => None,
         }
     }
@@ -183,6 +195,7 @@ impl ActiveQuery {
         match self.stop_cause() {
             Some(StopCause::Timeout) => QueryStatus::TimedOut,
             Some(StopCause::Cancelled) => QueryStatus::Cancelled,
+            Some(StopCause::Failed) => QueryStatus::Failed,
             Some(StopCause::Limit) => QueryStatus::LimitReached,
             None if self.sink.is_satisfied() => QueryStatus::LimitReached,
             None => QueryStatus::Completed,
@@ -194,9 +207,14 @@ impl ActiveQuery {
     /// retires the query's last pending task.
     pub(crate) fn complete(&self, outcome: QueryOutcome) {
         let mut slot = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
-        *slot = Some(outcome);
+        slot.outcome = Some(outcome);
         self.finished.store(true, Ordering::Release);
-        self.done_cv.notify_all();
+        // `notify_all` is a system call whether or not anyone waits; a
+        // caller-first run completes before its own thread comes to wait,
+        // and `waiting` is read under the lock the waiter set it under.
+        if slot.waiting {
+            self.done_cv.notify_all();
+        }
     }
 
     /// Whether the outcome is ready (non-blocking).
@@ -207,11 +225,20 @@ impl ActiveQuery {
     /// Blocks until the outcome is ready and takes it.
     pub(crate) fn wait_outcome(&self) -> QueryOutcome {
         let mut slot = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
-        while slot.is_none() {
+        while slot.outcome.is_none() {
+            slot.waiting = true;
             slot = self.done_cv.wait(slot).unwrap_or_else(|e| e.into_inner());
         }
-        slot.take().expect("outcome present")
+        slot.outcome.take().expect("outcome present")
     }
+}
+
+/// The completion slot's contents (one mutex guards both fields).
+#[derive(Debug, Default)]
+struct Completion {
+    outcome: Option<QueryOutcome>,
+    /// Whether a thread is (or was) blocked in `wait_outcome`.
+    waiting: bool,
 }
 
 #[cfg(test)]

@@ -7,8 +7,10 @@
 //!
 //! 1. **local deque** (hot end) — depth-first on whatever the worker
 //!    touched last, preserving the engine's memory bound per query;
-//! 2. **seed slots** — admitted queries whose root scan task nobody has
-//!    picked up yet, visited round-robin so admission order is fair;
+//! 2. **seed slots** — admitted queries whose root scan task (or the
+//!    stack a caller-first run spilled, DESIGN.md §8.5) nobody has picked
+//!    up yet, visited round-robin so admission order is fair; the claimer
+//!    adopts the whole stack onto its deque;
 //! 3. **stealing** — batches from a random victim's cold end, which holds
 //!    the *oldest* (coarsest) tasks, exactly as in the one-shot engine.
 //!    Since the work-assisting scheduler (DESIGN.md §12) the cold end also
@@ -27,6 +29,7 @@
 //!
 //! [`ServeConfig::fairness_quantum`]: super::ServeConfig::fairness_quantum
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -52,9 +55,10 @@ pub(crate) struct ServeTask {
 /// Idle polls (with yields) before a worker parks on the condvar.
 const IDLE_SPINS: u32 = 16;
 
-/// How long a parked worker sleeps before re-polling for work. Submissions
-/// notify the condvar, so this only bounds wake-up latency for work that
-/// appears via stealing-visible spawns.
+/// How long a parked worker sleeps before re-polling for work. Published
+/// seeds wake a worker through the condvar ([`ServeShared::wake_one`]), so
+/// this only bounds wake-up latency for work that appears via
+/// stealing-visible spawns.
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
 pub(crate) fn worker_loop(wid: usize, local: Deque<ServeTask>, shared: Arc<ServeShared>) {
@@ -83,22 +87,24 @@ pub(crate) fn worker_loop(wid: usize, local: Deque<ServeTask>, shared: Arc<Serve
             probe_seeds,
             last_query,
         );
-        let Some(ServeTask { query, task }) = next else {
-            if shared.shutdown.load(Ordering::Acquire) && shared.queries.lock().is_empty() {
-                break;
+        let next = match next {
+            Some(t) => t,
+            None => {
+                if shared.shutdown.load(Ordering::Acquire) && shared.queries.lock().is_empty() {
+                    break;
+                }
+                idle += 1;
+                if idle < IDLE_SPINS {
+                    std::thread::yield_now();
+                    continue;
+                }
+                let Some(seed) = park(&shared, &local, &mut cursor) else {
+                    continue;
+                };
+                seed
             }
-            idle += 1;
-            if idle < IDLE_SPINS {
-                std::thread::yield_now();
-            } else {
-                let guard = shared.idle_mutex.lock().unwrap_or_else(|e| e.into_inner());
-                let _ = shared
-                    .idle_cv
-                    .wait_timeout(guard, PARK_TIMEOUT)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-            continue;
         };
+        let ServeTask { query, task } = next;
         idle = 0;
         if query.id == last_query {
             consecutive += 1;
@@ -106,63 +112,104 @@ pub(crate) fn worker_loop(wid: usize, local: Deque<ServeTask>, shared: Arc<Serve
             consecutive = 0;
             last_query = query.id;
         }
-        run_one(wid, &query, task, &local, &shared, &mut scratch);
+        run_one(Some(wid), &query, task, &shared, &mut scratch, |t| {
+            local.push(ServeTask {
+                query: Arc::clone(&query),
+                task: t,
+            })
+        });
     }
 }
 
-/// Executes one task of `query`, spawning children into the worker's local
-/// deque (tagged with the same query). The worker that retires the query's
-/// last pending task finalises it.
-fn run_one(
-    wid: usize,
+/// Parks an idle worker until a seed is published or [`PARK_TIMEOUT`]
+/// passes. The seed slots are checked again *under* `idle_mutex`, the lock
+/// [`ServeShared::wake_one`] notifies under: a seed published after the
+/// caller's empty `find_task` either is found here or finds this worker
+/// already waiting — it can no longer sit out the timeout.
+pub(crate) fn park(
+    shared: &ServeShared,
+    local: &Deque<ServeTask>,
+    cursor: &mut usize,
+) -> Option<ServeTask> {
+    let guard = shared.idle_mutex.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(t) = take_seed(shared, local, cursor, u64::MAX) {
+        return Some(t);
+    }
+    let _ = shared
+        .idle_cv
+        .wait_timeout(guard, PARK_TIMEOUT)
+        .unwrap_or_else(|e| e.into_inner());
+    None
+}
+
+/// Executes one task of `query` on the current thread — a pool worker
+/// (`wid` is its id, `push` its deque) or the submitting thread of a
+/// caller-first run (`None`, its private stack). Children go to `push`;
+/// whoever retires the query's last pending task finalises it.
+///
+/// A panic inside the task is contained here (ROADMAP 8(a)): the query
+/// stops as [`StopCause::Failed`], the scratch — possibly torn mid-update —
+/// is replaced, and the task still counts as executed and retired, so the
+/// thread survives and the query finalises instead of stranding `pending`.
+pub(crate) fn run_one(
+    wid: Option<usize>,
     query: &Arc<ActiveQuery>,
     task: Task,
-    local: &Deque<ServeTask>,
     shared: &ServeShared,
     scratch: &mut ExecScratch,
+    mut push: impl FnMut(Task),
 ) {
     // First pickup of any of this query's tasks ends its queue-wait phase
     // (the latency split reported on the outcome and in ServeStats).
     query.mark_picked_up();
-    // Resolve the plan version this task runs under (DESIGN.md §15) —
-    // per task, at the step boundary, before any step state is built.
-    let (resolved, ver) = match query.adaptive.as_ref() {
-        Some(ad) => {
-            let (plan, ver) = ad.resolve_task(&task);
-            (Some(plan), ver)
-        }
-        None => (None, 0),
-    };
-    let env = QueryEnv {
-        plan: resolved.as_deref().unwrap_or(&query.plan),
-        // Each task runs against the snapshot its query pinned at
-        // submission, not whatever the server currently publishes.
-        data: &query.data,
-        sink: &query.sink,
-        config: &shared.config,
-        tracker: &query.tracker,
-        ver,
-        adaptive: query.adaptive.as_ref(),
-    };
     let begin = Instant::now();
     let was_assist = matches!(task, Task::Assist { .. });
     let mut task_metrics = MatchMetrics::default();
-    let mut probes = 0u64;
-    execute_task(
-        &env,
-        scratch,
-        &mut task_metrics,
-        task,
-        &mut || should_stop(query, &mut probes),
-        &mut |t| {
-            query.pending.fetch_add(1, Ordering::Relaxed);
-            shared.counters.spawned.fetch_add(1, Ordering::Relaxed);
-            local.push(ServeTask {
-                query: Arc::clone(query),
-                task: t,
-            });
-        },
-    );
+    let ran = catch_unwind(AssertUnwindSafe(|| {
+        #[cfg(test)]
+        shared.panic_hook.fire(query.id);
+        // Resolve the plan version this task runs under (DESIGN.md §15) —
+        // per task, at the step boundary, before any step state is built.
+        let (resolved, ver) = match query.adaptive.as_ref() {
+            Some(ad) => {
+                let (plan, ver) = ad.resolve_task(&task);
+                (Some(plan), ver)
+            }
+            None => (None, 0),
+        };
+        let env = QueryEnv {
+            plan: resolved.as_deref().unwrap_or(&query.plan),
+            // Each task runs against the snapshot its query pinned at
+            // submission, not whatever the server currently publishes.
+            data: &query.data,
+            sink: &query.sink,
+            config: &shared.config,
+            tracker: &query.tracker,
+            ver,
+            adaptive: query.adaptive.as_ref(),
+        };
+        let mut probes = 0u64;
+        execute_task(
+            &env,
+            scratch,
+            &mut task_metrics,
+            task,
+            &mut || should_stop(query, &mut probes),
+            &mut |t| {
+                query.pending.fetch_add(1, Ordering::Relaxed);
+                shared.counters.spawned.fetch_add(1, Ordering::Relaxed);
+                push(t);
+            },
+        );
+    }));
+    if ran.is_err() {
+        query.stop(StopCause::Failed);
+        *scratch = ExecScratch::new();
+        shared
+            .counters
+            .tasks_panicked
+            .fetch_add(1, Ordering::Relaxed);
+    }
     if !task_metrics.is_empty() {
         query.metrics.lock().merge(&task_metrics);
         if task_metrics.split_expansions > 0 {
@@ -176,8 +223,16 @@ fn run_one(
         }
     }
     shared.counters.tasks.fetch_add(1, Ordering::Relaxed);
-    shared.worker_busy_ns[wid].fetch_add(begin.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    shared.worker_tasks[wid].fetch_add(1, Ordering::Relaxed);
+    let busy_ns = begin.elapsed().as_nanos() as u64;
+    let (busy, tasks) = match wid {
+        Some(wid) => (&shared.worker_busy_ns[wid], &shared.worker_tasks[wid]),
+        None => (
+            &shared.counters.caller_busy_ns,
+            &shared.counters.caller_tasks,
+        ),
+    };
+    busy.fetch_add(busy_ns, Ordering::Relaxed);
+    tasks.fetch_add(1, Ordering::Relaxed);
     if query.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
         shared.finalize(query);
     }
@@ -222,14 +277,14 @@ fn find_task(
     // queries take priority over the local deque (the caller sets
     // `probe_seeds` once per quantum).
     if probe_seeds {
-        if let Some(t) = take_seed(shared, cursor, last_query) {
+        if let Some(t) = take_seed(shared, local, cursor, last_query) {
             return Some(t);
         }
     }
     if let Some(t) = local.pop() {
         return Some(t);
     }
-    if let Some(t) = take_seed(shared, cursor, u64::MAX) {
+    if let Some(t) = take_seed(shared, local, cursor, u64::MAX) {
         return Some(t);
     }
     // Random-victim batch stealing from the cold (oldest-task) end. With
@@ -245,24 +300,41 @@ fn find_task(
     stolen
 }
 
-/// Claims the seed task of some admitted-but-unstarted query, round-robin
-/// from `cursor`, skipping `exclude` (the quantum-exceeded query).
-fn take_seed(shared: &ServeShared, cursor: &mut usize, exclude: u64) -> Option<ServeTask> {
-    let queries = shared.queries.lock();
-    let n = queries.len();
-    for k in 0..n {
-        let idx = (*cursor + k) % n;
-        let q = &queries[idx];
-        if q.id == exclude {
-            continue;
-        }
-        if let Some(task) = q.seed.lock().take() {
+/// Claims the seed stack of some admitted query nobody has picked up yet,
+/// round-robin from `cursor`, skipping `exclude` (the quantum-exceeded
+/// query). The whole stack moves onto `local` in order — its top is
+/// returned to run now, its bottom lands at the deque's cold end, where
+/// peers steal — so a spilled caller-first run resumes exactly as if this
+/// worker had executed its first tasks itself.
+fn take_seed(
+    shared: &ServeShared,
+    local: &Deque<ServeTask>,
+    cursor: &mut usize,
+    exclude: u64,
+) -> Option<ServeTask> {
+    let (query, mut stack) = {
+        let queries = shared.queries.lock();
+        let n = queries.len();
+        (0..n).find_map(|k| {
+            let idx = (*cursor + k) % n;
+            let q = &queries[idx];
+            if q.id == exclude {
+                return None;
+            }
+            let mut seed = q.seed.lock();
+            if seed.is_empty() {
+                return None;
+            }
             *cursor = idx + 1;
-            return Some(ServeTask {
-                query: Arc::clone(q),
-                task,
-            });
-        }
+            Some((Arc::clone(q), std::mem::take(&mut *seed)))
+        })?
+    };
+    let top = stack.pop()?;
+    for task in stack {
+        local.push(ServeTask {
+            query: Arc::clone(&query),
+            task,
+        });
     }
-    None
+    Some(ServeTask { query, task: top })
 }

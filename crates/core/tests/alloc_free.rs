@@ -8,11 +8,19 @@
 //! It is also the watch on `candidates::recycle`, whose buffer reuse rests
 //! on how the standard library collects a `vec::IntoIter`, not on a
 //! documented guarantee.
+//!
+//! The second case holds the serving layer's caller-first path (DESIGN.md
+//! §8.5) to the same standard: the submitting thread's scratch and stack
+//! are checked out warm, so a caller-side run of a cached shape allocates
+//! no more — process-wide — than the pooled path does for the same query.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use hgmatch_core::candidates::{generate_candidates, ExpansionState};
+use hgmatch_core::serve::{MatchServer, QueryOptions, ServeConfig};
 use hgmatch_core::validate::{validate_candidate, ValidateScratch, Validation};
 use hgmatch_core::{MatchConfig, Plan, Planner, QueryGraph};
 use hgmatch_hypergraph::inverted::set_forced_repr;
@@ -23,12 +31,20 @@ thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Allocations and reallocations made by any thread.
+static ALL_THREADS: AtomicU64 = AtomicU64::new(0);
+
+/// The two cases share the process-wide tally and the forced posting
+/// representation, so they take turns.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
 struct Counting;
 
 fn count_one() {
     // `try_with`: the allocator also runs while a thread's locals are
     // being torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    ALL_THREADS.fetch_add(1, Ordering::Relaxed);
 }
 
 // SAFETY: every request is forwarded unchanged to `System`, which upholds
@@ -123,6 +139,7 @@ fn expand(
 
 #[test]
 fn a_warmed_up_expansion_allocates_nothing() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     for repr in [
         None,
         Some(ReprKind::List),
@@ -173,4 +190,52 @@ fn a_warmed_up_expansion_allocates_nothing() {
         );
     }
     set_forced_repr(None);
+}
+
+#[test]
+fn a_warmed_up_caller_side_run_allocates_no_more_than_the_pooled_path() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    const RUNS: u64 = 32;
+    // Small enough that the plan's estimate is under the caller-first
+    // gate and its ≈ 40 tasks inside the inline budget.
+    let data = Arc::new(band(16));
+    let mut b = HypergraphBuilder::new();
+    b.add_vertices(4, Label::new(0));
+    b.add_edge(vec![0, 1, 2]).unwrap();
+    b.add_edge(vec![0, 1, 3]).unwrap();
+    let query = b.build().unwrap();
+    let server = MatchServer::new(data, ServeConfig::default().with_threads(1));
+
+    let pooled = || {
+        let outcome = server.submit(&query, QueryOptions::count()).unwrap().wait();
+        assert!(outcome.plan_cached && !outcome.inline);
+    };
+    let caller_side = || {
+        let outcome = server.run(&query, QueryOptions::count()).unwrap();
+        assert!(outcome.plan_cached && outcome.inline, "{outcome:?}");
+    };
+    // Warm the plan cache, both scratches, the deque and the registry.
+    server.run(&query, QueryOptions::count()).unwrap();
+    for _ in 0..4 {
+        pooled();
+        caller_side();
+    }
+    // The smallest of three readings each: the test harness's own threads
+    // may allocate beside a reading, never inside the engine.
+    let reading = |one: &dyn Fn()| {
+        (0..3)
+            .map(|_| {
+                let before = ALL_THREADS.load(Ordering::Relaxed);
+                (0..RUNS).for_each(|_| one());
+                ALL_THREADS.load(Ordering::Relaxed) - before
+            })
+            .min()
+            .expect("three readings")
+    };
+    let (pooled, caller_side) = (reading(&pooled), reading(&caller_side));
+    assert!(pooled >= RUNS, "a query allocates at least its own state");
+    assert!(
+        caller_side <= pooled,
+        "{RUNS} caller-side runs allocated {caller_side} times, {RUNS} pooled ones {pooled}"
+    );
 }

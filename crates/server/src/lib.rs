@@ -63,6 +63,7 @@ pub mod json;
 pub mod metrics;
 pub mod tenant;
 
+use hgmatch_core::serve::QueryStatus;
 use hgmatch_core::serve::{ServeStats, WorkerServeStats};
 use hgmatch_core::{
     AggregateMode, AggregateSummary, MatchServer, QueryOptions, QueryOutcome, ScoreFn, ServeConfig,
@@ -167,6 +168,7 @@ struct DoorCounters {
     r405: AtomicU64,
     r413: AtomicU64,
     r429: AtomicU64,
+    r500: AtomicU64,
     r503: AtomicU64,
     shed_queue_full: AtomicU64,
     shed_quota: AtomicU64,
@@ -184,6 +186,7 @@ impl DoorCounters {
             405 => &self.r405,
             413 => &self.r413,
             429 => &self.r429,
+            500 => &self.r500,
             _ => &self.r503,
         }
         .fetch_add(1, Ordering::Relaxed);
@@ -199,6 +202,7 @@ impl DoorCounters {
                 (405, self.r405.load(Ordering::Relaxed)),
                 (413, self.r413.load(Ordering::Relaxed)),
                 (429, self.r429.load(Ordering::Relaxed)),
+                (500, self.r500.load(Ordering::Relaxed)),
                 (503, self.r503.load(Ordering::Relaxed)),
             ],
             shed_queue_full: self.shed_queue_full.load(Ordering::Relaxed),
@@ -713,16 +717,21 @@ fn handle_match(shared: &DoorShared, body: &[u8]) -> Response {
         }
     }
 
-    let handle = match shared.engine.submit(&req.query, req.options) {
-        Ok(handle) => handle,
-        Err(e) => {
-            drop(guard);
-            return Response::error(400, &e.to_string());
-        }
-    };
-    let outcome = handle.wait();
+    // Caller-first (DESIGN.md §8.5, §16.5): this handler thread executes a
+    // cheap query itself and blocks on the pool only for the rest.
+    let outcome = shared.engine.run(&req.query, req.options);
     drop(guard);
-    Response::json(200, outcome_json(&outcome))
+    match outcome {
+        Ok(outcome) if outcome.status == QueryStatus::Failed => Response::json(
+            500,
+            format!(
+                "{{\"error\":\"query {} failed: a task panicked and was contained\"}}",
+                outcome.id
+            ),
+        ),
+        Ok(outcome) => Response::json(200, outcome_json(&outcome)),
+        Err(e) => Response::error(400, &e.to_string()),
+    }
 }
 
 /// Serialises a [`QueryOutcome`] as the `/match` response body. The count
@@ -736,7 +745,7 @@ fn outcome_json(outcome: &QueryOutcome) -> String {
     ));
     json::write_u64(&mut out, outcome.count);
     out.push_str(&format!(
-        ",\"elapsed_us\":{},\"queue_us\":{},\"exec_us\":{},\"plan_cached\":{},\"data_epoch\":{},\"peak_memory_bytes\":{},\"materialized\":{}",
+        ",\"elapsed_us\":{},\"queue_us\":{},\"exec_us\":{},\"plan_cached\":{},\"data_epoch\":{},\"peak_memory_bytes\":{},\"materialized\":{},\"inline\":{}",
         outcome.elapsed.as_micros(),
         outcome.queue_wait.as_micros(),
         outcome.execution.as_micros(),
@@ -744,6 +753,7 @@ fn outcome_json(outcome: &QueryOutcome) -> String {
         outcome.data_epoch,
         outcome.peak_memory_bytes,
         outcome.metrics.materialized,
+        outcome.inline,
     ));
     out.push_str(",\"aggregate\":");
     write_aggregate_json(&mut out, &outcome.aggregate);

@@ -94,8 +94,26 @@ pub fn render(
     gauge(
         &mut out,
         "hgmatch_queries_active",
-        "Queries admitted and not yet finished.",
+        "Queries waiting for or running on the pool.",
         stats.active as u64,
+    );
+    counter(
+        &mut out,
+        "hgmatch_queries_failed_total",
+        "Queries failed by a contained task panic.",
+        stats.failed,
+    );
+    counter(
+        &mut out,
+        "hgmatch_queries_inline_total",
+        "Queries started on the submitting thread (caller-first).",
+        stats.ran_inline,
+    );
+    counter(
+        &mut out,
+        "hgmatch_queries_spilled_total",
+        "Caller-first queries that handed their remaining work to the pool.",
+        stats.spilled,
     );
 
     // Engine: scheduler.
@@ -128,6 +146,12 @@ pub fn render(
         "hgmatch_assists_total",
         "Assist tickets that claimed work.",
         stats.assists,
+    );
+    counter(
+        &mut out,
+        "hgmatch_tasks_panicked_total",
+        "Task executions that panicked and were contained.",
+        stats.tasks_panicked,
     );
 
     // Engine: plan cache and adaptivity.
@@ -231,6 +255,23 @@ pub fn render(
             w.tasks
         );
     }
+    family(
+        &mut out,
+        "hgmatch_caller_busy_seconds_total",
+        "counter",
+        "Seconds submitting threads spent executing tasks (caller-first).",
+    );
+    let _ = writeln!(
+        out,
+        "hgmatch_caller_busy_seconds_total {}",
+        secs(stats.caller_busy)
+    );
+    counter(
+        &mut out,
+        "hgmatch_caller_tasks_total",
+        "Tasks executed on submitting threads.",
+        stats.caller_tasks,
+    );
 
     // Engine: result aggregation (DESIGN.md §18.5). found vs materialized
     // diverging is the zero-materialization modes working as intended.

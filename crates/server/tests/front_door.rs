@@ -151,6 +151,8 @@ fn match_end_to_end_with_plan_cache() {
     let r2 = request(addr, "POST", "/match", TRIANGLE_QUERY);
     assert_eq!(r2.status, 200);
     assert!(r2.body.contains("\"plan_cached\":true"), "{}", r2.body);
+    // A point query runs on the handler thread that parsed it (§8.5).
+    assert!(r2.body.contains("\"inline\":true"), "{}", r2.body);
 
     // Collect mode returns the matched data-edge tuples.
     let r3 = request(
@@ -176,6 +178,7 @@ fn match_end_to_end_with_plan_cache() {
     assert_eq!(stats.admitted, 3);
     assert_eq!(stats.completed, 3);
     assert_eq!(stats.plan_cache_hits, 2);
+    assert_eq!((stats.ran_inline, stats.spilled), (3, 0));
 }
 
 #[test]
@@ -588,6 +591,8 @@ fn graceful_shutdown_drains_in_flight_queries() {
         "{}",
         reply.body
     );
+    // Its estimate is far above the caller-first gate: it went to the pool.
+    assert!(reply.body.contains("\"inline\":false"), "{}", reply.body);
     assert_eq!(stats.admitted, 1);
     assert_eq!(stats.active, 0, "shutdown returned with queries active");
 
