@@ -2,7 +2,7 @@
 //! the work-assisting scheduler (DESIGN.md §12) versus deque stealing
 //! versus pinned round-robin pickup.
 //!
-//! Two experiments over one dataset, written to `BENCH_stealing.json`:
+//! Three experiments, written to `BENCH_stealing.json`:
 //!
 //! 1. **single_query** — one heavy q3 query on a [`MatchServer`] pool,
 //!    swept over worker counts, per scheduler mode:
@@ -30,11 +30,25 @@
 //!    round-robin pickup (inter-query parallelism already saturates the
 //!    pool; assisting must not get in its way).
 //!
-//! All modes must agree on embedding counts (asserted).
+//! 3. **hub_adversary** — ROADMAP item 10's trial, the one input stealing
+//!    cannot divide: a generated hub whose expansion has 10⁶ candidates
+//!    (10⁵ in smoke mode), under a 2-edge query (the expansion is the last
+//!    step: a count) and a 3-edge one (each candidate becomes a child task
+//!    with one candidate of its own). `steal` and `assist_default` at 2
+//!    workers and `steal` at 1 alternate for 10 rounds on warm pools; the
+//!    report keeps every round and the medians.
+//!
+//! All modes must agree on embedding counts (asserted). `--check` adds the
+//! gates: `steal` spreads the heavy query (parallelism ≥ 1.5 at 2 workers,
+//! evaluated when the host has 2 CPUs — give it a query of seconds, not
+//! smoke's default 0.2 ms one on CH: CI passes `--dataset SB`), the hub
+//! expansion really is split every round, and — full size on ≥ 2 CPUs
+//! only — assisting keeps the 1.3× over stealing on the 2-edge hub count
+//! that is the reason the mechanism exists (DESIGN.md §12.4).
 //!
 //! Usage: `fig12_stealing [--dataset NAME] [--workers LIST] [--queries N]
 //!                        [--candidates N] [--timeout SECS]
-//!                        [--split-threshold N] [--json PATH]`.
+//!                        [--split-threshold N] [--json PATH] [--check]`.
 //! `HGMATCH_BENCH_SMOKE=1` shrinks every knob for the CI bench-smoke job.
 
 use std::fmt::Write as _;
@@ -43,10 +57,11 @@ use std::time::{Duration, Instant};
 
 use hgmatch_bench::experiments::{bench_smoke, heaviest_queries, num_cpus};
 use hgmatch_bench::harness::Workload;
+use hgmatch_bench::report::median;
 use hgmatch_core::serve::{MatchServer, QueryOptions, QueryStatus, ServeConfig};
 use hgmatch_core::MatchConfig;
 use hgmatch_datasets::{profile_by_name, standard_settings};
-use hgmatch_hypergraph::Hypergraph;
+use hgmatch_hypergraph::{Hypergraph, HypergraphBuilder, Label};
 
 /// One scheduler mode of the sweep.
 #[derive(Clone, Copy, PartialEq)]
@@ -124,6 +139,24 @@ struct BatchPoint {
     queries: usize,
 }
 
+/// One query shape of the hub adversary: per-round wall times of the three
+/// contenders, and the assist pool's counters over all its rounds.
+struct HubShape {
+    edges: usize,
+    steal_ms: Vec<f64>,
+    assist_ms: Vec<f64>,
+    one_worker_ms: Vec<f64>,
+    splits: u64,
+    assists: u64,
+}
+
+impl HubShape {
+    /// How many times faster assisting ran than stealing (medians).
+    fn assist_gain(&self) -> f64 {
+        median(&self.steal_ms) / median(&self.assist_ms).max(1e-9)
+    }
+}
+
 fn main() {
     let smoke = bench_smoke();
     // SB's strong hubs make the q3 sample genuinely heavy (tens of millions
@@ -142,6 +175,7 @@ fn main() {
     // generated data (the production default of 2048 targets real hubs).
     let mut split_threshold = if smoke { 64 } else { 512 };
     let mut json_path: Option<String> = None;
+    let mut check = false;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -193,6 +227,7 @@ fn main() {
                 i += 1;
                 json_path = Some(args.get(i).expect("--json PATH").clone());
             }
+            "--check" => check = true,
             other => panic!("unknown flag {other:?}"),
         }
         i += 1;
@@ -292,6 +327,23 @@ fn main() {
     println!("# speedup with that many cores. round_robin stays ~1 on a single");
     println!("# query; steal/assist track the pool size.");
 
+    // Experiment 3: the hub adversary.
+    let (spokes, rounds) = if smoke { (100_000, 3) } else { (1_000_000, 10) };
+    let hub = run_hub(spokes, rounds, timeout);
+    println!("hub_edges\tsteal_ms\tassist_ms\tone_worker_ms\tassist_gain\tsplits\tassists");
+    for shape in &hub {
+        println!(
+            "{}\t{:.1}\t{:.1}\t{:.1}\t{:.2}\t{}\t{}",
+            shape.edges,
+            median(&shape.steal_ms),
+            median(&shape.assist_ms),
+            median(&shape.one_worker_ms),
+            shape.assist_gain(),
+            shape.splits,
+            shape.assists
+        );
+    }
+
     if let Some(path) = json_path {
         let mut out = String::new();
         out.push_str("{\n");
@@ -350,10 +402,169 @@ fn main() {
                 if mi + 1 < batch.len() { "," } else { "" }
             );
         }
-        out.push_str("  }}\n}\n");
+        out.push_str("  }},\n");
+        let _ = writeln!(
+            out,
+            "  \"hub_adversary\": {{\"spokes\": {spokes}, \"workers\": 2, \"rounds\": {rounds}, \"shapes\": ["
+        );
+        for (si, shape) in hub.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                "    {{\"query_edges\": {}, \"steal_ms\": {:.1}, \"assist_default_ms\": {:.1}, \"one_worker_ms\": {:.1}, \"assist_gain\": {:.2}, \"splits\": {}, \"assists\": {},",
+                shape.edges,
+                median(&shape.steal_ms),
+                median(&shape.assist_ms),
+                median(&shape.one_worker_ms),
+                shape.assist_gain(),
+                shape.splits,
+                shape.assists
+            );
+            let _ = writeln!(
+                out,
+                "     \"steal_rounds_ms\": {:.1?}, \"assist_default_rounds_ms\": {:.1?}, \"one_worker_rounds_ms\": {:.1?}}}{}",
+                shape.steal_ms,
+                shape.assist_ms,
+                shape.one_worker_ms,
+                if si + 1 < hub.len() { "," } else { "" }
+            );
+        }
+        out.push_str("  ]}\n}\n");
         std::fs::write(&path, out).expect("write json report");
         println!("# wrote {path}");
     }
+
+    if check {
+        let mut failures = Vec::new();
+        // Counts were cross-checked (asserted) above; what is left to gate
+        // is that the schedulers still do what their rows say.
+        let steal_at_2 = single
+            .iter()
+            .find(|(mode, _)| *mode == Mode::Steal)
+            .and_then(|(_, points)| points.iter().find(|p| p.workers == 2));
+        match steal_at_2 {
+            Some(p) if num_cpus() >= 2 => {
+                println!(
+                    "# check: steal parallelism at 2 workers {:.2} (>= 1.5)",
+                    p.parallelism()
+                );
+                if p.parallelism() < 1.5 {
+                    failures.push("steal does not spread the heavy query over 2 workers");
+                }
+            }
+            _ => println!("# check: steal parallelism skipped (needs 2 CPUs and 2 in --workers)"),
+        }
+        let count = &hub[0];
+        let runs = rounds as u64 + 1; // the warm-up splits too
+        println!(
+            "# check: hub count split {} / assisted {} times in {runs} runs, assist_gain {:.2}",
+            count.splits,
+            count.assists,
+            count.assist_gain()
+        );
+        // The split is deterministic. Whether the ticket is picked up before
+        // the owner drains the range is a race: a second CPU wins it every
+        // time at 10⁶ candidates (20 ms) and only mostly at smoke's 10⁵.
+        if count.splits != runs {
+            failures.push("the hub expansion was not split on every run");
+        }
+        if !smoke && num_cpus() >= 2 && (count.assists == 0 || count.assist_gain() < 1.3) {
+            failures.push("assisting no longer beats stealing 1.3x on the hub count");
+        }
+        if !failures.is_empty() {
+            for f in &failures {
+                eprintln!("# CHECK FAILED: {f}");
+            }
+            std::process::exit(1);
+        }
+        println!("# CHECK OK");
+    }
+}
+
+/// The hub adversary's data: `spokes` edges `{x, hub}`, one leaf edge
+/// `{x, leaf_x}` per spoke, and the single anchor edge `{root, hub}` that
+/// makes the hub expansion happen exactly once.
+fn hub_graph(spokes: u32) -> Hypergraph {
+    let mut b = HypergraphBuilder::new();
+    b.add_vertices(spokes as usize, Label::new(0));
+    b.add_vertices(spokes as usize, Label::new(3));
+    let root = b.add_vertex(Label::new(2)).raw();
+    let hub = b.add_vertex(Label::new(1)).raw();
+    for x in 0..spokes {
+        b.add_edge(vec![x, hub]).expect("spoke");
+        b.add_edge(vec![x, spokes + x]).expect("leaf");
+    }
+    b.add_edge(vec![root, hub]).expect("anchor");
+    b.build().expect("hub graph")
+}
+
+/// `{root, hub}, {hub, spoke}` — one expansion of `spokes` candidates, each
+/// a complete embedding — and with `edges` = 3 also `{spoke, leaf}`, which
+/// turns every candidate into a child task.
+fn hub_query(edges: usize) -> Hypergraph {
+    let mut q = HypergraphBuilder::new();
+    for label in [2, 1, 0, 3] {
+        q.add_vertex(Label::new(label));
+    }
+    for pair in [[0, 1], [1, 2], [2, 3]].iter().take(edges) {
+        q.add_edge(pair.to_vec()).expect("query edge");
+    }
+    q.build().expect("hub query")
+}
+
+/// Experiment 3: both hub shapes, `rounds` alternating rounds on warm pools.
+fn run_hub(spokes: u32, rounds: usize, timeout: Duration) -> Vec<HubShape> {
+    let data = Arc::new(hub_graph(spokes));
+    let pool = |mode: Mode, workers| MatchServer::new(Arc::clone(&data), mode.config(workers, 0));
+    [2usize, 3]
+        .into_iter()
+        .map(|edges| {
+            let query = hub_query(edges);
+            let (steal, assist, one) = (
+                pool(Mode::Steal, 2),
+                pool(Mode::AssistDefault, 2),
+                pool(Mode::Steal, 1),
+            );
+            let time = |server: &MatchServer| {
+                let begin = Instant::now();
+                let outcome = server
+                    .run(&query, QueryOptions::count().with_timeout(timeout))
+                    .expect("valid query");
+                assert_eq!(outcome.status, QueryStatus::Completed);
+                assert_eq!(outcome.count, spokes as u64, "hub query, {edges} edges");
+                begin.elapsed().as_secs_f64() * 1e3
+            };
+            for server in [&steal, &assist, &one] {
+                time(server); // plan cache, pool threads, page faults
+            }
+            let (mut steal_ms, mut assist_ms, mut one_worker_ms) =
+                (Vec::new(), Vec::new(), Vec::new());
+            for round in 0..rounds {
+                // Alternate who goes first so drift hits both alike.
+                let (s, a) = if round % 2 == 0 {
+                    let s = time(&steal);
+                    (s, time(&assist))
+                } else {
+                    let a = time(&assist);
+                    (time(&steal), a)
+                };
+                steal_ms.push(s);
+                assist_ms.push(a);
+                one_worker_ms.push(time(&one));
+            }
+            let stats = assist.stats();
+            for server in [steal, assist, one] {
+                server.shutdown();
+            }
+            HubShape {
+                edges,
+                steal_ms,
+                assist_ms,
+                one_worker_ms,
+                splits: stats.splits,
+                assists: stats.assists,
+            }
+        })
+        .collect()
 }
 
 /// One heavy query alone on a fresh pool; returns wall, busy spread and

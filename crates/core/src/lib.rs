@@ -76,7 +76,6 @@ pub mod embedding;
 pub mod engine;
 pub mod error;
 pub mod exec;
-pub mod extensions;
 pub mod matcher;
 pub mod memory;
 pub mod metrics;

@@ -11,9 +11,17 @@
 //! and overshot the count by orders of magnitude. After the fix (counts
 //! flush every `COUNT_FLUSH` deliveries, satisfaction probed per row),
 //! the overshoot is bounded by a small per-worker constant.
+//!
+//! The `giant_expansion_*` cases run the same fixture at 10⁵ candidates
+//! and 2 workers — ROADMAP item 10's adversary in miniature — under both
+//! candidate loops (the serial one and the work-assisting claim loop):
+//! the multiset is the sequential oracle's and a limit stops the
+//! expansion within one `ABORT_PROBE` window per participant.
 
+use hgmatch_core::exec::SequentialExecutor;
 use hgmatch_core::serve::{MatchServer, QueryOptions, QueryStatus, ServeConfig};
-use hgmatch_core::{FirstKSink, MatchConfig, Matcher};
+use hgmatch_core::sink::CollectSink;
+use hgmatch_core::{Embedding, FirstKSink, MatchConfig, Matcher};
 use hgmatch_hypergraph::{Hypergraph, HypergraphBuilder, Label};
 use std::sync::Arc;
 
@@ -135,5 +143,100 @@ fn serve_limit_stops_exactly_once_under_forced_splits() {
             stats.splits > 0,
             "workers={workers}: no splits — fixture degenerated"
         );
+    }
+}
+
+/// Candidates of the giant expansion: nothing for stealing to divide,
+/// everything for a split to.
+const GIANT: usize = 100_000;
+
+/// `engine::task::ABORT_PROBE`: candidates one participant validates
+/// between stop probes inside a single expansion.
+const ABORT_PROBE: u64 = 1024;
+
+/// The giant expansion runs under both loops: the plain serial one (split
+/// threshold 0 — one worker owns the whole range) and the work-assisting
+/// claim loop at the configured default threshold.
+fn giant_configs() -> [MatchConfig; 2] {
+    [
+        MatchConfig::parallel(2).with_split_threshold(0),
+        MatchConfig::parallel(2),
+    ]
+}
+
+/// Embeddings as sorted rows of data-edge ids, the form the oracle and both
+/// engines are compared in.
+fn sorted_rows(embeddings: Vec<Embedding>) -> Vec<Vec<u32>> {
+    let mut rows: Vec<Vec<u32>> = embeddings.iter().map(|e| e.raw().to_vec()).collect();
+    rows.sort_unstable();
+    rows
+}
+
+fn sequential_sorted(data: &Hypergraph, query: &Hypergraph) -> Vec<Vec<u32>> {
+    let plan = Matcher::new(data).plan(query).unwrap();
+    let sink = CollectSink::new();
+    SequentialExecutor::run(&plan, data, &sink, &MatchConfig::sequential());
+    sorted_rows(sink.into_results())
+}
+
+/// One-shot engine, 2 workers, one expansion of 10⁵ candidates: the
+/// embedding multiset is the sequential oracle's whichever loop validates
+/// it, and a first-k stop lands within one `ABORT_PROBE` window per
+/// participant instead of running the range out.
+#[test]
+fn giant_expansion_on_the_engine_matches_sequential_and_stops_within_a_probe_window() {
+    let data = hub_star(GIANT);
+    let query = two_path_query();
+    let expected = sequential_sorted(&data, &query);
+    assert_eq!(expected.len(), GIANT);
+    for config in giant_configs() {
+        let threshold = config.split_threshold;
+        let matcher = Matcher::with_config(&data, config);
+        let got = sorted_rows(matcher.find_all(&query).unwrap());
+        assert_eq!(got, expected, "split_threshold={threshold}");
+
+        let sink = FirstKSink::new(K as usize);
+        let stats = matcher.run(&query, &sink).unwrap();
+        assert_eq!(sink.into_results().len(), K as usize);
+        assert!(
+            stats.metrics.materialized <= K + 2 * ABORT_PROBE,
+            "split_threshold={threshold}: {} embeddings materialized past a limit of {K}",
+            stats.metrics.materialized,
+        );
+    }
+}
+
+/// The same on the resident pool.
+#[test]
+fn giant_expansion_served_matches_sequential_and_stops_within_a_probe_window() {
+    let data = Arc::new(hub_star(GIANT));
+    let query = two_path_query();
+    let expected = sequential_sorted(&data, &query);
+    for match_config in giant_configs() {
+        let threshold = match_config.split_threshold;
+        let server = MatchServer::new(
+            Arc::clone(&data),
+            ServeConfig {
+                threads: 2,
+                match_config,
+                ..ServeConfig::default()
+            },
+        );
+        let outcome = server.run(&query, QueryOptions::collect_all()).unwrap();
+        assert_eq!(outcome.status, QueryStatus::Completed);
+        let got = sorted_rows(outcome.embeddings.expect("collected"));
+        assert_eq!(got, expected, "split_threshold={threshold}");
+
+        let outcome = server.run(&query, QueryOptions::first(K)).unwrap();
+        assert_eq!(outcome.status, QueryStatus::LimitReached);
+        assert_eq!(outcome.count, K);
+        assert!(
+            outcome.metrics.materialized <= K + 2 * ABORT_PROBE,
+            "split_threshold={threshold}: {} embeddings materialized past a limit of {K}",
+            outcome.metrics.materialized,
+        );
+        let stats = server.stats();
+        assert_eq!(stats.tasks_spawned, stats.tasks_executed);
+        server.shutdown();
     }
 }

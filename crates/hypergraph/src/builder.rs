@@ -283,4 +283,34 @@ mod tests {
         b.add_vertex(Label::new(7));
         assert_eq!(b.build().unwrap().num_labels(), 8);
     }
+
+    /// Spokes `{0, x}` of a hub with the smallest id: the duplicate-edge map
+    /// keys are `[0, x]`, which a hash that is weak in its low bits sends
+    /// down one probe chain (4.9 s to add 100 k, 24 s for 200 k, before
+    /// `FxHasher::finish` folded the high bits down). Adding stays linear.
+    #[test]
+    fn hub_with_smallest_id_adds_in_linear_time() {
+        let add_spokes = |n: u32| {
+            // Best of three: a ratio of two short timings must not trip on
+            // one descheduled run.
+            (0..3)
+                .map(|_| {
+                    let mut b = HypergraphBuilder::new();
+                    b.add_vertices(n as usize + 1, Label::new(0));
+                    let start = std::time::Instant::now();
+                    for x in 1..=n {
+                        b.add_edge(vec![0, x]).unwrap();
+                    }
+                    assert_eq!(b.num_edges(), n as usize);
+                    start.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let (small, large) = (add_spokes(100_000), add_spokes(200_000));
+        assert!(
+            large.as_secs_f64() < 3.0 * small.as_secs_f64(),
+            "100 k spokes took {small:?}, 200 k took {large:?}"
+        );
+    }
 }

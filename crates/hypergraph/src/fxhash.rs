@@ -28,9 +28,17 @@ impl FxHasher {
 }
 
 impl Hasher for FxHasher {
+    /// The multiply in `add_to_hash` only carries bits upward,
+    /// so the low bits of the state depend on the low bits of the last word
+    /// alone: the sorted pair `[0, x]` hashes as the single word `x << 32`,
+    /// and without the rotate every spoke of a hub with id 0 shares its low
+    /// 32 bits — one hashbrown probe chain, a quadratic
+    /// `HypergraphBuilder::add_edge`. Rotating the well-mixed high bits down
+    /// (as rustc-hash 2 does) serves both table indexing (low bits) and
+    /// control bytes (top 7 bits).
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 
     #[inline]
@@ -85,15 +93,6 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` keyed with the Fx algorithm.
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
-/// Hashes a single `u64` with the Fx algorithm — handy for building compact
-/// fingerprints without constructing a hasher at the call site.
-#[inline]
-pub fn hash_u64(word: u64) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u64(word);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,10 +141,23 @@ mod tests {
         assert!(set.contains(&99));
     }
 
+    /// Hub spokes `{0, x}` are `Vec<u32>` keys `[0, x]`: their hashes must
+    /// spread over the low bits a hash table indexes with.
     #[test]
-    fn hash_u64_helper_matches_hasher() {
-        let mut h = FxHasher::default();
-        h.write_u64(123);
-        assert_eq!(hash_u64(123), h.finish());
+    fn low_bits_spread_on_hub_spoke_keys() {
+        for keys in [
+            (1..100_000u32).map(|x| vec![0, x]).collect::<Vec<_>>(),
+            (0..99_999u32).map(|x| vec![x, 100_000]).collect(),
+        ] {
+            let low16: FxHashSet<u16> = keys.iter().map(|k| hash_of(k) as u16).collect();
+            // 99 999 balls into 65 536 bins leave ~78 % occupied when uniform.
+            assert!(
+                low16.len() > 40_000,
+                "{} distinct low-16-bit values over {} keys like {:?}",
+                low16.len(),
+                keys.len(),
+                keys[0]
+            );
+        }
     }
 }
