@@ -12,13 +12,12 @@
 //! * `match <labels.txt> <edges.txt> <qlabels.txt> <qedges.txt>
 //!   [--threads N] [--timeout SECS] [--print [LIMIT]]` — count (and
 //!   optionally print) embeddings of one query.
-//! * `batch` / `serve` — answer a *stream* of queries on one resident
-//!   worker pool ([`hgmatch_core::serve::MatchServer`]): `batch` reads a
-//!   query-list file and reports results in submission order; `serve`
-//!   reads specs from stdin (or `--input`) and streams results in
-//!   completion order. Both report per-query latency and aggregate
-//!   throughput. A query list has one `<qlabels> <qedges>` pair per line
-//!   (blank lines and `#` comments skipped).
+//! * `serve` — answer a *stream* of queries on one resident worker pool
+//!   ([`hgmatch_core::serve::MatchServer`]): reads specs from stdin (or a
+//!   query-list file with `--input`), streams results in completion order,
+//!   and reports per-query latency and aggregate throughput. A query list
+//!   has one `<qlabels> <qedges>` pair per line (blank lines and `#`
+//!   comments skipped).
 //! * `update` — consume an insert/delete stream file against a loaded
 //!   graph through [`hgmatch_hypergraph::DynamicHypergraph`]: applies ops
 //!   in batches, publishes an epoch snapshot per batch, optionally
@@ -30,8 +29,8 @@
 //! * `explain <labels.txt> <edges.txt> <qlabels.txt> <qedges.txt>
 //!   [--json|--observed]` — show the cost-based matching order, its
 //!   per-step cost estimates next to the greedy Algorithm 3 baseline, and
-//!   the dataflow; `--json` emits a deterministic machine-readable
-//!   report; `--observed` additionally executes the query (sequential
+//!   the SCAN/EXPAND/SINK dataflow; `--json` emits a deterministic
+//!   machine-readable report; `--observed` also executes the query (sequential
 //!   reference run) and reports per-position observed candidate counts
 //!   next to the planner's estimates — the same observed/estimated ratios
 //!   the adaptive re-optimizer's trigger consumes (DESIGN.md §15).
@@ -43,7 +42,6 @@ use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use hgmatch_core::operators::Dataflow;
 use hgmatch_core::serve::{MatchServer, QueryHandle, QueryOptions, ServeConfig};
 use hgmatch_core::{AggregateMode, AggregateSummary, MatchConfig, Matcher, ScoreFn};
 use hgmatch_datasets::{profile_by_name, sample_query, standard_settings};
@@ -54,7 +52,6 @@ pub const USAGE: &str = "usage:
   hgmatch generate <profile> <labels.txt> <edges.txt>
   hgmatch stats <labels.txt> <edges.txt> [--json]
   hgmatch match <labels> <edges> <qlabels> <qedges> [--threads N] [--timeout SECS] [--print [LIMIT]]
-  hgmatch batch <labels> <edges> <queries.txt> [serve flags]
   hgmatch serve <labels> <edges> [--input FILE] [serve flags]
   hgmatch listen <labels> <edges> [listen flags]
   hgmatch listen --snapshot <file.hgsnap> [listen flags]
@@ -65,8 +62,9 @@ pub const USAGE: &str = "usage:
   hgmatch explain <labels> <edges> <qlabels> <qedges> [--json|--observed]
   hgmatch sample-query <labels> <edges> <q2|q3|q4|q6> <seed> <out-labels> <out-edges>
 
-serve/batch answer many queries on one resident worker pool; a query list
-holds one `<qlabels> <qedges>` pair per line (# comments allowed).
+serve answers many queries on one resident worker pool, in completion
+order; a query list (stdin or --input) holds one `<qlabels> <qedges>` pair
+per line (# comments allowed).
 serve flags:
   --threads N       worker threads in the shared pool (default 4)
   --timeout SECS    per-query wall-clock budget (default: none)
@@ -74,8 +72,7 @@ serve flags:
   --agg MODE        aggregation mode per query (DESIGN.md §18.2):
                     count | materialize | topk:K[:SCORE] | sample:BUDGET[:SEED]
                     SCORE is edge_id_sum | min_edge | hash (default edge_id_sum)
-  --repeat K        batch only: submit the list K times (plan-cache demo)
-  --input FILE      serve only: read specs from FILE instead of stdin
+  --input FILE      read specs from FILE instead of stdin
   --quantum N       fairness quantum in tasks (default 64)
   --plan-cache N    plan-cache capacity, 0 disables (default 128)
 
@@ -117,7 +114,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
         "generate" => generate(&args[1..]),
         "stats" => stats(&args[1..]),
         "match" => do_match(&args[1..]),
-        "batch" => do_batch(&args[1..]),
         "serve" => do_serve(&args[1..]),
         "listen" => do_listen(&args[1..]),
         "snapshot" => do_snapshot(&args[1..]),
@@ -419,28 +415,17 @@ fn parse_agg(value: Option<&String>) -> Result<AggregateMode, String> {
     Ok(mode)
 }
 
-/// Which serving subcommand is parsing flags (they share most but not all).
-#[derive(PartialEq, Eq, Clone, Copy)]
-enum ServeMode {
-    /// `batch`: a query-list file argument, supports `--repeat`.
-    Batch,
-    /// `serve`: streams from stdin or `--input`.
-    Stream,
-}
-
-/// Options shared by `serve` and `batch`.
+/// Parsed flags of the `serve` subcommand.
 struct ServeCliOptions {
     config: ServeConfig,
     per_query: QueryOptions,
-    repeat: usize,
     input: Option<String>,
 }
 
 impl ServeCliOptions {
-    fn parse(args: &[String], mode: ServeMode) -> Result<Self, String> {
+    fn parse(args: &[String]) -> Result<Self, String> {
         let mut config = ServeConfig::default();
         let mut per_query = QueryOptions::count();
-        let mut repeat = 1usize;
         let mut input = None;
         let mut i = 0;
         while i < args.len() {
@@ -468,13 +453,6 @@ impl ServeCliOptions {
                     i += 1;
                     per_query.aggregate = Some(parse_agg(args.get(i))?);
                 }
-                "--repeat" if mode == ServeMode::Batch => {
-                    i += 1;
-                    repeat = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--repeat needs a number")?;
-                }
                 "--quantum" => {
                     i += 1;
                     config.fairness_quantum = args
@@ -489,24 +467,17 @@ impl ServeCliOptions {
                         .and_then(|s| s.parse().ok())
                         .ok_or("--plan-cache needs a number")?;
                 }
-                "--input" if mode == ServeMode::Stream => {
+                "--input" => {
                     i += 1;
                     input = Some(args.get(i).ok_or("--input needs a path")?.clone());
                 }
-                other => {
-                    let which = match mode {
-                        ServeMode::Batch => "batch",
-                        ServeMode::Stream => "serve",
-                    };
-                    return Err(format!("unknown {which} flag {other:?}"));
-                }
+                other => return Err(format!("unknown serve flag {other:?}")),
             }
             i += 1;
         }
         Ok(Self {
             config,
             per_query,
-            repeat: repeat.max(1),
             input,
         })
     }
@@ -607,51 +578,6 @@ fn print_aggregate(server: &MatchServer, served: usize, wall: Duration) {
     );
 }
 
-/// `batch`: submit every query of a list file (possibly `--repeat` times)
-/// to one shared pool, then report outcomes in submission order.
-fn do_batch(args: &[String]) -> Result<(), String> {
-    if args.len() < 3 {
-        return Err("batch needs <labels> <edges> <queries.txt>".into());
-    }
-    let data = std::sync::Arc::new(load(&args[0], &args[1])?);
-    let list = std::fs::read_to_string(&args[2])
-        .map_err(|e| format!("reading query list {}: {e}", args[2]))?;
-    let options = ServeCliOptions::parse(&args[3..], ServeMode::Batch)?;
-
-    let mut queries = Vec::new();
-    for (lineno, line) in list.lines().enumerate() {
-        if let Some(q) = parse_query_spec(line).map_err(|e| format!("line {}: {e}", lineno + 1))? {
-            queries.push((format!("q{}", lineno + 1), q));
-        }
-    }
-    if queries.is_empty() {
-        return Err("query list is empty".into());
-    }
-
-    let server = MatchServer::new(data, options.config);
-    let begin = Instant::now();
-    let mut handles: Vec<(String, QueryHandle)> = Vec::new();
-    for round in 0..options.repeat {
-        for (name, query) in &queries {
-            let tag = if options.repeat > 1 {
-                format!("{name}#{}", round + 1)
-            } else {
-                name.clone()
-            };
-            let handle = server
-                .submit(query, options.per_query.clone())
-                .map_err(|e| format!("{tag}: {e}"))?;
-            handles.push((tag, handle));
-        }
-    }
-    let total = handles.len();
-    for (name, handle) in handles {
-        print_outcome(&name, &handle.wait());
-    }
-    print_aggregate(&server, total, begin.elapsed());
-    Ok(())
-}
-
 /// `serve`: read query specs from stdin (or `--input FILE`), submit each
 /// as it arrives, and stream outcomes in completion order.
 fn do_serve(args: &[String]) -> Result<(), String> {
@@ -659,7 +585,7 @@ fn do_serve(args: &[String]) -> Result<(), String> {
         return Err("serve needs <labels> <edges>".into());
     }
     let data = std::sync::Arc::new(load(&args[0], &args[1])?);
-    let options = ServeCliOptions::parse(&args[2..], ServeMode::Stream)?;
+    let options = ServeCliOptions::parse(&args[2..])?;
 
     let server = MatchServer::new(data, options.config);
     let begin = Instant::now();
@@ -1262,6 +1188,7 @@ pub fn explain_report(
     json: bool,
 ) -> Result<String, String> {
     use hgmatch_core::{Explain, Planner, QueryGraph};
+    use std::fmt::Write as _;
     let data = load(labels, edges)?;
     let query = load(qlabels, qedges)?;
     let q = QueryGraph::new(&query).map_err(|e| e.to_string())?;
@@ -1274,11 +1201,18 @@ pub fn explain_report(
     let plan = Planner::plan_with_order(&q, &data, explain.chosen.order.clone())
         .map_err(|e| e.to_string())?;
     let mut out = String::new();
-    out.push_str(&format!(
-        "matching order (query hyperedges): {:?}\n",
-        plan.order()
-    ));
-    out.push_str(&format!("{}\n", Dataflow::from_plan(&plan, &data)));
+    let _ = writeln!(out, "matching order (query hyperedges): {:?}", plan.order());
+    // The plan is the Fig. 5a dataflow: the first step scans, the rest expand.
+    for (i, step) in plan.steps().iter().enumerate() {
+        let card = step.partition.map_or(0, |p| data.partition(p).len());
+        let (e, anchors) = (step.query_edge, step.anchors.len());
+        let _ = if i == 0 {
+            writeln!(out, "SCAN(q{e}) [card={card}]")
+        } else {
+            writeln!(out, "EXPAND(q{e}) [anchors={anchors}, card={card}]")
+        };
+    }
+    out.push_str("SINK\n");
     out.push_str(&explain.text());
     Ok(out)
 }

@@ -283,30 +283,26 @@ fn write_query_list(dir: &TempDir) -> (String, String, String) {
     (dl, de, list)
 }
 
+/// Runs `serve <dl> <de> --input <list>` followed by `extra` flags.
+fn serve_list(dl: &str, de: &str, list: &str, extra: &[&str]) -> Result<(), String> {
+    let mut argv = vec!["serve", dl, de, "--input", list];
+    argv.extend_from_slice(extra);
+    run(&args(&argv))
+}
+
+/// A batch of queries — a list file naming the paper query twice — served
+/// on one shared pool, with and without per-query limits.
 #[test]
 fn batch_serves_query_list_on_shared_pool() {
     let dir = TempDir::new("batch");
     let (dl, de, list) = write_query_list(&dir);
-    run(&args(&["batch", &dl, &de, &list, "--threads", "2"])).expect("batch works");
-    run(&args(&[
-        "batch",
-        &dl,
-        &de,
-        &list,
-        "--threads",
-        "2",
-        "--repeat",
-        "3",
-        "--max-results",
-        "1",
-        "--timeout",
-        "30",
-    ]))
-    .expect("batch with limits works");
+    serve_list(&dl, &de, &list, &["--threads", "2"]).expect("serve works");
+    let limits = ["--threads", "2", "--max-results", "1", "--timeout", "30"];
+    serve_list(&dl, &de, &list, &limits).expect("serve with limits works");
 }
 
-/// `--agg` selects the per-query aggregation mode (DESIGN.md §18.2) on
-/// both serving subcommands; malformed specs are flag errors, not panics.
+/// `--agg` selects the per-query aggregation mode (DESIGN.md §18.2);
+/// malformed specs are flag errors, not panics.
 #[test]
 fn batch_and_serve_accept_agg_modes() {
     let dir = TempDir::new("agg");
@@ -314,17 +310,14 @@ fn batch_and_serve_accept_agg_modes() {
     for agg in [
         "count",
         "materialize",
+        "topk:1",
         "topk:2",
         "topk:3:min_edge",
         "sample:2:7",
     ] {
-        run(&args(&["batch", &dl, &de, &list, "--agg", agg]))
-            .unwrap_or_else(|e| panic!("batch --agg {agg}: {e}"));
+        serve_list(&dl, &de, &list, &["--agg", agg])
+            .unwrap_or_else(|e| panic!("serve --agg {agg}: {e}"));
     }
-    run(&args(&[
-        "serve", &dl, &de, "--input", &list, "--agg", "topk:1",
-    ]))
-    .expect("serve --agg works");
     for bad in [
         "median",
         "topk",
@@ -335,10 +328,10 @@ fn batch_and_serve_accept_agg_modes() {
         "sample:2:x",
         "count:1",
     ] {
-        let err = run(&args(&["batch", &dl, &de, &list, "--agg", bad])).unwrap_err();
+        let err = serve_list(&dl, &de, &list, &["--agg", bad]).unwrap_err();
         assert!(err.contains("--agg"), "{bad}: {err}");
     }
-    assert!(run(&args(&["batch", &dl, &de, &list, "--agg"])).is_err());
+    assert!(serve_list(&dl, &de, &list, &["--agg"]).is_err());
 }
 
 #[test]
@@ -369,23 +362,8 @@ fn bad_timeouts_error_instead_of_panicking() {
     }
     let list = dir.path("q.txt");
     std::fs::write(&list, format!("{ql} {qe}\n")).unwrap();
-    assert!(run(&args(&["batch", &dl, &de, &list, "--timeout", "-5"])).is_err());
-}
-
-#[test]
-fn mode_specific_flags_are_rejected_crosswise() {
-    let dir = TempDir::new("modeflags");
-    let (dl, de, ql, qe) = write_paper_files(&dir);
-    let list = dir.path("q.txt");
-    std::fs::write(&list, format!("{ql} {qe}\n")).unwrap();
-    // serve does not repeat; batch does not take --input.
-    let err = run(&args(&[
-        "serve", &dl, &de, "--input", &list, "--repeat", "3",
-    ]))
-    .unwrap_err();
-    assert!(err.contains("--repeat"), "{err}");
-    let err = run(&args(&["batch", &dl, &de, &list, "--input", &list])).unwrap_err();
-    assert!(err.contains("--input"), "{err}");
+    let err = serve_list(&dl, &de, &list, &["--timeout", "-5"]).unwrap_err();
+    assert!(err.contains("--timeout"), "{err}");
 }
 
 #[test]
@@ -394,12 +372,11 @@ fn serve_and_batch_reject_bad_specs() {
     let (dl, de, _, _) = write_paper_files(&dir);
     let list = dir.path("bad.txt");
     std::fs::write(&list, "only-one-token\n").unwrap();
-    assert!(run(&args(&["batch", &dl, &de, &list])).is_err());
-    assert!(run(&args(&["serve", &dl, &de, "--input", &list])).is_err());
-    let empty = dir.path("empty.txt");
-    std::fs::write(&empty, "# nothing\n").unwrap();
-    assert!(run(&args(&["batch", &dl, &de, &empty])).is_err());
-    assert!(run(&args(&["batch", &dl, &de, &list, "--bogus"])).is_err());
+    let err = serve_list(&dl, &de, &list, &[]).unwrap_err();
+    assert!(err.contains("line 1"), "{err}");
+    let err = serve_list(&dl, &de, &list, &["--bogus"]).unwrap_err();
+    assert!(err.contains("--bogus"), "{err}");
+    assert!(serve_list(&dl, &de, &dir.path("missing.txt"), &[]).is_err());
 }
 
 #[test]
@@ -422,22 +399,17 @@ fn empty_and_overlong_queries_get_line_numbered_diagnostics() {
 
     let list = dir.path("mixed.txt");
     std::fs::write(&list, format!("{ql} {qe}\n{el} {ee}\n")).unwrap();
-    let err = run(&args(&["batch", &dl, &de, &list])).unwrap_err();
+    let err = serve_list(&dl, &de, &list, &[]).unwrap_err();
     assert!(
         err.contains("line 2") && err.contains("no hyperedges"),
         "empty query must get a line-numbered diagnostic: {err}"
     );
 
     std::fs::write(&list, format!("# header\n{ql} {qe}\n\n{bl} {be}\n")).unwrap();
-    let err = run(&args(&["batch", &dl, &de, &list])).unwrap_err();
+    let err = serve_list(&dl, &de, &list, &[]).unwrap_err();
     assert!(
         err.contains("line 4") && err.contains("65"),
         "over-long query must get a line-numbered diagnostic: {err}"
-    );
-    let err = run(&args(&["serve", &dl, &de, "--input", &list])).unwrap_err();
-    assert!(
-        err.contains("line 4") && err.contains("65"),
-        "serve must reject the same way: {err}"
     );
 }
 

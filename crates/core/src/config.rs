@@ -100,21 +100,13 @@ pub(crate) fn default_replan_ratio() -> f64 {
 pub(crate) const PLAN_MARGIN: f64 = 2.0;
 
 /// Beam width of the cost-based order search for queries above the
-/// exhaustive bound (DESIGN.md §13). Overridable via `HGMATCH_PLAN_BEAM`
-/// (the CI plan-stress job pins a tiny width).
-pub(crate) fn default_plan_beam() -> usize {
-    static CACHE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    env_usize(&CACHE, "HGMATCH_PLAN_BEAM").unwrap_or(8).max(1)
-}
+/// exhaustive bound (DESIGN.md §13.3).
+pub(crate) const PLAN_BEAM: usize = 8;
 
 /// Largest query-edge count the order search enumerates exhaustively with
-/// branch-and-bound; larger queries fall back to beam search. Overridable
-/// via `HGMATCH_PLAN_EXHAUSTIVE` (`0` forces beam search for every size,
-/// which is how CI stresses the beam path on small queries).
-pub(crate) fn default_plan_exhaustive() -> usize {
-    static CACHE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    env_usize(&CACHE, "HGMATCH_PLAN_EXHAUSTIVE").unwrap_or(8)
-}
+/// branch-and-bound; larger queries fall back to beam search. Tests reach
+/// the beam path through [`crate::CostModel::best_order_bounded`].
+pub(crate) const PLAN_EXHAUSTIVE: usize = 8;
 
 impl Default for MatchConfig {
     fn default() -> Self {

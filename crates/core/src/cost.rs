@@ -26,10 +26,9 @@
 //! * **Search.** Exhaustive depth-first enumeration of connected orders
 //!   with branch-and-bound pruning (costs only grow, so a partial order
 //!   costing more than the best complete one is dead) for queries up to
-//!   [`crate::config`]'s exhaustive bound (default 8 hyperedges, env
-//!   `HGMATCH_PLAN_EXHAUSTIVE`); beam search above it (default width 8,
-//!   env `HGMATCH_PLAN_BEAM`). Ties break towards the lexicographically
-//!   smallest order, so planning is deterministic.
+//!   [`crate::config`]'s exhaustive bound (8 hyperedges); beam search of
+//!   width 8 above it. Ties break towards the lexicographically smallest
+//!   order, so planning is deterministic.
 //!
 //! [`Explain`] packages the chosen order, its per-step estimates and the
 //! greedy baseline into deterministic text/JSON for the CLI `explain`
@@ -39,7 +38,7 @@ use std::fmt::Write as _;
 
 use hgmatch_hypergraph::{Hypergraph, SignatureId};
 
-use crate::config::{default_plan_beam, default_plan_exhaustive, PLAN_MARGIN};
+use crate::config::{PLAN_BEAM, PLAN_EXHAUSTIVE, PLAN_MARGIN};
 use crate::query::QueryGraph;
 
 /// Cost estimate of one step of a candidate matching order.
@@ -212,11 +211,10 @@ impl<'a> CostModel<'a> {
         })
     }
 
-    /// The cheapest connected order under this model, using the
-    /// process-default search bounds (`HGMATCH_PLAN_BEAM`,
-    /// `HGMATCH_PLAN_EXHAUSTIVE`).
+    /// The cheapest connected order under this model, using the planner's
+    /// search bounds.
     pub fn best_order(&self) -> Vec<u32> {
-        self.best_order_bounded(default_plan_beam(), default_plan_exhaustive())
+        self.best_order_bounded(PLAN_BEAM, PLAN_EXHAUSTIVE)
     }
 
     /// The planner's final choice between `greedy` (the paper's Algorithm
@@ -268,7 +266,7 @@ impl<'a> CostModel<'a> {
     /// and determinism rules as [`CostModel::best_order`], keyed on the
     /// *suffix* length.
     pub fn best_order_with_prefix(&self, prefix: &[u32]) -> Vec<u32> {
-        self.best_order_with_prefix_bounded(prefix, default_plan_beam(), default_plan_exhaustive())
+        self.best_order_with_prefix_bounded(prefix, PLAN_BEAM, PLAN_EXHAUSTIVE)
     }
 
     /// [`CostModel::best_order_with_prefix`] with explicit search bounds.
@@ -468,30 +466,28 @@ pub struct Explain {
 }
 
 impl Explain {
-    /// Builds the report for `query` against `data` using the
-    /// process-default search bounds and margin — the same decision path
-    /// as [`crate::Planner::plan`].
+    /// Builds the report for `query` against `data` using the planner's
+    /// search bounds and margin — the same decision path as
+    /// [`crate::Planner::plan`].
     pub fn new(query: &QueryGraph, data: &Hypergraph) -> Self {
         let model = CostModel::new(query, data);
-        let beam = default_plan_beam();
-        let exhaustive_max = default_plan_exhaustive();
-        let margin = PLAN_MARGIN;
         let greedy_order = crate::plan::Planner::greedy_order(query, data);
-        let searched_order = model.best_order_bounded(beam, exhaustive_max);
-        let chosen_order = model.choose_order(greedy_order.clone(), searched_order.clone(), margin);
+        let searched_order = model.best_order();
+        let chosen_order =
+            model.choose_order(greedy_order.clone(), searched_order.clone(), PLAN_MARGIN);
         let chosen = model.estimate_order(&chosen_order);
         let infeasible = chosen.steps.iter().any(|s| s.cardinality == 0);
         Self {
             chosen,
             searched: model.estimate_order(&searched_order),
             greedy: model.estimate_order(&greedy_order),
-            strategy: if query.num_edges() <= exhaustive_max {
+            strategy: if query.num_edges() <= PLAN_EXHAUSTIVE {
                 "exhaustive"
             } else {
                 "beam"
             },
-            beam,
-            margin,
+            beam: PLAN_BEAM,
+            margin: PLAN_MARGIN,
             infeasible,
         }
     }

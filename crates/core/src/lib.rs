@@ -20,8 +20,9 @@
 //!    *vertex profiles* — no backtracking ever happens (Algorithm 5,
 //!    Theorem V.2).
 //!
-//! Execution is expressed as a SCAN → EXPAND* → SINK dataflow
-//! ([`operators`]) and scheduled by one of three executors:
+//! A compiled [`Plan`] is the paper's SCAN → EXPAND* → SINK dataflow
+//! (Fig. 5a): its first step scans, every later step expands. It is
+//! scheduled by one of three executors:
 //!
 //! * [`exec::SequentialExecutor`] — depth-first, single thread, the
 //!   reference semantics (also collects the Fig. 9 filtering metrics);
@@ -79,7 +80,6 @@ pub mod exec;
 pub mod matcher;
 pub mod memory;
 pub mod metrics;
-pub mod operators;
 pub mod plan;
 pub mod query;
 pub mod serve;

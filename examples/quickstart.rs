@@ -1,12 +1,11 @@
 //! Quickstart: the paper's running example (Fig. 1) end to end.
 //!
 //! Builds the data hypergraph of Fig. 1b and the query of Fig. 1a, shows
-//! the signature-partitioned storage (Table I), the compiled plan and
-//! dataflow, and enumerates both embeddings.
+//! the signature-partitioned storage (Table I) and the compiled matching
+//! order, and enumerates both embeddings.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use hgmatch_core::operators::Dataflow;
 use hgmatch_core::Matcher;
 use hgmatch_hypergraph::{HypergraphBuilder, Label};
 
@@ -58,10 +57,9 @@ fn main() {
 
     let matcher = Matcher::new(&data);
 
-    // EXPLAIN: matching order and dataflow (Fig. 5a).
+    // EXPLAIN: the matching order, i.e. the SCAN → EXPAND* path of Fig. 5a.
     let plan = matcher.plan(&query).unwrap();
     println!("\nMatching order over query hyperedges: {:?}", plan.order());
-    println!("{}", Dataflow::from_plan(&plan, &data));
 
     // Enumerate. The paper's two embeddings are (e1,e3,e5) and (e2,e4,e6);
     // with 0-indexed ids those are (e0,e2,e4) and (e1,e3,e5).
