@@ -9,7 +9,9 @@
 //!    over a hub-heavy dataset, the scaled-up twin of the CLI `explain`
 //!    golden fixture): greedy starts at the smallest partition, whose hub
 //!    vertex fans the frontier out; the cost model starts at the selective
-//!    end instead.
+//!    end instead. Both scales are priced above the pilot gate; the pilot
+//!    (DESIGN.md §13.3) measures the model's order against greedy and
+//!    keeps it.
 //! 2. Profile queries — q2/q3 random-walk queries sampled from Table II
 //!    dataset profiles, the same sampler the figure benches use.
 //!
@@ -22,14 +24,18 @@
 //!
 //! Results print as TSV; `--json PATH` writes the committed
 //! `BENCH_plan.json` baseline shape (fixed field order, deterministic row
-//! order). `HGMATCH_BENCH_SMOKE=1` shrinks everything for CI.
+//! order). `HGMATCH_BENCH_SMOKE=1` shrinks the profile rows for CI; the
+//! adversary keeps its smaller full-size scale, where a 100× gap is
+//! measurable. `--check` exits 1 when a profile row's cost-based order runs
+//! more than 10 % slower than greedy's, or an adversary row's speed-up is
+//! below 100×.
 //!
-//! Usage: `plan_quality [--timeout SECS] [--repeat N] [--json PATH]`.
+//! Usage: `plan_quality [--timeout SECS] [--repeat N] [--json PATH] [--check]`.
 
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use hgmatch_bench::experiments::bench_smoke;
+use hgmatch_bench::experiments::{bench_smoke, num_cpus};
 use hgmatch_core::{CostModel, CountSink, MatchConfig, Matcher, Planner, QueryGraph};
 use hgmatch_datasets::{profile_by_name, sample_query, standard_settings};
 use hgmatch_hypergraph::{Hypergraph, HypergraphBuilder, Label};
@@ -149,8 +155,8 @@ fn measure(
     let q = QueryGraph::new(query).expect("valid query");
     let model = CostModel::new(&q, data);
     let greedy_order = Planner::greedy_order(&q, data);
-    // The order the production planner actually compiles (search result
-    // gated by the confidence margin).
+    // The order the production planner actually compiles (margin-gated
+    // search, piloted above the gate).
     let cost_order = Planner::plan(&q, data).expect("plans").order().to_vec();
     let worst_order = model.worst_order(8);
 
@@ -189,6 +195,7 @@ fn main() {
     let mut timeout = Duration::from_secs(if smoke { 5 } else { 30 });
     let mut repeat = if smoke { 1 } else { 3 };
     let mut json_path: Option<String> = None;
+    let mut check = false;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -212,6 +219,7 @@ fn main() {
                 i += 1;
                 json_path = Some(args.get(i).expect("--json PATH").clone());
             }
+            "--check" => check = true,
             other => panic!("unknown flag {other:?}"),
         }
         i += 1;
@@ -221,7 +229,7 @@ fn main() {
 
     // Workload 1: the planner-adversary family at two scales.
     let scales: &[(u32, u32, u32)] = if smoke {
-        &[(4, 400, 16)]
+        &[(8, 20_000, 64)]
     } else {
         &[(8, 20_000, 64), (16, 60_000, 128)]
     };
@@ -268,16 +276,35 @@ fn main() {
         }
     }
 
-    println!("# plan_quality: timeout {:?}, repeat {repeat}", timeout);
+    let host_cpus = num_cpus();
+    println!("# plan_quality: timeout {timeout:?}, repeat {repeat}, host_cpus={host_cpus}");
     println!(
         "workload\tquery\tedges\tembeddings\tgreedy_s\tcost_s\tworst_s\tspeedup\tgreedy_order\tcost_order\tworst_order"
     );
     let mut regressions = 0usize;
     let mut best_speedup = 0.0f64;
+    let mut failures: Vec<String> = Vec::new();
     for row in &rows {
         let speedup = row.speedup();
-        if speedup < 1.0 / 1.1 {
-            regressions += 1;
+        let regressed = speedup < 1.0 / 1.1;
+        regressions += usize::from(regressed);
+        if row.workload == "adversary" {
+            if speedup < 100.0 {
+                failures.push(format!(
+                    "adversary {} speed-up {speedup:.1}x < 100x",
+                    row.query
+                ));
+            }
+        } else if regressed {
+            failures.push(format!(
+                "{} {}: cost-based {:?} {:.6} s vs greedy {:?} {:.6} s",
+                row.workload,
+                row.query,
+                row.cost.order,
+                row.cost.secs,
+                row.greedy.order,
+                row.greedy.secs
+            ));
         }
         if row.edges > 1 {
             best_speedup = best_speedup.max(speedup);
@@ -311,7 +338,7 @@ fn main() {
         out.push_str("{\n");
         let _ = writeln!(
             out,
-            "  \"timeout_s\": {:.1}, \"repeat\": {repeat}, \"regressions\": {regressions}, \"best_multi_edge_speedup\": {best_speedup:.3},",
+            "  \"host_cpus\": {host_cpus}, \"timeout_s\": {:.1}, \"repeat\": {repeat}, \"regressions\": {regressions}, \"best_multi_edge_speedup\": {best_speedup:.3},",
             timeout.as_secs_f64()
         );
         out.push_str("  \"rows\": [\n");
@@ -338,5 +365,15 @@ fn main() {
         out.push_str("  ]\n}\n");
         std::fs::write(&path, out).expect("write json report");
         println!("# wrote {path}");
+    }
+
+    if check {
+        if !failures.is_empty() {
+            for f in &failures {
+                eprintln!("# CHECK FAILED: {f}");
+            }
+            std::process::exit(1);
+        }
+        println!("# CHECK OK");
     }
 }

@@ -30,15 +30,21 @@
 //!   width 8 above it. Ties break towards the lexicographically smallest
 //!   order, so planning is deterministic.
 //!
-//! [`Explain`] packages the chosen order, its per-step estimates and the
-//! greedy baseline into deterministic text/JSON for the CLI `explain`
-//! subcommand and the `plan_quality` bench.
+//! The search also yields the `k` cheapest orders: the shortlist that
+//! [`crate::pilot`] measures for a query the model prices as expensive.
+//! [`Explain`] packages the chosen order, its per-step estimates, the
+//! greedy baseline and the pilot's runs into deterministic text/JSON for
+//! the CLI `explain` subcommand.
 
 use std::fmt::Write as _;
 
 use hgmatch_hypergraph::{Hypergraph, SignatureId};
 
 use crate::config::{PLAN_BEAM, PLAN_EXHAUSTIVE, PLAN_MARGIN};
+use crate::pilot::{
+    PilotRun, EXPANSION_WEIGHT, PILOT_MARGIN, PILOT_MIN_COST, SAMPLE_CHILDREN, SAMPLE_ROWS,
+};
+use crate::plan::Planner;
 use crate::query::QueryGraph;
 
 /// Cost estimate of one step of a candidate matching order.
@@ -239,23 +245,37 @@ impl<'a> CostModel<'a> {
     /// `beam`. Deterministic: ties break to the lexicographically smallest
     /// order.
     pub fn best_order_bounded(&self, beam: usize, exhaustive_max: usize) -> Vec<u32> {
-        let ne = self.query.num_edges();
-        if ne <= exhaustive_max {
-            self.exhaustive_best()
-        } else {
-            self.beam_best(beam.max(1))
-        }
+        self.cheapest_orders_bounded(1, beam, exhaustive_max)
+            .swap_remove(0)
     }
 
-    /// Exhaustive DFS over connected orders with branch-and-bound pruning.
-    fn exhaustive_best(&self) -> Vec<u32> {
+    /// The `k` cheapest connected orders under the planner's search
+    /// bounds, cheapest first — the pilot's shortlist (DESIGN.md §13.3).
+    pub(crate) fn cheapest_orders(&self, k: usize) -> Vec<Vec<u32>> {
+        self.cheapest_orders_bounded(k, PLAN_BEAM, PLAN_EXHAUSTIVE)
+    }
+
+    /// Up to `k` cheapest connected orders, cheapest first with ties to the
+    /// lexicographically smaller order: exhaustive branch-and-bound (pruned
+    /// against the `k`-th best) up to `exhaustive_max` hyperedges, the
+    /// final frontier of a width-`beam` search above it. Never empty.
+    fn cheapest_orders_bounded(
+        &self,
+        k: usize,
+        beam: usize,
+        exhaustive_max: usize,
+    ) -> Vec<Vec<u32>> {
         let ne = self.query.num_edges();
-        let mut best_cost = f64::INFINITY;
-        let mut best: Vec<u32> = Vec::new();
-        let mut prefix: Vec<u32> = Vec::with_capacity(ne);
-        self.dfs(0, 1.0, 0.0, &mut prefix, &mut best_cost, &mut best);
-        debug_assert_eq!(best.len(), ne);
-        best
+        if ne <= exhaustive_max {
+            let mut best = Vec::new();
+            let mut prefix: Vec<u32> = Vec::with_capacity(ne);
+            self.dfs(0, 1.0, 0.0, &mut prefix, k.max(1), &mut best);
+            best.into_iter().map(|(_, order)| order).collect()
+        } else {
+            let mut frontier = self.beam_from(beam.max(1), 0, Vec::new(), 1.0, 0.0);
+            frontier.truncate(k.max(1));
+            frontier
+        }
     }
 
     /// The cheapest complete order *extending* a fixed prefix — the
@@ -287,36 +307,38 @@ impl<'a> CostModel<'a> {
             mask |= 1 << e;
         }
         if ne - prefix.len() <= exhaustive_max {
-            let mut best_cost = f64::INFINITY;
-            let mut best: Vec<u32> = Vec::new();
+            let mut best = Vec::new();
             let mut seeded = prefix.to_vec();
             seeded.reserve(ne - prefix.len());
-            self.dfs(mask, partials, cost, &mut seeded, &mut best_cost, &mut best);
-            debug_assert_eq!(best.len(), ne);
-            best
+            self.dfs(mask, partials, cost, &mut seeded, 1, &mut best);
+            best.swap_remove(0).1
         } else {
             self.beam_from(beam.max(1), mask, prefix.to_vec(), partials, cost)
+                .swap_remove(0)
         }
     }
 
+    /// Depth-first enumeration of the connected orders extending `prefix`,
+    /// keeping the `k` cheapest complete ones in `best` (sorted by cost).
     fn dfs(
         &self,
         mask: u64,
         partials: f64,
         cost: f64,
         prefix: &mut Vec<u32>,
-        best_cost: &mut f64,
-        best: &mut Vec<u32>,
+        k: usize,
+        best: &mut Vec<(f64, Vec<u32>)>,
     ) {
         if prefix.len() == self.query.num_edges() {
             // Strict improvement only (the ascending iteration order makes
-            // the first-found minimum the lexicographically smallest) —
-            // except that the first completed order is always taken, so
-            // the search returns a valid permutation even when every
-            // order's estimate overflows to infinity.
-            if cost < *best_cost || best.is_empty() {
-                *best_cost = cost;
-                best.clone_from(prefix);
+            // the first-found of equal costs the lexicographically
+            // smallest) — except that the first `k` completed orders are
+            // always taken, so the search returns valid permutations even
+            // when every order's estimate overflows to infinity.
+            if best.len() < k || cost < best[k - 1].0 {
+                let at = best.partition_point(|(c, _)| *c <= cost);
+                best.insert(at, (cost, prefix.clone()));
+                best.truncate(k);
             }
             return;
         }
@@ -324,7 +346,7 @@ impl<'a> CostModel<'a> {
         for e in extensions {
             let step = self.step(e, mask, partials);
             let next_cost = cost + step.cost;
-            if next_cost >= *best_cost && !best.is_empty() {
+            if best.len() == k && next_cost >= best[k - 1].0 {
                 continue; // branch-and-bound: costs only grow
             }
             prefix.push(e);
@@ -333,20 +355,16 @@ impl<'a> CostModel<'a> {
                 step.partials_out,
                 next_cost,
                 prefix,
-                best_cost,
+                k,
                 best,
             );
             prefix.pop();
         }
     }
 
-    /// Beam search: keep the `beam` cheapest partial orders per level.
-    fn beam_best(&self, beam: usize) -> Vec<u32> {
-        self.beam_from(beam, 0, Vec::new(), 1.0, 0.0)
-    }
-
     /// Beam search from an arbitrary seed state (empty seed = full search;
-    /// a prefix seed = the adaptive suffix re-search).
+    /// a prefix seed = the adaptive suffix re-search). Returns the final
+    /// frontier, cheapest first.
     fn beam_from(
         &self,
         beam: usize,
@@ -354,7 +372,7 @@ impl<'a> CostModel<'a> {
         order: Vec<u32>,
         partials: f64,
         cost: f64,
-    ) -> Vec<u32> {
+    ) -> Vec<Vec<u32>> {
         #[derive(Clone)]
         struct State {
             mask: u64,
@@ -389,7 +407,7 @@ impl<'a> CostModel<'a> {
             next.truncate(beam);
             frontier = next;
         }
-        frontier.swap_remove(0).order
+        frontier.into_iter().map(|state| state.order).collect()
     }
 
     /// The *most expensive* connected order under this model — the
@@ -463,18 +481,28 @@ pub struct Explain {
     pub margin: f64,
     /// Whether some query signature is absent from the data (zero results).
     pub infeasible: bool,
+    /// The pilot's run of every shortlisted order, in the order they ran;
+    /// empty when the model's choice cost no more than the pilot gate.
+    pub pilot: Vec<PilotRun>,
 }
 
 impl Explain {
     /// Builds the report for `query` against `data` using the planner's
-    /// search bounds and margin — the same decision path as
+    /// search bounds, margin and pilot gate — the same decision path as
     /// [`crate::Planner::plan`].
     pub fn new(query: &QueryGraph, data: &Hypergraph) -> Self {
         let model = CostModel::new(query, data);
-        let greedy_order = crate::plan::Planner::greedy_order(query, data);
+        let greedy_order = Planner::greedy_order(query, data);
         let searched_order = model.best_order();
-        let chosen_order =
-            model.choose_order(greedy_order.clone(), searched_order.clone(), PLAN_MARGIN);
+        let (chosen_order, pilot) = match Planner::plan_piloted(query, data, PILOT_MIN_COST) {
+            Ok((plan, runs)) => (plan.order().to_vec(), runs),
+            // No order of this query compiles; report the model's choice,
+            // whose compilation fails with the same error.
+            Err(_) => (
+                model.choose_order(greedy_order.clone(), searched_order.clone(), PLAN_MARGIN),
+                Vec::new(),
+            ),
+        };
         let chosen = model.estimate_order(&chosen_order);
         let infeasible = chosen.steps.iter().any(|s| s.cardinality == 0);
         Self {
@@ -489,6 +517,7 @@ impl Explain {
             beam: PLAN_BEAM,
             margin: PLAN_MARGIN,
             infeasible,
+            pilot,
         }
     }
 
@@ -527,7 +556,25 @@ impl Explain {
         if self.searched.order != self.chosen.order && self.searched.order != self.greedy.order {
             table(&mut out, "searched", &self.searched);
         }
-        if self.chosen.order == self.greedy.order {
+        if !self.pilot.is_empty() {
+            let _ = writeln!(
+                out,
+                "pilot (model cost above {}): {SAMPLE_ROWS} sampled rows, {SAMPLE_CHILDREN} child per level, cost = {EXPANSION_WEIGHT}*expansions + candidates, first order replaced at {PILOT_MARGIN}x cheaper",
+                fmt_f64(PILOT_MIN_COST)
+            );
+            let _ = writeln!(out, "  order\texpansions\tcandidates\tcost\toutcome");
+            for run in &self.pilot {
+                let _ = writeln!(
+                    out,
+                    "  {:?}\t{}\t{}\t{}\t{}",
+                    run.order,
+                    fmt_f64(run.expansions),
+                    fmt_f64(run.candidates),
+                    fmt_f64(run.cost),
+                    run.outcome.as_str()
+                );
+            }
+        } else if self.chosen.order == self.greedy.order {
             let _ = writeln!(
                 out,
                 "keeping the greedy order (search win {}x is within the margin)",
@@ -574,8 +621,29 @@ impl Explain {
                 steps.join(", ")
             )
         }
+        // The pilot's section exists only when it ran, so an unpiloted
+        // report reads exactly as it did before there was a pilot.
+        let pilot = if self.pilot.is_empty() {
+            String::new()
+        } else {
+            let runs: Vec<String> = self
+                .pilot
+                .iter()
+                .map(|run| {
+                    format!(
+                        "{{\"order\": {:?}, \"expansions\": {}, \"candidates\": {}, \"cost\": {}, \"outcome\": \"{}\"}}",
+                        run.order,
+                        fmt_f64(run.expansions),
+                        fmt_f64(run.candidates),
+                        fmt_f64(run.cost),
+                        run.outcome.as_str()
+                    )
+                })
+                .collect();
+            format!(",\n  \"pilot\": [{}]", runs.join(", "))
+        };
         format!(
-            "{{\n  \"strategy\": \"{}\",\n  \"beam\": {},\n  \"margin\": {},\n  \"infeasible\": {},\n  \"chosen\": {},\n  \"searched\": {},\n  \"greedy\": {}\n}}\n",
+            "{{\n  \"strategy\": \"{}\",\n  \"beam\": {},\n  \"margin\": {},\n  \"infeasible\": {},\n  \"chosen\": {},\n  \"searched\": {},\n  \"greedy\": {}{pilot}\n}}\n",
             self.strategy,
             self.beam,
             fmt_f64(self.margin),
@@ -671,6 +739,33 @@ mod tests {
     }
 
     #[test]
+    fn cheapest_orders_are_the_sorted_head_of_all_orders() {
+        let data = paper_data();
+        let q = paper_query();
+        let model = CostModel::new(&q, &data);
+        let mut all: Vec<(f64, Vec<u32>)> = [
+            [0u32, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ]
+        .iter()
+        .map(|o| (model.estimate_order(o).total_cost, o.to_vec()))
+        .collect();
+        all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let sorted: Vec<Vec<u32>> = all.into_iter().map(|(_, o)| o).collect();
+        for k in 1..=8 {
+            let head = &sorted[..k.min(sorted.len())];
+            assert_eq!(model.cheapest_orders_bounded(k, 8, 8), head);
+            // The beam's final frontier at full width is exact too.
+            assert_eq!(model.cheapest_orders_bounded(k, 64, 0), head);
+        }
+        assert_eq!(model.cheapest_orders(1)[0], model.best_order());
+    }
+
+    #[test]
     fn beam_search_agrees_with_exhaustive_at_full_width() {
         let data = paper_data();
         let q = paper_query();
@@ -731,6 +826,50 @@ mod tests {
         assert!(a.json().contains("\"strategy\": \"exhaustive\""));
         assert!(a.json().contains("\"chosen\""));
         assert!(a.text().contains("greedy order"));
+    }
+
+    #[test]
+    fn explain_lists_the_pilot_only_when_it_ran() {
+        // The paper's instance costs 29: no pilot, no pilot section.
+        let unpiloted = Explain::new(&paper_query(), &paper_data());
+        assert!(unpiloted.pilot.is_empty());
+        assert!(!unpiloted.json().contains("pilot") && !unpiloted.text().contains("pilot"));
+
+        // An A–B–C path over 400 disjoint A–B–C chains is priced above the
+        // gate, so both of its orders are piloted.
+        let mut b = HypergraphBuilder::new();
+        for i in 0..400 {
+            for l in 0..3 {
+                b.add_vertex(Label::new(l));
+            }
+            b.add_edge(vec![3 * i, 3 * i + 1]).unwrap();
+            b.add_edge(vec![3 * i + 1, 3 * i + 2]).unwrap();
+        }
+        let data = b.build().unwrap();
+        let mut b = HypergraphBuilder::new();
+        b.add_vertices(1, Label::new(0));
+        b.add_vertices(1, Label::new(1));
+        b.add_vertices(1, Label::new(2));
+        b.add_edge(vec![0, 1]).unwrap();
+        b.add_edge(vec![1, 2]).unwrap();
+        let q = QueryGraph::new(&b.build().unwrap()).unwrap();
+        let explain = Explain::new(&q, &data);
+        assert_eq!(explain.pilot.len(), 2);
+        let chosen: Vec<&PilotRun> = explain
+            .pilot
+            .iter()
+            .filter(|run| run.outcome == crate::pilot::PilotOutcome::Chosen)
+            .collect();
+        assert_eq!(chosen.len(), 1);
+        assert_eq!(chosen[0].order, explain.chosen.order);
+        assert_eq!(
+            chosen[0].order,
+            Planner::plan(&q, &data).unwrap().order().to_vec()
+        );
+        // 400 scanned rows, each expanding once into one candidate.
+        assert_eq!((chosen[0].expansions, chosen[0].candidates), (400.0, 400.0));
+        assert!(explain.text().contains("pilot (model cost above 512.0000)"));
+        assert!(explain.json().contains("\"outcome\": \"chosen\""));
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!    data hypergraph's per-partition cardinality statistics: a
 //!    statistics-driven cost model with bounded enumeration of connected
 //!    orders ([`cost`], DESIGN.md §13), falling back to the paper's greedy
-//!    Algorithm 3 whenever the model predicts no significant win.
+//!    Algorithm 3 whenever the model predicts no significant win. A query
+//!    the model prices as expensive has its shortlisted orders measured on
+//!    a sample instead ([`pilot`]).
 //! 2. [`candidates`] generates candidate data hyperedges for the next query
 //!    hyperedge purely with sorted-set operations over the inverted
 //!    hyperedge index (Algorithm 4, Observations V.1–V.4).
@@ -80,6 +82,7 @@ pub mod exec;
 pub mod matcher;
 pub mod memory;
 pub mod metrics;
+pub mod pilot;
 pub mod plan;
 pub mod query;
 pub mod serve;
@@ -94,6 +97,7 @@ pub use embedding::Embedding;
 pub use error::{MatchError, Result};
 pub use matcher::{AggregateOutcome, Matcher};
 pub use metrics::{MatchMetrics, StepCounts, MAX_PLAN_STEPS};
+pub use pilot::{PilotOutcome, PilotRun};
 pub use plan::{Plan, Planner};
 pub use query::{validate_query_shape, QueryGraph, MAX_QUERY_EDGES};
 pub use serve::{MatchServer, QueryHandle, QueryOptions, QueryOutcome, QueryStatus, ServeConfig};

@@ -20,8 +20,10 @@
 
 use hgmatch_hypergraph::{Hypergraph, Label, SignatureId};
 
+use crate::config::{PLAN_BEAM, PLAN_MARGIN};
 use crate::cost::CostModel;
 use crate::error::{MatchError, Result};
+use crate::pilot::PilotRun;
 use crate::query::QueryGraph;
 
 /// Most profile classes one step may carry. A class's code is a byte in
@@ -185,22 +187,55 @@ impl Plan {
 pub struct Planner;
 
 impl Planner {
-    /// Compiles the cost-based plan for `query` against `data`: the
-    /// cheapest connected order under the statistics-driven model of
-    /// [`crate::cost::CostModel`] (exhaustive with branch-and-bound for
-    /// small queries, beam search above the exhaustive bound; DESIGN.md
-    /// §13), then per-step anchor/profile compilation. The searched order
-    /// replaces the greedy Algorithm 3 baseline only when the model
-    /// predicts a win beyond the planner's 2× confidence margin;
-    /// near-ties keep the baseline.
+    /// Compiles the cost-based plan for `query` against `data` (DESIGN.md
+    /// §13): the cheapest connected order under the statistics-driven
+    /// model of [`crate::cost::CostModel`] (exhaustive with
+    /// branch-and-bound for small queries, beam search above the
+    /// exhaustive bound), which replaces the greedy Algorithm 3 baseline
+    /// only when the model predicts a win beyond the planner's 2×
+    /// confidence margin. When the model prices that choice above the
+    /// pilot gate, the pilot of [`crate::pilot`] measures it, greedy and
+    /// the model's cheapest orders on a sample, and an order measured 2×
+    /// cheaper than the model's choice is compiled instead.
     pub fn plan(query: &QueryGraph, data: &Hypergraph) -> Result<Plan> {
+        Ok(Self::plan_piloted(query, data, crate::pilot::PILOT_MIN_COST)?.0)
+    }
+
+    /// [`Planner::plan`] without the pilot: the model's own choice, priced
+    /// by the model. Its cost is what the front door's `--admit-cost`
+    /// compares, so shedding a query never pays for its pilot.
+    pub fn plan_unpiloted(query: &QueryGraph, data: &Hypergraph) -> Result<Plan> {
+        Ok(Self::plan_piloted(query, data, f64::INFINITY)?.0)
+    }
+
+    /// [`Planner::plan`] with the pilot gate as an argument, returning the
+    /// pilot's runs too (empty when it did not run): the hook `explain`
+    /// and the order-invariance tests reach the pilot through.
+    #[doc(hidden)]
+    pub fn plan_piloted(
+        query: &QueryGraph,
+        data: &Hypergraph,
+        gate: f64,
+    ) -> Result<(Plan, Vec<PilotRun>)> {
         let model = CostModel::new(query, data);
-        let order = model.choose_order(
-            Self::greedy_order(query, data),
-            model.best_order(),
-            crate::config::PLAN_MARGIN,
-        );
-        Self::compile_with_model(query, data, order, &model)
+        let greedy = Self::greedy_order(query, data);
+        let order = model.choose_order(greedy.clone(), model.best_order(), PLAN_MARGIN);
+        let plan = Self::compile_with_model(query, data, order, &model)?;
+        if plan.cost() <= gate || plan.is_infeasible() {
+            return Ok((plan, Vec::new()));
+        }
+        let mut shortlist = vec![plan];
+        for order in std::iter::once(greedy).chain(model.cheapest_orders(PLAN_BEAM)) {
+            if shortlist.iter().all(|p| p.order() != order) {
+                shortlist.push(Self::compile_with_model(query, data, order, &model)?);
+            }
+        }
+        if shortlist.len() == 1 {
+            return Ok((shortlist.swap_remove(0), Vec::new()));
+        }
+        shortlist[1..].sort_by(|a, b| a.cost().total_cmp(&b.cost()).then(a.order().cmp(b.order())));
+        let (chosen, runs) = crate::pilot::pilot(data, &shortlist);
+        Ok((shortlist.swap_remove(chosen), runs))
     }
 
     /// Compiles a plan using the paper's greedy Algorithm 3 order — the

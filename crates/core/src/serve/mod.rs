@@ -101,6 +101,8 @@ use crate::embedding::Embedding;
 use crate::engine::task::{ExecScratch, Task};
 use crate::error::Result;
 use crate::metrics::MatchMetrics;
+use crate::plan::Planner;
+use crate::query::QueryGraph;
 
 use cache::{PlanCache, Planned};
 use query::{ActiveQuery, StopCause};
@@ -965,24 +967,23 @@ impl MatchServer {
         self.shared.wake_one();
     }
 
-    /// Plans `query` (through the plan cache) against the currently
-    /// published snapshot and returns the cost model's total-cost estimate
-    /// *without admitting it* — the front door's admission-control signal
-    /// for rejecting predicted-expensive queries under load. The compiled
-    /// plan stays cached, so an admitted follow-up [`MatchServer::submit`]
-    /// of the same shape reuses it instead of planning twice (and counts
-    /// as a cache hit). An infeasible shape (a signature absent from the
-    /// data) estimates 0: it resolves inline with no engine work.
+    /// Returns the cost model's total-cost estimate for `query` against the
+    /// currently published snapshot *without admitting it* — the front
+    /// door's admission-control signal for rejecting predicted-expensive
+    /// queries under load. The estimate is the model's price of its own
+    /// choice ([`Planner::plan_unpiloted`]): it skips the plan cache and
+    /// the pilot (DESIGN.md §13.3), so shedding a query stays a
+    /// microsecond-scale decision, and an admitted follow-up
+    /// [`MatchServer::submit`] plans as usual. An infeasible shape (a
+    /// signature absent from the data) estimates 0: it resolves inline
+    /// with no engine work.
     ///
     /// # Errors
     /// Same conditions as [`MatchServer::submit`]: an empty query or one
     /// past the engine's 64-hyperedge limit.
     pub fn estimate_cost(&self, query: &Hypergraph) -> Result<f64> {
-        let (data, epoch) = {
-            let current = self.shared.data.lock();
-            (Arc::clone(&current.graph), current.epoch)
-        };
-        let plan = self.shared.cache.plan_for(query, &data, epoch)?.plan;
+        let data = Arc::clone(&self.shared.data.lock().graph);
+        let plan = Planner::plan_unpiloted(&QueryGraph::new(query)?, &data)?;
         Ok(if plan.is_infeasible() {
             0.0
         } else {

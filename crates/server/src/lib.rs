@@ -15,8 +15,8 @@
 //!   full) the planner's cost estimate
 //!   ([`hgmatch_core::serve::MatchServer::estimate_cost`]) gates
 //!   admission: predicted-expensive queries are shed with 429 so cheap
-//!   queries keep their latency. The estimate routes through the plan
-//!   cache, so an admitted query's subsequent submission replans nothing;
+//!   queries keep their latency. The estimate is the cost model's price
+//!   of its own order, before any pilot run, so shedding stays cheap;
 //! * **observability** — `GET /metrics` renders every engine and door
 //!   counter in Prometheus text format ([`metrics::render`]), including
 //!   the queue-wait vs execution latency split that makes saturation
