@@ -2,7 +2,7 @@
 //! the work-assisting scheduler (DESIGN.md §12) versus deque stealing
 //! versus pinned round-robin pickup.
 //!
-//! Three experiments, written to `BENCH_stealing.json`:
+//! Four experiments, written to `BENCH_stealing.json`:
 //!
 //! 1. **single_query** — one heavy q3 query on a [`MatchServer`] pool,
 //!    swept over worker counts, per scheduler mode:
@@ -13,10 +13,10 @@
 //!    * `steal` — per-worker LIFO deques with FIFO batch stealing, no
 //!      mid-flight splitting (split threshold 0).
 //!    * `assist` — stealing plus splittable candidate ranges: a hot
-//!      expansion's validation loop is joined mid-flight by idle peers
-//!      (at the bench's `--split-threshold`).
+//!      last-step expansion's validation loop is joined mid-flight by idle
+//!      peers (at the bench's `--split-threshold`).
 //!    * `assist_default` — the same at the production default threshold
-//!      (`MatchConfig::default().split_threshold`, 2048).
+//!      (`hgmatch_core::config::SPLIT_THRESHOLD`).
 //!
 //!    The scaling signal is the per-worker busy spread:
 //!    `parallelism = Σ busy / max busy` (≈ pool size when the query's
@@ -30,25 +30,32 @@
 //!    round-robin pickup (inter-query parallelism already saturates the
 //!    pool; assisting must not get in its way).
 //!
-//! 3. **hub_adversary** — ROADMAP item 10's trial, the one input stealing
-//!    cannot divide: a generated hub whose expansion has 10⁶ candidates
-//!    (10⁵ in smoke mode), under a 2-edge query (the expansion is the last
-//!    step: a count) and a 3-edge one (each candidate becomes a child task
-//!    with one candidate of its own). `steal` and `assist_default` at 2
-//!    workers and `steal` at 1 alternate for 10 rounds on warm pools; the
-//!    report keeps every round and the medians.
+//! 3. **hub_sweep** — the 2-edge hub below at each `--spokes` size,
+//!    `steal` vs `assist` at 2 workers like experiment 4: the smallest
+//!    size where assisting wins ≥ 1.2× in the median, rounded down to a
+//!    power of two, is the production `SPLIT_THRESHOLD`.
+//!
+//! 4. **hub_adversary** — the one input stealing cannot divide, at 10⁶
+//!    candidates (`SPLIT_THRESHOLD` in smoke mode) under a 2-edge query
+//!    (the expansion is the last step: a count) and a 3-edge one (each
+//!    candidate becomes a child task with one candidate of its own, so
+//!    nothing splits). `steal` and `assist_default` at 2 workers and
+//!    `steal` at 1 take turns for 10 rounds on warm pools; the report
+//!    keeps every round and the medians.
 //!
 //! All modes must agree on embedding counts (asserted). `--check` adds the
 //! gates: `steal` spreads the heavy query (parallelism ≥ 1.5 at 2 workers,
 //! evaluated when the host has 2 CPUs — give it a query of seconds, not
-//! smoke's default 0.2 ms one on CH: CI passes `--dataset SB`), the hub
-//! expansion really is split every round, and — full size on ≥ 2 CPUs
-//! only — assisting keeps the 1.3× over stealing on the 2-edge hub count
-//! that is the reason the mechanism exists (DESIGN.md §12.4).
+//! smoke's default 0.2 ms one on CH: CI passes `--dataset SB`), the 2-edge
+//! hub expansion is split every round and the 3-edge one never, and — full
+//! size on ≥ 2 CPUs only — assisting keeps the 1.3× over stealing on the
+//! 2-edge hub count that is the reason the mechanism exists, and the
+//! sweep's crossover is not above `SPLIT_THRESHOLD` (DESIGN.md §12.2).
 //!
 //! Usage: `fig12_stealing [--dataset NAME] [--workers LIST] [--queries N]
 //!                        [--candidates N] [--timeout SECS]
-//!                        [--split-threshold N] [--json PATH] [--check]`.
+//!                        [--split-threshold N] [--spokes LIST]
+//!                        [--json PATH] [--check]`.
 //! `HGMATCH_BENCH_SMOKE=1` shrinks every knob for the CI bench-smoke job.
 
 use std::fmt::Write as _;
@@ -58,6 +65,7 @@ use std::time::{Duration, Instant};
 use hgmatch_bench::experiments::{bench_smoke, heaviest_queries, num_cpus};
 use hgmatch_bench::harness::Workload;
 use hgmatch_bench::report::median;
+use hgmatch_core::config::SPLIT_THRESHOLD;
 use hgmatch_core::serve::{MatchServer, QueryOptions, QueryStatus, ServeConfig};
 use hgmatch_core::MatchConfig;
 use hgmatch_datasets::{profile_by_name, standard_settings};
@@ -139,23 +147,29 @@ struct BatchPoint {
     queries: usize,
 }
 
-/// One query shape of the hub adversary: per-round wall times of the three
-/// contenders, and the assist pool's counters over all its rounds.
-struct HubShape {
-    edges: usize,
-    steal_ms: Vec<f64>,
-    assist_ms: Vec<f64>,
-    one_worker_ms: Vec<f64>,
+/// One pool's side of a race: per-round wall times and its scheduler
+/// counters over all rounds (the warm-up included).
+struct Lane {
+    ms: Vec<f64>,
     splits: u64,
     assists: u64,
 }
 
-impl HubShape {
-    /// How many times faster assisting ran than stealing (medians).
-    fn assist_gain(&self) -> f64 {
-        median(&self.steal_ms) / median(&self.assist_ms).max(1e-9)
-    }
+/// How many times faster `assist` ran than `steal` (medians).
+fn assist_gain(steal: &Lane, assist: &Lane) -> f64 {
+    median(&steal.ms) / median(&assist.ms).max(1e-9)
 }
+
+/// One query shape of the hub adversary.
+struct HubShape {
+    edges: usize,
+    steal: Lane,
+    assist: Lane,
+    one_worker: Lane,
+}
+
+/// Assist/steal median past which a swept size counts as a win.
+const CROSSOVER_GAIN: f64 = 1.2;
 
 fn main() {
     let smoke = bench_smoke();
@@ -172,8 +186,13 @@ fn main() {
     let mut candidates = if smoke { 4 } else { 6 };
     let mut timeout = Duration::from_secs(if smoke { 10 } else { 60 });
     // Low enough that the heavy query's hot expansions actually split on
-    // generated data (the production default of 2048 targets real hubs).
+    // generated data, and below every swept hub size.
     let mut split_threshold = if smoke { 64 } else { 512 };
+    let mut spokes: Vec<u32> = if smoke {
+        vec![10_000, 100_000]
+    } else {
+        vec![10_000, 30_000, 100_000, 300_000, 1_000_000]
+    };
     let mut json_path: Option<String> = None;
     let mut check = false;
 
@@ -223,6 +242,15 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .expect("--split-threshold N");
             }
+            "--spokes" => {
+                i += 1;
+                spokes = args
+                    .get(i)
+                    .expect("--spokes LIST")
+                    .split(',')
+                    .map(|s| s.parse().expect("spoke count"))
+                    .collect();
+            }
             "--json" => {
                 i += 1;
                 json_path = Some(args.get(i).expect("--json PATH").clone());
@@ -233,6 +261,7 @@ fn main() {
         i += 1;
     }
     assert!(!workers.is_empty(), "--workers needs at least one count");
+    spokes.sort_unstable();
 
     let profile = profile_by_name(&dataset).expect("known dataset");
     let data = Arc::new(profile.generate());
@@ -327,20 +356,53 @@ fn main() {
     println!("# speedup with that many cores. round_robin stays ~1 on a single");
     println!("# query; steal/assist track the pool size.");
 
-    // Experiment 3: the hub adversary.
-    let (spokes, rounds) = if smoke { (100_000, 3) } else { (1_000_000, 10) };
-    let hub = run_hub(spokes, rounds, timeout);
+    let rounds = if smoke { 3 } else { 10 };
+
+    // Experiment 3: the 2-edge hub swept over its size.
+    println!("spokes\tsteal_ms\tassist_ms\tassist_gain\tsplits\tassists");
+    // (spokes, steal, assist) per swept size.
+    let sweep: Vec<(u32, Lane, Lane)> = spokes
+        .iter()
+        .map(|&n| {
+            let configs = [Mode::Steal, Mode::Assist].map(|m| m.config(2, split_threshold));
+            let data = Arc::new(hub_graph(n));
+            let [steal, assist] = race(&data, &hub_query(2), n, configs, rounds, timeout);
+            println!(
+                "{n}\t{:.2}\t{:.2}\t{:.2}\t{}\t{}",
+                median(&steal.ms),
+                median(&assist.ms),
+                assist_gain(&steal, &assist),
+                assist.splits,
+                assist.assists
+            );
+            (n, steal, assist)
+        })
+        .collect();
+    let crossover = sweep
+        .iter()
+        .find(|(_, steal, assist)| assist_gain(steal, assist) >= CROSSOVER_GAIN)
+        .map(|&(n, ..)| n as usize);
+    // The threshold a crossover calls for: the power of two at or below it.
+    let crossover_threshold = crossover.map(|n| 1usize << n.ilog2());
+    println!(
+        "# crossover (assist/steal >= {CROSSOVER_GAIN}): {crossover:?} spokes -> threshold {crossover_threshold:?}, SPLIT_THRESHOLD {SPLIT_THRESHOLD}"
+    );
+
+    // Experiment 4: the hub adversary. Smoke runs it at the smallest size
+    // the default threshold splits.
+    let hub_spokes = if smoke { SPLIT_THRESHOLD } else { 1_000_000 } as u32;
+    let hub = run_hub(hub_spokes, rounds, timeout);
     println!("hub_edges\tsteal_ms\tassist_ms\tone_worker_ms\tassist_gain\tsplits\tassists");
     for shape in &hub {
         println!(
             "{}\t{:.1}\t{:.1}\t{:.1}\t{:.2}\t{}\t{}",
             shape.edges,
-            median(&shape.steal_ms),
-            median(&shape.assist_ms),
-            median(&shape.one_worker_ms),
-            shape.assist_gain(),
-            shape.splits,
-            shape.assists
+            median(&shape.steal.ms),
+            median(&shape.assist.ms),
+            median(&shape.one_worker.ms),
+            assist_gain(&shape.steal, &shape.assist),
+            shape.assist.splits,
+            shape.assist.assists
         );
     }
 
@@ -353,7 +415,7 @@ fn main() {
             profile.name,
             num_cpus(),
             split_threshold,
-            MatchConfig::default().split_threshold,
+            SPLIT_THRESHOLD,
             timeout.as_secs()
         );
         // Always set: every mode × worker run above asserted Completed.
@@ -405,26 +467,43 @@ fn main() {
         out.push_str("  }},\n");
         let _ = writeln!(
             out,
-            "  \"hub_adversary\": {{\"spokes\": {spokes}, \"workers\": 2, \"rounds\": {rounds}, \"shapes\": ["
+            "  \"hub_sweep\": {{\"query_edges\": 2, \"workers\": 2, \"rounds\": {rounds}, \"crossover_gain\": {CROSSOVER_GAIN}, \"crossover_spokes\": {}, \"points\": [",
+            crossover.map_or("null".into(), |n| n.to_string())
+        );
+        for (pi, (n, steal, assist)) in sweep.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                "    {{\"spokes\": {}, \"steal_ms\": {:.2}, \"assist_ms\": {:.2}, \"assist_gain\": {:.2}, \"splits\": {}, \"assists\": {},\n     \"steal_rounds_ms\": {:.2?}, \"assist_rounds_ms\": {:.2?}}}{}",
+                n,
+                median(&steal.ms),
+                median(&assist.ms),
+                assist_gain(steal, assist),
+                assist.splits,
+                assist.assists,
+                steal.ms,
+                assist.ms,
+                if pi + 1 < sweep.len() { "," } else { "" }
+            );
+        }
+        out.push_str("  ]},\n");
+        let _ = writeln!(
+            out,
+            "  \"hub_adversary\": {{\"spokes\": {hub_spokes}, \"workers\": 2, \"rounds\": {rounds}, \"shapes\": ["
         );
         for (si, shape) in hub.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "    {{\"query_edges\": {}, \"steal_ms\": {:.1}, \"assist_default_ms\": {:.1}, \"one_worker_ms\": {:.1}, \"assist_gain\": {:.2}, \"splits\": {}, \"assists\": {},",
+                "    {{\"query_edges\": {}, \"steal_ms\": {:.1}, \"assist_default_ms\": {:.1}, \"one_worker_ms\": {:.1}, \"assist_gain\": {:.2}, \"splits\": {}, \"assists\": {},\n     \"steal_rounds_ms\": {:.1?}, \"assist_default_rounds_ms\": {:.1?}, \"one_worker_rounds_ms\": {:.1?}}}{}",
                 shape.edges,
-                median(&shape.steal_ms),
-                median(&shape.assist_ms),
-                median(&shape.one_worker_ms),
-                shape.assist_gain(),
-                shape.splits,
-                shape.assists
-            );
-            let _ = writeln!(
-                out,
-                "     \"steal_rounds_ms\": {:.1?}, \"assist_default_rounds_ms\": {:.1?}, \"one_worker_rounds_ms\": {:.1?}}}{}",
-                shape.steal_ms,
-                shape.assist_ms,
-                shape.one_worker_ms,
+                median(&shape.steal.ms),
+                median(&shape.assist.ms),
+                median(&shape.one_worker.ms),
+                assist_gain(&shape.steal, &shape.assist),
+                shape.assist.splits,
+                shape.assist.assists,
+                shape.steal.ms,
+                shape.assist.ms,
+                shape.one_worker.ms,
                 if si + 1 < hub.len() { "," } else { "" }
             );
         }
@@ -453,22 +532,30 @@ fn main() {
             }
             _ => println!("# check: steal parallelism skipped (needs 2 CPUs and 2 in --workers)"),
         }
-        let count = &hub[0];
+        let (count, children) = (&hub[0], &hub[1]);
         let runs = rounds as u64 + 1; // the warm-up splits too
+        let gain = assist_gain(&count.steal, &count.assist);
         println!(
-            "# check: hub count split {} / assisted {} times in {runs} runs, assist_gain {:.2}",
-            count.splits,
-            count.assists,
-            count.assist_gain()
+            "# check: hub count split {} / assisted {} times in {runs} runs, assist_gain {gain:.2}; 3-edge hub split {} times",
+            count.assist.splits, count.assist.assists, children.assist.splits
         );
         // The split is deterministic. Whether the ticket is picked up before
         // the owner drains the range is a race: a second CPU wins it every
-        // time at 10⁶ candidates (20 ms) and only mostly at smoke's 10⁵.
-        if count.splits != runs {
-            failures.push("the hub expansion was not split on every run");
+        // time at 10⁶ candidates (15 ms).
+        if count.assist.splits != runs {
+            failures.push("the 2-edge hub expansion was not split on every run");
         }
-        if !smoke && num_cpus() >= 2 && (count.assists == 0 || count.assist_gain() < 1.3) {
-            failures.push("assisting no longer beats stealing 1.3x on the hub count");
+        // Its candidates become children there: only the last step splits.
+        if children.assist.splits != 0 {
+            failures.push("the 3-edge hub split an expansion short of the last step");
+        }
+        if !smoke && num_cpus() >= 2 {
+            if count.assist.assists == 0 || gain < 1.3 {
+                failures.push("assisting no longer beats stealing 1.3x on the hub count");
+            }
+            if crossover_threshold.is_none_or(|t| t > SPLIT_THRESHOLD) {
+                failures.push("the hub sweep puts the crossover above SPLIT_THRESHOLD");
+            }
         }
         if !failures.is_empty() {
             for f in &failures {
@@ -511,60 +598,70 @@ fn hub_query(edges: usize) -> Hypergraph {
     q.build().expect("hub query")
 }
 
-/// Experiment 3: both hub shapes, `rounds` alternating rounds on warm pools.
+/// Experiment 4: both hub shapes, `rounds` alternating rounds on warm pools.
 fn run_hub(spokes: u32, rounds: usize, timeout: Duration) -> Vec<HubShape> {
     let data = Arc::new(hub_graph(spokes));
-    let pool = |mode: Mode, workers| MatchServer::new(Arc::clone(&data), mode.config(workers, 0));
     [2usize, 3]
         .into_iter()
         .map(|edges| {
-            let query = hub_query(edges);
-            let (steal, assist, one) = (
-                pool(Mode::Steal, 2),
-                pool(Mode::AssistDefault, 2),
-                pool(Mode::Steal, 1),
-            );
-            let time = |server: &MatchServer| {
-                let begin = Instant::now();
-                let outcome = server
-                    .run(&query, QueryOptions::count().with_timeout(timeout))
-                    .expect("valid query");
-                assert_eq!(outcome.status, QueryStatus::Completed);
-                assert_eq!(outcome.count, spokes as u64, "hub query, {edges} edges");
-                begin.elapsed().as_secs_f64() * 1e3
-            };
-            for server in [&steal, &assist, &one] {
-                time(server); // plan cache, pool threads, page faults
-            }
-            let (mut steal_ms, mut assist_ms, mut one_worker_ms) =
-                (Vec::new(), Vec::new(), Vec::new());
-            for round in 0..rounds {
-                // Alternate who goes first so drift hits both alike.
-                let (s, a) = if round % 2 == 0 {
-                    let s = time(&steal);
-                    (s, time(&assist))
-                } else {
-                    let a = time(&assist);
-                    (time(&steal), a)
-                };
-                steal_ms.push(s);
-                assist_ms.push(a);
-                one_worker_ms.push(time(&one));
-            }
-            let stats = assist.stats();
-            for server in [steal, assist, one] {
-                server.shutdown();
-            }
+            let configs = [
+                Mode::Steal.config(2, 0),
+                Mode::AssistDefault.config(2, 0),
+                Mode::Steal.config(1, 0),
+            ];
+            let [steal, assist, one_worker] =
+                race(&data, &hub_query(edges), spokes, configs, rounds, timeout);
             HubShape {
                 edges,
-                steal_ms,
-                assist_ms,
-                one_worker_ms,
-                splits: stats.splits,
-                assists: stats.assists,
+                steal,
+                assist,
+                one_worker,
             }
         })
         .collect()
+}
+
+/// Times `rounds` runs of `query` on one warm pool per config, rotating
+/// who goes first each round so drift hits every pool alike. Every run
+/// must complete with `expect` embeddings.
+fn race<const N: usize>(
+    data: &Arc<Hypergraph>,
+    query: &Hypergraph,
+    expect: u32,
+    configs: [ServeConfig; N],
+    rounds: usize,
+    timeout: Duration,
+) -> [Lane; N] {
+    let pools = configs.map(|config| MatchServer::new(Arc::clone(data), config));
+    let time = |server: &MatchServer| {
+        let begin = Instant::now();
+        let outcome = server
+            .run(query, QueryOptions::count().with_timeout(timeout))
+            .expect("valid query");
+        assert_eq!(outcome.status, QueryStatus::Completed);
+        assert_eq!(outcome.count, u64::from(expect), "hub query count");
+        begin.elapsed().as_secs_f64() * 1e3
+    };
+    for server in &pools {
+        time(server); // plan cache, pool threads, page faults
+    }
+    let mut ms = vec![Vec::with_capacity(rounds); N];
+    for round in 0..rounds {
+        for k in 0..N {
+            let i = (round + k) % N;
+            ms[i].push(time(&pools[i]));
+        }
+    }
+    let mut ms = ms.into_iter();
+    pools.map(|server| {
+        let stats = server.stats();
+        server.shutdown();
+        Lane {
+            ms: ms.next().expect("one series per pool"),
+            splits: stats.splits,
+            assists: stats.assists,
+        }
+    })
 }
 
 /// One heavy query alone on a fresh pool; returns wall, busy spread and

@@ -27,12 +27,11 @@
 //!   through its own `to_query_order`, so the embedding multiset is
 //!   invariant across the switch.
 //!
-//! Coordination with the work-assisting scheduler (DESIGN.md §12): a
-//! published split shares a concrete candidate list generated under one
-//! plan version, so re-planning is suppressed while any split is live
-//! (`live_splits`), and assist tickets always resolve to exactly the
-//! version that generated their candidates. The trigger re-checks at the
-//! next step boundary once the splits drain.
+//! Work assisting (DESIGN.md §12) needs no handshake with re-planning: a
+//! split shares a candidate list of the plan's *last* position, and its
+//! assist tickets resolve like expansions at that depth. A version that
+//! agrees on every matched position has the same order, hence the same
+//! last step; any other version leaves the ticket on its birth version.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -61,9 +60,9 @@ struct Versions {
 /// Shares the query graph (re-planning rebuilds a [`CostModel`], which
 /// borrows the query — the serving layer hands in the plan cache's copy,
 /// so arming a cached shape builds nothing) and owns the version table;
-/// workers interact through three lock-free paths — [`observe`],
-/// [`resolve`], split bracketing — and fall into the version mutex only
-/// after a re-plan has actually been adopted.
+/// workers interact through two lock-free paths — [`observe`] and
+/// [`resolve`] — and fall into the version mutex only after a re-plan has
+/// actually been adopted.
 ///
 /// [`observe`]: AdaptiveState::observe
 /// [`resolve`]: AdaptiveState::resolve
@@ -88,8 +87,6 @@ pub(crate) struct AdaptiveState {
     /// Bitmask of positions that already went through a re-plan attempt —
     /// each position re-plans at most once per query.
     triggered: AtomicU64,
-    /// Live splittable expansions; re-planning is suppressed while > 0.
-    live_splits: AtomicUsize,
     /// Single-flight guard: one worker re-plans at a time.
     replanning: AtomicBool,
 }
@@ -115,7 +112,6 @@ impl AdaptiveState {
             obs_candidates: (0..len).map(|_| AtomicU64::new(0)).collect(),
             obs_partials: (0..len).map(|_| AtomicU64::new(0)).collect(),
             triggered: AtomicU64::new(0),
-            live_splits: AtomicUsize::new(0),
             replanning: AtomicBool::new(false),
         }
     }
@@ -142,18 +138,6 @@ impl AdaptiveState {
         obs as f64 >= self.ratio * est.max(1.0)
     }
 
-    /// A splittable expansion was published; re-planning is suppressed
-    /// until every live split drains ([`AdaptiveState::split_finished`]).
-    pub(crate) fn split_started(&self) {
-        self.live_splits.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// The final chunk of a splittable expansion was claimed (exactly one
-    /// participant observes this per split).
-    pub(crate) fn split_finished(&self) {
-        self.live_splits.fetch_sub(1, Ordering::AcqRel);
-    }
-
     /// Resolves the plan a task born under version `ver` with `depth`
     /// matched positions should execute: the latest version when its order
     /// agrees with the task's birth order on every matched position
@@ -173,16 +157,6 @@ impl AdaptiveState {
         }
     }
 
-    /// The exact plan of version `ver` — assist tickets validate a
-    /// candidate list that was generated under one specific step, so they
-    /// never upgrade.
-    pub(crate) fn resolve_exact(&self, ver: u32) -> Arc<Plan> {
-        if self.num_versions.load(Ordering::Acquire) == 1 {
-            return Arc::clone(&self.base);
-        }
-        Arc::clone(&self.versions.lock().plans[ver as usize])
-    }
-
     /// The latest adopted plan and its version id (scan tasks always run
     /// the latest version: every re-plan pins position 0).
     pub(crate) fn latest(&self) -> (Arc<Plan>, u32) {
@@ -192,23 +166,6 @@ impl AdaptiveState {
         let v = self.versions.lock();
         let latest = v.plans.len() as u32 - 1;
         (Arc::clone(&v.plans[latest as usize]), latest)
-    }
-
-    /// Picks the plan version a task executes under, applying the
-    /// per-variant rules: scans run the latest version, expansions
-    /// upgrade iff the latest order agrees with their birth version over
-    /// every matched position, assist tickets stick to their exact birth
-    /// version (their shared candidate list was generated by it).
-    pub(crate) fn resolve_task(&self, task: &Task) -> (Arc<Plan>, u32) {
-        match task {
-            Task::Scan { .. } => self.latest(),
-            Task::Expand { depth, ver, .. } => self.resolve(*ver, *depth as usize),
-            Task::ExpandSpilled { emb, ver } => self.resolve(*ver, emb.len()),
-            Task::Assist { shared } => {
-                let ver = shared.ver();
-                (self.resolve_exact(ver), ver)
-            }
-        }
     }
 
     /// The latest adopted plan when it differs from the base plan — what
@@ -229,13 +186,10 @@ impl AdaptiveState {
 
     /// Attempts a suffix re-plan at the completed position `pos` against
     /// `data` (the query's pinned snapshot). Returns `true` when a new
-    /// suffix order was adopted; `false` when suppressed (live splits,
-    /// another worker mid-replan, the position already re-planned) or when
-    /// the corrected search confirms the current order.
+    /// suffix order was adopted; `false` when suppressed (another worker
+    /// mid-replan, the position already re-planned) or when the corrected
+    /// search confirms the current order.
     pub(crate) fn maybe_replan(&self, pos: usize, data: &Hypergraph) -> bool {
-        if self.live_splits.load(Ordering::Acquire) > 0 {
-            return false; // drained splits re-check at the next boundary
-        }
         if self
             .replanning
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
@@ -306,6 +260,29 @@ impl AdaptiveState {
     }
 }
 
+/// Picks the plan version `task` executes under, at its step boundary
+/// before any step state is built: scans run the latest version;
+/// expansions and assist tickets upgrade iff the latest order agrees with
+/// their birth version over every matched position. For a ticket that
+/// means the whole order, so its shared last-step list was generated by
+/// the very step it validates against. A static run (`adaptive` unset)
+/// executes its base plan as version 0, returned as `None`.
+pub(crate) fn resolve_task(
+    adaptive: Option<&AdaptiveState>,
+    task: &Task,
+) -> (Option<Arc<Plan>>, u32) {
+    let Some(ad) = adaptive else {
+        return (None, 0);
+    };
+    let (plan, ver) = match task {
+        Task::Scan { .. } => ad.latest(),
+        Task::Expand { depth, ver, .. } => ad.resolve(*ver, *depth as usize),
+        Task::ExpandSpilled { emb, ver } => ad.resolve(*ver, emb.len()),
+        Task::Assist { shared } => ad.resolve(shared.ver, shared.emb.len()),
+    };
+    (Some(plan), ver)
+}
+
 fn common_prefix(a: &[u32], b: &[u32]) -> u32 {
     a.iter().zip(b).take_while(|(x, y)| x == y).count() as u32
 }
@@ -316,7 +293,7 @@ mod tests {
     use hgmatch_hypergraph::{HypergraphBuilder, Label};
 
     /// Chain-with-branch data: one {A,B} row, one {B,C} row, thirty {C,D}
-    /// rows (the junk fan-out) and one {C,E} row (the selective filter).
+    /// rows (the junk fan-out) and six {C,E} rows (the selective filter).
     /// After matching {A,B} and {B,C}, both branches extend via the shared
     /// C vertex — so the suffix genuinely has two orders, and which one is
     /// cheaper depends on the statistics the model believes.
@@ -326,13 +303,15 @@ mod tests {
         b.add_vertices(1, Label::new(1)); // B: 1
         b.add_vertices(1, Label::new(2)); // C: 2
         b.add_vertices(30, Label::new(3)); // D: 3..33
-        b.add_vertices(1, Label::new(4)); // E: 33
+        b.add_vertices(6, Label::new(4)); // E: 33..39
         b.add_edge(vec![0, 1]).unwrap(); // {A,B}
         b.add_edge(vec![1, 2]).unwrap(); // {B,C}
         for i in 0..30u32 {
             b.add_edge(vec![2, 3 + i]).unwrap(); // {C,D} × 30
         }
-        b.add_edge(vec![2, 33]).unwrap(); // {C,E}
+        for i in 0..6u32 {
+            b.add_edge(vec![2, 33 + i]).unwrap(); // {C,E} × 6
+        }
         b.build().unwrap()
     }
 
@@ -414,28 +393,91 @@ mod tests {
         let (resolved, ver) = state.resolve(0, 3);
         assert_eq!(ver, 0);
         assert_eq!(resolved.order(), plan.order());
-        // Assist tickets never upgrade.
-        assert_eq!(state.resolve_exact(0).order(), plan.order());
-        assert_eq!(state.resolve_exact(latest_ver).order(), latest.order());
     }
 
+    /// A re-plan adopted while a last-step split is live: the ticket born
+    /// under the old order resolves to it (the new order diverges at a
+    /// matched position), a thief validates the whole shared range there,
+    /// and the run still delivers exactly the static multiset.
     #[test]
-    fn live_splits_suppress_replanning_until_drained() {
+    fn replan_under_a_live_last_step_split_matches_static() {
+        use crate::config::MatchConfig;
+        use crate::engine::task::{execute_task, ExecScratch, QueryEnv};
+        use crate::exec::SequentialExecutor;
+        use crate::memory::MemoryTracker;
+        use crate::metrics::MatchMetrics;
+        use crate::sink::CollectSink;
+
+        // Six {C,E} rows: the stale order's last step (q3) splits at 4.
         let data = branch_data();
         let query = branch_query();
         let plan = stale_plan(&query, &data);
-        let state = AdaptiveState::new(query, plan, 1.0);
+        assert_eq!(plan.order(), &[0, 1, 2, 3]);
+        let oracle = CollectSink::new();
+        SequentialExecutor::run(&plan, &data, &oracle, &MatchConfig::sequential());
+        let expected = oracle.into_results();
+        assert_eq!(expected.len(), 30 * 6);
 
-        state.split_started();
-        assert!(state.observe(0, 100, 100), "trigger condition holds");
-        assert!(!state.maybe_replan(0, &data), "suppressed mid-split");
-        assert_eq!(state.latest().1, 0);
-
-        state.split_finished();
-        // The next boundary re-checks and now succeeds.
-        assert!(state.observe(0, 0, 0));
-        assert!(state.maybe_replan(0, &data));
-        assert_eq!(state.latest().1, 1);
+        // The trigger never fires by itself: the one re-plan is forced at
+        // the moment the first ticket goes out.
+        let state = AdaptiveState::new(query, Arc::clone(&plan), f64::MAX);
+        let config = MatchConfig::parallel(2).with_split_threshold(4);
+        let (sink, tracker) = (CollectSink::new(), MemoryTracker::new());
+        let base = QueryEnv {
+            plan: &plan,
+            data: &data,
+            sink: &sink,
+            config: &config,
+            tracker: &tracker,
+            ver: 0,
+            adaptive: Some(&state),
+        };
+        let rows = data.partition(plan.steps()[0].partition.unwrap()).len() as u32;
+        let mut queue = vec![Task::Scan {
+            start: 0,
+            end: rows,
+        }];
+        let (mut owner, mut thief) = (ExecScratch::new(), ExecScratch::new());
+        let (mut metrics, mut stolen) = (MatchMetrics::default(), MatchMetrics::default());
+        while let Some(task) = queue.pop() {
+            let (plan, ver) = resolve_task(Some(&state), &task);
+            let env = QueryEnv {
+                plan: plan.as_deref().unwrap(),
+                ver,
+                ..base
+            };
+            execute_task(
+                &env,
+                &mut owner,
+                &mut metrics,
+                task,
+                &mut || false,
+                &mut |t| {
+                    if !matches!(t, Task::Assist { .. }) || stolen.assist_chunks > 0 {
+                        queue.push(t);
+                        return;
+                    }
+                    assert!(state.maybe_replan(0, &data), "adopted mid-split");
+                    let (plan, ver) = resolve_task(Some(&state), &t);
+                    assert_eq!(ver, 0, "the new order diverges at position 2");
+                    let env = QueryEnv {
+                        plan: plan.as_deref().unwrap(),
+                        ver,
+                        ..base
+                    };
+                    execute_task(&env, &mut thief, &mut stolen, t, &mut || false, &mut |_| {
+                        unreachable!("a last-step ticket spawns nothing")
+                    });
+                },
+            );
+        }
+        assert_eq!(state.latest().0.order(), &[0, 1, 3, 2]);
+        assert!(metrics.split_expansions > 0);
+        assert!(
+            stolen.assist_chunks > 0,
+            "the thief claimed under the old version"
+        );
+        assert_eq!(sink.into_results(), expected);
     }
 
     #[test]

@@ -24,17 +24,18 @@ pub struct MatchConfig {
     /// Rows per SCAN chunk: the scan range splits until chunks are at most
     /// this long, bounding task granularity.
     pub scan_chunk: usize,
-    /// Candidate-list length at which an EXPAND step becomes *splittable*
-    /// (DESIGN.md §12): instead of validating the whole list serially, the
-    /// executing worker publishes assist tickets so idle peers can claim
-    /// disjoint chunks of the same in-flight candidate range. `0` disables
-    /// mid-flight splitting; splits are also suppressed when `threads` is 1
-    /// (nobody could assist, and single-worker delivery order stays exactly
-    /// the sequential executor's). Overridable via `HGMATCH_SPLIT_THRESHOLD`.
+    /// Candidate-list length at which the *last-step* expansion becomes
+    /// splittable (DESIGN.md §12): instead of validating the whole list
+    /// serially, the executing worker publishes assist tickets so idle
+    /// peers can claim disjoint chunks of the same in-flight candidate
+    /// range. Earlier steps never split — their candidates become child
+    /// tasks, which stealing already divides. Defaults to
+    /// [`SPLIT_THRESHOLD`]; `0` disables mid-flight splitting (the
+    /// `fig12_stealing` steal-vs-assist ablation). Splits are also
+    /// suppressed when `threads` is 1 (nobody could assist, and
+    /// single-worker delivery order stays exactly the sequential
+    /// executor's).
     pub split_threshold: usize,
-    /// Candidate rows per assist claim (the granularity of the shared
-    /// atomic claim index). Overridable via `HGMATCH_SPLIT_CHUNK`.
-    pub split_chunk: usize,
     /// Mid-query re-plan trigger (DESIGN.md §15): when the observed
     /// candidate count at a plan position exceeds this factor times the
     /// planner's estimate, the unmatched suffix is re-ordered with
@@ -49,26 +50,13 @@ pub struct MatchConfig {
     pub aggregate: AggregateMode,
 }
 
-/// Reads a `usize` environment override once per process (the CI stress
-/// matrix sets these before any config is built; later mutations are
-/// intentionally ignored so hot paths see a stable value).
-fn env_usize(cache: &'static std::sync::OnceLock<Option<usize>>, name: &str) -> Option<usize> {
-    *cache.get_or_init(|| std::env::var(name).ok().and_then(|v| v.parse().ok()))
-}
-
-/// Default candidate-list length that makes an expansion splittable.
-pub(crate) fn default_split_threshold() -> usize {
-    static CACHE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    env_usize(&CACHE, "HGMATCH_SPLIT_THRESHOLD").unwrap_or(2048)
-}
-
-/// Default candidate rows per assist claim.
-pub(crate) fn default_split_chunk() -> usize {
-    static CACHE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    env_usize(&CACHE, "HGMATCH_SPLIT_CHUNK")
-        .unwrap_or(256)
-        .max(1)
-}
+/// Default [`MatchConfig::split_threshold`]: the last-step candidate count
+/// from which work assisting pays. It is the smallest size in the
+/// `fig12_stealing` hub sweep (`BENCH_stealing.json` `hub_sweep`, 2
+/// workers on 2 vCPUs) where assisting beats stealing by ≥ 1.2× in the
+/// median, rounded down to a power of two; `fig12_stealing --check` fails
+/// if a full-size sweep puts the crossover above it.
+pub const SPLIT_THRESHOLD: usize = 262_144;
 
 /// Observed/estimated candidate-count ratio past which the engine
 /// re-plans the unmatched suffix of an in-flight query (DESIGN.md §15).
@@ -116,8 +104,7 @@ impl Default for MatchConfig {
             prune_non_incident: false,
             work_stealing: true,
             scan_chunk: 256,
-            split_threshold: default_split_threshold(),
-            split_chunk: default_split_chunk(),
+            split_threshold: SPLIT_THRESHOLD,
             replan_ratio: default_replan_ratio(),
             aggregate: AggregateMode::Materialize,
         }
@@ -163,12 +150,6 @@ impl MatchConfig {
         self
     }
 
-    /// Sets the assist claim granularity, builder style.
-    pub fn with_split_chunk(mut self, chunk: usize) -> Self {
-        self.split_chunk = chunk.max(1);
-        self
-    }
-
     /// Sets the mid-query re-plan trigger ratio (0 disables adaptive
     /// re-optimization), builder style.
     pub fn with_replan_ratio(mut self, ratio: f64) -> Self {
@@ -195,7 +176,7 @@ mod tests {
         assert!(!c.prune_non_incident);
         assert!(c.work_stealing);
         assert!(c.scan_chunk > 0);
-        assert!(c.split_chunk > 0);
+        assert_eq!(c.split_threshold, SPLIT_THRESHOLD);
         assert_eq!(c.aggregate, AggregateMode::Materialize);
     }
 
@@ -211,12 +192,8 @@ mod tests {
         assert!(c.prune_non_incident);
         // Zero threads clamps to one.
         assert_eq!(MatchConfig::parallel(0).threads, 1);
-        let c = MatchConfig::default()
-            .with_split_threshold(16)
-            .with_split_chunk(0);
+        let c = MatchConfig::default().with_split_threshold(16);
         assert_eq!(c.split_threshold, 16);
-        // Zero chunk clamps to one (a zero fetch_add would never drain).
-        assert_eq!(c.split_chunk, 1);
         // Negative ratios clamp to 0 (= adaptive re-optimization off).
         let c = MatchConfig::default().with_replan_ratio(-1.0);
         assert_eq!(c.replan_ratio, 0.0);

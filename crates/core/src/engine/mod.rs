@@ -53,7 +53,7 @@ use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
 use hgmatch_hypergraph::Hypergraph;
 use parking_lot::Mutex;
 
-use crate::adaptive::AdaptiveState;
+use crate::adaptive::{resolve_task, AdaptiveState};
 use crate::config::MatchConfig;
 use crate::exec::{RunStats, WorkerStats};
 use crate::memory::MemoryTracker;
@@ -235,10 +235,7 @@ fn worker_loop<S: Sink>(
             let was_assist = matches!(task, Task::Assist { .. });
             let splits_before = metrics.split_expansions;
             let assist_chunks_before = metrics.assist_chunks;
-            // Resolve which plan version this task runs under (DESIGN.md
-            // §15): per-task, at the step boundary, before any state for
-            // the step is built — the switch-point contract.
-            let (resolved, ver) = resolve_plan(shared, &task);
+            let (resolved, ver) = resolve_task(shared.adaptive, &task);
             let env = QueryEnv {
                 plan: resolved.as_deref().unwrap_or(shared.plan),
                 data: shared.data,
@@ -278,26 +275,6 @@ fn worker_loop<S: Sink>(
         }
     }
     (stats, metrics)
-}
-
-/// Picks the plan version a task executes under. Scans always run the
-/// latest version (position 0 is pinned by every re-plan). Expansions
-/// upgrade to the latest version iff its order agrees with the task's
-/// birth version on every already-matched position; otherwise they finish
-/// under the plan they were born with (per-subtree order invariance).
-/// Assist tickets resolve their *exact* birth version: the shared scratch
-/// they chunk through was laid out by it.
-///
-/// Returns `None` (run the static base plan, version 0) when adaptivity
-/// is off.
-fn resolve_plan<S: Sink>(shared: &Shared<'_, S>, task: &Task) -> (Option<Arc<Plan>>, u32) {
-    match shared.adaptive {
-        None => (None, 0),
-        Some(ad) => {
-            let (plan, ver) = ad.resolve_task(task);
-            (Some(plan), ver)
-        }
-    }
 }
 
 fn find_task<S: Sink>(

@@ -57,6 +57,21 @@ const ABORT_PROBE: usize = 1024;
 /// saturation, large enough that counting stays a batched atomic.
 const COUNT_FLUSH: u64 = 64;
 
+/// Largest assist claim, in candidate rows. A participant probes the stop
+/// signal once per claim, so this must not exceed [`ABORT_PROBE`]; 256 is
+/// the claim size the `hub_adversary` row was measured at.
+const MAX_CLAIM: usize = 256;
+const _: () = assert!(MAX_CLAIM <= ABORT_PROBE);
+
+/// Claims a shared range of at least this many rows is cut into at least,
+/// so that up to this many participants each find a share of a short one.
+const MIN_CLAIMS: usize = 8;
+
+/// Rows per assist claim on a shared range of `len` candidates.
+fn claim_chunk(len: usize) -> usize {
+    (len / MIN_CLAIMS).clamp(1, MAX_CLAIM)
+}
+
 /// Partial embeddings of at most this many edges live inline in the task —
 /// no heap allocation on the expansion path. Queries with more hyperedges
 /// than this spill to pooled buffers (DESIGN.md §6.2).
@@ -95,35 +110,33 @@ pub(crate) enum Task {
 
 /// A splittable expansion — the work-assisting scheduler's shared unit.
 ///
-/// One worker ran candidate generation for `emb` and found a list long
-/// enough to divide ([`crate::MatchConfig::split_threshold`]); instead of
-/// validating it serially, the list and everything needed to *resume the
-/// expansion on another worker* (the pinned partial embedding; the plan,
-/// data snapshot and sink travel with the task's query environment) moves
-/// into this shared object, and `next` becomes the single source of truth
-/// for who validates what: every participant — the owner plus any thief
-/// that stole an [`Task::Assist`] ticket — claims disjoint `chunk`-sized
-/// sub-ranges via `fetch_add` until the range drains. A chunk is therefore
-/// validated exactly once, by exactly one participant, with no coordination
-/// beyond one atomic per chunk.
+/// One worker ran candidate generation for `emb` at the plan's last
+/// position and found a list long enough to divide
+/// ([`crate::MatchConfig::split_threshold`]); instead of validating it
+/// serially, the list and the pinned partial embedding move into this
+/// shared object (the plan, data snapshot and sink travel with the task's
+/// query environment), and `next` becomes the single source of truth for
+/// who validates what: every participant — the owner plus any thief that
+/// stole an [`Task::Assist`] ticket — claims disjoint sub-ranges via
+/// `fetch_add` until the range drains. A claim is therefore validated
+/// exactly once, by exactly one participant, with no coordination beyond
+/// one atomic per claim. Every valid candidate completes an embedding, so
+/// a participant delivers and spawns nothing.
 #[derive(Debug)]
 pub(crate) struct SplitExpansion {
     /// The partial embedding this expansion extends (matching-order data
     /// edge ids; its length is the step index).
-    emb: Vec<u32>,
+    pub(crate) emb: Vec<u32>,
     /// The shared candidate range: the sorted row list Algorithm 4
     /// produced on the owner.
     cands: Vec<u32>,
     /// Next unclaimed candidate index; `fetch_add(chunk)` claims
-    /// `[old, old + chunk)`.
+    /// `[old, old + chunk)`, with `chunk` = [`claim_chunk`] of the length.
     next: AtomicUsize,
-    /// Rows per claim.
-    chunk: usize,
-    /// Plan version the candidates were generated under: every participant
-    /// — owner and assisting thieves — validates against exactly this
-    /// version's step, never an upgraded one (the candidate list is only
-    /// meaningful for the step that produced it).
-    ver: u32,
+    /// Plan version the candidates were generated under. Tickets resolve
+    /// through the same rule as expansions (DESIGN.md §15.3): a version
+    /// agreeing on every matched position has the same last step.
+    pub(crate) ver: u32,
 }
 
 impl SplitExpansion {
@@ -132,11 +145,6 @@ impl SplitExpansion {
     /// participant that claims the final chunk).
     fn bytes(&self) -> usize {
         (self.emb.len() + self.cands.len()) * std::mem::size_of::<u32>()
-    }
-
-    /// The plan version this split's candidates belong to.
-    pub(crate) fn ver(&self) -> u32 {
-        self.ver
     }
 }
 
@@ -372,24 +380,28 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
 
         let cands = std::mem::take(&mut self.scratch.state.candidates);
 
-        // Work-assisting split (DESIGN.md §12): a candidate list long
-        // enough to dominate this worker's schedule moves into shared
+        // Work-assisting split (DESIGN.md §12): a last-step candidate list
+        // long enough to dominate this worker's schedule moves into shared
         // ownership, and assist tickets let idle peers claim chunks of it
-        // mid-flight. The ticket count — one per peer that could usefully
-        // join, bounded by the chunks beyond the owner's first — gates the
-        // whole split: zero tickets (one worker, stealing disabled so
-        // nobody could ever take one, or a range of at most one chunk)
-        // means the shared state could never offer parallelism, and the
-        // plain serial loop below is strictly cheaper. With one worker
-        // this also keeps delivery order exactly the sequential
-        // executor's — the `max_results` determinism contract.
-        let chunk = cfg.split_chunk.max(1);
-        let tickets =
-            if cfg.split_threshold > 0 && cfg.work_stealing && cands.len() >= cfg.split_threshold {
-                ((cands.len() - 1) / chunk).min(cfg.threads.saturating_sub(1))
-            } else {
-                0
-            };
+        // mid-flight. Earlier steps never split: their valid candidates
+        // become child tasks, which stealing divides already. The ticket
+        // count — one per peer that could usefully join, bounded by the
+        // claims beyond the owner's first — gates the whole split: zero
+        // tickets (one worker, stealing disabled so nobody could ever take
+        // one, or a range of one claim) means the shared state could never
+        // offer parallelism, and the plain serial loop below is strictly
+        // cheaper. With one worker this also keeps delivery order exactly
+        // the sequential executor's — the `max_results` determinism
+        // contract.
+        let tickets = if last
+            && cfg.split_threshold > 0
+            && cfg.work_stealing
+            && cands.len() >= cfg.split_threshold
+        {
+            ((cands.len() - 1) / claim_chunk(cands.len())).min(cfg.threads.saturating_sub(1))
+        } else {
+            0
+        };
         if tickets > 0 {
             // Copied, not moved: the Arc outlives this task on other
             // workers' deques, so donating the scratch buffer would
@@ -398,7 +410,7 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
             // the (large) split threshold on the next expansion.
             let shared = cands.clone();
             self.scratch.state.candidates = cands;
-            self.publish_split(emb, shared, chunk, tickets);
+            self.publish_split(emb, shared, tickets);
             return;
         }
 
@@ -413,7 +425,9 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
                 aborted = true;
                 break;
             }
-            self.validate_row(partition, step, depth, emb, row, last, &mut valid);
+            if let Some(global) = self.validate_row(partition, step, depth, emb, row, last) {
+                valid.push(global);
+            }
         }
         // Reverse emission: the LIFO deque then pops extensions in ascending
         // candidate order, matching the sequential executor's visit order.
@@ -435,22 +449,16 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
         self.scratch.valid = valid;
     }
 
-    /// Publishes a splittable expansion (DESIGN.md §12): moves the
-    /// candidate range into shared ownership, accounts it, emits `tickets`
-    /// assist tickets for idle peers, and joins the claim loop as owner.
-    ///
-    /// Tickets are pushed *before* the owner starts validating, so they
-    /// sit at the cold end of its LIFO deque — exactly where thieves steal
-    /// from — while the children spawned by the claim loop stack on the
-    /// hot end for the owner's own depth-first descent.
-    fn publish_split(&mut self, emb: &[u32], cands: Vec<u32>, chunk: usize, tickets: usize) {
-        let depth = emb.len();
-        let produced = cands.len() as u64;
+    /// Publishes a splittable last-step expansion (DESIGN.md §12): moves
+    /// the candidate range into shared ownership, accounts it, emits
+    /// `tickets` assist tickets for idle peers, and joins the claim loop as
+    /// owner. Tickets go out *before* the owner starts validating, so a
+    /// thief can join while the range is still full.
+    fn publish_split(&mut self, emb: &[u32], cands: Vec<u32>, tickets: usize) {
         let shared = Arc::new(SplitExpansion {
             emb: emb.to_vec(),
             cands,
             next: AtomicUsize::new(0),
-            chunk,
             ver: self.env.ver,
         });
         // The shared buffers are materialised state that outlives this
@@ -458,15 +466,6 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
         // against the query's memory bound like queued embeddings do.
         self.env.tracker.alloc(shared.bytes());
         self.metrics.split_expansions += 1;
-        // Re-planning is suppressed from publication until the range
-        // drains (`split_finished` in the claim loop); the candidates
-        // still feed the observed counts so the trigger re-checks at
-        // the next boundary once the splits are gone.
-        self.metrics.steps.record_candidates(depth, produced);
-        if let Some(ad) = self.env.adaptive {
-            ad.split_started();
-            ad.observe(depth, produced, 0);
-        }
         for _ in 0..tickets {
             (self.emit)(Task::Assist {
                 shared: Arc::clone(&shared),
@@ -476,87 +475,57 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
     }
 
     /// The work-assisting claim loop: claims disjoint chunks of `shared`'s
-    /// candidate range until it drains, validating each row and spawning
-    /// this participant's share of child expansions locally (so the assist
-    /// hands the thief a subtree to descend, not a one-off batch).
+    /// last-step candidate range until it drains, validating each row and
+    /// delivering the embeddings it completes.
     ///
     /// [`ExpansionState::prepare`] must have run for `shared.emb` on this
     /// worker's scratch (the owner did so before generating candidates;
     /// [`Exec::execute_assist`] does it for thieves).
     fn run_split(&mut self, shared: &SplitExpansion, owner: bool) {
         let depth = shared.emb.len();
-        let plan = self.env.plan;
-        let step = &plan.steps()[depth];
+        let step = &self.env.plan.steps()[depth];
         let Some(pid) = step.partition else {
             return; // unreachable: a split implies candidates, which imply a partition
         };
         let partition = self.env.data.partition(pid);
-        let last = depth + 1 == plan.len();
         let total = shared.cands.len();
-        let mut valid = std::mem::take(&mut self.scratch.valid);
-        valid.clear();
-        let mut aborted = false;
+        let chunk = claim_chunk(total);
         let validated_before = self.metrics.validated;
-        'claim: loop {
-            let start = shared.next.fetch_add(shared.chunk, Ordering::Relaxed);
+        loop {
+            let start = shared.next.fetch_add(chunk, Ordering::Relaxed);
             if start >= total {
                 break;
             }
             if !owner {
                 self.metrics.assist_chunks += 1;
             }
-            let end = (start + shared.chunk).min(total);
+            let end = (start + chunk).min(total);
             // The claimer of the final chunk releases the shared buffers'
             // accounting (exactly one participant sees end == total with a
             // live claim). A stopped query may skip the release — harmless:
             // its peak is already recorded and the tracker dies with it.
-            // The same exactly-once point lifts the split's re-planning
-            // suppression (a stopped query leaves it raised, which only
-            // blocks re-plans the dying query would never use).
             if end == total {
                 self.env.tracker.free(shared.bytes());
-                if let Some(ad) = self.env.adaptive {
-                    ad.split_finished();
-                }
             }
-            for (i, &row) in shared.cands[start..end].iter().enumerate() {
-                if i % ABORT_PROBE == ABORT_PROBE - 1 && (self.abort)() {
-                    aborted = true;
-                    break 'claim;
-                }
-                self.validate_row(partition, step, depth, &shared.emb, row, last, &mut valid);
+            for &row in &shared.cands[start..end] {
+                self.validate_row(partition, step, depth, &shared.emb, row, true);
             }
-            // Per-chunk probe: stop claiming promptly once the query stops
-            // (unclaimed chunks are dropped — every other participant sees
-            // the same signal).
+            // One stop probe per claim (a claim is at most ABORT_PROBE
+            // rows): unclaimed chunks of a stopped query are dropped —
+            // every other participant sees the same signal.
             if (self.abort)() {
-                aborted = true;
-                break;
+                return;
             }
         }
+        // This participant's share is a completed step boundary; the owner
+        // also accounts the candidates it generated.
+        let candidates = if owner { total as u64 } else { 0 };
         let partials = self.metrics.validated - validated_before;
-        self.metrics.steps.record_partials(depth, partials);
-        if !aborted {
-            for idx in (0..valid.len()).rev() {
-                let global = valid[idx];
-                self.spawn_expand(&shared.emb, global);
-            }
-            // This participant's share of the split is done — a step
-            // boundary. The candidates were already observed by the owner
-            // at publication; the trigger re-check here is what resumes a
-            // re-plan that was suppressed while the splits were live.
-            if let Some(ad) = self.env.adaptive {
-                if ad.observe(depth, 0, partials) && ad.maybe_replan(depth, self.env.data) {
-                    self.metrics.replans += 1;
-                }
-            }
-        }
-        self.scratch.valid = valid;
+        self.note_step(depth, candidates, partials);
     }
 
-    /// Validates one candidate row, delivering complete embeddings at the
-    /// last step and buffering earlier valid extensions into `valid`.
-    #[allow(clippy::too_many_arguments)] // hot-path kernel shared by the serial and split loops
+    /// Validates one candidate row: delivers the complete embedding at the
+    /// last step, and returns the data edge of a valid earlier extension.
     fn validate_row(
         &mut self,
         partition: &Partition,
@@ -565,8 +534,7 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
         emb: &[u32],
         row: u32,
         last: bool,
-        valid: &mut Vec<u32>,
-    ) {
+    ) -> Option<u32> {
         let global = partition.global_id(row).raw();
         match validate_candidate(
             self.env.data,
@@ -581,18 +549,18 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
             Validation::Valid => {
                 self.metrics.filtered += 1;
                 self.metrics.validated += 1;
-                if last {
-                    self.scratch.full.clear();
-                    self.scratch.full.extend_from_slice(emb);
-                    self.scratch.full.push(global);
-                    self.deliver_full();
-                } else {
-                    valid.push(global);
+                if !last {
+                    return Some(global);
                 }
+                self.scratch.full.clear();
+                self.scratch.full.extend_from_slice(emb);
+                self.scratch.full.push(global);
+                self.deliver_full();
             }
             Validation::WrongProfiles => self.metrics.filtered += 1,
             Validation::WrongVertexCount | Validation::Duplicate => {}
         }
+        None
     }
 
     /// Emits the expansion of `parent + [global]`, inline when it fits and
@@ -751,6 +719,79 @@ mod tests {
         (delivered, executed, metrics)
     }
 
+    /// The inline expansion task of the partial embedding `emb`.
+    fn expand(emb: &[u32]) -> Task {
+        let mut inline = [0u32; INLINE_EMB];
+        inline[..emb.len()].copy_from_slice(emb);
+        Task::Expand {
+            depth: emb.len() as u8,
+            ver: 0,
+            emb: inline,
+        }
+    }
+
+    /// An assist ticket over the candidates the owner of `emb`'s expansion
+    /// would have shared, with no claim taken yet.
+    fn ticket(data: &Hypergraph, plan: &Plan, emb: Vec<u32>) -> (Task, usize) {
+        let step = &plan.steps()[emb.len()];
+        let mut state = ExpansionState::new();
+        state.prepare(data, step, &emb);
+        let produced = generate_candidates(data, step, &emb, &mut state, &MatchConfig::default());
+        let shared = Arc::new(SplitExpansion {
+            emb,
+            cands: std::mem::take(&mut state.candidates),
+            next: AtomicUsize::new(0),
+            ver: 0,
+        });
+        (Task::Assist { shared }, produced)
+    }
+
+    /// The rule itself: under one threshold, a fat expansion short of the
+    /// last position spawns children and never splits, while a last-step
+    /// one publishes its range and emits only tickets.
+    #[test]
+    fn only_the_last_step_splits() {
+        let (data, plan) = path_over_clique(9, 3);
+        let config = MatchConfig::parallel(2).with_split_threshold(4);
+        let sink = CountSink::new();
+        let tracker = MemoryTracker::new();
+        let env = QueryEnv {
+            plan: &plan,
+            data: &data,
+            sink: &sink,
+            config: &config,
+            tracker: &tracker,
+            ver: 0,
+            adaptive: None,
+        };
+        let run = |emb: &[u32]| {
+            let mut metrics = MatchMetrics::default();
+            let mut emitted = Vec::new();
+            execute_task(
+                &env,
+                &mut ExecScratch::new(),
+                &mut metrics,
+                expand(emb),
+                &mut || false,
+                &mut |t| emitted.push(t),
+            );
+            (metrics, emitted)
+        };
+
+        // e0 = {0,1}, e8 = {1,2}: a valid two-edge prefix.
+        let (inner, children) = run(&[0]);
+        assert!(inner.candidates >= 4, "the inner expansion is fat enough");
+        assert_eq!(inner.split_expansions, 0);
+        assert!(!children.is_empty());
+        assert!(children.iter().all(|t| matches!(t, Task::Expand { .. })));
+
+        let (last, tickets) = run(&[0, 8]);
+        assert!(last.candidates >= 4);
+        assert_eq!(last.split_expansions, 1);
+        assert!(!tickets.is_empty());
+        assert!(tickets.iter().all(|t| matches!(t, Task::Assist { .. })));
+    }
+
     #[test]
     fn split_path_delivers_the_same_embeddings() {
         let (data, plan) = pair_clique(9); // 36 edges, plenty of candidates
@@ -764,9 +805,7 @@ mod tests {
         assert!(expect > 0);
         assert_eq!(m0.split_expansions, 0);
 
-        let split = MatchConfig::parallel(4)
-            .with_split_threshold(4)
-            .with_split_chunk(3);
+        let split = MatchConfig::parallel(4).with_split_threshold(4);
         let (got, executed, m1) = drain(&data, &plan, &split, root());
         assert_eq!(got, expect, "splitting must not change the result set");
         assert!(m1.split_expansions > 0, "threshold 4 must trigger splits");
@@ -780,9 +819,7 @@ mod tests {
     #[test]
     fn single_worker_config_never_splits() {
         let (data, plan) = pair_clique(9);
-        let config = MatchConfig::parallel(1)
-            .with_split_threshold(1)
-            .with_split_chunk(1);
+        let config = MatchConfig::parallel(1).with_split_threshold(1);
         let root = Task::Scan {
             start: 0,
             end: data.partition(plan.steps()[0].partition.unwrap()).len() as u32,
@@ -798,39 +835,18 @@ mod tests {
     fn assist_ticket_resumes_on_fresh_scratch() {
         let (data, plan) = pair_clique(9);
         let config = MatchConfig::parallel(2).with_split_threshold(0);
-        let step = &plan.steps()[1];
-        let emb = vec![0u32];
 
-        // Oracle: the plain (unsplit) expansion of emb.
-        let mut inline = [0u32; INLINE_EMB];
-        inline[0] = 0;
-        let (expect, _, _) = drain(
-            &data,
-            &plan,
-            &config,
-            Task::Expand {
-                depth: 1,
-                ver: 0,
-                emb: inline,
-            },
-        );
+        // Oracle: the plain (unsplit) expansion of e0.
+        let (expect, _, _) = drain(&data, &plan, &config, expand(&[0]));
         assert!(expect > 0);
-
-        // Regenerate the candidate list the owner would have shared.
-        let mut state = ExpansionState::new();
-        state.prepare(&data, step, &emb);
-        let produced = generate_candidates(&data, step, &emb, &mut state, &config);
-        assert!(produced > 0);
-        let shared = Arc::new(SplitExpansion {
-            emb,
-            cands: std::mem::take(&mut state.candidates),
-            next: AtomicUsize::new(0),
-            chunk: 2,
-            ver: 0,
-        });
 
         // The ticket alone (owner never claims): a fresh scratch must
         // rebuild the expansion state and drain the whole range.
+        let (ticket, produced) = ticket(&data, &plan, vec![0]);
+        assert!(produced > 0);
+        let Task::Assist { shared } = ticket else {
+            unreachable!()
+        };
         let (got, _, m) = drain(
             &data,
             &plan,
@@ -840,7 +856,10 @@ mod tests {
             },
         );
         assert_eq!(got, expect);
-        assert_eq!(m.assist_chunks as usize, produced.div_ceil(2));
+        assert_eq!(
+            m.assist_chunks as usize,
+            produced.div_ceil(claim_chunk(produced))
+        );
 
         // A second ticket on the drained range degenerates to accounting.
         let (rest, executed, m2) = drain(&data, &plan, &config, Task::Assist { shared });
@@ -849,56 +868,36 @@ mod tests {
     }
 
     /// The thief path as it really happens: the ticket lands on a scratch
-    /// that has just descended somewhere else entirely. Its level stack and
+    /// that has just descended somewhere else entirely — in another query,
+    /// since scratch is reused across queries. Its level stack and
     /// class-code table describe another embedding — one step deeper, so
     /// more vertices carry a code than the ticket's embedding has — and
     /// `execute_assist`'s one `prepare` must leave no trace of it.
     #[test]
     fn assist_ticket_resumes_on_a_used_scratch() {
         let (data, plan) = path_over_clique(9, 3);
+        let (_, deeper) = path_over_clique(9, 4);
         let config = MatchConfig::parallel(2).with_split_threshold(0);
-        let step = &plan.steps()[1];
-        let expand = |first: u32| {
-            let mut emb = [0u32; INLINE_EMB];
-            emb[0] = first;
-            Task::Expand {
-                depth: 1,
-                ver: 0,
-                emb,
-            }
-        };
-        let ticket_for = |emb: Vec<u32>| {
-            let mut state = ExpansionState::new();
-            state.prepare(&data, step, &emb);
-            generate_candidates(&data, step, &emb, &mut state, &config);
-            Task::Assist {
-                shared: Arc::new(SplitExpansion {
-                    emb,
-                    cands: std::mem::take(&mut state.candidates),
-                    next: AtomicUsize::new(0),
-                    chunk: 2,
-                    ver: 0,
-                }),
-            }
-        };
 
         let mut scratch = ExecScratch::new();
-        for (own, stolen) in [(35u32, 0u32), (0, 20), (20, 35)] {
-            // The thief's own work first: a whole subtree under `own`.
-            let (own_count, _, _) = drain_on(&mut scratch, &data, &plan, &config, expand(own));
+        // Last-step tickets over two-edge prefixes sharing one vertex.
+        for (own, stolen) in [(35u32, [0u32, 8]), (0, [20, 15]), (20, [35, 34])] {
+            // The thief's own work first: a whole four-edge subtree.
+            let (own_count, _, _) = drain_on(&mut scratch, &data, &deeper, &config, expand(&[own]));
             assert!(own_count > 0);
             // Then the ticket for an unrelated embedding.
-            let (expect, _, _) = drain(&data, &plan, &config, expand(stolen));
+            let (expect, _, _) = drain(&data, &plan, &config, expand(&stolen));
+            assert!(expect > 0);
             let (got, _, _) = drain_on(
                 &mut scratch,
                 &data,
                 &plan,
                 &config,
-                ticket_for(vec![stolen]),
+                ticket(&data, &plan, stolen.to_vec()).0,
             );
             assert_eq!(
                 got, expect,
-                "ticket for e{stolen} after working under e{own}"
+                "ticket for {stolen:?} after working under e{own}"
             );
         }
     }
@@ -927,19 +926,13 @@ mod tests {
         let mut metrics = MatchMetrics::default();
         let mut spawned = 0usize;
         let mut probes = 0u64;
-        let mut inline = [0u32; INLINE_EMB];
-        inline[0] = 0;
         // Probe 1 is the task-entry check; every later probe (the first of
         // which generation itself issues) sees the stop raised.
         let delivered = execute_task(
             &env,
             &mut scratch,
             &mut metrics,
-            Task::Expand {
-                depth: 1,
-                ver: 0,
-                emb: inline,
-            },
+            expand(&[0]),
             &mut || {
                 probes += 1;
                 probes > 1

@@ -33,11 +33,11 @@
 //!   recording; a stopped query releases its workers to other queries
 //!   without touching the pool.
 //! * **Work-assisting intra-query parallelism** — beyond deque stealing,
-//!   a hot expansion whose candidate list reaches
+//!   a last-step expansion whose candidate list reaches
 //!   [`crate::MatchConfig::split_threshold`] is *split mid-flight*
 //!   (DESIGN.md §12): idle workers claim disjoint chunks of the in-flight
-//!   candidate range through stolen assist tickets, so a single giant
-//!   query spreads across the pool instead of pinning one worker.
+//!   candidate range through stolen assist tickets, so one giant
+//!   expansion spreads across the pool instead of pinning one worker.
 //!   Observable via [`ServeStats::splits`]/[`ServeStats::assists`] and the
 //!   per-worker busy spread of [`MatchServer::worker_stats`].
 //! * **Plan caching** — repeated query shapes skip Algorithm 3 entirely,

@@ -13,11 +13,8 @@
 //!    adopts the whole stack onto its deque;
 //! 3. **stealing** — batches from a random victim's cold end, which holds
 //!    the *oldest* (coarsest) tasks, exactly as in the one-shot engine.
-//!    Since the work-assisting scheduler (DESIGN.md §12) the cold end also
-//!    holds *assist tickets*: claims on the in-flight candidate range of a
-//!    splittable expansion, pushed below the owner's children so thieves
-//!    preferentially join the hottest expansion instead of peeling off a
-//!    leaf task.
+//!    Deques also hold *assist tickets* (DESIGN.md §12): claims on the
+//!    in-flight candidate range of a split last-step expansion.
 //!
 //! Fairness against monopolisation: after [`ServeConfig::fairness_quantum`]
 //! consecutive tasks of the same query, a worker offers waiting seed slots
@@ -36,6 +33,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::deque::Worker as Deque;
 
+use crate::adaptive::resolve_task;
 use crate::engine::task::{
     execute_task, steal_from_victims, ExecScratch, QueryEnv, Task, CHECK_INTERVAL,
 };
@@ -168,15 +166,7 @@ pub(crate) fn run_one(
     let ran = catch_unwind(AssertUnwindSafe(|| {
         #[cfg(test)]
         shared.panic_hook.fire(query.id);
-        // Resolve the plan version this task runs under (DESIGN.md §15) —
-        // per task, at the step boundary, before any step state is built.
-        let (resolved, ver) = match query.adaptive.as_ref() {
-            Some(ad) => {
-                let (plan, ver) = ad.resolve_task(&task);
-                (Some(plan), ver)
-            }
-            None => (None, 0),
-        };
+        let (resolved, ver) = resolve_task(query.adaptive.as_ref(), &task);
         let env = QueryEnv {
             plan: resolved.as_deref().unwrap_or(&query.plan),
             // Each task runs against the snapshot its query pinned at

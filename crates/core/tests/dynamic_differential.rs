@@ -92,9 +92,11 @@ fn dynamic_snapshots_answer_like_rebuilt_static() {
 /// Acceptance: ≥8 queries concurrently in flight on a [`MatchServer`]
 /// while a writer publishes new epochs; every outcome must exactly equal a
 /// sequential run against the snapshot its epoch pinned — i.e. no query
-/// ever observes a torn snapshot.
+/// ever observes a torn snapshot. Last-step splitting is forced, so on a
+/// multi-worker pool assist tickets race the publishes too.
 #[test]
 fn served_queries_never_observe_torn_snapshots() {
+    let workers = env_workers(4);
     let base = random_arity_hypergraph(0xBEE5, 200, 500, 3, 2, 4);
     let stream = generate_update_stream(
         &base,
@@ -110,9 +112,12 @@ fn served_queries_never_observe_torn_snapshots() {
     let first = dynamic.snapshot();
     let server = MatchServer::new(
         Arc::clone(&first.graph),
-        ServeConfig::default()
-            .with_threads(env_workers(4))
-            .with_fairness_quantum(8),
+        ServeConfig {
+            match_config: MatchConfig::default().with_split_threshold(4),
+            ..ServeConfig::default()
+                .with_threads(workers)
+                .with_fairness_quantum(8)
+        },
     );
     let queries = workload_queries();
     assert!(queries.len() >= 8, "acceptance demands >= 8 queries");
@@ -209,6 +214,9 @@ fn served_queries_never_observe_torn_snapshots() {
         epochs_seen.len() >= 2,
         "queries must actually span several epochs (saw {epochs_seen:?})"
     );
+    let stats = server.stats();
+    assert_eq!(stats.splits > 0, workers > 1, "{stats:?}");
+    assert_eq!(stats.tasks_spawned, stats.tasks_executed);
 }
 
 /// Plan-cache invalidation: updates that change a query's candidate space

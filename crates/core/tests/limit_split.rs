@@ -25,14 +25,13 @@ use hgmatch_core::{Embedding, FirstKSink, MatchConfig, Matcher};
 use hgmatch_hypergraph::{Hypergraph, HypergraphBuilder, Label};
 use std::sync::Arc;
 
-/// Embeddings a k-limited run may deliver to the sink past the limit:
-/// a descheduled worker can finish its claimed assist chunk (pinned to 2
-/// rows below, like the sched-stress CI matrix) plus up to `COUNT_FLUSH`
-/// (64) deliveries in flight before its next probe. Generous headroom on
-/// top keeps the test schedule-proof on oversubscribed single-core
-/// runners while staying ~40x below the pre-fix overshoot (the full
-/// 20 000).
-const OVERSHOOT_PER_WORKER: u64 = 128;
+/// Embeddings a k-limited run may deliver to the sink past the limit: a
+/// worker probes the stop once per assist claim, so it can finish the
+/// claim it holds — one chunk, which the engine derives from the range
+/// length as `min(len / 8, 256)`, i.e. 256 rows at `N` — plus up to
+/// `COUNT_FLUSH` (64) deliveries its peers have not flushed yet. That is
+/// still ~8x below the pre-fix overshoot (the full 20 000) at 8 workers.
+const OVERSHOOT_PER_WORKER: u64 = 256 + 64;
 
 const N: usize = 20_000;
 const K: u64 = 5;
@@ -73,9 +72,7 @@ fn first_k_is_exact_under_forced_splits() {
     let data = hub_star(N);
     let query = two_path_query();
     for workers in [2usize, 8] {
-        let config = MatchConfig::parallel(workers)
-            .with_split_threshold(4)
-            .with_split_chunk(2);
+        let config = MatchConfig::parallel(workers).with_split_threshold(4);
         let matcher = Matcher::with_config(&data, config);
 
         let results = matcher.find_first(&query, K as usize).unwrap();
@@ -104,10 +101,7 @@ fn serve_limit_stops_exactly_once_under_forced_splits() {
     let query = two_path_query();
     for workers in [2usize, 8] {
         let mut config = ServeConfig::default().with_threads(workers);
-        config.match_config = config
-            .match_config
-            .with_split_threshold(4)
-            .with_split_chunk(2);
+        config.match_config = config.match_config.with_split_threshold(4);
         let server = MatchServer::new(Arc::clone(&data), config);
 
         let outcome = server.run(&query, QueryOptions::first(K)).unwrap();
@@ -156,11 +150,11 @@ const ABORT_PROBE: u64 = 1024;
 
 /// The giant expansion runs under both loops: the plain serial one (split
 /// threshold 0 — one worker owns the whole range) and the work-assisting
-/// claim loop at the configured default threshold.
+/// claim loop, at a threshold below `GIANT` whatever the default is.
 fn giant_configs() -> [MatchConfig; 2] {
     [
         MatchConfig::parallel(2).with_split_threshold(0),
-        MatchConfig::parallel(2),
+        MatchConfig::parallel(2).with_split_threshold(GIANT / 2),
     ]
 }
 
@@ -198,6 +192,7 @@ fn giant_expansion_on_the_engine_matches_sequential_and_stops_within_a_probe_win
         let sink = FirstKSink::new(K as usize);
         let stats = matcher.run(&query, &sink).unwrap();
         assert_eq!(sink.into_results().len(), K as usize);
+        assert_eq!(stats.metrics.split_expansions > 0, threshold > 0);
         assert!(
             stats.metrics.materialized <= K + 2 * ABORT_PROBE,
             "split_threshold={threshold}: {} embeddings materialized past a limit of {K}",
@@ -236,6 +231,7 @@ fn giant_expansion_served_matches_sequential_and_stops_within_a_probe_window() {
             outcome.metrics.materialized,
         );
         let stats = server.stats();
+        assert_eq!(stats.splits > 0, threshold > 0);
         assert_eq!(stats.tasks_spawned, stats.tasks_executed);
         server.shutdown();
     }

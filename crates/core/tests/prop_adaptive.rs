@@ -6,8 +6,8 @@
 //! the same multiset invariant as `prop_orders.rs` — the adaptive run
 //! must deliver exactly the embedding multiset of a static run of the
 //! same plan, across kernel modes {Auto, forced-scalar} × workers
-//! {1, 4} × forced mid-flight splitting (threshold 4, chunk 2, so the
-//! split-suppression/drain handshake with re-planning runs constantly).
+//! {1, 4} × forced mid-flight splitting (threshold 4, so last-step assist
+//! tickets are in flight whenever a re-plan is adopted).
 //!
 //! The plans under test are *random connected orders*, not the planner's:
 //! a random order's suffix is rarely the cost-optimal completion of its
@@ -18,9 +18,6 @@
 //! matched prefix, scaling its cardinality multiplies every completion
 //! equally, so the compiled suffix is already optimal — the `confirming
 //! search` path. Random orders sidestep that fixed point.)
-//!
-//! The CI `adaptive-stress` job replays this suite with
-//! `HGMATCH_SPLIT_THRESHOLD=4` and both kernel modes forced.
 
 use std::sync::Mutex;
 
@@ -75,7 +72,7 @@ fn run_static(plan: &Plan, data: &Hypergraph, threads: usize) -> Vec<Embedding> 
 }
 
 /// Adaptive run of the same plan with the trigger pinned to fire at every
-/// completed step boundary and splitting forced. Returns the sorted
+/// completed step boundary and last-step splitting forced. Returns the sorted
 /// embeddings plus how many re-plans were adopted.
 fn run_adaptive(
     query: &QueryGraph,
@@ -85,8 +82,7 @@ fn run_adaptive(
 ) -> (Vec<Embedding>, u64) {
     let cfg = MatchConfig::parallel(threads)
         .with_replan_ratio(1e-9)
-        .with_split_threshold(4)
-        .with_split_chunk(2);
+        .with_split_threshold(4);
     let sink = CollectSink::new();
     let stats = ParallelEngine::run_adaptive(query, plan, data, &sink, &cfg);
     (sink.into_results(), stats.metrics.replans)

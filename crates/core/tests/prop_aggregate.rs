@@ -3,7 +3,7 @@
 //! agree with a materialize-then-aggregate oracle computed in plain code
 //! from the full sorted result set — under both kernel families
 //! (`Auto` vs `ForceScalar`), worker counts 1 and 4, and forced
-//! work-assist splitting (threshold 4, chunk 2).
+//! last-step work-assist splitting (threshold 4).
 //!
 //! Determinism contract pinned here: top-k is byte-identical to the
 //! oracle at *every* worker count (the (score desc, bytes asc) total
@@ -86,9 +86,7 @@ proptest! {
             setops::set_kernel_mode(kernel);
             for workers in [1usize, 4] {
                 let tag = format!("seed={seed} kernel={kernel:?} workers={workers}");
-                let config = MatchConfig::parallel(workers)
-                    .with_split_threshold(4)
-                    .with_split_chunk(2);
+                let config = MatchConfig::parallel(workers).with_split_threshold(4);
                 let matcher = Matcher::with_config(&data, config);
 
                 let out = matcher

@@ -5,17 +5,16 @@
 //!
 //! * **Determinism** — for random data/query pairs, the served embedding
 //!   multiset must equal the sequential executor's, for every pool size in
-//!   {1, 2, 8}, in both kernel modes, with splitting forced aggressively
-//!   (threshold 4, chunk 2) so assist tickets saturate the schedule.
+//!   {1, 2, 8}, in both kernel modes, with last-step splitting forced
+//!   aggressively (threshold 4) so assist tickets saturate the schedule.
 //! * **Accounting** — every spawned task (seed scans, children, assist
 //!   tickets) is executed exactly once: after the pool drains,
 //!   `tasks_spawned == tasks_executed`. A lost ticket would hang a query
 //!   (pending never reaches zero); a double-executed one would double
 //!   results — both are caught here and by the differential checks.
 //!
-//! The CI `sched-stress` job runs this suite with `HGMATCH_WORKERS=8` and
-//! the `HGMATCH_SPLIT_*` env overrides, on top of the scalar×workers
-//! matrix of the `dynamic` job.
+//! The CI `dynamic` job runs this suite across its scalar × workers
+//! {1, 4, 8} matrix.
 
 use std::sync::Arc;
 
@@ -33,9 +32,7 @@ use hgmatch_hypergraph::Hypergraph;
 /// Splitting forced far below the production threshold, so even the small
 /// test graphs exercise shared candidate ranges and assist tickets.
 fn splitty(threads: usize) -> MatchConfig {
-    MatchConfig::parallel(threads)
-        .with_split_threshold(4)
-        .with_split_chunk(2)
+    MatchConfig::parallel(threads).with_split_threshold(4)
 }
 
 fn sequential_embeddings(data: &Hypergraph, query: &Hypergraph) -> Vec<Vec<u32>> {

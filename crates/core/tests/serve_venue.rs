@@ -6,12 +6,11 @@
 //! venues — and the hand-off between them — to the sequential executor's
 //! answer: the venue differential in every aggregation mode, a spill whose
 //! estimate was honest-but-wrong (a hub) or stale (the `plan_adaptive`
-//! adversary), exact first-k on one worker across the hand-off, a deadline
-//! landing in the inline phase, and inline runs racing `update_data`.
+//! adversary), exact first-k on one worker across the hand-off, a last-step
+//! split ending the inline phase at once, a deadline landing in the inline
+//! phase, and inline runs racing `update_data`.
 //!
-//! CI runs it in both kernel families (`net-stress`, `dynamic`) and with
-//! splitting forced (`sched-stress`, `HGMATCH_SPLIT_THRESHOLD=4`), where an
-//! inline expansion that publishes a split ends the inline phase at once.
+//! CI runs it in both kernel families (`net-stress`, `dynamic`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -264,6 +263,39 @@ fn a_stale_estimate_spills_replans_and_writes_back() {
         after.estimate_corrections > before.estimate_corrections,
         "a spilled run still writes its corrected plan back"
     );
+}
+
+/// A caller-first run whose last-step expansion publishes a split hands
+/// the query to the pool at once — a few tasks in, far inside the task
+/// budget — so the assist ticket is stealable while the caller validates;
+/// the answer stays exact. The query is [`hub`]'s first two edges: the
+/// hub's `FAN`-candidate {A,B} expansion is its last step.
+#[test]
+fn a_last_step_split_spills_the_inline_run_at_once() {
+    let (data, _) = hub();
+    let mut q = HypergraphBuilder::new();
+    for &l in &[2u32, 0, 1] {
+        q.add_vertex(Label::new(l));
+    }
+    q.add_edge(vec![0, 1]).unwrap(); // {C,A}
+    q.add_edge(vec![1, 2]).unwrap(); // {A,B}
+    let query = q.build().unwrap();
+    let expected = sequential(&data).find_all(&query).unwrap();
+    let server = MatchServer::new(
+        Arc::new(data),
+        ServeConfig {
+            match_config: MatchConfig::default().with_split_threshold(4),
+            ..ServeConfig::default().with_threads(2)
+        },
+    );
+    let outcome = server.run(&query, QueryOptions::collect_all()).unwrap();
+    assert_eq!(outcome.embeddings.as_deref(), Some(&expected[..]));
+    assert!(!outcome.inline);
+    let stats = server.stats();
+    assert_eq!((stats.ran_inline, stats.splits, stats.spilled), (1, 1, 1));
+    // Scan and at most the leaf's expansion before the hub's split.
+    assert!(stats.caller_tasks <= 3, "{stats:?}");
+    assert_eq!(stats.tasks_spawned, stats.tasks_executed);
 }
 
 /// A deadline that has passed when the first inline task probes it stops

@@ -126,12 +126,6 @@ impl CompressedPostings {
         (h.base, h.max)
     }
 
-    /// Number of values in block `i`.
-    #[inline]
-    pub fn block_len(&self, i: usize) -> usize {
-        self.headers[i].count as usize
-    }
-
     /// Whether block `i` is a pure run (width 0): it stores *every* integer
     /// in its `[min, max]` span. The fused kernels exploit this — set
     /// algebra against a contiguous range needs no decode at all.

@@ -620,93 +620,6 @@ pub fn difference_list_compressed_into(list: &[u32], c: &CompressedPostings, out
     out.extend_from_slice(&list[lo..]);
 }
 
-/// Tests whether a compressed posting and a sorted list share an element.
-pub fn intersects_compressed(c: &CompressedPostings, list: &[u32]) -> bool {
-    if c.is_empty() || list.is_empty() {
-        return false;
-    }
-    let mut scratch = [0u32; BLOCK_LEN];
-    let mut lo = 0usize;
-    for bi in 0..c.num_blocks() {
-        let (bmin, bmax) = c.block_range(bi);
-        lo += list[lo..].partition_point(|&x| x < bmin);
-        if lo == list.len() {
-            return false;
-        }
-        if list[lo] > bmax {
-            continue;
-        }
-        if c.block_is_run(bi) {
-            return true; // list[lo] ∈ [bmin, bmax] and runs store the span
-        }
-        let hi = lo + list[lo..].partition_point(|&x| x <= bmax);
-        if intersects(c.decode_block(bi, &mut scratch), &list[lo..hi]) {
-            return true;
-        }
-        lo = hi;
-        if lo == list.len() {
-            return false;
-        }
-    }
-    false
-}
-
-/// Tests whether every element of a compressed posting is in sorted `sup`.
-pub fn is_subset_compressed_list(c: &CompressedPostings, sup: &[u32]) -> bool {
-    if c.len() > sup.len() {
-        return false;
-    }
-    let mut scratch = [0u32; BLOCK_LEN];
-    let mut lo = 0usize;
-    for bi in 0..c.num_blocks() {
-        let (bmin, bmax) = c.block_range(bi);
-        lo += sup[lo..].partition_point(|&x| x < bmin);
-        let hi = lo + sup[lo..].partition_point(|&x| x <= bmax);
-        if hi - lo < c.block_len(bi) {
-            return false;
-        }
-        // Run block: `hi - lo >= count` distinct sup values inside a span of
-        // exactly `count` integers means sup covers the block verbatim.
-        if !c.block_is_run(bi) && !is_subset(c.decode_block(bi, &mut scratch), &sup[lo..hi]) {
-            return false;
-        }
-        lo = hi;
-    }
-    true
-}
-
-/// Tests whether every element of sorted `sub` is in a compressed posting.
-pub fn is_subset_list_compressed(sub: &[u32], c: &CompressedPostings) -> bool {
-    if sub.is_empty() {
-        return true;
-    }
-    if sub.len() > c.len() {
-        return false;
-    }
-    let mut scratch = [0u32; BLOCK_LEN];
-    let mut lo = 0usize;
-    for bi in 0..c.num_blocks() {
-        let (bmin, bmax) = c.block_range(bi);
-        if sub[lo] < bmin {
-            // A value fell into the gap before this block: not stored.
-            return false;
-        }
-        let hi = lo + sub[lo..].partition_point(|&x| x <= bmax);
-        if hi > lo {
-            // Run blocks store every integer of their span, so the subrange
-            // is covered for free.
-            if !c.block_is_run(bi) && !is_subset(&sub[lo..hi], c.decode_block(bi, &mut scratch)) {
-                return false;
-            }
-            lo = hi;
-            if lo == sub.len() {
-                return true;
-            }
-        }
-    }
-    false
-}
-
 /// SSE/AVX2 block kernels (DESIGN.md §5.2).
 ///
 /// Both intersection and difference share one structure: load one block per
@@ -1313,22 +1226,6 @@ mod tests {
             difference_list_compressed_into(&list, &c, &mut fused);
             difference_into_scalar(&list, &cv, &mut oracle);
             assert_eq!(fused, oracle, "list\\c {lc}x{ll} stride {stride}");
-
-            assert_eq!(
-                intersects_compressed(&c, &list),
-                intersects(&cv, &list),
-                "intersects {lc}x{ll} stride {stride}"
-            );
-            assert_eq!(
-                is_subset_compressed_list(&c, &list),
-                is_subset(&cv, &list),
-                "c⊆list {lc}x{ll} stride {stride}"
-            );
-            assert_eq!(
-                is_subset_list_compressed(&list, &c),
-                is_subset(&list, &cv),
-                "list⊆c {lc}x{ll} stride {stride}"
-            );
         }
     }
 
@@ -1343,19 +1240,22 @@ mod tests {
         let mut out = Vec::new();
         intersect_compressed_into(&c, &between, &mut out);
         assert!(out.is_empty());
-        assert!(!intersects_compressed(&c, &between));
         difference_list_compressed_into(&between, &c, &mut out);
         assert_eq!(out, between);
         difference_compressed_list_into(&c, &between, &mut out);
         assert_eq!(out, cv);
 
-        // Strict subset relationships in both directions.
+        // A strict subset subtracts to nothing, in both directions of the
+        // fused difference; a value in the inter-block gap survives.
         let sub: Vec<u32> = cv.iter().copied().step_by(7).collect();
-        assert!(is_subset_list_compressed(&sub, &c));
-        assert!(is_subset_compressed_list(&c, &cv));
+        difference_list_compressed_into(&sub, &c, &mut out);
+        assert!(out.is_empty());
+        difference_compressed_list_into(&c, &cv, &mut out);
+        assert!(out.is_empty());
         let mut missing = sub.clone();
         missing.push(50_000); // in the inter-block gap
         missing.sort_unstable();
-        assert!(!is_subset_list_compressed(&missing, &c));
+        difference_list_compressed_into(&missing, &c, &mut out);
+        assert_eq!(out, [50_000]);
     }
 }
