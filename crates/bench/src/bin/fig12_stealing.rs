@@ -40,17 +40,21 @@
 //!    (the expansion is the last step: a count) and a 3-edge one (each
 //!    candidate becomes a child task with one candidate of its own, so
 //!    nothing splits). `steal` and `assist_default` at 2 workers and
-//!    `steal` at 1 take turns for 10 rounds on warm pools; the report
-//!    keeps every round and the medians.
+//!    `steal` at 1 take turns for 10 rounds on warm pools; the
+//!    `SequentialExecutor` runs each shape as many rounds, the floor the
+//!    pool's per-task cost is measured against. The report keeps every
+//!    round and the medians.
 //!
 //! All modes must agree on embedding counts (asserted). `--check` adds the
 //! gates: `steal` spreads the heavy query (parallelism ≥ 1.5 at 2 workers,
 //! evaluated when the host has 2 CPUs — give it a query of seconds, not
 //! smoke's default 0.2 ms one on CH: CI passes `--dataset SB`), the 2-edge
-//! hub expansion is split every round and the 3-edge one never, and — full
-//! size on ≥ 2 CPUs only — assisting keeps the 1.3× over stealing on the
-//! 2-edge hub count that is the reason the mechanism exists, and the
-//! sweep's crossover is not above `SPLIT_THRESHOLD` (DESIGN.md §12.2).
+//! hub expansion is split every round and the 3-edge one never, on ≥ 2
+//! CPUs two workers stealing the 3-edge hub's 10⁶ one-candidate tasks take
+//! at most 1.15× one worker's time, and — full size on ≥ 2 CPUs only —
+//! assisting keeps the 1.3× over stealing on the 2-edge hub count that is
+//! the reason the mechanism exists, and the sweep's crossover is not above
+//! `SPLIT_THRESHOLD` (DESIGN.md §12.2).
 //!
 //! Usage: `fig12_stealing [--dataset NAME] [--workers LIST] [--queries N]
 //!                        [--candidates N] [--timeout SECS]
@@ -66,8 +70,9 @@ use hgmatch_bench::experiments::{bench_smoke, heaviest_queries, num_cpus};
 use hgmatch_bench::harness::Workload;
 use hgmatch_bench::report::median;
 use hgmatch_core::config::SPLIT_THRESHOLD;
+use hgmatch_core::exec::SequentialExecutor;
 use hgmatch_core::serve::{MatchServer, QueryOptions, QueryStatus, ServeConfig};
-use hgmatch_core::MatchConfig;
+use hgmatch_core::{CountSink, MatchConfig, Matcher};
 use hgmatch_datasets::{profile_by_name, standard_settings};
 use hgmatch_hypergraph::{Hypergraph, HypergraphBuilder, Label};
 
@@ -166,10 +171,15 @@ struct HubShape {
     steal: Lane,
     assist: Lane,
     one_worker: Lane,
+    /// `SequentialExecutor` wall times, one per round.
+    sequential_ms: Vec<f64>,
 }
 
 /// Assist/steal median past which a swept size counts as a win.
 const CROSSOVER_GAIN: f64 = 1.2;
+
+/// Largest 2-worker/1-worker time allowed on the 3-edge hub adversary.
+const STEAL_OVER_ONE: f64 = 1.15;
 
 fn main() {
     let smoke = bench_smoke();
@@ -392,14 +402,17 @@ fn main() {
     // the default threshold splits.
     let hub_spokes = if smoke { SPLIT_THRESHOLD } else { 1_000_000 } as u32;
     let hub = run_hub(hub_spokes, rounds, timeout);
-    println!("hub_edges\tsteal_ms\tassist_ms\tone_worker_ms\tassist_gain\tsplits\tassists");
+    println!(
+        "hub_edges\tsteal_ms\tassist_ms\tone_worker_ms\tsequential_ms\tassist_gain\tsplits\tassists"
+    );
     for shape in &hub {
         println!(
-            "{}\t{:.1}\t{:.1}\t{:.1}\t{:.2}\t{}\t{}",
+            "{}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.2}\t{}\t{}",
             shape.edges,
             median(&shape.steal.ms),
             median(&shape.assist.ms),
             median(&shape.one_worker.ms),
+            median(&shape.sequential_ms),
             assist_gain(&shape.steal, &shape.assist),
             shape.assist.splits,
             shape.assist.assists
@@ -493,17 +506,19 @@ fn main() {
         for (si, shape) in hub.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "    {{\"query_edges\": {}, \"steal_ms\": {:.1}, \"assist_default_ms\": {:.1}, \"one_worker_ms\": {:.1}, \"assist_gain\": {:.2}, \"splits\": {}, \"assists\": {},\n     \"steal_rounds_ms\": {:.1?}, \"assist_default_rounds_ms\": {:.1?}, \"one_worker_rounds_ms\": {:.1?}}}{}",
+                "    {{\"query_edges\": {}, \"steal_ms\": {:.1}, \"assist_default_ms\": {:.1}, \"one_worker_ms\": {:.1}, \"sequential_ms\": {:.1}, \"assist_gain\": {:.2}, \"splits\": {}, \"assists\": {},\n     \"steal_rounds_ms\": {:.1?}, \"assist_default_rounds_ms\": {:.1?}, \"one_worker_rounds_ms\": {:.1?}, \"sequential_rounds_ms\": {:.1?}}}{}",
                 shape.edges,
                 median(&shape.steal.ms),
                 median(&shape.assist.ms),
                 median(&shape.one_worker.ms),
+                median(&shape.sequential_ms),
                 assist_gain(&shape.steal, &shape.assist),
                 shape.assist.splits,
                 shape.assist.assists,
                 shape.steal.ms,
                 shape.assist.ms,
                 shape.one_worker.ms,
+                shape.sequential_ms,
                 if si + 1 < hub.len() { "," } else { "" }
             );
         }
@@ -548,6 +563,17 @@ fn main() {
         // Its candidates become children there: only the last step splits.
         if children.assist.splits != 0 {
             failures.push("the 3-edge hub split an expansion short of the last step");
+        }
+        // Per-task overhead (DESIGN.md §8.1): a second worker stealing
+        // one-candidate tasks must not make the run slower than one.
+        let steal_over_one = median(&children.steal.ms) / median(&children.one_worker.ms).max(1e-9);
+        if num_cpus() >= 2 {
+            println!(
+                "# check: 3-edge hub steal at 2 workers / 1 worker {steal_over_one:.2} (<= {STEAL_OVER_ONE})"
+            );
+            if steal_over_one > STEAL_OVER_ONE {
+                failures.push("two workers stealing the 3-edge hub lose to one");
+            }
         }
         if !smoke && num_cpus() >= 2 {
             if count.assist.assists == 0 || gain < 1.3 {
@@ -609,16 +635,38 @@ fn run_hub(spokes: u32, rounds: usize, timeout: Duration) -> Vec<HubShape> {
                 Mode::AssistDefault.config(2, 0),
                 Mode::Steal.config(1, 0),
             ];
-            let [steal, assist, one_worker] =
-                race(&data, &hub_query(edges), spokes, configs, rounds, timeout);
+            let query = hub_query(edges);
+            let [steal, assist, one_worker] = race(&data, &query, spokes, configs, rounds, timeout);
             HubShape {
                 edges,
                 steal,
                 assist,
                 one_worker,
+                sequential_ms: sequential_rounds(&data, &query, spokes, rounds),
             }
         })
         .collect()
+}
+
+/// Times `rounds` runs of `query` through the `SequentialExecutor`, after
+/// one untimed run; every run must find `expect` embeddings.
+fn sequential_rounds(
+    data: &Hypergraph,
+    query: &Hypergraph,
+    expect: u32,
+    rounds: usize,
+) -> Vec<f64> {
+    let plan = Matcher::new(data).plan(query).expect("valid query");
+    let time = || {
+        let sink = CountSink::new();
+        let begin = Instant::now();
+        SequentialExecutor::run(&plan, data, &sink, &MatchConfig::sequential());
+        let ms = begin.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(sink.count(), u64::from(expect), "hub query count");
+        ms
+    };
+    time();
+    (0..rounds).map(|_| time()).collect()
 }
 
 /// Times `rounds` runs of `query` on one warm pool per config, rotating

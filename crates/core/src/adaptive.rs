@@ -265,13 +265,14 @@ impl AdaptiveState {
 /// expansions and assist tickets upgrade iff the latest order agrees with
 /// their birth version over every matched position. For a ticket that
 /// means the whole order, so its shared last-step list was generated by
-/// the very step it validates against. A static run (`adaptive` unset)
-/// executes its base plan as version 0, returned as `None`.
+/// the very step it validates against. While the base plan is the only
+/// version — always, in a static run (`adaptive` unset) — the answer is
+/// version 0, returned as `None` without touching the plan's `Arc`.
 pub(crate) fn resolve_task(
     adaptive: Option<&AdaptiveState>,
     task: &Task,
 ) -> (Option<Arc<Plan>>, u32) {
-    let Some(ad) = adaptive else {
+    let Some(ad) = adaptive.filter(|ad| ad.num_versions.load(Ordering::Acquire) > 1) else {
         return (None, 0);
     };
     let (plan, ver) = match task {
@@ -402,10 +403,9 @@ mod tests {
     #[test]
     fn replan_under_a_live_last_step_split_matches_static() {
         use crate::config::MatchConfig;
-        use crate::engine::task::{execute_task, ExecScratch, QueryEnv};
+        use crate::engine::task::{execute_task, Closures, ExecScratch, QueryEnv, Tally};
         use crate::exec::SequentialExecutor;
         use crate::memory::MemoryTracker;
-        use crate::metrics::MatchMetrics;
         use crate::sink::CollectSink;
 
         // Six {C,E} rows: the stale order's last step (q3) splits at 4.
@@ -438,43 +438,42 @@ mod tests {
             end: rows,
         }];
         let (mut owner, mut thief) = (ExecScratch::new(), ExecScratch::new());
-        let (mut metrics, mut stolen) = (MatchMetrics::default(), MatchMetrics::default());
+        let (mut tally, mut stolen) = (Tally::default(), Tally::default());
         while let Some(task) = queue.pop() {
-            let (plan, ver) = resolve_task(Some(&state), &task);
+            let (resolved, ver) = resolve_task(Some(&state), &task);
             let env = QueryEnv {
-                plan: plan.as_deref().unwrap(),
+                plan: resolved.as_deref().unwrap_or(&plan),
                 ver,
                 ..base
             };
-            execute_task(
-                &env,
-                &mut owner,
-                &mut metrics,
-                task,
-                &mut || false,
-                &mut |t| {
-                    if !matches!(t, Task::Assist { .. }) || stolen.assist_chunks > 0 {
+            let mut sched = Closures::new(
+                || false,
+                |t| {
+                    if !matches!(t, Task::Assist { .. }) || stolen.metrics.assist_chunks > 0 {
                         queue.push(t);
                         return;
                     }
                     assert!(state.maybe_replan(0, &data), "adopted mid-split");
-                    let (plan, ver) = resolve_task(Some(&state), &t);
+                    let (resolved, ver) = resolve_task(Some(&state), &t);
                     assert_eq!(ver, 0, "the new order diverges at position 2");
                     let env = QueryEnv {
-                        plan: plan.as_deref().unwrap(),
+                        plan: resolved.as_deref().unwrap_or(&plan),
                         ver,
                         ..base
                     };
-                    execute_task(&env, &mut thief, &mut stolen, t, &mut || false, &mut |_| {
-                        unreachable!("a last-step ticket spawns nothing")
-                    });
+                    let mut spawns_nothing = Closures::new(
+                        || false,
+                        |_| unreachable!("a last-step ticket spawns nothing"),
+                    );
+                    execute_task(&env, &mut thief, &mut stolen, t, &mut spawns_nothing);
                 },
             );
+            execute_task(&env, &mut owner, &mut tally, task, &mut sched);
         }
         assert_eq!(state.latest().0.order(), &[0, 1, 3, 2]);
-        assert!(metrics.split_expansions > 0);
+        assert!(tally.metrics.split_expansions > 0);
         assert!(
-            stolen.assist_chunks > 0,
+            stolen.metrics.assist_chunks > 0,
             "the thief claimed under the old version"
         );
         assert_eq!(sink.into_results(), expected);

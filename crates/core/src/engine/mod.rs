@@ -62,7 +62,9 @@ use crate::plan::Plan;
 use crate::query::QueryGraph;
 use crate::sink::Sink;
 
-use task::{execute_task, steal_from_victims, ExecScratch, QueryEnv, Task, CHECK_INTERVAL};
+use task::{
+    execute_task, steal_from_victims, ExecScratch, QueryEnv, Scheduler, Tally, Task, CHECK_INTERVAL,
+};
 
 /// The parallel engine.
 #[derive(Debug, Clone, Copy, Default)]
@@ -218,23 +220,39 @@ impl ParallelEngine {
     }
 }
 
+/// One worker of a run. Its tasks' metrics, sink counts and retirements
+/// stay in its own [`Tally`] and `retired`; `pending` only grows when a
+/// task announces children, and shrinks when the worker's deque runs dry
+/// (DESIGN.md §8.1). A worker checks `pending` only after publishing, so
+/// the run ends exactly when every worker has run dry.
 fn worker_loop<S: Sink>(
     id: usize,
     local: Deque<Task>,
     shared: &Shared<'_, S>,
 ) -> (WorkerStats, MatchMetrics) {
     let mut scratch = ExecScratch::new();
-    let mut metrics = MatchMetrics::default();
+    let mut tally = Tally::default();
+    let mut retired = 0u64;
     let mut stats = WorkerStats::default();
     let mut rng = 0x9E37_79B9 ^ (id as u64 + 1).wrapping_mul(0x2545_F491_4F6C_DD1D);
     let mut checks = 0u64;
 
     loop {
-        if let Some(task) = find_task(id, &local, shared, &mut rng, &mut stats) {
+        let next = local.pop().or_else(|| {
+            // The deque ran dry: publish before looking elsewhere or idling.
+            tally.flush_counts(shared.sink);
+            if retired > 0 {
+                shared
+                    .pending
+                    .fetch_sub(std::mem::take(&mut retired), Ordering::Release);
+            }
+            find_task(id, &local, shared, &mut rng, &mut stats)
+        });
+        if let Some(task) = next {
             let begin = Instant::now();
             let was_assist = matches!(task, Task::Assist { .. });
-            let splits_before = metrics.split_expansions;
-            let assist_chunks_before = metrics.assist_chunks;
+            let splits_before = tally.metrics.split_expansions;
+            let assist_chunks_before = tally.metrics.assist_chunks;
             let (resolved, ver) = resolve_task(shared.adaptive, &task);
             let env = QueryEnv {
                 plan: resolved.as_deref().unwrap_or(shared.plan),
@@ -245,25 +263,19 @@ fn worker_loop<S: Sink>(
                 ver,
                 adaptive: shared.adaptive,
             };
-            let delivered = execute_task(
-                &env,
-                &mut scratch,
-                &mut metrics,
-                task,
-                &mut || check_abort(shared, &mut checks),
-                &mut |t| {
-                    shared.pending.fetch_add(1, Ordering::Relaxed);
-                    local.push(t);
-                },
-            );
-            stats.matches += delivered;
+            let mut sched = EngineScheduler {
+                shared,
+                local: &local,
+                checks: &mut checks,
+            };
+            execute_task(&env, &mut scratch, &mut tally, task, &mut sched);
+            retired += 1;
             stats.busy += begin.elapsed();
             stats.tasks += 1;
-            stats.splits += metrics.split_expansions - splits_before;
-            if was_assist && metrics.assist_chunks > assist_chunks_before {
+            stats.splits += tally.metrics.split_expansions - splits_before;
+            if was_assist && tally.metrics.assist_chunks > assist_chunks_before {
                 stats.assists += 1;
             }
-            shared.pending.fetch_sub(1, Ordering::Release);
         } else {
             if shared.pending.load(Ordering::Acquire) == 0 || shared.abort.load(Ordering::Relaxed) {
                 break;
@@ -274,9 +286,34 @@ fn worker_loop<S: Sink>(
             std::thread::yield_now();
         }
     }
-    (stats, metrics)
+    stats.matches = tally.metrics.embeddings;
+    (stats, tally.metrics)
 }
 
+/// The one-shot engine's side of a task: children go to the worker's own
+/// deque, counted pending once per task.
+struct EngineScheduler<'w, 'a, S: Sink> {
+    shared: &'w Shared<'a, S>,
+    local: &'w Deque<Task>,
+    checks: &'w mut u64,
+}
+
+impl<S: Sink> Scheduler for EngineScheduler<'_, '_, S> {
+    fn stop(&mut self) -> bool {
+        check_abort(self.shared, self.checks)
+    }
+
+    fn announce(&mut self, k: usize) {
+        self.shared.pending.fetch_add(k as u64, Ordering::Relaxed);
+    }
+
+    fn push(&mut self, task: Task) {
+        self.local.push(task);
+    }
+}
+
+/// Where a worker whose deque ran dry looks next: the injector (seed tasks
+/// and overflow), then — with stealing on — a random victim.
 fn find_task<S: Sink>(
     id: usize,
     local: &Deque<Task>,
@@ -284,10 +321,6 @@ fn find_task<S: Sink>(
     rng: &mut u64,
     stats: &mut WorkerStats,
 ) -> Option<Task> {
-    if let Some(t) = local.pop() {
-        return Some(t);
-    }
-    // Injector next: seed tasks and overflow.
     loop {
         match shared.injector.steal_batch_and_pop(local) {
             Steal::Success(t) => return Some(t),

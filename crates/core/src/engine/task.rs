@@ -6,16 +6,23 @@
 //! pool, many concurrent queries). This module owns everything that happens
 //! *inside* a task — scan-range splitting, candidate generation, validation,
 //! delivery, spill-buffer pooling, memory accounting — while the scheduler
-//! supplies two closures:
+//! supplies a [`Scheduler`]:
 //!
-//! * `emit(Task)` — where child tasks go. The one-shot engine pushes to its
-//!   local deque and bumps the global pending counter; the serving pool
-//!   additionally tags each child with its query handle so tasks of many
-//!   queries can interleave in one deque.
-//! * `abort() -> bool` — the cooperative stop signal, polled at task entry
+//! * `announce(k)`, then `push(Task)` k times — where child tasks go. A
+//!   task announces all its children before the first becomes visible, so
+//!   the scheduler counts them pending in one update. The one-shot engine
+//!   pushes to its local deque; the serving pool additionally tags each
+//!   child with its query handle so tasks of many queries can interleave
+//!   in one deque.
+//! * `stop() -> bool` — the cooperative stop signal, polled at task entry
 //!   and every [`ABORT_PROBE`] candidates inside a long expansion, so
 //!   cancellation and timeouts take effect *mid-expansion* instead of at
 //!   the next task boundary.
+//!
+//! What tasks leave behind for their query — metrics, and embeddings
+//! counted but not yet added to the sink — accumulates in a [`Tally`] the
+//! scheduler keeps across tasks and publishes at its own boundaries
+//! (DESIGN.md §8.1); the core never flushes at task end.
 //!
 //! Child expansions are emitted in **reverse candidate order**: the worker
 //! deques are LIFO, so popping then visits candidates in ascending order —
@@ -35,25 +42,25 @@ use crate::candidates::{generate_candidates_with_abort, ExpansionState};
 use crate::config::MatchConfig;
 use crate::memory::MemoryTracker;
 use crate::metrics::MatchMetrics;
-use crate::plan::Plan;
+use crate::plan::{Plan, Step};
 use crate::sink::Sink;
 use crate::validate::{validate_candidate, ValidateScratch, Validation};
 
 /// Abort polls / deadline checks happen every this many probe ticks (the
-/// schedulers' `abort` closures are expected to do the cheap flag load every
+/// schedulers' stop probes are expected to do the cheap flag load every
 /// call and the expensive checks on this cadence).
 pub(crate) const CHECK_INTERVAL: u64 = 256;
 
-/// Candidates validated between `abort()` polls inside one expansion, so a
+/// Candidates validated between stop probes inside one expansion, so a
 /// cancelled query releases its worker even mid-way through a huge
 /// candidate list.
 const ABORT_PROBE: usize = 1024;
 
-/// Deliveries batched before the sink's count is flushed mid-task. Counts
-/// used to flush only at task end, which starved `is_satisfied()` during
-/// one giant (possibly split) expansion: every stop probe saw a stale
-/// count and every participant validated its entire share past
-/// `max_results`. Small enough that a limit lands within one probe-ish of
+/// Embeddings a [`Tally`] counts before handing them to the sink. Counts
+/// outlive the task that found them, so this is what keeps
+/// `is_satisfied()` current for a `max_results` stop: across a run of
+/// one-embedding tasks as much as inside one giant (possibly split)
+/// expansion. Small enough that a limit lands within one probe-ish of
 /// saturation, large enough that counting stays a batched atomic.
 const COUNT_FLUSH: u64 = 64;
 
@@ -166,6 +173,39 @@ pub(crate) struct QueryEnv<'a, S: Sink + ?Sized> {
     pub adaptive: Option<&'a AdaptiveState>,
 }
 
+/// The scheduler's side of one task execution.
+pub(crate) trait Scheduler {
+    /// The cooperative stop signal.
+    fn stop(&mut self) -> bool;
+    /// Announces the `k > 0` children this task is about to push, before
+    /// the first of them becomes visible: a scheduler counting pending
+    /// tasks raises its count once, by `k`, and never falls below the true
+    /// number. Nothing between the announcement and the last push can
+    /// panic.
+    fn announce(&mut self, k: usize);
+    /// Makes one announced child runnable.
+    fn push(&mut self, task: Task);
+}
+
+/// What executed tasks of one query leave on the thread that ran them
+/// until its scheduler publishes it (DESIGN.md §8.1).
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    pub(crate) metrics: MatchMetrics,
+    /// Embeddings counted but not yet handed to [`Sink::add_count`].
+    uncounted: u64,
+}
+
+impl Tally {
+    /// Hands the held count to `sink`.
+    pub(crate) fn flush_counts<S: Sink + ?Sized>(&mut self, sink: &S) {
+        if self.uncounted > 0 {
+            sink.add_count(self.uncounted);
+            self.uncounted = 0;
+        }
+    }
+}
+
 /// Per-worker scratch reused across tasks — and, in the serving pool,
 /// across *queries*: the expansion level-stack caches data-edge prefixes
 /// ([`ExpansionState::prepare`]), which are query-agnostic.
@@ -190,9 +230,8 @@ impl ExecScratch {
     }
 }
 
-/// Executes one task against `env`, emitting child tasks through `emit` and
-/// polling `abort` cooperatively. Returns the number of complete embeddings
-/// this task delivered.
+/// Executes one task against `env`, adding what it finds to `tally` and
+/// handing its children to `sched`.
 ///
 /// The task's queued-embedding bytes are released from `env.tracker` here
 /// regardless of the abort outcome, so schedulers can account spawned tasks
@@ -201,23 +240,20 @@ impl ExecScratch {
 pub(crate) fn execute_task<S: Sink + ?Sized>(
     env: &QueryEnv<'_, S>,
     scratch: &mut ExecScratch,
-    metrics: &mut MatchMetrics,
+    tally: &mut Tally,
     task: Task,
-    abort: &mut dyn FnMut() -> bool,
-    emit: &mut dyn FnMut(Task),
-) -> u64 {
+    sched: &mut dyn Scheduler,
+) {
     let mut exec = Exec {
         env,
         scratch,
-        metrics,
-        abort,
-        emit,
-        delivered: 0,
-        uncounted: 0,
+        tally,
+        sched,
+        release: 0,
     };
     exec.execute(task);
-    exec.flush_counts();
-    exec.delivered
+    // A task that spawned released its bytes in the same update.
+    exec.track(0);
 }
 
 /// xorshift64* — the per-worker steal-victim RNG shared by both schedulers.
@@ -260,11 +296,11 @@ pub(crate) fn steal_from_victims<T>(
 struct Exec<'e, 'a, S: Sink + ?Sized> {
     env: &'e QueryEnv<'a, S>,
     scratch: &'e mut ExecScratch,
-    metrics: &'e mut MatchMetrics,
-    abort: &'e mut dyn FnMut() -> bool,
-    emit: &'e mut dyn FnMut(Task),
-    delivered: u64,
-    uncounted: u64,
+    tally: &'e mut Tally,
+    sched: &'e mut dyn Scheduler,
+    /// Bytes of the queued embedding this task consumed, released with the
+    /// task's one [`MemoryTracker`] update ([`Exec::track`]).
+    release: usize,
 }
 
 impl<S: Sink + ?Sized> Exec<'_, '_, S> {
@@ -273,13 +309,11 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
             Task::Scan { start, end } => self.execute_scan(start, end),
             Task::Expand { depth, ver: _, emb } => {
                 let depth = depth as usize;
-                self.env.tracker.free(MemoryTracker::embedding_bytes(depth));
+                self.release = MemoryTracker::embedding_bytes(depth);
                 self.execute_expand(depth, &emb[..depth]);
             }
             Task::ExpandSpilled { emb, ver: _ } => {
-                self.env
-                    .tracker
-                    .free(MemoryTracker::embedding_bytes(emb.len()));
+                self.release = MemoryTracker::embedding_bytes(emb.len());
                 self.execute_expand(emb.len(), &emb);
                 if self.scratch.pool.len() < POOL_CAP {
                     self.scratch.pool.push(emb);
@@ -291,6 +325,19 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
         }
     }
 
+    /// The task's one net update of the memory tracker: `bytes` of new
+    /// state against the queued embedding it consumed. Applied before any
+    /// child is visible, so the Theorem VI.1 peak within a task is what
+    /// freeing first and then allocating child by child recorded.
+    fn track(&mut self, bytes: usize) {
+        let release = std::mem::take(&mut self.release);
+        if bytes > release {
+            self.env.tracker.alloc(bytes - release);
+        } else if release > bytes {
+            self.env.tracker.free(release - bytes);
+        }
+    }
+
     /// Joins the claim loop of a splittable expansion as an assisting
     /// participant: rebuilds the expansion state for the pinned partial
     /// embedding (the one non-amortised cost of resuming on another
@@ -298,7 +345,7 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
     /// ticket popped after the range drained — or after the query stopped —
     /// degenerates to accounting.
     fn execute_assist(&mut self, shared: &SplitExpansion) {
-        if (self.abort)() || shared.next.load(Ordering::Relaxed) >= shared.cands.len() {
+        if self.sched.stop() || shared.next.load(Ordering::Relaxed) >= shared.cands.len() {
             return;
         }
         let step = &self.env.plan.steps()[shared.emb.len()];
@@ -307,7 +354,7 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
     }
 
     fn execute_scan(&mut self, start: u32, end: u32) {
-        if (self.abort)() {
+        if self.sched.stop() {
             return;
         }
         let chunk = self.env.config.scan_chunk.max(1) as u32;
@@ -315,8 +362,9 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
             let mid = start + (end - start) / 2;
             // Emit the far half first so the near half is processed next
             // (LIFO), keeping the scan roughly in order locally.
-            (self.emit)(Task::Scan { start: mid, end });
-            (self.emit)(Task::Scan { start, end: mid });
+            self.sched.announce(2);
+            self.sched.push(Task::Scan { start: mid, end });
+            self.sched.push(Task::Scan { start, end: mid });
             return;
         }
 
@@ -326,10 +374,13 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
             .data
             .partition(plan.steps()[0].partition.expect("feasible"));
         let rows = (end - start) as u64;
-        self.metrics.scan_rows += rows;
+        self.tally.metrics.scan_rows += rows;
         // Every scanned row is a position-0 partial (SCAN filters nothing).
         self.note_step(0, rows, rows);
-        if plan.len() == 1 {
+        if plan.len() > 1 {
+            let globals = (start..end).rev().map(|row| partition.global_id(row).raw());
+            self.spawn_children(&[], globals);
+        } else if self.env.sink.needs_embeddings() {
             // Single-edge query: scan rows are complete embeddings.
             for row in start..end {
                 let global = partition.global_id(row).raw();
@@ -337,23 +388,21 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
                 self.scratch.full.push(global);
                 self.deliver_full();
             }
-            return;
-        }
-        for row in (start..end).rev() {
-            let global = partition.global_id(row).raw();
-            self.spawn_expand(&[], global);
+        } else {
+            self.tally.metrics.embeddings += rows;
+            self.count(rows);
         }
     }
 
     fn execute_expand(&mut self, depth: usize, emb: &[u32]) {
-        if (self.abort)() {
+        if self.sched.stop() {
             return;
         }
         let plan = self.env.plan;
         let data = self.env.data;
         let cfg = self.env.config;
         let step = &plan.steps()[depth];
-        self.metrics.expansions += 1;
+        self.tally.metrics.expansions += 1;
         // A step whose signature is absent from the data can never extend
         // anything: skip the (non-trivial) state preparation outright.
         let Some(pid) = step.partition else {
@@ -364,17 +413,18 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
         // (compressed decodes and anchor-less scans can emit far more than
         // ABORT_PROBE rows in one call); a mid-generation abort leaves the
         // candidate buffer partial, so nothing below may run.
+        let sched = &mut *self.sched;
         let Some(produced) = generate_candidates_with_abort(
             data,
             step,
             emb,
             &mut self.scratch.state,
             cfg,
-            self.abort,
+            &mut || sched.stop(),
         ) else {
             return;
         };
-        self.metrics.candidates += produced as u64;
+        self.tally.metrics.candidates += produced as u64;
         let partition = data.partition(pid);
         let last = depth + 1 == plan.len();
 
@@ -414,20 +464,17 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
             return;
         }
 
-        let mut valid = std::mem::take(&mut self.scratch.valid);
-        valid.clear();
+        self.scratch.valid.clear();
         let mut aborted = false;
-        let validated_before = self.metrics.validated;
-        for (i, &row) in cands.iter().enumerate() {
+        let validated_before = self.tally.metrics.validated;
+        for (i, rows) in cands.chunks(ABORT_PROBE).enumerate() {
             // Mid-expansion cancellation: a huge candidate list must not pin
             // this worker past a cancel/timeout/limit signal.
-            if i % ABORT_PROBE == ABORT_PROBE - 1 && (self.abort)() {
+            if i > 0 && self.probe() {
                 aborted = true;
                 break;
             }
-            if let Some(global) = self.validate_row(partition, step, depth, emb, row, last) {
-                valid.push(global);
-            }
+            self.validate_rows(partition, step, depth, emb, rows, last);
         }
         // Reverse emission: the LIFO deque then pops extensions in ascending
         // candidate order, matching the sequential executor's visit order.
@@ -435,18 +482,16 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
         // only degenerate to accounting when popped, delaying worker
         // release (and nothing has been allocated for them yet).
         if !aborted {
-            for idx in (0..valid.len()).rev() {
-                let global = valid[idx];
-                self.spawn_expand(emb, global);
-            }
+            let valid = std::mem::take(&mut self.scratch.valid);
+            self.spawn_children(emb, valid.iter().rev().copied());
+            self.scratch.valid = valid;
             // A completed expansion is a step boundary: attribute the
             // counts to this position and give the adaptive trigger its
             // chance (DESIGN.md §15).
-            let partials = self.metrics.validated - validated_before;
+            let partials = self.tally.metrics.validated - validated_before;
             self.note_step(depth, produced as u64, partials);
         }
         self.scratch.state.candidates = cands;
-        self.scratch.valid = valid;
     }
 
     /// Publishes a splittable last-step expansion (DESIGN.md §12): moves
@@ -464,10 +509,11 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
         // The shared buffers are materialised state that outlives this
         // task (they stay live until the range drains), so they count
         // against the query's memory bound like queued embeddings do.
-        self.env.tracker.alloc(shared.bytes());
-        self.metrics.split_expansions += 1;
+        self.track(shared.bytes());
+        self.tally.metrics.split_expansions += 1;
+        self.sched.announce(tickets);
         for _ in 0..tickets {
-            (self.emit)(Task::Assist {
+            self.sched.push(Task::Assist {
                 shared: Arc::clone(&shared),
             });
         }
@@ -476,7 +522,7 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
 
     /// The work-assisting claim loop: claims disjoint chunks of `shared`'s
     /// last-step candidate range until it drains, validating each row and
-    /// delivering the embeddings it completes.
+    /// delivering (or counting) the embeddings it completes.
     ///
     /// [`ExpansionState::prepare`] must have run for `shared.emb` on this
     /// worker's scratch (the owner did so before generating candidates;
@@ -490,14 +536,14 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
         let partition = self.env.data.partition(pid);
         let total = shared.cands.len();
         let chunk = claim_chunk(total);
-        let validated_before = self.metrics.validated;
+        let validated_before = self.tally.metrics.validated;
         loop {
             let start = shared.next.fetch_add(chunk, Ordering::Relaxed);
             if start >= total {
                 break;
             }
             if !owner {
-                self.metrics.assist_chunks += 1;
+                self.tally.metrics.assist_chunks += 1;
             }
             let end = (start + chunk).min(total);
             // The claimer of the final chunk releases the shared buffers'
@@ -507,74 +553,101 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
             if end == total {
                 self.env.tracker.free(shared.bytes());
             }
-            for &row in &shared.cands[start..end] {
-                self.validate_row(partition, step, depth, &shared.emb, row, true);
-            }
+            let rows = &shared.cands[start..end];
+            self.validate_rows(partition, step, depth, &shared.emb, rows, true);
             // One stop probe per claim (a claim is at most ABORT_PROBE
             // rows): unclaimed chunks of a stopped query are dropped —
             // every other participant sees the same signal.
-            if (self.abort)() {
+            if self.probe() {
                 return;
             }
         }
         // This participant's share is a completed step boundary; the owner
         // also accounts the candidates it generated.
         let candidates = if owner { total as u64 } else { 0 };
-        let partials = self.metrics.validated - validated_before;
+        let partials = self.tally.metrics.validated - validated_before;
         self.note_step(depth, candidates, partials);
     }
 
-    /// Validates one candidate row: delivers the complete embedding at the
-    /// last step, and returns the data edge of a valid earlier extension.
-    fn validate_row(
+    /// The one candidate loop, over a block of at most [`ABORT_PROBE`]
+    /// rows of one expansion — the serial path's block or a claim of a
+    /// split. A valid extension short of the last step joins
+    /// `scratch.valid`; at the last step it completes an embedding, which
+    /// is delivered to a sink that wants embeddings and otherwise only
+    /// counted, once for the block.
+    fn validate_rows(
         &mut self,
         partition: &Partition,
-        step: &crate::plan::Step,
+        step: &Step,
         depth: usize,
         emb: &[u32],
-        row: u32,
+        rows: &[u32],
         last: bool,
-    ) -> Option<u32> {
-        let global = partition.global_id(row).raw();
-        match validate_candidate(
-            self.env.data,
-            step,
-            depth,
-            emb,
-            &self.scratch.state,
-            global,
-            partition.row(row),
-            &mut self.scratch.validate,
-        ) {
-            Validation::Valid => {
-                self.metrics.filtered += 1;
-                self.metrics.validated += 1;
-                if !last {
-                    return Some(global);
+    ) {
+        let count_only = last && !self.env.sink.needs_embeddings();
+        let (mut filtered, mut valid) = (0u64, 0u64);
+        for &row in rows {
+            let global = partition.global_id(row).raw();
+            match validate_candidate(
+                self.env.data,
+                step,
+                depth,
+                emb,
+                &self.scratch.state,
+                global,
+                partition.row(row),
+                &mut self.scratch.validate,
+            ) {
+                Validation::Valid => {
+                    filtered += 1;
+                    valid += 1;
+                    if !last {
+                        self.scratch.valid.push(global);
+                    } else if !count_only {
+                        self.scratch.full.clear();
+                        self.scratch.full.extend_from_slice(emb);
+                        self.scratch.full.push(global);
+                        self.deliver_full();
+                    }
                 }
-                self.scratch.full.clear();
-                self.scratch.full.extend_from_slice(emb);
-                self.scratch.full.push(global);
-                self.deliver_full();
+                Validation::WrongProfiles => filtered += 1,
+                Validation::WrongVertexCount | Validation::Duplicate => {}
             }
-            Validation::WrongProfiles => self.metrics.filtered += 1,
-            Validation::WrongVertexCount | Validation::Duplicate => {}
         }
-        None
+        self.tally.metrics.filtered += filtered;
+        self.tally.metrics.validated += valid;
+        if count_only && valid > 0 {
+            self.tally.metrics.embeddings += valid;
+            self.count(valid);
+        }
     }
 
-    /// Emits the expansion of `parent + [global]`, inline when it fits and
+    /// Emits one child expansion of `parent` per data edge of `globals`,
+    /// in the order given, after one memory-tracker update and one
+    /// announcement for all of them.
+    fn spawn_children(&mut self, parent: &[u32], globals: impl ExactSizeIterator<Item = u32>) {
+        let k = globals.len();
+        if k == 0 {
+            return;
+        }
+        self.track(k * MemoryTracker::embedding_bytes(parent.len() + 1));
+        self.sched.announce(k);
+        for global in globals {
+            self.push_expand(parent, global);
+        }
+    }
+
+    /// Pushes the expansion of `parent + [global]`, inline when it fits and
     /// through a pooled spill buffer beyond [`INLINE_EMB`]. The memory
     /// tracker accounts the queued embedding either way — Theorem VI.1
     /// bounds materialised partial embeddings, not allocator traffic.
-    fn spawn_expand(&mut self, parent: &[u32], global: u32) {
+    fn push_expand(&mut self, parent: &[u32], global: u32) {
         let len = parent.len() + 1;
-        self.env.tracker.alloc(MemoryTracker::embedding_bytes(len));
         if len <= INLINE_EMB {
             let mut emb = [0u32; INLINE_EMB];
             emb[..parent.len()].copy_from_slice(parent);
             emb[parent.len()] = global;
-            (self.emit)(Task::Expand {
+            self.sched.push(Task::Expand {
                 depth: len as u8,
                 ver: self.env.ver,
                 emb,
@@ -585,7 +658,7 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
             buf.reserve(len);
             buf.extend_from_slice(parent);
             buf.push(global);
-            (self.emit)(Task::ExpandSpilled {
+            self.sched.push(Task::ExpandSpilled {
                 emb: buf,
                 ver: self.env.ver,
             });
@@ -595,43 +668,79 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
     /// Records per-position feedback at a completed step boundary and, when
     /// running adaptively, drives the re-plan trigger (DESIGN.md §15).
     fn note_step(&mut self, pos: usize, candidates: u64, partials: u64) {
-        self.metrics.steps.record_candidates(pos, candidates);
-        self.metrics.steps.record_partials(pos, partials);
+        let metrics = &mut self.tally.metrics;
+        metrics.steps.record_candidates(pos, candidates);
+        metrics.steps.record_partials(pos, partials);
         if let Some(ad) = self.env.adaptive {
             if ad.observe(pos, candidates, partials) && ad.maybe_replan(pos, self.env.data) {
-                self.metrics.replans += 1;
+                metrics.replans += 1;
             }
         }
     }
 
-    /// Delivers `self.scratch.full` as a complete embedding.
+    /// Delivers `self.scratch.full` as a complete embedding to a sink that
+    /// wants embeddings.
     fn deliver_full(&mut self) {
-        self.metrics.embeddings += 1;
-        self.delivered += 1;
-        // Counts are batched (`flush_counts`) so counting costs a shared
-        // atomic once per COUNT_FLUSH deliveries, not per embedding — but
-        // they must flush *during* the task, not only at its end: a
-        // `max_results` stop probes `is_satisfied()` mid-expansion, and a
-        // count that only advances at task boundaries lets one giant
-        // (split) expansion validate its whole range past the limit.
-        self.uncounted += 1;
-        if self.uncounted >= COUNT_FLUSH {
-            self.flush_counts();
-        }
-        if self.env.sink.needs_embeddings() {
-            self.metrics.materialized += 1;
-            self.env
-                .plan
-                .to_query_order_into(&self.scratch.full, &mut self.scratch.ordered);
-            self.env.sink.consume(&self.scratch.ordered);
+        self.tally.metrics.embeddings += 1;
+        self.tally.metrics.materialized += 1;
+        self.count(1);
+        self.env
+            .plan
+            .to_query_order_into(&self.scratch.full, &mut self.scratch.ordered);
+        self.env.sink.consume(&self.scratch.ordered);
+    }
+
+    /// Counts `n` embeddings toward the sink, batched in the tally.
+    fn count(&mut self, n: u64) {
+        self.tally.uncounted += n;
+        if self.tally.uncounted >= COUNT_FLUSH {
+            self.tally.flush_counts(self.env.sink);
         }
     }
 
-    fn flush_counts(&mut self) {
-        if self.uncounted > 0 {
-            self.env.sink.add_count(self.uncounted);
-            self.uncounted = 0;
+    /// A mid-expansion stop probe. The count found so far reaches the sink
+    /// first, so a `max_results` limit is seen by this probe and every
+    /// other participant's.
+    fn probe(&mut self) -> bool {
+        self.tally.flush_counts(self.env.sink);
+        self.sched.stop()
+    }
+}
+
+/// Closures as a [`Scheduler`], for unit tests: `stop` is the probe and
+/// `push` takes each child; every push must have been announced.
+#[cfg(test)]
+pub(crate) struct Closures<F, P> {
+    stop: F,
+    push: P,
+    announced: usize,
+}
+
+#[cfg(test)]
+impl<F: FnMut() -> bool, P: FnMut(Task)> Closures<F, P> {
+    pub(crate) fn new(stop: F, push: P) -> Self {
+        Self {
+            stop,
+            push,
+            announced: 0,
         }
+    }
+}
+
+#[cfg(test)]
+impl<F: FnMut() -> bool, P: FnMut(Task)> Scheduler for Closures<F, P> {
+    fn stop(&mut self) -> bool {
+        (self.stop)()
+    }
+
+    fn announce(&mut self, k: usize) {
+        assert!(k > 0 && self.announced == 0, "one announcement per batch");
+        self.announced = k;
+    }
+
+    fn push(&mut self, task: Task) {
+        self.announced = self.announced.checked_sub(1).expect("pushed unannounced");
+        (self.push)(task);
     }
 }
 
@@ -643,7 +752,7 @@ mod tests {
     use crate::memory::MemoryTracker;
     use crate::plan::{Plan, Planner};
     use crate::query::QueryGraph;
-    use crate::sink::CountSink;
+    use crate::sink::{CollectSink, CountSink};
     use hgmatch_hypergraph::{HypergraphBuilder, Label};
 
     /// Complete pair graph over `n` same-label vertices and a 2-edge path
@@ -696,27 +805,44 @@ mod tests {
         root: Task,
     ) -> (u64, u64, MatchMetrics) {
         let sink = CountSink::new();
+        let (executed, metrics) = drain_into(&sink, scratch, data, plan, config, root);
+        (sink.count(), executed, metrics)
+    }
+
+    /// [`drain_on`] into `sink`, publishing the tally at the end as a
+    /// scheduler would; returns (executed tasks, metrics).
+    fn drain_into<S: Sink>(
+        sink: &S,
+        scratch: &mut ExecScratch,
+        data: &Hypergraph,
+        plan: &Plan,
+        config: &MatchConfig,
+        root: Task,
+    ) -> (u64, MatchMetrics) {
         let tracker = MemoryTracker::new();
         let env = QueryEnv {
             plan,
             data,
-            sink: &sink,
+            sink,
             config,
             tracker: &tracker,
             ver: 0,
             adaptive: None,
         };
-        let mut metrics = MatchMetrics::default();
+        let scan = matches!(root, Task::Scan { .. });
+        let mut tally = Tally::default();
         let mut queue = vec![root];
-        let mut delivered = 0;
         let mut executed = 0;
         while let Some(task) = queue.pop() {
-            delivered += execute_task(&env, scratch, &mut metrics, task, &mut || false, &mut |t| {
-                queue.push(t)
-            });
+            let mut sched = Closures::new(|| false, |t| queue.push(t));
+            execute_task(&env, scratch, &mut tally, task, &mut sched);
             executed += 1;
         }
-        (delivered, executed, metrics)
+        tally.flush_counts(sink);
+        if scan {
+            assert_eq!(tracker.live_bytes(), 0, "every queued embedding released");
+        }
+        (executed, tally.metrics)
     }
 
     /// The inline expansion task of the partial embedding `emb`.
@@ -765,17 +891,16 @@ mod tests {
             adaptive: None,
         };
         let run = |emb: &[u32]| {
-            let mut metrics = MatchMetrics::default();
+            let mut tally = Tally::default();
             let mut emitted = Vec::new();
             execute_task(
                 &env,
                 &mut ExecScratch::new(),
-                &mut metrics,
+                &mut tally,
                 expand(emb),
-                &mut || false,
-                &mut |t| emitted.push(t),
+                &mut Closures::new(|| false, |t| emitted.push(t)),
             );
-            (metrics, emitted)
+            (tally.metrics, emitted)
         };
 
         // e0 = {0,1}, e8 = {1,2}: a valid two-edge prefix.
@@ -902,6 +1027,70 @@ mod tests {
         }
     }
 
+    /// Bulk counting at the last step: a count-only sink and a collecting
+    /// sink see the same expansions validate the same rows and find the
+    /// same embeddings — on the serial path, and on a split forced at
+    /// threshold 4 whose ticket runs on a fresh scratch.
+    #[test]
+    fn count_only_and_collecting_sinks_agree() {
+        let (data, plan) = pair_clique(9);
+        let rows = data.partition(plan.steps()[0].partition.unwrap()).len() as u32;
+        let serial = MatchConfig::parallel(2).with_split_threshold(0);
+        let split = MatchConfig::parallel(2).with_split_threshold(4);
+        let roots: [(&MatchConfig, &dyn Fn() -> Task); 3] = [
+            (&serial, &|| Task::Scan {
+                start: 0,
+                end: rows,
+            }),
+            (&split, &|| Task::Scan {
+                start: 0,
+                end: rows,
+            }),
+            (&split, &|| ticket(&data, &plan, vec![0]).0),
+        ];
+        for (case, (config, root)) in roots.into_iter().enumerate() {
+            let counting = CountSink::new();
+            let (_, counted) = drain_into(
+                &counting,
+                &mut ExecScratch::new(),
+                &data,
+                &plan,
+                config,
+                root(),
+            );
+            let collecting = CollectSink::new();
+            let (_, collected) = drain_into(
+                &collecting,
+                &mut ExecScratch::new(),
+                &data,
+                &plan,
+                config,
+                root(),
+            );
+            assert!(counted.embeddings > 0, "case {case}");
+            for (what, count_only, collect) in [
+                ("embeddings", counted.embeddings, collected.embeddings),
+                ("validated", counted.validated, collected.validated),
+                ("filtered", counted.filtered, collected.filtered),
+                ("count", counting.count(), collecting.count()),
+            ] {
+                assert_eq!(count_only, collect, "case {case}: {what}");
+            }
+            assert_eq!(counting.count(), counted.embeddings, "case {case}");
+            assert_eq!(
+                (counted.materialized, collected.materialized),
+                (0, collected.embeddings)
+            );
+            assert_eq!(collecting.into_results().len() as u64, counted.embeddings);
+            if case > 0 {
+                assert!(
+                    counted.split_expansions + counted.assist_chunks > 0,
+                    "case {case}"
+                );
+            }
+        }
+    }
+
     /// A stop raised *during* candidate generation (not just between
     /// validation probes) must abandon the expansion: no children, no
     /// deliveries, and no candidate accounting for the partial decode —
@@ -923,24 +1112,22 @@ mod tests {
             adaptive: None,
         };
         let mut scratch = ExecScratch::new();
-        let mut metrics = MatchMetrics::default();
+        let mut tally = Tally::default();
         let mut spawned = 0usize;
         let mut probes = 0u64;
         // Probe 1 is the task-entry check; every later probe (the first of
         // which generation itself issues) sees the stop raised.
-        let delivered = execute_task(
-            &env,
-            &mut scratch,
-            &mut metrics,
-            expand(&[0]),
-            &mut || {
+        let mut sched = Closures::new(
+            || {
                 probes += 1;
                 probes > 1
             },
-            &mut |_| spawned += 1,
+            |_| spawned += 1,
         );
+        execute_task(&env, &mut scratch, &mut tally, expand(&[0]), &mut sched);
         assert!(probes >= 2, "generation must probe past task entry");
-        assert_eq!(delivered, 0);
+        let metrics = tally.metrics;
+        assert_eq!(metrics.embeddings, 0);
         assert_eq!(spawned, 0, "an aborted generation must emit no children");
         assert_eq!(
             metrics.candidates, 0,

@@ -106,7 +106,7 @@ use crate::query::QueryGraph;
 
 use cache::{PlanCache, Planned};
 use query::{ActiveQuery, StopCause};
-use worker::{run_one, worker_loop, ServeTask};
+use worker::{run_one, worker_loop, Held, ServeTask};
 
 /// Largest plan estimate ([`crate::Plan::cost`], in candidates — the
 /// number the front door's cost gate reads) [`MatchServer::run`] starts on
@@ -423,6 +423,11 @@ impl QueryHandle {
 }
 
 /// Aggregate serving counters, snapshot via [`MatchServer::stats`].
+///
+/// The per-task counters (`tasks_*`, `splits`, `assists`, `caller_*`)
+/// are published by each worker at its boundaries (DESIGN.md §8.1):
+/// while queries run they may trail the work done, and once every query
+/// has finished they are exact.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Queries admitted (including already-finished ones).
@@ -551,13 +556,14 @@ pub(crate) struct Counters {
 
 /// What a submitting thread needs to execute tasks itself: the engine
 /// scratch (which owns a `num_vertices`-byte class table, so it must stay
-/// warm across calls) and the private LIFO stack of a caller-first run.
-/// Checked out of [`ServeShared::caller_scratch`] per run, never built per
-/// request once warm.
+/// warm across calls), the private LIFO stack of a caller-first run and
+/// its held state. Checked out of [`ServeShared::caller_scratch`] per run,
+/// never built per request once warm.
 #[derive(Debug, Default)]
 pub(crate) struct CallerScratch {
     exec: ExecScratch,
     stack: Vec<Task>,
+    held: Held,
 }
 
 /// Test-only fault injection: makes one task execution of one query panic
@@ -636,8 +642,8 @@ pub(crate) struct ServeShared {
 impl ServeShared {
     /// Retires a finished query: removes it from the admission registry,
     /// resolves its outcome, bumps counters and wakes waiters. Called by
-    /// exactly one thread per query (the one retiring its last pending
-    /// task, or the submitter for trivially-empty queries).
+    /// exactly one thread per query (the one publishing its last pending
+    /// task's retirement, or the submitter for trivially-empty queries).
     pub(crate) fn finalize(&self, query: &Arc<ActiveQuery>) {
         // A caller-first run that never spilled was never registered.
         let inline = query.inline.load(Ordering::Relaxed);
@@ -732,12 +738,13 @@ impl ServeShared {
     /// The caller-first path of [`MatchServer::run`] (DESIGN.md §8.5):
     /// executes `root` and its descendants depth-first from a private LIFO
     /// stack on this thread, through the pool's own [`run_one`]. Ends when
-    /// the stack drains (the last task finalised the query), when
-    /// [`INLINE_TASK_BUDGET`] runs out, or as soon as a task publishes a
-    /// work-assisting split — the rest then moves to the pool.
+    /// the stack drains, when [`INLINE_TASK_BUDGET`] runs out, or as soon
+    /// as a task publishes a work-assisting split — the rest then moves to
+    /// the pool. Either way the run publishes what it holds; after the
+    /// last task that finalises the query.
     fn run_inline(&self, query: &Arc<ActiveQuery>, root: Task) {
         let mut caller = self.caller_scratch.lock().pop().unwrap_or_default();
-        let CallerScratch { exec, stack } = &mut caller;
+        let CallerScratch { exec, stack, held } = &mut caller;
         self.counters.ran_inline.fetch_add(1, Ordering::Relaxed);
         query.inline.store(true, Ordering::Relaxed);
         stack.push(root);
@@ -751,7 +758,7 @@ impl ServeShared {
             }
             budget = budget.saturating_sub(1);
             let mut split = false;
-            run_one(None, query, task, self, exec, |t| {
+            run_one(held, query, task, self, exec, |t| {
                 // An assist ticket is an invitation to the pool: it must be
                 // stealable while this thread is still validating the
                 // split's range, so it goes out at once, with the stack
@@ -767,6 +774,7 @@ impl ServeShared {
                 break;
             }
         }
+        held.publish(self);
         if !stack.is_empty() {
             self.spill(query, stack);
         }
@@ -1078,8 +1086,9 @@ impl MatchServer {
         }
     }
 
-    /// Per-worker busy time and task counts (index = worker id). The busy
-    /// spread is the scheduling experiments' load-balance signal — see
+    /// Per-worker busy time and task counts (index = worker id),
+    /// published like [`ServeStats`]' per-task counters. The busy spread is
+    /// the scheduling experiments' load-balance signal — see
     /// [`WorkerServeStats`].
     pub fn worker_stats(&self) -> Vec<WorkerServeStats> {
         self.shared
@@ -1163,6 +1172,63 @@ mod tests {
             handle.query.seed.lock().is_empty(),
             "the whole slot is adopted"
         );
+    }
+
+    /// Deferred retirement publication (DESIGN.md §8.1), driven by hand: a
+    /// query's last task runs on a worker whose deque still holds another
+    /// query's tasks. The held retirement is published by the next pop —
+    /// the deque has run dry of the finished query — so the query is
+    /// final before the worker runs, or pops, anything else.
+    #[test]
+    fn a_query_is_finalised_when_the_deque_runs_dry_of_it() {
+        let data = data();
+        let (server, mut deques) = MatchServer::unstarted(
+            Arc::clone(&data),
+            ServeConfig::default()
+                .with_threads(1)
+                .with_fairness_quantum(1),
+        );
+        let shared = &*server.shared;
+        let mut worker = worker::PoolWorker::new(0, deques.pop().unwrap());
+        let queries = workload_queries();
+        let (other, single_task) = (&queries[6], &queries[1]);
+        let oracle = Matcher::new(&data);
+        let (other_count, single_count) = (
+            oracle.count(other).unwrap(),
+            oracle.count(single_task).unwrap(),
+        );
+        assert!(other_count > 0 && single_count > 0);
+
+        // The other query's scan and one of its children: the rest of its
+        // children stay on the deque.
+        let other = server.submit(other, QueryOptions::count()).unwrap();
+        for _ in 0..2 {
+            let task = worker.find_task(shared).unwrap();
+            assert_eq!(task.query.id, other.id());
+            worker.run(shared, task);
+        }
+        assert!(!worker.local.is_empty());
+
+        // A one-task query, claimed by the fairness probe past the quantum.
+        let single = server.submit(single_task, QueryOptions::count()).unwrap();
+        let task = worker.find_task(shared).unwrap();
+        assert_eq!(task.query.id, single.id());
+        worker.run(shared, task);
+        assert!(!single.is_finished(), "its retirement is held");
+
+        let next = worker.find_task(shared).unwrap();
+        assert_eq!(next.query.id, other.id());
+        assert!(single.is_finished(), "published by the pop that left it");
+        assert_eq!(single.wait().count, single_count);
+
+        worker.run(shared, next);
+        while let Some(task) = worker.find_task(shared) {
+            worker.run(shared, task);
+        }
+        assert_eq!(other.wait().count, other_count);
+        let stats = server.stats();
+        assert_eq!(stats.active, 0);
+        assert_eq!(stats.tasks_spawned, stats.tasks_executed);
     }
 
     /// ROADMAP 8(a) where execution has two homes: a task panicking on the

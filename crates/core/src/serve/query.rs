@@ -70,8 +70,9 @@ pub(crate) struct ActiveQuery {
     /// thread: raised when a caller-first run starts, lowered when it
     /// spills to the pool. Such a query is in no registry.
     pub(crate) inline: AtomicBool,
-    /// Tasks queued or executing. The worker that decrements it to zero
-    /// finalises the query.
+    /// Tasks queued, executing, or executed with their retirement still
+    /// held by the thread that ran them (DESIGN.md §8.1). The thread that
+    /// decrements it to zero finalises the query.
     pub(crate) pending: AtomicU64,
     /// First stop cause ([`StopCause`] discriminant, 0 while running).
     stop_cause: AtomicU8,

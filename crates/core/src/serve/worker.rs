@@ -16,6 +16,10 @@
 //!    Deques also hold *assist tickets* (DESIGN.md §12): claims on the
 //!    in-flight candidate range of a split last-step expansion.
 //!
+//! What a worker's tasks produce for their query — metrics, sink counts,
+//! task and busy counters, retirements of `pending` — stays in its
+//! [`Held`] state until a boundary publishes it (DESIGN.md §8.1).
+//!
 //! Fairness against monopolisation: after [`ServeConfig::fairness_quantum`]
 //! consecutive tasks of the same query, a worker offers waiting seed slots
 //! priority over its own deque. A freshly admitted small query is therefore
@@ -35,7 +39,7 @@ use crossbeam::deque::Worker as Deque;
 
 use crate::adaptive::resolve_task;
 use crate::engine::task::{
-    execute_task, steal_from_victims, ExecScratch, QueryEnv, Task, CHECK_INTERVAL,
+    execute_task, steal_from_victims, ExecScratch, QueryEnv, Scheduler, Tally, Task, CHECK_INTERVAL,
 };
 use crate::metrics::MatchMetrics;
 use crate::sink::Sink;
@@ -59,33 +63,183 @@ const IDLE_SPINS: u32 = 16;
 /// stealing-visible spawns.
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
-pub(crate) fn worker_loop(wid: usize, local: Deque<ServeTask>, shared: Arc<ServeShared>) {
-    let mut scratch = ExecScratch::new();
-    let mut rng = 0x9E37_79B9 ^ (wid as u64 + 1).wrapping_mul(0x2545_F491_4F6C_DD1D);
-    let mut cursor = wid;
-    let mut consecutive = 0u32;
-    let mut last_query = u64::MAX;
-    let mut idle = 0u32;
+/// What one thread's tasks of one query produced and nobody else has seen
+/// yet: the query's metrics and sink count, the pool's task counters, and
+/// the tasks' retirements of `pending` (DESIGN.md §8.1). Only decrements
+/// are held — a task's children are counted pending before they exist —
+/// so the published `pending` never falls below the true count, and the
+/// query finalises when its last holder publishes.
+#[derive(Debug, Default)]
+pub(crate) struct Held {
+    /// Pool worker id; `None` on a submitting thread.
+    wid: Option<usize>,
+    query: Option<Arc<ActiveQuery>>,
+    tally: Tally,
+    /// Tasks executed; each retires one unit of the query's `pending`.
+    tasks: u64,
+    /// Children and assist tickets those tasks announced.
+    spawned: u64,
+    /// Assist tickets among them that claimed at least one chunk.
+    assists: u64,
+    busy_ns: u64,
+}
 
-    loop {
-        // Quantum bookkeeping: after `fairness_quantum` consecutive tasks
-        // of one query, probe other queries' seeds once and start a fresh
-        // quantum — so an empty probe costs one registry scan per quantum,
-        // not one per task.
-        let probe_seeds = consecutive >= shared.fairness_quantum;
-        if probe_seeds {
-            consecutive = 0;
+impl Held {
+    fn holds(&self, query: &ActiveQuery) -> bool {
+        self.query
+            .as_deref()
+            .is_some_and(|q| std::ptr::eq(q, query))
+    }
+
+    /// Publishes everything held and lets go of the query. The sink count
+    /// and metrics land before the retirements, so whoever retires the
+    /// query's last task finalises it with everything in place.
+    pub(crate) fn publish(&mut self, shared: &ServeShared) {
+        let Some(query) = self.query.take() else {
+            return;
+        };
+        self.tally.flush_counts(&query.sink);
+        let metrics = &mut self.tally.metrics;
+        let c = &shared.counters;
+        if !metrics.is_empty() {
+            query.metrics.lock().merge(metrics);
+            if metrics.split_expansions > 0 {
+                c.splits
+                    .fetch_add(metrics.split_expansions, Ordering::Relaxed);
+            }
+            *metrics = MatchMetrics::default();
         }
-        let next = find_task(
+        if self.spawned > 0 {
+            c.spawned
+                .fetch_add(std::mem::take(&mut self.spawned), Ordering::Relaxed);
+        }
+        if self.assists > 0 {
+            c.assists
+                .fetch_add(std::mem::take(&mut self.assists), Ordering::Relaxed);
+        }
+        let tasks = std::mem::take(&mut self.tasks);
+        let (busy, executed) = match self.wid {
+            Some(wid) => (&shared.worker_busy_ns[wid], &shared.worker_tasks[wid]),
+            None => (&c.caller_busy_ns, &c.caller_tasks),
+        };
+        busy.fetch_add(std::mem::take(&mut self.busy_ns), Ordering::Relaxed);
+        executed.fetch_add(tasks, Ordering::Relaxed);
+        c.tasks.fetch_add(tasks, Ordering::Relaxed);
+        debug_assert!(tasks > 0, "a held query has run a task");
+        if query.pending.fetch_sub(tasks, Ordering::AcqRel) == tasks {
+            shared.finalize(&query);
+        }
+    }
+}
+
+/// A resident pool worker: its deque, scratch and held state, and where
+/// it is in the fairness and seed rotations.
+#[derive(Debug)]
+pub(crate) struct PoolWorker {
+    wid: usize,
+    pub(crate) local: Deque<ServeTask>,
+    scratch: ExecScratch,
+    held: Held,
+    rng: u64,
+    cursor: usize,
+    consecutive: u32,
+    last_query: u64,
+}
+
+impl PoolWorker {
+    pub(crate) fn new(wid: usize, local: Deque<ServeTask>) -> Self {
+        Self {
             wid,
-            &local,
-            &shared,
-            &mut rng,
-            &mut cursor,
-            probe_seeds,
-            last_query,
+            local,
+            scratch: ExecScratch::new(),
+            held: Held {
+                wid: Some(wid),
+                ..Held::default()
+            },
+            rng: 0x9E37_79B9 ^ (wid as u64 + 1).wrapping_mul(0x2545_F491_4F6C_DD1D),
+            cursor: wid,
+            consecutive: 0,
+            last_query: u64::MAX,
+        }
+    }
+
+    /// The work-discovery cascade of the module docs. A worker whose deque
+    /// runs dry of the query it holds publishes that query's state on the
+    /// spot — the query may just have ended — and one that finds nothing
+    /// comes back holding nothing.
+    pub(crate) fn find_task(&mut self, shared: &ServeShared) -> Option<ServeTask> {
+        // Fairness: after a full quantum on one query, waiting seeds of
+        // *other* queries take priority over the local deque — probed once
+        // per quantum, so an empty probe costs one registry scan per
+        // quantum, not one per task.
+        if self.consecutive >= shared.fairness_quantum {
+            self.consecutive = 0;
+            if let Some(t) = take_seed(shared, &self.local, &mut self.cursor, self.last_query) {
+                return Some(t);
+            }
+        }
+        if let Some(t) = self.local.pop() {
+            // The deque is LIFO: a task of another query on top means none
+            // of the held query's children are left above it.
+            if !self.held.holds(&t.query) {
+                self.held.publish(shared);
+            }
+            return Some(t);
+        }
+        if let Some(t) = take_seed(shared, &self.local, &mut self.cursor, u64::MAX) {
+            return Some(t);
+        }
+        // Random-victim batch stealing from the cold (oldest-task) end.
+        // With stealing disabled each query stays on the worker that
+        // claimed its seed: parallelism across queries, not within one.
+        let stolen = if shared.config.work_stealing {
+            steal_from_victims(&shared.stealers, &self.local, self.wid, &mut self.rng)
+        } else {
+            None
+        };
+        match stolen {
+            Some(_) => {
+                shared.counters.steals.fetch_add(1, Ordering::Relaxed);
+            }
+            // Nothing to run: a worker idles, parks and exits holding
+            // nothing.
+            None => self.held.publish(shared),
+        }
+        stolen
+    }
+
+    /// Runs a task [`PoolWorker::find_task`] returned; its children go on
+    /// this worker's deque.
+    pub(crate) fn run(&mut self, shared: &ServeShared, next: ServeTask) {
+        let ServeTask { query, task } = next;
+        if query.id == self.last_query {
+            self.consecutive += 1;
+        } else {
+            self.consecutive = 0;
+            self.last_query = query.id;
+        }
+        let local = &self.local;
+        run_one(
+            &mut self.held,
+            &query,
+            task,
+            shared,
+            &mut self.scratch,
+            |t| {
+                local.push(ServeTask {
+                    query: Arc::clone(&query),
+                    task: t,
+                })
+            },
         );
-        let next = match next {
+    }
+}
+
+pub(crate) fn worker_loop(wid: usize, local: Deque<ServeTask>, shared: Arc<ServeShared>) {
+    let mut worker = PoolWorker::new(wid, local);
+    let mut idle = 0u32;
+    loop {
+        let next = match worker.find_task(&shared) {
             Some(t) => t,
             None => {
                 if shared.shutdown.load(Ordering::Acquire) && shared.queries.lock().is_empty() {
@@ -96,26 +250,14 @@ pub(crate) fn worker_loop(wid: usize, local: Deque<ServeTask>, shared: Arc<Serve
                     std::thread::yield_now();
                     continue;
                 }
-                let Some(seed) = park(&shared, &local, &mut cursor) else {
+                let Some(seed) = park(&shared, &worker.local, &mut worker.cursor) else {
                     continue;
                 };
                 seed
             }
         };
-        let ServeTask { query, task } = next;
         idle = 0;
-        if query.id == last_query {
-            consecutive += 1;
-        } else {
-            consecutive = 0;
-            last_query = query.id;
-        }
-        run_one(Some(wid), &query, task, &shared, &mut scratch, |t| {
-            local.push(ServeTask {
-                query: Arc::clone(&query),
-                task: t,
-            })
-        });
+        worker.run(&shared, next);
     }
 }
 
@@ -141,28 +283,43 @@ pub(crate) fn park(
 }
 
 /// Executes one task of `query` on the current thread — a pool worker
-/// (`wid` is its id, `push` its deque) or the submitting thread of a
-/// caller-first run (`None`, its private stack). Children go to `push`;
-/// whoever retires the query's last pending task finalises it.
+/// (`held` is its held state, `push` its deque) or the submitting thread
+/// of a caller-first run (its own held state and private stack). Children
+/// go to `push`, counted pending on the query once per task; everything
+/// else the task produced is added to `held`. `held` is published first
+/// if it holds another query, and after the task if the query has
+/// stopped: its backlog then drains as accounting, and the last
+/// retirement must not wait on a boundary.
 ///
 /// A panic inside the task is contained here (ROADMAP 8(a)): the query
 /// stops as [`StopCause::Failed`], the scratch — possibly torn mid-update —
 /// is replaced, and the task still counts as executed and retired, so the
 /// thread survives and the query finalises instead of stranding `pending`.
 pub(crate) fn run_one(
-    wid: Option<usize>,
+    held: &mut Held,
     query: &Arc<ActiveQuery>,
     task: Task,
     shared: &ServeShared,
     scratch: &mut ExecScratch,
-    mut push: impl FnMut(Task),
+    push: impl FnMut(Task),
 ) {
+    if !held.holds(query) {
+        held.publish(shared);
+        held.query = Some(Arc::clone(query));
+    }
     // First pickup of any of this query's tasks ends its queue-wait phase
     // (the latency split reported on the outcome and in ServeStats).
     query.mark_picked_up();
     let begin = Instant::now();
     let was_assist = matches!(task, Task::Assist { .. });
-    let mut task_metrics = MatchMetrics::default();
+    let assist_chunks_before = held.tally.metrics.assist_chunks;
+    let mut sched = QueryScheduler {
+        query,
+        probes: 0,
+        spawned: 0,
+        push,
+    };
+    let tally = &mut held.tally;
     let ran = catch_unwind(AssertUnwindSafe(|| {
         #[cfg(test)]
         shared.panic_hook.fire(query.id);
@@ -178,19 +335,7 @@ pub(crate) fn run_one(
             ver,
             adaptive: query.adaptive.as_ref(),
         };
-        let mut probes = 0u64;
-        execute_task(
-            &env,
-            scratch,
-            &mut task_metrics,
-            task,
-            &mut || should_stop(query, &mut probes),
-            &mut |t| {
-                query.pending.fetch_add(1, Ordering::Relaxed);
-                shared.counters.spawned.fetch_add(1, Ordering::Relaxed);
-                push(t);
-            },
-        );
+        execute_task(&env, scratch, tally, task, &mut sched);
     }));
     if ran.is_err() {
         query.stop(StopCause::Failed);
@@ -200,31 +345,37 @@ pub(crate) fn run_one(
             .tasks_panicked
             .fetch_add(1, Ordering::Relaxed);
     }
-    if !task_metrics.is_empty() {
-        query.metrics.lock().merge(&task_metrics);
-        if task_metrics.split_expansions > 0 {
-            shared
-                .counters
-                .splits
-                .fetch_add(task_metrics.split_expansions, Ordering::Relaxed);
-        }
-        if was_assist && task_metrics.assist_chunks > 0 {
-            shared.counters.assists.fetch_add(1, Ordering::Relaxed);
-        }
+    if was_assist && held.tally.metrics.assist_chunks > assist_chunks_before {
+        held.assists += 1;
     }
-    shared.counters.tasks.fetch_add(1, Ordering::Relaxed);
-    let busy_ns = begin.elapsed().as_nanos() as u64;
-    let (busy, tasks) = match wid {
-        Some(wid) => (&shared.worker_busy_ns[wid], &shared.worker_tasks[wid]),
-        None => (
-            &shared.counters.caller_busy_ns,
-            &shared.counters.caller_tasks,
-        ),
-    };
-    busy.fetch_add(busy_ns, Ordering::Relaxed);
-    tasks.fetch_add(1, Ordering::Relaxed);
-    if query.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-        shared.finalize(query);
+    held.spawned += sched.spawned;
+    held.tasks += 1;
+    held.busy_ns += begin.elapsed().as_nanos() as u64;
+    if query.stopped() {
+        held.publish(shared);
+    }
+}
+
+/// The serving pool's side of a task.
+struct QueryScheduler<'q, P> {
+    query: &'q ActiveQuery,
+    probes: u64,
+    spawned: u64,
+    push: P,
+}
+
+impl<P: FnMut(Task)> Scheduler for QueryScheduler<'_, P> {
+    fn stop(&mut self) -> bool {
+        should_stop(self.query, &mut self.probes)
+    }
+
+    fn announce(&mut self, k: usize) {
+        self.query.pending.fetch_add(k as u64, Ordering::Relaxed);
+        self.spawned += k as u64;
+    }
+
+    fn push(&mut self, task: Task) {
+        (self.push)(task);
     }
 }
 
@@ -251,43 +402,6 @@ fn should_stop(query: &ActiveQuery, probes: &mut u64) -> bool {
         return true;
     }
     false
-}
-
-#[allow(clippy::too_many_arguments)]
-fn find_task(
-    wid: usize,
-    local: &Deque<ServeTask>,
-    shared: &ServeShared,
-    rng: &mut u64,
-    cursor: &mut usize,
-    probe_seeds: bool,
-    last_query: u64,
-) -> Option<ServeTask> {
-    // Fairness: after a full quantum on one query, waiting seeds of *other*
-    // queries take priority over the local deque (the caller sets
-    // `probe_seeds` once per quantum).
-    if probe_seeds {
-        if let Some(t) = take_seed(shared, local, cursor, last_query) {
-            return Some(t);
-        }
-    }
-    if let Some(t) = local.pop() {
-        return Some(t);
-    }
-    if let Some(t) = take_seed(shared, local, cursor, u64::MAX) {
-        return Some(t);
-    }
-    // Random-victim batch stealing from the cold (oldest-task) end. With
-    // stealing disabled each query stays on the worker that claimed its
-    // seed: parallelism across queries, not within one.
-    if !shared.config.work_stealing {
-        return None;
-    }
-    let stolen = steal_from_victims(&shared.stealers, local, wid, rng);
-    if stolen.is_some() {
-        shared.counters.steals.fetch_add(1, Ordering::Relaxed);
-    }
-    stolen
 }
 
 /// Claims the seed stack of some admitted query nobody has picked up yet,

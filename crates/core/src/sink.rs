@@ -1,8 +1,8 @@
 //! Result sinks — the SINK dataflow operator's consumption strategies.
 //!
 //! The paper's SINK operator either counts or outputs embeddings (§VI-A).
-//! Executors deliver counts in bulk per worker (`add_count`), so counting
-//! costs one relaxed atomic add per task rather than per embedding; full
+//! Executors deliver counts in batches (`add_count`), so counting costs
+//! one relaxed atomic add per batch rather than per embedding; full
 //! embeddings are only materialised when `needs_embeddings()` says so.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -24,7 +24,8 @@ pub trait Sink: Sync {
     /// Only called when [`Sink::needs_embeddings`] returns `true`.
     fn consume(&self, _embedding: &[u32]) {}
 
-    /// Delivers a batch of `n` matches (always called, possibly per task).
+    /// Delivers a batch of `n` matches (always called; a batch may span
+    /// several tasks of one worker).
     fn add_count(&self, n: u64);
 
     /// When `true`, executors stop producing new results as soon as

@@ -13,6 +13,11 @@
 //! §8.5) to the same standard: the submitting thread's scratch and stack
 //! are checked out warm, so a caller-side run of a cached shape allocates
 //! no more — process-wide — than the pooled path does for the same query.
+//!
+//! The last two hold whole workers to it: a one-shot engine worker and a
+//! warmed pool worker allocate while their buffers grow and never per
+//! task — their deque, scratch and held accounting (DESIGN.md §8.1) — so
+//! a run of ten times the tasks allocates exactly as often.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,7 +25,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use hgmatch_core::candidates::{generate_candidates, ExpansionState};
+use hgmatch_core::engine::ParallelEngine;
 use hgmatch_core::serve::{MatchServer, QueryOptions, ServeConfig};
+use hgmatch_core::sink::CountSink;
 use hgmatch_core::validate::{validate_candidate, ValidateScratch, Validation};
 use hgmatch_core::{MatchConfig, Plan, Planner, QueryGraph};
 use hgmatch_hypergraph::inverted::set_forced_repr;
@@ -237,5 +244,90 @@ fn a_warmed_up_caller_side_run_allocates_no_more_than_the_pooled_path() {
     assert!(
         caller_side <= pooled,
         "{RUNS} caller-side runs allocated {caller_side} times, {RUNS} pooled ones {pooled}"
+    );
+}
+
+/// Process-wide allocations made while `run` runs.
+fn allocations_of(run: impl FnOnce()) -> u64 {
+    let before = ALL_THREADS.load(Ordering::Relaxed);
+    run();
+    ALL_THREADS.load(Ordering::Relaxed) - before
+}
+
+/// Band sizes whose runs differ tenfold in tasks and not in the largest
+/// buffer any of them needs.
+const SMALL: u32 = 400;
+const LARGE: u32 = 4_000;
+
+#[test]
+fn a_one_shot_engine_worker_allocates_nothing_per_task() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let config = MatchConfig::parallel(1);
+    let run = |n: u32| {
+        let data = band(n);
+        let plan = Planner::plan_with_order(&query(), &data, vec![0, 1, 2]).unwrap();
+        let sink = CountSink::new();
+        let mut tasks = 0;
+        let allocations = allocations_of(|| {
+            tasks = ParallelEngine::run(&plan, &data, &sink, &config).workers[0].tasks;
+        });
+        assert!(sink.count() > 0);
+        (tasks, allocations)
+    };
+    let (small_tasks, small) = run(SMALL);
+    let (large_tasks, large) = run(LARGE);
+    assert!(
+        large_tasks >= 9 * small_tasks,
+        "{small_tasks} vs {large_tasks} tasks"
+    );
+    assert_eq!(
+        large, small,
+        "{large_tasks} tasks allocated {large} times, {small_tasks} tasks {small}"
+    );
+}
+
+#[test]
+fn a_warmed_pool_worker_allocates_nothing_per_task() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let query = {
+        let mut b = HypergraphBuilder::new();
+        b.add_vertices(6, Label::new(0));
+        b.add_edge(vec![0, 1, 2]).unwrap();
+        b.add_edge(vec![0, 1, 3]).unwrap();
+        b.add_edge(vec![3, 4, 5]).unwrap();
+        b.build().unwrap()
+    };
+    // No re-plan: one would allocate in whichever run it fired.
+    let config = ServeConfig {
+        match_config: MatchConfig::default().with_replan_ratio(0.0),
+        ..ServeConfig::default().with_threads(1)
+    };
+    let run = |n: u32| {
+        let server = MatchServer::new(Arc::new(band(n)), config.clone());
+        let pooled = || server.submit(&query, QueryOptions::count()).unwrap().wait();
+        // Warm the plan cache, the worker's deque and scratch.
+        for _ in 0..3 {
+            assert!(pooled().count > 0);
+        }
+        let before = server.stats().tasks_executed;
+        // The smallest of three readings: the test harness's own threads
+        // may allocate beside a reading, never inside the pool.
+        let allocations = (0..3)
+            .map(|_| allocations_of(|| assert!(pooled().plan_cached)))
+            .min()
+            .expect("three readings");
+        let tasks = (server.stats().tasks_executed - before) / 3;
+        server.shutdown();
+        (tasks, allocations)
+    };
+    let (small_tasks, small) = run(SMALL);
+    let (large_tasks, large) = run(LARGE);
+    assert!(
+        large_tasks >= 9 * small_tasks,
+        "{small_tasks} vs {large_tasks} tasks"
+    );
+    assert_eq!(
+        large, small,
+        "{large_tasks} tasks allocated {large} times, {small_tasks} tasks {small}"
     );
 }
