@@ -35,7 +35,7 @@
 //!    size where assisting wins ≥ 1.2× in the median, rounded down to a
 //!    power of two, is the production `SPLIT_THRESHOLD`.
 //!
-//! 4. **hub_adversary** — the one input stealing cannot divide, at 10⁶
+//! 4. **hub_adversary** — the one input stealing cannot divide, at 2·10⁶
 //!    candidates (`SPLIT_THRESHOLD` in smoke mode) under a 2-edge query
 //!    (the expansion is the last step: a count) and a 3-edge one (each
 //!    candidate becomes a child task with one candidate of its own, so
@@ -50,11 +50,11 @@
 //! evaluated when the host has 2 CPUs — give it a query of seconds, not
 //! smoke's default 0.2 ms one on CH: CI passes `--dataset SB`), the 2-edge
 //! hub expansion is split every round and the 3-edge one never, on ≥ 2
-//! CPUs two workers stealing the 3-edge hub's 10⁶ one-candidate tasks take
-//! at most 1.15× one worker's time, and — full size on ≥ 2 CPUs only —
-//! assisting keeps the 1.3× over stealing on the 2-edge hub count that is
-//! the reason the mechanism exists, and the sweep's crossover is not above
-//! `SPLIT_THRESHOLD` (DESIGN.md §12.2).
+//! CPUs two workers stealing the 3-edge hub's one-candidate tasks take at
+//! most 1.15× one worker's time, and — full size on ≥ 2 CPUs only —
+//! assisting keeps the sweep's 1.2× over stealing on the 2-edge hub count
+//! that is the reason the mechanism exists, and the sweep's crossover is
+//! not above `SPLIT_THRESHOLD` (DESIGN.md §12.2).
 //!
 //! Usage: `fig12_stealing [--dataset NAME] [--workers LIST] [--queries N]
 //!                        [--candidates N] [--timeout SECS]
@@ -178,6 +178,10 @@ struct HubShape {
 /// Assist/steal median past which a swept size counts as a win.
 const CROSSOVER_GAIN: f64 = 1.2;
 
+/// Full-size hub adversary: the sweep's crossover (DESIGN.md §12.2), so
+/// the default threshold splits its 2-edge expansion.
+const HUB_SPOKES: u32 = 2_000_000;
+
 /// Largest 2-worker/1-worker time allowed on the 3-edge hub adversary.
 const STEAL_OVER_ONE: f64 = 1.15;
 
@@ -201,7 +205,9 @@ fn main() {
     let mut spokes: Vec<u32> = if smoke {
         vec![10_000, 100_000]
     } else {
-        vec![10_000, 30_000, 100_000, 300_000, 1_000_000]
+        vec![
+            10_000, 30_000, 100_000, 300_000, 1_000_000, 2_000_000, 4_000_000,
+        ]
     };
     let mut json_path: Option<String> = None;
     let mut check = false;
@@ -400,7 +406,11 @@ fn main() {
 
     // Experiment 4: the hub adversary. Smoke runs it at the smallest size
     // the default threshold splits.
-    let hub_spokes = if smoke { SPLIT_THRESHOLD } else { 1_000_000 } as u32;
+    let hub_spokes = if smoke {
+        SPLIT_THRESHOLD as u32
+    } else {
+        HUB_SPOKES
+    };
     let hub = run_hub(hub_spokes, rounds, timeout);
     println!(
         "hub_edges\tsteal_ms\tassist_ms\tone_worker_ms\tsequential_ms\tassist_gain\tsplits\tassists"
@@ -556,7 +566,7 @@ fn main() {
         );
         // The split is deterministic. Whether the ticket is picked up before
         // the owner drains the range is a race: a second CPU wins it every
-        // time at 10⁶ candidates (15 ms).
+        // time at 2·10⁶ candidates (12 ms).
         if count.assist.splits != runs {
             failures.push("the 2-edge hub expansion was not split on every run");
         }
@@ -576,8 +586,8 @@ fn main() {
             }
         }
         if !smoke && num_cpus() >= 2 {
-            if count.assist.assists == 0 || gain < 1.3 {
-                failures.push("assisting no longer beats stealing 1.3x on the hub count");
+            if count.assist.assists == 0 || gain < CROSSOVER_GAIN {
+                failures.push("assisting no longer beats stealing 1.2x on the hub count");
             }
             if crossover_threshold.is_none_or(|t| t > SPLIT_THRESHOLD) {
                 failures.push("the hub sweep puts the crossover above SPLIT_THRESHOLD");

@@ -54,9 +54,10 @@ pub struct MatchConfig {
 /// from which work assisting pays. It is the smallest size in the
 /// `fig12_stealing` hub sweep (`BENCH_stealing.json` `hub_sweep`, 2
 /// workers on 2 vCPUs) where assisting beats stealing by ≥ 1.2× in the
-/// median, rounded down to a power of two; `fig12_stealing --check` fails
-/// if a full-size sweep puts the crossover above it.
-pub const SPLIT_THRESHOLD: usize = 262_144;
+/// median, rounded down to a power of two — 2·10⁶ since validation runs in
+/// branch-free blocks, so 2²⁰; `fig12_stealing --check` fails if a
+/// full-size sweep puts the crossover above it.
+pub const SPLIT_THRESHOLD: usize = 1_048_576;
 
 /// Observed/estimated candidate-count ratio past which the engine
 /// re-plans the unmatched suffix of an in-flight query (DESIGN.md §15).

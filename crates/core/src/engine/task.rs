@@ -44,7 +44,7 @@ use crate::memory::MemoryTracker;
 use crate::metrics::MatchMetrics;
 use crate::plan::{Plan, Step};
 use crate::sink::Sink;
-use crate::validate::{validate_candidate, ValidateScratch, Validation};
+use crate::validate::{validate_block, ValidateScratch};
 
 /// Abort polls / deadline checks happen every this many probe ticks (the
 /// schedulers' stop probes are expected to do the cheap flag load every
@@ -474,7 +474,7 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
                 aborted = true;
                 break;
             }
-            self.validate_rows(partition, step, depth, emb, rows, last);
+            self.validate_rows(partition, step, emb, rows, last);
         }
         // Reverse emission: the LIFO deque then pops extensions in ascending
         // candidate order, matching the sequential executor's visit order.
@@ -554,7 +554,7 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
                 self.env.tracker.free(shared.bytes());
             }
             let rows = &shared.cands[start..end];
-            self.validate_rows(partition, step, depth, &shared.emb, rows, true);
+            self.validate_rows(partition, step, &shared.emb, rows, true);
             // One stop probe per claim (a claim is at most ABORT_PROBE
             // rows): unclaimed chunks of a stopped query are dropped —
             // every other participant sees the same signal.
@@ -571,55 +571,49 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
 
     /// The one candidate loop, over a block of at most [`ABORT_PROBE`]
     /// rows of one expansion — the serial path's block or a claim of a
-    /// split. A valid extension short of the last step joins
-    /// `scratch.valid`; at the last step it completes an embedding, which
-    /// is delivered to a sink that wants embeddings and otherwise only
-    /// counted, once for the block.
+    /// split: [`validate_block`] compacts the block's valid extensions onto
+    /// `scratch.valid` with no branch per row. Short of the last step they
+    /// stay there for the children; at the last step each completes an
+    /// embedding, which is delivered in row order to a sink that wants
+    /// embeddings and otherwise only counted, once for the block, and
+    /// `scratch.valid` is left as it was found.
     fn validate_rows(
         &mut self,
         partition: &Partition,
         step: &Step,
-        depth: usize,
         emb: &[u32],
         rows: &[u32],
         last: bool,
     ) {
-        let count_only = last && !self.env.sink.needs_embeddings();
-        let (mut filtered, mut valid) = (0u64, 0u64);
-        for &row in rows {
-            let global = partition.global_id(row).raw();
-            match validate_candidate(
-                self.env.data,
-                step,
-                depth,
-                emb,
-                &self.scratch.state,
-                global,
-                partition.row(row),
-                &mut self.scratch.validate,
-            ) {
-                Validation::Valid => {
-                    filtered += 1;
-                    valid += 1;
-                    if !last {
-                        self.scratch.valid.push(global);
-                    } else if !count_only {
-                        self.scratch.full.clear();
-                        self.scratch.full.extend_from_slice(emb);
-                        self.scratch.full.push(global);
-                        self.deliver_full();
-                    }
-                }
-                Validation::WrongProfiles => filtered += 1,
-                Validation::WrongVertexCount | Validation::Duplicate => {}
-            }
-        }
+        let scratch = &mut *self.scratch;
+        let base = scratch.valid.len();
+        let (valid, filtered) = validate_block(
+            step,
+            &scratch.state,
+            &mut scratch.validate,
+            partition,
+            emb,
+            rows,
+            &mut scratch.valid,
+        );
         self.tally.metrics.filtered += filtered;
         self.tally.metrics.validated += valid;
-        if count_only && valid > 0 {
+        if !last {
+            return;
+        }
+        if self.env.sink.needs_embeddings() {
+            for i in base..self.scratch.valid.len() {
+                let global = self.scratch.valid[i];
+                self.scratch.full.clear();
+                self.scratch.full.extend_from_slice(emb);
+                self.scratch.full.push(global);
+                self.deliver_full();
+            }
+        } else if valid > 0 {
             self.tally.metrics.embeddings += valid;
             self.count(valid);
         }
+        self.scratch.valid.truncate(base);
     }
 
     /// Emits one child expansion of `parent` per data edge of `globals`,
@@ -1030,7 +1024,9 @@ mod tests {
     /// Bulk counting at the last step: a count-only sink and a collecting
     /// sink see the same expansions validate the same rows and find the
     /// same embeddings — on the serial path, and on a split forced at
-    /// threshold 4 whose ticket runs on a fresh scratch.
+    /// threshold 4 whose ticket runs on a fresh scratch. The block loop
+    /// gives what a per-row `validate_candidate` loop gives: the counts,
+    /// the delivered sequence and the child order.
     #[test]
     fn count_only_and_collecting_sinks_agree() {
         let (data, plan) = pair_clique(9);
@@ -1089,6 +1085,168 @@ mod tests {
                 );
             }
         }
+
+        // The block loop against a per-row `validate_candidate` loop over
+        // the same candidates: a fan's first expansion spans three blocks,
+        // at the last step under both sinks and at an inner step, on the
+        // lanes and forced onto the counter kernel.
+        for three_edges in [false, true] {
+            let (data, lanes) = fan(1000, three_edges);
+            assert!(lanes.steps().iter().all(|step| step.need_lanes.is_some()));
+            for plan in [lanes.clone(), lanes.with_counter_kernel()] {
+                let case = (three_edges, plan.steps()[1].need_lanes.is_some());
+                let (validated, filtered, valid) = per_row(&data, &plan, &[0]);
+                assert_eq!((validated, filtered), (1000, 2000), "{case:?}");
+
+                let delivered = parking_lot::Mutex::new(Vec::new());
+                let sink =
+                    crate::sink::CallbackSink::new(|e: &[u32]| delivered.lock().push(e.to_vec()));
+                let (metrics, children) = one_task(&sink, &data, &plan, expand(&[0]));
+                let (counted, _) = one_task(&CountSink::new(), &data, &plan, expand(&[0]));
+                assert!(metrics.candidates > 2 * ABORT_PROBE as u64, "{case:?}");
+                for m in [&metrics, &counted] {
+                    assert_eq!((m.validated, m.filtered), (validated, filtered), "{case:?}");
+                }
+                if !three_edges {
+                    let want: Vec<Vec<u32>> = valid
+                        .iter()
+                        .map(|&g| plan.to_query_order(&[0, g]))
+                        .collect();
+                    assert_eq!(delivered.into_inner(), want, "{case:?}: delivery order");
+                    assert_eq!(
+                        (metrics.embeddings, counted.embeddings),
+                        (validated, validated)
+                    );
+                    assert!(children.is_empty());
+                } else {
+                    let order: Vec<u32> = children
+                        .iter()
+                        .map(|t| match t {
+                            Task::Expand { depth: 2, emb, .. } if emb[0] == 0 => emb[1],
+                            other => panic!("{case:?}: unexpected child {other:?}"),
+                        })
+                        .collect();
+                    assert!(
+                        order.iter().rev().eq(&valid),
+                        "{case:?}: reverse child order"
+                    );
+                    assert_eq!(metrics.embeddings, 0);
+                }
+            }
+        }
+
+        // A claim loop at the last step leaves `scratch.valid` as found.
+        let (data, plan) = fan(1000, false);
+        let mut scratch = ExecScratch::new();
+        scratch.valid.extend([7, 8, 9]);
+        let (delivered, _, _) = drain_on(
+            &mut scratch,
+            &data,
+            &plan,
+            &MatchConfig::parallel(2),
+            ticket(&data, &plan, vec![0]).0,
+        );
+        assert_eq!(delivered, per_row(&data, &plan, &[0]).0);
+        assert_eq!(scratch.valid, [7, 8, 9]);
+    }
+
+    /// Edge 0 = `{0, 1, 2}` with labels A, A, B, and `blades` times three
+    /// `{A, A, B}` edges around it, each sharing vertex 0, with a fresh A
+    /// vertex `s` and a fresh B vertex `t`: `{0, 1, t}`, `{0, s, 2}` and
+    /// `{0, s, t}`. The query `{u0, u1, u2}`, `{u0, u1, u3}` (and, with
+    /// `three_edges`, `{u3, u4, u5}`), labelled alike and matched in that
+    /// order, extends edge 0 by every `{0, 1, t}`; `{0, s, 2}` passes the
+    /// count check and fails the profiles (2 is no class), `{0, s, t}`
+    /// fails the count.
+    fn fan(blades: u32, three_edges: bool) -> (Hypergraph, Plan) {
+        let (a, b) = (Label::new(0), Label::new(1));
+        let mut d = HypergraphBuilder::new();
+        for label in [a, a, b] {
+            d.add_vertex(label);
+        }
+        d.add_edge(vec![0, 1, 2]).unwrap();
+        for _ in 0..blades {
+            let (s, t) = (d.add_vertex(a).raw(), d.add_vertex(b).raw());
+            for edge in [[0, 1, t], [0, s, 2], [0, s, t]] {
+                d.add_edge(edge.to_vec()).unwrap();
+            }
+        }
+        let data = d.build().unwrap();
+        let mut q = HypergraphBuilder::new();
+        for label in [a, a, b, b] {
+            q.add_vertex(label);
+        }
+        q.add_edge(vec![0, 1, 2]).unwrap();
+        q.add_edge(vec![0, 1, 3]).unwrap();
+        if three_edges {
+            q.add_vertices(2, a);
+            q.add_edge(vec![3, 4, 5]).unwrap();
+        }
+        let query = QueryGraph::new(&q.build().unwrap()).unwrap();
+        let order = (0..query.num_edges() as u32).collect();
+        let plan = Planner::plan_with_order(&query, &data, order).unwrap();
+        (data, plan)
+    }
+
+    /// A per-row `validate_candidate` loop over the candidates of `emb`'s
+    /// expansion: (validated, filtered, valid global ids in row order).
+    fn per_row(data: &Hypergraph, plan: &Plan, emb: &[u32]) -> (u64, u64, Vec<u32>) {
+        use crate::validate::{validate_candidate, Validation};
+        let step = &plan.steps()[emb.len()];
+        let partition = data.partition(step.partition.unwrap());
+        let mut state = ExpansionState::new();
+        state.prepare(data, step, emb);
+        generate_candidates(data, step, emb, &mut state, &MatchConfig::default());
+        let mut scratch = ValidateScratch::new();
+        let (mut filtered, mut valid) = (0, Vec::new());
+        for &row in &state.candidates {
+            let global = partition.global_id(row).raw();
+            let vertices = partition.row(row);
+            match validate_candidate(
+                data,
+                step,
+                emb.len(),
+                emb,
+                &state,
+                global,
+                vertices,
+                &mut scratch,
+            ) {
+                Validation::Valid => {
+                    filtered += 1;
+                    valid.push(global);
+                }
+                Validation::WrongProfiles => filtered += 1,
+                Validation::WrongVertexCount | Validation::Duplicate => {}
+            }
+        }
+        (valid.len() as u64, filtered, valid)
+    }
+
+    /// Executes `task` alone into `sink`, publishing the tally at the end;
+    /// returns its metrics and its children in push order.
+    fn one_task<S: Sink>(
+        sink: &S,
+        data: &Hypergraph,
+        plan: &Plan,
+        task: Task,
+    ) -> (MatchMetrics, Vec<Task>) {
+        let config = MatchConfig::parallel(2);
+        let tracker = MemoryTracker::new();
+        let env = QueryEnv {
+            plan,
+            data,
+            sink,
+            config: &config,
+            tracker: &tracker,
+            ver: 0,
+            adaptive: None,
+        };
+        let (mut tally, mut children) = (Tally::default(), Vec::new());
+        let mut sched = Closures::new(|| false, |t| children.push(t));
+        execute_task(&env, &mut ExecScratch::new(), &mut tally, task, &mut sched);
+        tally.flush_counts(sink);
+        (tally.metrics, children)
     }
 
     /// A stop raised *during* candidate generation (not just between

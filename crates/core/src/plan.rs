@@ -32,6 +32,10 @@ use crate::query::QueryGraph;
 /// `1..=classes` the classes, `classes + 1` "in the embedding, no class".
 pub const MAX_PROFILE_CLASSES: usize = 254;
 
+/// Most profile classes a step may carry and still be validated in byte
+/// lanes: codes `0..=classes + 1` must name the eight lanes of a `u64`.
+pub const LANE_CLASSES: usize = 6;
+
 /// One profile class of a step: a distinct `(label, prev_mask)` profile
 /// among the query vertices the step's hyperedge shares with the earlier
 /// ones, and how many of them carry it.
@@ -76,6 +80,12 @@ pub struct Step {
     /// [`MAX_PROFILE_CLASSES`]. Empty at step 0, or when the query is
     /// disconnected and this step starts a new component.
     pub anchors: Vec<Anchor>,
+    /// The classes' needs as byte lanes of one word — lane `i + 1` holds
+    /// `anchors[i].need`, lanes 0 and `classes + 1` hold 0 — when every
+    /// class code and every per-code count of a row fits a lane: at most
+    /// [`LANE_CLASSES`] classes and an arity below 256. `None` steps are
+    /// validated through the counter array (DESIGN.md §6.5).
+    pub need_lanes: Option<u64>,
     /// Positions `< step` whose query edges are *not* adjacent to this one;
     /// their matched vertices must not occur in the candidate
     /// (Observation V.3, used to build `V_n_incdt`).
@@ -179,6 +189,18 @@ impl Plan {
         for (edge, &pos) in self.position.iter().enumerate() {
             out[edge] = emb_positions[pos as usize];
         }
+    }
+}
+
+#[cfg(test)]
+impl Plan {
+    /// This plan with every step on the counter kernel, as if each were
+    /// past the lanes' bounds.
+    pub(crate) fn with_counter_kernel(mut self) -> Self {
+        for step in &mut self.steps {
+            step.need_lanes = None;
+        }
+        self
     }
 }
 
@@ -440,6 +462,13 @@ impl Planner {
                 }
             }
             debug_assert!(anchors.len() <= MAX_PROFILE_CLASSES);
+            let arity = query.edge(eq_us).len() as u32;
+            // No lane can carry: a count is at most the arity.
+            let need_lanes = (anchors.len() <= LANE_CLASSES && arity < 256).then(|| {
+                anchors.iter().zip(1..).fold(0u64, |word, (class, lane)| {
+                    word | u64::from(class.need) << (8 * lane)
+                })
+            });
 
             // Non-adjacent previously matched positions.
             let nonadj = matched_mask & !query.adjacent_edges(eq_us);
@@ -461,9 +490,10 @@ impl Planner {
             steps.push(Step {
                 query_edge: eq,
                 partition,
-                arity: query.edge(eq_us).len() as u32,
+                arity,
                 vertices_after: vertices_so_far,
                 anchors,
+                need_lanes,
                 nonadjacent_prev,
             });
             matched_mask |= 1 << eq;

@@ -1,9 +1,10 @@
 //! DESIGN.md §6 says a warmed-up expansion — `ExpansionState::prepare`,
-//! `generate_candidates`, `validate_candidate` over its candidates —
-//! allocates nothing. This binary counts: a global allocator that tallies
-//! per thread, one pass over a fixed list of expansions to grow the
-//! state's buffers, then the same pass again with the tally required to
-//! stay at zero, under every posting representation.
+//! `generate_candidates`, `validate_block` and `validate_candidate` over
+//! its candidates — allocates nothing, at an inner step and at a
+//! count-only last step, both in byte lanes. This binary counts: a global
+//! allocator that tallies per thread, one pass over a fixed list of
+//! expansions to grow the state's buffers, then the same pass again with
+//! the tally required to stay at zero, under every posting representation.
 //!
 //! It is also the watch on `candidates::recycle`, whose buffer reuse rests
 //! on how the standard library collects a `vec::IntoIter`, not on a
@@ -28,7 +29,7 @@ use hgmatch_core::candidates::{generate_candidates, ExpansionState};
 use hgmatch_core::engine::ParallelEngine;
 use hgmatch_core::serve::{MatchServer, QueryOptions, ServeConfig};
 use hgmatch_core::sink::CountSink;
-use hgmatch_core::validate::{validate_candidate, ValidateScratch, Validation};
+use hgmatch_core::validate::{validate_block, validate_candidate, ValidateScratch, Validation};
 use hgmatch_core::{MatchConfig, Plan, Planner, QueryGraph};
 use hgmatch_hypergraph::inverted::set_forced_repr;
 use hgmatch_hypergraph::{Hypergraph, HypergraphBuilder, Label, ReprKind};
@@ -108,15 +109,20 @@ fn query() -> QueryGraph {
     QueryGraph::new(&b.build().unwrap()).unwrap()
 }
 
-/// One expansion as the executors run it — prepare, generate, validate every
-/// candidate — on the caller's state; hands each valid extension's global id
-/// to `on_valid` and returns the number of candidates. Allocates nothing of
-/// its own.
+/// Rows the engine validates between stop probes.
+const BLOCK: usize = 1024;
+
+/// One expansion as the engine runs it — prepare, generate, then
+/// `validate_block` over blocks of candidates into the reused `valid` list —
+/// on the caller's state, with every row's `validate_candidate` verdict
+/// required to agree. An inner step hands each valid extension's global id
+/// to `on_valid`; the last step only counts them, as under a count-only
+/// sink, and leaves `valid` empty. Returns the number of candidates.
+/// Allocates nothing of its own.
 fn expand(
     data: &Hypergraph,
     plan: &Plan,
-    state: &mut ExpansionState,
-    scratch: &mut ValidateScratch,
+    (state, scratch, valid): (&mut ExpansionState, &mut ValidateScratch, &mut Vec<u32>),
     emb: &[u32],
     mut on_valid: impl FnMut(u32),
 ) -> usize {
@@ -125,22 +131,27 @@ fn expand(
     let config = MatchConfig::sequential().with_prune_non_incident(true);
     state.prepare(data, step, emb);
     let produced = generate_candidates(data, step, emb, state, &config);
-    for &row in &state.candidates {
-        let global = partition.global_id(row).raw();
-        let verdict = validate_candidate(
-            data,
-            step,
-            emb.len(),
-            emb,
-            state,
-            global,
-            partition.row(row),
-            scratch,
-        );
-        if verdict == Validation::Valid {
-            on_valid(global);
+    valid.clear();
+    let mut counted = 0;
+    for rows in state.candidates.chunks(BLOCK) {
+        let (kept, _) = validate_block(step, state, scratch, partition, emb, rows, valid);
+        counted += kept;
+        if emb.len() + 1 == plan.len() {
+            valid.clear();
         }
     }
+    let per_row = state
+        .candidates
+        .iter()
+        .filter(|&&row| {
+            let global = partition.global_id(row).raw();
+            let vertices = partition.row(row);
+            validate_candidate(data, step, emb.len(), emb, state, global, vertices, scratch)
+                == Validation::Valid
+        })
+        .count();
+    assert_eq!(counted, per_row as u64);
+    valid.iter().for_each(|&global| on_valid(global));
     produced
 }
 
@@ -158,6 +169,10 @@ fn a_warmed_up_expansion_allocates_nothing() {
         let plan = Planner::plan_with_order(&query(), &data, vec![0, 1, 2]).unwrap();
         assert!(plan.steps()[1].anchors.iter().any(|class| class.need == 2));
         assert_eq!(plan.steps()[2].nonadjacent_prev, vec![0]);
+        // Both the inner and the last step validate in byte lanes.
+        assert!(plan.steps()[1..]
+            .iter()
+            .all(|step| step.need_lanes.is_some()));
 
         // The expansions to replay: some first edges and all their valid
         // extensions, found with throw-away state.
@@ -168,8 +183,11 @@ fn a_warmed_up_expansion_allocates_nothing() {
             expand(
                 &data,
                 &plan,
-                &mut ExpansionState::new(),
-                &mut ValidateScratch::new(),
+                (
+                    &mut ExpansionState::new(),
+                    &mut ValidateScratch::new(),
+                    &mut Vec::new(),
+                ),
                 &[first],
                 |second| expansions.push(vec![first, second]),
             );
@@ -178,11 +196,15 @@ fn a_warmed_up_expansion_allocates_nothing() {
 
         let mut state = ExpansionState::new();
         let mut scratch = ValidateScratch::new();
+        let mut valid = Vec::new();
         let mut replay = || {
             let before = ALLOCATIONS.with(Cell::get);
             let candidates: usize = expansions
                 .iter()
-                .map(|emb| expand(&data, &plan, &mut state, &mut scratch, emb, |_| {}))
+                .map(|emb| {
+                    let reused = (&mut state, &mut scratch, &mut valid);
+                    expand(&data, &plan, reused, emb, |_| {})
+                })
                 .sum();
             (candidates, ALLOCATIONS.with(Cell::get) - before)
         };
