@@ -77,57 +77,70 @@ pub struct OrderEstimate {
 
 /// The statistics-driven cost model for one `(query, data)` pair.
 ///
-/// Construction snapshots the per-edge cardinalities and per-label mean
-/// degrees out of the data's partition stats; estimating an order is then
-/// pure arithmetic, so the order search can evaluate thousands of partial
-/// orders without touching the data again.
+/// Construction resolves each query edge's signature to its partition once
+/// and snapshots the per-edge cardinalities and per-label mean degrees out
+/// of the data's partition stats; estimating an order is then pure
+/// arithmetic, so the order search can evaluate thousands of partial
+/// orders without touching the data again, and compiling a plan reads each
+/// step's partition from here.
 #[derive(Debug)]
 pub struct CostModel<'a> {
     query: &'a QueryGraph,
+    /// [`Hypergraph::uid`] of the snapshot the model was built on: the
+    /// partition ids below mean nothing in another.
+    data_uid: u64,
+    /// Target partition per query edge (`None` = absent signature).
+    partition: Vec<Option<SignatureId>>,
     /// Target partition rows per query edge (0 = absent signature).
     card: Vec<f64>,
     /// `avg_deg(label(u), partition(e)) / rows(e)` per `(edge, vertex slot)`
     /// pair — the selectivity one covered shared vertex contributes,
-    /// clamped to `(0, 1]`. Indexed `[edge][slot]` parallel to
-    /// `query.edge(e)`.
-    selectivity: Vec<Vec<f64>>,
+    /// clamped to `(0, 1]`. Edge `e`'s slots, parallel to `query.edge(e)`,
+    /// are `selectivity[slot_start[e]..slot_start[e + 1]]`.
+    selectivity: Vec<f64>,
+    slot_start: Vec<usize>,
 }
 
 impl<'a> CostModel<'a> {
     /// Builds the model from the data hypergraph's partition stats.
     pub fn new(query: &'a QueryGraph, data: &Hypergraph) -> Self {
         let ne = query.num_edges();
+        let mut partition = Vec::with_capacity(ne);
         let mut card = Vec::with_capacity(ne);
-        let mut selectivity = Vec::with_capacity(ne);
+        let mut slot_start = Vec::with_capacity(ne + 1);
+        let mut selectivity = Vec::with_capacity((0..ne).map(|e| query.edge(e).len()).sum());
         for e in 0..ne {
-            let sid: Option<SignatureId> = data.interner().get(query.signature(e));
+            let sid = data.interner().get(query.signature(e));
             let stats = sid.map(|sid| data.partition(sid).stats());
             let rows = stats.map_or(0, |s| s.rows);
+            // Algorithm 3 orders by these rows: they must be the partition's.
+            debug_assert!(sid.is_none_or(|sid| data.partition(sid).len() as u64 == rows));
+            partition.push(sid);
             card.push(rows as f64);
-            let per_vertex = query
-                .edge(e)
-                .iter()
-                .map(|&u| {
-                    let Some(stats) = stats else { return 0.0 };
-                    if stats.rows == 0 {
-                        return 0.0;
-                    }
-                    // Size-biased mean: the matched data vertex behind a
-                    // shared query vertex was reached through an incident
-                    // hyperedge, so hubs are over-represented in exact
-                    // proportion to their degree.
-                    let expected_degree = stats
-                        .label_group(query.label(u))
-                        .map_or(1.0, |g| g.size_biased_degree());
-                    (expected_degree / stats.rows as f64).clamp(f64::MIN_POSITIVE, 1.0)
-                })
-                .collect();
-            selectivity.push(per_vertex);
+            slot_start.push(selectivity.len());
+            selectivity.extend(query.edge(e).iter().map(|&u| {
+                let Some(stats) = stats else { return 0.0 };
+                if stats.rows == 0 {
+                    return 0.0;
+                }
+                // Size-biased mean: the matched data vertex behind a
+                // shared query vertex was reached through an incident
+                // hyperedge, so hubs are over-represented in exact
+                // proportion to their degree.
+                let expected_degree = stats
+                    .label_group(query.label(u))
+                    .map_or(1.0, |g| g.size_biased_degree());
+                (expected_degree / stats.rows as f64).clamp(f64::MIN_POSITIVE, 1.0)
+            }));
         }
+        slot_start.push(selectivity.len());
         Self {
             query,
+            data_uid: data.uid(),
+            partition,
             card,
             selectivity,
+            slot_start,
         }
     }
 
@@ -135,6 +148,67 @@ impl<'a> CostModel<'a> {
     #[inline]
     pub fn cardinality(&self, e: u32) -> u64 {
         self.card[e as usize] as u64
+    }
+
+    /// The partition query edge `e` targets (`None` when its signature
+    /// does not occur in the data).
+    #[inline]
+    pub(crate) fn partition(&self, e: u32) -> Option<SignatureId> {
+        self.partition[e as usize]
+    }
+
+    /// Whether the model was built on `data`, the one snapshot whose
+    /// partition ids it holds.
+    pub(crate) fn is_built_on(&self, data: &Hypergraph) -> bool {
+        self.data_uid == data.uid()
+    }
+
+    /// Algorithm 3 over the model's cardinalities: the smallest
+    /// `Card(e, H)` first, then repeatedly the connected hyperedge of least
+    /// `Card(e, H) / |Vϕ ∩ e|`, ties to the larger overlap, then the lower
+    /// index. A disconnected query starts its next component at the
+    /// smallest remaining cardinality (a graceful extension of the paper,
+    /// which assumes connected queries).
+    pub(crate) fn greedy_order(&self) -> Vec<u32> {
+        let query = self.query;
+        let ne = query.num_edges();
+        let card = |e: usize| self.card[e];
+
+        let first = (0..ne)
+            .min_by(|&a, &b| card(a).total_cmp(&card(b)).then(a.cmp(&b)))
+            .expect("query has at least one edge");
+        let mut order = Vec::with_capacity(ne);
+        order.push(first as u32);
+        let mut in_order = 1u64 << first;
+        while order.len() != ne {
+            let mut best: Option<(f64, usize, usize)> = None; // (score, -overlap, edge)
+            for e in bits(self.remaining(in_order)) {
+                let e = e as usize;
+                // Vϕ ∩ e: the vertices of `e` that an ordered edge contains.
+                let overlap = query
+                    .edge(e)
+                    .iter()
+                    .filter(|&&v| query.incident_edges(v) & in_order != 0)
+                    .count();
+                if overlap == 0 {
+                    continue;
+                }
+                let key = (card(e) / overlap as f64, usize::MAX - overlap, e);
+                if best.is_none_or(|b| key < b) {
+                    best = Some(key);
+                }
+            }
+            let next = match best {
+                Some((_, _, e)) => e,
+                None => bits(self.remaining(in_order))
+                    .map(|e| e as usize)
+                    .min_by(|&a, &b| card(a).total_cmp(&card(b)).then(a.cmp(&b)))
+                    .expect("some edge remains"),
+            };
+            order.push(next as u32);
+            in_order |= 1 << next;
+        }
+        order
     }
 
     /// Multiplies the modelled candidate yield of query edge `e` by
@@ -158,9 +232,10 @@ impl<'a> CostModel<'a> {
         if matched_mask == 0 {
             return est; // SCAN
         }
-        for (slot, &u) in self.query.edge(e_us).iter().enumerate() {
+        let slots = &self.selectivity[self.slot_start[e_us]..self.slot_start[e_us + 1]];
+        for (&u, &selectivity) in self.query.edge(e_us).iter().zip(slots) {
             if self.query.incident_edges(u) & matched_mask != 0 {
-                est *= self.selectivity[e_us][slot];
+                est *= selectivity;
             }
         }
         est
@@ -178,9 +253,10 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// Estimates a complete order (any permutation of the query edges).
-    pub fn estimate_order(&self, order: &[u32]) -> OrderEstimate {
-        let mut steps = Vec::with_capacity(order.len());
+    /// Walks `order` (any permutation of the query edges) through the
+    /// model, handing `visit` each step's estimate, SCAN first; returns the
+    /// order's total cost.
+    pub(crate) fn walk(&self, order: &[u32], mut visit: impl FnMut(StepEstimate)) -> f64 {
         let mut mask = 0u64;
         let mut partials = 1.0f64;
         let mut total = 0.0f64;
@@ -189,32 +265,38 @@ impl<'a> CostModel<'a> {
             partials = step.partials_out;
             total += step.cost;
             mask |= 1 << e;
-            steps.push(step);
+            visit(step);
         }
+        total
+    }
+
+    /// Estimates a complete order (any permutation of the query edges).
+    pub fn estimate_order(&self, order: &[u32]) -> OrderEstimate {
+        let mut steps = Vec::with_capacity(order.len());
+        let total_cost = self.walk(order, |step| steps.push(step));
         OrderEstimate {
             order: order.to_vec(),
             steps,
-            total_cost: total,
+            total_cost,
         }
     }
 
-    /// Query edges that may legally extend the partial order `mask`:
-    /// connected extensions when any exist, otherwise (disconnected query)
-    /// every remaining edge — the same fallback the greedy planner applies.
-    fn extensions(&self, mask: u64) -> impl Iterator<Item = u32> + '_ {
-        let ne = self.query.num_edges() as u32;
-        let connected_exists = (0..ne).any(|e| {
-            mask & (1 << e) == 0 && (mask == 0 || self.query.adjacent_edges(e as usize) & mask != 0)
-        });
-        (0..ne).filter(move |&e| {
-            if mask & (1 << e) != 0 {
-                return false;
-            }
-            if mask == 0 || !connected_exists {
-                return true;
-            }
-            self.query.adjacent_edges(e as usize) & mask != 0
-        })
+    /// The query edges not in `mask`.
+    fn remaining(&self, mask: u64) -> u64 {
+        !mask & (u64::MAX >> (64 - self.query.num_edges()))
+    }
+
+    /// Query edges that may legally extend the partial order `mask`, as a
+    /// mask: connected extensions when any exist, otherwise (disconnected
+    /// query) every remaining edge — the same fallback the greedy planner
+    /// applies.
+    fn extensions(&self, mask: u64) -> u64 {
+        let remaining = self.remaining(mask);
+        let adjacent = bits(mask).fold(0, |adj, f| adj | self.query.adjacent_edges(f as usize));
+        match adjacent & remaining {
+            0 => remaining,
+            connected => connected,
+        }
     }
 
     /// The cheapest connected order under this model, using the planner's
@@ -230,9 +312,8 @@ impl<'a> CostModel<'a> {
     /// distinguish such orders — so the planner keeps the stable baseline
     /// rather than flipping on estimation noise (DESIGN.md §13.3).
     pub fn choose_order(&self, greedy: Vec<u32>, searched: Vec<u32>, margin: f64) -> Vec<u32> {
-        let greedy_cost = self.estimate_order(&greedy).total_cost;
-        let searched_cost = self.estimate_order(&searched).total_cost;
-        if greedy_cost > searched_cost * margin.max(1.0) {
+        let cost = |order: &[u32]| self.walk(order, |_| {});
+        if cost(&greedy) > cost(&searched) * margin.max(1.0) {
             searched
         } else {
             greedy
@@ -342,8 +423,7 @@ impl<'a> CostModel<'a> {
             }
             return;
         }
-        let extensions: Vec<u32> = self.extensions(mask).collect();
-        for e in extensions {
+        for e in bits(self.extensions(mask)) {
             let step = self.step(e, mask, partials);
             let next_cost = cost + step.cost;
             if best.len() == k && next_cost >= best[k - 1].0 {
@@ -391,7 +471,7 @@ impl<'a> CostModel<'a> {
         for _ in seeded..ne {
             let mut next: Vec<State> = Vec::new();
             for state in &frontier {
-                for e in self.extensions(state.mask) {
+                for e in bits(self.extensions(state.mask)) {
                     let step = self.step(e, state.mask, state.partials);
                     let mut order = state.order.clone();
                     order.push(e);
@@ -428,7 +508,7 @@ impl<'a> CostModel<'a> {
                     }
                     continue;
                 }
-                for e in self.extensions(mask) {
+                for e in bits(self.extensions(mask)) {
                     let step = self.step(e, mask, partials);
                     let mut next = order.clone();
                     next.push(e);
@@ -441,8 +521,7 @@ impl<'a> CostModel<'a> {
             let mut mask = 0u64;
             let mut partials = 1.0;
             for _ in 0..ne {
-                let e = self
-                    .extensions(mask)
+                let e = bits(self.extensions(mask))
                     .max_by(|&a, &b| {
                         self.step(a, mask, partials)
                             .cost
@@ -458,6 +537,16 @@ impl<'a> CostModel<'a> {
             order
         }
     }
+}
+
+/// The set bits of `mask`, lowest first: query-edge indices in ascending
+/// order, which is the order every search tie-breaks towards.
+fn bits(mut mask: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        let bit = (mask != 0).then(|| mask.trailing_zeros())?;
+        mask &= mask - 1;
+        Some(bit)
+    })
 }
 
 /// An EXPLAIN report: the cost-based plan's order and per-step estimates
@@ -492,7 +581,7 @@ impl Explain {
     /// [`crate::Planner::plan`].
     pub fn new(query: &QueryGraph, data: &Hypergraph) -> Self {
         let model = CostModel::new(query, data);
-        let greedy_order = Planner::greedy_order(query, data);
+        let greedy_order = model.greedy_order();
         let searched_order = model.best_order();
         let (chosen_order, pilot) = match Planner::plan_piloted(query, data, PILOT_MIN_COST) {
             Ok((plan, runs)) => (plan.order().to_vec(), runs),

@@ -240,16 +240,16 @@ impl Planner {
         gate: f64,
     ) -> Result<(Plan, Vec<PilotRun>)> {
         let model = CostModel::new(query, data);
-        let greedy = Self::greedy_order(query, data);
+        let greedy = model.greedy_order();
         let order = model.choose_order(greedy.clone(), model.best_order(), PLAN_MARGIN);
-        let plan = Self::compile_with_model(query, data, order, &model)?;
+        let plan = Self::compile_with_model(query, order, &model)?;
         if plan.cost() <= gate || plan.is_infeasible() {
             return Ok((plan, Vec::new()));
         }
         let mut shortlist = vec![plan];
         for order in std::iter::once(greedy).chain(model.cheapest_orders(PLAN_BEAM)) {
             if shortlist.iter().all(|p| p.order() != order) {
-                shortlist.push(Self::compile_with_model(query, data, order, &model)?);
+                shortlist.push(Self::compile_with_model(query, order, &model)?);
             }
         }
         if shortlist.len() == 1 {
@@ -264,7 +264,8 @@ impl Planner {
     /// baseline the cost-based planner is compared against (`explain`,
     /// `plan_quality`).
     pub fn plan_greedy(query: &QueryGraph, data: &Hypergraph) -> Result<Plan> {
-        Self::compile(query, data, Self::greedy_order(query, data))
+        let model = CostModel::new(query, data);
+        Self::compile_with_model(query, model.greedy_order(), &model)
     }
 
     /// Compiles a plan with a caller-chosen matching order. The order must
@@ -272,7 +273,7 @@ impl Planner {
     /// connected order (§V-A).
     pub fn plan_with_order(query: &QueryGraph, data: &Hypergraph, order: Vec<u32>) -> Result<Plan> {
         Self::assert_permutation(query, &order);
-        Self::compile(query, data, order)
+        Self::compile_with_model(query, order, &CostModel::new(query, data))
     }
 
     /// Like [`Planner::plan_with_order`], but compiles against a
@@ -283,14 +284,22 @@ impl Planner {
     /// the trigger does not immediately re-fire), and the `plan_adaptive`
     /// bench uses it to simulate planning from deliberately stale
     /// statistics.
+    ///
+    /// # Panics
+    /// When `model` was built on another snapshot than `data`: the plan
+    /// takes its partition ids from the model.
     pub fn plan_with_order_costed(
         query: &QueryGraph,
         data: &Hypergraph,
         order: Vec<u32>,
         model: &CostModel<'_>,
     ) -> Result<Plan> {
+        assert!(
+            model.is_built_on(data),
+            "the cost model was built on another snapshot"
+        );
         Self::assert_permutation(query, &order);
-        Self::compile_with_model(query, data, order, model)
+        Self::compile_with_model(query, order, model)
     }
 
     fn assert_permutation(query: &QueryGraph, order: &[u32]) {
@@ -310,59 +319,7 @@ impl Planner {
 
     /// Algorithm 3: greedy cardinality-over-connectivity order.
     pub fn greedy_order(query: &QueryGraph, data: &Hypergraph) -> Vec<u32> {
-        let ne = query.num_edges();
-        let card = |e: usize| data.cardinality(query.signature(e)) as f64;
-
-        // Start with the smallest-cardinality hyperedge.
-        let first = (0..ne)
-            .min_by(|&a, &b| card(a).total_cmp(&card(b)).then(a.cmp(&b)))
-            .expect("query has at least one edge");
-
-        let mut order = vec![first as u32];
-        let mut in_order = 1u64 << first;
-        // Vϕ as a bitset over query vertices.
-        let mut covered = vec![false; query.num_vertices()];
-        for &v in query.edge(first) {
-            covered[v as usize] = true;
-        }
-
-        while order.len() != ne {
-            let mut best: Option<(f64, usize, usize)> = None; // (score, -overlap, edge)
-            for e in 0..ne {
-                if in_order & (1 << e) != 0 {
-                    continue;
-                }
-                let overlap = query
-                    .edge(e)
-                    .iter()
-                    .filter(|&&v| covered[v as usize])
-                    .count();
-                if overlap == 0 {
-                    continue;
-                }
-                let score = card(e) / overlap as f64;
-                let key = (score, usize::MAX - overlap, e);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-            let next = match best {
-                Some((_, _, e)) => e,
-                // Disconnected query: start a new component at the smallest
-                // remaining cardinality (graceful extension of the paper,
-                // which assumes connected queries).
-                None => (0..ne)
-                    .filter(|&e| in_order & (1 << e) == 0)
-                    .min_by(|&a, &b| card(a).total_cmp(&card(b)).then(a.cmp(&b)))
-                    .expect("some edge remains"),
-            };
-            order.push(next as u32);
-            in_order |= 1 << next;
-            for &v in query.edge(next) {
-                covered[v as usize] = true;
-            }
-        }
-        order
+        CostModel::new(query, data).greedy_order()
     }
 
     /// Refuses a query some order of which needs more than
@@ -396,21 +353,16 @@ impl Planner {
         Ok(())
     }
 
-    fn compile(query: &QueryGraph, data: &Hypergraph, order: Vec<u32>) -> Result<Plan> {
-        let model = CostModel::new(query, data);
-        Self::compile_with_model(query, data, order, &model)
-    }
-
+    /// Compiles `order`, taking each step's partition and the plan's
+    /// estimates from `model`.
     fn compile_with_model(
         query: &QueryGraph,
-        data: &Hypergraph,
         order: Vec<u32>,
         model: &CostModel<'_>,
     ) -> Result<Plan> {
         Self::check_profile_classes(query)?;
-        let estimate = model.estimate_order(&order);
-        let cost = estimate.total_cost;
-        let est_candidates: Vec<f64> = estimate.steps.iter().map(|s| s.partials_out).collect();
+        let mut est_candidates = Vec::with_capacity(order.len());
+        let cost = model.walk(&order, |step| est_candidates.push(step.partials_out));
         let ne = order.len();
         let mut position = vec![0u32; ne];
         for (pos, &e) in order.iter().enumerate() {
@@ -420,14 +372,14 @@ impl Planner {
         let mut steps = Vec::with_capacity(ne);
         let mut infeasible = false;
         // Mask (over *query-edge indices*) of edges matched before each step
-        // and running vertex cover.
+        // and the running vertex count.
         let mut matched_mask = 0u64;
-        let mut covered = vec![false; query.num_vertices()];
         let mut vertices_so_far = 0u32;
+        let mut shared: Vec<(Label, u64)> = Vec::new();
 
         for &eq in &order {
             let eq_us = eq as usize;
-            let partition = data.interner().get(query.signature(eq_us));
+            let partition = model.partition(eq);
             if partition.is_none() {
                 infeasible = true;
             }
@@ -435,7 +387,7 @@ impl Planner {
             // Profile classes: the distinct (label, earlier incident
             // positions) profiles of eq's vertices that some earlier edge
             // also contains, with multiplicities.
-            let mut shared: Vec<(Label, u64)> = Vec::new();
+            shared.clear();
             for &u in query.edge(eq_us) {
                 let mut prev_mask = 0u64;
                 let mut inc = query.incident_edges(u) & matched_mask;
@@ -449,7 +401,7 @@ impl Planner {
             }
             shared.sort_unstable();
             let mut anchors: Vec<Anchor> = Vec::new();
-            for (label, prev_mask) in shared {
+            for &(label, prev_mask) in &shared {
                 match anchors.last_mut() {
                     Some(a) if (a.label, a.prev_mask) == (label, prev_mask) => a.need += 1,
                     _ => anchors.push(Anchor {
@@ -481,11 +433,12 @@ impl Planner {
             }
             nonadjacent_prev.sort_unstable();
 
-            for &v in query.edge(eq_us) {
-                if !std::mem::replace(&mut covered[v as usize], true) {
-                    vertices_so_far += 1;
-                }
-            }
+            // A vertex of eq in no earlier edge is new to the partial query.
+            vertices_so_far += query
+                .edge(eq_us)
+                .iter()
+                .filter(|&&v| query.incident_edges(v) & matched_mask == 0)
+                .count() as u32;
 
             steps.push(Step {
                 query_edge: eq,
@@ -745,6 +698,18 @@ mod tests {
             Planner::plan_with_order_costed(&q, &data, plan.order().to_vec(), &scaled).unwrap();
         assert_eq!(costed.order(), plan.order());
         assert!(costed.est_candidates()[0] < plan.est_candidates()[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "another snapshot")]
+    fn a_cost_model_from_another_snapshot_is_refused() {
+        let data = paper_data();
+        let q = paper_query();
+        let model = CostModel::new(&q, &data);
+        // Equal content, another snapshot: its partition ids need not agree.
+        let rebuilt = paper_data();
+        assert!(rebuilt == data && rebuilt.uid() != data.uid());
+        let _ = Planner::plan_with_order_costed(&q, &rebuilt, vec![0, 1, 2], &model);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! in the key: they are a pure function of the labels and edge lists, so
 //! they cannot distinguish any queries the key does not already
 //! distinguish — they are rebuilt (and interned) during planning on a
-//! miss, and a hit touches only the label/edge comparison.
+//! miss, and a hit touches only the key comparison.
 //!
 //! Plans are valid for exactly one data hypergraph (the planner orders by
 //! the data's signature cardinalities and steps embed `SignatureId`s of its
@@ -34,7 +34,9 @@
 //!   it is dropped and counted in `plans_replanned`, forcing a fresh
 //!   cost-based plan on the shape's next submission.
 //!
-//! Eviction is least-recently-used over a bounded capacity; hits, misses,
+//! Eviction is exact least-recently-used over a bounded capacity, O(1) per
+//! operation (DESIGN.md §8.4): entries live in a slab of slots linked most
+//! recent first, and the map goes from key to slot. Hits, misses,
 //! invalidations and replans are observable through [`MatchServer::stats`].
 //!
 //! [`MatchServer::update_data`]: super::MatchServer::update_data
@@ -46,14 +48,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hgmatch_hypergraph::fxhash::FxHashMap;
-use hgmatch_hypergraph::{Hypergraph, Label, Signature};
+use hgmatch_hypergraph::{Hypergraph, Label};
 use parking_lot::Mutex;
 
 use crate::error::Result;
 use crate::plan::{Plan, Planner};
 use crate::query::QueryGraph;
 
-/// Canonical cache key of a query hypergraph.
+/// Canonical cache key of a query hypergraph: one flat word list,
+/// `[|V|, labels…, |e₀|, e₀…, |e₁|, e₁…]`.
 ///
 /// Two queries collide exactly when they have the same vertex labels and
 /// the same (sorted) hyperedge vertex lists — i.e. when they are the *same*
@@ -61,18 +64,38 @@ use crate::query::QueryGraph;
 /// plan against a fixed data hypergraph. Isomorphic-but-relabelled queries
 /// plan afresh: full canonical labelling would cost more than Algorithm 3
 /// saves on the paper's ≤ 6-edge queries.
+///
+/// Built once per submission; the cache's map, its slot and the
+/// submission's [`Planned::key`] share the one allocation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct PlanKey {
-    labels: Box<[Label]>,
-    edges: Box<[Box<[u32]>]>,
-}
+pub(crate) struct PlanKey(Arc<[u32]>);
 
 impl PlanKey {
     pub(crate) fn new(query: &Hypergraph) -> Self {
-        Self {
-            labels: query.labels().into(),
-            edges: query.iter_edges().map(|(_, vs)| Box::from(vs)).collect(),
-        }
+        let len = 1
+            + query.num_vertices()
+            + query
+                .iter_edges()
+                .map(|(_, vs)| 1 + vs.len())
+                .sum::<usize>();
+        let mut words =
+            std::iter::once(query.num_vertices() as u32)
+                .chain(query.labels().iter().map(|l| l.raw()))
+                .chain(query.iter_edges().flat_map(|(_, vs)| {
+                    std::iter::once(vs.len() as u32).chain(vs.iter().copied())
+                }));
+        // Driven by a range, the iterator's exact length is known up front,
+        // so the shared slice is allocated once at its final size.
+        Self(
+            (0..len)
+                .map(|_| words.next().expect("`len` counts every word"))
+                .collect(),
+        )
+    }
+
+    /// The query's vertex labels, as raw label ids.
+    fn labels(&self) -> &[u32] {
+        &self.0[1..=self.0[0] as usize]
     }
 }
 
@@ -97,27 +120,53 @@ struct Entry {
     /// Built once per shape; epoch-independent (a function of the query
     /// hypergraph alone), so it survives `write_back` and `revalidate`.
     query: Arc<QueryGraph>,
-    last_used: u64,
     /// Data epoch this plan is valid for. A key match at a stale epoch is
     /// a miss (the entry is replaced by the re-planned result).
     epoch: u64,
-    /// Stats fingerprint: the distinct query-edge signatures and the
-    /// cardinality each had in the snapshot the plan was costed against.
-    /// Drift is always measured against *plan time*, so it accumulates
-    /// across label-touching epochs until the replan threshold trips.
-    sig_cards: Box<[(Signature, u64)]>,
+    /// Stats fingerprint: for each distinct signature of the query's
+    /// edges, one query edge carrying it and the cardinality it had in the
+    /// snapshot the plan was costed against. Drift is always measured
+    /// against *plan time*, so it accumulates across label-touching epochs
+    /// until the replan threshold trips.
+    edge_cards: Box<[(u32, u64)]>,
 }
 
 impl Entry {
+    /// The entry for a freshly compiled `plan`. The fingerprint is read
+    /// off the plan's steps: each step's partition is its query edge's
+    /// resolved signature, so no signature is hashed or copied again.
+    /// Edges of absent signatures (no partition, cardinality 0) are each
+    /// kept, since their signatures may differ.
+    fn new(plan: Arc<Plan>, query: Arc<QueryGraph>, epoch: u64, data: &Hypergraph) -> Self {
+        let steps = plan.steps();
+        let edge_cards = steps
+            .iter()
+            .enumerate()
+            .filter(|&(i, step)| {
+                step.partition.is_none() || steps[..i].iter().all(|s| s.partition != step.partition)
+            })
+            .map(|(_, step)| {
+                let rows = step.partition.map_or(0, |sid| data.partition(sid).len());
+                (step.query_edge, rows as u64)
+            })
+            .collect();
+        Self {
+            plan,
+            query,
+            epoch,
+            edge_cards,
+        }
+    }
+
     /// Maximum relative cardinality drift of this entry's signatures
     /// against `data`, with `f64::INFINITY` for a signature that appeared
     /// or went extinct since plan time (such a plan may be infeasible-
     /// compiled or embed a dangling partition id — never keep it).
     fn drift(&self, data: &Hypergraph) -> f64 {
         let mut worst = 0.0f64;
-        for (sig, old) in self.sig_cards.iter() {
-            let new = data.cardinality(sig) as u64;
-            let drift = match (*old, new) {
+        for &(edge, old) in self.edge_cards.iter() {
+            let new = data.cardinality(self.query.signature(edge as usize)) as u64;
+            let drift = match (old, new) {
                 (0, 0) => 0.0,
                 (0, _) | (_, 0) => f64::INFINITY,
                 (old, new) => old.abs_diff(new) as f64 / old as f64,
@@ -128,21 +177,136 @@ impl Entry {
     }
 }
 
-/// The per-entry fingerprint: distinct signatures of the query's edges and
-/// their cardinality in `data`, sorted for deterministic comparison.
-fn fingerprint(query: &QueryGraph, data: &Hypergraph) -> Box<[(Signature, u64)]> {
-    let mut sigs: Vec<&Signature> = (0..query.num_edges()).map(|e| query.signature(e)).collect();
-    sigs.sort_unstable();
-    sigs.dedup();
-    sigs.into_iter()
-        .map(|sig| (sig.clone(), data.cardinality(sig) as u64))
-        .collect()
+/// End of the recency list.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a resident entry, its key and its recency links.
+#[derive(Debug)]
+struct Slot {
+    key: PlanKey,
+    entry: Entry,
+    /// The next more recently used slot, or `NIL` at the head.
+    prev: u32,
+    /// The next less recently used slot, or `NIL` at the tail.
+    next: u32,
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    map: FxHashMap<PlanKey, Entry>,
-    tick: u64,
+/// The store: an exact LRU, O(1) per operation but `retain`.
+#[derive(Debug)]
+struct Lru {
+    map: FxHashMap<PlanKey, u32>,
+    slots: Vec<Slot>,
+    /// Most recently used slot (`NIL` when empty).
+    head: u32,
+    /// Least recently used slot (`NIL` when empty).
+    tail: u32,
+}
+
+impl Lru {
+    fn new() -> Self {
+        Self {
+            map: FxHashMap::default(),
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
+        }
+    }
+
+    fn unlink(&mut self, i: u32) {
+        let (prev, next) = (self.slots[i as usize].prev, self.slots[i as usize].next);
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, i: u32) {
+        let head = self.head;
+        let slot = &mut self.slots[i as usize];
+        slot.prev = NIL;
+        slot.next = head;
+        match head {
+            NIL => self.tail = i,
+            h => self.slots[h as usize].prev = i,
+        }
+        self.head = i;
+    }
+
+    /// Marks slot `i` most recently used.
+    fn touch(&mut self, i: u32) {
+        if self.head != i {
+            self.unlink(i);
+            self.push_front(i);
+        }
+    }
+
+    /// Inserts an absent `key` as the most recently used entry. At
+    /// `capacity` (≥ 1) the least recently used slot is reused, and its
+    /// old contents are returned for the caller to drop outside the lock.
+    fn insert(&mut self, key: PlanKey, entry: Entry, capacity: usize) -> Option<Slot> {
+        let slot = Slot {
+            key: key.clone(),
+            entry,
+            prev: NIL,
+            next: NIL,
+        };
+        let (i, evicted) = if self.slots.len() < capacity {
+            self.slots.push(slot);
+            (self.slots.len() as u32 - 1, None)
+        } else {
+            let i = self.tail;
+            self.unlink(i);
+            let victim = std::mem::replace(&mut self.slots[i as usize], slot);
+            self.map.remove(&victim.key);
+            (i, Some(victim))
+        };
+        self.map.insert(key, i);
+        self.push_front(i);
+        evicted
+    }
+
+    /// Slot indices from most to least recently used.
+    fn recency(&self) -> impl Iterator<Item = u32> + '_ {
+        let first = (self.head != NIL).then_some(self.head);
+        std::iter::successors(first, |&i| {
+            let next = self.slots[i as usize].next;
+            (next != NIL).then_some(next)
+        })
+    }
+
+    /// Keeps the entries `keep` accepts, in their recency order, and
+    /// returns the others for the caller to drop outside the lock.
+    fn retain(&mut self, mut keep: impl FnMut(&PlanKey, &mut Entry) -> bool) -> Vec<Slot> {
+        let order: Vec<u32> = self.recency().collect();
+        let mut slots: Vec<Option<Slot>> = std::mem::take(&mut self.slots)
+            .into_iter()
+            .map(Some)
+            .collect();
+        self.map.clear();
+        (self.head, self.tail) = (NIL, NIL);
+        let mut dropped = Vec::new();
+        for i in order {
+            let mut slot = slots[i as usize].take().expect("each slot is linked once");
+            if !keep(&slot.key, &mut slot.entry) {
+                dropped.push(slot);
+                continue;
+            }
+            let j = self.slots.len() as u32;
+            (slot.prev, slot.next) = (self.tail, NIL);
+            match self.tail {
+                NIL => self.head = j,
+                t => self.slots[t as usize].next = j,
+            }
+            self.tail = j;
+            self.map.insert(slot.key.clone(), j);
+            self.slots.push(slot);
+        }
+        dropped
+    }
 }
 
 /// A bounded LRU cache of compiled plans, keyed by canonical query form
@@ -150,7 +314,7 @@ struct Inner {
 #[derive(Debug)]
 pub(crate) struct PlanCache {
     capacity: usize,
-    inner: Mutex<Inner>,
+    lru: Mutex<Lru>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidated: AtomicU64,
@@ -164,7 +328,7 @@ impl PlanCache {
     pub(crate) fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            inner: Mutex::new(Inner::default()),
+            lru: Mutex::new(Lru::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             invalidated: AtomicU64::new(0),
@@ -195,14 +359,13 @@ impl PlanCache {
 
         let key = PlanKey::new(query);
         {
-            let mut inner = self.inner.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(entry) = inner.map.get_mut(&key) {
+            let mut lru = self.lru.lock();
+            if let Some(&i) = lru.map.get(&key) {
+                let entry = &lru.slots[i as usize].entry;
                 if entry.epoch == epoch {
-                    entry.last_used = tick;
                     let (plan, query) = (Arc::clone(&entry.plan), Arc::clone(&entry.query));
-                    drop(inner);
+                    lru.touch(i);
+                    drop(lru);
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(Planned {
                         plan,
@@ -221,41 +384,24 @@ impl PlanCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let q = Arc::new(QueryGraph::new(query)?);
         let plan = Arc::new(Planner::plan(&q, data)?);
-        let sig_cards = fingerprint(&q, data);
+        let entry = Entry::new(Arc::clone(&plan), Arc::clone(&q), epoch, data);
 
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
-            // Evict the least-recently-used entry (linear scan: serving
-            // caches are small, eviction is rare).
-            if let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                inner.map.remove(&victim);
-            }
-        }
-        let entry = inner.map.entry(key.clone()).or_insert_with(|| Entry {
-            plan: Arc::clone(&plan),
-            query: Arc::clone(&q),
-            last_used: tick,
-            epoch,
-            sig_cards: sig_cards.clone(),
-        });
-        if entry.epoch < epoch {
+        let mut lru = self.lru.lock();
+        let (stale, evicted) = match lru.map.get(&key).copied() {
             // Overwrite a stale entry in place; never downgrade a fresher
             // one a racing submitter installed meanwhile.
-            *entry = Entry {
-                plan: Arc::clone(&plan),
-                query: Arc::clone(&q),
-                last_used: tick,
-                epoch,
-                sig_cards,
-            };
-        }
+            Some(i) if lru.slots[i as usize].entry.epoch < epoch => {
+                lru.touch(i);
+                let stale = std::mem::replace(&mut lru.slots[i as usize].entry, entry);
+                (Some(stale), None)
+            }
+            Some(_) => (None, None),
+            None => (None, lru.insert(key.clone(), entry, self.capacity)),
+        };
+        drop(lru);
+        // The replaced entry and the evicted slot release their plans here,
+        // after the lock.
+        drop((stale, evicted));
         Ok(Planned {
             plan,
             query: q,
@@ -276,19 +422,20 @@ impl PlanCache {
         if self.capacity == 0 {
             return false;
         }
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(entry) = inner.map.get_mut(key) {
-            if entry.epoch == epoch {
-                entry.plan = plan;
-                entry.last_used = tick;
-                drop(inner);
-                self.corrections.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
+        let mut lru = self.lru.lock();
+        let Some(&i) = lru.map.get(key) else {
+            return false;
+        };
+        let entry = &mut lru.slots[i as usize].entry;
+        if entry.epoch != epoch {
+            return false;
         }
-        false
+        let replaced = std::mem::replace(&mut entry.plan, plan);
+        lru.touch(i);
+        drop(lru);
+        drop(replaced);
+        self.corrections.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     /// Reconciles the cache with a newly published data epoch (`data` is
@@ -315,30 +462,24 @@ impl PlanCache {
         data: &Hypergraph,
         replan_drift: f64,
     ) {
-        let mut inner = self.inner.lock();
-        let before = inner.map.len();
         let mut replanned = 0u64;
-        if sids_stable {
-            inner.map.retain(|key, entry| {
-                if entry.epoch + 1 != epoch {
-                    return false; // skipped an epoch's sweep — see above
-                }
-                let touched = key.labels.iter().any(|l| touched_labels.contains(l));
-                if touched && entry.drift(data) > replan_drift {
-                    replanned += 1;
-                    return false;
-                }
-                entry.epoch = epoch;
-                true
-            });
-        } else {
-            inner.map.clear();
-        }
-        let dropped = (before - inner.map.len()) as u64;
-        drop(inner);
+        let dropped = self.lru.lock().retain(|key, entry| {
+            if !sids_stable || entry.epoch + 1 != epoch {
+                return false; // ids shifted, or skipped an epoch's sweep — see above
+            }
+            let labels = key.labels();
+            let touched = touched_labels.iter().any(|l| labels.contains(&l.raw()));
+            if touched && entry.drift(data) > replan_drift {
+                replanned += 1;
+                return false;
+            }
+            entry.epoch = epoch;
+            true
+        });
         // `plans_invalidated` counts every drop; `plans_replanned` the
         // drift-driven subset.
-        self.invalidated.fetch_add(dropped, Ordering::Relaxed);
+        self.invalidated
+            .fetch_add(dropped.len() as u64, Ordering::Relaxed);
         self.replanned.fetch_add(replanned, Ordering::Relaxed);
     }
 
@@ -371,7 +512,7 @@ impl PlanCache {
 
     /// Plans currently cached.
     pub(crate) fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.lru.lock().slots.len()
     }
 }
 
@@ -379,6 +520,30 @@ impl PlanCache {
 mod tests {
     use super::*;
     use hgmatch_hypergraph::HypergraphBuilder;
+    use proptest::prelude::*;
+
+    impl PlanCache {
+        /// The resident keys, most recently used first, after checking
+        /// that the links and the map describe the same slab.
+        fn resident(&self) -> Vec<PlanKey> {
+            let lru = self.lru.lock();
+            let order: Vec<u32> = lru.recency().collect();
+            assert_eq!(order.len(), lru.slots.len(), "every slot is linked once");
+            assert_eq!(lru.map.len(), lru.slots.len());
+            assert_eq!(lru.tail, order.last().copied().unwrap_or(NIL));
+            let mut prev = NIL;
+            order
+                .iter()
+                .map(|&i| {
+                    let slot = &lru.slots[i as usize];
+                    assert_eq!(slot.prev, prev, "back link of slot {i}");
+                    assert_eq!(lru.map[&slot.key], i);
+                    prev = i;
+                    slot.key.clone()
+                })
+                .collect()
+        }
+    }
 
     fn tiny_data() -> Hypergraph {
         let mut b = HypergraphBuilder::new();
@@ -426,6 +591,19 @@ mod tests {
         let hit = cache.plan_for(&ab_query(0), &data, 0).unwrap().cached;
         assert!(!hit);
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn the_key_is_the_flat_canonical_form() {
+        let mut b = HypergraphBuilder::new();
+        for &l in &[4u32, 5, 6] {
+            b.add_vertex(Label::new(l));
+        }
+        b.add_edge(vec![2, 0, 1]).unwrap();
+        b.add_edge(vec![1, 2]).unwrap();
+        let key = PlanKey::new(&b.build().unwrap());
+        assert_eq!(&key.0[..], &[3, 4, 5, 6, 3, 0, 1, 2, 2, 1, 2]);
+        assert_eq!(key.labels(), &[4, 5, 6]);
     }
 
     #[test]
@@ -684,6 +862,7 @@ mod tests {
             });
         });
         assert!(cache.len() <= 2, "eviction must bound the cache");
+        assert_eq!(cache.resident().len(), cache.len());
         assert_eq!(
             cache.hits() + cache.misses(),
             plan_calls.load(Ordering::Relaxed),
@@ -706,5 +885,244 @@ mod tests {
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.invalidated(), 2);
         assert_eq!(cache.replanned(), 0);
+    }
+
+    /// The differential test's shapes as `(vertex labels, edges)`: four on
+    /// labels {0, 1} and four on {2, 3}. The third repeats a signature.
+    const SHAPES: [(&[u32], &[&[u32]]); 8] = [
+        (&[0, 1], &[&[0, 1]]),
+        (&[0, 0], &[&[0, 1]]),
+        (&[0, 1, 0], &[&[0, 1], &[1, 2]]),
+        (&[0, 1, 1], &[&[0, 1, 2]]),
+        (&[2, 3], &[&[0, 1]]),
+        (&[2, 2, 3], &[&[0, 1], &[1, 2]]),
+        (&[3, 3], &[&[0, 1]]),
+        (&[2, 3, 3], &[&[0, 1, 2]]),
+    ];
+
+    /// The label multisets of the shapes' edges.
+    const SIGNATURES: [&[u32]; 7] = [
+        &[0, 1],
+        &[0, 0],
+        &[0, 1, 1],
+        &[2, 3],
+        &[2, 2],
+        &[3, 3],
+        &[2, 3, 3],
+    ];
+
+    fn shape(i: usize) -> Hypergraph {
+        let (labels, edges) = SHAPES[i];
+        let mut b = HypergraphBuilder::new();
+        for &l in labels {
+            b.add_vertex(Label::new(l));
+        }
+        for edge in edges {
+            b.add_edge(edge.to_vec()).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// A snapshot with `counts[s]` disjoint edges of `SIGNATURES[s]`, plus
+    /// one edge no shape matches, so that it is never empty.
+    fn snapshot(counts: &[u64]) -> Hypergraph {
+        let mut b = HypergraphBuilder::new();
+        let mut add = |labels: &[u32]| {
+            let edge = labels
+                .iter()
+                .map(|&l| b.add_vertex(Label::new(l)).raw())
+                .collect();
+            b.add_edge(edge).unwrap();
+        };
+        add(&[9, 9]);
+        for (labels, &count) in SIGNATURES.iter().zip(counts) {
+            (0..count).for_each(|_| add(labels));
+        }
+        b.build().unwrap()
+    }
+
+    /// Each edge's signature cardinality in `data`, edge by edge.
+    fn edge_cards(shape: &Hypergraph, data: &Hypergraph) -> Vec<u64> {
+        let q = QueryGraph::new(shape).unwrap();
+        (0..q.num_edges())
+            .map(|e| data.cardinality(q.signature(e)) as u64)
+            .collect()
+    }
+
+    /// The differential test's reference: an LRU written from its
+    /// definition. Resident shapes sit in a `Vec`, most recently used
+    /// first, each with its epoch and its edges' cardinalities at plan time.
+    #[derive(Default)]
+    struct ReferenceLru {
+        resident: Vec<(usize, u64, Vec<u64>)>,
+        invalidated: u64,
+        replanned: u64,
+        corrections: u64,
+    }
+
+    impl ReferenceLru {
+        fn make_most_recent(&mut self, i: usize) {
+            let entry = self.resident.remove(i);
+            self.resident.insert(0, entry);
+        }
+
+        /// Whether `plan_for` hits.
+        fn plan_for(&mut self, capacity: usize, shape: usize, epoch: u64, cards: Vec<u64>) -> bool {
+            match self.resident.iter().position(|r| r.0 == shape) {
+                Some(i) if self.resident[i].1 == epoch => {
+                    self.make_most_recent(i);
+                    return true;
+                }
+                Some(i) if self.resident[i].1 < epoch => {
+                    self.resident[i] = (shape, epoch, cards);
+                    self.make_most_recent(i);
+                }
+                Some(_) => {}
+                None if capacity > 0 => {
+                    self.resident.truncate(capacity - 1);
+                    self.resident.insert(0, (shape, epoch, cards));
+                }
+                None => {}
+            }
+            false
+        }
+
+        fn write_back(&mut self, shape: usize, epoch: u64) -> bool {
+            let found = self
+                .resident
+                .iter()
+                .position(|r| (r.0, r.1) == (shape, epoch));
+            if let Some(i) = found {
+                self.make_most_recent(i);
+                self.corrections += 1;
+            }
+            found.is_some()
+        }
+
+        fn revalidate(
+            &mut self,
+            epoch: u64,
+            touched: &[Label],
+            sids_stable: bool,
+            threshold: f64,
+            cards_now: impl Fn(usize) -> Vec<u64>,
+        ) {
+            let before = self.resident.len();
+            let mut replanned = 0;
+            self.resident.retain_mut(|(shape, at, cards)| {
+                if !sids_stable || *at + 1 != epoch {
+                    return false;
+                }
+                let drift = cards
+                    .iter()
+                    .zip(cards_now(*shape))
+                    .map(|(&old, new)| match (old, new) {
+                        (0, 0) => 0.0,
+                        (0, _) | (_, 0) => f64::INFINITY,
+                        (old, new) => old.abs_diff(new) as f64 / old as f64,
+                    })
+                    .fold(0.0, f64::max);
+                let labels = SHAPES[*shape].0;
+                if touched.iter().any(|l| labels.contains(&l.raw())) && drift > threshold {
+                    replanned += 1;
+                    return false;
+                }
+                *at = epoch;
+                true
+            });
+            self.invalidated += (before - self.resident.len()) as u64;
+            self.replanned += replanned;
+        }
+    }
+
+    /// Drives one seeded sequence of `plan_for`, `write_back` and
+    /// `revalidate` through a cache of `capacity` and through the
+    /// reference, comparing them after every operation.
+    fn agrees_with_reference(capacity: usize, seed: u64, ops: usize) -> TestCaseResult {
+        let shapes: Vec<Hypergraph> = (0..SHAPES.len()).map(shape).collect();
+        let keys: Vec<PlanKey> = shapes.iter().map(PlanKey::new).collect();
+        let cache = PlanCache::new(capacity);
+        let mut reference = ReferenceLru::default();
+        let mut state = seed;
+        let mut draw = |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        // `snapshots[epoch]` is that epoch's data.
+        let mut snapshots = vec![snapshot(&[1; 7])];
+        for _ in 0..ops {
+            let epoch = snapshots.len() as u64 - 1;
+            // One operation in four is pinned to the previous epoch, as a
+            // submission or correction racing a publish is.
+            let pinned = epoch.saturating_sub(u64::from(draw(4) == 0));
+            let data = &snapshots[pinned as usize];
+            match draw(10) {
+                0..=5 => {
+                    let s = draw(8) as usize;
+                    let hit = cache.plan_for(&shapes[s], data, pinned).unwrap().cached;
+                    let cards = edge_cards(&shapes[s], data);
+                    prop_assert_eq!(hit, reference.plan_for(capacity, s, pinned, cards));
+                }
+                6 | 7 => {
+                    let s = draw(8) as usize;
+                    let q = QueryGraph::new(&shapes[s]).unwrap();
+                    let plan = Arc::new(Planner::plan(&q, data).unwrap());
+                    let landed = cache.write_back(&keys[s], plan, pinned);
+                    prop_assert_eq!(landed, reference.write_back(s, pinned));
+                }
+                _ => {
+                    let counts: Vec<u64> = (0..SIGNATURES.len()).map(|_| draw(3)).collect();
+                    let next = snapshot(&counts);
+                    let touched: Vec<Label> =
+                        (0..4).filter(|_| draw(2) == 0).map(Label::new).collect();
+                    let sids_stable = draw(4) != 0;
+                    let threshold = if draw(2) == 0 { 0.0 } else { f64::INFINITY };
+                    cache.revalidate(epoch + 1, &touched, sids_stable, &next, threshold);
+                    reference.revalidate(epoch + 1, &touched, sids_stable, threshold, |s| {
+                        edge_cards(&shapes[s], &next)
+                    });
+                    snapshots.push(next);
+                }
+            }
+            let resident: Vec<usize> = cache
+                .resident()
+                .iter()
+                .map(|key| {
+                    keys.iter()
+                        .position(|k| k == key)
+                        .expect("a submitted shape")
+                })
+                .collect();
+            let expected: Vec<usize> = reference.resident.iter().map(|r| r.0).collect();
+            prop_assert_eq!(resident, expected);
+            prop_assert_eq!(cache.len(), reference.resident.len());
+            prop_assert_eq!(
+                (cache.invalidated(), cache.replanned(), cache.corrections()),
+                (
+                    reference.invalidated,
+                    reference.replanned,
+                    reference.corrections
+                )
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The slab store is an exact LRU: each hit or miss, the resident
+        /// shapes in recency order and every counter agree with the
+        /// reference after each operation, at capacities 0, 1, 2 and 4.
+        #[test]
+        fn the_store_agrees_with_a_reference_lru(
+            seed in 0u64..1 << 48,
+            capacity in 0usize..4,
+            ops in 1usize..120,
+        ) {
+            agrees_with_reference([0, 1, 2, 4][capacity], seed, ops)?;
+        }
     }
 }

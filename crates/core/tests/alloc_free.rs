@@ -288,12 +288,20 @@ fn a_one_shot_engine_worker_allocates_nothing_per_task() {
     let run = |n: u32| {
         let data = band(n);
         let plan = Planner::plan_with_order(&query(), &data, vec![0, 1, 2]).unwrap();
-        let sink = CountSink::new();
         let mut tasks = 0;
-        let allocations = allocations_of(|| {
-            tasks = ParallelEngine::run(&plan, &data, &sink, &config).workers[0].tasks;
-        });
-        assert!(sink.count() > 0);
+        // The smallest of three readings: the test harness's own threads
+        // may allocate beside a reading, never inside the engine.
+        let allocations = (0..3)
+            .map(|_| {
+                let sink = CountSink::new();
+                let allocations = allocations_of(|| {
+                    tasks = ParallelEngine::run(&plan, &data, &sink, &config).workers[0].tasks;
+                });
+                assert!(sink.count() > 0);
+                allocations
+            })
+            .min()
+            .expect("three readings");
         (tasks, allocations)
     };
     let (small_tasks, small) = run(SMALL);
