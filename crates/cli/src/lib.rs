@@ -22,8 +22,7 @@
 //!   graph through [`hgmatch_hypergraph::DynamicHypergraph`]: applies ops
 //!   in batches, publishes an epoch snapshot per batch, optionally
 //!   re-answers a standing query list on a [`MatchServer`] after every
-//!   epoch (with `--delta`, cross-checked against
-//!   [`hgmatch_core::delta_match`]), and reports update throughput.
+//!   epoch, and reports update throughput.
 //! * `gen-stream` — generate a random update stream with a configurable
 //!   insert:delete ratio (the `datasets` update-stream generator).
 //! * `explain <labels.txt> <edges.txt> <qlabels.txt> <qedges.txt>
@@ -101,7 +100,6 @@ lines) to a dynamic graph, publishing one snapshot epoch per batch.
 update flags:
   --batch N         ops per epoch (default: the whole stream at once)
   --queries FILE    re-answer this query list after every epoch
-  --delta           also delta-match each query and cross-check the counts
   --threads N       worker threads for --queries (default 4)
   --save FILE       write the final graph (index included) as an HGMB v2
                     snapshot; `snapshot load` / `listen --snapshot` restore it
@@ -683,7 +681,6 @@ fn do_serve(args: &[String]) -> Result<(), String> {
 struct UpdateCliOptions {
     batch: Option<usize>,
     queries: Option<String>,
-    delta: bool,
     threads: usize,
     save: Option<String>,
 }
@@ -693,7 +690,6 @@ impl UpdateCliOptions {
         let mut options = Self {
             batch: None,
             queries: None,
-            delta: false,
             threads: 4,
             save: None,
         };
@@ -713,7 +709,6 @@ impl UpdateCliOptions {
                     i += 1;
                     options.queries = Some(args.get(i).ok_or("--queries needs a path")?.clone());
                 }
-                "--delta" => options.delta = true,
                 "--threads" => {
                     i += 1;
                     options.threads = args
@@ -866,9 +861,8 @@ fn do_listen(args: &[String]) -> Result<(), String> {
 
 /// `update`: apply an insert/delete stream to a dynamic graph, one
 /// snapshot epoch per batch, optionally re-answering a standing query
-/// list (and delta-matching it) after every epoch.
+/// list after every epoch.
 fn do_update(args: &[String]) -> Result<(), String> {
-    use hgmatch_core::{delta_match, DeltaBatch};
     use hgmatch_hypergraph::dynamic::parse_update_stream;
     use hgmatch_hypergraph::{DynamicHypergraph, UpdateOp};
 
@@ -897,14 +891,13 @@ fn do_update(args: &[String]) -> Result<(), String> {
     }
 
     let mut dynamic = DynamicHypergraph::from_hypergraph(&base);
-    let mut previous = dynamic.snapshot().graph;
+    let mut graph = dynamic.snapshot().graph;
     let server = (!queries.is_empty()).then(|| {
         MatchServer::new(
-            std::sync::Arc::clone(&previous),
+            std::sync::Arc::clone(&graph),
             ServeConfig::default().with_threads(options.threads),
         )
     });
-    let mut counts: Vec<u64> = Vec::new();
     let serve_begin = Instant::now();
     let mut served = 0usize;
     if let Some(server) = &server {
@@ -913,7 +906,6 @@ fn do_update(args: &[String]) -> Result<(), String> {
                 .run(query, QueryOptions::count())
                 .map_err(|e| format!("{name}: {e}"))?;
             println!("epoch 0\t{name}\tembeddings={}", outcome.count);
-            counts.push(outcome.count);
             served += 1;
         }
     }
@@ -963,48 +955,19 @@ fn do_update(args: &[String]) -> Result<(), String> {
                 &delta.touched_labels,
                 delta.sids_stable,
             );
-            let batch = options
-                .delta
-                .then(|| DeltaBatch::between(&previous, &delta.graph));
-            for (i, (name, query)) in queries.iter().enumerate() {
+            for (name, query) in &queries {
                 let outcome = server
                     .run(query, QueryOptions::count())
                     .map_err(|e| format!("{name}: {e}"))?;
-                let mut line = format!(
+                println!(
                     "epoch {epoch}\t{name}\tembeddings={}\tplan_cached={}",
                     outcome.count,
                     if outcome.plan_cached { "yes" } else { "no" },
                 );
-                if let Some(batch) = &batch {
-                    let d = delta_match(&previous, &delta.graph, query, batch)
-                        .map_err(|e| format!("{name}: {e}"))?;
-                    // Signed arithmetic: a buggy delta must surface as
-                    // MISMATCH, not as an underflow panic.
-                    let predicted =
-                        counts[i] as i128 + d.gained.len() as i128 - d.lost.len() as i128;
-                    line.push_str(&format!(
-                        "\tgained={}\tlost={}\tdelta_check={}",
-                        d.gained.len(),
-                        d.lost.len(),
-                        if predicted == outcome.count as i128 {
-                            "ok"
-                        } else {
-                            "MISMATCH"
-                        },
-                    ));
-                    if predicted != outcome.count as i128 {
-                        return Err(format!(
-                            "{name}: delta predicts {predicted}, full run found {}",
-                            outcome.count
-                        ));
-                    }
-                }
-                println!("{line}");
-                counts[i] = outcome.count;
                 served += 1;
             }
         }
-        previous = delta.graph;
+        graph = delta.graph;
     }
 
     let secs = begin.elapsed().as_secs_f64();
@@ -1014,13 +977,13 @@ fn do_update(args: &[String]) -> Result<(), String> {
         applied as f64 / secs.max(1e-9),
         snapshot_time.as_secs_f64(),
     );
-    let stats = previous.stats();
+    let stats = graph.stats();
     println!("final graph:\t|V|\t|E|\t|Sigma|\tamax");
     println!(
         "\t{}\t{}\t{}\t{}",
-        previous.num_vertices(),
-        previous.num_edges(),
-        previous.num_labels(),
+        graph.num_vertices(),
+        graph.num_edges(),
+        graph.num_labels(),
         stats.max_arity
     );
     if let Some(server) = &server {
@@ -1029,7 +992,7 @@ fn do_update(args: &[String]) -> Result<(), String> {
         print_aggregate(server, served, serve_begin.elapsed());
     }
     if let Some(path) = &options.save {
-        io::save_snapshot(&previous, Path::new(path)).map_err(|e| e.to_string())?;
+        io::save_snapshot(&graph, Path::new(path)).map_err(|e| e.to_string())?;
         println!("saved snapshot to {path}");
     }
     Ok(())

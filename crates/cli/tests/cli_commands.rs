@@ -483,7 +483,7 @@ fn snapshot_rejects_bad_inputs() {
 }
 
 #[test]
-fn update_serves_standing_queries_with_delta_check() {
+fn update_serves_standing_queries() {
     let dir = TempDir::new("update-queries");
     let (dl, de, list) = write_query_list(&dir);
     let stream = write_update_stream_file(&dir);
@@ -496,7 +496,6 @@ fn update_serves_standing_queries_with_delta_check() {
         "1",
         "--queries",
         &list,
-        "--delta",
         "--threads",
         "2",
     ]))
@@ -510,6 +509,8 @@ fn update_rejects_bad_inputs() {
     let stream = write_update_stream_file(&dir);
     assert!(run(&args(&["update", &dl, &de])).is_err());
     assert!(run(&args(&["update", &dl, &de, &stream, "--bogus"])).is_err());
+    // A stale script asking for the delta cross-check fails loudly.
+    assert!(run(&args(&["update", &dl, &de, &stream, "--delta"])).is_err());
     assert!(run(&args(&["update", &dl, &de, &stream, "--batch", "0"])).is_err());
     let bad = dir.path("bad-stream.txt");
     std::fs::write(&bad, "? 1 2\n").unwrap();

@@ -10,9 +10,11 @@
 //!   ([`crate::plan::Anchor`]) — to at least one *member* of the class: a
 //!   vertex of `V(m)` with that label lying in exactly those matched edges
 //!   (Observations V.2 and V.4, with the degree test sharpened to the exact
-//!   edge set),
-//! * and (optionally, eager Observation V.3) touch no vertex matched by a
-//!   non-adjacent query edge.
+//!   edge set).
+//!
+//! As in the paper, rows touching a vertex matched by a non-adjacent query
+//! edge (`V_n_incdt`, Observation V.3) are not subtracted here: validation
+//! rejects them, since such a vertex is in no class.
 //!
 //! [`ExpansionState::prepare`] writes every vertex of `V(m)` its class code
 //! into one dense byte table; generation reads members off it and
@@ -20,18 +22,16 @@
 //! (DESIGN.md §6.5).
 //!
 //! Everything else is posting-list algebra: per class a *union* of `he(v,
-//! S(eq))` lists, then an *intersection* across classes, and optionally a
-//! *difference* against the non-incident union — exactly the three set
-//! operations the paper highlights. Each union picks the cheaper of two
-//! representations per class (DESIGN.md §5.5): the k-way sorted-list merge
-//! of [`setops::union_many_into`], or a [`Bitmap`] accumulator over the
-//! partition's row space when the postings are dense (hub vertices carry
-//! precomputed bitmaps in the inverted index, OR-ing 64 rows per
-//! instruction). Mid-density keys arrive as delta-bitpacked
+//! S(eq))` lists, then an *intersection* across classes. Each union picks
+//! the cheaper of two representations per class (DESIGN.md §5.5): the
+//! k-way sorted-list merge of [`setops::union_many_into`], or a [`Bitmap`]
+//! accumulator over the partition's row space when the postings are dense
+//! (hub vertices carry precomputed bitmaps in the inverted index, OR-ing 64
+//! rows per instruction). Mid-density keys arrive as delta-bitpacked
 //! [`CompressedPostings`](hgmatch_hypergraph::compressed::CompressedPostings)
-//! (DESIGN.md §14): single-posting classes run the
-//! *fused* kernels of [`setops`] that decode one block at a time into a
-//! stack scratch, multi-posting unions decode into reused arena buffers.
+//! (DESIGN.md §14): single-posting classes run the *fused* kernels of
+//! [`setops`] that decode one block at a time into a stack scratch,
+//! multi-posting unions decode into reused arena buffers.
 
 use hgmatch_hypergraph::bitmap::Bitmap;
 use hgmatch_hypergraph::compressed::BLOCK_LEN;
@@ -119,6 +119,8 @@ pub struct ExpansionState {
     codes: Vec<u8>,
     /// Sorted vertices matched by non-adjacent previous edges
     /// (`V_n_incdt` of Algorithm 4 line 1). Rebuilt per preparation.
+    /// Generation does not read it; the layer-replay tool in `benchmark/`
+    /// does, and ROADMAP 5(c) removes it with that tool.
     pub non_incident: Vec<u32>,
     /// Output: candidate local rows in the step's partition.
     pub candidates: Vec<u32>,
@@ -317,15 +319,16 @@ fn merge_edge(prev: &[MVertex], vs: &[u32], bit: u64, out: &mut Vec<MVertex>) {
 /// step's partition that may extend `emb`. Returns the number of candidates.
 ///
 /// [`ExpansionState::prepare`] must have been called for the same
-/// `(step, emb)` first.
+/// `(step, emb)` first. `_config` is unread; ROADMAP 5(c) removes it with
+/// the layer-replay tool in `benchmark/`, its last outside caller.
 pub fn generate_candidates(
     data: &Hypergraph,
     step: &Step,
     emb: &[u32],
     state: &mut ExpansionState,
-    config: &MatchConfig,
+    _config: &MatchConfig,
 ) -> usize {
-    generate_candidates_with_abort(data, step, emb, state, config, &mut || false)
+    generate_candidates_with_abort(data, step, emb, state, _config, &mut || false)
         .expect("a never-firing abort cannot interrupt generation")
 }
 
@@ -338,17 +341,18 @@ pub fn generate_candidates(
 /// then holds partial garbage and the caller must emit nothing.
 ///
 /// Once the state's buffers have grown to the workload, a call allocates
-/// nothing (DESIGN.md §6; `tests/alloc_free.rs` counts).
+/// nothing (DESIGN.md §6; `tests/alloc_free.rs` counts). `_config` is
+/// unread, as in [`generate_candidates`].
 pub fn generate_candidates_with_abort(
     data: &Hypergraph,
     step: &Step,
     emb: &[u32],
     state: &mut ExpansionState,
-    config: &MatchConfig,
+    _config: &MatchConfig,
     abort: &mut dyn FnMut() -> bool,
 ) -> Option<usize> {
     let mut postings = std::mem::take(&mut state.postings);
-    let produced = generate_into(data, step, emb, state, config, abort, &mut postings);
+    let produced = generate_into(data, step, emb, state, abort, &mut postings);
     state.postings = recycle(postings);
     produced
 }
@@ -373,7 +377,6 @@ fn generate_into<'d>(
     step: &Step,
     emb: &[u32],
     state: &mut ExpansionState,
-    config: &MatchConfig,
     abort: &mut dyn FnMut() -> bool,
     postings: &mut Vec<Posting<'d>>,
 ) -> Option<usize> {
@@ -503,51 +506,6 @@ fn generate_into<'d>(
         std::mem::swap(&mut state.candidates, &mut state.tmp);
         if state.candidates.is_empty() {
             return Some(0);
-        }
-    }
-
-    if config.prune_non_incident && !state.non_incident.is_empty() {
-        if abort() {
-            return None;
-        }
-        // Eager Observation V.3: drop candidates touching forbidden
-        // vertices, with the same representation switch.
-        postings.clear();
-        let (total, have_bits) = collect_postings(partition, &state.non_incident, postings);
-        if !postings.is_empty() {
-            if use_bits || is_dense(rows, total, have_bits) {
-                if union_postings_into_bitmap(postings, rows, &mut state.anchor_bits, abort) {
-                    return None;
-                }
-                if use_bits {
-                    // Still dense: one AND-NOT pass, word-wise.
-                    state.acc_bits.difference_assign(&state.anchor_bits);
-                } else {
-                    state
-                        .anchor_bits
-                        .filter_list_out(&state.candidates, &mut state.tmp);
-                }
-            } else if let [Posting::Compressed(c)] = postings.as_slice() {
-                // Fused difference: subtract the compressed union one
-                // decoded block at a time (output bounded by the already
-                // probe-bounded candidate list).
-                setops::difference_list_compressed_into(&state.candidates, c, &mut state.tmp);
-            } else {
-                if union_postings_into_list(
-                    postings,
-                    &mut state.decode_arena,
-                    &mut state.lists,
-                    &mut state.union,
-                    &mut state.mw,
-                    abort,
-                ) {
-                    return None;
-                }
-                setops::difference_into(&state.candidates, &state.union, &mut state.tmp);
-            }
-            if !use_bits {
-                std::mem::swap(&mut state.candidates, &mut state.tmp);
-            }
         }
     }
 
@@ -973,38 +931,6 @@ mod tests {
             &mut state,
             &MatchConfig::default(),
         );
-        assert_eq!(n, 0);
-    }
-
-    #[test]
-    fn eager_non_incident_pruning_drops_rows() {
-        // Disconnected query: two {A,B} edges. After matching the first to
-        // e0 {v2,v4}, the second step has no classes; with eager pruning the
-        // candidate set must exclude rows touching v2 or v4.
-        let data = paper_data();
-        let mut b = HypergraphBuilder::new();
-        for &l in &[0u32, 1, 0, 1] {
-            b.add_vertex(Label::new(l));
-        }
-        b.add_edge(vec![0, 1]).unwrap();
-        b.add_edge(vec![2, 3]).unwrap();
-        let q = QueryGraph::new(&b.build().unwrap()).unwrap();
-        let plan = Planner::plan(&q, &data).unwrap();
-        let step = &plan.steps()[1];
-        assert!(step.anchors.is_empty());
-        let emb = [0u32]; // e0 = {v2, v4}
-
-        let mut state = ExpansionState::new();
-        state.prepare(&data, step, &emb);
-
-        // Without pruning: both {A,B} rows are candidates.
-        let n = generate_candidates(&data, step, &emb, &mut state, &MatchConfig::default());
-        assert_eq!(n, 2);
-
-        // With pruning: e0 shares v2/v4, e1 = {v4,v6} shares v4 → none left.
-        let cfg = MatchConfig::default().with_prune_non_incident(true);
-        state.prepare(&data, step, &emb);
-        let n = generate_candidates(&data, step, &emb, &mut state, &cfg);
         assert_eq!(n, 0);
     }
 

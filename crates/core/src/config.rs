@@ -13,17 +13,9 @@ pub struct MatchConfig {
     /// Wall-clock budget; execution aborts (reporting `timed_out`) when
     /// exceeded. `None` = unbounded.
     pub timeout: Option<Duration>,
-    /// Extra pruning beyond the paper's Algorithm 4: subtract hyperedges
-    /// incident to `V_n_incdt` from the candidate set instead of leaving
-    /// them to validation (Observation V.3 applied eagerly). Off by default
-    /// to match the paper; the ablation bench measures its effect.
-    pub prune_non_incident: bool,
     /// Dynamic work stealing (paper §VI-C). Disabling it reproduces the
     /// `HGMatch-NOSTL` baseline of Fig. 12.
     pub work_stealing: bool,
-    /// Rows per SCAN chunk: the scan range splits until chunks are at most
-    /// this long, bounding task granularity.
-    pub scan_chunk: usize,
     /// Candidate-list length at which the *last-step* expansion becomes
     /// splittable (DESIGN.md §12): instead of validating the whole list
     /// serially, the executing worker publishes assist tickets so idle
@@ -102,9 +94,7 @@ impl Default for MatchConfig {
         Self {
             threads: 1,
             timeout: None,
-            prune_non_incident: false,
             work_stealing: true,
-            scan_chunk: 256,
             split_threshold: SPLIT_THRESHOLD,
             replan_ratio: default_replan_ratio(),
             aggregate: AggregateMode::Materialize,
@@ -138,12 +128,6 @@ impl MatchConfig {
         self
     }
 
-    /// Toggles eager non-incidence pruning, builder style.
-    pub fn with_prune_non_incident(mut self, enabled: bool) -> Self {
-        self.prune_non_incident = enabled;
-        self
-    }
-
     /// Sets the splittable-expansion threshold (0 disables mid-flight
     /// splitting), builder style.
     pub fn with_split_threshold(mut self, threshold: usize) -> Self {
@@ -174,9 +158,7 @@ mod tests {
         let c = MatchConfig::default();
         assert_eq!(c.threads, 1);
         assert!(c.timeout.is_none());
-        assert!(!c.prune_non_incident);
         assert!(c.work_stealing);
-        assert!(c.scan_chunk > 0);
         assert_eq!(c.split_threshold, SPLIT_THRESHOLD);
         assert_eq!(c.aggregate, AggregateMode::Materialize);
     }
@@ -185,12 +167,10 @@ mod tests {
     fn builders() {
         let c = MatchConfig::parallel(8)
             .with_timeout(Duration::from_secs(5))
-            .with_work_stealing(false)
-            .with_prune_non_incident(true);
+            .with_work_stealing(false);
         assert_eq!(c.threads, 8);
         assert_eq!(c.timeout, Some(Duration::from_secs(5)));
         assert!(!c.work_stealing);
-        assert!(c.prune_non_incident);
         // Zero threads clamps to one.
         assert_eq!(MatchConfig::parallel(0).threads, 1);
         let c = MatchConfig::default().with_split_threshold(16);

@@ -9,10 +9,11 @@
 //!
 //! Scheduling follows the paper exactly:
 //!
-//! * **LIFO task deques** — every worker owns a deque
-//!   (`crossbeam::deque`, the same non-blocking design as the paper's \[17\])
-//!   and pushes/pops at its hot end, so the engine runs depth-first locally
-//!   and memory stays within the Theorem VI.1 bound
+//! * **LIFO task deques** — every worker owns a deque (the vendored
+//!   `crossbeam::deque`: the paper's \[17\] interface over a mutex-guarded
+//!   ring buffer, not a lock-free one) and pushes/pops at its hot end, so
+//!   the engine runs depth-first locally and memory stays within the
+//!   Theorem VI.1 bound
 //!   `O(aq · |E(q)|² · |E(H)|)`.
 //! * **Dynamic work stealing** (§VI-C) — an idle worker picks a random
 //!   victim and steals a batch (up to half) from the cold end of its deque,

@@ -64,6 +64,10 @@ const ABORT_PROBE: usize = 1024;
 /// saturation, large enough that counting stays a batched atomic.
 const COUNT_FLUSH: u64 = 64;
 
+/// Rows per SCAN task: a scan range splits in halves until it is at most
+/// this long, bounding task granularity.
+const SCAN_CHUNK: u32 = 256;
+
 /// Largest assist claim, in candidate rows. A participant probes the stop
 /// signal once per claim, so this must not exceed [`ABORT_PROBE`]; 256 is
 /// the claim size the `hub_adversary` row was measured at.
@@ -357,8 +361,7 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
         if self.sched.stop() {
             return;
         }
-        let chunk = self.env.config.scan_chunk.max(1) as u32;
-        if end - start > chunk {
+        if end - start > SCAN_CHUNK {
             let mid = start + (end - start) / 2;
             // Emit the far half first so the near half is processed next
             // (LIFO), keeping the scan roughly in order locally.

@@ -31,8 +31,8 @@
 //! * [`exec::BfsExecutor`] — level-at-a-time with full materialisation,
 //!   the memory-hungry strawman of Fig. 11;
 //! * [`engine::ParallelEngine`] — the paper's task-based scheduler: LIFO
-//!   Chase–Lev deques, dynamic work stealing, bounded memory
-//!   (§VI, Theorem VI.1).
+//!   per-worker deques (a mutex-guarded ring buffer, DESIGN.md §7),
+//!   dynamic work stealing, bounded memory (§VI, Theorem VI.1).
 //!
 //! The per-task execution core (candidate generation, validation,
 //! delivery) is shared between two *schedulers* of that third executor:
@@ -74,7 +74,6 @@ pub mod aggregate;
 pub mod candidates;
 pub mod config;
 pub mod cost;
-pub mod delta;
 pub mod embedding;
 pub mod engine;
 pub mod error;
@@ -92,7 +91,6 @@ pub mod validate;
 pub use aggregate::{AggregateMode, AggregateSummary, ScoreFn};
 pub use config::MatchConfig;
 pub use cost::{CostModel, Explain, OrderEstimate, StepEstimate};
-pub use delta::{delta_match, DeltaBatch, DeltaOutcome};
 pub use embedding::Embedding;
 pub use error::{MatchError, Result};
 pub use matcher::{AggregateOutcome, Matcher};

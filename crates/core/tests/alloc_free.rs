@@ -99,7 +99,8 @@ fn band(n: u32) -> Hypergraph {
 
 /// `{0,1,2}`, `{0,1,3}`, `{3,4,5}`: the second edge shares two vertices
 /// with the first; the third shares one with the second and none with the
-/// first, so eager Observation V.3 has postings to subtract.
+/// first, so the last step holds a non-adjacent vertex for validation to
+/// reject (Observation V.3).
 fn query() -> QueryGraph {
     let mut b = HypergraphBuilder::new();
     b.add_vertices(6, Label::new(0));
@@ -128,9 +129,8 @@ fn expand(
 ) -> usize {
     let step = &plan.steps()[emb.len()];
     let partition = data.partition(step.partition.expect("the query is planted"));
-    let config = MatchConfig::sequential().with_prune_non_incident(true);
     state.prepare(data, step, emb);
-    let produced = generate_candidates(data, step, emb, state, &config);
+    let produced = generate_candidates(data, step, emb, state, &MatchConfig::sequential());
     valid.clear();
     let mut counted = 0;
     for rows in state.candidates.chunks(BLOCK) {

@@ -1,18 +1,17 @@
-//! End-to-end differential tests of dynamic updates (ISSUE 3 acceptance
-//! paths): embeddings from dynamic snapshots equal embeddings from
-//! rebuilt-from-scratch static graphs, through both the sequential
-//! executor and a concurrently mutated [`MatchServer`]; delta matching
-//! agrees with full re-runs; plan-cache invalidation keeps answers fresh.
+//! End-to-end differential tests of dynamic updates: embeddings from
+//! dynamic snapshots equal embeddings from rebuilt-from-scratch static
+//! graphs, through both the sequential executor and a concurrently mutated
+//! [`MatchServer`]; plan-cache invalidation keeps answers fresh.
 //!
-//! Concurrency is controlled by `HGMATCH_WORKERS` (the CI matrix pins 1
-//! and 4); kernel families are cross-checked both by the in-test
+//! Concurrency is controlled by `HGMATCH_WORKERS` (the CI matrix pins 1, 4
+//! and 8); kernel families are cross-checked both by the in-test
 //! [`set_kernel_mode`] loop and by the CI `HGMATCH_FORCE_SCALAR=1` legs.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use hgmatch_core::serve::{MatchServer, QueryOptions, QueryStatus, ServeConfig};
-use hgmatch_core::{delta_match, DeltaBatch, MatchConfig, Matcher};
+use hgmatch_core::{MatchConfig, Matcher};
 use hgmatch_datasets::testgen::{
     env_workers, random_arity_hypergraph, rebuild_oracle, workload_queries,
 };
@@ -20,7 +19,7 @@ use hgmatch_datasets::{
     generate_update_stream, sample_query, standard_settings, UpdateStreamConfig,
 };
 use hgmatch_hypergraph::setops::{set_kernel_mode, KernelMode};
-use hgmatch_hypergraph::{DynamicHypergraph, Hypergraph, HypergraphBuilder, Label, UpdateOp};
+use hgmatch_hypergraph::{DynamicHypergraph, Hypergraph, HypergraphBuilder, Label};
 
 /// q2/q3 queries sampled from `graph` (planted, so they have embeddings).
 fn sampled_queries(graph: &Hypergraph, seed: u64) -> Vec<Hypergraph> {
@@ -315,53 +314,4 @@ fn plan_cache_invalidation_keeps_answers_fresh() {
     assert_eq!(bb_drifted.count, 6);
     assert!(!bb_drifted.plan_cached, "drifted plan must re-plan");
     assert_eq!(server.stats().plans_replanned, 1);
-}
-
-/// Delta matching over generated streams: patching the old full result set
-/// with the delta outcome equals a fresh full run on the new snapshot, for
-/// q2/q3 queries, in both kernel modes.
-#[test]
-fn delta_match_agrees_with_full_rerun_on_streams() {
-    let base = random_arity_hypergraph(0xDE17A, 100, 220, 3, 2, 4);
-    let mut dynamic = DynamicHypergraph::from_hypergraph(&base);
-    let old = dynamic.snapshot().graph;
-    let queries = sampled_queries(&old, 900);
-    assert!(queries.len() >= 3);
-
-    let stream = generate_update_stream(
-        &base,
-        &UpdateStreamConfig {
-            ops: 60,
-            insert_ratio: 0.5,
-            seed: 33,
-            ..Default::default()
-        },
-    );
-    for op in &stream {
-        dynamic.apply(op).unwrap();
-    }
-    let new = dynamic.snapshot().graph;
-
-    let batch = DeltaBatch::between(&old, &new);
-    let effective: usize = stream
-        .iter()
-        .filter(|op| matches!(op, UpdateOp::Insert(_) | UpdateOp::Delete(_)))
-        .count();
-    assert!(!batch.is_empty());
-    assert!(batch.inserted.len() + batch.deleted.len() <= effective);
-
-    for mode in [KernelMode::Auto, KernelMode::ForceScalar] {
-        set_kernel_mode(mode);
-        for (qi, query) in queries.iter().enumerate() {
-            let outcome = delta_match(&old, &new, query, &batch).unwrap();
-            let old_results = Matcher::new(&old).find_all(query).unwrap();
-            let fresh = Matcher::new(&new).find_all(query).unwrap();
-            assert_eq!(
-                outcome.patch(&old, &new, &old_results),
-                fresh,
-                "query {qi} ({mode:?}): delta patch != full rerun"
-            );
-        }
-    }
-    set_kernel_mode(KernelMode::Auto);
 }

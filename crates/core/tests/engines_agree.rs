@@ -106,11 +106,6 @@ fn count_all_executors(data: &Hypergraph, query: &Hypergraph) -> Vec<(String, u6
     ParallelEngine::run(&plan, data, &sink, &nostl);
     results.push(("engine(nostl)".to_string(), sink.count()));
 
-    let sink = CountSink::new();
-    let pruned = MatchConfig::sequential().with_prune_non_incident(true);
-    SequentialExecutor::run(&plan, data, &sink, &pruned);
-    results.push(("sequential(pruned)".to_string(), sink.count()));
-
     results
 }
 

@@ -114,11 +114,6 @@ fn counts_under(mode: KernelMode, data: &Hypergraph, query: &Hypergraph) -> Vec<
     ParallelEngine::run(&plan, data, &sink, &MatchConfig::parallel(4));
     counts.push(sink.count());
 
-    let sink = CountSink::new();
-    let pruned = MatchConfig::sequential().with_prune_non_incident(true);
-    SequentialExecutor::run(&plan, data, &sink, &pruned);
-    counts.push(sink.count());
-
     setops::set_kernel_mode(KernelMode::Auto);
     counts
 }

@@ -145,28 +145,6 @@ proptest! {
     }
 
     #[test]
-    fn prune_non_incident_is_count_preserving(
-        data in hypergraph_strategy(16, 24, 2),
-        picks in proptest::collection::vec(0u8..255, 2..4),
-    ) {
-        let Some(query) = planted_query(&data, &picks, picks.len()) else {
-            return Ok(());
-        };
-        let qg = QueryGraph::new(&query).unwrap();
-        let plan = Planner::plan(&qg, &data).unwrap();
-        let plain = CountSink::new();
-        SequentialExecutor::run(&plan, &data, &plain, &MatchConfig::sequential());
-        let pruned = CountSink::new();
-        SequentialExecutor::run(
-            &plan,
-            &data,
-            &pruned,
-            &MatchConfig::sequential().with_prune_non_incident(true),
-        );
-        prop_assert_eq!(plain.count(), pruned.count());
-    }
-
-    #[test]
     fn first_k_returns_min_k_total(
         data in hypergraph_strategy(14, 20, 2),
         picks in proptest::collection::vec(0u8..255, 1..3),

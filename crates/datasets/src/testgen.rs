@@ -245,7 +245,7 @@ impl TestRng {
 }
 
 /// Worker-thread count for concurrency suites: `HGMATCH_WORKERS` when set
-/// (the CI test matrix pins it to 1 and 4), else `default`.
+/// (the CI matrices pin it to 1, 4 or 8), else `default`.
 pub fn env_workers(default: usize) -> usize {
     std::env::var("HGMATCH_WORKERS")
         .ok()

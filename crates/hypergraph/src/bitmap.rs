@@ -184,13 +184,6 @@ impl Bitmap {
         out.extend(list.iter().copied().filter(|&i| self.contains(i)));
     }
 
-    /// Retains only the elements of `list` whose bit is *not* set
-    /// (list \ bitmap), preserving order.
-    pub fn filter_list_out(&self, list: &[u32], out: &mut Vec<u32>) {
-        out.clear();
-        out.extend(list.iter().copied().filter(|&i| !self.contains(i)));
-    }
-
     /// Approximate heap size in bytes.
     pub fn size_bytes(&self) -> usize {
         self.words.len() * std::mem::size_of::<u64>()
@@ -288,8 +281,6 @@ mod tests {
         let mut out = Vec::new();
         bm.filter_list_into(&[1, 2, 3, 4, 5, 8, 9], &mut out);
         assert_eq!(out, vec![2, 4, 8]);
-        bm.filter_list_out(&[1, 2, 3, 4, 5, 8, 9], &mut out);
-        assert_eq!(out, vec![1, 3, 5, 9]);
     }
 
     #[test]

@@ -590,36 +590,6 @@ pub fn difference_compressed_list_into(c: &CompressedPostings, list: &[u32], out
     }
 }
 
-/// Computes `list \ c` into `out` (cleared first).
-pub fn difference_list_compressed_into(list: &[u32], c: &CompressedPostings, out: &mut Vec<u32>) {
-    out.clear();
-    if list.is_empty() {
-        return;
-    }
-    let mut scratch = [0u32; BLOCK_LEN];
-    let mut lo = 0usize;
-    for bi in 0..c.num_blocks() {
-        let (bmin, bmax) = c.block_range(bi);
-        // Everything below the block's span survives untouched.
-        let split = lo + list[lo..].partition_point(|&x| x < bmin);
-        out.extend_from_slice(&list[lo..split]);
-        lo = split;
-        if lo == list.len() {
-            return;
-        }
-        let hi = lo + list[lo..].partition_point(|&x| x <= bmax);
-        if hi > lo {
-            if !c.block_is_run(bi) {
-                difference_append(&list[lo..hi], c.decode_block(bi, &mut scratch), out);
-            }
-            // Run block: every list value inside [bmin, bmax] is stored in
-            // the block, so the whole subrange is subtracted — emit nothing.
-            lo = hi;
-        }
-    }
-    out.extend_from_slice(&list[lo..]);
-}
-
 /// SSE/AVX2 block kernels (DESIGN.md §5.2).
 ///
 /// Both intersection and difference share one structure: load one block per
@@ -1222,10 +1192,6 @@ mod tests {
             difference_compressed_list_into(&c, &list, &mut fused);
             difference_into_scalar(&cv, &list, &mut oracle);
             assert_eq!(fused, oracle, "c\\list {lc}x{ll} stride {stride}");
-
-            difference_list_compressed_into(&list, &c, &mut fused);
-            difference_into_scalar(&list, &cv, &mut oracle);
-            assert_eq!(fused, oracle, "list\\c {lc}x{ll} stride {stride}");
         }
     }
 
@@ -1240,22 +1206,11 @@ mod tests {
         let mut out = Vec::new();
         intersect_compressed_into(&c, &between, &mut out);
         assert!(out.is_empty());
-        difference_list_compressed_into(&between, &c, &mut out);
-        assert_eq!(out, between);
         difference_compressed_list_into(&c, &between, &mut out);
         assert_eq!(out, cv);
 
-        // A strict subset subtracts to nothing, in both directions of the
-        // fused difference; a value in the inter-block gap survives.
-        let sub: Vec<u32> = cv.iter().copied().step_by(7).collect();
-        difference_list_compressed_into(&sub, &c, &mut out);
-        assert!(out.is_empty());
+        // Subtracting the whole set leaves nothing.
         difference_compressed_list_into(&c, &cv, &mut out);
         assert!(out.is_empty());
-        let mut missing = sub.clone();
-        missing.push(50_000); // in the inter-block gap
-        missing.sort_unstable();
-        difference_list_compressed_into(&missing, &c, &mut out);
-        assert_eq!(out, [50_000]);
     }
 }

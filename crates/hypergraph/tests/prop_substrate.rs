@@ -152,12 +152,10 @@ proptest! {
         not.difference_assign(&bb);
         prop_assert_eq!(not.to_sorted(), setops::difference(&a, &b));
 
-        // Filter forms agree with materialised set algebra.
+        // The filter form agrees with materialised set algebra.
         let mut filtered = Vec::new();
         bb.filter_list_into(&a, &mut filtered);
         prop_assert_eq!(&filtered, &setops::intersect(&a, &b));
-        bb.filter_list_out(&a, &mut filtered);
-        prop_assert_eq!(&filtered, &setops::difference(&a, &b));
     }
 
     /// Degenerate inputs: empty, identical and disjoint lists through every
