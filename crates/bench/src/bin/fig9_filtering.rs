@@ -21,6 +21,7 @@
 
 use hgmatch_bench::experiments::{selected_profiles, SweepParams};
 use hgmatch_bench::harness::Workload;
+use hgmatch_bench::report::{git_sha, host_cpus};
 use hgmatch_core::{MatchConfig, Matcher};
 use hgmatch_datasets::standard_settings;
 use hgmatch_server::json::{self, Json};
@@ -137,23 +138,12 @@ fn fail(message: &str) -> ! {
     std::process::exit(1);
 }
 
-/// The revision of the checkout the binary runs in, for the record only.
-fn git_sha() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map_or_else(|| "unknown".to_string(), |sha| sha.trim().to_string())
-}
-
 /// One run as a JSON object: what `BENCH_filtering.json` lists under `runs`.
 fn render(rows: &[Row], queries: usize, timeout: Duration) -> String {
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut out = format!(
-        "{{\n  \"git_sha\": \"{}\", \"host_cpus\": {host_cpus}, \"queries\": {queries}, \"timeout_s\": {},\n  \"datasets\": [\n",
+        "{{\n  \"git_sha\": \"{}\", \"host_cpus\": {}, \"queries\": {queries}, \"timeout_s\": {},\n  \"datasets\": [\n",
         json::escape(&git_sha()),
+        host_cpus(),
         timeout.as_secs_f64(),
     );
     for (i, row) in rows.iter().enumerate() {

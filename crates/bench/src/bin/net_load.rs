@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use hgmatch_bench::experiments::bench_smoke;
 use hgmatch_bench::harness::Workload;
-use hgmatch_bench::report::{median, percentile};
+use hgmatch_bench::report::{git_sha, host_cpus, median, percentile};
 use hgmatch_core::ServeConfig;
 use hgmatch_datasets::{profile_by_name, standard_settings};
 use hgmatch_hypergraph::{EdgeId, Hypergraph};
@@ -248,6 +248,12 @@ fn main() {
     if let Some(path) = &json_path {
         let mut out = String::new();
         out.push_str("{\n");
+        let _ = writeln!(
+            out,
+            "  \"git_sha\": \"{}\", \"host_cpus\": {},",
+            git_sha(),
+            host_cpus()
+        );
         let _ = writeln!(
             out,
             "  \"dataset\": \"{}\", \"threads\": {threads}, \"http_threads\": {http_threads}, \"queue_depth\": {queue_depth},",

@@ -36,6 +36,23 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
     (sum / values.len() as f64).exp()
 }
 
+/// The revision of the checkout the binary runs in, for the record only
+/// (`"unknown"` outside a git checkout).
+pub fn git_sha() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |sha| sha.trim().to_string())
+}
+
+/// CPUs this process may run on, for the record of the host.
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

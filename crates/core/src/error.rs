@@ -10,6 +10,10 @@ pub type Result<T> = std::result::Result<T, MatchError>;
 pub enum MatchError {
     /// The query hypergraph has no hyperedges.
     EmptyQuery,
+    /// Query hyperedge `edge` (its position in the input) breaks the
+    /// hypergraph builder's rules: it is empty or names an undeclared
+    /// vertex. `reason` is the builder's error text.
+    InvalidHyperedge { edge: usize, reason: String },
     /// The query has more hyperedges than the engine supports (vertex
     /// profiles pack hyperedge incidence into a 64-bit mask).
     QueryTooLarge { edges: usize, max: usize },
@@ -29,6 +33,7 @@ impl fmt::Display for MatchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::EmptyQuery => write!(f, "query hypergraph has no hyperedges"),
+            Self::InvalidHyperedge { reason, .. } => f.write_str(reason),
             Self::QueryTooLarge { edges, max } => {
                 write!(
                     f,

@@ -97,6 +97,6 @@ pub use matcher::{AggregateOutcome, Matcher};
 pub use metrics::{MatchMetrics, StepCounts, MAX_PLAN_STEPS};
 pub use pilot::{PilotOutcome, PilotRun};
 pub use plan::{Plan, Planner};
-pub use query::{validate_query_shape, QueryGraph, MAX_QUERY_EDGES};
+pub use query::{validate_query_shape, QueryGraph, QueryShape, MAX_QUERY_EDGES};
 pub use serve::{MatchServer, QueryHandle, QueryOptions, QueryOutcome, QueryStatus, ServeConfig};
 pub use sink::{CollectSink, CountSink, FirstKSink, Sink};

@@ -3,14 +3,16 @@
 //! A serving workload repeats query shapes constantly (the same template
 //! with different parameters, the same dashboard query every few seconds),
 //! so the server memoises compiled [`Plan`]s. The cache key is the query's
-//! *canonical form*: its vertex-label vector plus its canonicalised
-//! (sorted) hyperedge lists — the same canonicalisation
+//! [`QueryShape`], its *canonical form*: its vertex-label vector plus its
+//! canonicalised (sorted) hyperedge lists — the same canonicalisation
 //! [`hgmatch_hypergraph::Signature`] applies to label multisets, lifted to
 //! the whole query. The per-edge `Signature`s themselves are *not* stored
 //! in the key: they are a pure function of the labels and edge lists, so
 //! they cannot distinguish any queries the key does not already
 //! distinguish — they are rebuilt (and interned) during planning on a
-//! miss, and a hit touches only the key comparison.
+//! miss, and a hit touches only the key comparison. The submission's
+//! shape *is* the key: the cache's map, its slot and [`Planned::key`]
+//! share its one allocation.
 //!
 //! Plans are valid for exactly one data hypergraph (the planner orders by
 //! the data's signature cardinalities and steps embed `SignatureId`s of its
@@ -53,51 +55,7 @@ use parking_lot::Mutex;
 
 use crate::error::Result;
 use crate::plan::{Plan, Planner};
-use crate::query::QueryGraph;
-
-/// Canonical cache key of a query hypergraph: one flat word list,
-/// `[|V|, labels…, |e₀|, e₀…, |e₁|, e₁…]`.
-///
-/// Two queries collide exactly when they have the same vertex labels and
-/// the same (sorted) hyperedge vertex lists — i.e. when they are the *same*
-/// labelled hypergraph, for which the planner provably produces the same
-/// plan against a fixed data hypergraph. Isomorphic-but-relabelled queries
-/// plan afresh: full canonical labelling would cost more than Algorithm 3
-/// saves on the paper's ≤ 6-edge queries.
-///
-/// Built once per submission; the cache's map, its slot and the
-/// submission's [`Planned::key`] share the one allocation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct PlanKey(Arc<[u32]>);
-
-impl PlanKey {
-    pub(crate) fn new(query: &Hypergraph) -> Self {
-        let len = 1
-            + query.num_vertices()
-            + query
-                .iter_edges()
-                .map(|(_, vs)| 1 + vs.len())
-                .sum::<usize>();
-        let mut words =
-            std::iter::once(query.num_vertices() as u32)
-                .chain(query.labels().iter().map(|l| l.raw()))
-                .chain(query.iter_edges().flat_map(|(_, vs)| {
-                    std::iter::once(vs.len() as u32).chain(vs.iter().copied())
-                }));
-        // Driven by a range, the iterator's exact length is known up front,
-        // so the shared slice is allocated once at its final size.
-        Self(
-            (0..len)
-                .map(|_| words.next().expect("`len` counts every word"))
-                .collect(),
-        )
-    }
-
-    /// The query's vertex labels, as raw label ids.
-    fn labels(&self) -> &[u32] {
-        &self.0[1..=self.0[0] as usize]
-    }
-}
+use crate::query::{QueryGraph, QueryShape};
 
 /// What [`PlanCache::plan_for`] hands a submission: the plan plus the
 /// per-shape values a hit would otherwise derive again per query.
@@ -107,9 +65,9 @@ pub(crate) struct Planned {
     /// The query graph the plan was compiled from, shared with the cache
     /// entry (mid-query re-planning needs it; a hit must not rebuild it).
     pub(crate) query: Arc<QueryGraph>,
-    /// The canonical key the lookup built, for [`PlanCache::write_back`];
-    /// `None` when caching is disabled.
-    pub(crate) key: Option<PlanKey>,
+    /// The submission's shape, the entry's key, for
+    /// [`PlanCache::write_back`]; `None` when caching is disabled.
+    pub(crate) key: Option<QueryShape>,
     /// Whether planning was skipped.
     pub(crate) cached: bool,
 }
@@ -183,7 +141,7 @@ const NIL: u32 = u32::MAX;
 /// One slab slot: a resident entry, its key and its recency links.
 #[derive(Debug)]
 struct Slot {
-    key: PlanKey,
+    key: QueryShape,
     entry: Entry,
     /// The next more recently used slot, or `NIL` at the head.
     prev: u32,
@@ -194,7 +152,7 @@ struct Slot {
 /// The store: an exact LRU, O(1) per operation but `retain`.
 #[derive(Debug)]
 struct Lru {
-    map: FxHashMap<PlanKey, u32>,
+    map: FxHashMap<QueryShape, u32>,
     slots: Vec<Slot>,
     /// Most recently used slot (`NIL` when empty).
     head: u32,
@@ -247,7 +205,7 @@ impl Lru {
     /// Inserts an absent `key` as the most recently used entry. At
     /// `capacity` (≥ 1) the least recently used slot is reused, and its
     /// old contents are returned for the caller to drop outside the lock.
-    fn insert(&mut self, key: PlanKey, entry: Entry, capacity: usize) -> Option<Slot> {
+    fn insert(&mut self, key: QueryShape, entry: Entry, capacity: usize) -> Option<Slot> {
         let slot = Slot {
             key: key.clone(),
             entry,
@@ -280,7 +238,7 @@ impl Lru {
 
     /// Keeps the entries `keep` accepts, in their recency order, and
     /// returns the others for the caller to drop outside the lock.
-    fn retain(&mut self, mut keep: impl FnMut(&PlanKey, &mut Entry) -> bool) -> Vec<Slot> {
+    fn retain(&mut self, mut keep: impl FnMut(&QueryShape, &mut Entry) -> bool) -> Vec<Slot> {
         let order: Vec<u32> = self.recency().collect();
         let mut slots: Vec<Option<Slot>> = std::mem::take(&mut self.slots)
             .into_iter()
@@ -337,17 +295,18 @@ impl PlanCache {
         }
     }
 
-    /// Returns the plan for `query` against `data` (the snapshot of
-    /// `epoch`), reusing a cached one when the canonical form matches at
-    /// the same epoch. A hit derives nothing from `query` beyond the key.
+    /// Returns the plan for the query `key` against `data` (the snapshot
+    /// of `epoch`), reusing a cached one when the shape matches at the
+    /// same epoch. A hit derives nothing from `key`; a miss derives its
+    /// `QueryGraph`.
     pub(crate) fn plan_for(
         &self,
-        query: &Hypergraph,
+        key: QueryShape,
         data: &Hypergraph,
         epoch: u64,
     ) -> Result<Planned> {
         if self.capacity == 0 {
-            let q = Arc::new(QueryGraph::new(query)?);
+            let q = Arc::new(QueryGraph::from_shape(&key)?);
             self.misses.fetch_add(1, Ordering::Relaxed);
             return Ok(Planned {
                 plan: Arc::new(Planner::plan(&q, data)?),
@@ -357,7 +316,6 @@ impl PlanCache {
             });
         }
 
-        let key = PlanKey::new(query);
         {
             let mut lru = self.lru.lock();
             if let Some(&i) = lru.map.get(&key) {
@@ -382,7 +340,7 @@ impl PlanCache {
         // Plan outside the lock: planning is cheap but not free, and
         // submissions should not serialise behind each other's planning.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let q = Arc::new(QueryGraph::new(query)?);
+        let q = Arc::new(QueryGraph::from_shape(&key)?);
         let plan = Arc::new(Planner::plan(&q, data)?);
         let entry = Entry::new(Arc::clone(&plan), Arc::clone(&q), epoch, data);
 
@@ -418,7 +376,7 @@ impl PlanCache {
     /// epoch has re-planned (its statistics supersede the observations),
     /// and never inserts: an evicted shape has no stats fingerprint to
     /// carry. Returns whether the correction landed.
-    pub(crate) fn write_back(&self, key: &PlanKey, plan: Arc<Plan>, epoch: u64) -> bool {
+    pub(crate) fn write_back(&self, key: &QueryShape, plan: Arc<Plan>, epoch: u64) -> bool {
         if self.capacity == 0 {
             return false;
         }
@@ -523,9 +481,14 @@ mod tests {
     use proptest::prelude::*;
 
     impl PlanCache {
+        /// [`PlanCache::plan_for`] of a query hypergraph's shape.
+        fn plan(&self, query: &Hypergraph, data: &Hypergraph, epoch: u64) -> Result<Planned> {
+            self.plan_for(query.into(), data, epoch)
+        }
+
         /// The resident keys, most recently used first, after checking
         /// that the links and the map describe the same slab.
-        fn resident(&self) -> Vec<PlanKey> {
+        fn resident(&self) -> Vec<QueryShape> {
             let lru = self.lru.lock();
             let order: Vec<u32> = lru.recency().collect();
             assert_eq!(order.len(), lru.slots.len(), "every slot is linked once");
@@ -571,12 +534,12 @@ mod tests {
             plan: p1,
             cached: hit1,
             ..
-        } = cache.plan_for(&ab_query(1), &data, 0).unwrap();
+        } = cache.plan(&ab_query(1), &data, 0).unwrap();
         let Planned {
             plan: p2,
             cached: hit2,
             ..
-        } = cache.plan_for(&ab_query(1), &data, 0).unwrap();
+        } = cache.plan(&ab_query(1), &data, 0).unwrap();
         assert!(!hit1);
         assert!(hit2);
         assert!(Arc::ptr_eq(&p1, &p2));
@@ -584,26 +547,31 @@ mod tests {
     }
 
     #[test]
-    fn different_labels_miss() {
+    fn the_key_is_the_flat_canonical_form() {
         let data = tiny_data();
         let cache = PlanCache::new(4);
-        cache.plan_for(&ab_query(1), &data, 0).unwrap();
-        let hit = cache.plan_for(&ab_query(0), &data, 0).unwrap().cached;
-        assert!(!hit);
-        assert_eq!(cache.len(), 2);
+        let mut b = HypergraphBuilder::new();
+        b.add_vertex(Label::new(1));
+        b.add_vertex(Label::new(0));
+        b.add_edge(vec![1, 0]).unwrap();
+        let query = b.build().unwrap();
+        let key = cache.plan(&query, &data, 0).unwrap().key.unwrap();
+        assert_eq!(key.num_vertices(), 2);
+        assert_eq!(key.labels(), &[1, 0]);
+        let edges: Vec<&[u32]> = key.edges().collect();
+        assert_eq!(edges, [&[0, 1][..]]);
+        assert_eq!(key, QueryShape::from(&query));
+        assert_eq!(cache.resident(), [key]);
     }
 
     #[test]
-    fn the_key_is_the_flat_canonical_form() {
-        let mut b = HypergraphBuilder::new();
-        for &l in &[4u32, 5, 6] {
-            b.add_vertex(Label::new(l));
-        }
-        b.add_edge(vec![2, 0, 1]).unwrap();
-        b.add_edge(vec![1, 2]).unwrap();
-        let key = PlanKey::new(&b.build().unwrap());
-        assert_eq!(&key.0[..], &[3, 4, 5, 6, 3, 0, 1, 2, 2, 1, 2]);
-        assert_eq!(key.labels(), &[4, 5, 6]);
+    fn different_labels_miss() {
+        let data = tiny_data();
+        let cache = PlanCache::new(4);
+        cache.plan(&ab_query(1), &data, 0).unwrap();
+        let hit = cache.plan(&ab_query(0), &data, 0).unwrap().cached;
+        assert!(!hit);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -612,21 +580,21 @@ mod tests {
         let cache = PlanCache::new(2);
         let q1 = ab_query(1);
         let q2 = ab_query(0);
-        cache.plan_for(&q1, &data, 0).unwrap(); // {q1}
-        cache.plan_for(&q2, &data, 0).unwrap(); // {q1, q2}
-        cache.plan_for(&q1, &data, 0).unwrap(); // touch q1
+        cache.plan(&q1, &data, 0).unwrap(); // {q1}
+        cache.plan(&q2, &data, 0).unwrap(); // {q1, q2}
+        cache.plan(&q1, &data, 0).unwrap(); // touch q1
 
         // A third shape evicts q2 (least recently used), not q1.
         let mut b = HypergraphBuilder::new();
         b.add_vertices(3, Label::new(0));
         b.add_edge(vec![0, 1, 2]).unwrap();
         let q3 = b.build().unwrap();
-        cache.plan_for(&q3, &data, 0).unwrap();
+        cache.plan(&q3, &data, 0).unwrap();
         assert_eq!(cache.len(), 2);
 
-        let hit1 = cache.plan_for(&q1, &data, 0).unwrap().cached;
+        let hit1 = cache.plan(&q1, &data, 0).unwrap().cached;
         assert!(hit1, "recently-used entry must survive eviction");
-        let hit2 = cache.plan_for(&q2, &data, 0).unwrap().cached;
+        let hit2 = cache.plan(&q2, &data, 0).unwrap().cached;
         assert!(!hit2, "LRU entry must have been evicted");
     }
 
@@ -634,8 +602,8 @@ mod tests {
     fn zero_capacity_disables_caching() {
         let data = tiny_data();
         let cache = PlanCache::new(0);
-        cache.plan_for(&ab_query(1), &data, 0).unwrap();
-        let hit = cache.plan_for(&ab_query(1), &data, 0).unwrap().cached;
+        cache.plan(&ab_query(1), &data, 0).unwrap();
+        let hit = cache.plan(&ab_query(1), &data, 0).unwrap().cached;
         assert!(!hit);
         assert_eq!(cache.len(), 0);
     }
@@ -645,18 +613,18 @@ mod tests {
         let data = tiny_data();
         let cache = PlanCache::new(4);
         let empty = HypergraphBuilder::new().build().unwrap();
-        assert!(cache.plan_for(&empty, &data, 0).is_err());
+        assert!(cache.plan(&empty, &data, 0).is_err());
     }
 
     #[test]
     fn stale_epoch_is_a_miss() {
         let data = tiny_data();
         let cache = PlanCache::new(4);
-        cache.plan_for(&ab_query(1), &data, 0).unwrap();
-        let hit = cache.plan_for(&ab_query(1), &data, 1).unwrap().cached;
+        cache.plan(&ab_query(1), &data, 0).unwrap();
+        let hit = cache.plan(&ab_query(1), &data, 1).unwrap().cached;
         assert!(!hit, "entry tagged epoch 0 must not serve epoch 1");
         // The entry was upgraded in place: epoch 1 now hits.
-        let hit = cache.plan_for(&ab_query(1), &data, 1).unwrap().cached;
+        let hit = cache.plan(&ab_query(1), &data, 1).unwrap().cached;
         assert!(hit);
         assert_eq!(cache.len(), 1);
     }
@@ -682,16 +650,16 @@ mod tests {
     fn revalidate_keeps_touched_entries_within_drift() {
         let data = tiny_data();
         let cache = PlanCache::new(8);
-        cache.plan_for(&ab_query(1), &data, 0).unwrap(); // {0,1}: card 2
-                                                         // Label 0 touched, but cardinality moved 2 → 3 (drift 0.5 ≤ 0.5):
-                                                         // the plan stays near-optimal and is re-tagged, not re-planned.
+        cache.plan(&ab_query(1), &data, 0).unwrap(); // {0,1}: card 2
+                                                     // Label 0 touched, but cardinality moved 2 → 3 (drift 0.5 ≤ 0.5):
+                                                     // the plan stays near-optimal and is re-tagged, not re-planned.
         let drifted = drifted_data(1);
         cache.revalidate(1, &[Label::new(0)], true, &drifted, 0.5);
         assert_eq!(
             (cache.len(), cache.invalidated(), cache.replanned()),
             (1, 0, 0)
         );
-        let hit = cache.plan_for(&ab_query(1), &drifted, 1).unwrap().cached;
+        let hit = cache.plan(&ab_query(1), &drifted, 1).unwrap().cached;
         assert!(hit, "below-threshold drift keeps the entry");
     }
 
@@ -699,21 +667,21 @@ mod tests {
     fn revalidate_replans_entries_past_drift_threshold() {
         let data = tiny_data();
         let cache = PlanCache::new(8);
-        cache.plan_for(&ab_query(1), &data, 0).unwrap(); // {0,1}: card 2
-        cache.plan_for(&ab_query(2), &data, 0).unwrap(); // labels {0,2}: card 0
-                                                         // Cardinality 2 → 6 is drift 2.0 > 0.5: dropped and counted as a
-                                                         // replan. The {0,2} entry's signature stayed at 0 (drift 0) but
-                                                         // its labels were touched too — label 0 — so it is drift-checked
-                                                         // and kept.
+        cache.plan(&ab_query(1), &data, 0).unwrap(); // {0,1}: card 2
+        cache.plan(&ab_query(2), &data, 0).unwrap(); // labels {0,2}: card 0
+                                                     // Cardinality 2 → 6 is drift 2.0 > 0.5: dropped and counted as a
+                                                     // replan. The {0,2} entry's signature stayed at 0 (drift 0) but
+                                                     // its labels were touched too — label 0 — so it is drift-checked
+                                                     // and kept.
         let drifted = drifted_data(4);
         cache.revalidate(1, &[Label::new(0), Label::new(1)], true, &drifted, 0.5);
         assert_eq!(
             (cache.len(), cache.invalidated(), cache.replanned()),
             (1, 1, 1)
         );
-        let hit = cache.plan_for(&ab_query(1), &drifted, 1).unwrap().cached;
+        let hit = cache.plan(&ab_query(1), &drifted, 1).unwrap().cached;
         assert!(!hit, "drifted entry was dropped");
-        let hit = cache.plan_for(&ab_query(2), &drifted, 1).unwrap().cached;
+        let hit = cache.plan(&ab_query(2), &drifted, 1).unwrap().cached;
         assert!(hit, "undrifted entry survived");
     }
 
@@ -721,10 +689,10 @@ mod tests {
     fn signature_extinction_or_birth_is_infinite_drift() {
         let data = drifted_data(0);
         let cache = PlanCache::new(8);
-        cache.plan_for(&ab_query(1), &data, 0).unwrap(); // {0,1}: card 2
-                                                         // New data where the {0,1} signature is extinct: the plan may
-                                                         // embed a dangling partition id, so even a huge threshold drops
-                                                         // it.
+        cache.plan(&ab_query(1), &data, 0).unwrap(); // {0,1}: card 2
+                                                     // New data where the {0,1} signature is extinct: the plan may
+                                                     // embed a dangling partition id, so even a huge threshold drops
+                                                     // it.
         let mut b = HypergraphBuilder::new();
         b.add_vertices(2, Label::new(0));
         b.add_edge(vec![0, 1]).unwrap();
@@ -739,7 +707,7 @@ mod tests {
         let cache = PlanCache::new(8);
         // An entry a racing submitter inserted at epoch 0 *after* the
         // epoch-1 invalidation swept (so it never passed it)…
-        cache.plan_for(&ab_query(1), &data, 0).unwrap();
+        cache.plan(&ab_query(1), &data, 0).unwrap();
         // …must not be promoted by a later label-disjoint update: it is
         // dropped even though no touched label matches.
         cache.revalidate(2, &[Label::new(9)], true, &data, 0.5);
@@ -747,9 +715,9 @@ mod tests {
         assert_eq!(cache.invalidated(), 1);
         assert_eq!(cache.replanned(), 0, "an epoch skip is not a replan");
         // The normal chain (entry at the superseded epoch) still carries.
-        cache.plan_for(&ab_query(1), &data, 2).unwrap();
+        cache.plan(&ab_query(1), &data, 2).unwrap();
         cache.revalidate(3, &[Label::new(9)], true, &data, 0.5);
-        let hit = cache.plan_for(&ab_query(1), &data, 3).unwrap().cached;
+        let hit = cache.plan(&ab_query(1), &data, 3).unwrap().cached;
         assert!(hit, "contiguous-epoch entry survives");
     }
 
@@ -758,18 +726,18 @@ mod tests {
         let data = tiny_data();
         let cache = PlanCache::new(4);
         let q = ab_query(1);
-        let original = cache.plan_for(&q, &data, 0).unwrap().plan;
+        let original = cache.plan(&q, &data, 0).unwrap().plan;
         let corrected = Arc::new({
             let qg = QueryGraph::new(&q).unwrap();
             Planner::plan(&qg, &data).unwrap()
         });
-        assert!(cache.write_back(&PlanKey::new(&q), Arc::clone(&corrected), 0));
+        assert!(cache.write_back(&QueryShape::from(&q), Arc::clone(&corrected), 0));
         assert_eq!(cache.corrections(), 1);
         let Planned {
             plan: served,
             cached: hit,
             ..
-        } = cache.plan_for(&q, &data, 0).unwrap();
+        } = cache.plan(&q, &data, 0).unwrap();
         assert!(hit);
         assert!(
             Arc::ptr_eq(&served, &corrected) && !Arc::ptr_eq(&served, &original),
@@ -782,24 +750,24 @@ mod tests {
         let data = tiny_data();
         let cache = PlanCache::new(4);
         let q = ab_query(1);
-        cache.plan_for(&q, &data, 0).unwrap();
+        cache.plan(&q, &data, 0).unwrap();
         // The entry moved on to epoch 1 (re-planned against fresher
         // statistics): a stale epoch-0 correction must not land.
-        let newer = cache.plan_for(&q, &data, 1).unwrap().plan;
+        let newer = cache.plan(&q, &data, 1).unwrap().plan;
         let stale = Arc::new({
             let qg = QueryGraph::new(&q).unwrap();
             Planner::plan(&qg, &data).unwrap()
         });
-        assert!(!cache.write_back(&PlanKey::new(&q), Arc::clone(&stale), 0));
+        assert!(!cache.write_back(&QueryShape::from(&q), Arc::clone(&stale), 0));
         let Planned {
             plan: served,
             cached: hit,
             ..
-        } = cache.plan_for(&q, &data, 1).unwrap();
+        } = cache.plan(&q, &data, 1).unwrap();
         assert!(hit && Arc::ptr_eq(&served, &newer));
         // Absent shapes and disabled caches are no-ops.
-        assert!(!cache.write_back(&PlanKey::new(&ab_query(0)), Arc::clone(&stale), 1));
-        assert!(!PlanCache::new(0).write_back(&PlanKey::new(&q), stale, 0));
+        assert!(!cache.write_back(&QueryShape::from(&ab_query(0)), Arc::clone(&stale), 1));
+        assert!(!PlanCache::new(0).write_back(&QueryShape::from(&q), stale, 0));
         assert_eq!(cache.corrections(), 0);
     }
 
@@ -808,12 +776,12 @@ mod tests {
         let data = tiny_data();
         let cache = PlanCache::new(4);
         let q = ab_query(1);
-        let plan = cache.plan_for(&q, &data, 0).unwrap().plan;
+        let plan = cache.plan(&q, &data, 0).unwrap().plan;
         // The sweep dropped the entry (sids shifted): a correction pinned
         // to the swept epoch must not re-insert a plan that may embed
         // dangling partition ids.
         cache.revalidate(1, &[], false, &data, 0.5);
-        assert!(!cache.write_back(&PlanKey::new(&q), plan, 0));
+        assert!(!cache.write_back(&QueryShape::from(&q), plan, 0));
         assert_eq!((cache.len(), cache.corrections()), (0, 0));
     }
 
@@ -843,9 +811,9 @@ mod tests {
                             .wrapping_add(1442695040888963407);
                         let shape = ab_query(((state >> 33) % 5) as u32);
                         let e = epoch.load(Ordering::Relaxed);
-                        let plan = cache.plan_for(&shape, data, e).unwrap().plan;
+                        let plan = cache.plan(&shape, data, e).unwrap().plan;
                         plan_calls.fetch_add(1, Ordering::Relaxed);
-                        if state & 1 == 0 && cache.write_back(&PlanKey::new(&shape), plan, e) {
+                        if state & 1 == 0 && cache.write_back(&QueryShape::from(&shape), plan, e) {
                             landed.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -879,8 +847,8 @@ mod tests {
     fn revalidate_clears_everything_when_sids_shift() {
         let data = tiny_data();
         let cache = PlanCache::new(8);
-        cache.plan_for(&ab_query(1), &data, 0).unwrap();
-        cache.plan_for(&ab_query(2), &data, 0).unwrap();
+        cache.plan(&ab_query(1), &data, 0).unwrap();
+        cache.plan(&ab_query(2), &data, 0).unwrap();
         cache.revalidate(1, &[], false, &data, 0.5);
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.invalidated(), 2);
@@ -1040,7 +1008,7 @@ mod tests {
     /// reference, comparing them after every operation.
     fn agrees_with_reference(capacity: usize, seed: u64, ops: usize) -> TestCaseResult {
         let shapes: Vec<Hypergraph> = (0..SHAPES.len()).map(shape).collect();
-        let keys: Vec<PlanKey> = shapes.iter().map(PlanKey::new).collect();
+        let keys: Vec<QueryShape> = shapes.iter().map(QueryShape::from).collect();
         let cache = PlanCache::new(capacity);
         let mut reference = ReferenceLru::default();
         let mut state = seed;
@@ -1061,7 +1029,10 @@ mod tests {
             match draw(10) {
                 0..=5 => {
                     let s = draw(8) as usize;
-                    let hit = cache.plan_for(&shapes[s], data, pinned).unwrap().cached;
+                    let hit = cache
+                        .plan_for(keys[s].clone(), data, pinned)
+                        .unwrap()
+                        .cached;
                     let cards = edge_cards(&shapes[s], data);
                     prop_assert_eq!(hit, reference.plan_for(capacity, s, pinned, cards));
                 }

@@ -41,17 +41,20 @@
 //!   Observable via [`ServeStats::splits`]/[`ServeStats::assists`] and the
 //!   per-worker busy spread of [`MatchServer::worker_stats`].
 //! * **Plan caching** — repeated query shapes skip Algorithm 3 entirely,
-//!   keyed by the query's canonical form: its label vector plus its
+//!   keyed by the query's [`QueryShape`]: its label vector plus its
 //!   canonicalised hyperedge lists, the same canonicalisation
 //!   [`hgmatch_hypergraph::Signature`] applies to label multisets lifted
-//!   to the whole query. Hits are observable via [`MatchServer::stats`]
-//!   and per-outcome [`QueryOutcome::plan_cached`].
+//!   to the whole query. Every entry point takes a shape (or a
+//!   `&Hypergraph`, flattened into one), so a hit builds nothing else.
+//!   Hits are observable via [`MatchServer::stats`] and per-outcome
+//!   [`QueryOutcome::plan_cached`].
 //!
 //! # Example
 //!
 //! ```
 //! use std::sync::Arc;
 //! use hgmatch_core::serve::{MatchServer, QueryOptions, QueryStatus, ServeConfig};
+//! use hgmatch_core::QueryShape;
 //! use hgmatch_hypergraph::{HypergraphBuilder, Label};
 //!
 //! // Data: two triangles sharing a vertex (labels A=0, B=1).
@@ -72,9 +75,11 @@
 //! let query = q.build().unwrap();
 //!
 //! let server = MatchServer::new(Arc::clone(&data), ServeConfig::default());
-//! // Submit twice: the second submission hits the plan cache.
+//! // Submit twice, the second time as the `QueryShape` a front door
+//! // decodes a request into: the same query, so it hits the plan cache.
 //! let first = server.run(&query, QueryOptions::default()).unwrap();
-//! let second = server.run(&query, QueryOptions::default()).unwrap();
+//! let shape = QueryShape::new(&[0, 0, 1].map(Label::new), [vec![2, 1, 0]]).unwrap();
+//! let second = server.run(shape, QueryOptions::default()).unwrap();
 //! assert_eq!(first.status, QueryStatus::Completed);
 //! assert_eq!((first.count, second.count), (2, 2));
 //! assert!(!first.plan_cached && second.plan_cached);
@@ -102,7 +107,7 @@ use crate::engine::task::{ExecScratch, Task};
 use crate::error::Result;
 use crate::metrics::MatchMetrics;
 use crate::plan::Planner;
-use crate::query::QueryGraph;
+use crate::query::{QueryGraph, QueryShape};
 
 use cache::{PlanCache, Planned};
 use query::{ActiveQuery, StopCause};
@@ -860,7 +865,8 @@ impl MatchServer {
         (server, deques)
     }
 
-    /// Admits `query`: plans it (or hits the plan cache), registers it
+    /// Admits `query` (a [`QueryShape`], or a `&Hypergraph` flattened into
+    /// one): plans it (or hits the plan cache), registers it
     /// with the pool and returns a handle for cancellation and waiting.
     /// Always pooled — a handle that can be cancelled from another thread
     /// needs the query to run somewhere other than here; see
@@ -869,8 +875,12 @@ impl MatchServer {
     /// # Errors
     /// Fails when the query is empty or exceeds the engine's 64-hyperedge
     /// limit (same conditions as [`crate::Matcher`]).
-    pub fn submit(&self, query: &Hypergraph, options: QueryOptions) -> Result<QueryHandle> {
-        let (active, root) = self.admit(query, options)?;
+    pub fn submit(
+        &self,
+        query: impl Into<QueryShape>,
+        options: QueryOptions,
+    ) -> Result<QueryHandle> {
+        let (active, root) = self.admit(query.into(), options)?;
         match root {
             // Nothing to do: resolve inline, never touching the pool.
             None => self.shared.finalize(&active),
@@ -891,8 +901,8 @@ impl MatchServer {
     ///
     /// # Errors
     /// Same conditions as [`MatchServer::submit`].
-    pub fn run(&self, query: &Hypergraph, options: QueryOptions) -> Result<QueryOutcome> {
-        let (active, root) = self.admit(query, options)?;
+    pub fn run(&self, query: impl Into<QueryShape>, options: QueryOptions) -> Result<QueryOutcome> {
+        let (active, root) = self.admit(query.into(), options)?;
         match root {
             None => self.shared.finalize(&active),
             Some(root) if active.plan.cost() <= INLINE_MAX_COST => {
@@ -908,7 +918,7 @@ impl MatchServer {
     /// scan task, or `None` when there is nothing to scan.
     fn admit(
         &self,
-        query: &Hypergraph,
+        query: QueryShape,
         options: QueryOptions,
     ) -> Result<(Arc<ActiveQuery>, Option<Task>)> {
         let shared = &self.shared;
@@ -989,9 +999,10 @@ impl MatchServer {
     /// # Errors
     /// Same conditions as [`MatchServer::submit`]: an empty query or one
     /// past the engine's 64-hyperedge limit.
-    pub fn estimate_cost(&self, query: &Hypergraph) -> Result<f64> {
+    pub fn estimate_cost(&self, query: impl Into<QueryShape>) -> Result<f64> {
+        let query = QueryGraph::from_shape(&query.into())?;
         let data = Arc::clone(&self.shared.data.lock().graph);
-        let plan = Planner::plan_unpiloted(&QueryGraph::new(query)?, &data)?;
+        let plan = Planner::plan_unpiloted(&query, &data)?;
         Ok(if plan.is_infeasible() {
             0.0
         } else {

@@ -13,11 +13,11 @@ use crate::aggregate::{AggregateMode, AggregateSink};
 use crate::memory::MemoryTracker;
 use crate::metrics::MatchMetrics;
 use crate::plan::Plan;
+use crate::query::QueryShape;
 use crate::sink::Sink;
 
 use crate::engine::task::Task;
 
-use super::cache::PlanKey;
 use super::{QueryOptions, QueryOutcome, QueryStatus};
 use std::sync::Arc;
 
@@ -58,7 +58,7 @@ pub(crate) struct ActiveQuery {
     pub(crate) adaptive: Option<AdaptiveState>,
     /// Plan-cache key of this query's shape, kept (only for adaptive
     /// queries) so finalisation can write a corrected plan back.
-    pub(crate) cache_key: Option<PlanKey>,
+    pub(crate) cache_key: Option<QueryShape>,
     pub(crate) sink: AggregateSink,
     /// Tasks waiting for their first pool worker, as a LIFO stack (hot end
     /// last): the root scan of a pooled submission, or the unfinished
@@ -106,7 +106,7 @@ impl ActiveQuery {
         plan_cached: bool,
         deadline: Option<Instant>,
         adaptive: Option<AdaptiveState>,
-        cache_key: Option<PlanKey>,
+        cache_key: Option<QueryShape>,
     ) -> Self {
         Self {
             id,

@@ -78,23 +78,10 @@ impl HypergraphBuilder {
     /// dropped under [`DuplicatePolicy::Dedupe`].
     pub fn add_edge(&mut self, mut vertices: Vec<u32>) -> Result<Option<EdgeId>> {
         let edge_index = self.edges.len();
-        if vertices.is_empty() {
-            return Err(HypergraphError::EmptyHyperedge { edge_index });
-        }
-        for &v in &vertices {
-            if v as usize >= self.labels.len() {
-                return Err(HypergraphError::UnknownVertex {
-                    vertex: v,
-                    edge_index,
-                });
-            }
-        }
-        vertices.sort_unstable();
-        let before = vertices.len();
-        vertices.dedup();
-        if vertices.len() != before && self.policy == DuplicatePolicy::Reject {
+        let repeated = canonical_edge(&mut vertices, self.labels.len(), edge_index)?;
+        if repeated && self.policy == DuplicatePolicy::Reject {
             return Err(HypergraphError::DuplicateVertex {
-                vertex: first_dup(&vertices, before),
+                vertex: first_dup(&vertices),
             });
         }
         if self.seen_edges.contains_key(&vertices) {
@@ -165,7 +152,33 @@ impl HypergraphBuilder {
     }
 }
 
-fn first_dup(sorted_dedup: &[u32], _before: usize) -> u32 {
+/// The rule every hyperedge passes on its way in, here and in
+/// `hgmatch_core::QueryShape`: an empty edge, or one naming a vertex not
+/// below `num_vertices`, is rejected; the rest is sorted and its repeated
+/// vertices dropped. `edge_index` is the id the edge would get (the number
+/// of edges kept before it), which the errors report. Returns whether a
+/// vertex repeated.
+///
+/// # Errors
+/// [`HypergraphError::EmptyHyperedge`] or [`HypergraphError::UnknownVertex`].
+pub fn canonical_edge(
+    vertices: &mut Vec<u32>,
+    num_vertices: usize,
+    edge_index: usize,
+) -> Result<bool> {
+    if vertices.is_empty() {
+        return Err(HypergraphError::EmptyHyperedge { edge_index });
+    }
+    if let Some(&vertex) = vertices.iter().find(|&&v| v as usize >= num_vertices) {
+        return Err(HypergraphError::UnknownVertex { vertex, edge_index });
+    }
+    vertices.sort_unstable();
+    let before = vertices.len();
+    vertices.dedup();
+    Ok(vertices.len() != before)
+}
+
+fn first_dup(sorted_dedup: &[u32]) -> u32 {
     // After dedup we cannot recover which value repeated without the
     // original; report the first element as the offending vertex set member.
     sorted_dedup.first().copied().unwrap_or(0)

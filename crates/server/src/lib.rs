@@ -42,9 +42,11 @@
 //! ```
 //!
 //! `labels[i]` is the label of query vertex `i`; `edges` lists the query
-//! hyperedges over those vertex ids. The request shape is validated by
-//! the same [`hgmatch_core::validate_query_shape`] the CLI uses, so an
-//! over-long or empty query is rejected identically on both entry paths.
+//! hyperedges over those vertex ids. The body decodes straight into a
+//! [`hgmatch_core::QueryShape`], the plan cache's key, under the
+//! hypergraph builder's rules and the same limits the CLI applies
+//! ([`hgmatch_core::validate_query_shape`]), so a query is refused
+//! identically on both entry paths and no query hypergraph is built.
 //! A 200 response carries the outcome: status, count, the latency split,
 //! the matched data-edge tuples the aggregation mode kept, and an
 //! `aggregate` summary object (DESIGN.md §18.5).
@@ -66,9 +68,10 @@ pub mod tenant;
 use hgmatch_core::serve::QueryStatus;
 use hgmatch_core::serve::{ServeStats, WorkerServeStats};
 use hgmatch_core::{
-    AggregateMode, AggregateSummary, MatchServer, QueryOptions, QueryOutcome, ScoreFn, ServeConfig,
+    AggregateMode, AggregateSummary, MatchError, MatchServer, QueryOptions, QueryOutcome,
+    QueryShape, ScoreFn, ServeConfig,
 };
-use hgmatch_hypergraph::{Hypergraph, HypergraphBuilder, Label};
+use hgmatch_hypergraph::{Hypergraph, Label};
 use http::{HttpError, Request, Response};
 use metrics::DoorSnapshot;
 use std::io::Write as _;
@@ -500,7 +503,7 @@ fn render_metrics_text(shared: &DoorShared) -> String {
 #[derive(Debug)]
 struct MatchRequest {
     tenant: String,
-    query: Hypergraph,
+    query: QueryShape,
     options: QueryOptions,
 }
 
@@ -533,38 +536,47 @@ impl MatchRequest {
             .and_then(json::Json::as_arr)
             .ok_or_else(|| "field 'edges' must be an array of vertex-id arrays".to_string())?;
 
-        let mut builder = HypergraphBuilder::new();
-        for (i, l) in labels.iter().enumerate() {
-            let label = l
-                .as_u64()
-                .filter(|&v| v <= u32::MAX as u64)
-                .ok_or_else(|| format!("labels[{i}] is not a valid label id"))?;
-            builder.add_vertex(Label::new(label as u32));
-        }
-        for (i, edge) in edges.iter().enumerate() {
-            let members = edge
-                .as_arr()
-                .ok_or_else(|| format!("edges[{i}] must be an array of vertex ids"))?;
-            let mut vertices = Vec::with_capacity(members.len());
-            for (j, m) in members.iter().enumerate() {
-                let v = m
-                    .as_u64()
-                    .filter(|&v| (v as usize) < labels.len())
-                    .ok_or_else(|| {
-                        format!("edges[{i}][{j}] must be a vertex id below {}", labels.len())
-                    })?;
-                vertices.push(v as u32);
-            }
-            builder
-                .add_edge(vertices)
-                .map_err(|e| format!("edges[{i}]: {e}"))?;
-        }
-        let query = builder.build().map_err(|e| e.to_string())?;
-
-        // The same shape gate the CLI applies to query files: empty and
-        // over-long (> MAX_QUERY_EDGES hyperedges) queries are rejected
-        // before they reach the planner.
-        hgmatch_core::validate_query_shape(&query).map_err(|e| e.to_string())?;
+        let labels = labels
+            .iter()
+            .enumerate()
+            .map(|(i, l)| {
+                l.as_u64()
+                    .filter(|&v| v <= u32::MAX as u64)
+                    .map(|v| Label::new(v as u32))
+                    .ok_or_else(|| format!("labels[{i}] is not a valid label id"))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let edges = edges
+            .iter()
+            .enumerate()
+            .map(|(i, edge)| {
+                let members = edge
+                    .as_arr()
+                    .ok_or_else(|| format!("edges[{i}] must be an array of vertex ids"))?;
+                members
+                    .iter()
+                    .enumerate()
+                    .map(|(j, m)| {
+                        m.as_u64()
+                            .filter(|&v| (v as usize) < labels.len())
+                            .map(|v| v as u32)
+                            .ok_or_else(|| {
+                                format!(
+                                    "edges[{i}][{j}] must be a vertex id below {}",
+                                    labels.len()
+                                )
+                            })
+                    })
+                    .collect::<Result<Vec<u32>, _>>()
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        // The builder's rules and the same shape gate the CLI applies to
+        // query files: empty and over-long (> MAX_QUERY_EDGES hyperedges)
+        // queries are rejected before they reach the planner.
+        let query = QueryShape::new(&labels, edges).map_err(|e| match e {
+            MatchError::InvalidHyperedge { edge, reason } => format!("edges[{edge}]: {reason}"),
+            e => e.to_string(),
+        })?;
 
         let collect = match doc.get("collect") {
             None => false,
@@ -696,7 +708,7 @@ fn handle_match(shared: &DoorShared, body: &[u8]) -> Response {
     // Gate 3: cost-based admission, only under load (queue more than
     // half full) so an idle server never rejects on estimates alone.
     if shared.admit_cost.is_finite() && shared.current_load() as usize * 2 > shared.queue_depth {
-        match shared.engine.estimate_cost(&req.query) {
+        match shared.engine.estimate_cost(req.query.clone()) {
             Ok(cost) if cost > shared.admit_cost => {
                 drop(guard);
                 shared.counters.shed_cost.fetch_add(1, Ordering::Relaxed);
@@ -719,7 +731,7 @@ fn handle_match(shared: &DoorShared, body: &[u8]) -> Response {
 
     // Caller-first (DESIGN.md §8.5, §16.5): this handler thread executes a
     // cheap query itself and blocks on the pool only for the rest.
-    let outcome = shared.engine.run(&req.query, req.options);
+    let outcome = shared.engine.run(req.query, req.options);
     drop(guard);
     match outcome {
         Ok(outcome) if outcome.status == QueryStatus::Failed => Response::json(
@@ -816,6 +828,7 @@ fn write_aggregate_json(out: &mut String, summary: &AggregateSummary) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hgmatch_hypergraph::HypergraphBuilder;
 
     fn two_triangles() -> Arc<Hypergraph> {
         let mut b = HypergraphBuilder::new();
@@ -835,7 +848,7 @@ mod tests {
         .unwrap();
         let req = MatchRequest::from_json(&doc).unwrap();
         assert_eq!(req.tenant, DEFAULT_TENANT);
-        assert_eq!(req.query.num_edges(), 1);
+        assert_eq!(req.query.edges().count(), 1);
         assert!(req.options.collect);
         assert_eq!(req.options.max_results, Some(5));
         assert_eq!(req.options.timeout, Some(Duration::from_millis(100)));

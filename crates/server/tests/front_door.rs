@@ -369,6 +369,173 @@ fn validation_errors_are_client_errors() {
     );
 }
 
+/// Every way `POST /match` decodes to a 400, each with its diagnostic.
+/// None of them reaches the engine.
+#[test]
+fn every_decode_error_is_a_400_with_its_reason() {
+    let door = FrontDoor::bind(two_triangles(), FrontDoorConfig::default()).unwrap();
+    let addr = door.local_addr();
+    let long_tenant = format!(
+        r#"{{"tenant":"{}","labels":[0],"edges":[[0]]}}"#,
+        "t".repeat(65)
+    );
+    let cases: &[(&str, &str)] = &[
+        ("[1,2]", "request body must be a JSON object"),
+        (r#"{"tenant":7}"#, "field 'tenant' must be a string"),
+        (
+            r#"{"tenant":""}"#,
+            "field 'tenant' must be 1..=64 characters",
+        ),
+        (&long_tenant, "field 'tenant' must be 1..=64 characters"),
+        (
+            r#"{"edges":[[0]]}"#,
+            "field 'labels' must be an array of vertex labels",
+        ),
+        (
+            r#"{"labels":[0]}"#,
+            "field 'edges' must be an array of vertex-id arrays",
+        ),
+        (
+            r#"{"labels":[0,-1],"edges":[[0]]}"#,
+            "labels[1] is not a valid label id",
+        ),
+        (
+            r#"{"labels":[0,4294967296],"edges":[[0]]}"#,
+            "labels[1] is not a valid label id",
+        ),
+        (
+            r#"{"labels":[0],"edges":[0]}"#,
+            "edges[0] must be an array of vertex ids",
+        ),
+        (
+            r#"{"labels":[0],"edges":[[0,1.5]]}"#,
+            "edges[0][1] must be a vertex id below 1",
+        ),
+        // The builder's rules, with the builder's text: the error names the
+        // input position and the id the edge would have had after the
+        // repeated edge before it was dropped.
+        (
+            r#"{"labels":[0,0],"edges":[[0],[0],[]]}"#,
+            "edges[2]: hyperedge #1 is empty",
+        ),
+        (
+            r#"{"labels":[0],"edges":[]}"#,
+            "query hypergraph has no hyperedges",
+        ),
+        (
+            r#"{"labels":[0],"edges":[[0]],"collect":1}"#,
+            "field 'collect' must be a boolean",
+        ),
+        (
+            r#"{"labels":[0],"edges":[[0]],"max_results":-3}"#,
+            "field 'max_results' must be a non-negative integer",
+        ),
+        (
+            r#"{"labels":[0],"edges":[[0]],"timeout_ms":"soon"}"#,
+            "field 'timeout_ms' must be a non-negative integer",
+        ),
+        (
+            r#"{"labels":[0],"edges":[[0]],"aggregate":{}}"#,
+            "field 'aggregate.mode' must be a string",
+        ),
+        (
+            r#"{"labels":[0],"edges":[[0]],"aggregate":{"mode":"top_k","k":1,"score":"max"}}"#,
+            "field 'aggregate.score' must be one of",
+        ),
+        (
+            r#"{"labels":[0],"edges":[[0]],"aggregate":{"mode":"sampled"}}"#,
+            "field 'aggregate.budget' must be a non-negative integer",
+        ),
+        (
+            r#"{"labels":[0],"edges":[[0]],"aggregate":{"mode":"sampled","budget":4,"seed":"x"}}"#,
+            "field 'aggregate.seed' must be a non-negative integer",
+        ),
+    ];
+    for &(body, reason) in cases {
+        let r = request(addr, "POST", "/match", body);
+        assert_eq!(r.status, 400, "{body} -> {}", r.body);
+        assert!(r.body.contains(reason), "{body} -> {}", r.body);
+    }
+    // 65 distinct edges are too many; 65 with one repeat are 64, which fit.
+    let labels = vec!["0"; 66].join(",");
+    let path = |n: usize| {
+        (0..n)
+            .map(|i| format!("[{},{}]", i, i + 1))
+            .collect::<Vec<_>>()
+    };
+    let long = format!(
+        r#"{{"labels":[{labels}],"edges":[{}]}}"#,
+        path(65).join(",")
+    );
+    let r = request(addr, "POST", "/match", &long);
+    assert_eq!(r.status, 400, "{}", r.body);
+    assert!(
+        r.body
+            .contains("query has 65 hyperedges; the engine supports at most 64"),
+        "{}",
+        r.body
+    );
+    let mut repeated = path(64);
+    repeated.push("[1,0]".to_string());
+    let fits = format!(
+        r#"{{"labels":[{labels}],"edges":[{}]}}"#,
+        repeated.join(",")
+    );
+    assert_eq!(request(addr, "POST", "/match", &fits).status, 200);
+
+    let stats = door.shutdown();
+    assert_eq!(
+        stats.admitted, 1,
+        "only the 64-edge body reaches the engine"
+    );
+}
+
+/// A repeated hyperedge (in any vertex order, with repeated vertices) is
+/// dropped, as the builder drops it: the request is served, counted and
+/// cached as the deduplicated query.
+#[test]
+fn a_repeated_edge_is_served_as_the_deduplicated_query() {
+    let door = FrontDoor::bind(two_triangles(), FrontDoorConfig::default()).unwrap();
+    let addr = door.local_addr();
+    let repeated = r#"{"labels":[0,0,1],"edges":[[0,1,2],[2,1,0],[1,2,0,1]],"collect":true}"#;
+    let r = request(addr, "POST", "/match", repeated);
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert_eq!(field_u64(&r.body, "count"), Some(2));
+    assert!(r.body.contains("\"embeddings\":[[0],[1]]"), "{}", r.body);
+    // The single-edge query is the same shape: a plan-cache hit.
+    let r = request(addr, "POST", "/match", TRIANGLE_QUERY);
+    assert_eq!(field_u64(&r.body, "count"), Some(2));
+    assert!(r.body.contains("\"plan_cached\":true"), "{}", r.body);
+    let stats = door.shutdown();
+    assert_eq!((stats.plan_cache_misses, stats.plan_cache_hits), (1, 1));
+}
+
+/// A body that is one string of almost `MAX_BODY_BYTES` decodes in linear
+/// time and is refused at once; decoding it once took 40 s per handler.
+#[test]
+fn a_mebibyte_tenant_is_refused_promptly() {
+    let door = FrontDoor::bind(two_triangles(), FrontDoorConfig::default()).unwrap();
+    let addr = door.local_addr();
+    let frame = r#"{"tenant":"","labels":[0],"edges":[[0]]}"#;
+    let tenant = "t".repeat(hgmatch_server::http::MAX_BODY_BYTES - frame.len());
+    let body = format!(r#"{{"tenant":"{tenant}","labels":[0],"edges":[[0]]}}"#);
+    assert_eq!(body.len(), hgmatch_server::http::MAX_BODY_BYTES);
+    let start = std::time::Instant::now();
+    let r = request(addr, "POST", "/match", &body);
+    let elapsed = start.elapsed();
+    assert_eq!(r.status, 400, "{}", r.body);
+    assert!(
+        r.body.contains("field 'tenant' must be 1..=64 characters"),
+        "{}",
+        r.body
+    );
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "a 1 MiB tenant took {elapsed:?}"
+    );
+    door.shutdown();
+}
+
 #[test]
 fn tenant_quota_returns_429_with_retry_after() {
     let door = FrontDoor::bind(
