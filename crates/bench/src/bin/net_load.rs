@@ -17,7 +17,7 @@
 //! issue demands: under 2× overload the server sheds via 429 rather
 //! than queueing without bound, and the p99 of *admitted* queries stays
 //! within 5× of the unloaded p50. `--check` turns the gates into hard
-//! assertions (used by the CI net-stress job).
+//! assertions (used by the CI bench-smoke job).
 //!
 //! Usage: `net_load [--dataset NAME] [--threads N] [--http-threads N]
 //!                  [--queue-depth N] [--duration SECS] [--json PATH]

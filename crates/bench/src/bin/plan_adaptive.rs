@@ -36,6 +36,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hgmatch_bench::experiments::bench_smoke;
+use hgmatch_bench::report::{git_sha, host_cpus};
 use hgmatch_core::engine::ParallelEngine;
 use hgmatch_core::{CostModel, CountSink, MatchConfig, Plan, Planner, QueryGraph};
 use hgmatch_datasets::{profile_by_name, sample_query, standard_settings};
@@ -339,7 +340,9 @@ fn main() {
         out.push_str("{\n");
         let _ = writeln!(
             out,
-            "  \"threads\": {threads}, \"timeout_s\": {:.1}, \"repeat\": {repeat},",
+            "  \"git_sha\": \"{}\", \"host_cpus\": {}, \"threads\": {threads}, \"timeout_s\": {:.1}, \"repeat\": {repeat},",
+            git_sha(),
+            host_cpus(),
             timeout.as_secs_f64()
         );
         let _ = writeln!(

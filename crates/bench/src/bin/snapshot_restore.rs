@@ -30,7 +30,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use hgmatch_bench::experiments::bench_smoke;
-use hgmatch_bench::report::median;
+use hgmatch_bench::report::{git_sha, host_cpus, median};
 use hgmatch_datasets::{generate_update_stream, profile_by_name, UpdateStreamConfig};
 use hgmatch_hypergraph::io::{encode_snapshot, load_snapshot, load_text, save_snapshot, save_text};
 use hgmatch_hypergraph::{DynamicHypergraph, Hypergraph, VertexId};
@@ -177,7 +177,9 @@ fn main() {
         out.push_str("{\n");
         let _ = writeln!(
             out,
-            "  \"dataset\": \"{}\", \"iters\": {iters},",
+            "  \"git_sha\": \"{}\", \"host_cpus\": {}, \"dataset\": \"{}\", \"iters\": {iters},",
+            git_sha(),
+            host_cpus(),
             profile.name
         );
         let _ = writeln!(out, "  \"text_reingest_s\": {text_secs:.4},");

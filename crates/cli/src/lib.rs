@@ -1186,9 +1186,9 @@ pub fn explain_report(
 /// this order), and emits deterministic JSON pairing the planner's
 /// per-position estimate with the observed candidate count. `ratio` is
 /// `observed / max(estimated, 1)` — the exact quantity the adaptive
-/// trigger compares against `HGMATCH_REPLAN_RATIO` (DESIGN.md §15), so a
-/// position whose ratio exceeds the configured trigger here is a position
-/// a parallel run would re-plan at.
+/// trigger compares against `MatchConfig::replan_ratio` (default 8,
+/// DESIGN.md §15), so a position whose ratio exceeds the configured
+/// trigger here is a position a parallel run would re-plan at.
 pub fn explain_observed_report(
     labels: &str,
     edges: &str,

@@ -61,8 +61,8 @@ fn generate_and_stats_roundtrip() {
 
 /// `stats` reports the per-partition index memory breakdown by posting
 /// representation, in both text and `--json` form. The assertions stay
-/// representation-agnostic (postings totals, not repr counts) so the CI
-/// `HGMATCH_FORCE_REPR` matrix can replay them unchanged.
+/// representation-agnostic (postings totals, not repr counts) so a run
+/// under `HGMATCH_FORCE_REPR` replays them unchanged.
 #[test]
 fn stats_reports_index_memory_breakdown() {
     let dir = TempDir::new("stats-breakdown");

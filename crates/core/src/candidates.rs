@@ -1127,10 +1127,9 @@ mod tests {
         // Regression (cancellation latency, DESIGN.md §14): a multi-block
         // compressed hub posting must not decode past a raised stop by more
         // than one probe budget. hubs > 32 keeps the posting mid-density
-        // (compressed under the adaptive rule; the CI repr-stress job also
-        // replays this with HGMATCH_FORCE_REPR=compressed) and per_hub =
-        // 1024 spans four blocks, so the blockwise decode crosses at least
-        // one probe boundary.
+        // (compressed under the adaptive rule) and per_hub = 1024 spans
+        // four blocks, so the blockwise decode crosses at least one probe
+        // boundary.
         let data = hub_graph(40, 1024);
         let q = hub_query();
         let plan = Planner::plan(&q, &data).unwrap();

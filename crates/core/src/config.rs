@@ -33,7 +33,7 @@ pub struct MatchConfig {
     /// planner's estimate, the unmatched suffix is re-ordered with
     /// observed cardinalities folded in. `0` disables adaptive
     /// re-optimization entirely (no feedback state is allocated).
-    /// Overridable via `HGMATCH_REPLAN_RATIO`.
+    /// Defaults to 8.
     pub replan_ratio: f64,
     /// How results are aggregated (DESIGN.md §18.2). `Materialize`
     /// preserves the pre-aggregation behaviour; the sink-construction
@@ -51,23 +51,12 @@ pub struct MatchConfig {
 /// full-size sweep puts the crossover above it.
 pub const SPLIT_THRESHOLD: usize = 1_048_576;
 
-/// Observed/estimated candidate-count ratio past which the engine
-/// re-plans the unmatched suffix of an in-flight query (DESIGN.md §15).
-/// `0` (or negative, which clamps to 0) disables mid-query
-/// re-optimization. The default of 8 sits well past the planner's 2×
-/// confidence margin: a blow-up the trigger fires on is a genuine
-/// misestimate, not model noise. Overridable via `HGMATCH_REPLAN_RATIO`
-/// (the CI adaptive-stress job pins a tiny ratio to force a switch at
-/// every boundary).
-pub(crate) fn default_replan_ratio() -> f64 {
-    static CACHE: std::sync::OnceLock<Option<f64>> = std::sync::OnceLock::new();
-    let parsed = *CACHE.get_or_init(|| {
-        std::env::var("HGMATCH_REPLAN_RATIO")
-            .ok()
-            .and_then(|v| v.parse().ok())
-    });
-    parsed.unwrap_or(8.0).max(0.0)
-}
+/// Default [`MatchConfig::replan_ratio`]: the observed/estimated
+/// candidate-count ratio past which the engine re-plans the unmatched
+/// suffix of an in-flight query (DESIGN.md §15). It sits well past the
+/// planner's 2× confidence margin: a blow-up the trigger fires on is a
+/// genuine misestimate, not model noise.
+const REPLAN_RATIO: f64 = 8.0;
 
 /// Confidence margin of the cost-based planner: the searched order
 /// replaces the greedy Algorithm 3 order only when its estimated cost is
@@ -96,7 +85,7 @@ impl Default for MatchConfig {
             timeout: None,
             work_stealing: true,
             split_threshold: SPLIT_THRESHOLD,
-            replan_ratio: default_replan_ratio(),
+            replan_ratio: REPLAN_RATIO,
             aggregate: AggregateMode::Materialize,
         }
     }
@@ -160,6 +149,7 @@ mod tests {
         assert!(c.timeout.is_none());
         assert!(c.work_stealing);
         assert_eq!(c.split_threshold, SPLIT_THRESHOLD);
+        assert_eq!(c.replan_ratio, 8.0);
         assert_eq!(c.aggregate, AggregateMode::Materialize);
     }
 

@@ -221,6 +221,20 @@ impl ParallelEngine {
     }
 }
 
+/// Raises the run's abort flag if its worker unwinds. A panicking task
+/// never retires, so without it `pending` would stay above zero and the
+/// surviving workers would idle forever; with it they drain and exit, and
+/// `std::thread::scope` re-raises the panic on the caller's thread.
+struct AbortOnUnwind<'a>(&'a AtomicBool);
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
 /// One worker of a run. Its tasks' metrics, sink counts and retirements
 /// stay in its own [`Tally`] and `retired`; `pending` only grows when a
 /// task announces children, and shrinks when the worker's deque runs dry
@@ -231,6 +245,7 @@ fn worker_loop<S: Sink>(
     local: Deque<Task>,
     shared: &Shared<'_, S>,
 ) -> (WorkerStats, MatchMetrics) {
+    let _unwind = AbortOnUnwind(&shared.abort);
     let mut scratch = ExecScratch::new();
     let mut tally = Tally::default();
     let mut retired = 0u64;

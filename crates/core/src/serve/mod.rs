@@ -166,11 +166,12 @@ pub struct ServeConfig {
     /// historical default (count-only). Lets a deployment flip its whole
     /// result path to e.g. sampled estimates without touching clients.
     pub default_aggregate: Option<AggregateMode>,
-    /// Execution knobs shared by all queries (scan chunking, work
-    /// stealing, pruning). Its `threads` and `timeout` fields are ignored:
-    /// the pool size is [`ServeConfig::threads`] and timeouts are
-    /// per-query. Disabling `work_stealing` pins each query to the worker
-    /// that claimed its seed (parallelism across queries, not within one).
+    /// Execution settings shared by all queries (work stealing, the split
+    /// threshold, the re-plan ratio). Its `threads` and `timeout` fields
+    /// are ignored: the pool size is [`ServeConfig::threads`] and timeouts
+    /// are per-query. Disabling `work_stealing` pins each query to the
+    /// worker that claimed its seed (parallelism across queries, not
+    /// within one).
     pub match_config: MatchConfig,
 }
 

@@ -3,18 +3,16 @@
 //! graphs, through both the sequential executor and a concurrently mutated
 //! [`MatchServer`]; plan-cache invalidation keeps answers fresh.
 //!
-//! Concurrency is controlled by `HGMATCH_WORKERS` (the CI matrix pins 1, 4
-//! and 8); kernel families are cross-checked both by the in-test
-//! [`set_kernel_mode`] loop and by the CI `HGMATCH_FORCE_SCALAR=1` legs.
+//! The parallel arms run 4 workers; kernel families are cross-checked by
+//! the in-test [`set_kernel_mode`] loop. The swarm (`swarm.rs`) races
+//! update epochs against every venue, pool size and representation.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use hgmatch_core::serve::{MatchServer, QueryOptions, QueryStatus, ServeConfig};
 use hgmatch_core::{MatchConfig, Matcher};
-use hgmatch_datasets::testgen::{
-    env_workers, random_arity_hypergraph, rebuild_oracle, workload_queries,
-};
+use hgmatch_datasets::testgen::{random_arity_hypergraph, rebuild_oracle, workload_queries};
 use hgmatch_datasets::{
     generate_update_stream, sample_query, standard_settings, UpdateStreamConfig,
 };
@@ -75,7 +73,7 @@ fn dynamic_snapshots_answer_like_rebuilt_static() {
                     dyn_seq, reb_seq,
                     "checkpoint {checkpoint} q{qi} ({mode:?}): sequential differs"
                 );
-                let par = Matcher::with_config(&snap, MatchConfig::parallel(env_workers(4)))
+                let par = Matcher::with_config(&snap, MatchConfig::parallel(4))
                     .find_all(query)
                     .unwrap();
                 assert_eq!(
@@ -95,7 +93,7 @@ fn dynamic_snapshots_answer_like_rebuilt_static() {
 /// multi-worker pool assist tickets race the publishes too.
 #[test]
 fn served_queries_never_observe_torn_snapshots() {
-    let workers = env_workers(4);
+    let workers = 4;
     let base = random_arity_hypergraph(0xBEE5, 200, 500, 3, 2, 4);
     let stream = generate_update_stream(
         &base,

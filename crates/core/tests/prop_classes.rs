@@ -10,8 +10,7 @@
 //! unit-level differential in `src/validate.rs`; this suite needs only the
 //! public stage functions, so it can flip the two process-wide switches —
 //! kernel mode and forced posting representation — that a unit test
-//! sharing its binary with others cannot. The CI `repr-stress` job replays
-//! it with `HGMATCH_FORCE_REPR=compressed` as the ambient setting.
+//! sharing its binary with others cannot.
 
 use std::sync::Mutex;
 

@@ -13,8 +13,8 @@
 //!   (pending never reaches zero); a double-executed one would double
 //!   results — both are caught here and by the differential checks.
 //!
-//! The CI `dynamic` job runs this suite across its scalar × workers
-//! {1, 4, 8} matrix.
+//! The swarm (`swarm.rs`) crosses the same checks with the other
+//! stressors; this suite keeps the fixed fixtures and the accounting.
 
 use std::sync::Arc;
 
@@ -24,7 +24,7 @@ use hgmatch_core::serve::{MatchServer, QueryOptions, QueryStatus, ServeConfig};
 use hgmatch_core::sink::CollectSink;
 use hgmatch_core::{MatchConfig, Matcher, Planner, QueryGraph};
 use hgmatch_datasets::testgen::{
-    blowup, env_workers, random_arity_hypergraph, random_subquery, workload_queries,
+    blowup, random_arity_hypergraph, random_subquery, workload_queries,
 };
 use hgmatch_hypergraph::setops::{set_kernel_mode, KernelMode};
 use hgmatch_hypergraph::Hypergraph;
@@ -183,10 +183,10 @@ fn dense_hub_split_matches_sequential_across_workers_and_kernels() {
 
 /// Stress: a combinatorial blow-up query (huge candidate lists at every
 /// depth) races a mixed workload on one pool with aggressive splitting.
-/// Checks exact counts, split activity, and exactly-once task accounting.
+/// Checks exact counts, split activity (none on a lone worker), and
+/// exactly-once task accounting.
 #[test]
 fn blowup_under_forced_splitting_accounts_every_task() {
-    let workers = env_workers(8);
     let (data, big) = blowup(11, 3);
     let data = Arc::new(data);
     let queries = workload_queries();
@@ -197,43 +197,45 @@ fn blowup_under_forced_splitting_accounts_every_task() {
         .map(|q| sequential_embeddings(&data, q).len() as u64)
         .collect();
 
-    let server = MatchServer::new(
-        Arc::clone(&data),
-        ServeConfig {
-            threads: workers,
-            fairness_quantum: 8,
-            match_config: splitty(workers),
-            ..ServeConfig::default()
-        },
-    );
-    // The big query and the mixed workload in flight together, twice over.
-    for _round in 0..2 {
-        let big_handle = server.submit(&big, QueryOptions::count()).unwrap();
-        let handles: Vec<_> = queries
-            .iter()
-            .map(|q| server.submit(q, QueryOptions::count()).unwrap())
-            .collect();
-        assert_eq!(big_handle.wait().count, expected_big);
-        for (i, h) in handles.into_iter().enumerate() {
-            assert_eq!(h.wait().count, expected[i], "query {i}");
-        }
-    }
-
-    let stats = server.stats();
-    assert_eq!(stats.active, 0);
-    assert_eq!(
-        stats.tasks_spawned, stats.tasks_executed,
-        "no lost or double-executed tasks"
-    );
-    if workers > 1 {
-        assert!(
-            stats.splits > 0,
-            "threshold 4 on a blow-up instance must split (stats: {stats:?})"
+    for workers in [1, 8] {
+        let server = MatchServer::new(
+            Arc::clone(&data),
+            ServeConfig {
+                threads: workers,
+                fairness_quantum: 8,
+                match_config: splitty(workers),
+                ..ServeConfig::default()
+            },
         );
-    } else {
-        assert_eq!(stats.splits, 0, "a lone worker must never split");
+        // The big query and the mixed workload in flight together, twice over.
+        for _round in 0..2 {
+            let big_handle = server.submit(&big, QueryOptions::count()).unwrap();
+            let handles: Vec<_> = queries
+                .iter()
+                .map(|q| server.submit(q, QueryOptions::count()).unwrap())
+                .collect();
+            assert_eq!(big_handle.wait().count, expected_big, "{workers} workers");
+            for (i, h) in handles.into_iter().enumerate() {
+                assert_eq!(h.wait().count, expected[i], "query {i}, {workers} workers");
+            }
+        }
+
+        let stats = server.stats();
+        assert_eq!(stats.active, 0);
+        assert_eq!(
+            stats.tasks_spawned, stats.tasks_executed,
+            "no lost or double-executed tasks ({workers} workers)"
+        );
+        if workers > 1 {
+            assert!(
+                stats.splits > 0,
+                "threshold 4 on a blow-up instance must split (stats: {stats:?})"
+            );
+        } else {
+            assert_eq!(stats.splits, 0, "a lone worker must never split");
+        }
+        server.shutdown();
     }
-    server.shutdown();
 }
 
 /// Cancellation mid-split releases the pool: unclaimed chunks of shared
@@ -241,7 +243,7 @@ fn blowup_under_forced_splitting_accounts_every_task() {
 /// accounting invariant holds even for degenerate (post-stop) tickets.
 #[test]
 fn cancellation_mid_split_drains_cleanly() {
-    let workers = env_workers(8);
+    let workers = 8;
     let (data, query) = blowup(13, 4);
     let data = Arc::new(data);
     let server = MatchServer::new(

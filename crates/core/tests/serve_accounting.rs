@@ -6,23 +6,16 @@
 //! published: the counters balance, the per-thread task counts add up to
 //! the total, and each outcome's metrics agree with its count.
 //!
-//! Pool sizes 1, 4 and 8, or only `HGMATCH_WORKERS` when it is set (the
-//! CI `dynamic` job sets it).
+//! Pool sizes 1, 4 and 8.
 
 use std::sync::Arc;
 
 use hgmatch_core::serve::{MatchServer, QueryOptions, QueryStatus, ServeConfig};
 use hgmatch_core::{AggregateMode, MatchConfig, Matcher, ScoreFn};
-use hgmatch_datasets::testgen::{blowup, env_workers, random_arity_hypergraph, workload_queries};
+use hgmatch_datasets::testgen::{blowup, random_arity_hypergraph, workload_queries};
 use hgmatch_hypergraph::Hypergraph;
 
-fn pool_sizes() -> Vec<usize> {
-    if std::env::var_os("HGMATCH_WORKERS").is_some() {
-        vec![env_workers(1)]
-    } else {
-        vec![1, 4, 8]
-    }
-}
+const POOL_SIZES: [usize; 3] = [1, 4, 8];
 
 /// Every aggregation mode with an exact count (no `max_results`).
 fn modes() -> [AggregateMode; 4] {
@@ -50,7 +43,7 @@ fn counters_balance_at_quiescence_after_a_mixed_batch() {
         .map(|(d, q)| Matcher::new(d).count(q).unwrap())
         .collect();
 
-    for workers in pool_sizes() {
+    for workers in POOL_SIZES {
         // One pool per data graph; the blow-up splits at threshold 4.
         let config = ServeConfig {
             threads: workers,

@@ -21,7 +21,6 @@ use std::sync::Arc;
 
 use hgmatch_core::serve::{MatchServer, QueryOptions, QueryStatus, ServeConfig};
 use hgmatch_core::{MatchConfig, Matcher, QueryOutcome};
-use hgmatch_datasets::testgen::env_workers;
 use hgmatch_hypergraph::{DynamicHypergraph, Hypergraph, HypergraphBuilder, Label};
 
 /// Chain-with-branch writer: {A,B}, {B,C}, one junk {C,D} row, two
@@ -72,7 +71,7 @@ fn adaptive_server(data: Arc<Hypergraph>) -> MatchServer {
         ServeConfig {
             match_config: MatchConfig::default().with_replan_ratio(0.5),
             ..ServeConfig::default()
-                .with_threads(env_workers(2))
+                .with_threads(2)
                 .with_replan_drift(1e18)
         },
     )

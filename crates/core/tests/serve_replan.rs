@@ -9,7 +9,6 @@ use std::sync::Arc;
 
 use hgmatch_core::serve::{MatchServer, QueryOptions, ServeConfig};
 use hgmatch_core::{Matcher, QueryOutcome};
-use hgmatch_datasets::testgen::env_workers;
 use hgmatch_datasets::{generate_update_stream, UpdateStreamConfig};
 use hgmatch_hypergraph::{DynamicHypergraph, Hypergraph, HypergraphBuilder, Label};
 
@@ -55,7 +54,7 @@ fn replan_fires_past_drift_threshold_and_stays_correct() {
     let server = MatchServer::new(
         Arc::clone(&first.graph),
         ServeConfig::default()
-            .with_threads(env_workers(2))
+            .with_threads(2)
             .with_replan_drift(0.5),
     );
     let query = standing_query();
@@ -128,7 +127,7 @@ fn update_stream_replans_and_matches_fresh_runs() {
     let server = MatchServer::new(
         Arc::clone(&base),
         ServeConfig::default()
-            .with_threads(env_workers(2))
+            .with_threads(2)
             .with_replan_drift(0.25),
     );
     let query = standing_query();

@@ -10,7 +10,7 @@
 //! split ending the inline phase at once, a deadline landing in the inline
 //! phase, and inline runs racing `update_data`.
 //!
-//! CI runs it in both kernel families (`net-stress`, `dynamic`).
+//! CI runs it in both kernel families (the `test` job's two passes).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use hgmatch_core::serve::{MatchServer, QueryOptions, QueryStatus, ServeConfig};
 use hgmatch_core::{AggregateMode, MatchConfig, Matcher, QueryOutcome, ScoreFn};
-use hgmatch_datasets::testgen::{random_arity_hypergraph, random_subquery, workload_queries};
+use hgmatch_datasets::testgen::{hub, random_arity_hypergraph, random_subquery, workload_queries};
 use hgmatch_hypergraph::setops::{set_kernel_mode, KernelMode};
 use hgmatch_hypergraph::{DynamicHypergraph, Hypergraph, HypergraphBuilder, Label};
 
@@ -85,39 +85,7 @@ fn both_venues_match_sequential_in_every_mode() {
     set_kernel_mode(KernelMode::Auto);
 }
 
-/// A hub the cost model underestimates: two {C,A} rows, one of whose A
-/// vertices carries `FAN` {A,B} edges while 1000 other A vertices carry
-/// one each, so the degree statistics put an {A,B} expansion at ≈ 20
-/// candidates and the plan at ≈ 65 — under the gate — while the hub's own
-/// expansion yields `FAN`. Every hub B continues into one {B,D} edge: the
-/// query below runs ≈ `FAN` + 3 tasks, past the inline budget.
-fn hub() -> (Hypergraph, Hypergraph) {
-    const LEAVES: u32 = 1000;
-    let mut d = HypergraphBuilder::new();
-    let c = d.add_vertices(2, Label::new(2)).raw();
-    let a = d.add_vertices(LEAVES as usize + 1, Label::new(0)).raw();
-    let b = d.add_vertices((FAN + LEAVES) as usize, Label::new(1)).raw();
-    let dd = d.add_vertices(FAN as usize, Label::new(3)).raw();
-    d.add_edge(vec![c, a]).unwrap(); // the hub's {C,A}
-    d.add_edge(vec![c + 1, a + 1]).unwrap(); // a leaf's {C,A}
-    for i in 0..FAN {
-        d.add_edge(vec![a, b + i]).unwrap(); // hub fan-out
-        d.add_edge(vec![b + i, dd + i]).unwrap(); // {B,D} under the hub
-    }
-    for i in 0..LEAVES {
-        d.add_edge(vec![a + 1 + i, b + FAN + i]).unwrap();
-    }
-    let mut q = HypergraphBuilder::new();
-    for &l in &[2u32, 0, 1, 3] {
-        q.add_vertex(Label::new(l));
-    }
-    q.add_edge(vec![0, 1]).unwrap(); // {C,A}
-    q.add_edge(vec![1, 2]).unwrap(); // {A,B}
-    q.add_edge(vec![2, 3]).unwrap(); // {B,D}
-    (d.build().unwrap(), q.build().unwrap())
-}
-
-/// Embeddings of [`hub`]'s query (one per hub {A,B} edge).
+/// Embeddings of the [`hub`] fixture's query (one per hub {A,B} edge).
 const FAN: u32 = 100;
 
 /// With one worker, `first(k)` through `run` is the sequential executor's
@@ -126,7 +94,7 @@ const FAN: u32 = 100;
 /// adopts the caller's stack in order and carries on where it stopped).
 #[test]
 fn single_worker_first_k_is_exact_across_the_hand_off() {
-    let (data, query) = hub();
+    let (data, query) = hub(FAN);
     let data = Arc::new(data);
     // A fixed order on both sides: no mid-query re-plan.
     let config = ServeConfig {
@@ -161,7 +129,7 @@ fn single_worker_first_k_is_exact_across_the_hand_off() {
 /// hand-off.
 #[test]
 fn an_underestimated_query_spills_and_stays_exact() {
-    let (data, query) = hub();
+    let (data, query) = hub(FAN);
     let data = Arc::new(data);
     let expected = sequential(&data).find_all(&query).unwrap();
     assert_eq!(expected.len(), FAN as usize);
@@ -272,7 +240,7 @@ fn a_stale_estimate_spills_replans_and_writes_back() {
 /// hub's `FAN`-candidate {A,B} expansion is its last step.
 #[test]
 fn a_last_step_split_spills_the_inline_run_at_once() {
-    let (data, _) = hub();
+    let (data, _) = hub(FAN);
     let mut q = HypergraphBuilder::new();
     for &l in &[2u32, 0, 1] {
         q.add_vertex(Label::new(l));
@@ -303,7 +271,7 @@ fn a_last_step_split_spills_the_inline_run_at_once() {
 /// of it.
 #[test]
 fn a_deadline_inside_the_inline_phase_times_out() {
-    let (data, query) = hub();
+    let (data, query) = hub(FAN);
     let server = MatchServer::new(Arc::new(data), ServeConfig::default().with_threads(2));
     let outcome = server
         .run(&query, QueryOptions::count().with_timeout(Duration::ZERO))

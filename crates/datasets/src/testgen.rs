@@ -165,6 +165,40 @@ pub fn blowup(n: u32, m: u32) -> (Hypergraph, Hypergraph) {
     (d.build().unwrap(), q.build().unwrap())
 }
 
+/// A hub the cost model underestimates: two {C,A} rows, one of whose A
+/// vertices carries `fan` {A,B} edges while 1000 other A vertices carry
+/// one each, so the degree statistics put an {A,B} expansion at ≈ 20
+/// candidates and, at `fan` = 100, the plan at ≈ 65 — under the serving
+/// layer's caller-first gate — while the hub's own expansion yields
+/// `fan`. Every hub B continues into one {B,D} edge, so the {C,A}–{A,B}–
+/// {B,D} path query has exactly `fan` embeddings and runs ≈ `fan` + 3
+/// tasks.
+pub fn hub(fan: u32) -> (Hypergraph, Hypergraph) {
+    const LEAVES: u32 = 1000;
+    let mut d = HypergraphBuilder::new();
+    let c = d.add_vertices(2, Label::new(2)).raw();
+    let a = d.add_vertices(LEAVES as usize + 1, Label::new(0)).raw();
+    let b = d.add_vertices((fan + LEAVES) as usize, Label::new(1)).raw();
+    let dd = d.add_vertices(fan as usize, Label::new(3)).raw();
+    d.add_edge(vec![c, a]).unwrap(); // the hub's {C,A}
+    d.add_edge(vec![c + 1, a + 1]).unwrap(); // a leaf's {C,A}
+    for i in 0..fan {
+        d.add_edge(vec![a, b + i]).unwrap(); // hub fan-out
+        d.add_edge(vec![b + i, dd + i]).unwrap(); // {B,D} under the hub
+    }
+    for i in 0..LEAVES {
+        d.add_edge(vec![a + 1 + i, b + fan + i]).unwrap();
+    }
+    let mut q = HypergraphBuilder::new();
+    for &l in &[2u32, 0, 1, 3] {
+        q.add_vertex(Label::new(l));
+    }
+    q.add_edge(vec![0, 1]).unwrap(); // {C,A}
+    q.add_edge(vec![1, 2]).unwrap(); // {A,B}
+    q.add_edge(vec![2, 3]).unwrap(); // {B,D}
+    (d.build().unwrap(), q.build().unwrap())
+}
+
 /// The paper's Fig. 1b data hypergraph (labels A=0, B=1, C=2).
 pub fn paper_data() -> Hypergraph {
     let mut b = HypergraphBuilder::new();
@@ -244,16 +278,6 @@ impl TestRng {
     }
 }
 
-/// Worker-thread count for concurrency suites: `HGMATCH_WORKERS` when set
-/// (the CI matrices pin it to 1, 4 or 8), else `default`.
-pub fn env_workers(default: usize) -> usize {
-    std::env::var("HGMATCH_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,12 +321,5 @@ mod tests {
         let (d, q) = blowup(6, 3);
         assert_eq!(d.num_edges(), 15);
         assert_eq!(q.num_edges(), 3);
-    }
-
-    #[test]
-    fn env_workers_defaults() {
-        // The variable is not set in unit-test runs unless CI exports it;
-        // either way the result is a positive thread count.
-        assert!(env_workers(4) >= 1);
     }
 }

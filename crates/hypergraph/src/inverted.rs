@@ -798,7 +798,7 @@ mod tests {
     #[test]
     fn forced_repr_env_parsing_is_inert_here() {
         // This test only pins the programmatic accessor's default; the
-        // env-driven path is exercised by the repr-stress CI job.
+        // forced path is exercised by the swarm (`core/tests/swarm.rs`).
         let forced = forced_repr();
         assert!(
             forced.is_none()

@@ -5,10 +5,10 @@
 //! [`HypergraphBuilder`] build over the surviving hyperedges, and each
 //! snapshot must re-freeze no more partitions than its epoch touched.
 //!
-//! Kernel modes: index construction is kernel-independent, but the CI
-//! matrix replays this whole suite under `HGMATCH_FORCE_SCALAR=1` alongside
-//! the core-level matching differentials, so a representation bug that only
-//! bites one kernel family still fails the PR.
+//! Kernel modes: index construction is kernel-independent, but CI's
+//! second test pass replays this whole suite under `HGMATCH_FORCE_SCALAR=1`
+//! alongside the core-level matching differentials, so a representation
+//! bug that only bites one kernel family still fails the PR.
 
 use hgmatch_datasets::testgen::{assert_derived_state_eq, TestRng};
 use hgmatch_hypergraph::{DynamicHypergraph, Hypergraph, HypergraphBuilder, Label, SnapshotDelta};

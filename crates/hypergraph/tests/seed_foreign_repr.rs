@@ -26,7 +26,7 @@ fn build(edges: &[Vec<u32>]) -> Hypergraph {
 fn seed_in_a_foreign_representation_is_refrozen_not_adopted() {
     let mut edges = vec![vec![0, 1], vec![2, 3], vec![0, 2], vec![1, 4], vec![3, 5]];
     // Any representation but the one every key of this small graph gets
-    // here (the repr-stress CI legs force one through the environment).
+    // here (`HGMATCH_FORCE_REPR` may force one through the environment).
     let foreign = match forced_repr() {
         Some(ReprKind::Compressed) => ReprKind::List,
         _ => ReprKind::Compressed,

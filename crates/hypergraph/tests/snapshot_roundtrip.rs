@@ -64,8 +64,8 @@ fn golden_fixture_is_byte_stable() {
 
     // A fresh build encodes to the same bytes — unless a forced
     // representation overrides the adaptive rule the fixture was built
-    // under (the repr-stress CI leg), in which case only the verbatim
-    // half above applies.
+    // under (`HGMATCH_FORCE_REPR`), in which case only the verbatim half
+    // above applies.
     if hgmatch_hypergraph::inverted::forced_repr().is_none() {
         assert_eq!(
             &*encode_snapshot(&fixture_graph()),
