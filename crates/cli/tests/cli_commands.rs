@@ -571,7 +571,7 @@ fn listen_binds_and_drains_on_stdin_eof() {
     assert!(stdout.contains("drained: 0 admitted"), "{stdout}");
 }
 
-/// `listen --snapshot` serves straight from an HGMB v2 snapshot file.
+/// `listen --snapshot` serves straight from an HGMB v3 snapshot file.
 #[test]
 fn listen_serves_from_snapshot_file() {
     let dir = TempDir::new("listen-snapshot");

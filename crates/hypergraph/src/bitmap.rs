@@ -189,7 +189,7 @@ impl Bitmap {
         self.words.len() * std::mem::size_of::<u64>()
     }
 
-    /// Appends the HGMB v2 wire encoding: domain, word count, words.
+    /// Appends the HGMB snapshot wire encoding: domain, word count, words.
     pub(crate) fn encode_v2(&self, buf: &mut bytes::BytesMut) {
         use bytes::BufMut;
         buf.put_u32_le(self.domain);
@@ -199,7 +199,7 @@ impl Bitmap {
         }
     }
 
-    /// Decodes the HGMB v2 wire encoding, advancing `data` past it. The
+    /// Decodes the HGMB snapshot wire encoding, advancing `data` past it. The
     /// word count must match the domain exactly — corrupt input errors,
     /// never panics.
     pub(crate) fn decode_v2(data: &mut &[u8]) -> crate::error::Result<Self> {

@@ -248,7 +248,7 @@ impl CompressedPostings {
             + self.packed.len() * std::mem::size_of::<u64>()
     }
 
-    /// Appends the HGMB v2 wire encoding: block headers (field by field,
+    /// Appends the HGMB snapshot wire encoding: block headers (field by field,
     /// fixed widths), packed words, total length.
     pub(crate) fn encode_v2(&self, buf: &mut bytes::BytesMut) {
         use bytes::BufMut;
@@ -267,7 +267,7 @@ impl CompressedPostings {
         buf.put_u32_le(self.len);
     }
 
-    /// Decodes the HGMB v2 wire encoding, advancing `data` past it. Every
+    /// Decodes the HGMB snapshot wire encoding, advancing `data` past it. Every
     /// block invariant the decode kernels rely on (span ordering, word
     /// ranges, counts) is re-validated so corrupt input errors instead of
     /// panicking later inside `decode_block`.

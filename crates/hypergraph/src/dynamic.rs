@@ -52,7 +52,7 @@ use crate::ids::{EdgeId, Label, SignatureId, VertexId};
 use crate::inverted::{choose_repr, forced_repr, InvertedIndex, ReprKind};
 use crate::partition::{Partition, PartitionBody};
 use crate::signature::{Signature, SignatureInterner};
-use crate::stats::{degree_bucket, LabelCardinality, PartitionStats, DEGREE_HIST_BUCKETS};
+use crate::stats::{LabelCardinality, PartitionStats};
 
 /// Tombstones needed before a partition compacts mid-stream (snapshots
 /// always compact). Small partitions compact eagerly; large ones amortise.
@@ -444,7 +444,6 @@ struct LabelAcc {
     distinct: u64,
     incidences: u64,
     sum_sq: u64,
-    hist: [u64; DEGREE_HIST_BUCKETS],
 }
 
 impl StatsAcc {
@@ -453,14 +452,10 @@ impl StatsAcc {
     fn on_degree_change(&mut self, label: Label, old: u64, new: u64) {
         debug_assert_eq!(old.abs_diff(new), 1, "posting edits move degrees by one");
         let group = self.groups.entry(label).or_default();
-        if old > 0 {
-            group.hist[degree_bucket(old)] -= 1;
-        } else {
+        if old == 0 {
             group.distinct += 1;
         }
-        if new > 0 {
-            group.hist[degree_bucket(new)] += 1;
-        } else {
+        if new == 0 {
             group.distinct -= 1;
         }
         if new > old {
@@ -486,7 +481,6 @@ impl StatsAcc {
                 distinct_vertices: acc.distinct,
                 incidences: acc.incidences,
                 sum_sq_degrees: acc.sum_sq,
-                degree_hist: acc.hist,
             })
             .collect();
         labels.sort_unstable_by_key(|g| g.label);

@@ -112,7 +112,7 @@ impl Hypergraph {
         }
     }
 
-    /// Reassembles a hypergraph from fully serialized parts — the HGMB v2
+    /// Reassembles a hypergraph from fully serialized parts — the HGMB
     /// snapshot load path ([`crate::io`]). Unlike [`Hypergraph::assemble`],
     /// the incidence CSR and adjacency counts arrive precomputed and are
     /// seeded directly, so no reader of a restored graph derives them.

@@ -529,7 +529,7 @@ impl InvertedIndex {
             .map(move |(i, &v)| (v, self.posting_at(i)))
     }
 
-    /// Appends the HGMB v2 wire encoding: every internal array verbatim, so
+    /// Appends the HGMB snapshot wire encoding: every internal array verbatim, so
     /// a loaded index is byte-for-byte the saved one — including which
     /// representation each key carries (the adaptive rule is *not* re-run
     /// on load; see DESIGN.md §17).
@@ -563,7 +563,7 @@ impl InvertedIndex {
         }
     }
 
-    /// Decodes the HGMB v2 wire encoding, advancing `data` past it. All
+    /// Decodes the HGMB snapshot wire encoding, advancing `data` past it. All
     /// structural invariants `posting_at` relies on (offset monotonicity,
     /// side-table index ranges, row-space bounds) are re-validated so
     /// corrupt input errors instead of panicking at query time.

@@ -9,13 +9,14 @@
 //!
 //! * **v1** — length-prefixed labels and edge lists only; loading rebuilds
 //!   the index from scratch. Kept for interchange.
-//! * **v2** — the *snapshot* format (DESIGN.md §17): a versioned sequence
+//! * **v3** — the *snapshot* format (DESIGN.md §17): a versioned sequence
 //!   of length-prefixed, individually CRC-32-checksummed sections that
 //!   serialise the fully built index — postings in whichever
 //!   list/bitmap/compressed representation each key carries, partition
 //!   stats, signatures, the edge locator, the incidence CSR and adjacency
 //!   counts — closed by a whole-file checksum. Loading reconstructs a
-//!   serving-ready [`Hypergraph`] without re-indexing.
+//!   serving-ready [`Hypergraph`] without re-indexing. v2 files, whose
+//!   stats also carried a 16-word degree histogram per label, still load.
 //!
 //! Every decode path returns typed errors ([`HypergraphError::BadMagic`],
 //! [`HypergraphError::UnsupportedVersion`],
@@ -37,16 +38,21 @@ use crate::ids::{EdgeId, Label, SignatureId};
 use crate::inverted::InvertedIndex;
 use crate::partition::Partition;
 use crate::signature::{Signature, SignatureInterner};
-use crate::stats::{LabelCardinality, PartitionStats, DEGREE_HIST_BUCKETS};
+use crate::stats::{LabelCardinality, PartitionStats};
 
 /// Magic bytes shared by both binary formats.
 const MAGIC: &[u8; 4] = b"HGMB";
 /// Version of the edge-list-only binary format.
 const VERSION: u32 = 1;
 /// Version of the index-inclusive snapshot format.
-const SNAPSHOT_VERSION: u32 = 2;
+const SNAPSHOT_VERSION: u32 = 3;
+/// The previous snapshot version, still read: the same layout, but each
+/// stats label group is followed by [`V2_HIST_WORDS`] histogram words.
+const SNAPSHOT_V2: u32 = 2;
+/// `u64` words of the v2 per-label degree histogram, skipped on load.
+const V2_HIST_WORDS: usize = 16;
 
-/// Section tags of the v2 snapshot layout, in their mandatory file order.
+/// Section tags of the snapshot layout, in their mandatory file order.
 const SECTION_LABELS: u32 = 1;
 const SECTION_SIGNATURES: u32 = 2;
 const SECTION_PARTITIONS: u32 = 3;
@@ -54,7 +60,7 @@ const SECTION_LOCATOR: u32 = 4;
 const SECTION_INCIDENCE: u32 = 5;
 const SECTION_ADJACENCY: u32 = 6;
 
-/// `(tag, name)` of every v2 section, in file order.
+/// `(tag, name)` of every snapshot section, in file order.
 const SECTIONS: [(u32, &str); 6] = [
     (SECTION_LABELS, "labels"),
     (SECTION_SIGNATURES, "signatures"),
@@ -292,13 +298,13 @@ pub fn encode_binary(h: &Hypergraph) -> Bytes {
 }
 
 /// Decodes a hypergraph from either `HGMB` binary format, dispatching on
-/// the version header: v1 rebuilds the index from its edge lists, v2
-/// ([`decode_snapshot`]) restores the serialized index verbatim.
+/// the version header: v1 rebuilds the index from its edge lists, v2 and
+/// v3 ([`decode_snapshot`]) restore the serialized index verbatim.
 pub fn decode_binary(data: &[u8]) -> Result<Hypergraph> {
     let version = peek_version(data)?;
     match version {
         VERSION => decode_binary_v1(data),
-        SNAPSHOT_VERSION => decode_snapshot(data),
+        SNAPSHOT_V2 | SNAPSHOT_VERSION => decode_snapshot(data),
         other => Err(HypergraphError::UnsupportedVersion(other)),
     }
 }
@@ -358,7 +364,7 @@ pub fn load_binary(path: &Path) -> Result<Hypergraph> {
     decode_binary(&data)
 }
 
-/// Encodes a hypergraph in the v2 snapshot format: magic + version, the
+/// Encodes a hypergraph in the v3 snapshot format: magic + version, the
 /// six checksummed sections of `SECTIONS` in order, and a whole-file
 /// CRC-32 trailer. The encoding is deterministic — equal hypergraphs (by
 /// content, including chosen posting representations) produce identical
@@ -447,19 +453,18 @@ fn encode_stats(stats: &PartitionStats, buf: &mut BytesMut) {
         buf.put_u64_le(g.distinct_vertices);
         buf.put_u64_le(g.incidences);
         buf.put_u64_le(g.sum_sq_degrees);
-        for &b in &g.degree_hist {
-            buf.put_u64_le(b);
-        }
     }
 }
 
-fn decode_stats(data: &mut &[u8]) -> Result<PartitionStats> {
+/// Decodes one partition's stats record; `hist_words` is the number of
+/// trailing `u64`s per label group to skip (16 in v2, none in v3).
+fn decode_stats(data: &mut &[u8], hist_words: usize) -> Result<PartitionStats> {
     need(data, 12, "partition stats header")?;
     let rows = data.get_u64_le();
     let num_groups = data.get_u32_le() as usize;
     need(
         data,
-        num_groups * (4 + 24 + DEGREE_HIST_BUCKETS * 8),
+        num_groups * (4 + 24 + hist_words * 8),
         "stats label groups",
     )?;
     let mut labels = Vec::with_capacity(num_groups);
@@ -475,31 +480,28 @@ fn decode_stats(data: &mut &[u8]) -> Result<PartitionStats> {
         let distinct_vertices = data.get_u64_le();
         let incidences = data.get_u64_le();
         let sum_sq_degrees = data.get_u64_le();
-        let mut degree_hist = [0u64; DEGREE_HIST_BUCKETS];
-        for b in &mut degree_hist {
-            *b = data.get_u64_le();
-        }
+        data.advance(hist_words * 8);
         labels.push(LabelCardinality {
             label,
             distinct_vertices,
             incidences,
             sum_sq_degrees,
-            degree_hist,
         });
     }
     Ok(PartitionStats { rows, labels })
 }
 
-/// Decodes the v2 snapshot format into a serving-ready [`Hypergraph`]
+/// Decodes a v3 (or v2) snapshot into a serving-ready [`Hypergraph`]
 /// without re-indexing. Section and whole-file checksums are verified, and
 /// every structural invariant the engine relies on is re-validated, so
 /// corrupt input — truncated anywhere, or with any bit flipped — returns a
 /// typed error rather than panicking at load or query time.
 pub fn decode_snapshot(data: &[u8]) -> Result<Hypergraph> {
-    let version = peek_version(data)?;
-    if version != SNAPSHOT_VERSION {
-        return Err(HypergraphError::UnsupportedVersion(version));
-    }
+    let hist_words = match peek_version(data)? {
+        SNAPSHOT_VERSION => 0,
+        SNAPSHOT_V2 => V2_HIST_WORDS,
+        other => return Err(HypergraphError::UnsupportedVersion(other)),
+    };
 
     // Split off every section payload, recording its stored CRC but not
     // yet verifying it: the whole-file CRC covers every section byte
@@ -628,7 +630,14 @@ pub fn decode_snapshot(data: &[u8]) -> Result<Hypergraph> {
                 "partition {i} index covers the wrong row count"
             )));
         }
-        let stats = decode_stats(&mut d)?;
+        let stats = decode_stats(&mut d, hist_words)?;
+        // The planner orders by `stats.rows` (Algorithm 3): it must be the
+        // partition's own row count.
+        if stats.rows != rows as u64 {
+            return Err(corrupt(format!(
+                "partition {i} stats disagree with its row count"
+            )));
+        }
         partitions.push(Arc::new(Partition::from_parts(
             sid, arity, vertices, global_ids, index, stats,
         )));
@@ -701,14 +710,14 @@ pub fn decode_snapshot(data: &[u8]) -> Result<Hypergraph> {
     ))
 }
 
-/// Saves a hypergraph in the v2 snapshot format.
+/// Saves a hypergraph in the v3 snapshot format.
 pub fn save_snapshot(h: &Hypergraph, path: &Path) -> Result<()> {
     let mut file = BufWriter::new(File::create(path)?);
     file.write_all(&encode_snapshot(h))?;
     Ok(())
 }
 
-/// Loads a serving-ready hypergraph from a v2 snapshot file.
+/// Loads a serving-ready hypergraph from a v3 (or v2) snapshot file.
 pub fn load_snapshot(path: &Path) -> Result<Hypergraph> {
     let mut data = Vec::new();
     File::open(path)?.read_to_end(&mut data)?;
@@ -947,6 +956,43 @@ mod tests {
         assert!(matches!(
             decode_snapshot(&bad),
             Err(HypergraphError::ChecksumMismatch { section: "file" })
+        ));
+    }
+
+    /// Stats whose `rows` disagree with the partition's row count would
+    /// feed Algorithm 3 the wrong cardinality: a file carrying them, CRCs
+    /// and all, is refused.
+    #[test]
+    fn snapshot_rejects_stats_rows_mismatch() {
+        let h = sample();
+        let partitions = h
+            .partitions()
+            .iter()
+            .map(|p| {
+                let mut stats = p.stats().clone();
+                stats.rows += 1;
+                Arc::new(Partition::from_parts(
+                    p.signature(),
+                    p.arity(),
+                    p.raw_vertices().to_vec(),
+                    p.global_ids().to_vec(),
+                    p.index().clone(),
+                    stats,
+                ))
+            })
+            .collect();
+        let locator = (0..h.num_edges())
+            .map(|e| h.locate(EdgeId::from_index(e)))
+            .collect();
+        let bad = Hypergraph::assemble(
+            h.labels().to_vec(),
+            h.interner().clone(),
+            partitions,
+            locator,
+        );
+        assert!(matches!(
+            decode_snapshot(&encode_snapshot(&bad)),
+            Err(HypergraphError::Corrupt(msg)) if msg.contains("row count")
         ));
     }
 

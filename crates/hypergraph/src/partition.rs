@@ -316,7 +316,6 @@ mod tests {
 
     #[test]
     fn stats_summarise_labels_and_degrees() {
-        use crate::stats::DEGREE_HIST_BUCKETS;
         let p = sample();
         let s = p.stats();
         assert_eq!(s.rows, 2);
@@ -324,16 +323,15 @@ mod tests {
         let labels: Vec<u32> = s.labels.iter().map(|g| g.label.raw()).collect();
         assert_eq!(labels, vec![0, 1, 2]);
         // A: v0, v1? no — v1 is C. A-vertices here: v0, v2, v3, v6, each in
-        // one row — 4 distinct, 4 incidences, all in bucket 0.
+        // one row — 4 distinct, 4 incidences, Σd² = 4.
         let a = s.label_group(Label::new(0)).unwrap();
         assert_eq!((a.distinct_vertices, a.incidences), (4, 4));
-        assert_eq!(a.degree_hist[0], 4);
-        // B: v4 in both rows — degree 2, bucket 1.
+        assert_eq!(a.sum_sq_degrees, 4);
+        // B: v4 in both rows — degree 2, size-biased mean 4/2.
         let b = s.label_group(Label::new(1)).unwrap();
         assert_eq!((b.distinct_vertices, b.incidences), (1, 2));
-        assert_eq!(b.degree_hist[1], 1);
-        assert!((b.avg_degree() - 2.0).abs() < 1e-12);
-        assert_eq!(b.max_degree_bound(), 3);
+        assert_eq!(b.sum_sq_degrees, 4);
+        assert!((b.size_biased_degree() - 2.0).abs() < 1e-12);
         // Absent label has no group.
         assert!(s.label_group(Label::new(9)).is_none());
         // Equality with the recompute oracle is definitional here.
@@ -341,6 +339,5 @@ mod tests {
             *s,
             crate::stats::PartitionStats::recompute(&p, &sample_labels())
         );
-        let _ = DEGREE_HIST_BUCKETS;
     }
 }

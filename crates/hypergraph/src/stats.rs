@@ -4,11 +4,10 @@
 //!
 //! [`PartitionStats`] describes one signature partition: its row count and,
 //! per vertex label of the signature, how many distinct data vertices of
-//! that label occur in the partition and how their within-partition degrees
-//! distribute (total incidences plus a log2-bucketed histogram). The
-//! planner's cost model turns these into per-anchor selectivities — the
-//! expected fraction of partition rows incident to a random matched vertex
-//! of a given label.
+//! that label occur in the partition and the first two moments of their
+//! within-partition degrees. The planner's cost model turns these into
+//! per-anchor selectivities — the expected fraction of partition rows
+//! incident to a random matched vertex of a given label.
 //!
 //! The summaries are **exact integer counts**, computed two ways that must
 //! agree bit-for-bit:
@@ -29,18 +28,6 @@ use crate::hypergraph::Hypergraph;
 use crate::ids::Label;
 use crate::partition::Partition;
 
-/// Buckets of the per-label degree histogram: bucket `i` counts vertices
-/// whose within-partition degree `d` has `⌊log2 d⌋ = i` (the last bucket
-/// absorbs everything larger).
-pub const DEGREE_HIST_BUCKETS: usize = 16;
-
-/// Histogram bucket of a within-partition degree (`d ≥ 1`).
-#[inline]
-pub fn degree_bucket(degree: u64) -> usize {
-    debug_assert!(degree >= 1, "vertices with zero postings are not counted");
-    ((63 - degree.leading_zeros()) as usize).min(DEGREE_HIST_BUCKETS - 1)
-}
-
 /// Cardinality summary of one vertex label within one signature partition.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LabelCardinality {
@@ -56,22 +43,9 @@ pub struct LabelCardinality {
     /// drawn proportionally to its degree, so its expected posting length
     /// is `Σd² / Σd`, not `Σd / n`.
     pub sum_sq_degrees: u64,
-    /// log2-bucketed histogram of within-partition vertex degrees
-    /// (see [`degree_bucket`]).
-    pub degree_hist: [u64; DEGREE_HIST_BUCKETS],
 }
 
 impl LabelCardinality {
-    /// Mean within-partition degree of this label's vertices — the cost
-    /// model's expected posting length for an anchor of this label.
-    #[inline]
-    pub fn avg_degree(&self) -> f64 {
-        if self.distinct_vertices == 0 {
-            return 0.0;
-        }
-        self.incidences as f64 / self.distinct_vertices as f64
-    }
-
     /// Expected posting length of a vertex of this label *reached through
     /// an incident hyperedge* (size-biased mean, `Σd²/Σd`). Hub-skewed
     /// labels have a much larger size-biased mean than plain mean — the
@@ -82,22 +56,6 @@ impl LabelCardinality {
             return 0.0;
         }
         self.sum_sq_degrees as f64 / self.incidences as f64
-    }
-
-    /// Upper bound of the heaviest non-empty histogram bucket — a cheap
-    /// stand-in for the maximum degree (exact max is not maintainable in
-    /// O(1) under deletions).
-    pub fn max_degree_bound(&self) -> u64 {
-        for (i, &count) in self.degree_hist.iter().enumerate().rev() {
-            if count > 0 {
-                return if i == DEGREE_HIST_BUCKETS - 1 {
-                    u64::MAX
-                } else {
-                    (2u64 << i) - 1
-                };
-            }
-        }
-        0
     }
 }
 
@@ -137,38 +95,36 @@ impl PartitionStats {
         rows: usize,
         labels: &[Label],
     ) -> Self {
-        let mut groups: Vec<(Label, LabelCardinality)> = Vec::new();
+        let mut groups: Vec<LabelCardinality> = Vec::new();
         for (v, postings) in index.iter() {
             debug_assert!(!postings.is_empty(), "index keys carry postings");
             let label = labels[v as usize];
-            let entry = match groups.binary_search_by_key(&label, |(l, _)| *l) {
-                Ok(i) => &mut groups[i].1,
-                Err(i) => {
+            let i = groups
+                .binary_search_by_key(&label, |g| g.label)
+                .unwrap_or_else(|i| {
                     groups.insert(
                         i,
-                        (
+                        LabelCardinality {
                             label,
-                            LabelCardinality {
-                                label,
-                                distinct_vertices: 0,
-                                incidences: 0,
-                                sum_sq_degrees: 0,
-                                degree_hist: [0; DEGREE_HIST_BUCKETS],
-                            },
-                        ),
+                            distinct_vertices: 0,
+                            incidences: 0,
+                            sum_sq_degrees: 0,
+                        },
                     );
-                    &mut groups[i].1
-                }
-            };
+                    i
+                });
             let degree = postings.len() as u64;
+            let entry = &mut groups[i];
             entry.distinct_vertices += 1;
             entry.incidences += degree;
             entry.sum_sq_degrees += degree * degree;
-            entry.degree_hist[degree_bucket(degree)] += 1;
         }
+        // Tens of thousands of partitions each keep their groups for the
+        // graph's lifetime: drop the growth slack.
+        groups.shrink_to_fit();
         Self {
             rows: rows as u64,
-            labels: groups.into_iter().map(|(_, g)| g).collect(),
+            labels: groups,
         }
     }
 }

@@ -40,7 +40,7 @@ fn assert_stats_bit_equal(graph: &hgmatch_hypergraph::Hypergraph, context: &str)
 
 /// One random interleaving: `ops` insert/delete operations with ~25%
 /// snapshot probability after each op, hub-skewed vertex picks so posting
-/// lengths spread across histogram buckets.
+/// lengths spread from one to dozens.
 fn run_case(seed: u64, nv: u64, nl: u64, ops: usize) {
     let mut rng = TestRng(seed);
     let mut dynamic = DynamicHypergraph::new();
@@ -60,7 +60,7 @@ fn run_case(seed: u64, nv: u64, nl: u64, ops: usize) {
             let mut edge: Vec<u32> = Vec::new();
             while edge.len() < arity {
                 // Hub bias: half the picks land in the first few vertices,
-                // building the long posting lists the histogram needs.
+                // building long posting lists next to short ones.
                 let v = if rng.below(2) == 0 {
                     rng.below(4.min(nv))
                 } else {
@@ -112,11 +112,11 @@ proptest! {
     }
 }
 
-/// Deleting down a hub shrinks its degree through several histogram
-/// buckets; the maintained histogram must track every transition
-/// (including the posting-cell removal at degree 0).
+/// Deleting down a hub shrinks its degree one posting at a time; the
+/// maintained moments must track every transition (including the
+/// posting-cell removal at degree 0).
 #[test]
-fn hub_shrink_tracks_histogram_buckets() {
+fn hub_shrink_tracks_degree_moments() {
     let mut d = DynamicHypergraph::new();
     d.add_vertex(Label::new(0)); // hub
     d.add_vertices(40, Label::new(1));
