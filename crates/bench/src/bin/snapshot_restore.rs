@@ -1,4 +1,4 @@
-//! Snapshot restore vs text re-ingest — the cold-start cost the HGMB v3
+//! Snapshot restore vs text re-ingest — the cold-start cost the HGMB
 //! format (DESIGN.md §17) exists to eliminate.
 //!
 //! Three phases over one dataset profile:
@@ -7,10 +7,11 @@
 //!    text files, re-parse, re-intern, re-run the full adaptive index
 //!    build and derive the incidence CSR and adjacency counts a snapshot
 //!    stores (a text build leaves those to their first reader).
-//! 2. `snapshot_restore` — read + CRC-verify + decode the HGMB v3
-//!    snapshot of the same graph; postings deserialise verbatim, so no
-//!    indexing runs at all. The decoded graph is asserted equal to the
-//!    text-built one, and re-encoding it must be byte-stable.
+//! 2. `snapshot_restore` — read + CRC-verify + decode the HGMB
+//!    snapshot of the same graph; postings deserialise verbatim and are
+//!    only checked against their vertex tables, so no indexing runs at
+//!    all. The decoded graph is asserted equal to the text-built one, and
+//!    re-encoding it must be byte-stable.
 //! 3. `post_churn_restore` — the same differential after a mixed
 //!    insert/delete stream, so the measured path covers tombstone-compacted
 //!    dynamic state, not just pristine builds.

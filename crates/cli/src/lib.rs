@@ -75,7 +75,7 @@ serve flags:
   --quantum N       fairness quantum in tasks (default 64)
   --plan-cache N    plan-cache capacity, 0 disables (default 128)
 
-snapshot save builds the index and writes a checksummed HGMB v3 snapshot;
+snapshot save builds the index and writes a checksummed HGMB snapshot;
 snapshot load restores it (index included, no re-indexing) and prints
 stats. listen --snapshot serves straight from such a snapshot.
 
@@ -101,7 +101,7 @@ update flags:
   --batch N         ops per epoch (default: the whole stream at once)
   --queries FILE    re-answer this query list after every epoch
   --threads N       worker threads for --queries (default 4)
-  --save FILE       write the final graph (index included) as an HGMB v3
+  --save FILE       write the final graph (index included) as an HGMB
                     snapshot; `snapshot load` / `listen --snapshot` restore it
 profiles: HC MA CH CP SB HB WT TC SA AR";
 
@@ -174,8 +174,8 @@ pub fn stats_report(labels: &str, edges: &str, json: bool) -> Result<String, Str
             (
                 p.signature().raw(),
                 p.len(),
-                p.index().repr_breakdown(),
-                p.index().size_bytes(),
+                p.repr_breakdown(),
+                p.index_size_bytes(),
             )
         })
         .collect();
@@ -734,7 +734,7 @@ impl UpdateCliOptions {
 /// scripts: closing the pipe is the drain request.
 fn do_listen(args: &[String]) -> Result<(), String> {
     // Data source: either the classic text pair, or `--snapshot FILE`
-    // restoring an HGMB v3 snapshot (index included — no re-indexing on
+    // restoring an HGMB snapshot (index included — no re-indexing on
     // the serve path's cold start).
     let (data, flags) = if args.first().map(String::as_str) == Some("--snapshot") {
         let path = args.get(1).ok_or("--snapshot needs a file")?;
@@ -998,7 +998,7 @@ fn do_update(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `snapshot save|load`: persist a built index as a checksummed HGMB v3
+/// `snapshot save|load`: persist a built index as a checksummed HGMB
 /// snapshot, or restore one and print its stats — the restore path never
 /// re-runs indexing, it deserialises the postings verbatim.
 fn do_snapshot(args: &[String]) -> Result<(), String> {
@@ -1036,11 +1036,7 @@ fn do_snapshot(args: &[String]) -> Result<(), String> {
                 restore.as_secs_f64()
             );
             let stats = graph.stats();
-            let index_bytes: usize = graph
-                .partitions()
-                .iter()
-                .map(|p| p.index().size_bytes())
-                .sum();
+            let index_bytes = graph.index_size_bytes();
             println!("|V|\t|E|\t|Sigma|\tamax\tpartitions\tindex_bytes");
             println!(
                 "{}\t{}\t{}\t{}\t{}\t{}",

@@ -105,6 +105,50 @@ fn stats_reports_index_memory_breakdown() {
     assert_eq!(json, hgmatch_cli::stats_report(&dl, &de, true).unwrap());
 }
 
+/// A one-row partition holds no index: `stats` reports its row as list
+/// postings at 0 index bytes, so the totals still count every incidence.
+#[test]
+fn stats_counts_the_incidences_of_one_row_partitions() {
+    let dir = TempDir::new("stats-one-row");
+    let (dl, de) = (dir.path("data.labels"), dir.path("data.edges"));
+    std::fs::write(&dl, "0\n2\n0\n0\n1\n2\n0\n").unwrap();
+    // Partitions {A,B}: 2 rows; {A,A,C} and {A,A,B,C}: one row each.
+    std::fs::write(&de, "2,4\n4,6\n0,1,2\n0,1,4,6\n").unwrap();
+    let text = hgmatch_cli::stats_report(&dl, &de, false).unwrap();
+    let cells = |line: &str| -> Vec<String> { line.split('\t').map(String::from).collect() };
+    let parts: Vec<Vec<String>> = text
+        .lines()
+        .skip_while(|l| !l.starts_with("part\t"))
+        .skip(1)
+        .map(cells)
+        .collect();
+    assert_eq!(parts.len(), 4, "three partitions and the total: {text}");
+    // Per-repr "keys/postings/bytes" cells and the index bytes.
+    let postings = |row: &[String]| -> usize {
+        row[2..5]
+            .iter()
+            .map(|c| c.split('/').nth(1).unwrap().parse::<usize>().unwrap())
+            .sum()
+    };
+    for row in &parts[..3] {
+        if row[1] == "1" {
+            let arity = postings(row);
+            assert!(arity == 3 || arity == 4, "{row:?}");
+            assert_eq!(row[2], format!("{arity}/{arity}/0"), "{row:?}");
+            assert_eq!(row[5], "0", "a one-row partition has no index: {row:?}");
+        }
+    }
+    let total = &parts[3];
+    assert_eq!(total[0], "total");
+    assert_eq!(postings(total), 2 + 2 + 3 + 4);
+    let indexed_bytes: usize = parts[..3]
+        .iter()
+        .map(|r| r[5].parse::<usize>().unwrap())
+        .sum();
+    assert!(indexed_bytes > 0);
+    assert_eq!(total[5], indexed_bytes.to_string());
+}
+
 #[test]
 fn generate_rejects_unknown_profile() {
     let dir = TempDir::new("badprofile");
@@ -571,7 +615,7 @@ fn listen_binds_and_drains_on_stdin_eof() {
     assert!(stdout.contains("drained: 0 admitted"), "{stdout}");
 }
 
-/// `listen --snapshot` serves straight from an HGMB v3 snapshot file.
+/// `listen --snapshot` serves straight from an HGMB snapshot file.
 #[test]
 fn listen_serves_from_snapshot_file() {
     let dir = TempDir::new("listen-snapshot");

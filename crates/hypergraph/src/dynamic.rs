@@ -50,7 +50,7 @@ use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::hypergraph::{EdgeLocation, Hypergraph};
 use crate::ids::{EdgeId, Label, SignatureId, VertexId};
 use crate::inverted::{choose_repr, forced_repr, InvertedIndex, ReprKind};
-use crate::partition::{Partition, PartitionBody};
+use crate::partition::{indexed, Partition, PartitionBody};
 use crate::signature::{Signature, SignatureInterner};
 use crate::stats::{LabelCardinality, PartitionStats};
 
@@ -490,6 +490,10 @@ impl StatsAcc {
 
 /// One mutable signature partition: tombstoned row storage plus the
 /// incrementally maintained [`DynIndex`] and [`StatsAcc`].
+///
+/// The index follows the frozen partition's one-row rule ([`indexed`]): it
+/// stays empty while the partition has at most one row, dead or alive, and
+/// holds the postings of every live row from the second row on.
 #[derive(Debug)]
 struct DynPartition {
     arity: u32,
@@ -535,13 +539,28 @@ impl DynPartition {
         self.vertices.extend_from_slice(vs);
         self.global.push(gid);
         self.live.push(true);
+        self.frozen = None;
         let row_space = self.global.len();
+        if !indexed(row_space) {
+            // The only row: every vertex goes from degree 0 to 1.
+            for &v in vs {
+                self.stats.on_degree_change(labels[v as usize], 0, 1);
+            }
+            return row;
+        }
+        if row == 1 && self.live[0] {
+            // The second row starts the index: link row 0 first (its stats
+            // were counted when it arrived).
+            let a = self.arity as usize;
+            for &v in &self.vertices[..a] {
+                self.index.insert(v, 0, 1);
+            }
+        }
         for &v in vs {
             let new_degree = self.index.insert(v, row, row_space) as u64;
             self.stats
                 .on_degree_change(labels[v as usize], new_degree - 1, new_degree);
         }
-        self.frozen = None;
         row
     }
 
@@ -555,7 +574,11 @@ impl DynPartition {
         let row_space = self.global.len();
         for i in 0..a {
             let v = self.vertices[row as usize * a + i];
-            let new_degree = self.index.remove(v, row, row_space) as u64;
+            let new_degree = if indexed(row_space) {
+                self.index.remove(v, row, row_space) as u64
+            } else {
+                0 // the only row: no index to unlink from
+            };
             self.stats
                 .on_degree_change(labels[v as usize], new_degree + 1, new_degree);
         }
@@ -589,7 +612,11 @@ impl DynPartition {
         self.live = vec![true; global.len()];
         self.global = global;
         self.dead = 0;
-        self.index.remap_rows(&remap, self.rows_total());
+        if indexed(self.rows_total()) {
+            self.index.remap_rows(&remap, self.rows_total());
+        } else {
+            self.index = DynIndex::default();
+        }
         moves
     }
 
@@ -612,8 +639,21 @@ impl DynPartition {
 
     /// Builds the immutable body of the current rows. The CSR index is
     /// emitted straight from the maintained postings — no re-sort, and by
-    /// construction byte-identical to a fresh [`InvertedIndex::build`].
+    /// construction byte-identical to a fresh [`InvertedIndex::build`] —
+    /// or empty for one row, as [`Partition::new`] leaves it.
     fn freeze_body(&self) -> PartitionBody {
+        // Compacted: every remaining row is live, and the maintained
+        // summaries are exactly what a recompute would produce.
+        let stats = self.stats.to_stats(self.rows_total() as u64);
+        if !indexed(self.rows_total()) {
+            debug_assert!(self.index.cells.is_empty());
+            return PartitionBody::from_parts(
+                self.arity,
+                self.vertices.clone(),
+                InvertedIndex::default(),
+                stats,
+            );
+        }
         // Packed cells store no raw list; decode them into an owned arena
         // first (fully, so later pushes can't invalidate borrowed slices),
         // then mix those slices with the list-backed cells. `finish`
@@ -636,14 +676,7 @@ impl DynPartition {
         cells.sort_unstable_by_key(|&(v, _)| v);
         let index =
             InvertedIndex::from_sorted_postings(cells.into_iter(), self.rows_total() as u32);
-        PartitionBody::from_parts(
-            self.arity,
-            self.vertices.clone(),
-            index,
-            // Compacted: every remaining row is live, and the maintained
-            // summaries are exactly what a recompute would produce.
-            self.stats.to_stats(self.rows_total() as u64),
-        )
+        PartitionBody::from_parts(self.arity, self.vertices.clone(), index, stats)
     }
 }
 
@@ -1412,6 +1445,88 @@ mod tests {
         // Replaying the deletes/duplicates is a no-op, not an error.
         assert!(!d.apply(&UpdateOp::Delete(vec![0, 1])).unwrap());
         assert!(!d.apply(&UpdateOp::Insert(vec![1, 2])).unwrap());
+    }
+
+    /// Whether the writer's partition of `sid` holds no index.
+    fn unindexed(d: &DynamicHypergraph, sid: usize) -> bool {
+        d.parts[sid].index.cells.is_empty()
+    }
+
+    #[test]
+    fn one_row_boundary_grows_shrinks_and_compacts() {
+        // One signature {0,0,0}: rows over vertices 0..6.
+        let labels = vec![Label::new(0); 6];
+        let (a, b, c) = ([0, 1, 2], [2, 3, 4], [1, 4, 5]);
+        let expect = |rows: &[[u32; 3]]| {
+            let rows: Vec<Vec<u32>> = rows.iter().map(|r| r.to_vec()).collect();
+            rebuild(&labels, &rows)
+        };
+        let mut d = DynamicHypergraph::new();
+        d.add_vertices(6, Label::new(0));
+        d.insert_hyperedge(a.to_vec()).unwrap();
+        assert!(unindexed(&d, 0), "one row: no index");
+        assert_eq!(*d.snapshot().graph, expect(&[a]));
+
+        // 1 → 2 rows: row 0 is linked before row 1.
+        d.insert_hyperedge(b.to_vec()).unwrap();
+        assert_eq!(d.parts[0].index.cells.len(), 5);
+        let snap = d.snapshot();
+        assert_eq!(*snap.graph, expect(&[a, b]));
+        let p = snap.graph.partition(SignatureId::new(0));
+        assert_eq!(p.incident_posting(2).to_sorted(), vec![0, 1]);
+
+        // Delete row 1: the tombstone unlinks it; compacting back to one
+        // row drops the index.
+        d.delete_hyperedge(&b).unwrap();
+        assert_eq!(d.parts[0].index.cells.len(), 3);
+        assert_eq!(*d.snapshot().graph, expect(&[a]));
+        assert!(unindexed(&d, 0), "compacted to one row: index dropped");
+
+        // Grow again from the compacted row, then delete row 0 instead.
+        d.insert_hyperedge(c.to_vec()).unwrap();
+        assert_eq!(*d.snapshot().graph, expect(&[a, c]));
+        d.delete_hyperedge(&a).unwrap();
+        assert_eq!(*d.snapshot().graph, expect(&[c]));
+        assert!(unindexed(&d, 0));
+    }
+
+    #[test]
+    fn tombstoned_only_row_is_not_linked_by_the_second() {
+        let labels = vec![Label::new(0); 4];
+        let mut d = DynamicHypergraph::new();
+        d.add_vertices(4, Label::new(0));
+        d.insert_hyperedge(vec![0, 1]).unwrap();
+        d.snapshot();
+        // Tombstone the only row (its stats come from the row), then insert
+        // with no snapshot between: row 0 is dead when row 1 arrives.
+        d.delete_hyperedge(&[0, 1]).unwrap();
+        assert_eq!((d.parts[0].rows_total(), d.parts[0].dead), (1, 1));
+        d.insert_hyperedge(vec![1, 2]).unwrap();
+        assert_eq!(d.parts[0].index.cells.len(), 2, "only row 1 is linked");
+        assert_eq!(*d.snapshot().graph, rebuild(&labels, &[vec![1, 2]]));
+        d.insert_hyperedge(vec![0, 3]).unwrap();
+        assert_eq!(
+            *d.snapshot().graph,
+            rebuild(&labels, &[vec![1, 2], vec![0, 3]])
+        );
+    }
+
+    #[test]
+    fn seeded_one_row_partitions_grow() {
+        // {0,1} and {1,1} hold one row each, {0,0} two.
+        let labels: Vec<Label> = [0u32, 0, 0, 1, 1, 1].map(Label::new).to_vec();
+        let mut edges = vec![vec![0, 3], vec![0, 1], vec![3, 4], vec![1, 2]];
+        let base = rebuild(&labels, &edges);
+        let mut d = DynamicHypergraph::from_hypergraph(&base);
+        assert!(unindexed(&d, 0) && unindexed(&d, 2));
+        let first = d.snapshot();
+        assert_eq!(*first.graph, base);
+        assert_eq!((first.partitions_frozen, first.partitions_shared), (0, 3));
+        for e in [vec![1, 4], vec![4, 5], vec![2, 5], vec![0, 2]] {
+            d.insert_hyperedge(e.clone()).unwrap();
+            edges.push(e);
+            assert_eq!(*d.snapshot().graph, rebuild(&labels, &edges));
+        }
     }
 
     #[test]

@@ -269,19 +269,27 @@ impl ReprBreakdown {
 /// Inverted index from vertex id to a sorted posting set of local hyperedge
 /// row ids within one partition.
 ///
+/// A partition of fewer than two rows carries the empty index (no keys, no
+/// heap): its one row answers `he(v, s)` itself (DESIGN.md §2). Postings are
+/// therefore read through [`crate::Partition::incident_posting`], never from
+/// the index directly.
+///
 /// # Example
 ///
 /// ```
-/// use hgmatch_hypergraph::InvertedIndex;
+/// use hgmatch_hypergraph::{EdgeId, Label, Partition, SignatureId};
 ///
 /// // One partition of three hyperedge rows: {0,1}, {1,2}, {0,2}.
-/// let rows: Vec<&[u32]> = vec![&[0, 1], &[1, 2], &[0, 2]];
-/// let index = InvertedIndex::build(&rows);
+/// let rows = vec![vec![0, 1], vec![1, 2], vec![0, 2]];
+/// let ids = (0..3).map(EdgeId::new).collect();
+/// let labels = vec![Label::new(0); 3];
+/// let p = Partition::new(SignatureId::new(0), 2, rows, ids, &labels);
 ///
 /// // he(v, S): vertex 1 is incident to rows 0 and 1.
-/// assert_eq!(index.posting(1).to_sorted(), &[0, 1]);
+/// assert_eq!(p.incident_posting(1).to_sorted(), &[0, 1]);
 /// // Absent vertices yield an empty posting.
-/// assert!(index.posting(9).is_empty());
+/// assert!(p.incident_posting(9).is_empty());
+/// assert_eq!((p.index().num_keys(), p.index().num_postings()), (3, 6));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InvertedIndex {
@@ -294,11 +302,13 @@ pub struct InvertedIndex {
     postings: Vec<u32>,
     /// Rows in the partition this index covers (the bitmap domain).
     num_rows: u32,
-    /// Per-key index into `bitmaps`, or [`NO_BITMAP`].
+    /// Per-key index into `bitmaps`, or [`NO_BITMAP`]; empty (no heap) when
+    /// no key has a bitmap.
     dense_idx: Vec<u32>,
     /// Bitmaps of the dense keys, in key order.
     bitmaps: Vec<Bitmap>,
-    /// Per-key index into `compressed`, or [`NO_COMPRESSED`].
+    /// Per-key index into `compressed`, or [`NO_COMPRESSED`]; empty (no
+    /// heap) when no key is compressed.
     comp_idx: Vec<u32>,
     /// Delta-bitpacked containers of the compressed keys, in key order.
     compressed: Vec<CompressedPostings>,
@@ -364,10 +374,11 @@ impl InvertedIndex {
     /// Shared tail of the constructors: the adaptive representation switch
     /// ([`choose_repr`]). Dense keys additionally carry a bitmap over the
     /// row space; mid-density keys re-encode into delta-bitpacked blocks
-    /// and drop their raw list from `postings` entirely.
+    /// and drop their raw list from `postings` entirely. A side table is
+    /// allocated at its first entry.
     fn finish(keys: Vec<u32>, offsets: Vec<u32>, postings: Vec<u32>, num_rows: u32) -> Self {
-        let mut dense_idx = vec![NO_BITMAP; keys.len()];
-        let mut comp_idx = vec![NO_COMPRESSED; keys.len()];
+        let mut dense_idx = Vec::new();
+        let mut comp_idx = Vec::new();
         let mut bitmaps = Vec::new();
         let mut compressed = Vec::new();
         let mut new_postings = Vec::new();
@@ -377,11 +388,13 @@ impl InvertedIndex {
             match choose_repr(list.len(), num_rows as usize) {
                 ReprKind::List => new_postings.extend_from_slice(list),
                 ReprKind::Bitmap => {
+                    dense_idx.resize(keys.len(), NO_BITMAP);
                     dense_idx[i] = bitmaps.len() as u32;
                     bitmaps.push(Bitmap::from_sorted(list, num_rows));
                     new_postings.extend_from_slice(list);
                 }
                 ReprKind::Compressed => {
+                    comp_idx.resize(keys.len(), NO_COMPRESSED);
                     comp_idx[i] = compressed.len() as u32;
                     compressed.push(CompressedPostings::from_sorted(list));
                 }
@@ -408,9 +421,11 @@ impl InvertedIndex {
     }
 
     /// Returns the posting set for `vertex` in its stored representation
-    /// (an empty [`Posting::List`] for absent vertices).
+    /// (an empty [`Posting::List`] for absent vertices). Crate-private:
+    /// callers go through [`crate::Partition::incident_posting`], which also
+    /// answers for a one-row partition's empty index.
     #[inline]
-    pub fn posting(&self, vertex: u32) -> Posting<'_> {
+    pub(crate) fn posting(&self, vertex: u32) -> Posting<'_> {
         match self.keys.binary_search(&vertex) {
             Ok(i) => self.posting_at(i),
             Err(_) => Posting::EMPTY,
@@ -420,21 +435,18 @@ impl InvertedIndex {
     /// The posting of the key at position `i` in the sorted key array.
     #[inline]
     fn posting_at(&self, i: usize) -> Posting<'_> {
-        let comp = self.comp_idx[i];
-        if comp != NO_COMPRESSED {
+        if let Some(&comp) = self.comp_idx.get(i).filter(|&&c| c != NO_COMPRESSED) {
             return Posting::Compressed(&self.compressed[comp as usize]);
         }
         let start = self.offsets[i] as usize;
         let end = self.offsets[i + 1] as usize;
         let list = &self.postings[start..end];
-        let dense = self.dense_idx[i];
-        if dense != NO_BITMAP {
-            Posting::Dense {
+        match self.dense_idx.get(i).filter(|&&d| d != NO_BITMAP) {
+            Some(&dense) => Posting::Dense {
                 list,
                 bits: &self.bitmaps[dense as usize],
-            }
-        } else {
-            Posting::List(list)
+            },
+            None => Posting::List(list),
         }
     }
 
@@ -521,8 +533,10 @@ impl InvertedIndex {
         b
     }
 
-    /// Iterates `(vertex, posting)` pairs in ascending vertex order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, Posting<'_>)> {
+    /// Iterates `(vertex, posting)` pairs in ascending vertex order
+    /// (crate-private for the same reason as [`InvertedIndex::posting`]; see
+    /// [`crate::Partition::postings`]).
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, Posting<'_>)> {
         self.keys
             .iter()
             .enumerate()
@@ -532,8 +546,9 @@ impl InvertedIndex {
     /// Appends the HGMB snapshot wire encoding: every internal array verbatim, so
     /// a loaded index is byte-for-byte the saved one — including which
     /// representation each key carries (the adaptive rule is *not* re-run
-    /// on load; see DESIGN.md §17).
-    pub(crate) fn encode_v2(&self, buf: &mut bytes::BytesMut) {
+    /// on load; see DESIGN.md §17). Each side table follows its container
+    /// count and is written only when that count is non-zero.
+    pub(crate) fn encode(&self, buf: &mut bytes::BytesMut) {
         use bytes::BufMut;
         buf.put_u32_le(self.keys.len() as u32);
         for &k in &self.keys {
@@ -547,17 +562,17 @@ impl InvertedIndex {
             buf.put_u32_le(p);
         }
         buf.put_u32_le(self.num_rows);
+        buf.put_u32_le(self.bitmaps.len() as u32);
         for &d in &self.dense_idx {
             buf.put_u32_le(d);
         }
-        buf.put_u32_le(self.bitmaps.len() as u32);
         for bm in &self.bitmaps {
             bm.encode_v2(buf);
         }
+        buf.put_u32_le(self.compressed.len() as u32);
         for &c in &self.comp_idx {
             buf.put_u32_le(c);
         }
-        buf.put_u32_le(self.compressed.len() as u32);
         for c in &self.compressed {
             c.encode_v2(buf);
         }
@@ -567,7 +582,10 @@ impl InvertedIndex {
     /// structural invariants `posting_at` relies on (offset monotonicity,
     /// side-table index ranges, row-space bounds) are re-validated so
     /// corrupt input errors instead of panicking at query time.
-    pub(crate) fn decode_v2(data: &mut &[u8]) -> crate::error::Result<Self> {
+    /// `legacy_side_tables` reads the v2/v3 layout, where both side tables
+    /// are always present and precede their container counts; a table with
+    /// no container to point at is dropped.
+    pub(crate) fn decode(data: &mut &[u8], legacy_side_tables: bool) -> crate::error::Result<Self> {
         use crate::error::HypergraphError;
         use bytes::Buf;
         let corrupt = |msg: String| HypergraphError::Corrupt(format!("inverted index: {msg}"));
@@ -583,9 +601,8 @@ impl InvertedIndex {
         let postings = crate::io::read_u32s(data, num_postings, "index postings")?;
         crate::io::need(data, 4, "index row count")?;
         let num_rows = data.get_u32_le();
-        let dense_idx = crate::io::read_u32s(data, num_keys, "index dense table")?;
-        crate::io::need(data, 4, "index bitmap count")?;
-        let num_bitmaps = data.get_u32_le() as usize;
+        let (dense_idx, num_bitmaps) =
+            decode_side_table(data, num_keys, NO_BITMAP, legacy_side_tables, "dense")?;
         let mut bitmaps = Vec::with_capacity(num_bitmaps.min(1024));
         for _ in 0..num_bitmaps {
             let bm = Bitmap::decode_v2(data)?;
@@ -597,9 +614,13 @@ impl InvertedIndex {
             }
             bitmaps.push(bm);
         }
-        let comp_idx = crate::io::read_u32s(data, num_keys, "index compressed table")?;
-        crate::io::need(data, 4, "index compressed count")?;
-        let num_compressed = data.get_u32_le() as usize;
+        let (comp_idx, num_compressed) = decode_side_table(
+            data,
+            num_keys,
+            NO_COMPRESSED,
+            legacy_side_tables,
+            "compressed",
+        )?;
         let mut compressed = Vec::with_capacity(num_compressed.min(1024));
         for _ in 0..num_compressed {
             let c = CompressedPostings::decode_v2(data)?;
@@ -628,11 +649,11 @@ impl InvertedIndex {
                     keys[i]
                 )));
             }
-            let d = dense_idx[i];
+            let d = dense_idx.get(i).copied().unwrap_or(NO_BITMAP);
             if d != NO_BITMAP && d as usize >= bitmaps.len() {
                 return Err(corrupt("dense table points past the bitmaps".into()));
             }
-            let c = comp_idx[i];
+            let c = comp_idx.get(i).copied().unwrap_or(NO_COMPRESSED);
             if c != NO_COMPRESSED && c as usize >= compressed.len() {
                 return Err(corrupt(
                     "compressed table points past the containers".into(),
@@ -656,6 +677,38 @@ impl InvertedIndex {
             compressed,
         })
     }
+}
+
+/// Decodes one side table and its container count: `(table, count)` in the
+/// legacy v2/v3 order, where the table is always present; `(count, table)`
+/// otherwise, with the table absent at count 0. A table with no container
+/// to point at is returned empty, and must hold only `sentinel`.
+fn decode_side_table(
+    data: &mut &[u8],
+    num_keys: usize,
+    sentinel: u32,
+    legacy: bool,
+    what: &str,
+) -> crate::error::Result<(Vec<u32>, usize)> {
+    use bytes::Buf;
+    let mut table = Vec::new();
+    if legacy {
+        table = crate::io::read_u32s(data, num_keys, "index side table")?;
+    }
+    crate::io::need(data, 4, "index container count")?;
+    let count = data.get_u32_le() as usize;
+    if count == 0 {
+        if table.iter().any(|&i| i != sentinel) {
+            return Err(crate::error::HypergraphError::Corrupt(format!(
+                "inverted index: {what} table points past its containers"
+            )));
+        }
+        return Ok((Vec::new(), 0));
+    }
+    if !legacy {
+        table = crate::io::read_u32s(data, num_keys, "index side table")?;
+    }
+    Ok((table, count))
 }
 
 #[cfg(test)]
@@ -710,9 +763,9 @@ mod tests {
         }
         let rows: Vec<&[u32]> = vec![&[1, 2]];
         let idx = InvertedIndex::build(&rows);
-        // keys=2, offsets=3, postings=2, dense_idx=2, comp_idx=2 → 11 u32s,
-        // no bitmaps or compressed blocks.
-        assert_eq!(idx.size_bytes(), 11 * 4);
+        // keys=2, offsets=3, postings=2 → 7 u32s; no bitmaps or compressed
+        // blocks, so neither side table is allocated.
+        assert_eq!(idx.size_bytes(), 7 * 4);
         assert_eq!(idx.num_dense_keys(), 0);
         assert_eq!(idx.num_compressed_keys(), 0);
     }

@@ -5,6 +5,10 @@
 //! row count of the table *is* the hyperedge cardinality `Card(eq, H)` used
 //! by the matching-order planner (Definition V.2), available in `O(1)`.
 //!
+//! A partition of one row builds no inverted index (`indexed`): its
+//! `he(v, s)` is `{0}` when `v` is in the row and `∅` otherwise, which the
+//! row answers by itself.
+//!
 //! A partition is two layers. The body (`PartitionBody`) — vertex table,
 //! inverted index, planner stats — is a function of the partition's rows
 //! alone and sits behind an [`Arc`]; the envelope around it (`signature`,
@@ -18,8 +22,17 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{EdgeId, Label, SignatureId};
-use crate::inverted::InvertedIndex;
+use crate::inverted::{InvertedIndex, Posting, ReprBreakdown};
 use crate::stats::PartitionStats;
+
+/// Whether a partition of `rows` rows carries an inverted index. With one
+/// row the row itself is the index (DESIGN.md §2): every structure that
+/// holds an index — the frozen body, the dynamic writer's, a snapshot
+/// record — keeps it empty below two rows.
+#[inline]
+pub(crate) fn indexed(rows: usize) -> bool {
+    rows >= 2
+}
 
 /// The row content of one hyperedge table: immutable once built, and
 /// independent of which signature id and global edge ids a snapshot gives
@@ -31,7 +44,7 @@ pub(crate) struct PartitionBody {
     /// Flattened sorted vertex lists; row `r` is
     /// `vertices[r*arity..(r+1)*arity]`.
     vertices: Vec<u32>,
-    /// vertex → sorted local rows.
+    /// vertex → sorted local rows; empty unless [`indexed`].
     index: InvertedIndex,
     /// Cardinality summaries for the cost-based planner (DESIGN.md §13).
     /// Covered by `PartialEq`, so the dynamic snapshot-vs-rebuild oracle
@@ -48,7 +61,12 @@ impl PartitionBody {
         index: InvertedIndex,
         stats: PartitionStats,
     ) -> Self {
-        debug_assert_eq!(vertices.len(), index.num_rows() as usize * arity as usize);
+        let rows = vertices.len() / arity.max(1) as usize;
+        debug_assert!(if indexed(rows) {
+            index.num_rows() as usize == rows
+        } else {
+            index == InvertedIndex::default()
+        });
         Self {
             arity,
             vertices,
@@ -73,8 +91,9 @@ pub struct Partition {
 
 impl Partition {
     /// Assembles a partition from rows of sorted vertex lists and their
-    /// global ids, building the inverted index and computing the planner's
-    /// cardinality summaries from `labels` (the graph's vertex labels).
+    /// global ids, building the inverted index (from two rows on) and
+    /// computing the planner's cardinality summaries from `labels` (the
+    /// graph's vertex labels).
     ///
     /// # Panics
     /// Panics if any row's length differs from `arity`, or if row vertex
@@ -100,9 +119,18 @@ impl Partition {
             );
             vertices.extend_from_slice(row);
         }
-        let row_slices: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
-        let index = InvertedIndex::build(&row_slices);
-        let stats = PartitionStats::recompute_from_index(&index, rows.len(), labels);
+        let (index, stats) = if indexed(rows.len()) {
+            let row_slices: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
+            let index = InvertedIndex::build(&row_slices);
+            let degrees = index.iter().map(|(v, posting)| (v, posting.len()));
+            let stats = PartitionStats::from_degrees(rows.len(), degrees, labels);
+            (index, stats)
+        } else {
+            // Every vertex of the one row (if any) has degree one.
+            let degrees = vertices.iter().map(|&v| (v, 1));
+            let stats = PartitionStats::from_degrees(rows.len(), degrees, labels);
+            (InvertedIndex::default(), stats)
+        };
         Self::from_parts(signature, arity, vertices, global_ids, index, stats)
     }
 
@@ -129,7 +157,7 @@ impl Partition {
         global_ids: Vec<EdgeId>,
         body: Arc<PartitionBody>,
     ) -> Self {
-        debug_assert_eq!(global_ids.len(), body.index.num_rows() as usize);
+        debug_assert_eq!(global_ids.len() * body.arity as usize, body.vertices.len());
         Self {
             signature,
             global_ids,
@@ -187,7 +215,9 @@ impl Partition {
         &self.global_ids
     }
 
-    /// The partition's inverted hyperedge index.
+    /// The partition's inverted hyperedge index: empty for a one-row
+    /// partition, so read postings through [`Partition::incident_posting`]
+    /// or [`Partition::postings`].
     #[inline]
     pub fn index(&self) -> &InvertedIndex {
         &self.body.index
@@ -211,9 +241,53 @@ impl Partition {
     /// partition's signature `s` — in whichever representation the index
     /// chose (sorted list, bitmap-augmented list, or delta-bitpacked
     /// blocks); Algorithm 4 dispatches on it to pick the cheapest kernel.
+    /// A one-row partition answers from its row: `[0]` or empty.
     #[inline]
-    pub fn incident_posting(&self, vertex: u32) -> crate::inverted::Posting<'_> {
-        self.body.index.posting(vertex)
+    pub fn incident_posting(&self, vertex: u32) -> Posting<'_> {
+        if indexed(self.len()) {
+            self.body.index.posting(vertex)
+        } else {
+            self.row_posting(vertex)
+        }
+    }
+
+    /// `he(v, s)` of a partition of at most one row, read off the row.
+    /// Kept out of line so that [`Partition::incident_posting`] inlines as
+    /// little more than the index lookup.
+    #[inline(never)]
+    fn row_posting(&self, vertex: u32) -> Posting<'_> {
+        if !self.is_empty() && self.row(0).binary_search(&vertex).is_ok() {
+            Posting::List(&[0])
+        } else {
+            Posting::EMPTY
+        }
+    }
+
+    /// Iterates `(vertex, posting)` pairs in ascending vertex order — every
+    /// incidence of the partition, a one-row partition's included.
+    pub fn postings(&self) -> impl Iterator<Item = (u32, Posting<'_>)> {
+        let single: &[u32] = if indexed(self.len()) || self.is_empty() {
+            &[]
+        } else {
+            self.row(0)
+        };
+        let one_row = single.iter().map(|&v| (v, Posting::List(&[0])));
+        self.body.index.iter().chain(one_row)
+    }
+
+    /// Per-representation key and byte accounting of the partition's
+    /// postings (CLI `stats`). A one-row partition reports its row as list
+    /// postings at 0 index bytes, so postings always total `len × arity`.
+    pub fn repr_breakdown(&self) -> ReprBreakdown {
+        if indexed(self.len()) {
+            return self.body.index.repr_breakdown();
+        }
+        let incidences = self.body.vertices.len();
+        ReprBreakdown {
+            list_keys: incidences,
+            list_postings: incidences,
+            ..ReprBreakdown::default()
+        }
     }
 
     /// Iterates `(local row, vertex list)` pairs.
@@ -228,7 +302,7 @@ impl Partition {
             + self.global_ids.len() * std::mem::size_of::<EdgeId>()
     }
 
-    /// Approximate heap size of the inverted index.
+    /// Approximate heap size of the inverted index (0 for one row).
     pub fn index_size_bytes(&self) -> usize {
         self.body.index.size_bytes()
     }
@@ -274,6 +348,31 @@ mod tests {
         assert_eq!(p.incident_posting(4).to_sorted(), vec![0, 1]); // v4 → [e5, e6]
         assert_eq!(p.incident_posting(5).to_sorted(), vec![1]);
         assert!(p.incident_posting(7).is_empty());
+    }
+
+    #[test]
+    fn one_row_partition_answers_from_its_row() {
+        let p = Partition::new(
+            SignatureId::new(0),
+            3,
+            vec![vec![1, 4, 6]],
+            vec![EdgeId::new(0)],
+            &sample_labels(),
+        );
+        assert_eq!(p.index_size_bytes(), 0);
+        assert_eq!(*p.index(), InvertedIndex::default());
+        for v in 0..8 {
+            let want: &[u32] = if [1, 4, 6].contains(&v) { &[0] } else { &[] };
+            assert_eq!(p.incident_posting(v).to_sorted(), want, "vertex {v}");
+        }
+        let keys: Vec<u32> = p.postings().map(|(v, _)| v).collect();
+        assert_eq!(keys, vec![1, 4, 6]);
+        let b = p.repr_breakdown();
+        assert_eq!((b.list_keys, b.list_postings, b.total_bytes()), (3, 3, 0));
+        assert_eq!(
+            *p.stats(),
+            crate::stats::PartitionStats::recompute(&p, &sample_labels())
+        );
     }
 
     #[test]

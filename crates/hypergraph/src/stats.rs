@@ -12,8 +12,10 @@
 //! The summaries are **exact integer counts**, computed two ways that must
 //! agree bit-for-bit:
 //!
-//! * the offline build recomputes them from the finished inverted index
-//!   ([`PartitionStats::recompute`], used by [`crate::partition::Partition::new`]);
+//! * the offline build computes them from the finished inverted index, or
+//!   from the row itself for a one-row partition, which has no index
+//!   ([`crate::partition::Partition::new`]; [`PartitionStats::recompute`]
+//!   reads a finished partition's postings the same way);
 //! * the dynamic writer ([`crate::dynamic`]) maintains them incrementally —
 //!   O(1) per posting edit — and snapshots emit the maintained values
 //!   without recomputation.
@@ -84,20 +86,21 @@ impl PartitionStats {
     /// vertex labels — the from-scratch oracle the incremental maintenance
     /// in [`crate::dynamic`] must agree with bit-for-bit.
     pub fn recompute(partition: &Partition, labels: &[Label]) -> Self {
-        Self::recompute_from_index(partition.index(), partition.len(), labels)
+        let degrees = partition.postings().map(|(v, posting)| (v, posting.len()));
+        Self::from_degrees(partition.len(), degrees, labels)
     }
 
-    /// The same summary computed straight from an inverted index and its
-    /// row count — for callers that build the index before the partition
-    /// exists ([`Partition::new`]).
-    pub(crate) fn recompute_from_index(
-        index: &crate::inverted::InvertedIndex,
+    /// The same summary computed from each distinct vertex's
+    /// within-partition degree and the row count — for callers that have
+    /// the degrees before the partition exists ([`Partition::new`]).
+    pub(crate) fn from_degrees(
         rows: usize,
+        degrees: impl Iterator<Item = (u32, usize)>,
         labels: &[Label],
     ) -> Self {
         let mut groups: Vec<LabelCardinality> = Vec::new();
-        for (v, postings) in index.iter() {
-            debug_assert!(!postings.is_empty(), "index keys carry postings");
+        for (v, degree) in degrees {
+            debug_assert!(degree > 0, "index keys carry postings");
             let label = labels[v as usize];
             let i = groups
                 .binary_search_by_key(&label, |g| g.label)
@@ -113,7 +116,7 @@ impl PartitionStats {
                     );
                     i
                 });
-            let degree = postings.len() as u64;
+            let degree = degree as u64;
             let entry = &mut groups[i];
             entry.distinct_vertices += 1;
             entry.incidences += degree;
@@ -231,7 +234,8 @@ mod tests {
         assert_eq!(stats.num_partitions, 2);
         assert_eq!(stats.max_degree, 2); // v2 in both edges
         assert!(stats.table_bytes > 0);
-        assert!(stats.index_bytes > 0);
+        // Both partitions hold one row, so neither builds an index.
+        assert_eq!(stats.index_bytes, 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use hgmatch_hypergraph::{DynamicHypergraph, Hypergraph, HypergraphBuilder, Label
 
 fn build(edges: &[Vec<u32>]) -> Hypergraph {
     let mut b = HypergraphBuilder::new();
-    for l in [0u32, 1, 0, 1, 2, 2] {
+    for l in [0u32, 1, 0, 1, 2, 2, 0] {
         b.add_vertex(Label::new(l));
     }
     for e in edges {
@@ -24,7 +24,16 @@ fn build(edges: &[Vec<u32>]) -> Hypergraph {
 
 #[test]
 fn seed_in_a_foreign_representation_is_refrozen_not_adopted() {
-    let mut edges = vec![vec![0, 1], vec![2, 3], vec![0, 2], vec![1, 4], vec![3, 5]];
+    // Every signature has two rows: a one-row partition carries no index,
+    // so it has no representation to be foreign in and is rightly adopted.
+    let mut edges = vec![
+        vec![0, 1],
+        vec![2, 3],
+        vec![0, 2],
+        vec![1, 4],
+        vec![3, 5],
+        vec![2, 6],
+    ];
     // Any representation but the one every key of this small graph gets
     // here (`HGMATCH_FORCE_REPR` may force one through the environment).
     let foreign = match forced_repr() {

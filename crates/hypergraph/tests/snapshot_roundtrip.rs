@@ -1,4 +1,4 @@
-//! Persistence differentials for the HGMB v3 snapshot format (DESIGN.md
+//! Persistence differentials for the HGMB snapshot format (DESIGN.md
 //! §17): save→load over dynamic update streams must reproduce the exact
 //! in-memory state, the encoding must be deterministic byte-for-byte, and
 //! the committed golden fixture pins the on-disk layout so accidental
@@ -6,7 +6,7 @@
 
 use hgmatch_datasets::testgen::{assert_derived_state_eq, random_arity_hypergraph};
 use hgmatch_datasets::update_stream::{generate_update_stream, UpdateStreamConfig};
-use hgmatch_hypergraph::io::{decode_binary, decode_snapshot, encode_snapshot};
+use hgmatch_hypergraph::io::{decode_binary, decode_snapshot, encode_snapshot, SNAPSHOT_VERSION};
 use hgmatch_hypergraph::{DynamicHypergraph, Hypergraph, HypergraphBuilder, Label};
 
 /// The deterministic fixture graph: the paper's Fig. 1b data graph plus a
@@ -39,10 +39,13 @@ fn fixture_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/paper.hgsnap")
 }
 
-/// The same graph as written by the v2 format, whose stats also carried a
-/// per-label degree histogram. Never regenerated: it pins the v2 read path.
-fn v2_fixture_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/paper.v2.hgsnap")
+/// The same graph as written by an older snapshot version: v2, whose
+/// stats also carried a per-label degree histogram, or v3, which wrote an
+/// index for one-row partitions and both side tables of every index. Never
+/// regenerated: they pin the read paths of those versions.
+fn legacy_fixture_path(version: u32) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join(format!("tests/fixtures/paper.v{version}.hgsnap"))
 }
 
 /// The committed fixture must decode, and re-encoding the decoded graph
@@ -83,23 +86,35 @@ fn golden_fixture_is_byte_stable() {
     }
 }
 
-/// A v2 file still loads: it decodes to the fixture graph, stats included,
-/// and re-encodes to the v3 fixture's bytes.
+/// v2 and v3 files still load: each decodes to the fixture graph, stats
+/// included, its one-row partitions' indices checked and dropped, and
+/// re-encodes to the current fixture's bytes.
 #[test]
-fn v2_fixture_loads_and_reencodes_as_v3() {
-    let v2 = std::fs::read(v2_fixture_path()).expect("missing tests/fixtures/paper.v2.hgsnap");
-    assert_eq!(
-        &v2[4..8],
-        &2u32.to_le_bytes(),
-        "the v2 fixture must stay v2"
-    );
-    let decoded = decode_snapshot(&v2).expect("v2 fixture must decode");
-    assert_eq!(decode_binary(&v2).expect("decode_binary reads v2"), decoded);
-    if hgmatch_hypergraph::inverted::forced_repr().is_none() {
-        assert_eq!(decoded, fixture_graph());
+fn legacy_fixtures_load_and_reencode_as_current() {
+    let current = std::fs::read(fixture_path()).expect("missing tests/fixtures/paper.hgsnap");
+    assert_eq!(&current[4..8], &SNAPSHOT_VERSION.to_le_bytes());
+    for version in [2u32, 3] {
+        let old = std::fs::read(legacy_fixture_path(version))
+            .unwrap_or_else(|_| panic!("missing tests/fixtures/paper.v{version}.hgsnap"));
+        assert_eq!(
+            &old[4..8],
+            &version.to_le_bytes(),
+            "the v{version} fixture must stay v{version}"
+        );
+        let decoded = decode_snapshot(&old).expect("legacy fixture must decode");
+        assert_eq!(
+            decode_binary(&old).expect("decode_binary reads it"),
+            decoded
+        );
+        if hgmatch_hypergraph::inverted::forced_repr().is_none() {
+            assert_eq!(decoded, fixture_graph(), "v{version}");
+        }
+        assert_eq!(
+            &*encode_snapshot(&decoded),
+            current.as_slice(),
+            "v{version} does not re-encode to the current fixture"
+        );
     }
-    let v3 = std::fs::read(fixture_path()).expect("missing tests/fixtures/paper.hgsnap");
-    assert_eq!(&*encode_snapshot(&decoded), v3.as_slice());
 }
 
 /// Save→load→rebuild differential over a dynamic update stream: at every

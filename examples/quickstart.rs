@@ -41,7 +41,7 @@ fn main() {
             "  {:?}: {} hyperedges, {} postings",
             signature,
             partition.len(),
-            partition.index().num_postings()
+            partition.repr_breakdown().total_postings()
         );
     }
 
