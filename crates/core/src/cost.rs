@@ -127,9 +127,7 @@ impl<'a> CostModel<'a> {
                 // shared query vertex was reached through an incident
                 // hyperedge, so hubs are over-represented in exact
                 // proportion to their degree.
-                let expected_degree = stats
-                    .label_group(query.label(u))
-                    .map_or(1.0, |g| g.size_biased_degree());
+                let expected_degree = stats.size_biased_degree(query.label(u));
                 (expected_degree / stats.rows as f64).clamp(f64::MIN_POSITIVE, 1.0)
             }));
         }

@@ -491,9 +491,9 @@ impl StatsAcc {
 /// One mutable signature partition: tombstoned row storage plus the
 /// incrementally maintained [`DynIndex`] and [`StatsAcc`].
 ///
-/// The index follows the frozen partition's one-row rule ([`indexed`]): it
-/// stays empty while the partition has at most one row, dead or alive, and
-/// holds the postings of every live row from the second row on.
+/// Both follow the frozen partition's one-row rule ([`indexed`]): they
+/// stay empty while the partition has at most one row, dead or alive, and
+/// cover every live row from the second row on.
 #[derive(Debug)]
 struct DynPartition {
     arity: u32,
@@ -542,18 +542,15 @@ impl DynPartition {
         self.frozen = None;
         let row_space = self.global.len();
         if !indexed(row_space) {
-            // The only row: every vertex goes from degree 0 to 1.
-            for &v in vs {
-                self.stats.on_degree_change(labels[v as usize], 0, 1);
-            }
-            return row;
+            return row; // the only row: no index and no stats yet
         }
         if row == 1 && self.live[0] {
-            // The second row starts the index: link row 0 first (its stats
-            // were counted when it arrived).
+            // The second row starts the index and the stats: link and
+            // count row 0 first.
             let a = self.arity as usize;
             for &v in &self.vertices[..a] {
                 self.index.insert(v, 0, 1);
+                self.stats.on_degree_change(labels[v as usize], 0, 1);
             }
         }
         for &v in vs {
@@ -570,15 +567,14 @@ impl DynPartition {
         self.live[row as usize] = false;
         self.dead += 1;
         self.frozen = None;
-        let a = self.arity as usize;
         let row_space = self.global.len();
+        if !indexed(row_space) {
+            return; // the only row: no index or stats to unlink from
+        }
+        let a = self.arity as usize;
         for i in 0..a {
             let v = self.vertices[row as usize * a + i];
-            let new_degree = if indexed(row_space) {
-                self.index.remove(v, row, row_space) as u64
-            } else {
-                0 // the only row: no index to unlink from
-            };
+            let new_degree = self.index.remove(v, row, row_space) as u64;
             self.stats
                 .on_degree_change(labels[v as usize], new_degree + 1, new_degree);
         }
@@ -616,6 +612,7 @@ impl DynPartition {
             self.index.remap_rows(&remap, self.rows_total());
         } else {
             self.index = DynIndex::default();
+            self.stats = StatsAcc::default();
         }
         moves
     }
@@ -640,17 +637,18 @@ impl DynPartition {
     /// Builds the immutable body of the current rows. The CSR index is
     /// emitted straight from the maintained postings — no re-sort, and by
     /// construction byte-identical to a fresh [`InvertedIndex::build`] —
-    /// or empty for one row, as [`Partition::new`] leaves it.
+    /// or, for one row, no index and no label groups, as
+    /// [`Partition::new`] leaves them.
     fn freeze_body(&self) -> PartitionBody {
         // Compacted: every remaining row is live, and the maintained
         // summaries are exactly what a recompute would produce.
         let stats = self.stats.to_stats(self.rows_total() as u64);
         if !indexed(self.rows_total()) {
-            debug_assert!(self.index.cells.is_empty());
+            debug_assert!(self.index.cells.is_empty() && self.stats.groups.is_empty());
             return PartitionBody::from_parts(
                 self.arity,
                 self.vertices.clone(),
-                InvertedIndex::default(),
+                InvertedIndex::EMPTY,
                 stats,
             );
         }
@@ -741,7 +739,8 @@ impl DynamicHypergraph {
     /// re-freezing the graph it was seeded from. A body is adopted only if
     /// it is what a freeze here would emit: same rows in the same order,
     /// every posting in the representation this process chooses (its
-    /// planner stats are taken as `h` carries them).
+    /// planner stats are a function of those rows wherever `h` came from:
+    /// a build, a freeze or a snapshot decode derive them alike).
     pub fn from_hypergraph(h: &Hypergraph) -> Self {
         let mut d = Self::new();
         d.labels = h.labels().to_vec();
@@ -1497,8 +1496,9 @@ mod tests {
         d.add_vertices(4, Label::new(0));
         d.insert_hyperedge(vec![0, 1]).unwrap();
         d.snapshot();
-        // Tombstone the only row (its stats come from the row), then insert
-        // with no snapshot between: row 0 is dead when row 1 arrives.
+        // Tombstone the only row (no index or stats to unlink it from),
+        // then insert with no snapshot between: row 0 is dead when row 1
+        // arrives.
         d.delete_hyperedge(&[0, 1]).unwrap();
         assert_eq!((d.parts[0].rows_total(), d.parts[0].dead), (1, 1));
         d.insert_hyperedge(vec![1, 2]).unwrap();
@@ -1509,6 +1509,79 @@ mod tests {
             *d.snapshot().graph,
             rebuild(&labels, &[vec![1, 2], vec![0, 3]])
         );
+    }
+
+    /// A snapshot whose every partition's stats equal the recompute oracle.
+    fn stats_checked_snapshot(d: &mut DynamicHypergraph) -> Arc<Hypergraph> {
+        let graph = d.snapshot().graph;
+        for (sid, p) in graph.partitions().iter().enumerate() {
+            let want = PartitionStats::recompute(p, graph.labels());
+            assert_eq!(*p.stats(), want, "partition {sid}");
+        }
+        graph
+    }
+
+    /// The writer's label groups for dynamic partition `sid`.
+    fn stat_groups(d: &DynamicHypergraph, sid: usize) -> usize {
+        d.parts[sid].stats.groups.len()
+    }
+
+    #[test]
+    fn second_row_counts_a_live_first_row() {
+        // One signature {0,1}: vertices 0, 1 of label 0 and 2 of label 1.
+        let mut d = DynamicHypergraph::new();
+        d.add_vertices(2, Label::new(0));
+        d.add_vertex(Label::new(1));
+        d.insert_hyperedge(vec![0, 2]).unwrap();
+        assert_eq!(stat_groups(&d, 0), 0, "one row: no stats");
+        let one = stats_checked_snapshot(&mut d);
+        assert!(one.partition(SignatureId::new(0)).stats().labels.is_empty());
+
+        // Row 1 shares vertex 2 with the live row 0, whose vertices count
+        // now: vertex 2 has degree 2.
+        d.insert_hyperedge(vec![1, 2]).unwrap();
+        assert_eq!(stat_groups(&d, 0), 2);
+        let two = stats_checked_snapshot(&mut d);
+        let stats = two.partition(SignatureId::new(0)).stats();
+        assert_eq!(stats.size_biased_degree(Label::new(0)), 1.0);
+        assert_eq!(stats.size_biased_degree(Label::new(1)), 2.0);
+    }
+
+    #[test]
+    fn second_row_skips_a_tombstoned_first_row() {
+        let mut d = DynamicHypergraph::new();
+        d.add_vertices(3, Label::new(0));
+        d.add_vertex(Label::new(1));
+        d.insert_hyperedge(vec![0, 3]).unwrap();
+        stats_checked_snapshot(&mut d);
+        // Deleting the only row touches no stats; row 0 stays a tombstone
+        // while rows 1 and 2 arrive, and only they are counted.
+        d.delete_hyperedge(&[0, 3]).unwrap();
+        assert_eq!((d.parts[0].dead, stat_groups(&d, 0)), (1, 0));
+        d.insert_hyperedge(vec![1, 3]).unwrap();
+        d.insert_hyperedge(vec![2, 3]).unwrap();
+        let graph = stats_checked_snapshot(&mut d);
+        let stats = graph.partition(SignatureId::new(0)).stats();
+        let group = stats.label_group(Label::new(1)).expect("label-1 group");
+        assert_eq!((group.incidences, group.sum_sq_degrees), (2, 4));
+    }
+
+    #[test]
+    fn compacting_to_one_row_drops_the_stats() {
+        let mut d = DynamicHypergraph::new();
+        d.add_vertices(4, Label::new(0));
+        d.insert_hyperedge(vec![0, 1]).unwrap();
+        d.insert_hyperedge(vec![1, 2]).unwrap();
+        stats_checked_snapshot(&mut d);
+        d.delete_hyperedge(&[1, 2]).unwrap();
+        assert_eq!(stat_groups(&d, 0), 1, "two rows, one live: counted");
+        stats_checked_snapshot(&mut d);
+        assert_eq!(stat_groups(&d, 0), 0, "compacted to one row");
+        // The second row counts row 0 again, once.
+        d.insert_hyperedge(vec![1, 3]).unwrap();
+        let graph = stats_checked_snapshot(&mut d);
+        let hub = graph.partition(SignatureId::new(0)).stats().labels[0].clone();
+        assert_eq!((hub.distinct_vertices, hub.incidences), (3, 4));
     }
 
     #[test]

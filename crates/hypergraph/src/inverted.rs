@@ -315,6 +315,19 @@ pub struct InvertedIndex {
 }
 
 impl InvertedIndex {
+    /// The index of a partition below two rows: no keys and no heap, equal
+    /// to `InvertedIndex::default()`.
+    pub(crate) const EMPTY: Self = Self {
+        keys: Vec::new(),
+        offsets: Vec::new(),
+        postings: Vec::new(),
+        num_rows: 0,
+        dense_idx: Vec::new(),
+        bitmaps: Vec::new(),
+        comp_idx: Vec::new(),
+        compressed: Vec::new(),
+    };
+
     /// Builds the index from `(vertex, row)` incidences.
     ///
     /// `rows[r]` must be the sorted vertex list of local row `r`; rows are

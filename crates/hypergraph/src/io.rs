@@ -13,11 +13,12 @@
 //!   a versioned sequence of length-prefixed, individually
 //!   CRC-32-checksummed sections that serialise the fully built index —
 //!   postings in whichever list/bitmap/compressed representation each key
-//!   carries, partition stats, signatures, the edge locator, the incidence
-//!   CSR and adjacency counts — closed by a whole-file checksum. Loading
-//!   reconstructs a serving-ready [`Hypergraph`] without re-indexing, and
-//!   checks that every stored index is its vertex table's own. Files of
-//!   the two previous snapshot versions still load.
+//!   carries, signatures, the edge locator, the incidence CSR and
+//!   adjacency counts — closed by a whole-file checksum. Loading
+//!   reconstructs a serving-ready [`Hypergraph`] without re-indexing,
+//!   checks that every stored index is its vertex table's own, and derives
+//!   the planner's partition stats from that checked index. Files of the
+//!   three previous snapshot versions still load.
 //!
 //! Every decode path returns typed errors ([`HypergraphError::BadMagic`],
 //! [`HypergraphError::UnsupportedVersion`],
@@ -39,18 +40,24 @@ use crate::ids::{EdgeId, Label, SignatureId};
 use crate::inverted::{InvertedIndex, Posting};
 use crate::partition::{indexed, Partition};
 use crate::signature::{Signature, SignatureInterner};
-use crate::stats::{LabelCardinality, PartitionStats};
+use crate::stats::PartitionStats;
 
 /// Magic bytes shared by both binary formats.
 const MAGIC: &[u8; 4] = b"HGMB";
 /// Version of the edge-list-only binary format.
 const VERSION: u32 = 1;
-/// Version of the index-inclusive snapshot format. A one-row partition's
-/// record carries no index, and each index side table is written only if
-/// it has an entry (DESIGN.md §17.2).
-pub const SNAPSHOT_VERSION: u32 = 4;
-/// An older snapshot version, still read: every partition record carries
-/// an index, with both side tables always written.
+/// Version of the index-inclusive snapshot format. A partition record
+/// carries no planner stats (decode derives them from the checked index),
+/// a one-row record carries no index, and each index side table is
+/// written only if it has an entry (DESIGN.md §17.2).
+pub const SNAPSHOT_VERSION: u32 = 5;
+/// An older snapshot version, still read: each partition record ends in
+/// a stats record, of which decode checks the row count and discards the
+/// label groups.
+const SNAPSHOT_V4: u32 = 4;
+/// An older snapshot version, still read: v4's layout, but every
+/// partition record carries an index, with both side tables always
+/// written.
 const SNAPSHOT_V3: u32 = 3;
 /// The oldest snapshot version still read: v3's layout, but each stats
 /// label group is followed by [`V2_HIST_WORDS`] histogram words.
@@ -310,7 +317,7 @@ pub fn decode_binary(data: &[u8]) -> Result<Hypergraph> {
     let version = peek_version(data)?;
     match version {
         VERSION => decode_binary_v1(data),
-        SNAPSHOT_V2 | SNAPSHOT_V3 | SNAPSHOT_VERSION => decode_snapshot(data),
+        SNAPSHOT_V2 | SNAPSHOT_V3 | SNAPSHOT_V4 | SNAPSHOT_VERSION => decode_snapshot(data),
         other => Err(HypergraphError::UnsupportedVersion(other)),
     }
 }
@@ -413,7 +420,6 @@ pub fn encode_snapshot(h: &Hypergraph) -> Bytes {
                     if indexed(p.len()) {
                         p.index().encode(&mut payload);
                     }
-                    encode_stats(p.stats(), &mut payload);
                 }
             }
             SECTION_LOCATOR => {
@@ -453,50 +459,18 @@ pub fn encode_snapshot(h: &Hypergraph) -> Bytes {
     buf.freeze()
 }
 
-fn encode_stats(stats: &PartitionStats, buf: &mut BytesMut) {
-    buf.put_u64_le(stats.rows);
-    buf.put_u32_le(stats.labels.len() as u32);
-    for g in &stats.labels {
-        buf.put_u32_le(g.label.raw());
-        buf.put_u64_le(g.distinct_vertices);
-        buf.put_u64_le(g.incidences);
-        buf.put_u64_le(g.sum_sq_degrees);
-    }
-}
-
-/// Decodes one partition's stats record; `hist_words` is the number of
-/// trailing `u64`s per label group to skip (16 in v2, none in v3).
-fn decode_stats(data: &mut &[u8], hist_words: usize) -> Result<PartitionStats> {
+/// Reads past one v2–v4 partition stats record and returns its `rows`:
+/// a `u64` row count, a `u32` group count and per group a label and three
+/// `u64` sums, plus `hist_words` histogram `u64`s in v2. The groups are
+/// not kept — decode derives them from the checked index.
+fn skip_stats_record(data: &mut &[u8], hist_words: usize) -> Result<u64> {
     need(data, 12, "partition stats header")?;
     let rows = data.get_u64_le();
-    let num_groups = data.get_u32_le() as usize;
-    need(
-        data,
-        num_groups * (4 + 24 + hist_words * 8),
-        "stats label groups",
-    )?;
-    let mut labels = Vec::with_capacity(num_groups);
-    let mut prev: Option<Label> = None;
-    for _ in 0..num_groups {
-        let label = Label::new(data.get_u32_le());
-        if prev.is_some_and(|p| label <= p) {
-            return Err(HypergraphError::Corrupt(
-                "stats label groups out of order".into(),
-            ));
-        }
-        prev = Some(label);
-        let distinct_vertices = data.get_u64_le();
-        let incidences = data.get_u64_le();
-        let sum_sq_degrees = data.get_u64_le();
-        data.advance(hist_words * 8);
-        labels.push(LabelCardinality {
-            label,
-            distinct_vertices,
-            incidences,
-            sum_sq_degrees,
-        });
-    }
-    Ok(PartitionStats { rows, labels })
+    let num_groups = data.get_u32_le() as u64;
+    let group_bytes = num_groups * (4 + 24 + hist_words as u64 * 8);
+    need_u64(data, group_bytes, "stats label groups")?;
+    data.advance(group_bytes as usize);
+    Ok(rows)
 }
 
 /// Checks that `index` is the inverted index of the `arity`-wide vertex
@@ -560,12 +534,17 @@ fn check_index(
 /// (`check_index`) — so corrupt input, truncated anywhere or with any bit
 /// flipped, returns a typed error rather than panicking at load or
 /// missing embeddings at query time. A v2/v3 one-row partition's index is
-/// checked and then dropped, as is a v2/v3 side table with no entry.
+/// checked and then dropped, as is a v2/v3 side table with no entry. The
+/// planner stats are derived from each checked index, never read: a
+/// v2–v4 stats record is checked for its row count and discarded.
 pub fn decode_snapshot(data: &[u8]) -> Result<Hypergraph> {
-    let (hist_words, legacy) = match peek_version(data)? {
-        SNAPSHOT_VERSION => (0, false),
-        SNAPSHOT_V3 => (0, true),
-        SNAPSHOT_V2 => (V2_HIST_WORDS, true),
+    // Whether every record carries an index (v2/v3), and the histogram
+    // words per label group of the stats record, if records carry one.
+    let (legacy, stats_record) = match peek_version(data)? {
+        SNAPSHOT_VERSION => (false, None),
+        SNAPSHOT_V4 => (false, Some(0)),
+        SNAPSHOT_V3 => (true, Some(0)),
+        SNAPSHOT_V2 => (true, Some(V2_HIST_WORDS)),
         other => return Err(HypergraphError::UnsupportedVersion(other)),
     };
 
@@ -690,7 +669,7 @@ pub fn decode_snapshot(data: &[u8]) -> Result<Hypergraph> {
             .into_iter()
             .map(EdgeId::new)
             .collect();
-        // v2/v3 records carry an index at every row count; v4 records
+        // v2/v3 records carry an index at every row count; v4/v5 records
         // only where the partition keeps one.
         let mut index = InvertedIndex::default();
         if legacy || indexed(rows) {
@@ -706,14 +685,18 @@ pub fn decode_snapshot(data: &[u8]) -> Result<Hypergraph> {
                 index = InvertedIndex::default();
             }
         }
-        let stats = decode_stats(&mut d, hist_words)?;
-        // The planner orders by `stats.rows` (Algorithm 3): it must be the
-        // partition's own row count.
-        if stats.rows != rows as u64 {
-            return Err(corrupt(format!(
-                "partition {i} stats disagree with its row count"
-            )));
+        if let Some(hist_words) = stats_record {
+            // A record whose row count is not the partition's is a file
+            // no writer produced.
+            if skip_stats_record(&mut d, hist_words)? != rows as u64 {
+                return Err(corrupt(format!(
+                    "partition {i} stats disagree with its row count"
+                )));
+            }
         }
+        // The same derivation as a build's, from the index just checked.
+        let degrees = index.iter().map(|(v, posting)| (v, posting.len()));
+        let stats = PartitionStats::from_degrees(rows, degrees, &labels);
         partitions.push(Arc::new(Partition::from_parts(
             sid, arity, vertices, global_ids, index, stats,
         )));
@@ -838,24 +821,20 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// `h` with every partition's index and stats replaced by `edit`'s —
-    /// a graph no build produces, for the decoder to refuse.
-    fn reassembled(
-        h: &Hypergraph,
-        edit: impl Fn(&Partition) -> (InvertedIndex, PartitionStats),
-    ) -> Hypergraph {
+    /// `h` with every partition's index replaced by `edit`'s — a graph no
+    /// build produces, for the decoder to refuse.
+    fn reassembled(h: &Hypergraph, edit: impl Fn(&Partition) -> InvertedIndex) -> Hypergraph {
         let partitions = h
             .partitions()
             .iter()
             .map(|p| {
-                let (index, stats) = edit(p);
                 Arc::new(Partition::from_parts(
                     p.signature(),
                     p.arity(),
                     p.raw_vertices().to_vec(),
                     p.global_ids().to_vec(),
-                    index,
-                    stats,
+                    edit(p),
+                    p.stats().clone(),
                 ))
             })
             .collect();
@@ -883,7 +862,7 @@ mod tests {
                 })
                 .collect();
             let slices: Vec<&[u32]> = rows.iter().map(Vec::as_slice).collect();
-            (InvertedIndex::build(&slices), p.stats().clone())
+            InvertedIndex::build(&slices)
         })
     }
 
@@ -1114,22 +1093,84 @@ mod tests {
         ));
     }
 
-    /// Stats whose `rows` disagree with the partition's row count would
-    /// feed Algorithm 3 the wrong cardinality: a file carrying them, CRCs
-    /// and all, is refused.
+    /// A v2–v4 stats record whose `rows` disagree with the partition's
+    /// row count is a file no writer produced: one carrying it, CRCs and
+    /// all, is refused, whether the partition has one row or many.
     #[test]
     fn snapshot_rejects_stats_rows_mismatch() {
-        for h in [sample(), paper()] {
-            let bad = reassembled(&h, |p| {
-                let mut stats = p.stats().clone();
-                stats.rows += 1;
-                (p.index().clone(), stats)
+        for at in v4_stats_records() {
+            let bad = edit_partitions_section(V4_FIXTURE, |payload| {
+                let rows = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+                payload[at..at + 8].copy_from_slice(&(rows + 1).to_le_bytes());
             });
             assert!(matches!(
-                decode_snapshot(&encode_snapshot(&bad)),
+                decode_snapshot(&bad),
                 Err(HypergraphError::Corrupt(msg)) if msg.contains("row count")
             ));
         }
+    }
+
+    /// A forged label group in a v4 stats record changes nothing: decode
+    /// derives the stats from the checked index, so the graph equals both
+    /// the unforged file's and a rebuild of its own rows.
+    #[test]
+    fn snapshot_derives_stats_instead_of_trusting_stored_groups() {
+        let want = decode_snapshot(V4_FIXTURE).unwrap();
+        assert_eq!(want, rebuilt(&want));
+        let mut forged = 0;
+        for at in v4_stats_records() {
+            let bad = edit_partitions_section(V4_FIXTURE, |payload| {
+                let groups = u32::from_le_bytes(payload[at + 8..at + 12].try_into().unwrap());
+                if groups > 0 {
+                    // The first group's `sum_sq_degrees`, after its label,
+                    // `distinct_vertices` and `incidences`.
+                    let sum_sq = at + 12 + 4 + 16;
+                    payload[sum_sq..sum_sq + 8].copy_from_slice(&1000u64.to_le_bytes());
+                    forged += 1;
+                }
+            });
+            assert_eq!(decode_snapshot(&bad).unwrap(), want);
+        }
+        assert!(forged >= 2, "the fixture has groups to forge");
+    }
+
+    /// The committed v4 fixture (`tests/fixtures/paper.v4.hgsnap`): the
+    /// last version whose records carry planner stats.
+    const V4_FIXTURE: &[u8] = include_bytes!("../tests/fixtures/paper.v4.hgsnap");
+
+    /// Offsets of each partition's stats record in [`V4_FIXTURE`]'s
+    /// partitions payload.
+    fn v4_stats_records() -> Vec<usize> {
+        let mut offsets = Vec::new();
+        edit_partitions_section(V4_FIXTURE, |payload| {
+            let mut d = &payload[..];
+            for _ in 0..d.get_u32_le() {
+                let arity = d.get_u32_le() as usize;
+                let rows = d.get_u32_le() as usize;
+                d.advance(4 * rows * (arity + 1)); // vertex table, global ids
+                if indexed(rows) {
+                    InvertedIndex::decode(&mut d, false).unwrap();
+                }
+                offsets.push(payload.len() - d.len());
+                d.advance(8);
+                let groups = d.get_u32_le() as usize;
+                d.advance(groups * (4 + 24));
+            }
+            assert!(d.is_empty());
+        });
+        offsets
+    }
+
+    /// A fresh build of `h`'s vertices and hyperedges.
+    fn rebuilt(h: &Hypergraph) -> Hypergraph {
+        let mut b = HypergraphBuilder::new();
+        for &l in h.labels() {
+            b.add_vertex(l);
+        }
+        for (_, vs) in h.iter_edges() {
+            b.add_edge(vs.to_vec()).unwrap();
+        }
+        b.build().unwrap()
     }
 
     /// An index that lacks an incidence would make Algorithm 4 miss
@@ -1165,7 +1206,7 @@ mod tests {
         let bad = reassembled(&multi_repr(), |p| {
             let index = p.index();
             if index.num_dense_keys() == 0 {
-                return (index.clone(), p.stats().clone());
+                return index.clone();
             }
             assert_eq!(index.num_compressed_keys(), 0);
             // Clear or set bit 0 of the first bitmap's first word. Its
@@ -1179,8 +1220,7 @@ mod tests {
             let mut bytes = bytes.to_vec();
             bytes[word] ^= 1;
             let mut data = &bytes[..];
-            let flipped = InvertedIndex::decode(&mut data, false).unwrap();
-            (flipped, p.stats().clone())
+            InvertedIndex::decode(&mut data, false).unwrap()
         });
         assert_index_refused(&bad, "differs from its list");
     }
@@ -1221,7 +1261,7 @@ mod tests {
         assert_eq!(decode_snapshot(&bytes).unwrap(), h);
         let bad = edit_partitions_section(&bytes, |payload| {
             // Partition count, arity, row count, 3 vertices, 1 global id:
-            // the stats record follows, and the index goes before it.
+            // the record ends there, and the index goes after it.
             let at = 4 + 4 + 4 + 3 * 4 + 4;
             let mut index = BytesMut::new();
             InvertedIndex::build(&[&[0, 1, 2]]).encode(&mut index);

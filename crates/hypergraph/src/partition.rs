@@ -5,9 +5,10 @@
 //! row count of the table *is* the hyperedge cardinality `Card(eq, H)` used
 //! by the matching-order planner (Definition V.2), available in `O(1)`.
 //!
-//! A partition of one row builds no inverted index (`indexed`): its
-//! `he(v, s)` is `{0}` when `v` is in the row and `∅` otherwise, which the
-//! row answers by itself.
+//! A partition of one row builds no inverted index and no planner label
+//! groups (`indexed`): its `he(v, s)` is `{0}` when `v` is in the row and
+//! `∅` otherwise, which the row answers by itself, and every vertex of it
+//! has degree one.
 //!
 //! A partition is two layers. The body (`PartitionBody`) — vertex table,
 //! inverted index, planner stats — is a function of the partition's rows
@@ -25,10 +26,11 @@ use crate::ids::{EdgeId, Label, SignatureId};
 use crate::inverted::{InvertedIndex, Posting, ReprBreakdown};
 use crate::stats::PartitionStats;
 
-/// Whether a partition of `rows` rows carries an inverted index. With one
-/// row the row itself is the index (DESIGN.md §2): every structure that
-/// holds an index — the frozen body, the dynamic writer's, a snapshot
-/// record — keeps it empty below two rows.
+/// Whether a partition of `rows` rows carries an inverted index and
+/// per-label planner stats. With one row the row itself is the index and
+/// every degree is one (DESIGN.md §2): every structure that holds either —
+/// the frozen body, the dynamic writer's, a snapshot record — keeps them
+/// empty below two rows.
 #[inline]
 pub(crate) fn indexed(rows: usize) -> bool {
     rows >= 2
@@ -44,17 +46,22 @@ pub(crate) struct PartitionBody {
     /// Flattened sorted vertex lists; row `r` is
     /// `vertices[r*arity..(r+1)*arity]`.
     vertices: Vec<u32>,
-    /// vertex → sorted local rows; empty unless [`indexed`].
-    index: InvertedIndex,
-    /// Cardinality summaries for the cost-based planner (DESIGN.md §13).
-    /// Covered by `PartialEq`, so the dynamic snapshot-vs-rebuild oracle
-    /// also proves the incremental stats maintenance.
+    /// vertex → sorted local rows; `Some` iff [`indexed`], so a one-row
+    /// body holds a pointer, not an empty index.
+    index: Option<Box<InvertedIndex>>,
+    /// Cardinality summaries for the cost-based planner (DESIGN.md §13);
+    /// no label groups unless [`indexed`]. Covered by `PartialEq`, so the
+    /// dynamic snapshot-vs-rebuild oracle also proves the incremental
+    /// stats maintenance.
     stats: PartitionStats,
 }
 
+/// What [`Partition::index`] lends for a partition below two rows.
+static EMPTY_INDEX: InvertedIndex = InvertedIndex::EMPTY;
+
 impl PartitionBody {
     /// Assembles a body from already-flattened rows, a prebuilt index and
-    /// already computed stats.
+    /// already computed stats; the index is kept only if [`indexed`].
     pub(crate) fn from_parts(
         arity: u32,
         vertices: Vec<u32>,
@@ -65,12 +72,12 @@ impl PartitionBody {
         debug_assert!(if indexed(rows) {
             index.num_rows() as usize == rows
         } else {
-            index == InvertedIndex::default()
+            index == InvertedIndex::EMPTY && stats.labels.is_empty()
         });
         Self {
             arity,
             vertices,
-            index,
+            index: indexed(rows).then(|| Box::new(index)),
             stats,
         }
     }
@@ -119,18 +126,14 @@ impl Partition {
             );
             vertices.extend_from_slice(row);
         }
-        let (index, stats) = if indexed(rows.len()) {
+        let index = if indexed(rows.len()) {
             let row_slices: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
-            let index = InvertedIndex::build(&row_slices);
-            let degrees = index.iter().map(|(v, posting)| (v, posting.len()));
-            let stats = PartitionStats::from_degrees(rows.len(), degrees, labels);
-            (index, stats)
+            InvertedIndex::build(&row_slices)
         } else {
-            // Every vertex of the one row (if any) has degree one.
-            let degrees = vertices.iter().map(|&v| (v, 1));
-            let stats = PartitionStats::from_degrees(rows.len(), degrees, labels);
-            (InvertedIndex::default(), stats)
+            InvertedIndex::EMPTY
         };
+        let degrees = index.iter().map(|(v, posting)| (v, posting.len()));
+        let stats = PartitionStats::from_degrees(rows.len(), degrees, labels);
         Self::from_parts(signature, arity, vertices, global_ids, index, stats)
     }
 
@@ -215,12 +218,12 @@ impl Partition {
         &self.global_ids
     }
 
-    /// The partition's inverted hyperedge index: empty for a one-row
-    /// partition, so read postings through [`Partition::incident_posting`]
-    /// or [`Partition::postings`].
+    /// The partition's inverted hyperedge index: a shared empty one for a
+    /// one-row partition, so read postings through
+    /// [`Partition::incident_posting`] or [`Partition::postings`].
     #[inline]
     pub fn index(&self) -> &InvertedIndex {
-        &self.body.index
+        self.body.index.as_deref().unwrap_or(&EMPTY_INDEX)
     }
 
     /// The flattened vertex table (`len * arity` sorted lists back to
@@ -244,10 +247,9 @@ impl Partition {
     /// A one-row partition answers from its row: `[0]` or empty.
     #[inline]
     pub fn incident_posting(&self, vertex: u32) -> Posting<'_> {
-        if indexed(self.len()) {
-            self.body.index.posting(vertex)
-        } else {
-            self.row_posting(vertex)
+        match &self.body.index {
+            Some(index) => index.posting(vertex),
+            None => self.row_posting(vertex),
         }
     }
 
@@ -272,15 +274,15 @@ impl Partition {
             self.row(0)
         };
         let one_row = single.iter().map(|&v| (v, Posting::List(&[0])));
-        self.body.index.iter().chain(one_row)
+        self.index().iter().chain(one_row)
     }
 
     /// Per-representation key and byte accounting of the partition's
     /// postings (CLI `stats`). A one-row partition reports its row as list
     /// postings at 0 index bytes, so postings always total `len × arity`.
     pub fn repr_breakdown(&self) -> ReprBreakdown {
-        if indexed(self.len()) {
-            return self.body.index.repr_breakdown();
+        if let Some(index) = &self.body.index {
+            return index.repr_breakdown();
         }
         let incidences = self.body.vertices.len();
         ReprBreakdown {
@@ -304,7 +306,7 @@ impl Partition {
 
     /// Approximate heap size of the inverted index (0 for one row).
     pub fn index_size_bytes(&self) -> usize {
-        self.body.index.size_bytes()
+        self.index().size_bytes()
     }
 }
 
@@ -361,6 +363,9 @@ mod tests {
         );
         assert_eq!(p.index_size_bytes(), 0);
         assert_eq!(*p.index(), InvertedIndex::default());
+        // Every degree is one: no label groups, and the planner reads 1.0.
+        assert!(p.stats().labels.is_empty());
+        assert_eq!(p.stats().size_biased_degree(Label::new(0)), 1.0);
         for v in 0..8 {
             let want: &[u32] = if [1, 4, 6].contains(&v) { &[0] } else { &[] };
             assert_eq!(p.incident_posting(v).to_sorted(), want, "vertex {v}");
@@ -431,6 +436,7 @@ mod tests {
         assert_eq!((b.distinct_vertices, b.incidences), (1, 2));
         assert_eq!(b.sum_sq_degrees, 4);
         assert!((b.size_biased_degree() - 2.0).abs() < 1e-12);
+        assert_eq!(s.size_biased_degree(Label::new(1)), b.size_biased_degree());
         // Absent label has no group.
         assert!(s.label_group(Label::new(9)).is_none());
         // Equality with the recompute oracle is definitional here.

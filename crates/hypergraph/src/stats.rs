@@ -12,13 +12,17 @@
 //! The summaries are **exact integer counts**, computed two ways that must
 //! agree bit-for-bit:
 //!
-//! * the offline build computes them from the finished inverted index, or
-//!   from the row itself for a one-row partition, which has no index
+//! * the offline build computes them from the finished inverted index
 //!   ([`crate::partition::Partition::new`]; [`PartitionStats::recompute`]
-//!   reads a finished partition's postings the same way);
+//!   reads a finished partition's postings the same way, and the snapshot
+//!   decoder derives them from the checked index);
 //! * the dynamic writer ([`crate::dynamic`]) maintains them incrementally —
 //!   O(1) per posting edit — and snapshots emit the maintained values
 //!   without recomputation.
+//!
+//! A partition below two rows has no index and no label groups: every
+//! vertex of its row has degree one, which
+//! [`PartitionStats::size_biased_degree`] answers without storing it.
 //!
 //! `Partition` equality covers its stats, so the dynamic differential
 //! oracle (snapshot == rebuild-from-scratch) also proves the incremental
@@ -28,7 +32,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::hypergraph::Hypergraph;
 use crate::ids::Label;
-use crate::partition::Partition;
+use crate::partition::{indexed, Partition};
 
 /// Cardinality summary of one vertex label within one signature partition.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -63,8 +67,9 @@ impl LabelCardinality {
 
 /// Cardinality summary of one signature partition: the row count that
 /// Algorithm 3 already used, extended with the per-label degree summaries
-/// the cost model needs. Label groups are sorted by label and only cover
-/// labels with at least one incidence.
+/// the cost model needs. Label groups are sorted by label, only cover
+/// labels with at least one incidence, and exist only from two rows on,
+/// like the partition's inverted index.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PartitionStats {
     /// Number of hyperedge rows (`Card(s, H)`).
@@ -82,6 +87,18 @@ impl PartitionStats {
             .map(|i| &self.labels[i])
     }
 
+    /// Expected posting length of a vertex of `label` reached through an
+    /// incident hyperedge (`Σd²/Σd`, [`LabelCardinality::size_biased_degree`])
+    /// — the cost model's one read of the groups. A partition of two or
+    /// more rows has a group for every label of its signature, so the
+    /// 1.0 for a missing group answers only a partition below two rows,
+    /// where it is exact: every vertex of the one row has degree 1, and
+    /// `Σd²/Σd` over degrees of 1 is 1.
+    pub fn size_biased_degree(&self, label: Label) -> f64 {
+        self.label_group(label)
+            .map_or(1.0, LabelCardinality::size_biased_degree)
+    }
+
     /// Recomputes the summary from a finished partition and the graph's
     /// vertex labels — the from-scratch oracle the incremental maintenance
     /// in [`crate::dynamic`] must agree with bit-for-bit.
@@ -92,12 +109,20 @@ impl PartitionStats {
 
     /// The same summary computed from each distinct vertex's
     /// within-partition degree and the row count — for callers that have
-    /// the degrees before the partition exists ([`Partition::new`]).
+    /// the degrees before the partition exists ([`Partition::new`], the
+    /// snapshot decoder). Below two rows the degrees are not read and the
+    /// summary holds no groups.
     pub(crate) fn from_degrees(
         rows: usize,
         degrees: impl Iterator<Item = (u32, usize)>,
         labels: &[Label],
     ) -> Self {
+        if !indexed(rows) {
+            return Self {
+                rows: rows as u64,
+                labels: Vec::new(),
+            };
+        }
         let mut groups: Vec<LabelCardinality> = Vec::new();
         for (v, degree) in degrees {
             debug_assert!(degree > 0, "index keys carry postings");

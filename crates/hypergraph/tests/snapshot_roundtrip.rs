@@ -40,9 +40,10 @@ fn fixture_path() -> std::path::PathBuf {
 }
 
 /// The same graph as written by an older snapshot version: v2, whose
-/// stats also carried a per-label degree histogram, or v3, which wrote an
-/// index for one-row partitions and both side tables of every index. Never
-/// regenerated: they pin the read paths of those versions.
+/// stats also carried a per-label degree histogram, v3, which wrote an
+/// index for one-row partitions and both side tables of every index, or
+/// v4, which wrote a stats record per partition. Never regenerated: they
+/// pin the read paths of those versions.
 fn legacy_fixture_path(version: u32) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join(format!("tests/fixtures/paper.v{version}.hgsnap"))
@@ -86,14 +87,15 @@ fn golden_fixture_is_byte_stable() {
     }
 }
 
-/// v2 and v3 files still load: each decodes to the fixture graph, stats
-/// included, its one-row partitions' indices checked and dropped, and
-/// re-encodes to the current fixture's bytes.
+/// v2, v3 and v4 files still load: each decodes to the fixture graph,
+/// stats included (derived, the stored ones discarded), its one-row
+/// partitions' indices checked and dropped, and re-encodes to the current
+/// fixture's bytes.
 #[test]
 fn legacy_fixtures_load_and_reencode_as_current() {
     let current = std::fs::read(fixture_path()).expect("missing tests/fixtures/paper.hgsnap");
     assert_eq!(&current[4..8], &SNAPSHOT_VERSION.to_le_bytes());
-    for version in [2u32, 3] {
+    for version in [2u32, 3, 4] {
         let old = std::fs::read(legacy_fixture_path(version))
             .unwrap_or_else(|_| panic!("missing tests/fixtures/paper.v{version}.hgsnap"));
         assert_eq!(
