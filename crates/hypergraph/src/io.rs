@@ -40,7 +40,6 @@ use crate::ids::{EdgeId, Label, SignatureId};
 use crate::inverted::{InvertedIndex, Posting};
 use crate::partition::{indexed, Partition};
 use crate::signature::{Signature, SignatureInterner};
-use crate::stats::PartitionStats;
 
 /// Magic bytes shared by both binary formats.
 const MAGIC: &[u8; 4] = b"HGMB";
@@ -475,11 +474,13 @@ fn skip_stats_record(data: &mut &[u8], hist_words: usize) -> Result<u64> {
 
 /// Checks that `index` is the inverted index of the `arity`-wide vertex
 /// table `vertices` (whose row count `index.num_rows()` is known to equal):
-/// every posting row contains its key, a dense key's bitmap equals its
-/// list, a compressed key decodes to a sorted in-range list, and the
-/// postings total the table's incidences. Keys and postings are strictly
-/// sorted, so together these make the postings exactly the incidences — an
-/// index missing one would make Algorithm 4 silently miss embeddings.
+/// every posting is non-empty and each of its rows contains its key, a
+/// dense key's bitmap equals its list, a compressed key decodes to a sorted
+/// in-range list, and the postings total the table's incidences. Keys and
+/// postings are strictly sorted, so together these make the postings
+/// exactly the incidences — an index missing one would make Algorithm 4
+/// silently miss embeddings — and the keys exactly the table's vertices,
+/// which the planner stats derived from them index labels by.
 fn check_index(
     index: &InvertedIndex,
     vertices: &[u32],
@@ -510,6 +511,9 @@ fn check_index(
                 &decoded
             }
         };
+        if list.is_empty() {
+            return Err(format!("key {v} has an empty posting"));
+        }
         for &r in list {
             let row = &vertices[r as usize * arity..(r as usize + 1) * arity];
             if row.binary_search(&v).is_err() {
@@ -694,11 +698,9 @@ pub fn decode_snapshot(data: &[u8]) -> Result<Hypergraph> {
                 )));
             }
         }
-        // The same derivation as a build's, from the index just checked.
-        let degrees = index.iter().map(|(v, posting)| (v, posting.len()));
-        let stats = PartitionStats::from_degrees(rows, degrees, &labels);
+        // The stats are derived from the index just checked, as a build's.
         partitions.push(Arc::new(Partition::from_parts(
-            sid, arity, vertices, global_ids, index, stats,
+            sid, arity, vertices, global_ids, index, &labels,
         )));
     }
     if !d.is_empty() {
@@ -834,7 +836,7 @@ mod tests {
                     p.raw_vertices().to_vec(),
                     p.global_ids().to_vec(),
                     edit(p),
-                    p.stats().clone(),
+                    h.labels(),
                 ))
             })
             .collect();
@@ -1271,6 +1273,49 @@ mod tests {
             decode_snapshot(&bad),
             Err(HypergraphError::Corrupt(_))
         ));
+    }
+
+    /// An index key with an empty posting names no incidence of the table,
+    /// so it is refused, CRCs and all — whether it is a vertex the
+    /// partition lacks (5) or no vertex of the graph at all (1000), which
+    /// the stats derived from the index would look up a label for.
+    #[test]
+    fn snapshot_rejects_a_key_with_an_empty_posting() {
+        let h = paper();
+        let p = &h.partitions()[0];
+        if p.index().num_dense_keys() + p.index().num_compressed_keys() > 0 {
+            return; // the edit below assumes no side tables (a forced repr)
+        }
+        for extra in [5u32, 1000] {
+            let bad = edit_partitions_section(&encode_snapshot(&h), |payload| {
+                // Partition count, arity, row count, vertex table, global
+                // ids: partition 0's index starts there.
+                let at = 4 + 4 + 4 + 4 * p.len() * (p.arity() as usize + 1);
+                let mut d = &payload[at..];
+                let k = d.get_u32_le() as usize;
+                let mut keys = read_u32s(&mut d, k, "keys").unwrap();
+                let mut offsets = read_u32s(&mut d, k + 1, "offsets").unwrap();
+                let pos = keys.partition_point(|&v| v < extra);
+                assert!(keys.get(pos) != Some(&extra));
+                keys.insert(pos, extra);
+                offsets.insert(pos, offsets[pos]);
+                let mut head = Vec::new();
+                head.put_u32_le(k as u32 + 1);
+                keys.iter()
+                    .chain(&offsets)
+                    .for_each(|&x| head.put_u32_le(x));
+                payload.splice(at..at + 4 + 4 * k + 4 * (k + 1), head);
+            });
+            match decode_snapshot(&bad) {
+                Err(HypergraphError::Corrupt(msg)) => {
+                    assert!(
+                        msg.contains(&format!("key {extra} has an empty posting")),
+                        "{msg}"
+                    );
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

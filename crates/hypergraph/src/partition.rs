@@ -132,22 +132,26 @@ impl Partition {
         } else {
             InvertedIndex::EMPTY
         };
-        let degrees = index.iter().map(|(v, posting)| (v, posting.len()));
-        let stats = PartitionStats::from_degrees(rows.len(), degrees, labels);
-        Self::from_parts(signature, arity, vertices, global_ids, index, stats)
+        Self::from_parts(signature, arity, vertices, global_ids, index, labels)
     }
 
-    /// Assembles a partition from already-flattened parts, a prebuilt
-    /// index and already computed stats — the snapshot decoder
-    /// ([`crate::io`]), which must not rebuild either.
+    /// Assembles a partition from already-flattened parts and a prebuilt
+    /// index — for the snapshot decoder ([`crate::io`]), which must not
+    /// rebuild it. The planner stats are derived from `index` and `labels`
+    /// (the graph's vertex labels), so a build and a decode cannot
+    /// disagree on them. Every key of `index` must be a vertex of
+    /// `labels` with a non-empty posting.
     pub(crate) fn from_parts(
         signature: SignatureId,
         arity: u32,
         vertices: Vec<u32>,
         global_ids: Vec<EdgeId>,
         index: InvertedIndex,
-        stats: PartitionStats,
+        labels: &[Label],
     ) -> Self {
+        let rows = global_ids.len();
+        let degrees = index.iter().map(|(v, posting)| (v, posting.len()));
+        let stats = PartitionStats::from_degrees(rows, degrees, labels);
         let body = PartitionBody::from_parts(arity, vertices, index, stats);
         Self::from_body(signature, global_ids, Arc::new(body))
     }

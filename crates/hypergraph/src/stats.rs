@@ -108,10 +108,10 @@ impl PartitionStats {
     }
 
     /// The same summary computed from each distinct vertex's
-    /// within-partition degree and the row count — for callers that have
-    /// the degrees before the partition exists ([`Partition::new`], the
-    /// snapshot decoder). Below two rows the degrees are not read and the
-    /// summary holds no groups.
+    /// within-partition degree and the row count — for assembling a
+    /// partition from its index (`Partition::from_parts`, under both
+    /// [`Partition::new`] and the snapshot decoder). Below two rows the
+    /// degrees are not read and the summary holds no groups.
     pub(crate) fn from_degrees(
         rows: usize,
         degrees: impl Iterator<Item = (u32, usize)>,
