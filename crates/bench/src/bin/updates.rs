@@ -21,11 +21,12 @@
 //!    and concurrent update throughput.
 //!
 //! Results print as TSV; `--json PATH` writes the committed
-//! `BENCH_updates.json` baseline shape. `--check` turns the delta-
-//! proportional publish claim into a hard gate: the median snapshot at 500
-//! ops per epoch must cost at most half a full rebuild.
+//! `BENCH_updates.json` baseline shape, one run per dataset. `--check`
+//! turns the delta-proportional publish claim into a hard gate: the median
+//! snapshot at 500 ops per epoch must cost at most a dataset's share of a
+//! full rebuild ([`gate_max_ratio`]).
 //!
-//! Usage: `updates [--dataset NAME] [--ops N] [--threads N]
+//! Usage: `updates [--dataset NAME[,NAME...]] [--ops N] [--threads N]
 //!                 [--snapshot-every N] [--json PATH] [--check]`.
 //! `--snapshot-every` is the publish cadence of phase 4; phase 3 sweeps.
 //! `HGMATCH_BENCH_SMOKE=1` shrinks the stream for the CI bench-smoke job.
@@ -36,7 +37,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hgmatch_bench::experiments::{bench_smoke, num_cpus};
-use hgmatch_bench::report::{median, percentile};
+use hgmatch_bench::report::{git_sha, median, percentile};
 use hgmatch_core::serve::{MatchServer, QueryOptions, ServeConfig};
 use hgmatch_datasets::testgen::rebuild_oracle;
 use hgmatch_datasets::{
@@ -46,9 +47,8 @@ use hgmatch_hypergraph::{DynamicHypergraph, Hypergraph, UpdateOp};
 
 /// Delta sizes (ops per snapshot) of the `snapshot_cost` sweep.
 const SNAPSHOT_SWEEP: [usize; 3] = [50, 500, 5_000];
-/// The delta size `--check` gates, and its bound against a full rebuild.
+/// The delta size `--check` gates.
 const GATED_EVERY: usize = 500;
-const GATE_MAX_RATIO: f64 = 0.5;
 /// Offline rebuilds timed for the `full_rebuild_ms` reference (median).
 const REBUILD_REPS: usize = 5;
 
@@ -61,9 +61,39 @@ struct SnapshotCost {
     frozen_frac: f64,
 }
 
+/// The bound `--check` holds the median snapshot at [`GATED_EVERY`] ops to,
+/// as a share of a full rebuild of the same graph. AR-S, where nearly every
+/// one of 58 k partitions holds one row, is the dataset on which a snapshot
+/// pays most per partition rather than per changed row: it read
+/// 0.08–0.13 in smoke runs on a 2-vCPU host, and 0.30–0.34 when every
+/// snapshot copied each signature twice and gave each partition a
+/// global-id `Vec` of its own. Elsewhere the bound is the coarse 0.5.
+fn gate_max_ratio(dataset: &str) -> f64 {
+    match dataset {
+        "AR-S" => 0.2,
+        _ => 0.5,
+    }
+}
+
+/// Settings shared by every dataset of one invocation.
+struct Settings {
+    ops: usize,
+    threads: usize,
+    snapshot_every: usize,
+    host_cpus: usize,
+}
+
+/// One dataset's report: its JSON object, and the gate's reading (`None`
+/// when the stream is too short for the gated delta size).
+struct Run {
+    json: String,
+    gate_ratio: Option<f64>,
+    full_rebuild_ms: f64,
+}
+
 fn main() {
     let smoke = bench_smoke();
-    let mut dataset = "CH".to_string();
+    let mut datasets = "CH".to_string();
     let mut ops = if smoke { 2_000 } else { 20_000 };
     let mut threads = num_cpus();
     let mut snapshot_every = if smoke { 100 } else { 500 };
@@ -75,7 +105,7 @@ fn main() {
         match args[i].as_str() {
             "--dataset" => {
                 i += 1;
-                dataset = args.get(i).expect("--dataset NAME").clone();
+                datasets = args.get(i).expect("--dataset NAME[,NAME...]").clone();
             }
             "--ops" => {
                 i += 1;
@@ -104,10 +134,57 @@ fn main() {
         }
         i += 1;
     }
+    let settings = Settings {
+        ops,
+        threads,
+        snapshot_every,
+        host_cpus: num_cpus(),
+    };
 
-    let profile = profile_by_name(&dataset).expect("known dataset");
+    let runs: Vec<(&str, Run)> = datasets
+        .split(',')
+        .map(|dataset| (dataset, run(dataset, &settings)))
+        .collect();
+
+    if let Some(path) = json_path {
+        let rows: Vec<&str> = runs.iter().map(|(_, run)| run.json.as_str()).collect();
+        let out = format!(
+            "{{\n  \"git_sha\": \"{}\", \"host_cpus\": {}, \"runs\": [\n{}\n  ]\n}}\n",
+            git_sha(),
+            settings.host_cpus,
+            rows.join(",\n")
+        );
+        std::fs::write(&path, out).expect("write json report");
+        println!("# wrote {path}");
+    }
+
+    if check {
+        for (dataset, run) in &runs {
+            let ratio = run.gate_ratio.unwrap_or_else(|| {
+                panic!("--check gates the snapshot at {GATED_EVERY} ops per epoch; --ops {ops} is too short for it")
+            });
+            let max = gate_max_ratio(dataset);
+            assert!(
+                ratio <= max,
+                "{dataset} snapshot gate: p50 at {GATED_EVERY} ops is {ratio:.3} x full rebuild ({:.3}ms), bound {max}",
+                run.full_rebuild_ms,
+            );
+        }
+        println!("# CHECK OK");
+    }
+}
+
+/// Runs the four phases on one dataset profile.
+fn run(dataset: &str, settings: &Settings) -> Run {
+    let &Settings {
+        ops,
+        threads,
+        snapshot_every,
+        host_cpus,
+    } = settings;
+    let gate_max = gate_max_ratio(dataset);
+    let profile = profile_by_name(dataset).expect("known dataset");
     let base = profile.generate();
-    let host_cpus = num_cpus();
     println!(
         "# updates: {} ({} vertices, {} edges), {ops} ops, snapshot every {snapshot_every}, {threads} threads, host_cpus={host_cpus}",
         profile.name,
@@ -224,8 +301,8 @@ fn main() {
     println!("snapshot_cost\tfull_rebuild {full_rebuild_ms:.3}ms");
     if let Some(ratio) = gate_ratio {
         println!(
-            "snapshot_cost\tgate p50@{GATED_EVERY}/rebuild = {ratio:.3} (<= {GATE_MAX_RATIO}: {})",
-            ratio <= GATE_MAX_RATIO
+            "snapshot_cost\tgate p50@{GATED_EVERY}/rebuild = {ratio:.3} (<= {gate_max}: {})",
+            ratio <= gate_max
         );
     }
 
@@ -301,63 +378,51 @@ fn main() {
         stats.data_epoch, stats.plan_cache_hits, stats.plan_cache_misses, stats.plans_invalidated
     );
 
-    if let Some(path) = json_path {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(
-            out,
-            "  \"dataset\": \"{}\", \"ops\": {ops}, \"threads\": {threads}, \"host_cpus\": {host_cpus}, \"snapshot_every\": {snapshot_every},",
-            profile.name
-        );
-        let _ = writeln!(
-            out,
-            "  \"insert_throughput\": {{\"inserts_per_s\": {inserts_per_sec:.0}, \"offline_build_s\": {offline_secs:.4}}},"
-        );
-        let _ = writeln!(
-            out,
-            "  \"mixed_throughput\": {{\"ops_per_s\": {mixed_ops_per_sec:.0}, \"deletes_per_s\": {deletes_per_sec:.0}}},"
-        );
-        let rows: Vec<String> = sweep
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"every\": {}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"frozen_frac\": {:.4}}}",
-                    c.every, c.p50_ms, c.p95_ms, c.frozen_frac
-                )
-            })
-            .collect();
-        let gate = gate_ratio.map_or("null".to_string(), |ratio| {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "    {{\"dataset\": \"{}\", \"ops\": {ops}, \"threads\": {threads}, \"host_cpus\": {host_cpus}, \"snapshot_every\": {snapshot_every},",
+        profile.name
+    );
+    let _ = writeln!(
+        out,
+        "     \"insert_throughput\": {{\"inserts_per_s\": {inserts_per_sec:.0}, \"offline_build_s\": {offline_secs:.4}}},"
+    );
+    let _ = writeln!(
+        out,
+        "     \"mixed_throughput\": {{\"ops_per_s\": {mixed_ops_per_sec:.0}, \"deletes_per_s\": {deletes_per_sec:.0}}},"
+    );
+    let rows: Vec<String> = sweep
+        .iter()
+        .map(|c| {
             format!(
-                "{{\"every\": {GATED_EVERY}, \"p50_over_rebuild\": {ratio:.4}, \"max\": {GATE_MAX_RATIO}, \"pass\": {}}}",
-                ratio <= GATE_MAX_RATIO
+                "{{\"every\": {}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"frozen_frac\": {:.4}}}",
+                c.every, c.p50_ms, c.p95_ms, c.frozen_frac
             )
-        });
-        let _ = writeln!(
-            out,
-            "  \"snapshot_cost\": {{\"full_rebuild_ms\": {full_rebuild_ms:.3}, \"sweep\": [\n    {}\n  ], \"gate\": {gate}}},",
-            rows.join(",\n    ")
-        );
-        let _ = writeln!(
-            out,
-            "  \"serve_under_mutation\": {{\"queries_per_s\": {served_qps:.1}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"updates_per_s\": {concurrent_updates_per_sec:.0}, \"epochs\": {}, \"plans_invalidated\": {}}}",
-            median(&latencies) * 1e3,
-            percentile(&latencies, 95.0) * 1e3,
-            stats.data_epoch,
-            stats.plans_invalidated
-        );
-        out.push_str("}\n");
-        std::fs::write(&path, out).expect("write json report");
-        println!("# wrote {path}");
-    }
-
-    if check {
-        let ratio = gate_ratio.unwrap_or_else(|| {
-            panic!("--check gates the snapshot at {GATED_EVERY} ops per epoch; --ops {ops} is too short for it")
-        });
-        assert!(
-            ratio <= GATE_MAX_RATIO,
-            "snapshot gate: p50 at {GATED_EVERY} ops is {ratio:.3} x full rebuild ({full_rebuild_ms:.3}ms), bound {GATE_MAX_RATIO}"
-        );
-        println!("# CHECK OK");
+        })
+        .collect();
+    let gate = gate_ratio.map_or("null".to_string(), |ratio| {
+        format!(
+            "{{\"every\": {GATED_EVERY}, \"p50_over_rebuild\": {ratio:.4}, \"max\": {gate_max}, \"pass\": {}}}",
+            ratio <= gate_max
+        )
+    });
+    let _ = writeln!(
+        out,
+        "     \"snapshot_cost\": {{\"full_rebuild_ms\": {full_rebuild_ms:.3}, \"sweep\": [\n       {}\n     ], \"gate\": {gate}}},",
+        rows.join(",\n       ")
+    );
+    let _ = write!(
+        out,
+        "     \"serve_under_mutation\": {{\"queries_per_s\": {served_qps:.1}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"updates_per_s\": {concurrent_updates_per_sec:.0}, \"epochs\": {}, \"plans_invalidated\": {}}}}}",
+        median(&latencies) * 1e3,
+        percentile(&latencies, 95.0) * 1e3,
+        stats.data_epoch,
+        stats.plans_invalidated
+    );
+    Run {
+        json: out,
+        gate_ratio,
+        full_rebuild_ms,
     }
 }

@@ -37,15 +37,33 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
 }
 
 /// The revision of the checkout the binary runs in, for the record only
-/// (`"unknown"` outside a git checkout).
+/// (`"unknown"` outside a git checkout). It ends in `-dirty` when tracked
+/// files differ from that revision: the reading then belongs to no commit
+/// yet, not to the one named.
 pub fn git_sha() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map_or_else(|| "unknown".to_string(), |sha| sha.trim().to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+    };
+    let Some(sha) = git(&["rev-parse", "--short", "HEAD"]) else {
+        return "unknown".to_string();
+    };
+    let dirty = git(&["status", "--porcelain", "--untracked-files=no"])
+        .is_some_and(|changes| !changes.trim().is_empty());
+    sha_label(sha.trim(), dirty)
+}
+
+/// `sha`, marked `-dirty` if the tracked files differ from it.
+fn sha_label(sha: &str, dirty: bool) -> String {
+    if dirty {
+        format!("{sha}-dirty")
+    } else {
+        sha.to_string()
+    }
 }
 
 /// CPUs this process may run on, for the record of the host.
@@ -70,6 +88,12 @@ mod tests {
         assert_eq!(percentile(&v, 0.0), 1.0);
         assert_eq!(percentile(&v, 100.0), 4.0);
         assert!(percentile(&[], 50.0).is_nan());
+    }
+
+    #[test]
+    fn sha_marks_a_dirty_tree() {
+        assert_eq!(sha_label("8eb2a4d", false), "8eb2a4d");
+        assert_eq!(sha_label("8eb2a4d", true), "8eb2a4d-dirty");
     }
 
     #[test]

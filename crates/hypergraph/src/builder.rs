@@ -6,12 +6,14 @@
 //! into signature partitions, and the inverted indices plus the global
 //! incidence CSR are built.
 
+use std::sync::Arc;
+
 use crate::error::{HypergraphError, Result};
 use crate::fxhash::FxHashMap;
 use crate::hypergraph::{EdgeLocation, Hypergraph};
 use crate::ids::{EdgeId, Label, SignatureId, VertexId};
-use crate::partition::Partition;
-use crate::signature::{Signature, SignatureInterner};
+use crate::partition::{Partition, PartitionBody};
+use crate::signature::SignatureInterner;
 
 /// How the builder treats inputs the paper's preprocessing would clean up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -104,13 +106,21 @@ impl HypergraphBuilder {
     }
 
     /// Finalises the hypergraph: partitions by signature, builds inverted
-    /// indices, the edge locator and the global incidence CSR.
+    /// indices and the edge locator. The partitions' global ids are ranges
+    /// of one slab, filled in partition order.
     pub fn build(self) -> Result<Hypergraph> {
-        let Self { labels, edges, .. } = self;
+        let Self {
+            labels,
+            edges,
+            seen_edges,
+            ..
+        } = self;
+        // The duplicate check's copy of every edge is done with.
+        drop(seen_edges);
 
         // Group edges by signature, preserving global insertion order ids.
         let mut interner = SignatureInterner::new();
-        let mut groups: Vec<(Vec<Vec<u32>>, Vec<EdgeId>)> = Vec::new();
+        let mut groups: Vec<Vec<Vec<u32>>> = Vec::new();
         let mut locator = vec![
             EdgeLocation {
                 signature: SignatureId::new(0),
@@ -118,35 +128,39 @@ impl HypergraphBuilder {
             };
             edges.len()
         ];
+        let mut signature: Vec<Label> = Vec::new();
         for (i, edge) in edges.into_iter().enumerate() {
-            let signature = Signature::new(edge.iter().map(|&v| labels[v as usize]).collect());
-            let sid = interner.intern(signature);
+            signature.clear();
+            signature.extend(edge.iter().map(|&v| labels[v as usize]));
+            signature.sort_unstable();
+            let sid = interner.intern_sorted(&signature);
             if sid.index() == groups.len() {
-                groups.push((Vec::new(), Vec::new()));
+                groups.push(Vec::new());
             }
-            let (rows, ids) = &mut groups[sid.index()];
+            let rows = &mut groups[sid.index()];
             locator[i] = EdgeLocation {
                 signature: sid,
                 row: rows.len() as u32,
             };
             rows.push(edge);
-            ids.push(EdgeId::from_index(i));
         }
 
-        let partitions: Vec<std::sync::Arc<Partition>> = groups
-            .into_iter()
-            .enumerate()
-            .map(|(sid, (rows, ids))| {
-                let arity = interner.resolve(SignatureId::from_index(sid)).arity() as u32;
-                std::sync::Arc::new(Partition::new(
-                    SignatureId::from_index(sid),
-                    arity,
-                    rows,
-                    ids,
-                    &labels,
-                ))
-            })
-            .collect();
+        // Partition `p`'s ids start where the rows of those before it end.
+        let mut first = Vec::with_capacity(groups.len());
+        let mut end = 0;
+        for rows in &groups {
+            first.push(end);
+            end += rows.len();
+        }
+        let mut gids = vec![EdgeId::new(0); end];
+        for (i, loc) in locator.iter().enumerate() {
+            gids[first[loc.signature.index()] + loc.row as usize] = EdgeId::from_index(i);
+        }
+        let bodies = groups.into_iter().enumerate().map(|(sid, rows)| {
+            let arity = interner.resolve(SignatureId::from_index(sid)).arity() as u32;
+            Arc::new(PartitionBody::build(arity, rows, &labels))
+        });
+        let partitions = Partition::envelopes(bodies, gids);
 
         Ok(Hypergraph::assemble(labels, interner, partitions, locator))
     }

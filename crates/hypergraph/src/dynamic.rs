@@ -51,7 +51,7 @@ use crate::hypergraph::{EdgeLocation, Hypergraph};
 use crate::ids::{EdgeId, Label, SignatureId, VertexId};
 use crate::inverted::{choose_repr, forced_repr, InvertedIndex, ReprKind};
 use crate::partition::{indexed, Partition, PartitionBody};
-use crate::signature::{Signature, SignatureInterner};
+use crate::signature::SignatureInterner;
 use crate::stats::{LabelCardinality, PartitionStats};
 
 /// Tombstones needed before a partition compacts mid-stream (snapshots
@@ -250,6 +250,20 @@ impl PostingCell {
         }
     }
 
+    /// Moves the posting set out as a sorted list, leaving an empty list:
+    /// a stored list is taken as it is, packed blocks are decoded.
+    fn take_sorted(&mut self) -> Vec<u32> {
+        match std::mem::replace(&mut self.repr, CellRepr::List(Vec::new())) {
+            CellRepr::List(list) | CellRepr::Dense { list, .. } => list,
+            CellRepr::Packed { blocks, tail } => {
+                let mut out = Vec::with_capacity(blocks.len() + tail.len());
+                blocks.decode_into(&mut out);
+                out.extend_from_slice(&tail);
+                out
+            }
+        }
+    }
+
     /// The posting set as an owned sorted list (decoding packed blocks).
     fn to_sorted(&self) -> Vec<u32> {
         match &self.repr {
@@ -349,15 +363,7 @@ impl PostingCell {
 
     /// Rebuilds this cell in representation `kind`.
     fn switch_repr(&mut self, kind: ReprKind, row_space: usize) {
-        let list = match std::mem::replace(&mut self.repr, CellRepr::List(Vec::new())) {
-            CellRepr::List(list) | CellRepr::Dense { list, .. } => list,
-            CellRepr::Packed { blocks, tail } => {
-                let mut out = Vec::with_capacity(blocks.len() + tail.len());
-                blocks.decode_into(&mut out);
-                out.extend_from_slice(&tail);
-                out
-            }
-        };
+        let list = self.take_sorted();
         self.repr = match kind {
             ReprKind::List => CellRepr::List(list),
             ReprKind::Bitmap => {
@@ -412,10 +418,11 @@ impl DynIndex {
 
     /// Applies an order-preserving row renumbering after compaction,
     /// resets churn counters, and re-chooses every cell's representation
-    /// for the shrunk row space (the ISSUE's "re-choose at compaction").
+    /// for the shrunk row space. A stored list is renumbered where it is;
+    /// only packed cells decode.
     fn remap_rows(&mut self, remap: &[u32], row_space: usize) {
         for cell in self.cells.values_mut() {
-            let mut list = cell.to_sorted();
+            let mut list = cell.take_sorted();
             for r in &mut list {
                 debug_assert_ne!(remap[*r as usize], u32::MAX, "posting to dead row");
                 *r = remap[*r as usize];
@@ -617,21 +624,14 @@ impl DynPartition {
         moves
     }
 
-    /// Freezes this (compacted) partition into the immutable form under a
-    /// canonical signature id and edge-id remap: always a new envelope,
-    /// around the body of the previous freeze unless a row changed since.
-    fn freeze(&mut self, canon_sid: SignatureId, gid_remap: &[u32]) -> Partition {
+    /// The immutable body of this (compacted) partition: the body of the
+    /// previous freeze unless a row changed since.
+    fn freeze(&mut self) -> Arc<PartitionBody> {
         debug_assert_eq!(self.dead, 0, "freeze requires a compacted partition");
         if self.frozen.is_none() {
             self.frozen = Some(Arc::new(self.freeze_body()));
         }
-        let global_ids = self
-            .global
-            .iter()
-            .map(|&g| EdgeId::new(gid_remap[g as usize]))
-            .collect();
-        let body = Arc::clone(self.frozen.as_ref().expect("frozen above"));
-        Partition::from_body(canon_sid, global_ids, body)
+        Arc::clone(self.frozen.as_ref().expect("frozen above"))
     }
 
     /// Builds the immutable body of the current rows. The CSR index is
@@ -725,6 +725,9 @@ pub struct DynamicHypergraph {
     /// Labels of signatures touched since the last snapshot.
     touched: FxHashSet<Label>,
     cache: Option<SnapCache>,
+    /// The sorted labels of the edge being inserted, kept to look its
+    /// signature up without allocating.
+    signature_scratch: Vec<Label>,
 }
 
 impl DynamicHypergraph {
@@ -734,9 +737,10 @@ impl DynamicHypergraph {
     }
 
     /// Seeds a dynamic hypergraph from an existing immutable one (same
-    /// vertices, same hyperedges in the same order). Partitions adopt
-    /// `h`'s bodies, so the first snapshot shares them instead of
-    /// re-freezing the graph it was seeded from. A body is adopted only if
+    /// vertices, same hyperedges in the same order). The writer adopts
+    /// `h`'s signatures, with `h`'s ids, and its partitions adopt `h`'s
+    /// bodies, so the first snapshot shares both instead of re-freezing
+    /// the graph it was seeded from. A body is adopted only if
     /// it is what a freeze here would emit: same rows in the same order,
     /// every posting in the representation this process chooses (its
     /// planner stats are a function of those rows wherever `h` came from:
@@ -744,21 +748,24 @@ impl DynamicHypergraph {
     pub fn from_hypergraph(h: &Hypergraph) -> Self {
         let mut d = Self::new();
         d.labels = h.labels().to_vec();
+        d.interner = h.interner().clone();
+        d.parts = h
+            .partitions()
+            .iter()
+            .map(|p| DynPartition::new(p.arity()))
+            .collect();
         for (_, vs) in h.iter_edges() {
             d.insert_hyperedge(vs.to_vec())
                 .expect("edges of a built hypergraph are valid");
         }
-        for (sid, signature) in d.interner.iter() {
-            let part = &mut d.parts[sid.index()];
+        for (part, seed) in d.parts.iter_mut().zip(h.partitions()) {
             // Edges were replayed in `h`'s order, so a partition's rows are
             // `h`'s rows unless `h` was not laid out in that order. A seed
             // index in another representation than this process would
             // choose (a snapshot file written under a different
             // `HGMATCH_FORCE_REPR`) is re-frozen like any dirty partition.
-            if let Some(seed) = h.partition_of(signature) {
-                if seed.raw_vertices() == part.vertices && seed.index().is_canonical() {
-                    part.frozen = Some(Arc::clone(seed.body_arc()));
-                }
+            if seed.raw_vertices() == part.vertices && seed.index().is_canonical() {
+                part.frozen = Some(Arc::clone(seed.body_arc()));
             }
         }
         // Seeding is epoch 0, not a stream of updates.
@@ -832,9 +839,12 @@ impl DynamicHypergraph {
             return Ok(None);
         }
 
-        let signature = Signature::new(vertices.iter().map(|&v| self.labels[v as usize]).collect());
-        self.touched.extend(signature.labels().iter().copied());
-        let sid = self.interner.intern(signature);
+        let signature = &mut self.signature_scratch;
+        signature.clear();
+        signature.extend(vertices.iter().map(|&v| self.labels[v as usize]));
+        signature.sort_unstable();
+        self.touched.extend(signature.iter().copied());
+        let sid = self.interner.intern_sorted(signature);
         if sid.index() == self.parts.len() {
             self.parts.push(DynPartition::new(vertices.len() as u32));
         }
@@ -912,11 +922,15 @@ impl DynamicHypergraph {
     /// which makes rebuild-from-scratch a byte-level oracle for this path.
     ///
     /// Cost: the rows of the partitions mutated since the previous
-    /// snapshot (their bodies are re-frozen), plus one id per live edge and
-    /// the locator (every envelope is rewritten, because deletions shift
-    /// the dense edge ids and extinctions the signature ids). The body of
-    /// every other partition is shared with the previous snapshot via
-    /// [`Arc`], wherever its ids moved to.
+    /// snapshot (their bodies are re-frozen), plus per live edge one id in
+    /// the graph's global-id slab and one locator entry, plus per live
+    /// partition an envelope (`Arc<Partition>`, two pointers and two ids)
+    /// and one map entry of the canonical interner, which shares the
+    /// writer's signature and reuses its cached hash. Every envelope is
+    /// rewritten, because deletions shift the dense edge ids and
+    /// extinctions the signature ids; the body of every other partition is
+    /// shared with the previous snapshot via [`Arc`], wherever its ids
+    /// moved to.
     pub fn snapshot(&mut self) -> SnapshotDelta {
         if let Some(cache) = &self.cache {
             if cache.epoch == self.epoch {
@@ -943,35 +957,45 @@ impl DynamicHypergraph {
         // order; signatures take canonical ids in first-encounter order and
         // edges take dense ids — the orders a fresh build would assign.
         let mut canon_of_dyn: Vec<Option<SignatureId>> = vec![None; self.parts.len()];
-        let mut dyn_of_canon: Vec<usize> = Vec::new();
-        let mut canon_interner = SignatureInterner::new();
+        let mut dyn_of_canon: Vec<SignatureId> = Vec::new();
         let mut gid_remap = vec![u32::MAX; self.locator.len()];
         let mut next_gid = 0u32;
         for (gid, loc) in self.locator.iter().enumerate() {
             let Some(loc) = loc else { continue };
-            let dyn_sid = loc.signature.index();
-            if canon_of_dyn[dyn_sid].is_none() {
-                let canon = canon_interner.intern(self.interner.resolve(loc.signature).clone());
-                debug_assert_eq!(canon.index(), dyn_of_canon.len());
-                canon_of_dyn[dyn_sid] = Some(canon);
-                dyn_of_canon.push(dyn_sid);
+            let canon = &mut canon_of_dyn[loc.signature.index()];
+            if canon.is_none() {
+                *canon = Some(SignatureId::from_index(dyn_of_canon.len()));
+                dyn_of_canon.push(loc.signature);
             }
             gid_remap[gid] = next_gid;
             next_gid += 1;
         }
+        let canon_interner = SignatureInterner::from_distinct(
+            dyn_of_canon
+                .iter()
+                .map(|&dyn_sid| self.interner.resolve(dyn_sid).clone())
+                .collect(),
+        );
 
         // One reuse rule: rows unchanged ⇒ body shared. Every partition
-        // gets a new envelope under its canonical sid and edge ids.
+        // gets a new envelope under its canonical sid, and its renumbered
+        // edge ids go into the graph's slab in the same order.
         let mut partitions_frozen = 0;
-        let partitions: Vec<Arc<Partition>> = dyn_of_canon
+        let mut gids: Vec<EdgeId> = Vec::with_capacity(self.live_edges);
+        let bodies: Vec<Arc<PartitionBody>> = dyn_of_canon
             .iter()
-            .enumerate()
-            .map(|(canon_idx, &dyn_sid)| {
-                let part = &mut self.parts[dyn_sid];
+            .map(|&dyn_sid| {
+                let part = &mut self.parts[dyn_sid.index()];
                 partitions_frozen += usize::from(part.frozen.is_none());
-                Arc::new(part.freeze(SignatureId::from_index(canon_idx), &gid_remap))
+                gids.extend(
+                    part.global
+                        .iter()
+                        .map(|&g| EdgeId::new(gid_remap[g as usize])),
+                );
+                part.freeze()
             })
             .collect();
+        let partitions = Partition::envelopes(bodies, gids);
         let partitions_shared = partitions.len() - partitions_frozen;
 
         // Canonical locator: live edges in insertion order; rows are the
@@ -1027,6 +1051,7 @@ mod tests {
     use super::*;
     use crate::builder::HypergraphBuilder;
     use crate::inverted::MIN_BITMAP_ROWS;
+    use crate::signature::Signature;
 
     /// Rebuild oracle: a fresh build over `edges` in order.
     fn rebuild(labels: &[Label], edges: &[Vec<u32>]) -> Hypergraph {
@@ -1600,6 +1625,55 @@ mod tests {
             edges.push(e);
             assert_eq!(*d.snapshot().graph, rebuild(&labels, &edges));
         }
+    }
+
+    /// Asserts that `graph`'s partitions take their global ids from one
+    /// slab, back to back in partition order.
+    fn assert_one_gid_slab(graph: &Hypergraph) {
+        let parts = graph.partitions();
+        let slab = parts[0].gid_slab();
+        let mut first = 0;
+        for (sid, p) in parts.iter().enumerate() {
+            assert!(Arc::ptr_eq(p.gid_slab(), slab), "partition {sid}");
+            assert_eq!(p.global_ids().as_ptr(), slab[first..].as_ptr());
+            first += p.len();
+        }
+        assert_eq!(first, slab.len());
+    }
+
+    #[test]
+    fn snapshots_share_the_writer_signatures_and_one_gid_slab() {
+        let labels: Vec<Label> = [0u32, 0, 1, 1, 2, 2].map(Label::new).to_vec();
+        let edges = vec![vec![0, 1], vec![2, 3], vec![0, 2], vec![4, 5], vec![1, 3]];
+        let base = rebuild(&labels, &edges);
+        assert_one_gid_slab(&base);
+        let mut d = DynamicHypergraph::from_hypergraph(&base);
+        // The writer adopts the seed's signatures, ids included.
+        for (sid, signature) in base.interner().iter() {
+            let adopted = d.interner.resolve(sid).labels();
+            assert_eq!(adopted.as_ptr(), signature.labels().as_ptr());
+        }
+        // {0,0} goes extinct, {1,2} and {0,2} are born.
+        d.delete_hyperedge(&[0, 1]).unwrap();
+        d.insert_hyperedge(vec![3, 4]).unwrap();
+        d.insert_hyperedge(vec![4, 5]).unwrap(); // already live: no-op
+        d.insert_hyperedge(vec![0, 5]).unwrap();
+        let snap = d.snapshot();
+        let live = [
+            vec![2, 3],
+            vec![0, 2],
+            vec![4, 5],
+            vec![1, 3],
+            vec![3, 4],
+            vec![0, 5],
+        ];
+        assert_eq!(*snap.graph, rebuild(&labels, &live));
+        for (_, signature) in snap.graph.interner().iter() {
+            let writer = d.interner.get(signature).expect("a live signature");
+            let writer = d.interner.resolve(writer).labels();
+            assert_eq!(signature.labels().as_ptr(), writer.as_ptr());
+        }
+        assert_one_gid_slab(&snap.graph);
     }
 
     #[test]

@@ -38,8 +38,8 @@ use crate::error::{HypergraphError, Result};
 use crate::hypergraph::{EdgeLocation, Hypergraph, Incidence};
 use crate::ids::{EdgeId, Label, SignatureId};
 use crate::inverted::{InvertedIndex, Posting};
-use crate::partition::{indexed, Partition};
-use crate::signature::{Signature, SignatureInterner};
+use crate::partition::{indexed, Partition, PartitionBody};
+use crate::signature::SignatureInterner;
 
 /// Magic bytes shared by both binary formats.
 const MAGIC: &[u8; 4] = b"HGMB";
@@ -612,18 +612,19 @@ pub fn decode_snapshot(data: &[u8]) -> Result<Hypergraph> {
     need(d, 4, "signature count")?;
     let num_sigs = d.get_u32_le() as usize;
     let mut interner = SignatureInterner::new();
+    let mut sig_labels = Vec::new();
     for i in 0..num_sigs {
         need(d, 4, "signature arity")?;
         let arity = d.get_u32_le() as usize;
         need(d, arity * 4, "signature labels")?;
-        let mut sig_labels = Vec::with_capacity(arity);
+        sig_labels.clear();
         for _ in 0..arity {
             sig_labels.push(Label::new(d.get_u32_le()));
         }
         if !sig_labels.windows(2).all(|w| w[0] <= w[1]) {
             return Err(corrupt(format!("signature {i} labels not sorted")));
         }
-        let id = interner.intern(Signature::from_sorted(sig_labels));
+        let id = interner.intern_sorted(&sig_labels);
         if id.index() != i {
             return Err(corrupt(format!(
                 "signature {i} duplicates signature {}",
@@ -644,7 +645,10 @@ pub fn decode_snapshot(data: &[u8]) -> Result<Hypergraph> {
             "{num_parts} partitions for {num_sigs} signatures"
         )));
     }
-    let mut partitions: Vec<Arc<Partition>> = Vec::with_capacity(num_parts);
+    // Bodies in partition order, and their global ids back to back in the
+    // graph's one slab.
+    let mut bodies: Vec<Arc<PartitionBody>> = Vec::with_capacity(num_parts);
+    let mut gids: Vec<EdgeId> = Vec::new();
     for i in 0..num_parts {
         let sid = SignatureId::from_index(i);
         need(d, 8, "partition header")?;
@@ -669,10 +673,11 @@ pub fn decode_snapshot(data: &[u8]) -> Result<Hypergraph> {
                 )));
             }
         }
-        let global_ids: Vec<EdgeId> = read_u32s(&mut d, rows, "partition global ids")?
-            .into_iter()
-            .map(EdgeId::new)
-            .collect();
+        gids.extend(
+            read_u32s(&mut d, rows, "partition global ids")?
+                .into_iter()
+                .map(EdgeId::new),
+        );
         // v2/v3 records carry an index at every row count; v4/v5 records
         // only where the partition keeps one.
         let mut index = InvertedIndex::default();
@@ -699,13 +704,14 @@ pub fn decode_snapshot(data: &[u8]) -> Result<Hypergraph> {
             }
         }
         // The stats are derived from the index just checked, as a build's.
-        partitions.push(Arc::new(Partition::from_parts(
-            sid, arity, vertices, global_ids, index, &labels,
+        bodies.push(Arc::new(PartitionBody::from_index(
+            arity, rows, vertices, index, &labels,
         )));
     }
     if !d.is_empty() {
         return Err(corrupt("trailing bytes in partitions section".into()));
     }
+    let partitions = Partition::envelopes(bodies, gids);
 
     // LOCATOR.
     let mut d = payloads[3].0;
@@ -826,20 +832,19 @@ mod tests {
     /// `h` with every partition's index replaced by `edit`'s — a graph no
     /// build produces, for the decoder to refuse.
     fn reassembled(h: &Hypergraph, edit: impl Fn(&Partition) -> InvertedIndex) -> Hypergraph {
-        let partitions = h
-            .partitions()
-            .iter()
-            .map(|p| {
-                Arc::new(Partition::from_parts(
-                    p.signature(),
-                    p.arity(),
-                    p.raw_vertices().to_vec(),
-                    p.global_ids().to_vec(),
-                    edit(p),
-                    h.labels(),
-                ))
-            })
-            .collect();
+        let bodies = h.partitions().iter().map(|p| {
+            let vertices = p.raw_vertices().to_vec();
+            let index = edit(p);
+            Arc::new(PartitionBody::from_index(
+                p.arity(),
+                p.len(),
+                vertices,
+                index,
+                h.labels(),
+            ))
+        });
+        let gids = h.partitions().iter().flat_map(|p| p.global_ids());
+        let partitions = Partition::envelopes(bodies, gids.copied().collect());
         let locator = (0..h.num_edges())
             .map(|e| h.locate(EdgeId::from_index(e)))
             .collect();

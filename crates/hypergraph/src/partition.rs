@@ -12,11 +12,13 @@
 //!
 //! A partition is two layers. The body (`PartitionBody`) — vertex table,
 //! inverted index, planner stats — is a function of the partition's rows
-//! alone and sits behind an [`Arc`]; the envelope around it (`signature`,
-//! `global_ids`) is what a snapshot's canonical renumbering assigns. The
+//! alone and sits behind an [`Arc`]; the envelope around it (signature id,
+//! global ids) is what a snapshot's canonical renumbering assigns. The
 //! dynamic writer ([`crate::dynamic`]) re-issues only envelopes for
 //! partitions whose rows an epoch did not change, so their bodies are
-//! shared across epochs.
+//! shared across epochs. An envelope holds no allocation of its own: its
+//! global ids are a range of one slab per graph, which the builder, the
+//! snapshot decoder and the dynamic snapshot each fill in partition order.
 
 use std::sync::Arc;
 
@@ -60,15 +62,66 @@ pub(crate) struct PartitionBody {
 static EMPTY_INDEX: InvertedIndex = InvertedIndex::EMPTY;
 
 impl PartitionBody {
+    /// Builds the body of `rows`, each a sorted vertex list of `arity`
+    /// vertices: the inverted index (from two rows on) and the planner's
+    /// cardinality summaries from `labels` (the graph's vertex labels).
+    ///
+    /// # Panics
+    /// Panics if any row's length differs from `arity`, or if row vertex
+    /// lists are not strictly sorted (debug builds).
+    pub(crate) fn build(arity: u32, rows: Vec<Vec<u32>>, labels: &[Label]) -> Self {
+        let mut vertices = Vec::with_capacity(rows.len() * arity as usize);
+        for row in &rows {
+            assert_eq!(row.len(), arity as usize, "row arity mismatch");
+            debug_assert!(
+                crate::setops::is_strictly_sorted(row),
+                "row vertex lists must be sorted and duplicate-free"
+            );
+            vertices.extend_from_slice(row);
+        }
+        let index = if indexed(rows.len()) {
+            let row_slices: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
+            InvertedIndex::build(&row_slices)
+        } else {
+            InvertedIndex::EMPTY
+        };
+        Self::from_index(arity, rows.len(), vertices, index, labels)
+    }
+
+    /// Assembles the body of `rows` rows from its flattened vertex table
+    /// and a prebuilt index — the snapshot decoder ([`crate::io`]) must not
+    /// rebuild it. The planner stats are derived from `index` and `labels`,
+    /// so a build and a decode cannot disagree on them. Every key of
+    /// `index` must be a vertex of `labels` with a non-empty posting.
+    pub(crate) fn from_index(
+        arity: u32,
+        rows: usize,
+        vertices: Vec<u32>,
+        index: InvertedIndex,
+        labels: &[Label],
+    ) -> Self {
+        let degrees = index.iter().map(|(v, posting)| (v, posting.len()));
+        let stats = PartitionStats::from_degrees(rows, degrees, labels);
+        Self::from_parts(arity, vertices, index, stats)
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub(crate) fn rows(&self) -> usize {
+        self.stats.rows as usize
+    }
+
     /// Assembles a body from already-flattened rows, a prebuilt index and
-    /// already computed stats; the index is kept only if [`indexed`].
+    /// already computed stats (whose `rows` is the row count); the index is
+    /// kept only if [`indexed`].
     pub(crate) fn from_parts(
         arity: u32,
         vertices: Vec<u32>,
         index: InvertedIndex,
         stats: PartitionStats,
     ) -> Self {
-        let rows = vertices.len() / arity.max(1) as usize;
+        let rows = stats.rows as usize;
+        debug_assert_eq!(rows * arity as usize, vertices.len());
         debug_assert!(if indexed(rows) {
             index.num_rows() as usize == rows
         } else {
@@ -85,22 +138,37 @@ impl PartitionBody {
 
 /// One hyperedge table: every hyperedge in it has the same signature.
 ///
-/// Equality compares content — the envelope and the body's rows, index and
-/// stats — never body identity, so snapshot == rebuild-from-scratch stays a
-/// byte-level oracle whether or not bodies are shared.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Equality compares content — the signature id, the global ids and the
+/// body's rows, index and stats — never body or slab identity, so
+/// snapshot == rebuild-from-scratch stays a byte-level oracle whether or
+/// not bodies are shared.
+#[derive(Debug, Clone)]
 pub struct Partition {
     signature: SignatureId,
-    /// Global edge id of each local row.
-    global_ids: Vec<EdgeId>,
+    /// Where row 0's global id sits in `gids`.
+    first: u32,
+    /// The global ids of every partition of the graph, back to back in
+    /// partition order; this one's are `first..first + len()`.
+    gids: Arc<[EdgeId]>,
     body: Arc<PartitionBody>,
 }
+
+impl PartialEq for Partition {
+    fn eq(&self, other: &Self) -> bool {
+        self.signature == other.signature
+            && self.global_ids() == other.global_ids()
+            && self.body == other.body
+    }
+}
+
+impl Eq for Partition {}
 
 impl Partition {
     /// Assembles a partition from rows of sorted vertex lists and their
     /// global ids, building the inverted index (from two rows on) and
     /// computing the planner's cardinality summaries from `labels` (the
-    /// graph's vertex labels).
+    /// graph's vertex labels). The ids get a slab of their own; a whole
+    /// graph's partitions share one ([`crate::builder`]).
     ///
     /// # Panics
     /// Panics if any row's length differs from `arity`, or if row vertex
@@ -117,65 +185,54 @@ impl Partition {
             global_ids.len(),
             "rows and global ids must align"
         );
-        let mut vertices = Vec::with_capacity(rows.len() * arity as usize);
-        for row in &rows {
-            assert_eq!(row.len(), arity as usize, "row arity mismatch");
-            debug_assert!(
-                crate::setops::is_strictly_sorted(row),
-                "row vertex lists must be sorted and duplicate-free"
-            );
-            vertices.extend_from_slice(row);
-        }
-        let index = if indexed(rows.len()) {
-            let row_slices: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
-            InvertedIndex::build(&row_slices)
-        } else {
-            InvertedIndex::EMPTY
-        };
-        Self::from_parts(signature, arity, vertices, global_ids, index, labels)
-    }
-
-    /// Assembles a partition from already-flattened parts and a prebuilt
-    /// index — for the snapshot decoder ([`crate::io`]), which must not
-    /// rebuild it. The planner stats are derived from `index` and `labels`
-    /// (the graph's vertex labels), so a build and a decode cannot
-    /// disagree on them. Every key of `index` must be a vertex of
-    /// `labels` with a non-empty posting.
-    pub(crate) fn from_parts(
-        signature: SignatureId,
-        arity: u32,
-        vertices: Vec<u32>,
-        global_ids: Vec<EdgeId>,
-        index: InvertedIndex,
-        labels: &[Label],
-    ) -> Self {
-        let rows = global_ids.len();
-        let degrees = index.iter().map(|(v, posting)| (v, posting.len()));
-        let stats = PartitionStats::from_degrees(rows, degrees, labels);
-        let body = PartitionBody::from_parts(arity, vertices, index, stats);
-        Self::from_body(signature, global_ids, Arc::new(body))
-    }
-
-    /// Wraps a shared body in a fresh envelope — the dynamic snapshot's
-    /// freeze path ([`crate::dynamic`]), which writes only this for a
-    /// partition whose rows did not change.
-    pub(crate) fn from_body(
-        signature: SignatureId,
-        global_ids: Vec<EdgeId>,
-        body: Arc<PartitionBody>,
-    ) -> Self {
-        debug_assert_eq!(global_ids.len() * body.arity as usize, body.vertices.len());
+        let body = PartitionBody::build(arity, rows, labels);
         Self {
             signature,
-            global_ids,
-            body,
+            first: 0,
+            gids: global_ids.into(),
+            body: Arc::new(body),
         }
+    }
+
+    /// The partitions of one graph: `bodies` in signature-id order, each in
+    /// an envelope whose global ids are the next `rows` ids of `gids`, the
+    /// graph's slab. The builder, the snapshot decoder and the dynamic
+    /// snapshot (which re-issues only this for a partition whose rows did
+    /// not change, [`crate::dynamic`]) all assemble partitions here.
+    pub(crate) fn envelopes(
+        bodies: impl IntoIterator<Item = Arc<PartitionBody>>,
+        gids: Vec<EdgeId>,
+    ) -> Vec<Arc<Partition>> {
+        let gids: Arc<[EdgeId]> = gids.into();
+        let mut first = 0;
+        let partitions: Vec<Arc<Partition>> = bodies
+            .into_iter()
+            .enumerate()
+            .map(|(sid, body)| {
+                let partition = Self {
+                    signature: SignatureId::from_index(sid),
+                    first: u32::try_from(first).expect("edge-id overflow"),
+                    gids: Arc::clone(&gids),
+                    body,
+                };
+                first += partition.len();
+                Arc::new(partition)
+            })
+            .collect();
+        assert_eq!(first, gids.len(), "the slab holds every row's id");
+        partitions
     }
 
     /// The body's shared handle (the dynamic writer keeps and re-issues it).
     #[inline]
     pub(crate) fn body_arc(&self) -> &Arc<PartitionBody> {
         &self.body
+    }
+
+    /// The slab this partition's global ids are a range of.
+    #[cfg(test)]
+    pub(crate) fn gid_slab(&self) -> &Arc<[EdgeId]> {
+        &self.gids
     }
 
     /// The signature id all rows in this partition share.
@@ -193,13 +250,13 @@ impl Partition {
     /// Number of hyperedges — the `O(1)` cardinality used by the planner.
     #[inline]
     pub fn len(&self) -> usize {
-        self.global_ids.len()
+        self.body.rows()
     }
 
     /// Whether the partition holds no hyperedges.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.global_ids.is_empty()
+        self.len() == 0
     }
 
     /// Sorted vertex list of local row `row`.
@@ -213,13 +270,13 @@ impl Partition {
     /// Global edge id of local row `row`.
     #[inline]
     pub fn global_id(&self, row: u32) -> EdgeId {
-        self.global_ids[row as usize]
+        self.global_ids()[row as usize]
     }
 
     /// All global ids, indexed by local row.
     #[inline]
     pub fn global_ids(&self) -> &[EdgeId] {
-        &self.global_ids
+        &self.gids[self.first as usize..][..self.len()]
     }
 
     /// The partition's inverted hyperedge index: a shared empty one for a
@@ -305,7 +362,7 @@ impl Partition {
     /// excluding the inverted index.
     pub fn table_size_bytes(&self) -> usize {
         self.body.vertices.len() * std::mem::size_of::<u32>()
-            + self.global_ids.len() * std::mem::size_of::<EdgeId>()
+            + self.len() * std::mem::size_of::<EdgeId>()
     }
 
     /// Approximate heap size of the inverted index (0 for one row).

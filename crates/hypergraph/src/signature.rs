@@ -5,30 +5,44 @@
 //! per distinct signature, so candidate search for a query hyperedge only
 //! ever touches the single table whose signature matches (Observation V.1).
 //!
-//! A multiset of labels is canonically represented as a *sorted* boxed slice,
-//! which makes equality, hashing and ordering trivially consistent.
+//! A multiset of labels is canonically represented as a *sorted* sequence,
+//! which makes equality, hashing and ordering trivially consistent. The
+//! sequence lives in one shared allocation: cloning a signature, or
+//! interning it into a snapshot's interner, copies a pointer, not labels.
 
+use std::borrow::Borrow;
+use std::collections::hash_map::Entry;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
-use crate::fxhash::FxHashMap;
+use crate::fxhash::{FxHashMap, FxHasher};
 use crate::ids::{Label, SignatureId};
 
 /// A hyperedge signature: the multiset of vertex labels in a hyperedge,
 /// canonicalised as a sorted sequence.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+///
+/// Clones share one allocation of the labels. The hash of the labels is
+/// computed once, at construction, so hashing a signature writes one word
+/// whatever its arity; equality and ordering compare the labels.
+#[derive(Clone)]
 pub struct Signature {
-    labels: Box<[Label]>,
+    labels: Arc<[Label]>,
+    hash: u64,
+}
+
+/// The hash a signature of these sorted labels caches.
+fn hash_labels(labels: &[Label]) -> u64 {
+    let mut hasher = FxHasher::default();
+    labels.hash(&mut hasher);
+    hasher.finish()
 }
 
 impl Signature {
     /// Builds a signature from an arbitrary label sequence (sorted here).
     pub fn new(mut labels: Vec<Label>) -> Self {
         labels.sort_unstable();
-        Self {
-            labels: labels.into_boxed_slice(),
-        }
+        Self::from_sorted(labels)
     }
 
     /// Builds a signature from labels already known to be sorted.
@@ -36,12 +50,18 @@ impl Signature {
     /// # Panics
     /// Panics in debug builds if `labels` is not sorted.
     pub fn from_sorted(labels: Vec<Label>) -> Self {
+        let hash = hash_labels(&labels);
+        Self::with_hash(&labels, hash)
+    }
+
+    fn with_hash(labels: &[Label], hash: u64) -> Self {
         debug_assert!(
             labels.windows(2).all(|w| w[0] <= w[1]),
             "labels must be sorted"
         );
         Self {
-            labels: labels.into_boxed_slice(),
+            labels: Arc::from(labels),
+            hash,
         }
     }
 
@@ -85,6 +105,81 @@ impl Signature {
     }
 }
 
+impl PartialEq for Signature {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.labels == other.labels
+    }
+}
+
+impl Eq for Signature {}
+
+impl PartialOrd for Signature {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Signature {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.labels.cmp(&other.labels)
+    }
+}
+
+impl Hash for Signature {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+mod key {
+    use super::*;
+
+    /// What the interner's map hashes and compares: a cached hash and the
+    /// sorted labels. A [`Signature`] lends itself as one, and so does a
+    /// borrowed label sequence, so a lookup by labels allocates nothing.
+    pub trait Key {
+        fn hash_and_labels(&self) -> (u64, &[Label]);
+    }
+
+    impl Key for Signature {
+        fn hash_and_labels(&self) -> (u64, &[Label]) {
+            (self.hash, &self.labels)
+        }
+    }
+
+    /// Sorted labels and their hash, borrowed for one lookup.
+    pub struct Probe<'a>(pub u64, pub &'a [Label]);
+
+    impl Key for Probe<'_> {
+        fn hash_and_labels(&self) -> (u64, &[Label]) {
+            (self.0, self.1)
+        }
+    }
+
+    impl<'a> Borrow<dyn Key + 'a> for Signature {
+        fn borrow(&self) -> &(dyn Key + 'a) {
+            self
+        }
+    }
+
+    // Hashes as `Signature` does, so the map finds a signature by a probe.
+    impl Hash for dyn Key + '_ {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            state.write_u64(self.hash_and_labels().0);
+        }
+    }
+
+    impl PartialEq for dyn Key + '_ {
+        fn eq(&self, other: &Self) -> bool {
+            self.hash_and_labels() == other.hash_and_labels()
+        }
+    }
+
+    impl Eq for dyn Key + '_ {}
+}
+
 struct LabelRuns<'a> {
     labels: &'a [Label],
     pos: usize,
@@ -121,11 +216,23 @@ impl fmt::Debug for Signature {
 
 /// Interns signatures, assigning each distinct multiset a dense
 /// [`SignatureId`] that doubles as the partition index.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+///
+/// The id table and the map hold one shared copy of each signature.
+#[derive(Debug, Default, Clone)]
 pub struct SignatureInterner {
     by_signature: FxHashMap<Signature, SignatureId>,
     signatures: Vec<Signature>,
 }
+
+/// Equal iff the same signatures have the same ids (the map is a function
+/// of the id table).
+impl PartialEq for SignatureInterner {
+    fn eq(&self, other: &Self) -> bool {
+        self.signatures == other.signatures
+    }
+}
+
+impl Eq for SignatureInterner {}
 
 impl SignatureInterner {
     /// Creates an empty interner.
@@ -133,15 +240,50 @@ impl SignatureInterner {
         Self::default()
     }
 
+    /// An interner of distinct `signatures`, with ids in their order. The
+    /// map is sized once and probed once per signature; each entry shares
+    /// its signature's allocation.
+    ///
+    /// # Panics
+    /// Panics in debug builds if two signatures are equal.
+    pub(crate) fn from_distinct(signatures: Vec<Signature>) -> Self {
+        let mut by_signature =
+            FxHashMap::with_capacity_and_hasher(signatures.len(), Default::default());
+        for (i, signature) in signatures.iter().enumerate() {
+            let old = by_signature.insert(signature.clone(), SignatureId::from_index(i));
+            debug_assert!(old.is_none(), "signature {signature:?} repeats");
+        }
+        Self {
+            by_signature,
+            signatures,
+        }
+    }
+
     /// Interns `signature`, returning its id (existing or freshly assigned).
     pub fn intern(&mut self, signature: Signature) -> SignatureId {
-        if let Some(&id) = self.by_signature.get(&signature) {
+        match self.by_signature.entry(signature) {
+            Entry::Occupied(entry) => *entry.get(),
+            Entry::Vacant(entry) => {
+                let id = SignatureId::from_index(self.signatures.len());
+                self.signatures.push(entry.key().clone());
+                entry.insert(id);
+                id
+            }
+        }
+    }
+
+    /// Interns the signature of these sorted labels. A signature already
+    /// interned is found without allocating; a new one is allocated once.
+    ///
+    /// # Panics
+    /// Panics in debug builds if `labels` is not sorted.
+    pub(crate) fn intern_sorted(&mut self, labels: &[Label]) -> SignatureId {
+        let hash = hash_labels(labels);
+        let probe: &dyn key::Key = &key::Probe(hash, labels);
+        if let Some(&id) = self.by_signature.get(probe) {
             return id;
         }
-        let id = SignatureId::from_index(self.signatures.len());
-        self.signatures.push(signature.clone());
-        self.by_signature.insert(signature, id);
-        id
+        self.intern(Signature::with_hash(labels, hash))
     }
 
     /// Looks up an already-interned signature without inserting.
@@ -246,6 +388,35 @@ mod tests {
         interner.intern(Signature::new(vec![l(1)]));
         let ids: Vec<_> = interner.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![SignatureId::new(0), SignatureId::new(1)]);
+    }
+
+    #[test]
+    fn clones_and_interned_copies_share_the_labels() {
+        let mut interner = SignatureInterner::new();
+        let s = Signature::new(vec![l(2), l(0), l(2)]);
+        let id = interner.intern(s.clone());
+        let shared = interner.resolve(id).labels().as_ptr();
+        assert_eq!(shared, s.labels().as_ptr());
+        // A lookup by labels finds the interned copy instead of making one.
+        assert_eq!(interner.intern_sorted(&[l(0), l(2), l(2)]), id);
+        assert_eq!(interner.resolve(id).labels().as_ptr(), shared);
+        // A miss interns a new signature equal to one built from a Vec.
+        let other = interner.intern_sorted(&[l(1), l(3)]);
+        assert_eq!(other, SignatureId::new(1));
+        assert_eq!(interner.get(&Signature::new(vec![l(3), l(1)])), Some(other));
+        // The bulk build keeps the order and the allocations.
+        let bulk = SignatureInterner::from_distinct(vec![s.clone()]);
+        assert_eq!(bulk.get(&s), Some(SignatureId::new(0)));
+        assert_eq!(bulk.resolve(SignatureId::new(0)).labels().as_ptr(), shared);
+    }
+
+    #[test]
+    fn order_and_equality_follow_the_labels() {
+        let a = Signature::new(vec![l(0), l(5)]);
+        let b = Signature::new(vec![l(1)]);
+        assert!(a < b, "lexicographic on the sorted labels");
+        assert_eq!(a.cmp(&a.clone()), std::cmp::Ordering::Equal);
+        assert_ne!(a, b);
     }
 
     #[test]

@@ -109,7 +109,7 @@ impl PartitionStats {
 
     /// The same summary computed from each distinct vertex's
     /// within-partition degree and the row count — for assembling a
-    /// partition from its index (`Partition::from_parts`, under both
+    /// partition from its index (`PartitionBody::from_index`, under both
     /// [`Partition::new`] and the snapshot decoder). Below two rows the
     /// degrees are not read and the summary holds no groups.
     pub(crate) fn from_degrees(
