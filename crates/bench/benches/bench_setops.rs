@@ -8,7 +8,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hgmatch_hypergraph::bitmap::Bitmap;
-use hgmatch_hypergraph::compressed::CompressedPostings;
 use hgmatch_hypergraph::setops::{self, KernelMode};
 use std::hint::black_box;
 
@@ -203,191 +202,14 @@ fn bench_task_alloc(c: &mut Criterion) {
     group.finish();
 }
 
-/// `total` values in runs of `run` consecutive ids, one run per `period`
-/// ids — the "mid-density long runs" shape `choose_repr` sends to the
-/// compressed representation (overall density `run/period`). `offset`
-/// staggers the runs so two such sets overlap partially.
-fn run_structured(total: u32, run: u32, period: u32, offset: u32) -> Vec<u32> {
-    (0..total)
-        .map(|i| (i / run) * period + (i % run) + offset)
-        .collect()
-}
-
-/// The compressed-posting rows (DESIGN.md §14): fused decode-and-intersect
-/// and decode-and-difference against the plain list kernels (and the
-/// bitmap AND) at two matched mid-density shapes, 100k postings each.
-///
-/// * `*_mid_runs`: runs of 256 ids at 1/32 overall density — the shape the
-///   three-way selection rule targets. Run blocks pack to width 0 and the
-///   fused kernels never decode them, so this is the ≤10% regression gate
-///   (compare `intersect_mid_runs/fused_compressed` against
-///   `intersect_mid_runs/list_simd`; the gate result is printed below).
-/// * `*_mid_uniform`: every-32nd-id postings — the adversarial case where
-///   every block really is bitpacked and the serial delta decode is paid
-///   on top of the intersection; recorded so the decode cost stays visible.
-fn bench_compressed_kernels(c: &mut Criterion) {
-    // Gate shape: 256-long runs, period 8192 (density 1/32), the second
-    // operand staggered half a run so every run pair overlaps by 128.
-    let a = run_structured(100_000, 256, 8192, 0);
-    let b = run_structured(100_000, 256, 8192, 128);
-    let ca = CompressedPostings::from_sorted(&a);
-    assert_eq!(ca.to_sorted(), a, "bench operand must round-trip");
-    // Uniform mid-density shape: every block bitpacks at width 5.
-    let ua = multiples(100_000, 32);
-    let ub = multiples(100_000, 48);
-    let cua = CompressedPostings::from_sorted(&ua);
-    assert_eq!(cua.to_sorted(), ua, "bench operand must round-trip");
-
-    for (tag, a, b, ca) in [
-        ("intersect_mid_runs", &a, &b, &ca),
-        ("intersect_mid_uniform", &ua, &ub, &cua),
-    ] {
-        let mut group = c.benchmark_group(tag);
-        group.bench_function("list_simd", |bench| {
-            let mut out = Vec::new();
-            bench.iter(|| {
-                setops::intersect_into(black_box(a), black_box(b), &mut out);
-                black_box(out.len())
-            });
-        });
-        group.bench_function("fused_compressed", |bench| {
-            let mut out = Vec::new();
-            bench.iter(|| {
-                setops::intersect_compressed_into(black_box(ca), black_box(b), &mut out);
-                black_box(out.len())
-            });
-        });
-        let domain = a.last().unwrap().max(b.last().unwrap()) + 1;
-        let ba = Bitmap::from_sorted(a, domain);
-        let bb = Bitmap::from_sorted(b, domain);
-        group.bench_function("bitmap_and", |bench| {
-            let mut acc = Bitmap::new(domain);
-            let mut out = Vec::new();
-            bench.iter(|| {
-                acc.clone_from(black_box(&ba));
-                acc.intersect_assign(black_box(&bb));
-                out.clear();
-                acc.extract_into(&mut out);
-                black_box(out.len())
-            });
-        });
-        group.finish();
-    }
-
-    for (tag, a, b, ca) in [
-        ("difference_mid_runs", &a, &b, &ca),
-        ("difference_mid_uniform", &ua, &ub, &cua),
-    ] {
-        let mut group = c.benchmark_group(tag);
-        group.bench_function("list_simd", |bench| {
-            let mut out = Vec::new();
-            bench.iter(|| {
-                setops::difference_into(black_box(a), black_box(b), &mut out);
-                black_box(out.len())
-            });
-        });
-        group.bench_function("fused_compressed", |bench| {
-            let mut out = Vec::new();
-            bench.iter(|| {
-                setops::difference_compressed_list_into(black_box(ca), black_box(b), &mut out);
-                black_box(out.len())
-            });
-        });
-        group.finish();
-    }
-
-    // The ≤10% gate, computed from the rows just measured and printed
-    // next to them (the committed JSON holds the same medians).
-    let median = |results: &Criterion, name: &str| {
-        results
-            .measurements()
-            .iter()
-            .find(|m| m.name == name)
-            .map(|m| m.median_ns)
-            .expect("gate rows measured above")
-    };
-    for shape in ["mid_runs", "mid_uniform"] {
-        let ratio = median(c, &format!("intersect_{shape}/fused_compressed"))
-            / median(c, &format!("intersect_{shape}/list_simd"));
-        println!("gate[{shape}]: fused_compressed / list_simd intersect ratio {ratio:.3} (target <= 1.10 on mid_runs)");
-        c.record_metric(
-            format!("gate/intersect_{shape}/fused_over_list_simd"),
-            ratio,
-            "x",
-        );
-    }
-}
-
-/// Bytes-per-posting across the three representations at the mid-density
-/// shapes above, written into the JSON report's `"metrics"` table and
-/// followed by decode-throughput timing rows. The names are deterministic;
-/// the asserted invariant is the acceptance criterion — compressed postings
-/// at least 3x smaller than raw lists.
-fn bench_repr_memory(c: &mut Criterion) {
-    for (shape, a) in [
-        ("uniform_gap32", multiples(100_000, 32)),
-        ("runs_256_8192", run_structured(100_000, 256, 8192, 0)),
-    ] {
-        let domain = a.last().unwrap() + 1;
-        let ca = CompressedPostings::from_sorted(&a);
-        let ba = Bitmap::from_sorted(&a, domain);
-        let list_bpp = std::mem::size_of::<u32>() as f64;
-        let comp_bpp = ca.size_bytes() as f64 / a.len() as f64;
-        let bitmap_bpp = ba.size_bytes() as f64 / a.len() as f64;
-        c.record_metric(format!("repr_memory/{shape}/list"), list_bpp, "B/posting");
-        c.record_metric(
-            format!("repr_memory/{shape}/bitmap"),
-            bitmap_bpp,
-            "B/posting",
-        );
-        c.record_metric(
-            format!("repr_memory/{shape}/compressed"),
-            comp_bpp,
-            "B/posting",
-        );
-        c.record_metric(
-            format!("repr_memory/{shape}/list_over_compressed"),
-            list_bpp / comp_bpp,
-            "x",
-        );
-        assert!(
-            list_bpp >= 3.0 * comp_bpp,
-            "compressed representation must be >=3x smaller than raw lists \
-             at mid-density ({shape}): {comp_bpp:.3} B/posting vs {list_bpp:.2}"
-        );
-    }
-
-    let a = multiples(100_000, 32);
-    let domain = a.last().unwrap() + 1;
-    let ca = CompressedPostings::from_sorted(&a);
-    let ba = Bitmap::from_sorted(&a, domain);
-
-    let mut group = c.benchmark_group("repr_decode_100k_gap32");
-    group.bench_function("list_copy", |bench| {
-        let mut out = Vec::new();
-        bench.iter(|| {
-            out.clear();
-            out.extend_from_slice(black_box(&a));
-            black_box(out.len())
-        });
-    });
-    group.bench_function("bitmap_extract", |bench| {
-        let mut out = Vec::new();
-        bench.iter(|| {
-            out.clear();
-            black_box(&ba).extract_into(&mut out);
-            black_box(out.len())
-        });
-    });
-    group.bench_function("compressed_decode", |bench| {
-        let mut out = Vec::new();
-        bench.iter(|| {
-            out.clear();
-            black_box(&ca).decode_into(&mut out);
-            black_box(out.len())
-        });
-    });
-    group.finish();
+/// The host the rows were taken on, as a metric row of the JSON report:
+/// a committed baseline says how many CPUs produced it.
+fn record_host(c: &mut Criterion) {
+    c.record_metric(
+        "host_cpus",
+        hgmatch_bench::report::host_cpus() as f64,
+        "count",
+    );
 }
 
 /// Kernel-mode sanity for the JSON baseline: record that ForceScalar and
@@ -418,8 +240,7 @@ criterion_group!(
     bench_union_difference,
     bench_multiway,
     bench_task_alloc,
-    bench_compressed_kernels,
-    bench_repr_memory,
-    bench_mode_agreement
+    bench_mode_agreement,
+    record_host
 );
 criterion_main!(benches);

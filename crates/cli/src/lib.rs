@@ -7,7 +7,7 @@
 //!   dataset (Table II profile) in the text format.
 //! * `stats <labels.txt> <edges.txt> [--json]` — print Table II-style
 //!   statistics plus a per-partition index memory breakdown by posting
-//!   representation (list / bitmap / compressed, DESIGN.md §14);
+//!   representation (list / bitmap, DESIGN.md §5.4);
 //!   `--json` emits the same data machine-readable.
 //! * `match <labels.txt> <edges.txt> <qlabels.txt> <qedges.txt>
 //!   [--threads N] [--timeout SECS] [--print [LIMIT]]` — count (and
@@ -160,7 +160,7 @@ fn stats(args: &[String]) -> Result<(), String> {
 
 /// Builds the full `stats` output: Table II-style dataset summary plus the
 /// per-partition index memory breakdown by posting representation
-/// (DESIGN.md §14). Deterministic (stable field order), so CI can golden-
+/// (DESIGN.md §5.4). Deterministic (stable field order), so CI can golden-
 /// file it; `--json` emits the same data machine-readable.
 pub fn stats_report(labels: &str, edges: &str, json: bool) -> Result<String, String> {
     use std::fmt::Write as _;
@@ -199,7 +199,6 @@ pub fn stats_report(labels: &str, edges: &str, json: bool) -> Result<String, Str
             format!(
                 "\"list\": {{\"keys\": {}, \"postings\": {}, \"bytes\": {}}}, \
                  \"bitmap\": {{\"keys\": {}, \"postings\": {}, \"bytes\": {}}}, \
-                 \"compressed\": {{\"keys\": {}, \"postings\": {}, \"bytes\": {}}}, \
                  \"index_bytes\": {bytes}, \"bytes_per_posting\": {:.4}",
                 b.list_keys,
                 b.list_postings,
@@ -207,9 +206,6 @@ pub fn stats_report(labels: &str, edges: &str, json: bool) -> Result<String, Str
                 b.bitmap_keys,
                 b.bitmap_postings,
                 b.bitmap_bytes,
-                b.compressed_keys,
-                b.compressed_postings,
-                b.compressed_bytes,
                 per_posting(bytes, b.total_postings()),
             )
         };
@@ -247,10 +243,7 @@ pub fn stats_report(labels: &str, edges: &str, json: bool) -> Result<String, Str
     let _ = writeln!(out, "partitions: {}", s.num_partitions);
     let _ = writeln!(out, "max degree: {}", s.max_degree);
     let _ = writeln!(out, "index memory by representation (keys/postings/bytes):");
-    let _ = writeln!(
-        out,
-        "part\trows\tlist\tbitmap\tcompressed\tindex_bytes\tB/posting"
-    );
+    let _ = writeln!(out, "part\trows\tlist\tbitmap\tindex_bytes\tB/posting");
     let row = |out: &mut String,
                tag: String,
                rows: usize,
@@ -258,16 +251,13 @@ pub fn stats_report(labels: &str, edges: &str, json: bool) -> Result<String, Str
                bytes: usize| {
         let _ = writeln!(
             out,
-            "{tag}\t{rows}\t{}/{}/{}\t{}/{}/{}\t{}/{}/{}\t{bytes}\t{:.2}",
+            "{tag}\t{rows}\t{}/{}/{}\t{}/{}/{}\t{bytes}\t{:.2}",
             b.list_keys,
             b.list_postings,
             b.list_bytes,
             b.bitmap_keys,
             b.bitmap_postings,
             b.bitmap_bytes,
-            b.compressed_keys,
-            b.compressed_postings,
-            b.compressed_bytes,
             per_posting(bytes, b.total_postings()),
         );
     };

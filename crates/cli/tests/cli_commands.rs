@@ -61,8 +61,7 @@ fn generate_and_stats_roundtrip() {
 
 /// `stats` reports the per-partition index memory breakdown by posting
 /// representation, in both text and `--json` form. The assertions stay
-/// representation-agnostic (postings totals, not repr counts) so a run
-/// under `HGMATCH_FORCE_REPR` replays them unchanged.
+/// representation-agnostic (postings totals, not repr counts).
 #[test]
 fn stats_reports_index_memory_breakdown() {
     let dir = TempDir::new("stats-breakdown");
@@ -73,18 +72,18 @@ fn stats_reports_index_memory_breakdown() {
 
     let text = hgmatch_cli::stats_report(&dl, &de, false).unwrap();
     assert!(text.contains("index memory by representation"));
-    assert!(text.contains("part\trows\tlist\tbitmap\tcompressed\tindex_bytes\tB/posting"));
+    assert!(text.contains("part\trows\tlist\tbitmap\tindex_bytes\tB/posting"));
     let total_line = text
         .lines()
         .find(|l| l.starts_with("total\t"))
         .expect("aggregate row present");
-    // The paper graph has 6 edges and 18 incidences; the three per-repr
+    // The paper graph has 6 edges and 18 incidences; the two per-repr
     // posting counts in the aggregate row must sum to 18 whichever
-    // representations were chosen (or forced).
+    // representations were chosen.
     let postings_sum: usize = total_line
         .split('\t')
         .skip(2)
-        .take(3)
+        .take(2)
         .map(|cell| cell.split('/').nth(1).unwrap().parse::<usize>().unwrap())
         .sum();
     assert_eq!(postings_sum, 18);
@@ -97,7 +96,7 @@ fn stats_reports_index_memory_breakdown() {
         "\"partitions\": [",
         "\"totals\": {",
         "\"bytes_per_posting\": ",
-        "\"compressed\": {\"keys\": ",
+        "\"bitmap\": {\"keys\": ",
     ] {
         assert!(json.contains(needle), "missing {needle} in {json}");
     }
@@ -125,7 +124,7 @@ fn stats_counts_the_incidences_of_one_row_partitions() {
     assert_eq!(parts.len(), 4, "three partitions and the total: {text}");
     // Per-repr "keys/postings/bytes" cells and the index bytes.
     let postings = |row: &[String]| -> usize {
-        row[2..5]
+        row[2..4]
             .iter()
             .map(|c| c.split('/').nth(1).unwrap().parse::<usize>().unwrap())
             .sum()
@@ -135,7 +134,7 @@ fn stats_counts_the_incidences_of_one_row_partitions() {
             let arity = postings(row);
             assert!(arity == 3 || arity == 4, "{row:?}");
             assert_eq!(row[2], format!("{arity}/{arity}/0"), "{row:?}");
-            assert_eq!(row[5], "0", "a one-row partition has no index: {row:?}");
+            assert_eq!(row[4], "0", "a one-row partition has no index: {row:?}");
         }
     }
     let total = &parts[3];
@@ -143,10 +142,10 @@ fn stats_counts_the_incidences_of_one_row_partitions() {
     assert_eq!(postings(total), 2 + 2 + 3 + 4);
     let indexed_bytes: usize = parts[..3]
         .iter()
-        .map(|r| r[5].parse::<usize>().unwrap())
+        .map(|r| r[4].parse::<usize>().unwrap())
         .sum();
     assert!(indexed_bytes > 0);
-    assert_eq!(total[5], indexed_bytes.to_string());
+    assert_eq!(total[4], indexed_bytes.to_string());
 }
 
 #[test]

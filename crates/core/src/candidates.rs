@@ -27,14 +27,9 @@
 //! k-way sorted-list merge of [`setops::union_many_into`], or a [`Bitmap`]
 //! accumulator over the partition's row space when the postings are dense
 //! (hub vertices carry precomputed bitmaps in the inverted index, OR-ing 64
-//! rows per instruction). Mid-density keys arrive as delta-bitpacked
-//! [`CompressedPostings`](hgmatch_hypergraph::compressed::CompressedPostings)
-//! (DESIGN.md §14): single-posting classes run the *fused* kernels of
-//! [`setops`] that decode one block at a time into a stack scratch,
-//! multi-posting unions decode into reused arena buffers.
+//! rows per instruction).
 
 use hgmatch_hypergraph::bitmap::Bitmap;
-use hgmatch_hypergraph::compressed::BLOCK_LEN;
 use hgmatch_hypergraph::hypergraph::Hypergraph;
 use hgmatch_hypergraph::setops;
 use hgmatch_hypergraph::Partition;
@@ -49,21 +44,14 @@ use hgmatch_hypergraph::inverted::{Posting, MIN_BITMAP_ROWS};
 /// precomputed bitmap).
 const LIST_DENSITY_DIV: usize = 16;
 
-/// Candidate rows emitted (or decoded) between `abort()` probes inside
-/// generation. The expansion loop probes every `ABORT_PROBE` *validated*
-/// candidates, but generation itself can emit far more in one call — a
-/// disconnected step materialises the whole partition, and a compressed
-/// posting's width-0 run blocks decode [`BLOCK_LEN`] rows apiece with
-/// almost no work in between (DESIGN.md §14) — so the anchor-less scan,
-/// blockwise decodes and bitmap unions all probe at least once per this
-/// many entries. Matches the expansion loop's cadence
-/// (`engine::task::ABORT_PROBE`), keeping the worst-case candidate budget
-/// between probes bounded by the same constant.
+/// Candidate rows emitted between `abort()` probes of the anchor-less
+/// scan. The expansion loop probes every `ABORT_PROBE` *validated*
+/// candidates, but a disconnected step materialises the whole partition
+/// in one call, so the scan probes at least once per this many rows.
+/// Matches the expansion loop's cadence (`engine::task::ABORT_PROBE`),
+/// keeping the worst-case candidate budget between probes bounded by the
+/// same constant.
 const GEN_ABORT_PROBE: usize = 1024;
-
-/// Compressed blocks decoded between probes
-/// (`GEN_ABORT_PROBE / BLOCK_LEN` of them span one probe budget).
-const GEN_PROBE_BLOCKS: usize = GEN_ABORT_PROBE / BLOCK_LEN;
 
 /// One distinct vertex of the partial embedding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,10 +118,6 @@ pub struct ExpansionState {
     mw: setops::MultiwayScratch,
     acc_bits: Bitmap,
     anchor_bits: Bitmap,
-    /// Decode buffers for compressed postings feeding a k-way list merge
-    /// (single compressed postings never land here — they go through the
-    /// fused kernels instead).
-    decode_arena: Vec<Vec<u32>>,
     /// The allocations behind generation's per-class posting and slice
     /// lists, parked empty between calls (their elements borrow from the
     /// snapshot of the call; see [`recycle`]).
@@ -333,12 +317,11 @@ pub fn generate_candidates(
 }
 
 /// [`generate_candidates`] with a cooperative stop signal: `abort` is
-/// polled at class boundaries, every `GEN_PROBE_BLOCKS` compressed
-/// blocks of a decode, and every `GEN_ABORT_PROBE` rows of the
-/// class-less partition scan, so a cancel/timeout lands within a bounded
-/// candidate budget even when a single posting decodes to millions of
-/// rows. Returns `None` when aborted mid-generation — `state.candidates`
-/// then holds partial garbage and the caller must emit nothing.
+/// polled at class boundaries, per posting of a bitmap union, and every
+/// `GEN_ABORT_PROBE` rows of the class-less partition scan, so a
+/// cancel/timeout lands within a bounded candidate budget. Returns `None`
+/// when aborted mid-generation — `state.candidates` then holds partial
+/// garbage and the caller must emit nothing.
 ///
 /// Once the state's buffers have grown to the workload, a call allocates
 /// nothing (DESIGN.md §6; `tests/alloc_free.rs` counts). `_config` is
@@ -407,7 +390,7 @@ fn generate_into<'d>(
     let mut use_bits = false;
     for (class, code) in step.anchors.iter().zip(1u8..) {
         // Class boundary: every set operation below is bounded by the
-        // operand sizes this probe (and the blockwise ones) guard.
+        // operand sizes this probe guards.
         if abort() {
             return None;
         }
@@ -437,29 +420,13 @@ fn generate_into<'d>(
                 if union_postings_into_bitmap(postings, rows, &mut state.acc_bits, abort) {
                     return None;
                 }
-            } else if let [Posting::Compressed(c)] = postings.as_slice() {
-                // Single compressed member: decode once, no merge —
-                // blockwise, probing at block boundaries so a huge
-                // posting (width-0 runs especially) cannot outrun a
-                // stop signal by the whole decode.
-                let mut scratch = [0u32; BLOCK_LEN];
-                for bi in 0..c.num_blocks() {
-                    if bi % GEN_PROBE_BLOCKS == GEN_PROBE_BLOCKS - 1 && abort() {
-                        return None;
-                    }
-                    state
-                        .candidates
-                        .extend_from_slice(c.decode_block(bi, &mut scratch));
-                }
-            } else if union_postings_into_list(
-                postings,
-                &mut state.decode_arena,
-                &mut state.lists,
-                &mut state.candidates,
-                &mut state.mw,
-                abort,
-            ) {
-                return None;
+            } else {
+                union_postings_into_list(
+                    postings,
+                    &mut state.lists,
+                    &mut state.candidates,
+                    &mut state.mw,
+                );
             }
             continue;
         }
@@ -485,22 +452,8 @@ fn generate_into<'d>(
             state
                 .anchor_bits
                 .filter_list_into(&state.candidates, &mut state.tmp);
-        } else if let [Posting::Compressed(c)] = postings.as_slice() {
-            // Single compressed member: fused decode-and-intersect, one
-            // block at a time against the accumulator (output bounded
-            // by the accumulator, which earlier probes already bounded).
-            setops::intersect_compressed_into(c, &state.candidates, &mut state.tmp);
         } else {
-            if union_postings_into_list(
-                postings,
-                &mut state.decode_arena,
-                &mut state.lists,
-                &mut state.union,
-                &mut state.mw,
-                abort,
-            ) {
-                return None;
-            }
+            union_postings_into_list(postings, &mut state.lists, &mut state.union, &mut state.mw);
             setops::intersect_into(&state.candidates, &state.union, &mut state.tmp);
         }
         std::mem::swap(&mut state.candidates, &mut state.tmp);
@@ -551,32 +504,23 @@ fn collect_postings<'d, 'v>(
 }
 
 /// Unions `postings` as sorted lists into `out` (cleared first) by the
-/// k-way merge, decoding compressed ones into `arena`; `lists` lends the
-/// allocation for the slice list. Returns `true` when aborted mid-decode
-/// (`out` is then untouched).
+/// k-way merge; `lists` lends the allocation for the slice list.
 fn union_postings_into_list(
     postings: &[Posting<'_>],
-    arena: &mut Vec<Vec<u32>>,
     lists: &mut Vec<&'static [u32]>,
     out: &mut Vec<u32>,
     mw: &mut setops::MultiwayScratch,
-    abort: &mut dyn FnMut() -> bool,
-) -> bool {
+) {
     let mut slices: Vec<&[u32]> = std::mem::take(lists);
-    if postings_as_lists(postings, arena, &mut slices, abort) {
-        return true;
-    }
+    slices.extend(postings.iter().map(Posting::list));
     setops::union_many_into(&mut slices, out, mw);
     *lists = recycle(slices);
-    false
 }
 
-/// Unions postings of any representation into `acc`, reset to the
+/// Unions postings of either representation into `acc`, reset to the
 /// partition's row domain first: precomputed bitmaps word-wise OR, sorted
-/// lists as bit sets, compressed postings one decoded block at a time
-/// through a stack scratch (never materialising the full list). Probes
-/// `abort` per posting and every [`GEN_PROBE_BLOCKS`] compressed blocks;
-/// returns `true` when aborted mid-union (`acc` is then partial garbage).
+/// lists as bit sets. Probes `abort` per posting; returns `true` when
+/// aborted mid-union (`acc` is then partial garbage).
 fn union_postings_into_bitmap(
     postings: &[Posting<'_>],
     rows: usize,
@@ -584,72 +528,13 @@ fn union_postings_into_bitmap(
     abort: &mut dyn FnMut() -> bool,
 ) -> bool {
     acc.reset(rows as u32);
-    let mut scratch = [0u32; BLOCK_LEN];
     for p in postings {
         if abort() {
             return true;
         }
-        match p {
-            Posting::Dense { bits, .. } => acc.union_assign(bits),
-            Posting::List(l) => acc.insert_list(l),
-            Posting::Compressed(c) => {
-                for bi in 0..c.num_blocks() {
-                    if bi % GEN_PROBE_BLOCKS == GEN_PROBE_BLOCKS - 1 && abort() {
-                        return true;
-                    }
-                    acc.insert_list(c.decode_block(bi, &mut scratch));
-                }
-            }
-        }
-    }
-    false
-}
-
-/// Exposes `postings` as plain sorted slices for a k-way merge, decoding
-/// compressed ones into reused `arena` buffers first (so the borrows into
-/// the arena are taken only after every decode is done). Probes `abort`
-/// per posting and every [`GEN_PROBE_BLOCKS`] decoded blocks; returns
-/// `true` when aborted mid-decode (`lists` is then left empty/partial).
-fn postings_as_lists<'a>(
-    postings: &[Posting<'a>],
-    arena: &'a mut Vec<Vec<u32>>,
-    lists: &mut Vec<&'a [u32]>,
-    abort: &mut dyn FnMut() -> bool,
-) -> bool {
-    let ncomp = postings
-        .iter()
-        .filter(|p| matches!(p, Posting::Compressed(_)))
-        .count();
-    if arena.len() < ncomp {
-        arena.resize_with(ncomp, Vec::new);
-    }
-    let mut ci = 0usize;
-    let mut scratch = [0u32; BLOCK_LEN];
-    for p in postings {
-        if let Posting::Compressed(c) = p {
-            if abort() {
-                return true;
-            }
-            arena[ci].clear();
-            for bi in 0..c.num_blocks() {
-                if bi % GEN_PROBE_BLOCKS == GEN_PROBE_BLOCKS - 1 && abort() {
-                    return true;
-                }
-                arena[ci].extend_from_slice(c.decode_block(bi, &mut scratch));
-            }
-            ci += 1;
-        }
-    }
-    let arena: &'a [Vec<u32>] = arena;
-    let mut ci = 0usize;
-    for p in postings {
-        match p {
-            Posting::List(l) => lists.push(l),
-            Posting::Dense { list, .. } => lists.push(list),
-            Posting::Compressed(_) => {
-                lists.push(&arena[ci]);
-                ci += 1;
-            }
+        match p.bits() {
+            Some(bits) => acc.union_assign(bits),
+            None => acc.insert_list(p.list()),
         }
     }
     false
@@ -1014,19 +899,14 @@ mod tests {
             &state.candidates
         ));
 
-        // The partition's hub key is genuinely dense-represented (unless a
-        // forced representation overrides the adaptive rule).
-        if hgmatch_hypergraph::inverted::forced_repr().is_none() {
-            let partition = data.partition(step.partition.unwrap());
-            assert!(partition.incident_posting(0).bits().is_some());
-        }
+        // The partition's hub key is genuinely dense-represented.
+        let partition = data.partition(step.partition.unwrap());
+        assert!(partition.incident_posting(0).bits().is_some());
     }
 
     /// A hub-and-leaves {A,B} graph: `hubs` A vertices, `hubs * per_hub`
-    /// {A,B} edges, hub `i` incident to every `per_hub`-th row — each hub
-    /// posting has `per_hub` entries spread across the partition, which the
-    /// adaptive representation rule keeps mid-density compressed whenever
-    /// `per_hub * 32 < hubs * per_hub` (i.e. `hubs > 32`).
+    /// {A,B} edges, hub `i` incident to every `hubs`-th row — each hub
+    /// posting has `per_hub` entries spread across the partition.
     fn hub_graph(hubs: u32, per_hub: u32) -> Hypergraph {
         let mut b = HypergraphBuilder::new();
         for _ in 0..hubs {
@@ -1053,64 +933,6 @@ mod tests {
         QueryGraph::new(&qb.build().unwrap()).unwrap()
     }
 
-    #[test]
-    fn compressed_partition_matches_list_results() {
-        // The same mid-density workload forced into each representation
-        // must produce identical candidates: a hub A vertex whose posting
-        // covers a thin slice of a large {A,B} partition, so the adaptive
-        // rule picks the compressed blocks, and the anchor union runs the
-        // fused kernels.
-        let hubs = 48u32; // distinct A vertices spread across rows
-        let per_hub = 96u32; // posting length per hub: compressed range
-                             // (96 ≥ COMPRESSED_MIN_LEN, 96·32 < 48·96 rows)
-        let mut b = HypergraphBuilder::new();
-        for _ in 0..hubs {
-            b.add_vertex(Label::new(0));
-        }
-        let leaves = hubs * per_hub;
-        for _ in 0..leaves {
-            b.add_vertex(Label::new(1));
-        }
-        for leaf in 0..leaves {
-            b.add_edge(vec![leaf % hubs, hubs + leaf]).unwrap();
-        }
-        let data = b.build().unwrap();
-
-        let mut qb = HypergraphBuilder::new();
-        qb.add_vertex(Label::new(0));
-        qb.add_vertex(Label::new(1));
-        qb.add_vertex(Label::new(1));
-        qb.add_edge(vec![0, 1]).unwrap();
-        qb.add_edge(vec![0, 2]).unwrap();
-        let q = QueryGraph::new(&qb.build().unwrap()).unwrap();
-        let plan = Planner::plan(&q, &data).unwrap();
-        let step = &plan.steps()[1];
-        let partition = data.partition(step.partition.unwrap());
-
-        if hgmatch_hypergraph::inverted::forced_repr().is_none() {
-            assert_eq!(
-                partition.incident_posting(0).repr(),
-                hgmatch_hypergraph::ReprKind::Compressed,
-                "hub posting should be mid-density compressed"
-            );
-        }
-
-        let mut state = ExpansionState::new();
-        let emb = [0u32]; // first {A,B} edge: hub 0's first leaf edge
-        state.prepare(&data, step, &emb);
-        let count = generate_candidates(&data, step, &emb, &mut state, &MatchConfig::default());
-        assert_eq!(count, per_hub as usize, "one hub's rows are candidates");
-        assert!(hgmatch_hypergraph::setops::is_strictly_sorted(
-            &state.candidates
-        ));
-        // Oracle: the hub's decoded posting is exactly the candidate set.
-        assert_eq!(
-            state.candidates,
-            partition.incident_posting(0).to_sorted(),
-            "fused anchor union equals the decoded posting"
-        );
-    }
-
     /// An abort closure that returns `false` for the first `grace` probes
     /// and `true` from then on, counting every probe.
     fn probe_fuse(grace: u64) -> (std::rc::Rc<std::cell::Cell<u64>>, impl FnMut() -> bool) {
@@ -1120,56 +942,6 @@ mod tests {
             p.set(p.get() + 1);
             p.get() > grace
         })
-    }
-
-    #[test]
-    fn abort_bounds_compressed_decode_emission() {
-        // Regression (cancellation latency, DESIGN.md §14): a multi-block
-        // compressed hub posting must not decode past a raised stop by more
-        // than one probe budget. hubs > 32 keeps the posting mid-density
-        // (compressed under the adaptive rule) and per_hub = 1024 spans
-        // four blocks, so the blockwise decode crosses at least one probe
-        // boundary.
-        let data = hub_graph(40, 1024);
-        let q = hub_query();
-        let plan = Planner::plan(&q, &data).unwrap();
-        let step = &plan.steps()[1];
-        if hgmatch_hypergraph::inverted::forced_repr().is_none() {
-            let partition = data.partition(step.partition.unwrap());
-            assert_eq!(
-                partition.incident_posting(0).repr(),
-                hgmatch_hypergraph::ReprKind::Compressed,
-                "hub posting should be mid-density compressed"
-            );
-        }
-
-        let mut state = ExpansionState::new();
-        let emb = [0u32];
-        state.prepare(&data, step, &emb);
-
-        // One grace probe: the class-boundary probe passes, the first
-        // in-decode probe (whichever representation path takes it) fires.
-        let (probes, mut abort) = probe_fuse(1);
-        let out = generate_candidates_with_abort(
-            &data,
-            step,
-            &emb,
-            &mut state,
-            &MatchConfig::default(),
-            &mut abort,
-        );
-        assert_eq!(out, None, "a raised stop must interrupt generation");
-        assert!(probes.get() >= 2, "generation must keep probing past entry");
-        assert!(
-            state.candidates.len() <= GEN_ABORT_PROBE,
-            "at most one probe budget may be emitted past the stop, got {}",
-            state.candidates.len()
-        );
-
-        // Sanity: without a stop the same expansion produces the full set.
-        state.prepare(&data, step, &emb);
-        let n = generate_candidates(&data, step, &emb, &mut state, &MatchConfig::default());
-        assert_eq!(n, 1024);
     }
 
     #[test]

@@ -412,8 +412,8 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
             return;
         };
         self.scratch.state.prepare(data, step, emb);
-        // Generation probes the abort signal at anchor/block boundaries
-        // (compressed decodes and anchor-less scans can emit far more than
+        // Generation probes the abort signal at class boundaries and
+        // through anchor-less scans (which can emit far more than
         // ABORT_PROBE rows in one call); a mid-generation abort leaves the
         // candidate buffer partial, so nothing below may run.
         let sched = &mut *self.sched;

@@ -158,12 +158,7 @@ fn expand(
 #[test]
 fn a_warmed_up_expansion_allocates_nothing() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    for repr in [
-        None,
-        Some(ReprKind::List),
-        Some(ReprKind::Bitmap),
-        Some(ReprKind::Compressed),
-    ] {
+    for repr in [None, Some(ReprKind::List), Some(ReprKind::Bitmap)] {
         set_forced_repr(repr);
         let data = band(400);
         let plan = Planner::plan_with_order(&query(), &data, vec![0, 1, 2]).unwrap();

@@ -116,9 +116,6 @@ fn theorem_vi_1_memory_bound() {
 /// byte count divided by total incidences must be a small constant.
 #[test]
 fn storage_size_analysis() {
-    if hgmatch_hypergraph::inverted::forced_repr().is_some() {
-        return; // forced representations void the adaptive size bound
-    }
     let data = paper_data();
     let incidences: usize = data.iter_edges().map(|(_, vs)| vs.len()).sum();
     let per_incidence =

@@ -128,12 +128,7 @@ fn orders(query: &QueryGraph, data: &Hypergraph) -> Vec<Vec<u32>> {
 fn check_case(seed: u64, labels: u32, k: usize) -> Result<(), TestCaseError> {
     let _guard = SWITCH_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let result = (|| {
-        for repr in [
-            None,
-            Some(ReprKind::List),
-            Some(ReprKind::Bitmap),
-            Some(ReprKind::Compressed),
-        ] {
+        for repr in [None, Some(ReprKind::List), Some(ReprKind::Bitmap)] {
             // The representation is chosen when the index is built.
             set_forced_repr(repr);
             // Few labels and low arity: partitions of several hundred rows,
@@ -161,7 +156,7 @@ fn check_case(seed: u64, labels: u32, k: usize) -> Result<(), TestCaseError> {
         Ok(())
     })();
     setops::set_kernel_mode(KernelMode::Auto);
-    set_forced_repr(None); // back to the environment's setting
+    set_forced_repr(None); // back to the adaptive rule
     result
 }
 

@@ -153,10 +153,8 @@ fn dense_hub_split_matches_sequential_across_workers_and_kernels() {
     qb.add_edge(vec![0, 2]).unwrap();
     let query = qb.build().unwrap();
     let plan = Planner::plan(&QueryGraph::new(&query).unwrap(), &data).unwrap();
-    if hgmatch_hypergraph::inverted::forced_repr().is_none() {
-        let partition = data.partition(plan.steps()[1].partition.unwrap());
-        assert!(partition.incident_posting(0).bits().is_some());
-    }
+    let partition = data.partition(plan.steps()[1].partition.unwrap());
+    assert!(partition.incident_posting(0).bits().is_some());
 
     for mode in [KernelMode::Auto, KernelMode::ForceScalar] {
         set_kernel_mode(mode);

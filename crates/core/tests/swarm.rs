@@ -1,10 +1,10 @@
 //! The swarm: one seeded differential driver for the paper's contract — an
 //! exact embedding multiset whatever the schedule — across every stressor
-//! the engine has (DESIGN.md §8, §11, §12, §14, §15, §18).
+//! the engine has (DESIGN.md §8, §11, §12, §15, §18).
 //!
 //! Swarm testing (Groce et al., ISSTA 2012): instead of one CI job per
 //! environment axis, each case draws its own subset of features, so
-//! stressors meet — compressed postings under an eager re-plan, a limit
+//! stressors meet — forced bitmaps under an eager re-plan, a limit
 //! during a split, an epoch race on a one-worker pool. A case draws
 //!
 //! * a data [`Profile`] built from `testgen` and up to three planted
@@ -209,12 +209,7 @@ impl Case {
         let mut rng = TestRng(seed);
         let profile = PROFILES[rng.below(PROFILES.len() as u64) as usize];
         let kernel = [KernelMode::Auto, KernelMode::ForceScalar][rng.below(2) as usize];
-        let repr = [
-            None,
-            Some(ReprKind::List),
-            Some(ReprKind::Bitmap),
-            Some(ReprKind::Compressed),
-        ][rng.below(4) as usize];
+        let repr = [None, Some(ReprKind::List), Some(ReprKind::Bitmap)][rng.below(3) as usize];
         let workers = [1, 2, 4, 8][rng.below(4) as usize];
         let replan_ratio = [0.0, 8.0, 0.5][rng.below(3) as usize];
         let split_threshold = [0, 4, SPLIT_THRESHOLD][rng.below(3) as usize];

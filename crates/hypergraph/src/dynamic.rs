@@ -9,13 +9,9 @@
 //!
 //! * **Postings grow in place.** Rows are only ever appended to a
 //!   partition, so a vertex's posting set grows by a sorted push; the
-//!   three-way list↔bitmap↔compressed adaptive representation flips at the
-//!   *same* thresholds as a fresh [`InvertedIndex::build`] (the rule is
-//!   shared code). Dense keys grow their bitmap along with the partition's
-//!   row space; compressed keys buffer appends in a small tail that seals
-//!   into a delta-bitpacked block every [`BLOCK_LEN`] rows, and deletions
-//!   repack only the affected block — falling back to a plain list when
-//!   block-interior churn turns pathological (DESIGN.md §14).
+//!   list↔bitmap adaptive representation flips at the *same* thresholds as
+//!   a fresh [`InvertedIndex::build`] (the rule is shared code). Dense keys
+//!   grow their bitmap along with the partition's row space.
 //! * **Deletions tombstone, then compact.** Deleting a hyperedge marks its
 //!   row dead and unlinks it from the affected posting lists in `O(degree)`
 //!   posting edits; the row storage itself is compacted (order-preserving)
@@ -44,12 +40,11 @@
 use std::sync::Arc;
 
 use crate::bitmap::Bitmap;
-use crate::compressed::{CompressedPostings, BLOCK_LEN};
 use crate::error::{HypergraphError, Result};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::hypergraph::{EdgeLocation, Hypergraph};
 use crate::ids::{EdgeId, Label, SignatureId, VertexId};
-use crate::inverted::{choose_repr, forced_repr, InvertedIndex, ReprKind};
+use crate::inverted::{choose_repr, InvertedIndex, ReprKind};
 use crate::partition::{indexed, Partition, PartitionBody};
 use crate::signature::SignatureInterner;
 use crate::stats::{LabelCardinality, PartitionStats};
@@ -57,12 +52,6 @@ use crate::stats::{LabelCardinality, PartitionStats};
 /// Tombstones needed before a partition compacts mid-stream (snapshots
 /// always compact). Small partitions compact eagerly; large ones amortise.
 const COMPACT_MIN_DEAD: usize = 32;
-
-/// Block-interior deletions a packed cell tolerates before its churn is
-/// *pathological* — each one repacks a whole block, so once they amount to
-/// half the cell's length the cell falls back to a plain list until the
-/// next compaction resets the counter.
-const PACKED_CHURN_MIN: u32 = 32;
 
 /// One operation of an update stream.
 ///
@@ -194,147 +183,45 @@ pub struct SnapshotDelta {
     pub partitions_shared: usize,
 }
 
-/// One posting set of the mutable index, in one of the three adaptive
-/// representations ([`choose_repr`]).
+/// One posting set of the mutable index: the sorted row-id list, plus a
+/// bitmap over the row space while the adaptive rule ([`choose_repr`])
+/// calls the key dense.
 ///
-/// The live representation is the mutable-state analogue of the frozen
-/// index's per-key switch: snapshots do *not* consume it (freeze decodes
-/// back to the sorted list and re-derives canonical representations over
-/// the compacted row space); it exists so the mutable path carries the
-/// same memory profile the static index would. The rule is re-evaluated
-/// *lazily*, at the cell's own next mutation — rows appended through other
-/// vertices grow the partition without touching this cell, so its
-/// representation can lag the current row count until then (compaction
-/// resyncs every cell). Maintenance is O(1) amortised per posting edit
-/// except when a cell crosses a representation threshold, which rebuilds
-/// that one cell.
-#[derive(Debug)]
-enum CellRepr {
-    /// Sparse: plain sorted row-id list.
-    List(Vec<u32>),
-    /// Dense: sorted list plus an incrementally maintained bitmap.
-    Dense { list: Vec<u32>, bits: Bitmap },
-    /// Mid-density: sealed delta-bitpacked blocks plus an append tail.
-    /// Rows only ascend, so appends land in `tail` and seal into a block
-    /// once it reaches [`BLOCK_LEN`]; block-interior deletions repack just
-    /// the affected block.
-    Packed {
-        blocks: CompressedPostings,
-        tail: Vec<u32>,
-    },
-}
-
-#[derive(Debug)]
+/// The bitmap is the mutable-state analogue of the frozen index's per-key
+/// switch: snapshots do *not* consume it (freeze reads the list and
+/// re-derives canonical representations over the compacted row space); it
+/// exists so the mutable path carries the same memory profile the static
+/// index would. The rule is re-evaluated *lazily*, at the cell's own next
+/// mutation — rows appended through other vertices grow the partition
+/// without touching this cell, so its representation can lag the current
+/// row count until then (compaction resyncs every cell). Maintenance is
+/// O(1) amortised per posting edit except when a cell crosses the density
+/// threshold, which builds or drops that one cell's bitmap.
+#[derive(Debug, Default)]
 struct PostingCell {
-    repr: CellRepr,
-    /// Block-interior deletions since the cell last (re-)packed. Reset by
-    /// compaction ([`DynIndex::remap_rows`]); while pathological
-    /// ([`PACKED_CHURN_MIN`]) the cell refuses the packed representation.
-    churn: u32,
-}
-
-impl Default for PostingCell {
-    fn default() -> Self {
-        Self {
-            repr: CellRepr::List(Vec::new()),
-            churn: 0,
-        }
-    }
+    list: Vec<u32>,
+    bits: Option<Bitmap>,
 }
 
 impl PostingCell {
-    fn len(&self) -> usize {
-        match &self.repr {
-            CellRepr::List(list) | CellRepr::Dense { list, .. } => list.len(),
-            CellRepr::Packed { blocks, tail } => blocks.len() + tail.len(),
-        }
-    }
-
-    /// Moves the posting set out as a sorted list, leaving an empty list:
-    /// a stored list is taken as it is, packed blocks are decoded.
-    fn take_sorted(&mut self) -> Vec<u32> {
-        match std::mem::replace(&mut self.repr, CellRepr::List(Vec::new())) {
-            CellRepr::List(list) | CellRepr::Dense { list, .. } => list,
-            CellRepr::Packed { blocks, tail } => {
-                let mut out = Vec::with_capacity(blocks.len() + tail.len());
-                blocks.decode_into(&mut out);
-                out.extend_from_slice(&tail);
-                out
-            }
-        }
-    }
-
-    /// The posting set as an owned sorted list (decoding packed blocks).
-    fn to_sorted(&self) -> Vec<u32> {
-        match &self.repr {
-            CellRepr::List(list) | CellRepr::Dense { list, .. } => list.clone(),
-            CellRepr::Packed { blocks, tail } => {
-                let mut out = Vec::with_capacity(self.len());
-                blocks.decode_into(&mut out);
-                out.extend_from_slice(tail);
-                out
-            }
-        }
-    }
-
-    /// The sorted list without decoding, when one is stored.
-    fn as_list(&self) -> Option<&[u32]> {
-        match &self.repr {
-            CellRepr::List(list) | CellRepr::Dense { list, .. } => Some(list),
-            CellRepr::Packed { .. } => None,
-        }
-    }
-
     /// Appends `row` (strictly above every stored row).
     fn push(&mut self, row: u32, row_space: usize) {
-        match &mut self.repr {
-            CellRepr::List(list) => {
-                debug_assert!(list.last().is_none_or(|&r| r < row));
-                list.push(row);
-            }
-            CellRepr::Dense { list, bits } => {
-                debug_assert!(list.last().is_none_or(|&r| r < row));
-                list.push(row);
-                bits.grow(row_space as u32);
-                bits.insert(row);
-            }
-            CellRepr::Packed { blocks, tail } => {
-                debug_assert!(tail
-                    .last()
-                    .copied()
-                    .or(blocks.max())
-                    .is_none_or(|r| r < row));
-                tail.push(row);
-                if tail.len() == BLOCK_LEN {
-                    blocks.push_block(tail);
-                    tail.clear();
-                }
-            }
+        debug_assert!(self.list.last().is_none_or(|&r| r < row));
+        self.list.push(row);
+        if let Some(bits) = &mut self.bits {
+            bits.grow(row_space as u32);
+            bits.insert(row);
         }
     }
 
-    /// Unlinks `row` if present (block-local repack for packed cells).
+    /// Unlinks `row` if present.
     fn remove_row(&mut self, row: u32) {
-        match &mut self.repr {
-            CellRepr::List(list) => {
-                if let Ok(i) = list.binary_search(&row) {
-                    list.remove(i);
-                }
-            }
-            CellRepr::Dense { list, bits } => {
-                if let Ok(i) = list.binary_search(&row) {
-                    list.remove(i);
-                }
-                if row < bits.domain() {
-                    bits.remove(row);
-                }
-            }
-            CellRepr::Packed { blocks, tail } => {
-                if let Ok(i) = tail.binary_search(&row) {
-                    tail.remove(i);
-                } else if blocks.remove(row) {
-                    self.churn += 1;
-                }
+        if let Ok(i) = self.list.binary_search(&row) {
+            self.list.remove(i);
+        }
+        if let Some(bits) = &mut self.bits {
+            if row < bits.domain() {
+                bits.remove(row);
             }
         }
     }
@@ -342,43 +229,10 @@ impl PostingCell {
     /// Re-evaluates the adaptive representation after a mutation.
     /// `row_space` is the partition's current row-id domain.
     fn sync_repr(&mut self, row_space: usize) {
-        let len = self.len();
-        let mut desired = choose_repr(len, row_space);
-        if desired == ReprKind::Compressed
-            && forced_repr().is_none()
-            && self.churn >= PACKED_CHURN_MIN
-            && self.churn as usize * 2 >= len
-        {
-            // Pathological churn: hold the plain list until compaction
-            // resets the counter.
-            desired = ReprKind::List;
+        let dense = choose_repr(self.list.len(), row_space) == ReprKind::Bitmap;
+        if dense != self.bits.is_some() {
+            self.bits = dense.then(|| Bitmap::from_sorted(&self.list, row_space as u32));
         }
-        match (&self.repr, desired) {
-            (CellRepr::List(_), ReprKind::List)
-            | (CellRepr::Dense { .. }, ReprKind::Bitmap)
-            | (CellRepr::Packed { .. }, ReprKind::Compressed) => {}
-            (_, kind) => self.switch_repr(kind, row_space),
-        }
-    }
-
-    /// Rebuilds this cell in representation `kind`.
-    fn switch_repr(&mut self, kind: ReprKind, row_space: usize) {
-        let list = self.take_sorted();
-        self.repr = match kind {
-            ReprKind::List => CellRepr::List(list),
-            ReprKind::Bitmap => {
-                self.churn = 0;
-                let bits = Bitmap::from_sorted(&list, row_space as u32);
-                CellRepr::Dense { list, bits }
-            }
-            ReprKind::Compressed => {
-                self.churn = 0;
-                CellRepr::Packed {
-                    blocks: CompressedPostings::from_sorted(&list),
-                    tail: Vec::new(),
-                }
-            }
-        };
     }
 }
 
@@ -396,7 +250,7 @@ impl DynIndex {
         let cell = self.cells.entry(v).or_default();
         cell.push(row, row_space);
         cell.sync_repr(row_space);
-        cell.len()
+        cell.list.len()
     }
 
     /// Unlinks `row` from `v` (tombstoned row leaves the posting set).
@@ -407,7 +261,7 @@ impl DynIndex {
             return 0;
         };
         cell.remove_row(row);
-        let remaining = cell.len();
+        let remaining = cell.list.len();
         if remaining == 0 {
             self.cells.remove(&v);
             return remaining;
@@ -416,19 +270,16 @@ impl DynIndex {
         remaining
     }
 
-    /// Applies an order-preserving row renumbering after compaction,
-    /// resets churn counters, and re-chooses every cell's representation
-    /// for the shrunk row space. A stored list is renumbered where it is;
-    /// only packed cells decode.
+    /// Applies an order-preserving row renumbering after compaction and
+    /// re-chooses every cell's representation for the shrunk row space.
+    /// Each list is renumbered where it is; each bitmap is rebuilt.
     fn remap_rows(&mut self, remap: &[u32], row_space: usize) {
         for cell in self.cells.values_mut() {
-            let mut list = cell.take_sorted();
-            for r in &mut list {
+            for r in &mut cell.list {
                 debug_assert_ne!(remap[*r as usize], u32::MAX, "posting to dead row");
                 *r = remap[*r as usize];
             }
-            cell.repr = CellRepr::List(list);
-            cell.churn = 0;
+            cell.bits = None;
             cell.sync_repr(row_space);
         }
     }
@@ -652,24 +503,13 @@ impl DynPartition {
                 stats,
             );
         }
-        // Packed cells store no raw list; decode them into an owned arena
-        // first (fully, so later pushes can't invalidate borrowed slices),
-        // then mix those slices with the list-backed cells. `finish`
-        // re-chooses the canonical representation per key, so the snapshot
-        // stays byte-identical to a fresh build.
-        let decoded: Vec<(u32, Vec<u32>)> = self
-            .index
-            .cells
-            .iter()
-            .filter(|(_, c)| c.as_list().is_none())
-            .map(|(&v, c)| (v, c.to_sorted()))
-            .collect();
+        // `finish` re-chooses the canonical representation per key, so the
+        // snapshot stays byte-identical to a fresh build.
         let mut cells: Vec<(u32, &[u32])> = self
             .index
             .cells
             .iter()
-            .filter_map(|(&v, c)| Some((v, c.as_list()?)))
-            .chain(decoded.iter().map(|(v, list)| (*v, list.as_slice())))
+            .map(|(&v, c)| (v, c.list.as_slice()))
             .collect();
         cells.sort_unstable_by_key(|&(v, _)| v);
         let index =
@@ -763,7 +603,7 @@ impl DynamicHypergraph {
             // `h`'s rows unless `h` was not laid out in that order. A seed
             // index in another representation than this process would
             // choose (a snapshot file written under a different
-            // `HGMATCH_FORCE_REPR`) is re-frozen like any dirty partition.
+            // `set_forced_repr`) is re-frozen like any dirty partition.
             if seed.raw_vertices() == part.vertices && seed.index().is_canonical() {
                 part.frozen = Some(Arc::clone(seed.body_arc()));
             }
@@ -1254,9 +1094,6 @@ mod tests {
 
     #[test]
     fn adaptive_postings_flip_at_build_thresholds() {
-        if crate::inverted::forced_repr().is_some() {
-            return; // representation asserts are meaningless when forced
-        }
         // Drive one partition past MIN_BITMAP_ROWS with a hub vertex: the
         // hub's live posting cell must pick up a bitmap exactly when a
         // fresh build would, and drop it again as deletions thin it out.
@@ -1270,13 +1107,11 @@ mod tests {
         {
             let part = &d.parts[0];
             let hub = &part.index.cells[&0];
-            assert_eq!(hub.len(), n as usize);
-            let CellRepr::Dense { list, bits } = &hub.repr else {
-                panic!("hub is dense: bitmap-backed cell expected");
-            };
-            assert_eq!(bits.to_sorted(), *list, "bitmap mirrors the list");
+            assert_eq!(hub.list.len(), n as usize);
+            let bits = hub.bits.as_ref().expect("hub is dense: bitmap expected");
+            assert_eq!(bits.to_sorted(), hub.list, "bitmap mirrors the list");
             // A leaf vertex stays list-only.
-            assert!(matches!(part.index.cells[&1].repr, CellRepr::List(_)));
+            assert!(part.index.cells[&1].bits.is_none());
         }
         // Snapshot equals a fresh build including its dense keys.
         let snap = d.snapshot();
@@ -1290,10 +1125,7 @@ mod tests {
             d.delete_hyperedge(&[0, leaf]).unwrap();
         }
         let part = &d.parts[0];
-        assert!(
-            matches!(part.index.cells[&0].repr, CellRepr::List(_)),
-            "sparse again"
-        );
+        assert!(part.index.cells[&0].bits.is_none(), "sparse again");
         let snap = d.snapshot();
         let expected = {
             let mut b = HypergraphBuilder::new();
@@ -1303,99 +1135,6 @@ mod tests {
             b.build().unwrap()
         };
         assert_eq!(*snap.graph, expected);
-    }
-
-    #[test]
-    fn packed_cells_seal_repack_and_fall_back_under_churn() {
-        if crate::inverted::forced_repr().is_some() {
-            return; // representation asserts are meaningless when forced
-        }
-        // A mid-density hub: many postings but a small fraction of its
-        // partition's rows, so the live cell must go packed, seal full
-        // blocks as it grows, repack block-locally on deletes, and demote
-        // back to a list under pathological churn. The row space is
-        // diluted with other {0,1}-signature edges that avoid the hub.
-        let mut d = DynamicHypergraph::new();
-        let n = (2 * BLOCK_LEN + 40) as u32;
-        d.add_vertex(Label::new(0)); // hub, vertex 0
-        d.add_vertices(n as usize, Label::new(1)); // leaves 1..=n
-        let (xs, ys) = (100u32, 172u32); // 17 200 dilution rows > 31 * n
-        d.add_vertices(xs as usize, Label::new(0)); // n+1 ..= n+xs
-        d.add_vertices(ys as usize, Label::new(1)); // n+xs+1 ..= n+xs+ys
-        for x in n + 1..=n + xs {
-            for y in n + xs + 1..=n + xs + ys {
-                d.insert_hyperedge(vec![x, y]).unwrap();
-            }
-        }
-        for leaf in 1..=n {
-            d.insert_hyperedge(vec![0, leaf]).unwrap();
-        }
-        let rebuild_with_hub_leaves = |live: &dyn Fn(u32) -> bool| {
-            let mut b = HypergraphBuilder::new();
-            b.add_vertex(Label::new(0));
-            b.add_vertices(n as usize, Label::new(1));
-            b.add_vertices(xs as usize, Label::new(0));
-            b.add_vertices(ys as usize, Label::new(1));
-            for x in n + 1..=n + xs {
-                for y in n + xs + 1..=n + xs + ys {
-                    b.add_edge(vec![x, y]).unwrap();
-                }
-            }
-            for leaf in (1..=n).filter(|&l| live(l)) {
-                b.add_edge(vec![0, leaf]).unwrap();
-            }
-            b.build().unwrap()
-        };
-        {
-            let hub = &d.parts[0].index.cells[&0];
-            assert_eq!(hub.len(), n as usize);
-            let CellRepr::Packed { blocks, tail } = &hub.repr else {
-                panic!("mid-density hub cell should be packed");
-            };
-            assert!(blocks.num_blocks() >= 2, "full spans sealed into blocks");
-            assert!(tail.len() < BLOCK_LEN, "tail stays under one span");
-            assert_eq!(blocks.len() + tail.len(), n as usize);
-        }
-        // Snapshot equals a fresh build (freeze decodes packed cells and
-        // from_sorted_postings re-chooses the canonical representation).
-        let snap = d.snapshot();
-        assert_eq!(*snap.graph, rebuild_with_hub_leaves(&|_| true));
-
-        // Block-interior deletes: still packed at first, byte-equal decode.
-        let mut gone: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-        for leaf in (2..=2 * PACKED_CHURN_MIN).step_by(2) {
-            assert!(d.delete_hyperedge(&[0, leaf]).unwrap());
-            gone.insert(leaf);
-        }
-        {
-            let hub = &d.parts[0].index.cells[&0];
-            assert_eq!(hub.len(), (n - PACKED_CHURN_MIN) as usize);
-            assert!(
-                matches!(hub.repr, CellRepr::Packed { .. }),
-                "moderate churn keeps the packed representation"
-            );
-        }
-
-        // Drive churn past the pathological threshold: delete until the
-        // surviving length is at most twice the block-interior churn.
-        let mut deleted = PACKED_CHURN_MIN;
-        let mut leaf = 1;
-        while (n - deleted) as usize > 2 * deleted as usize {
-            assert!(d.delete_hyperedge(&[0, leaf]).unwrap());
-            gone.insert(leaf);
-            leaf += 2;
-            deleted += 1;
-        }
-        assert!(
-            matches!(d.parts[0].index.cells[&0].repr, CellRepr::List(_)),
-            "pathological churn demotes the packed cell to a list"
-        );
-        // The snapshot must still equal a fresh rebuild after the fallback.
-        let snap = d.snapshot();
-        assert_eq!(
-            *snap.graph,
-            rebuild_with_hub_leaves(&|l| !gone.contains(&l))
-        );
     }
 
     #[test]

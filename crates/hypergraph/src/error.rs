@@ -30,6 +30,10 @@ pub enum HypergraphError {
         /// Which section failed (`"file"` for the whole-file trailer).
         section: &'static str,
     },
+    /// A snapshot stores a key as delta-bitpacked ("compressed") blocks,
+    /// a representation this build no longer reads. Such a key keeps no
+    /// sorted list, so re-save the snapshot from the text files.
+    CompressedPostings,
     /// Binary format corruption.
     Corrupt(String),
     /// Underlying I/O failure.
@@ -62,6 +66,11 @@ impl fmt::Display for HypergraphError {
             Self::ChecksumMismatch { section } => {
                 write!(f, "checksum mismatch in snapshot section {section:?}")
             }
+            Self::CompressedPostings => write!(
+                f,
+                "snapshot stores compressed postings, which this build no longer \
+                 reads; re-save it from the text files"
+            ),
             Self::Corrupt(msg) => write!(f, "corrupt binary hypergraph: {msg}"),
             Self::Io(e) => write!(f, "i/o error: {e}"),
         }

@@ -379,8 +379,7 @@ impl Hypergraph {
                 .collect(),
         );
         let partition = self.partition_of(&signature)?;
-        // Probe the partition's inverted index via the least-frequent vertex
-        // (decoding its posting if the index stored it compressed).
+        // Probe the partition's inverted index via the least-frequent vertex.
         let mut best: Option<crate::inverted::Posting<'_>> = None;
         for &v in sorted_vertices {
             let posting = partition.incident_posting(v);
@@ -391,7 +390,7 @@ impl Hypergraph {
                 best = Some(posting);
             }
         }
-        best?.to_sorted().into_iter().find_map(|row| {
+        best?.list().iter().find_map(|&row| {
             (partition.row(row) == sorted_vertices).then(|| partition.global_id(row))
         })
     }

@@ -11,27 +11,20 @@
 //! flat allocations — matching the paper's "lightweight" size analysis of
 //! `O(a_H · |E(H)|)` total postings.
 //!
-//! Postings are stored adaptively in one of three representations
-//! (DESIGN.md §5.4, §14), chosen per key by an internal density rule:
+//! Postings are stored adaptively in one of two representations
+//! (DESIGN.md §5.4), chosen per key by an internal density rule:
 //!
 //! * **list** — the raw sorted `u32` slice; sparse keys and small partitions.
 //! * **bitmap** — the sorted list *plus* a [`Bitmap`] over the row space, for
 //!   dense keys of large partitions (word-wide set algebra).
-//! * **compressed** — delta-bitpacked blocks
-//!   ([`CompressedPostings`]); mid-density long postings, where the raw list
-//!   is dropped entirely and the fused kernels in [`crate::setops`] decode
-//!   one block at a time.
 //!
-//! `HGMATCH_FORCE_REPR=list|bitmap|compressed` (or [`set_forced_repr`])
-//! pins the choice for stress testing, mirroring `HGMATCH_FORCE_SCALAR`.
+//! [`set_forced_repr`] pins the choice for stress testing.
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
 use crate::bitmap::Bitmap;
-use crate::compressed::CompressedPostings;
 
 /// Partitions with fewer rows than this never materialise bitmaps — the
 /// sorted lists are already tiny (DESIGN.md §5.4). Exported so candidate
@@ -42,41 +35,21 @@ pub const MIN_BITMAP_ROWS: usize = 256;
 /// when it covers at least `1/DENSE_KEY_DIV` of the partition's rows.
 const DENSE_KEY_DIV: usize = 32;
 
-/// Postings at least this long that are not bitmap-dense switch to the
-/// delta-bitpacked representation (DESIGN.md §14). Below it, the raw list
-/// fits a cache line or two and block headers would dominate.
-pub const COMPRESSED_MIN_LEN: usize = 64;
-
 /// Sentinel in `dense_idx` for keys without a bitmap.
 const NO_BITMAP: u32 = u32::MAX;
 
-/// Sentinel in `comp_idx` for keys without a compressed container.
-const NO_COMPRESSED: u32 = u32::MAX;
-
-/// Which of the three posting representations a key uses.
+/// Which of the two posting representations a key uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ReprKind {
     /// Raw sorted row-id list.
     List,
     /// Sorted list plus a dense [`Bitmap`] over the partition's row space.
     Bitmap,
-    /// Delta-bitpacked blocks; the raw list is not stored.
-    Compressed,
 }
 
 /// Forced representation override, process-wide. 0 = none; else
 /// 1 + discriminant of the forced [`ReprKind`].
 static FORCED_REPR: AtomicU8 = AtomicU8::new(0);
-
-fn env_forced_repr() -> Option<ReprKind> {
-    static ENV: OnceLock<Option<ReprKind>> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("HGMATCH_FORCE_REPR").as_deref() {
-        Ok("list") => Some(ReprKind::List),
-        Ok("bitmap") => Some(ReprKind::Bitmap),
-        Ok("compressed") => Some(ReprKind::Compressed),
-        _ => None,
-    })
-}
 
 /// Pins every key to one representation process-wide (`None` restores the
 /// adaptive rule). Takes effect on the next index build or dynamic update;
@@ -86,20 +59,17 @@ pub fn set_forced_repr(kind: Option<ReprKind>) {
         None => 0,
         Some(ReprKind::List) => 1,
         Some(ReprKind::Bitmap) => 2,
-        Some(ReprKind::Compressed) => 3,
     };
     FORCED_REPR.store(v, Ordering::Relaxed);
 }
 
-/// The active forced representation ([`set_forced_repr`] or
-/// `HGMATCH_FORCE_REPR=list|bitmap|compressed`), if any. Tests that assert
+/// The representation [`set_forced_repr`] pins, if any. Tests that assert
 /// representation-specific structure skip themselves when this is set.
 pub fn forced_repr() -> Option<ReprKind> {
     match FORCED_REPR.load(Ordering::Relaxed) {
         1 => Some(ReprKind::List),
         2 => Some(ReprKind::Bitmap),
-        3 => Some(ReprKind::Compressed),
-        _ => env_forced_repr(),
+        _ => None,
     }
 }
 
@@ -110,14 +80,13 @@ pub(crate) fn key_is_dense(posting_len: usize, num_rows: usize) -> bool {
     num_rows >= MIN_BITMAP_ROWS && posting_len * DENSE_KEY_DIV >= num_rows
 }
 
-/// The adaptive three-way representation rule shared by
-/// [`InvertedIndex::build`] and the dynamic index ([`crate::dynamic`]):
-/// dense keys of large partitions → [`ReprKind::Bitmap`]; other long
-/// postings → [`ReprKind::Compressed`]; everything else →
-/// [`ReprKind::List`]. Centralised — and applied again at freeze time — so
-/// the mutable path flips representations at the *same* thresholds as a
-/// fresh build and the snapshot==rebuild oracle compares identical bytes.
-/// A forced override ([`forced_repr`]) wins over the rule.
+/// The adaptive representation rule shared by [`InvertedIndex::build`] and
+/// the dynamic index ([`crate::dynamic`]): dense keys of large partitions →
+/// [`ReprKind::Bitmap`]; everything else → [`ReprKind::List`].
+/// Centralised — and applied again at freeze time — so the mutable path
+/// flips representations at the *same* thresholds as a fresh build and the
+/// snapshot==rebuild oracle compares identical bytes. A forced override
+/// ([`forced_repr`]) wins over the rule.
 #[inline]
 pub(crate) fn choose_repr(posting_len: usize, num_rows: usize) -> ReprKind {
     if let Some(kind) = forced_repr() {
@@ -125,8 +94,6 @@ pub(crate) fn choose_repr(posting_len: usize, num_rows: usize) -> ReprKind {
     }
     if key_is_dense(posting_len, num_rows) {
         ReprKind::Bitmap
-    } else if posting_len >= COMPRESSED_MIN_LEN {
-        ReprKind::Compressed
     } else {
         ReprKind::List
     }
@@ -134,8 +101,7 @@ pub(crate) fn choose_repr(posting_len: usize, num_rows: usize) -> ReprKind {
 
 /// A posting set in whichever representation its key carries. Consumers
 /// dispatch on the arm to pick the cheapest set operation (DESIGN.md §5.5);
-/// [`Posting::decode_into`] materialises the sorted list when a consumer
-/// has no representation-specific path.
+/// every arm holds the sorted list ([`Posting::list`]).
 #[derive(Debug, Clone, Copy)]
 pub enum Posting<'a> {
     /// Sorted local row ids.
@@ -147,22 +113,27 @@ pub enum Posting<'a> {
         /// The same set as one bit per row.
         bits: &'a Bitmap,
     },
-    /// Mid-density key: delta-bitpacked blocks, no raw list stored.
-    Compressed(&'a CompressedPostings),
+    #[doc(hidden)]
+    Compressed(CompressedPostings),
 }
 
 impl<'a> Posting<'a> {
     /// An empty posting (absent vertex).
     pub const EMPTY: Posting<'static> = Posting::List(&[]);
 
+    /// The sorted row ids.
+    #[inline]
+    pub fn list(&self) -> &'a [u32] {
+        match *self {
+            Posting::List(list) | Posting::Dense { list, .. } => list,
+            Posting::Compressed(c) => match c {},
+        }
+    }
+
     /// Number of row ids in the set.
     #[inline]
     pub fn len(&self) -> usize {
-        match self {
-            Posting::List(list) => list.len(),
-            Posting::Dense { list, .. } => list.len(),
-            Posting::Compressed(c) => c.len(),
-        }
+        self.list().len()
     }
 
     /// Whether the set is empty.
@@ -171,14 +142,10 @@ impl<'a> Posting<'a> {
         self.len() == 0
     }
 
-    /// The sorted list when one is stored (`List` and `Dense` arms).
+    /// [`Posting::list`], which every arm stores, as an `Option`.
     #[inline]
     pub fn as_list(&self) -> Option<&'a [u32]> {
-        match self {
-            Posting::List(list) => Some(list),
-            Posting::Dense { list, .. } => Some(list),
-            Posting::Compressed(_) => None,
-        }
+        Some(self.list())
     }
 
     /// The bitmap side, present only for dense keys.
@@ -190,35 +157,42 @@ impl<'a> Posting<'a> {
         }
     }
 
-    /// Appends the sorted row ids to `out`, decoding if compressed.
-    pub fn decode_into(&self, out: &mut Vec<u32>) {
-        match self {
-            Posting::List(list) | Posting::Dense { list, .. } => out.extend_from_slice(list),
-            Posting::Compressed(c) => c.decode_into(out),
-        }
-    }
-
     /// The sorted row ids as a fresh vector.
     pub fn to_sorted(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.len());
-        self.decode_into(&mut out);
-        out
+        self.list().to_vec()
     }
 
     /// Which representation this posting carries.
     #[inline]
     pub fn repr(&self) -> ReprKind {
-        match self {
-            Posting::List(_) => ReprKind::List,
-            Posting::Dense { .. } => ReprKind::Bitmap,
-            Posting::Compressed(_) => ReprKind::Compressed,
+        match self.bits() {
+            Some(_) => ReprKind::Bitmap,
+            None => ReprKind::List,
         }
     }
 }
 
+/// The retired delta-bitpacked representation, uninhabited: no posting
+/// holds one. It stays only for `benchmark/src/layers.rs`, a package of
+/// its own that still matches `Posting::Compressed`, calls the two
+/// `*_compressed_*` kernels in [`crate::setops`] and reads
+/// [`ReprBreakdown`]'s `compressed_*` fields. All of it goes once that
+/// file drops its compressed arm.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub enum CompressedPostings {}
+
+impl CompressedPostings {
+    #[doc(hidden)]
+    pub fn decode_into(&self, _out: &mut Vec<u32>) {
+        match *self {}
+    }
+}
+
 /// Per-representation key/byte accounting of one index, for the CLI `stats`
-/// breakdown. Bytes cover the posting payloads only (lists, bitmaps, packed
-/// blocks), not the shared CSR key/offset arrays.
+/// breakdown. Bytes cover the posting payloads only (lists and bitmaps),
+/// not the shared CSR key/offset arrays. The two `compressed_*` fields are
+/// always 0 (see [`CompressedPostings`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ReprBreakdown {
     /// Keys stored as raw lists / their posting entries / their list bytes.
@@ -233,11 +207,9 @@ pub struct ReprBreakdown {
     pub bitmap_postings: usize,
     /// Bytes of bitmap keys (sorted list + bitmap words).
     pub bitmap_bytes: usize,
-    /// Keys stored as delta-bitpacked blocks.
+    #[doc(hidden)]
     pub compressed_keys: usize,
-    /// Posting entries of compressed keys.
-    pub compressed_postings: usize,
-    /// Bytes of compressed keys (headers + packed words).
+    #[doc(hidden)]
     pub compressed_bytes: usize,
 }
 
@@ -250,19 +222,16 @@ impl ReprBreakdown {
         self.bitmap_keys += other.bitmap_keys;
         self.bitmap_postings += other.bitmap_postings;
         self.bitmap_bytes += other.bitmap_bytes;
-        self.compressed_keys += other.compressed_keys;
-        self.compressed_postings += other.compressed_postings;
-        self.compressed_bytes += other.compressed_bytes;
     }
 
-    /// Total posting entries across all representations.
+    /// Total posting entries across both representations.
     pub fn total_postings(&self) -> usize {
-        self.list_postings + self.bitmap_postings + self.compressed_postings
+        self.list_postings + self.bitmap_postings
     }
 
-    /// Total posting payload bytes across all representations.
+    /// Total posting payload bytes across both representations.
     pub fn total_bytes(&self) -> usize {
-        self.list_bytes + self.bitmap_bytes + self.compressed_bytes
+        self.list_bytes + self.bitmap_bytes
     }
 }
 
@@ -295,8 +264,7 @@ impl ReprBreakdown {
 pub struct InvertedIndex {
     /// Sorted vertex ids that appear in this partition.
     keys: Vec<u32>,
-    /// `offsets[i]..offsets[i+1]` is the posting range of `keys[i]`
-    /// (empty for compressed keys, whose raw list is not stored).
+    /// `offsets[i]..offsets[i+1]` is the posting range of `keys[i]`.
     offsets: Vec<u32>,
     /// Concatenated posting lists (local row ids, ascending per key).
     postings: Vec<u32>,
@@ -307,11 +275,6 @@ pub struct InvertedIndex {
     dense_idx: Vec<u32>,
     /// Bitmaps of the dense keys, in key order.
     bitmaps: Vec<Bitmap>,
-    /// Per-key index into `compressed`, or [`NO_COMPRESSED`]; empty (no
-    /// heap) when no key is compressed.
-    comp_idx: Vec<u32>,
-    /// Delta-bitpacked containers of the compressed keys, in key order.
-    compressed: Vec<CompressedPostings>,
 }
 
 impl InvertedIndex {
@@ -324,8 +287,6 @@ impl InvertedIndex {
         num_rows: 0,
         dense_idx: Vec::new(),
         bitmaps: Vec::new(),
-        comp_idx: Vec::new(),
-        compressed: Vec::new(),
     };
 
     /// Builds the index from `(vertex, row)` incidences.
@@ -386,43 +347,25 @@ impl InvertedIndex {
 
     /// Shared tail of the constructors: the adaptive representation switch
     /// ([`choose_repr`]). Dense keys additionally carry a bitmap over the
-    /// row space; mid-density keys re-encode into delta-bitpacked blocks
-    /// and drop their raw list from `postings` entirely. A side table is
-    /// allocated at its first entry.
+    /// row space; the side table is allocated at its first entry.
     fn finish(keys: Vec<u32>, offsets: Vec<u32>, postings: Vec<u32>, num_rows: u32) -> Self {
         let mut dense_idx = Vec::new();
-        let mut comp_idx = Vec::new();
         let mut bitmaps = Vec::new();
-        let mut compressed = Vec::new();
-        let mut new_postings = Vec::new();
-        let mut new_offsets = vec![0u32];
         for i in 0..keys.len() {
             let list = &postings[offsets[i] as usize..offsets[i + 1] as usize];
-            match choose_repr(list.len(), num_rows as usize) {
-                ReprKind::List => new_postings.extend_from_slice(list),
-                ReprKind::Bitmap => {
-                    dense_idx.resize(keys.len(), NO_BITMAP);
-                    dense_idx[i] = bitmaps.len() as u32;
-                    bitmaps.push(Bitmap::from_sorted(list, num_rows));
-                    new_postings.extend_from_slice(list);
-                }
-                ReprKind::Compressed => {
-                    comp_idx.resize(keys.len(), NO_COMPRESSED);
-                    comp_idx[i] = compressed.len() as u32;
-                    compressed.push(CompressedPostings::from_sorted(list));
-                }
+            if choose_repr(list.len(), num_rows as usize) == ReprKind::Bitmap {
+                dense_idx.resize(keys.len(), NO_BITMAP);
+                dense_idx[i] = bitmaps.len() as u32;
+                bitmaps.push(Bitmap::from_sorted(list, num_rows));
             }
-            new_offsets.push(new_postings.len() as u32);
         }
         Self {
             keys,
-            offsets: new_offsets,
-            postings: new_postings,
+            offsets,
+            postings,
             num_rows,
             dense_idx,
             bitmaps,
-            comp_idx,
-            compressed,
         }
     }
 
@@ -448,9 +391,6 @@ impl InvertedIndex {
     /// The posting of the key at position `i` in the sorted key array.
     #[inline]
     fn posting_at(&self, i: usize) -> Posting<'_> {
-        if let Some(&comp) = self.comp_idx.get(i).filter(|&&c| c != NO_COMPRESSED) {
-            return Posting::Compressed(&self.compressed[comp as usize]);
-        }
         let start = self.offsets[i] as usize;
         let end = self.offsets[i + 1] as usize;
         let list = &self.postings[start..end];
@@ -465,9 +405,9 @@ impl InvertedIndex {
 
     /// Whether every key carries the representation [`choose_repr`] gives
     /// it in this process now. False for an index decoded from a snapshot
-    /// written under another `HGMATCH_FORCE_REPR`, or built before
-    /// [`set_forced_repr`] changed; the dynamic writer adopts only
-    /// canonical indices, so its snapshots keep equalling a fresh build.
+    /// written under another [`set_forced_repr`], or built before it
+    /// changed; the dynamic writer adopts only canonical indices, so its
+    /// snapshots keep equalling a fresh build.
     pub(crate) fn is_canonical(&self) -> bool {
         (0..self.keys.len()).all(|i| {
             let posting = self.posting_at(i);
@@ -481,21 +421,10 @@ impl InvertedIndex {
         self.bitmaps.len()
     }
 
-    /// Number of keys stored as delta-bitpacked blocks.
-    #[inline]
-    pub fn num_compressed_keys(&self) -> usize {
-        self.compressed.len()
-    }
-
     /// Number of incidences (total posting entries).
     #[inline]
     pub fn num_postings(&self) -> usize {
         self.postings.len()
-            + self
-                .compressed
-                .iter()
-                .map(CompressedPostings::len)
-                .sum::<usize>()
     }
 
     /// Number of distinct vertices indexed.
@@ -505,41 +434,29 @@ impl InvertedIndex {
     }
 
     /// Approximate heap size of the index in bytes, including the bitmaps
-    /// of dense keys and the packed blocks of compressed keys.
+    /// of dense keys.
     pub fn size_bytes(&self) -> usize {
-        (self.keys.len()
-            + self.offsets.len()
-            + self.postings.len()
-            + self.dense_idx.len()
-            + self.comp_idx.len())
+        (self.keys.len() + self.offsets.len() + self.postings.len() + self.dense_idx.len())
             * std::mem::size_of::<u32>()
             + self.bitmaps.iter().map(Bitmap::size_bytes).sum::<usize>()
-            + self
-                .compressed
-                .iter()
-                .map(CompressedPostings::size_bytes)
-                .sum::<usize>()
     }
 
     /// Per-representation key and byte accounting (CLI `stats`).
     pub fn repr_breakdown(&self) -> ReprBreakdown {
         let mut b = ReprBreakdown::default();
         for i in 0..self.keys.len() {
-            match self.posting_at(i) {
-                Posting::List(list) => {
+            let posting = self.posting_at(i);
+            let list_bytes = std::mem::size_of_val(posting.list());
+            match posting.bits() {
+                None => {
                     b.list_keys += 1;
-                    b.list_postings += list.len();
-                    b.list_bytes += std::mem::size_of_val(list);
+                    b.list_postings += posting.len();
+                    b.list_bytes += list_bytes;
                 }
-                Posting::Dense { list, bits } => {
+                Some(bits) => {
                     b.bitmap_keys += 1;
-                    b.bitmap_postings += list.len();
-                    b.bitmap_bytes += std::mem::size_of_val(list) + bits.size_bytes();
-                }
-                Posting::Compressed(c) => {
-                    b.compressed_keys += 1;
-                    b.compressed_postings += c.len();
-                    b.compressed_bytes += c.size_bytes();
+                    b.bitmap_postings += posting.len();
+                    b.bitmap_bytes += list_bytes + bits.size_bytes();
                 }
             }
         }
@@ -559,8 +476,9 @@ impl InvertedIndex {
     /// Appends the HGMB snapshot wire encoding: every internal array verbatim, so
     /// a loaded index is byte-for-byte the saved one — including which
     /// representation each key carries (the adaptive rule is *not* re-run
-    /// on load; see DESIGN.md §17). Each side table follows its container
-    /// count and is written only when that count is non-zero.
+    /// on load; see DESIGN.md §17). The dense side table follows its
+    /// bitmap count and is written only when that count is non-zero; the
+    /// retired compressed-container count is written as 0.
     pub(crate) fn encode(&self, buf: &mut bytes::BytesMut) {
         use bytes::BufMut;
         buf.put_u32_le(self.keys.len() as u32);
@@ -582,13 +500,7 @@ impl InvertedIndex {
         for bm in &self.bitmaps {
             bm.encode_v2(buf);
         }
-        buf.put_u32_le(self.compressed.len() as u32);
-        for &c in &self.comp_idx {
-            buf.put_u32_le(c);
-        }
-        for c in &self.compressed {
-            c.encode_v2(buf);
-        }
+        buf.put_u32_le(0);
     }
 
     /// Decodes the HGMB snapshot wire encoding, advancing `data` past it. All
@@ -597,7 +509,10 @@ impl InvertedIndex {
     /// corrupt input errors instead of panicking at query time.
     /// `legacy_side_tables` reads the v2/v3 layout, where both side tables
     /// are always present and precede their container counts; a table with
-    /// no container to point at is dropped.
+    /// no container to point at is dropped. A non-zero compressed-container
+    /// count, from any version, is refused with
+    /// [`HypergraphError::CompressedPostings`](crate::error::HypergraphError::CompressedPostings):
+    /// such a key stores no list to read.
     pub(crate) fn decode(data: &mut &[u8], legacy_side_tables: bool) -> crate::error::Result<Self> {
         use crate::error::HypergraphError;
         use bytes::Buf;
@@ -614,8 +529,7 @@ impl InvertedIndex {
         let postings = crate::io::read_u32s(data, num_postings, "index postings")?;
         crate::io::need(data, 4, "index row count")?;
         let num_rows = data.get_u32_le();
-        let (dense_idx, num_bitmaps) =
-            decode_side_table(data, num_keys, NO_BITMAP, legacy_side_tables, "dense")?;
+        let (dense_idx, num_bitmaps) = decode_dense_table(data, num_keys, legacy_side_tables)?;
         let mut bitmaps = Vec::with_capacity(num_bitmaps.min(1024));
         for _ in 0..num_bitmaps {
             let bm = Bitmap::decode_v2(data)?;
@@ -627,22 +541,21 @@ impl InvertedIndex {
             }
             bitmaps.push(bm);
         }
-        let (comp_idx, num_compressed) = decode_side_table(
-            data,
-            num_keys,
-            NO_COMPRESSED,
-            legacy_side_tables,
-            "compressed",
-        )?;
-        let mut compressed = Vec::with_capacity(num_compressed.min(1024));
-        for _ in 0..num_compressed {
-            let c = CompressedPostings::decode_v2(data)?;
-            if c.max().is_some_and(|m| m >= num_rows) {
-                return Err(corrupt(format!(
-                    "compressed posting exceeds the {num_rows}-row space"
-                )));
-            }
-            compressed.push(c);
+        // The retired compressed containers: a v2/v3 side table, then their
+        // count, which is refused before anything it would count is read.
+        let comp_table = if legacy_side_tables {
+            crate::io::read_u32s(data, num_keys, "index side table")?
+        } else {
+            Vec::new()
+        };
+        crate::io::need(data, 4, "index container count")?;
+        if data.get_u32_le() != 0 {
+            return Err(HypergraphError::CompressedPostings);
+        }
+        if comp_table.iter().any(|&c| c != u32::MAX) {
+            return Err(corrupt(
+                "compressed table points past its containers".into(),
+            ));
         }
 
         if offsets[0] != 0 || *offsets.last().unwrap() as usize != postings.len() {
@@ -666,18 +579,6 @@ impl InvertedIndex {
             if d != NO_BITMAP && d as usize >= bitmaps.len() {
                 return Err(corrupt("dense table points past the bitmaps".into()));
             }
-            let c = comp_idx.get(i).copied().unwrap_or(NO_COMPRESSED);
-            if c != NO_COMPRESSED && c as usize >= compressed.len() {
-                return Err(corrupt(
-                    "compressed table points past the containers".into(),
-                ));
-            }
-            if d != NO_BITMAP && c != NO_COMPRESSED {
-                return Err(corrupt(format!(
-                    "key {} claims two representations",
-                    keys[i]
-                )));
-            }
         }
         Ok(Self {
             keys,
@@ -686,22 +587,18 @@ impl InvertedIndex {
             num_rows,
             dense_idx,
             bitmaps,
-            comp_idx,
-            compressed,
         })
     }
 }
 
-/// Decodes one side table and its container count: `(table, count)` in the
-/// legacy v2/v3 order, where the table is always present; `(count, table)`
-/// otherwise, with the table absent at count 0. A table with no container
-/// to point at is returned empty, and must hold only `sentinel`.
-fn decode_side_table(
+/// Decodes the dense side table and the bitmap count: `(table, count)` in
+/// the legacy v2/v3 order, where the table is always present; `(count,
+/// table)` otherwise, with the table absent at count 0. A table with no
+/// bitmap to point at is returned empty, and must hold only [`NO_BITMAP`].
+fn decode_dense_table(
     data: &mut &[u8],
     num_keys: usize,
-    sentinel: u32,
     legacy: bool,
-    what: &str,
 ) -> crate::error::Result<(Vec<u32>, usize)> {
     use bytes::Buf;
     let mut table = Vec::new();
@@ -711,10 +608,10 @@ fn decode_side_table(
     crate::io::need(data, 4, "index container count")?;
     let count = data.get_u32_le() as usize;
     if count == 0 {
-        if table.iter().any(|&i| i != sentinel) {
-            return Err(crate::error::HypergraphError::Corrupt(format!(
-                "inverted index: {what} table points past its containers"
-            )));
+        if table.iter().any(|&i| i != NO_BITMAP) {
+            return Err(crate::error::HypergraphError::Corrupt(
+                "inverted index: dense table points past its containers".into(),
+            ));
         }
         return Ok((Vec::new(), 0));
     }
@@ -771,38 +668,27 @@ mod tests {
 
     #[test]
     fn size_accounts_all_arrays() {
-        if forced_repr().is_some() {
-            return; // exact layout asserts assume the adaptive rule
-        }
         let rows: Vec<&[u32]> = vec![&[1, 2]];
         let idx = InvertedIndex::build(&rows);
-        // keys=2, offsets=3, postings=2 → 7 u32s; no bitmaps or compressed
-        // blocks, so neither side table is allocated.
+        // keys=2, offsets=3, postings=2 → 7 u32s; no bitmaps, so the side
+        // table is not allocated.
         assert_eq!(idx.size_bytes(), 7 * 4);
         assert_eq!(idx.num_dense_keys(), 0);
-        assert_eq!(idx.num_compressed_keys(), 0);
     }
 
     #[test]
     fn small_partitions_stay_list_only() {
-        if forced_repr().is_some() {
-            return;
-        }
         let rows: Vec<Vec<u32>> = (0..100).map(|_| vec![7u32]).collect();
         let refs: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
         let idx = InvertedIndex::build(&refs);
-        // Vertex 7 is in every row, but 100 rows < MIN_BITMAP_ROWS, and the
-        // posting is long enough for compression.
+        // Vertex 7 is in every row, but 100 rows < MIN_BITMAP_ROWS.
         assert_eq!(idx.num_dense_keys(), 0);
-        assert_eq!(idx.posting(7).repr(), ReprKind::Compressed);
+        assert_eq!(idx.posting(7).repr(), ReprKind::List);
         assert_eq!(idx.posting(7).len(), 100);
     }
 
     #[test]
     fn dense_keys_get_bitmaps_sparse_keys_do_not() {
-        if forced_repr().is_some() {
-            return;
-        }
         // 512 rows; vertex 1 in every row (dense), vertex `1000 + r` unique
         // per row (sparse).
         let rows: Vec<Vec<u32>> = (0..512u32).map(|r| vec![1, 1000 + r]).collect();
@@ -828,50 +714,9 @@ mod tests {
     }
 
     #[test]
-    fn mid_density_keys_compress() {
-        if forced_repr().is_some() {
-            return;
-        }
-        // 8192 rows; vertex 1 in every 32nd row: exactly the bitmap
-        // threshold boundary — len * 32 == rows qualifies as dense, so use
-        // every 33rd row to land in compressed territory.
-        let rows: Vec<Vec<u32>> = (0..8192u32)
-            .map(|r| {
-                if r % 33 == 0 {
-                    vec![1, 2 + r]
-                } else {
-                    vec![2 + r]
-                }
-            })
-            .collect();
-        let refs: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
-        let idx = InvertedIndex::build(&refs);
-        let posting = idx.posting(1);
-        assert_eq!(posting.repr(), ReprKind::Compressed);
-        assert_eq!(idx.num_compressed_keys(), 1);
-        let expected: Vec<u32> = (0..8192).filter(|r| r % 33 == 0).collect();
-        assert_eq!(posting.to_sorted(), expected);
-        assert_eq!(idx.num_postings(), 8192 + expected.len());
-
-        let b = idx.repr_breakdown();
-        assert_eq!(b.compressed_keys, 1);
-        assert_eq!(b.compressed_postings, expected.len());
-        assert_eq!(b.total_postings(), idx.num_postings());
-        // The memory win: packed bytes far below the 4 B/posting raw list.
-        assert!(b.compressed_bytes * 3 < expected.len() * 4);
-    }
-
-    #[test]
     fn forced_repr_env_parsing_is_inert_here() {
-        // This test only pins the programmatic accessor's default; the
-        // forced path is exercised by the swarm (`core/tests/swarm.rs`).
-        let forced = forced_repr();
-        assert!(
-            forced.is_none()
-                || matches!(
-                    forced,
-                    Some(ReprKind::List) | Some(ReprKind::Bitmap) | Some(ReprKind::Compressed)
-                )
-        );
+        // No environment variable pins a representation: only
+        // `set_forced_repr` does, and no unit test calls it.
+        assert_eq!(forced_repr(), None);
     }
 }

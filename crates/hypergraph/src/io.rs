@@ -12,13 +12,14 @@
 //! * the *snapshot* format (DESIGN.md §17, version [`SNAPSHOT_VERSION`]):
 //!   a versioned sequence of length-prefixed, individually
 //!   CRC-32-checksummed sections that serialise the fully built index —
-//!   postings in whichever list/bitmap/compressed representation each key
-//!   carries, signatures, the edge locator, the incidence CSR and
-//!   adjacency counts — closed by a whole-file checksum. Loading
-//!   reconstructs a serving-ready [`Hypergraph`] without re-indexing,
-//!   checks that every stored index is its vertex table's own, and derives
-//!   the planner's partition stats from that checked index. Files of the
-//!   three previous snapshot versions still load.
+//!   postings in whichever list/bitmap representation each key carries,
+//!   signatures, the edge locator, the incidence CSR and adjacency counts
+//!   — closed by a whole-file checksum. Loading reconstructs a
+//!   serving-ready [`Hypergraph`] without re-indexing, checks that every
+//!   stored index is its vertex table's own, and derives the planner's
+//!   partition stats from that checked index. Files of the three previous
+//!   snapshot versions still load, unless they store compressed postings
+//!   ([`HypergraphError::CompressedPostings`]).
 //!
 //! Every decode path returns typed errors ([`HypergraphError::BadMagic`],
 //! [`HypergraphError::UnsupportedVersion`],
@@ -37,7 +38,7 @@ use crate::builder::HypergraphBuilder;
 use crate::error::{HypergraphError, Result};
 use crate::hypergraph::{EdgeLocation, Hypergraph, Incidence};
 use crate::ids::{EdgeId, Label, SignatureId};
-use crate::inverted::{InvertedIndex, Posting};
+use crate::inverted::InvertedIndex;
 use crate::partition::{indexed, Partition, PartitionBody};
 use crate::signature::SignatureInterner;
 
@@ -475,10 +476,9 @@ fn skip_stats_record(data: &mut &[u8], hist_words: usize) -> Result<u64> {
 /// Checks that `index` is the inverted index of the `arity`-wide vertex
 /// table `vertices` (whose row count `index.num_rows()` is known to equal):
 /// every posting is non-empty and each of its rows contains its key, a
-/// dense key's bitmap equals its list, a compressed key decodes to a sorted
-/// in-range list, and the postings total the table's incidences. Keys and
-/// postings are strictly sorted, so together these make the postings
-/// exactly the incidences — an index missing one would make Algorithm 4
+/// dense key's bitmap equals its list, and the postings total the table's
+/// incidences. Keys and postings are strictly sorted, so together these
+/// make the postings exactly the incidences — an index missing one would make Algorithm 4
 /// silently miss embeddings — and the keys exactly the table's vertices,
 /// which the planner stats derived from them index labels by.
 fn check_index(
@@ -486,31 +486,14 @@ fn check_index(
     vertices: &[u32],
     arity: usize,
 ) -> std::result::Result<(), String> {
-    let rows = index.num_rows();
     let mut total = 0usize;
-    let mut decoded = Vec::new();
     for (v, posting) in index.iter() {
-        let list: &[u32] = match posting {
-            Posting::List(list) => list,
-            Posting::Dense { list, bits } => {
-                if bits.count_ones() as usize != list.len()
-                    || !list.iter().all(|&r| bits.contains(r))
-                {
-                    return Err(format!("bitmap of key {v} differs from its list"));
-                }
-                list
+        let list = posting.list();
+        if let Some(bits) = posting.bits() {
+            if bits.count_ones() as usize != list.len() || !list.iter().all(|&r| bits.contains(r)) {
+                return Err(format!("bitmap of key {v} differs from its list"));
             }
-            Posting::Compressed(c) => {
-                decoded.clear();
-                c.decode_into(&mut decoded);
-                if !crate::setops::is_strictly_sorted(&decoded)
-                    || decoded.last().is_some_and(|&r| r >= rows)
-                {
-                    return Err(format!("compressed key {v} decodes out of order or range"));
-                }
-                &decoded
-            }
-        };
+        }
         if list.is_empty() {
             return Err(format!("key {v} has an empty posting"));
         }
@@ -882,9 +865,8 @@ mod tests {
         }
     }
 
-    /// A graph big enough that its index mixes all three posting
-    /// representations (hub vertex → bitmap or compressed, sparse leaves →
-    /// lists) under the adaptive rule.
+    /// A graph big enough that its index mixes both posting representations
+    /// (hub vertex → bitmap, sparse leaves → lists) under the adaptive rule.
     fn multi_repr() -> Hypergraph {
         let mut b = HypergraphBuilder::new();
         b.add_vertex(Label::new(0)); // hub
@@ -1001,8 +983,8 @@ mod tests {
             let bytes = encode_snapshot(&h);
             let h2 = decode_snapshot(&bytes).unwrap();
             // Hypergraph PartialEq covers labels, interner, partitions
-            // (vertex tables, global ids, indices with every bitmap and
-            // compressed block, stats), locator, incidence CSR, adjacency.
+            // (vertex tables, global ids, indices with every bitmap, stats),
+            // locator, incidence CSR, adjacency.
             assert_eq!(h, h2);
             // decode_binary dispatches on the version header.
             assert_eq!(decode_binary(&bytes).unwrap(), h);
@@ -1207,15 +1189,11 @@ mod tests {
 
     #[test]
     fn snapshot_rejects_a_bitmap_that_differs_from_its_list() {
-        if crate::inverted::forced_repr().is_some() {
-            return; // the byte offsets below assume the adaptive rule
-        }
         let bad = reassembled(&multi_repr(), |p| {
             let index = p.index();
             if index.num_dense_keys() == 0 {
                 return index.clone();
             }
-            assert_eq!(index.num_compressed_keys(), 0);
             // Clear or set bit 0 of the first bitmap's first word. Its
             // offset: key count, keys, offsets, posting count, postings,
             // row count, bitmap count, dense table, bitmap domain and word
@@ -1288,9 +1266,6 @@ mod tests {
     fn snapshot_rejects_a_key_with_an_empty_posting() {
         let h = paper();
         let p = &h.partitions()[0];
-        if p.index().num_dense_keys() + p.index().num_compressed_keys() > 0 {
-            return; // the edit below assumes no side tables (a forced repr)
-        }
         for extra in [5u32, 1000] {
             let bad = edit_partitions_section(&encode_snapshot(&h), |payload| {
                 // Partition count, arity, row count, vertex table, global
@@ -1321,6 +1296,31 @@ mod tests {
                 other => panic!("expected Corrupt, got {other:?}"),
             }
         }
+    }
+
+    /// A key stored as compressed blocks keeps no sorted list, so a
+    /// snapshot with a non-zero compressed-container count is refused with
+    /// its own typed error, CRCs and all, before anything it counts is read.
+    #[test]
+    fn snapshot_refuses_compressed_containers() {
+        let h = multi_repr();
+        let bytes = encode_snapshot(&h);
+        let mut index = BytesMut::new();
+        h.partitions()[0].index().encode(&mut index);
+        let bad = edit_partitions_section(&bytes, |payload| {
+            // The compressed-container count closes the index encoding.
+            let at = payload
+                .windows(index.len())
+                .position(|w| w == &index[..])
+                .expect("the index is in the section")
+                + index.len()
+                - 4;
+            payload[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+        });
+        assert!(matches!(
+            decode_snapshot(&bad),
+            Err(HypergraphError::CompressedPostings)
+        ));
     }
 
     #[test]

@@ -26,7 +26,6 @@
 pub mod bipartite;
 pub mod bitmap;
 pub mod builder;
-pub mod compressed;
 pub mod dynamic;
 pub mod error;
 pub mod fxhash;
@@ -41,7 +40,6 @@ pub mod stats;
 
 pub use bitmap::Bitmap;
 pub use builder::HypergraphBuilder;
-pub use compressed::CompressedPostings;
 pub use dynamic::{DynamicHypergraph, SnapshotDelta, UpdateOp};
 pub use error::{HypergraphError, Result};
 pub use hypergraph::Hypergraph;

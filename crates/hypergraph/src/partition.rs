@@ -303,8 +303,8 @@ impl Partition {
 
     /// Posting set of local rows incident to `vertex` — `he(v, s)` for this
     /// partition's signature `s` — in whichever representation the index
-    /// chose (sorted list, bitmap-augmented list, or delta-bitpacked
-    /// blocks); Algorithm 4 dispatches on it to pick the cheapest kernel.
+    /// chose (sorted list or bitmap-augmented list); Algorithm 4
+    /// dispatches on it to pick the cheapest kernel.
     /// A one-row partition answers from its row: `[0]` or empty.
     #[inline]
     pub fn incident_posting(&self, vertex: u32) -> Posting<'_> {

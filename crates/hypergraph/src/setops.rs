@@ -32,7 +32,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-use crate::compressed::{CompressedPostings, BLOCK_LEN};
+use crate::inverted::CompressedPostings;
 
 /// Size ratio above which intersection switches from linear merge to
 /// galloping search. With `|small| * RATIO < |large|`, probing the large side
@@ -112,13 +112,6 @@ fn use_simd(a_len: usize, b_len: usize) -> bool {
 /// SIMD block kernel, else linear merge (DESIGN.md §5.2).
 pub fn intersect_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     out.clear();
-    intersect_append(a, b, out);
-}
-
-/// Appending form of [`intersect_into`]: the same dispatch, but the result
-/// is pushed after `out`'s existing contents. This is what the fused
-/// compressed kernels call once per decoded block.
-fn intersect_append(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     if a.is_empty() || b.is_empty() {
         return;
     }
@@ -151,11 +144,6 @@ fn intersect_append(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 /// always available, never SIMD.
 pub fn intersect_into_scalar(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     out.clear();
-    intersect_append_scalar(a, b, out);
-}
-
-/// Appending form of [`intersect_into_scalar`].
-fn intersect_append_scalar(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     if a.is_empty() || b.is_empty() {
         return;
     }
@@ -363,11 +351,6 @@ pub fn union_many(mut inputs: Vec<&[u32]>) -> Vec<u32> {
 /// inputs, scalar merge otherwise.
 pub fn difference_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     out.clear();
-    difference_append(a, b, out);
-}
-
-/// Appending form of [`difference_into`], for the fused compressed kernels.
-fn difference_append(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     if a.is_empty() {
         return;
     }
@@ -499,95 +482,16 @@ pub fn is_strictly_sorted(slice: &[u32]) -> bool {
     slice.windows(2).all(|w| w[0] < w[1])
 }
 
-// ---------------------------------------------------------------------------
-// Fused kernels over delta-bitpacked postings (DESIGN.md §14).
-//
-// Each kernel walks the container block by block, decodes one block into a
-// stack-resident `[u32; BLOCK_LEN]` scratch, and runs the ordinary
-// (KernelMode-dispatched) append kernels against the overlapping subrange of
-// the list operand — the whole posting is never materialised, and blocks
-// whose `[min, max]` span cannot overlap the list are skipped without
-// decoding. The `_scalar` variants decode fully and run the scalar oracle
-// kernels, giving the cross-check tests a fused-free reference.
-// ---------------------------------------------------------------------------
-
-/// Intersects a compressed posting with a sorted list into `out` (cleared
-/// first). Commutative in contents: `c ∩ list`.
-pub fn intersect_compressed_into(c: &CompressedPostings, list: &[u32], out: &mut Vec<u32>) {
-    out.clear();
-    if c.is_empty() || list.is_empty() {
-        return;
-    }
-    let mut scratch = [0u32; BLOCK_LEN];
-    let mut lo = 0usize;
-    for bi in 0..c.num_blocks() {
-        let (bmin, bmax) = c.block_range(bi);
-        lo += list[lo..].partition_point(|&x| x < bmin);
-        if lo == list.len() {
-            return;
-        }
-        if list[lo] > bmax {
-            continue; // block sits entirely in a gap of the list
-        }
-        let hi = lo + list[lo..].partition_point(|&x| x <= bmax);
-        if c.block_is_run(bi) {
-            // Run block: every integer in [bmin, bmax] is stored, so the
-            // intersection is exactly the list subrange — no decode.
-            out.extend_from_slice(&list[lo..hi]);
-        } else {
-            intersect_append(c.decode_block(bi, &mut scratch), &list[lo..hi], out);
-        }
-        lo = hi;
-        if lo == list.len() {
-            return;
-        }
-    }
+// The two kernels over the uninhabited `CompressedPostings`, kept only for
+// `benchmark/src/layers.rs` (see that type); neither can be called.
+#[doc(hidden)]
+pub fn intersect_compressed_into(c: &CompressedPostings, _: &[u32], _: &mut Vec<u32>) {
+    match *c {}
 }
 
-/// Scalar oracle for [`intersect_compressed_into`]: full decode, then the
-/// scalar intersection.
-pub fn intersect_compressed_into_scalar(c: &CompressedPostings, list: &[u32], out: &mut Vec<u32>) {
-    let decoded = c.to_sorted();
-    intersect_into_scalar(&decoded, list, out);
-}
-
-/// Computes `c \ list` into `out` (cleared first).
-pub fn difference_compressed_list_into(c: &CompressedPostings, list: &[u32], out: &mut Vec<u32>) {
-    out.clear();
-    if c.is_empty() {
-        return;
-    }
-    let mut scratch = [0u32; BLOCK_LEN];
-    let mut lo = 0usize;
-    for bi in 0..c.num_blocks() {
-        let (bmin, bmax) = c.block_range(bi);
-        lo += list[lo..].partition_point(|&x| x < bmin);
-        let hi = lo + list[lo..].partition_point(|&x| x <= bmax);
-        if c.block_is_run(bi) {
-            // Run block minus the list subrange: emit the inter-hole runs,
-            // collapsing consecutive list values into a single skip. The
-            // cursors are u64 so a run ending at u32::MAX cannot overflow.
-            let sub = &list[lo..hi];
-            let mut v = u64::from(bmin);
-            let mut k = 0;
-            while k < sub.len() {
-                out.extend(v as u32..sub[k]);
-                let mut e = u64::from(sub[k]) + 1;
-                k += 1;
-                while k < sub.len() && u64::from(sub[k]) == e {
-                    e += 1;
-                    k += 1;
-                }
-                v = e;
-            }
-            if v <= u64::from(bmax) {
-                out.extend(v as u32..=bmax);
-            }
-        } else {
-            difference_append(c.decode_block(bi, &mut scratch), &list[lo..hi], out);
-        }
-        lo = hi;
-    }
+#[doc(hidden)]
+pub fn difference_compressed_list_into(c: &CompressedPostings, _: &[u32], _: &mut Vec<u32>) {
+    match *c {}
 }
 
 /// SSE/AVX2 block kernels (DESIGN.md §5.2).
@@ -1163,54 +1067,5 @@ mod tests {
             unsafe { simd::intersect_ssse3(&a, &b, &mut out) };
             assert_eq!(out, expected);
         }
-    }
-
-    /// Fused-vs-oracle check across shapes that exercise block skipping,
-    /// partial overlap, and both kernel families.
-    #[test]
-    fn fused_compressed_kernels_match_oracles() {
-        let shapes = [
-            (0usize, 100usize, 1u32),
-            (100, 0, 3),
-            (50, 50, 2),
-            (300, 300, 3),
-            (1000, 100, 17),
-            (100, 1000, 17),
-            (5000, 5000, 5),
-        ];
-        let mut fused = Vec::new();
-        let mut oracle = Vec::new();
-        for (lc, ll, stride) in shapes {
-            let cv = pseudo_sorted(lc as u64 + 7, lc, stride);
-            let list = pseudo_sorted(ll as u64 + 31, ll, stride);
-            let c = crate::compressed::CompressedPostings::from_sorted(&cv);
-
-            intersect_compressed_into(&c, &list, &mut fused);
-            intersect_compressed_into_scalar(&c, &list, &mut oracle);
-            assert_eq!(fused, oracle, "intersect {lc}x{ll} stride {stride}");
-
-            difference_compressed_list_into(&c, &list, &mut fused);
-            difference_into_scalar(&cv, &list, &mut oracle);
-            assert_eq!(fused, oracle, "c\\list {lc}x{ll} stride {stride}");
-        }
-    }
-
-    #[test]
-    fn fused_kernels_handle_subsets_and_disjoint_blocks() {
-        // c spans three widely separated blocks; the list sits between them.
-        let mut cv: Vec<u32> = (0..300).collect();
-        cv.extend(100_000..100_300u32);
-        cv.extend(900_000..900_300u32);
-        let c = crate::compressed::CompressedPostings::from_sorted(&cv);
-        let between: Vec<u32> = (50_000..50_100).collect();
-        let mut out = Vec::new();
-        intersect_compressed_into(&c, &between, &mut out);
-        assert!(out.is_empty());
-        difference_compressed_list_into(&c, &between, &mut out);
-        assert_eq!(out, cv);
-
-        // Subtracting the whole set leaves nothing.
-        difference_compressed_list_into(&c, &cv, &mut out);
-        assert!(out.is_empty());
     }
 }

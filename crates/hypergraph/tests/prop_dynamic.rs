@@ -205,15 +205,13 @@ fn bitmap_threshold_crossing_round_trip() {
     }
     let snap = dynamic.snapshot();
     assert_eq!(*snap.graph, model.rebuild());
-    if hgmatch_hypergraph::inverted::forced_repr().is_none() {
-        assert!(
-            snap.graph
-                .partition(hgmatch_hypergraph::SignatureId::new(0))
-                .index()
-                .num_dense_keys()
-                > 0
-        );
-    }
+    assert!(
+        snap.graph
+            .partition(hgmatch_hypergraph::SignatureId::new(0))
+            .index()
+            .num_dense_keys()
+            > 0
+    );
 
     for leaf in 1..n {
         dynamic.delete_hyperedge(&[0, leaf]).unwrap();
@@ -221,31 +219,25 @@ fn bitmap_threshold_crossing_round_trip() {
     model.live.retain(|e| e[1] == n);
     let snap = dynamic.snapshot();
     assert_eq!(*snap.graph, model.rebuild());
-    if hgmatch_hypergraph::inverted::forced_repr().is_none() {
-        assert_eq!(
-            snap.graph
-                .partition(hgmatch_hypergraph::SignatureId::new(0))
-                .index()
-                .num_dense_keys(),
-            0
-        );
-    }
+    assert_eq!(
+        snap.graph
+            .partition(hgmatch_hypergraph::SignatureId::new(0))
+            .index()
+            .num_dense_keys(),
+        0
+    );
 }
 
-/// Deterministic regression for the three-way representation rule: a hub
-/// key driven across *both* thresholds — list (< COMPRESSED_MIN_LEN rows),
-/// then the compressed mid-density band (long posting, sparse in a diluted
-/// row space), then dense enough for a bitmap — with a snapshot==rebuild
-/// check at each stage, and back down via deletions.
+/// Deterministic regression for the representation rule, driven three
+/// ways: a hub key grows from a short list to a bitmap, is diluted back
+/// to a (long) list by hub-free rows of its partition, and is thinned to a
+/// short list by deletions — with a snapshot==rebuild check at each stage.
 #[test]
 fn three_way_representation_thresholds_round_trip() {
-    use hgmatch_hypergraph::inverted::{
-        forced_repr, ReprKind, COMPRESSED_MIN_LEN, MIN_BITMAP_ROWS,
-    };
+    use hgmatch_hypergraph::inverted::{ReprKind, MIN_BITMAP_ROWS};
 
     let hub_edges = 300u32;
     assert!(hub_edges as usize >= MIN_BITMAP_ROWS); // stage 2 reaches bitmap
-    assert!(hub_edges as usize >= COMPRESSED_MIN_LEN); // stage 3 can compress
     let dilution = 32 * hub_edges; // pushes hub density below rows/32
     let mut model = Model {
         labels: Vec::new(),
@@ -281,9 +273,7 @@ fn three_way_representation_thresholds_round_trip() {
     }
     let snap = dynamic.snapshot();
     assert_eq!(*snap.graph, model.rebuild());
-    if forced_repr().is_none() {
-        assert_eq!(hub_repr(&snap.graph), Some(ReprKind::List));
-    }
+    assert_eq!(hub_repr(&snap.graph), Some(ReprKind::List));
 
     // Stage 2: full hub posting — dense in the small partition: bitmap.
     for &leaf in &leaves[8..] {
@@ -291,12 +281,10 @@ fn three_way_representation_thresholds_round_trip() {
     }
     let snap = dynamic.snapshot();
     assert_eq!(*snap.graph, model.rebuild());
-    if forced_repr().is_none() {
-        assert_eq!(hub_repr(&snap.graph), Some(ReprKind::Bitmap));
-    }
+    assert_eq!(hub_repr(&snap.graph), Some(ReprKind::Bitmap));
 
     // Stage 3: dilute the same partition with hub-free {0,1} edges until
-    // the hub key sits in the mid-density band: compressed.
+    // the hub key is no longer dense: a long list.
     let mut made = 0u32;
     'dilute: for &x in &xs {
         for &y in &ys {
@@ -310,11 +298,9 @@ fn three_way_representation_thresholds_round_trip() {
     assert_eq!(made, dilution, "dilution pool too small");
     let snap = dynamic.snapshot();
     assert_eq!(*snap.graph, model.rebuild());
-    if forced_repr().is_none() {
-        assert_eq!(hub_repr(&snap.graph), Some(ReprKind::Compressed));
-    }
+    assert_eq!(hub_repr(&snap.graph), Some(ReprKind::List));
 
-    // Stage 4: delete hub edges back below COMPRESSED_MIN_LEN: list again.
+    // Stage 4: delete all but 8 hub edges: a short list.
     for &leaf in &leaves[8..] {
         assert!(dynamic.delete_hyperedge(&[hub, leaf]).unwrap());
     }
@@ -323,7 +309,5 @@ fn three_way_representation_thresholds_round_trip() {
         .retain(|e| e[0] != hub || leaves[..8].contains(&e[1]));
     let snap = dynamic.snapshot();
     assert_eq!(*snap.graph, model.rebuild());
-    if forced_repr().is_none() {
-        assert_eq!(hub_repr(&snap.graph), Some(ReprKind::List));
-    }
+    assert_eq!(hub_repr(&snap.graph), Some(ReprKind::List));
 }

@@ -1,13 +1,13 @@
 //! Seeding a writer from a snapshot whose postings were written in a
 //! representation this process would not choose (another
-//! `HGMATCH_FORCE_REPR`): `DynamicHypergraph::from_hypergraph` must not
+//! `set_forced_repr`): `DynamicHypergraph::from_hypergraph` must not
 //! adopt those bodies, or adopted and re-frozen partitions would disagree
 //! and `snapshot == rebuild-from-scratch` would fail.
 //!
 //! The only test in this file: it flips the process-wide forced
 //! representation, which must not race other tests.
 
-use hgmatch_hypergraph::inverted::{forced_repr, set_forced_repr, ReprKind};
+use hgmatch_hypergraph::inverted::{set_forced_repr, ReprKind};
 use hgmatch_hypergraph::io::{decode_snapshot, encode_snapshot};
 use hgmatch_hypergraph::{DynamicHypergraph, Hypergraph, HypergraphBuilder, Label};
 
@@ -34,13 +34,8 @@ fn seed_in_a_foreign_representation_is_refrozen_not_adopted() {
         vec![3, 5],
         vec![2, 6],
     ];
-    // Any representation but the one every key of this small graph gets
-    // here (`HGMATCH_FORCE_REPR` may force one through the environment).
-    let foreign = match forced_repr() {
-        Some(ReprKind::Compressed) => ReprKind::List,
-        _ => ReprKind::Compressed,
-    };
-    set_forced_repr(Some(foreign));
+    // Every key of this small graph is a list under the adaptive rule.
+    set_forced_repr(Some(ReprKind::Bitmap));
     let file = encode_snapshot(&build(&edges));
     set_forced_repr(None);
 

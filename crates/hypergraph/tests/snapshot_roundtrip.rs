@@ -7,12 +7,13 @@
 use hgmatch_datasets::testgen::{assert_derived_state_eq, random_arity_hypergraph};
 use hgmatch_datasets::update_stream::{generate_update_stream, UpdateStreamConfig};
 use hgmatch_hypergraph::io::{decode_binary, decode_snapshot, encode_snapshot, SNAPSHOT_VERSION};
-use hgmatch_hypergraph::{DynamicHypergraph, Hypergraph, HypergraphBuilder, Label};
+use hgmatch_hypergraph::{DynamicHypergraph, Hypergraph, HypergraphBuilder, Label, ReprBreakdown};
 
 /// The deterministic fixture graph: the paper's Fig. 1b data graph plus a
-/// hub block big enough that the adaptive index uses all three posting
-/// representations (list / bitmap / compressed) — so the fixture pins the
-/// serialisation of every representation, not just lists.
+/// hub block big enough that the adaptive index uses both posting
+/// representations (list and bitmap) — so the fixture pins the
+/// serialisation of every representation, not just lists
+/// (`golden_fixture_is_byte_stable` checks that it does).
 fn fixture_graph() -> Hypergraph {
     let mut b = HypergraphBuilder::new();
     for &l in &[0u32, 2, 0, 0, 1, 2, 0] {
@@ -51,9 +52,7 @@ fn legacy_fixture_path(version: u32) -> std::path::PathBuf {
 
 /// The committed fixture must decode, and re-encoding the decoded graph
 /// must reproduce the file byte-for-byte: `save(load(fixture)) ==
-/// fixture`. This half of the golden gate holds under any
-/// `HGMATCH_FORCE_REPR`, because the decoder restores representations
-/// verbatim instead of re-running the adaptive rule.
+/// fixture`, and so must a fresh build of the fixture graph.
 #[test]
 fn golden_fixture_is_byte_stable() {
     let path = fixture_path();
@@ -72,19 +71,20 @@ fn golden_fixture_is_byte_stable() {
          regenerate tests/fixtures/paper.hgsnap with UPDATE_GOLDEN=1 deliberately"
     );
 
-    // A fresh build encodes to the same bytes — unless a forced
-    // representation overrides the adaptive rule the fixture was built
-    // under (`HGMATCH_FORCE_REPR`), in which case only the verbatim half
-    // above applies.
-    if hgmatch_hypergraph::inverted::forced_repr().is_none() {
-        assert_eq!(
-            &*encode_snapshot(&fixture_graph()),
-            fixture.as_slice(),
-            "fresh fixture build no longer matches the committed snapshot"
-        );
-        assert_eq!(decoded, fixture_graph());
-        assert_derived_state_eq(&decoded, &fixture_graph());
+    // The fixture pins every representation: some key is dense, some not.
+    let mut repr = ReprBreakdown::default();
+    for p in decoded.partitions() {
+        repr.add(&p.index().repr_breakdown());
     }
+    assert!(repr.bitmap_keys >= 1 && repr.list_keys >= 1, "{repr:?}");
+
+    assert_eq!(
+        &*encode_snapshot(&fixture_graph()),
+        fixture.as_slice(),
+        "fresh fixture build no longer matches the committed snapshot"
+    );
+    assert_eq!(decoded, fixture_graph());
+    assert_derived_state_eq(&decoded, &fixture_graph());
 }
 
 /// v2, v3 and v4 files still load: each decodes to the fixture graph,
@@ -108,9 +108,7 @@ fn legacy_fixtures_load_and_reencode_as_current() {
             decode_binary(&old).expect("decode_binary reads it"),
             decoded
         );
-        if hgmatch_hypergraph::inverted::forced_repr().is_none() {
-            assert_eq!(decoded, fixture_graph(), "v{version}");
-        }
+        assert_eq!(decoded, fixture_graph(), "v{version}");
         assert_eq!(
             &*encode_snapshot(&decoded),
             current.as_slice(),
