@@ -21,6 +21,17 @@
 //! restore-speedup claim into a hard assertion (it is CPU-bound on both
 //! sides, so it holds on shared runners too).
 //!
+//! What the ≥ 10× gate measures: mostly adjacency. Most of the text side
+//! is deriving `Hypergraph::adj_counts`, which the matcher never reads
+//! (only the baselines' IHS filter does). On HB-S, 2 vCPUs, one
+//! measurement read `text_reingest` 142 ms against 11.2 ms of restore
+//! (12.7×), of which ≈ 107 ms was adjacency (AR-S: 622 ms); without it
+//! the ratio is ≈ 3×, and another run read 25 ms of text without it
+//! against 14 ms of restore. A snapshot that derives adjacency at load
+//! instead of storing it (ROADMAP item 25) therefore cannot keep this
+//! gate as it stands: the gate would have to stop charging the text side
+//! for adjacency, or charge the restore side the same.
+//!
 //! Usage: `snapshot_restore [--dataset NAME] [--iters N] [--json PATH]
 //!                          [--check]`.
 //! `HGMATCH_BENCH_SMOKE=1` shrinks the iteration count for the CI

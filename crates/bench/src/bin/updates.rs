@@ -342,8 +342,7 @@ fn run(dataset: &str, settings: &Settings) -> Run {
                 for op in chunk {
                     dynamic.apply(op).expect("stream op applies");
                 }
-                let delta = dynamic.snapshot();
-                server_ref.update_data(delta.graph, &delta.touched_labels, delta.sids_stable);
+                server_ref.update_data(dynamic.snapshot().graph, &[], false);
             }
             done_ref.store(true, Ordering::Release);
             ops as f64 / begin.elapsed().as_secs_f64().max(1e-9)

@@ -925,26 +925,16 @@ fn do_update(args: &[String]) -> Result<(), String> {
         snapshot_time += snap_elapsed;
         let epoch = round + 1;
         println!(
-            "epoch {epoch}: applied {} ops (graph: {} edges, {} touched labels, sids {}), \
+            "epoch {epoch}: applied {} ops (graph: {} edges), \
              snapshot {:.3} ms ({} partitions frozen, {} shared)",
             chunk.len(),
             delta.graph.num_edges(),
-            delta.touched_labels.len(),
-            if delta.sids_stable {
-                "stable"
-            } else {
-                "shifted"
-            },
             snap_elapsed.as_secs_f64() * 1e3,
             delta.partitions_frozen,
             delta.partitions_shared,
         );
         if let Some(server) = &server {
-            server.update_data(
-                std::sync::Arc::clone(&delta.graph),
-                &delta.touched_labels,
-                delta.sids_stable,
-            );
+            server.update_data(std::sync::Arc::clone(&delta.graph), &[], false);
             for (name, query) in &queries {
                 let outcome = server
                     .run(query, QueryOptions::count())

@@ -17,29 +17,18 @@
 //! Plans are valid for exactly one data hypergraph (the planner orders by
 //! the data's signature cardinalities and steps embed `SignatureId`s of its
 //! interner). Under dynamic updates the server publishes a new snapshot per
-//! epoch ([`MatchServer::update_data`]), so every entry is tagged with the
-//! epoch it is valid for: a key match whose epoch lags the current one is a
-//! miss. [`PlanCache::revalidate`] decides, per published epoch, which
-//! entries survive:
-//!
-//! * when partition ids shifted (`sids_stable == false`) nothing survives —
-//!   cached plans embed `SignatureId`s that may now dangle;
-//! * an entry whose query labels are disjoint from the update's touched
-//!   labels saw no cardinality change: re-tagged to the new epoch;
-//! * an entry whose labels *were* touched is checked for **stats drift**
-//!   (DESIGN.md §13.4): each entry carries the per-signature cardinalities
-//!   its plan was costed against, and as long as the relative change stays
-//!   within the replan threshold ([`crate::ServeConfig::replan_drift`])
-//!   the plan is still near-optimal and its partition ids are still
-//!   valid, so it is re-tagged; past the threshold
-//!   (including any signature appearing or going extinct — infinite drift)
-//!   it is dropped and counted in `plans_replanned`, forcing a fresh
-//!   cost-based plan on the shape's next submission.
+//! epoch ([`MatchServer::update_data`]), and a publish clears the cache
+//! ([`PlanCache::clear`]): an entry lives for exactly the epoch it was
+//! planned on (DESIGN.md §13.4). A miss is cheap (a few µs, DESIGN.md
+//! §8.4), so deciding which plans could outlive their epoch would cost
+//! more than re-planning them. Every entry is still tagged with its epoch,
+//! because a submission pinned to the previous epoch may insert after the
+//! clear: a key match whose epoch lags the current one is a miss.
 //!
 //! Eviction is exact least-recently-used over a bounded capacity, O(1) per
 //! operation (DESIGN.md §8.4): entries live in a slab of slots linked most
-//! recent first, and the map goes from key to slot. Hits, misses,
-//! invalidations and replans are observable through [`MatchServer::stats`].
+//! recent first, and the map goes from key to slot. Hits, misses and
+//! invalidations are observable through [`MatchServer::stats`].
 //!
 //! [`MatchServer::update_data`]: super::MatchServer::update_data
 //!
@@ -50,7 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hgmatch_hypergraph::fxhash::FxHashMap;
-use hgmatch_hypergraph::{Hypergraph, Label};
+use hgmatch_hypergraph::Hypergraph;
 use parking_lot::Mutex;
 
 use crate::error::Result;
@@ -76,63 +65,11 @@ pub(crate) struct Planned {
 struct Entry {
     plan: Arc<Plan>,
     /// Built once per shape; epoch-independent (a function of the query
-    /// hypergraph alone), so it survives `write_back` and `revalidate`.
+    /// hypergraph alone), so it survives `write_back`.
     query: Arc<QueryGraph>,
     /// Data epoch this plan is valid for. A key match at a stale epoch is
     /// a miss (the entry is replaced by the re-planned result).
     epoch: u64,
-    /// Stats fingerprint: for each distinct signature of the query's
-    /// edges, one query edge carrying it and the cardinality it had in the
-    /// snapshot the plan was costed against. Drift is always measured
-    /// against *plan time*, so it accumulates across label-touching epochs
-    /// until the replan threshold trips.
-    edge_cards: Box<[(u32, u64)]>,
-}
-
-impl Entry {
-    /// The entry for a freshly compiled `plan`. The fingerprint is read
-    /// off the plan's steps: each step's partition is its query edge's
-    /// resolved signature, so no signature is hashed or copied again.
-    /// Edges of absent signatures (no partition, cardinality 0) are each
-    /// kept, since their signatures may differ.
-    fn new(plan: Arc<Plan>, query: Arc<QueryGraph>, epoch: u64, data: &Hypergraph) -> Self {
-        let steps = plan.steps();
-        let edge_cards = steps
-            .iter()
-            .enumerate()
-            .filter(|&(i, step)| {
-                step.partition.is_none() || steps[..i].iter().all(|s| s.partition != step.partition)
-            })
-            .map(|(_, step)| {
-                let rows = step.partition.map_or(0, |sid| data.partition(sid).len());
-                (step.query_edge, rows as u64)
-            })
-            .collect();
-        Self {
-            plan,
-            query,
-            epoch,
-            edge_cards,
-        }
-    }
-
-    /// Maximum relative cardinality drift of this entry's signatures
-    /// against `data`, with `f64::INFINITY` for a signature that appeared
-    /// or went extinct since plan time (such a plan may be infeasible-
-    /// compiled or embed a dangling partition id — never keep it).
-    fn drift(&self, data: &Hypergraph) -> f64 {
-        let mut worst = 0.0f64;
-        for &(edge, old) in self.edge_cards.iter() {
-            let new = data.cardinality(self.query.signature(edge as usize)) as u64;
-            let drift = match (old, new) {
-                (0, 0) => 0.0,
-                (0, _) | (_, 0) => f64::INFINITY,
-                (old, new) => old.abs_diff(new) as f64 / old as f64,
-            };
-            worst = worst.max(drift);
-        }
-        worst
-    }
 }
 
 /// End of the recency list.
@@ -149,7 +86,7 @@ struct Slot {
     next: u32,
 }
 
-/// The store: an exact LRU, O(1) per operation but `retain`.
+/// The store: an exact LRU, O(1) per operation.
 #[derive(Debug)]
 struct Lru {
     map: FxHashMap<QueryShape, u32>,
@@ -226,45 +163,6 @@ impl Lru {
         self.push_front(i);
         evicted
     }
-
-    /// Slot indices from most to least recently used.
-    fn recency(&self) -> impl Iterator<Item = u32> + '_ {
-        let first = (self.head != NIL).then_some(self.head);
-        std::iter::successors(first, |&i| {
-            let next = self.slots[i as usize].next;
-            (next != NIL).then_some(next)
-        })
-    }
-
-    /// Keeps the entries `keep` accepts, in their recency order, and
-    /// returns the others for the caller to drop outside the lock.
-    fn retain(&mut self, mut keep: impl FnMut(&QueryShape, &mut Entry) -> bool) -> Vec<Slot> {
-        let order: Vec<u32> = self.recency().collect();
-        let mut slots: Vec<Option<Slot>> = std::mem::take(&mut self.slots)
-            .into_iter()
-            .map(Some)
-            .collect();
-        self.map.clear();
-        (self.head, self.tail) = (NIL, NIL);
-        let mut dropped = Vec::new();
-        for i in order {
-            let mut slot = slots[i as usize].take().expect("each slot is linked once");
-            if !keep(&slot.key, &mut slot.entry) {
-                dropped.push(slot);
-                continue;
-            }
-            let j = self.slots.len() as u32;
-            (slot.prev, slot.next) = (self.tail, NIL);
-            match self.tail {
-                NIL => self.head = j,
-                t => self.slots[t as usize].next = j,
-            }
-            self.tail = j;
-            self.map.insert(slot.key.clone(), j);
-            self.slots.push(slot);
-        }
-        dropped
-    }
 }
 
 /// A bounded LRU cache of compiled plans, keyed by canonical query form
@@ -276,7 +174,6 @@ pub(crate) struct PlanCache {
     hits: AtomicU64,
     misses: AtomicU64,
     invalidated: AtomicU64,
-    replanned: AtomicU64,
     corrections: AtomicU64,
 }
 
@@ -290,7 +187,6 @@ impl PlanCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             invalidated: AtomicU64::new(0),
-            replanned: AtomicU64::new(0),
             corrections: AtomicU64::new(0),
         }
     }
@@ -342,7 +238,11 @@ impl PlanCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let q = Arc::new(QueryGraph::from_shape(&key)?);
         let plan = Arc::new(Planner::plan(&q, data)?);
-        let entry = Entry::new(Arc::clone(&plan), Arc::clone(&q), epoch, data);
+        let entry = Entry {
+            plan: Arc::clone(&plan),
+            query: Arc::clone(&q),
+            epoch,
+        };
 
         let mut lru = self.lru.lock();
         let (stale, evicted) = match lru.map.get(&key).copied() {
@@ -374,8 +274,8 @@ impl PlanCache {
     /// misestimate. Overwrites only an entry still tagged with `epoch` —
     /// the epoch the correcting query was pinned to — never one a newer
     /// epoch has re-planned (its statistics supersede the observations),
-    /// and never inserts: an evicted shape has no stats fingerprint to
-    /// carry. Returns whether the correction landed.
+    /// and never inserts: an absent shape was evicted or dropped by a
+    /// publish. Returns whether the correction landed.
     pub(crate) fn write_back(&self, key: &QueryShape, plan: Arc<Plan>, epoch: u64) -> bool {
         if self.capacity == 0 {
             return false;
@@ -396,49 +296,16 @@ impl PlanCache {
         true
     }
 
-    /// Reconciles the cache with a newly published data epoch (`data` is
-    /// that epoch's snapshot). When `sids_stable` is false every entry is
-    /// dropped. Otherwise entries whose query labels are disjoint from
-    /// `touched_labels` re-tag to `epoch` unchanged (no cardinality they
-    /// depend on moved); label-touched entries re-tag while their
-    /// cardinality drift since *plan time* stays within `replan_drift`,
-    /// and are dropped — counted in `plans_replanned` — once it exceeds it
-    /// (so the next submission of the shape plans afresh against the new
-    /// statistics).
+    /// Drops every entry: called by [`MatchServer::update_data`] under the
+    /// data lock as it publishes a new epoch, so no submission pinned to
+    /// the new epoch can find a plan of the old one. The dropped entries
+    /// count in `plans_invalidated` and release their plans after the lock.
     ///
-    /// Only entries at the epoch being superseded (`epoch - 1`) are
-    /// eligible to survive: an entry lagging further behind was inserted
-    /// by a submission that raced an earlier update (planning happens
-    /// outside the data lock) and never passed that update's invalidation,
-    /// so its plan may embed re-numbered partition ids even though its
-    /// labels are disjoint from *this* update's.
-    pub(crate) fn revalidate(
-        &self,
-        epoch: u64,
-        touched_labels: &[Label],
-        sids_stable: bool,
-        data: &Hypergraph,
-        replan_drift: f64,
-    ) {
-        let mut replanned = 0u64;
-        let dropped = self.lru.lock().retain(|key, entry| {
-            if !sids_stable || entry.epoch + 1 != epoch {
-                return false; // ids shifted, or skipped an epoch's sweep — see above
-            }
-            let labels = key.labels();
-            let touched = touched_labels.iter().any(|l| labels.contains(&l.raw()));
-            if touched && entry.drift(data) > replan_drift {
-                replanned += 1;
-                return false;
-            }
-            entry.epoch = epoch;
-            true
-        });
-        // `plans_invalidated` counts every drop; `plans_replanned` the
-        // drift-driven subset.
+    /// [`MatchServer::update_data`]: super::MatchServer::update_data
+    pub(crate) fn clear(&self) {
+        let dropped = std::mem::replace(&mut *self.lru.lock(), Lru::new());
         self.invalidated
-            .fetch_add(dropped.len() as u64, Ordering::Relaxed);
-        self.replanned.fetch_add(replanned, Ordering::Relaxed);
+            .fetch_add(dropped.slots.len() as u64, Ordering::Relaxed);
     }
 
     /// Cache hits so far.
@@ -451,15 +318,9 @@ impl PlanCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Entries dropped by [`PlanCache::revalidate`] so far.
+    /// Entries dropped by [`PlanCache::clear`] so far.
     pub(crate) fn invalidated(&self) -> u64 {
         self.invalidated.load(Ordering::Relaxed)
-    }
-
-    /// Entries dropped because their stats drifted past the replan
-    /// threshold (a subset of [`PlanCache::invalidated`]).
-    pub(crate) fn replanned(&self) -> u64 {
-        self.replanned.load(Ordering::Relaxed)
     }
 
     /// Corrected plans written back by adaptive queries
@@ -477,8 +338,19 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hgmatch_hypergraph::HypergraphBuilder;
+    use hgmatch_hypergraph::{HypergraphBuilder, Label};
     use proptest::prelude::*;
+
+    impl Lru {
+        /// Slot indices from most to least recently used.
+        fn recency(&self) -> impl Iterator<Item = u32> + '_ {
+            let first = (self.head != NIL).then_some(self.head);
+            std::iter::successors(first, |&i| {
+                let next = self.slots[i as usize].next;
+                (next != NIL).then_some(next)
+            })
+        }
+    }
 
     impl PlanCache {
         /// [`PlanCache::plan_for`] of a query hypergraph's shape.
@@ -629,96 +501,29 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
-    /// `tiny_data` with `extra` additional {A,B} edges (drifts the {0,1}
-    /// signature's cardinality from 2 to `2 + extra`).
-    fn drifted_data(extra: usize) -> Hypergraph {
-        let mut b = HypergraphBuilder::new();
-        for &l in &[0u32, 1, 0, 1] {
-            b.add_vertex(Label::new(l));
+    /// A publish drops every resident entry and counts each; the next
+    /// submission of every shape misses at the new epoch, and a
+    /// correction pinned to the old epoch lands nowhere.
+    #[test]
+    fn a_publish_clears_every_entry() {
+        let data = tiny_data();
+        let cache = PlanCache::new(8);
+        let (q1, q2) = (ab_query(1), ab_query(2));
+        let plan = cache.plan(&q1, &data, 0).unwrap().plan;
+        cache.plan(&q2, &data, 0).unwrap();
+        cache.clear();
+        assert_eq!((cache.len(), cache.invalidated()), (0, 2));
+        assert!(cache.resident().is_empty());
+        assert!(!cache.write_back(&QueryShape::from(&q1), Arc::clone(&plan), 0));
+        for q in [&q1, &q2] {
+            assert!(!cache.plan(q, &data, 1).unwrap().cached);
         }
-        b.add_edge(vec![0, 1]).unwrap();
-        b.add_edge(vec![2, 3]).unwrap();
-        for _ in 0..extra {
-            let a = b.add_vertex(Label::new(0)).raw();
-            let c = b.add_vertex(Label::new(1)).raw();
-            b.add_edge(vec![a, c]).unwrap();
-        }
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn revalidate_keeps_touched_entries_within_drift() {
-        let data = tiny_data();
-        let cache = PlanCache::new(8);
-        cache.plan(&ab_query(1), &data, 0).unwrap(); // {0,1}: card 2
-                                                     // Label 0 touched, but cardinality moved 2 → 3 (drift 0.5 ≤ 0.5):
-                                                     // the plan stays near-optimal and is re-tagged, not re-planned.
-        let drifted = drifted_data(1);
-        cache.revalidate(1, &[Label::new(0)], true, &drifted, 0.5);
-        assert_eq!(
-            (cache.len(), cache.invalidated(), cache.replanned()),
-            (1, 0, 0)
-        );
-        let hit = cache.plan(&ab_query(1), &drifted, 1).unwrap().cached;
-        assert!(hit, "below-threshold drift keeps the entry");
-    }
-
-    #[test]
-    fn revalidate_replans_entries_past_drift_threshold() {
-        let data = tiny_data();
-        let cache = PlanCache::new(8);
-        cache.plan(&ab_query(1), &data, 0).unwrap(); // {0,1}: card 2
-        cache.plan(&ab_query(2), &data, 0).unwrap(); // labels {0,2}: card 0
-                                                     // Cardinality 2 → 6 is drift 2.0 > 0.5: dropped and counted as a
-                                                     // replan. The {0,2} entry's signature stayed at 0 (drift 0) but
-                                                     // its labels were touched too — label 0 — so it is drift-checked
-                                                     // and kept.
-        let drifted = drifted_data(4);
-        cache.revalidate(1, &[Label::new(0), Label::new(1)], true, &drifted, 0.5);
-        assert_eq!(
-            (cache.len(), cache.invalidated(), cache.replanned()),
-            (1, 1, 1)
-        );
-        let hit = cache.plan(&ab_query(1), &drifted, 1).unwrap().cached;
-        assert!(!hit, "drifted entry was dropped");
-        let hit = cache.plan(&ab_query(2), &drifted, 1).unwrap().cached;
-        assert!(hit, "undrifted entry survived");
-    }
-
-    #[test]
-    fn signature_extinction_or_birth_is_infinite_drift() {
-        let data = drifted_data(0);
-        let cache = PlanCache::new(8);
-        cache.plan(&ab_query(1), &data, 0).unwrap(); // {0,1}: card 2
-                                                     // New data where the {0,1} signature is extinct: the plan may
-                                                     // embed a dangling partition id, so even a huge threshold drops
-                                                     // it.
-        let mut b = HypergraphBuilder::new();
-        b.add_vertices(2, Label::new(0));
-        b.add_edge(vec![0, 1]).unwrap();
-        let extinct = b.build().unwrap();
-        cache.revalidate(1, &[Label::new(0), Label::new(1)], true, &extinct, 1e12);
-        assert_eq!((cache.len(), cache.replanned()), (0, 1));
-    }
-
-    #[test]
-    fn revalidate_drops_entries_that_skipped_an_epoch() {
-        let data = tiny_data();
-        let cache = PlanCache::new(8);
-        // An entry a racing submitter inserted at epoch 0 *after* the
-        // epoch-1 invalidation swept (so it never passed it)…
-        cache.plan(&ab_query(1), &data, 0).unwrap();
-        // …must not be promoted by a later label-disjoint update: it is
-        // dropped even though no touched label matches.
-        cache.revalidate(2, &[Label::new(9)], true, &data, 0.5);
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.invalidated(), 1);
-        assert_eq!(cache.replanned(), 0, "an epoch skip is not a replan");
-        // The normal chain (entry at the superseded epoch) still carries.
-        cache.plan(&ab_query(1), &data, 2).unwrap();
-        cache.revalidate(3, &[Label::new(9)], true, &data, 0.5);
-        let hit = cache.plan(&ab_query(1), &data, 3).unwrap().cached;
-        assert!(hit, "contiguous-epoch entry survives");
+        assert!(!cache.write_back(&QueryShape::from(&q1), plan, 0));
+        assert_eq!((cache.len(), cache.corrections()), (2, 0));
+        assert_eq!((cache.hits(), cache.misses()), (0, 4));
+        // The next publish drops exactly what is resident again.
+        cache.clear();
+        assert_eq!(cache.invalidated(), 4);
     }
 
     #[test]
@@ -771,21 +576,7 @@ mod tests {
         assert_eq!(cache.corrections(), 0);
     }
 
-    #[test]
-    fn stale_write_back_after_revalidate_never_resurrects() {
-        let data = tiny_data();
-        let cache = PlanCache::new(4);
-        let q = ab_query(1);
-        let plan = cache.plan(&q, &data, 0).unwrap().plan;
-        // The sweep dropped the entry (sids shifted): a correction pinned
-        // to the swept epoch must not re-insert a plan that may embed
-        // dangling partition ids.
-        cache.revalidate(1, &[], false, &data, 0.5);
-        assert!(!cache.write_back(&QueryShape::from(&q), plan, 0));
-        assert_eq!((cache.len(), cache.corrections()), (0, 0));
-    }
-
-    /// Hammers `plan_for`, `write_back` and `revalidate` from racing
+    /// Hammers `plan_for`, `write_back` and `clear` from racing
     /// threads over a capacity-2 cache, so corrections land while their
     /// entry is being evicted by other shapes and while the epoch moves
     /// under them. No interleaving may deadlock, lose a counter update,
@@ -819,12 +610,11 @@ mod tests {
                     }
                 });
             }
-            let (cache, data, epoch) = (&cache, &data, &epoch);
+            let (cache, epoch) = (&cache, &epoch);
             scope.spawn(move || {
-                for i in 0..60u64 {
-                    let e = epoch.fetch_add(1, Ordering::Relaxed) + 1;
-                    let touched = [Label::new((i % 5) as u32)];
-                    cache.revalidate(e, &touched, i % 4 != 3, data, 0.5);
+                for _ in 0..60 {
+                    epoch.fetch_add(1, Ordering::Relaxed);
+                    cache.clear();
                     std::thread::yield_now();
                 }
             });
@@ -841,18 +631,6 @@ mod tests {
             landed.load(Ordering::Relaxed),
             "corrections counts exactly the write_backs that landed"
         );
-    }
-
-    #[test]
-    fn revalidate_clears_everything_when_sids_shift() {
-        let data = tiny_data();
-        let cache = PlanCache::new(8);
-        cache.plan(&ab_query(1), &data, 0).unwrap();
-        cache.plan(&ab_query(2), &data, 0).unwrap();
-        cache.revalidate(1, &[], false, &data, 0.5);
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.invalidated(), 2);
-        assert_eq!(cache.replanned(), 0);
     }
 
     /// The differential test's shapes as `(vertex labels, edges)`: four on
@@ -909,22 +687,13 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Each edge's signature cardinality in `data`, edge by edge.
-    fn edge_cards(shape: &Hypergraph, data: &Hypergraph) -> Vec<u64> {
-        let q = QueryGraph::new(shape).unwrap();
-        (0..q.num_edges())
-            .map(|e| data.cardinality(q.signature(e)) as u64)
-            .collect()
-    }
-
     /// The differential test's reference: an LRU written from its
     /// definition. Resident shapes sit in a `Vec`, most recently used
-    /// first, each with its epoch and its edges' cardinalities at plan time.
+    /// first, each with its epoch.
     #[derive(Default)]
     struct ReferenceLru {
-        resident: Vec<(usize, u64, Vec<u64>)>,
+        resident: Vec<(usize, u64)>,
         invalidated: u64,
-        replanned: u64,
         corrections: u64,
     }
 
@@ -935,20 +704,20 @@ mod tests {
         }
 
         /// Whether `plan_for` hits.
-        fn plan_for(&mut self, capacity: usize, shape: usize, epoch: u64, cards: Vec<u64>) -> bool {
+        fn plan_for(&mut self, capacity: usize, shape: usize, epoch: u64) -> bool {
             match self.resident.iter().position(|r| r.0 == shape) {
                 Some(i) if self.resident[i].1 == epoch => {
                     self.make_most_recent(i);
                     return true;
                 }
                 Some(i) if self.resident[i].1 < epoch => {
-                    self.resident[i] = (shape, epoch, cards);
+                    self.resident[i] = (shape, epoch);
                     self.make_most_recent(i);
                 }
                 Some(_) => {}
                 None if capacity > 0 => {
                     self.resident.truncate(capacity - 1);
-                    self.resident.insert(0, (shape, epoch, cards));
+                    self.resident.insert(0, (shape, epoch));
                 }
                 None => {}
             }
@@ -956,10 +725,7 @@ mod tests {
         }
 
         fn write_back(&mut self, shape: usize, epoch: u64) -> bool {
-            let found = self
-                .resident
-                .iter()
-                .position(|r| (r.0, r.1) == (shape, epoch));
+            let found = self.resident.iter().position(|&r| r == (shape, epoch));
             if let Some(i) = found {
                 self.make_most_recent(i);
                 self.corrections += 1;
@@ -967,44 +733,14 @@ mod tests {
             found.is_some()
         }
 
-        fn revalidate(
-            &mut self,
-            epoch: u64,
-            touched: &[Label],
-            sids_stable: bool,
-            threshold: f64,
-            cards_now: impl Fn(usize) -> Vec<u64>,
-        ) {
-            let before = self.resident.len();
-            let mut replanned = 0;
-            self.resident.retain_mut(|(shape, at, cards)| {
-                if !sids_stable || *at + 1 != epoch {
-                    return false;
-                }
-                let drift = cards
-                    .iter()
-                    .zip(cards_now(*shape))
-                    .map(|(&old, new)| match (old, new) {
-                        (0, 0) => 0.0,
-                        (0, _) | (_, 0) => f64::INFINITY,
-                        (old, new) => old.abs_diff(new) as f64 / old as f64,
-                    })
-                    .fold(0.0, f64::max);
-                let labels = SHAPES[*shape].0;
-                if touched.iter().any(|l| labels.contains(&l.raw())) && drift > threshold {
-                    replanned += 1;
-                    return false;
-                }
-                *at = epoch;
-                true
-            });
-            self.invalidated += (before - self.resident.len()) as u64;
-            self.replanned += replanned;
+        fn clear(&mut self) {
+            self.invalidated += self.resident.len() as u64;
+            self.resident.clear();
         }
     }
 
     /// Drives one seeded sequence of `plan_for`, `write_back` and
-    /// `revalidate` through a cache of `capacity` and through the
+    /// `clear` through a cache of `capacity` and through the
     /// reference, comparing them after every operation.
     fn agrees_with_reference(capacity: usize, seed: u64, ops: usize) -> TestCaseResult {
         let shapes: Vec<Hypergraph> = (0..SHAPES.len()).map(shape).collect();
@@ -1033,8 +769,7 @@ mod tests {
                         .plan_for(keys[s].clone(), data, pinned)
                         .unwrap()
                         .cached;
-                    let cards = edge_cards(&shapes[s], data);
-                    prop_assert_eq!(hit, reference.plan_for(capacity, s, pinned, cards));
+                    prop_assert_eq!(hit, reference.plan_for(capacity, s, pinned));
                 }
                 6 | 7 => {
                     let s = draw(8) as usize;
@@ -1045,16 +780,9 @@ mod tests {
                 }
                 _ => {
                     let counts: Vec<u64> = (0..SIGNATURES.len()).map(|_| draw(3)).collect();
-                    let next = snapshot(&counts);
-                    let touched: Vec<Label> =
-                        (0..4).filter(|_| draw(2) == 0).map(Label::new).collect();
-                    let sids_stable = draw(4) != 0;
-                    let threshold = if draw(2) == 0 { 0.0 } else { f64::INFINITY };
-                    cache.revalidate(epoch + 1, &touched, sids_stable, &next, threshold);
-                    reference.revalidate(epoch + 1, &touched, sids_stable, threshold, |s| {
-                        edge_cards(&shapes[s], &next)
-                    });
-                    snapshots.push(next);
+                    snapshots.push(snapshot(&counts));
+                    cache.clear();
+                    reference.clear();
                 }
             }
             let resident: Vec<usize> = cache
@@ -1070,12 +798,8 @@ mod tests {
             prop_assert_eq!(resident, expected);
             prop_assert_eq!(cache.len(), reference.resident.len());
             prop_assert_eq!(
-                (cache.invalidated(), cache.replanned(), cache.corrections()),
-                (
-                    reference.invalidated,
-                    reference.replanned,
-                    reference.corrections
-                )
+                (cache.invalidated(), cache.corrections()),
+                (reference.invalidated, reference.corrections)
             );
         }
         Ok(())

@@ -150,15 +150,9 @@ pub struct ServeConfig {
     /// Consecutive tasks a worker may execute for one query before other
     /// queries' waiting seeds take priority (fair interleaving).
     pub fairness_quantum: u32,
-    /// Plans kept in the LRU plan cache (0 disables caching).
+    /// Plans kept in the LRU plan cache (0 disables caching). Each
+    /// publish ([`MatchServer::update_data`]) empties it.
     pub plan_cache_capacity: usize,
-    /// Relative cardinality drift (vs. plan time) past which a cached plan
-    /// whose labels an update touched is dropped and the shape re-planned
-    /// on its next submission (DESIGN.md §13.4). Below the threshold the
-    /// entry carries over — its partition ids are still valid and its
-    /// order still near-optimal. Default 0.5; negative values behave as 0
-    /// (re-plan on any change).
-    pub replan_drift: f64,
     /// Timeout applied to queries that do not set their own.
     pub default_timeout: Option<Duration>,
     /// Aggregation mode applied to queries that neither set
@@ -181,7 +175,6 @@ impl Default for ServeConfig {
             threads: 4,
             fairness_quantum: 64,
             plan_cache_capacity: 128,
-            replan_drift: 0.5,
             default_timeout: None,
             default_aggregate: None,
             match_config: MatchConfig::default(),
@@ -211,13 +204,6 @@ impl ServeConfig {
     /// Sets the fairness quantum, builder style.
     pub fn with_fairness_quantum(mut self, quantum: u32) -> Self {
         self.fairness_quantum = quantum.max(1);
-        self
-    }
-
-    /// Sets the replan drift threshold, builder style (negative clamps
-    /// to 0: re-plan on any cardinality change of a touched label).
-    pub fn with_replan_drift(mut self, drift: f64) -> Self {
-        self.replan_drift = drift.max(0.0);
         self
     }
 
@@ -474,13 +460,8 @@ pub struct ServeStats {
     /// Plans currently cached.
     pub plan_cache_size: usize,
     /// Plan-cache entries dropped by data updates
-    /// ([`MatchServer::update_data`]).
+    /// ([`MatchServer::update_data`] empties the cache).
     pub plans_invalidated: u64,
-    /// Plan-cache entries dropped because their cardinality statistics
-    /// drifted past [`ServeConfig::replan_drift`] — the affected query
-    /// shapes re-plan against the new statistics on their next submission
-    /// (a subset of [`ServeStats::plans_invalidated`]).
-    pub plans_replanned: u64,
     /// Suffix re-plans adopted *mid-query* by the adaptive trigger
     /// (DESIGN.md §15): executions whose observed candidate counts
     /// crossed [`crate::MatchConfig::replan_ratio`] × the plan's estimate
@@ -623,7 +604,6 @@ pub(crate) struct CurrentData {
 pub(crate) struct ServeShared {
     pub(crate) data: Mutex<CurrentData>,
     pub(crate) config: MatchConfig,
-    pub(crate) replan_drift: f64,
     pub(crate) fairness_quantum: u32,
     /// Admitted, unfinished queries (seed-slot scan order = admission
     /// order; finalisation removes entries).
@@ -838,7 +818,6 @@ impl MatchServer {
                 epoch: 0,
             }),
             config: match_config,
-            replan_drift: config.replan_drift.max(0.0),
             fairness_quantum: config.fairness_quantum.max(1),
             queries: Mutex::new(Vec::new()),
             stealers,
@@ -1014,13 +993,17 @@ impl MatchServer {
     /// Publishes a new data snapshot: queries submitted from now on pin
     /// `data`, while queries already in flight finish on the epoch they
     /// pinned at submission — no query ever observes a half-applied
-    /// update. Plan-cache entries whose labels intersect `touched_labels`
-    /// are dropped; the rest carry over to the new epoch (all of them are
-    /// dropped when `sids_stable` is false, i.e. partition ids shifted).
+    /// update. The plan cache is emptied: a cached plan is valid for
+    /// exactly the epoch it was planned on (DESIGN.md §13.4), and each
+    /// shape re-plans on its next submission.
+    ///
+    /// `_touched_labels` and `_sids_stable` are ignored. They once chose
+    /// which plans survived a publish; the parameters stay so that callers
+    /// passing a [`hgmatch_hypergraph::SnapshotDelta`]'s fields keep
+    /// compiling, and go with a change of those callers.
     ///
     /// Returns the new epoch. With a
-    /// [`hgmatch_hypergraph::DynamicHypergraph`] writer, pass the fields of
-    /// the [`hgmatch_hypergraph::SnapshotDelta`] it produced:
+    /// [`hgmatch_hypergraph::DynamicHypergraph`] writer:
     ///
     /// ```
     /// # use std::sync::Arc;
@@ -1033,28 +1016,21 @@ impl MatchServer {
     ///
     /// writer.add_vertices(2, Label::new(1));
     /// writer.insert_hyperedge(vec![2, 3]).unwrap();
-    /// let delta = writer.snapshot();
-    /// let epoch = server.update_data(delta.graph, &delta.touched_labels, delta.sids_stable);
+    /// let epoch = server.update_data(writer.snapshot().graph, &[], false);
     /// assert_eq!(epoch, 1);
     /// ```
     pub fn update_data(
         &self,
         data: Arc<Hypergraph>,
-        touched_labels: &[hgmatch_hypergraph::Label],
-        sids_stable: bool,
+        _touched_labels: &[hgmatch_hypergraph::Label],
+        _sids_stable: bool,
     ) -> u64 {
         let mut current = self.shared.data.lock();
         let epoch = current.epoch + 1;
         *current = CurrentData { graph: data, epoch };
-        // Revalidate under the data lock so no submission can race a plan
-        // of the new epoch past an unswept cache.
-        self.shared.cache.revalidate(
-            epoch,
-            touched_labels,
-            sids_stable,
-            &current.graph,
-            self.shared.replan_drift,
-        );
+        // Clear under the data lock so no submission can race a plan of
+        // the new epoch past an unswept cache.
+        self.shared.cache.clear();
         epoch
     }
 
@@ -1078,7 +1054,6 @@ impl MatchServer {
             plan_cache_misses: self.shared.cache.misses(),
             plan_cache_size: self.shared.cache.len(),
             plans_invalidated: self.shared.cache.invalidated(),
-            plans_replanned: self.shared.cache.replanned(),
             replans_midquery: c.replans_midquery.load(Ordering::Relaxed),
             estimate_corrections: self.shared.cache.corrections(),
             queue_wait_total: Duration::from_nanos(c.queue_wait_ns.load(Ordering::Relaxed)),

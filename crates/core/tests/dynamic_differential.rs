@@ -143,13 +143,9 @@ fn served_queries_never_observe_torn_snapshots() {
                 for op in chunk {
                     dynamic.apply(op).unwrap();
                 }
-                let delta = dynamic.snapshot();
-                let epoch = writer_server.update_data(
-                    Arc::clone(&delta.graph),
-                    &delta.touched_labels,
-                    delta.sids_stable,
-                );
-                writer_published.lock().unwrap().insert(epoch, delta.graph);
+                let graph = dynamic.snapshot().graph;
+                let epoch = writer_server.update_data(Arc::clone(&graph), &[], false);
+                writer_published.lock().unwrap().insert(epoch, graph);
                 let target = writer_waves.load(Ordering::Acquire) + 1;
                 while writer_waves.load(Ordering::Acquire) < target {
                     std::thread::yield_now();
@@ -216,9 +212,11 @@ fn served_queries_never_observe_torn_snapshots() {
     assert_eq!(stats.tasks_spawned, stats.tasks_executed);
 }
 
-/// Plan-cache invalidation: updates that change a query's candidate space
-/// must not serve stale plans — including the extinction case where
-/// partition ids shift — while label-disjoint queries keep their plans.
+/// A publish empties the plan cache: every resident entry is dropped and
+/// counted in `plans_invalidated`, and the next submission of every shape
+/// plans afresh at the new epoch — through an extinction that shifts
+/// partition ids and through an insert whose labels the other shape does
+/// not use — while a repeat within the epoch hits.
 #[test]
 fn plan_cache_invalidation_keeps_answers_fresh() {
     let mut dynamic = DynamicHypergraph::new();
@@ -248,68 +246,37 @@ fn plan_cache_invalidation_keeps_answers_fresh() {
     assert_eq!(server.run(&aa, QueryOptions::count()).unwrap().count, 3);
     assert_eq!(server.run(&bb, QueryOptions::count()).unwrap().count, 3);
 
-    // Delete every {A,A} edge: the {B,B} partition's id shifts from 1 to 0
-    // (sids unstable) — a stale {B,B} plan would scan the wrong partition.
+    // Publishes the writer's state and checks that it emptied the cache.
+    let publish = |dynamic: &mut DynamicHypergraph| {
+        let before = server.stats();
+        assert_eq!(before.plan_cache_size, 2);
+        server.update_data(dynamic.snapshot().graph, &[], false);
+        let after = server.stats();
+        assert_eq!(after.plan_cache_size, 0);
+        assert_eq!(after.plans_invalidated, before.plans_invalidated + 2);
+    };
+
+    // Delete every {A,A} edge: the {B,B} partition's id shifts from 1 to 0,
+    // so a stale {B,B} plan would scan the wrong partition.
     for i in 0..3u32 {
         dynamic.delete_hyperedge(&[2 * i, 2 * i + 1]).unwrap();
     }
-    let delta = dynamic.snapshot();
-    assert!(!delta.sids_stable);
-    server.update_data(
-        Arc::clone(&delta.graph),
-        &delta.touched_labels,
-        delta.sids_stable,
-    );
-
+    publish(&mut dynamic);
     let aa_after = server.run(&aa, QueryOptions::count()).unwrap();
     assert_eq!(aa_after.count, 0, "deleted partition must be empty");
     assert!(!aa_after.plan_cached, "stale plan must not be served");
     let bb_after = server.run(&bb, QueryOptions::count()).unwrap();
     assert_eq!(bb_after.count, 3);
-    assert!(server.stats().plans_invalidated >= 2);
+    assert!(!bb_after.plan_cached);
 
-    // Now touch only label 1 with a *small* drift (card 3 → 4, below the
-    // default 0.5 replan threshold): both plans survive the epoch — the
-    // {A,A} plan because its labels are disjoint, the {B,B} plan because
-    // its cardinalities barely moved (DESIGN.md §13.4).
+    // Touch only label 1: the {A,A} plan re-plans all the same.
     dynamic.insert_hyperedge(vec![6, 8]).unwrap();
-    let delta = dynamic.snapshot();
-    assert!(delta.sids_stable);
-    assert_eq!(delta.touched_labels, vec![Label::new(1)]);
-    server.update_data(
-        Arc::clone(&delta.graph),
-        &delta.touched_labels,
-        delta.sids_stable,
-    );
-
-    let aa_final = server.run(&aa, QueryOptions::count()).unwrap();
-    assert_eq!(aa_final.count, 0);
-    assert!(
-        aa_final.plan_cached,
-        "label-disjoint plan must survive the update"
-    );
-    let bb_final = server.run(&bb, QueryOptions::count()).unwrap();
-    assert_eq!(bb_final.count, 4);
-    assert!(
-        bb_final.plan_cached,
-        "below-threshold drift must keep the touched-label plan"
-    );
-    assert_eq!(server.stats().plans_replanned, 0);
-
-    // Push the {B,B} cardinality past the drift threshold (3 at plan time
-    // → 6, drift 1.0 > 0.5): the plan is dropped, counted as a replan, and
-    // the next submission plans afresh — with correct results.
-    dynamic.insert_hyperedge(vec![6, 10]).unwrap();
-    dynamic.insert_hyperedge(vec![7, 9]).unwrap();
-    let delta = dynamic.snapshot();
-    assert!(delta.sids_stable);
-    server.update_data(
-        Arc::clone(&delta.graph),
-        &delta.touched_labels,
-        delta.sids_stable,
-    );
-    let bb_drifted = server.run(&bb, QueryOptions::count()).unwrap();
-    assert_eq!(bb_drifted.count, 6);
-    assert!(!bb_drifted.plan_cached, "drifted plan must re-plan");
-    assert_eq!(server.stats().plans_replanned, 1);
+    publish(&mut dynamic);
+    for (query, count) in [(&aa, 0), (&bb, 4)] {
+        let outcome = server.run(query, QueryOptions::count()).unwrap();
+        assert_eq!(outcome.count, count);
+        assert!(!outcome.plan_cached, "an entry lives for one epoch");
+        assert_eq!(outcome.data_epoch, 2);
+    }
+    assert!(server.run(&bb, QueryOptions::count()).unwrap().plan_cached);
 }

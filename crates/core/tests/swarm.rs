@@ -423,13 +423,9 @@ impl Case {
                         for op in chunk {
                             writer.apply(op).unwrap();
                         }
-                        let delta = writer.snapshot();
-                        let epoch = server.update_data(
-                            Arc::clone(&delta.graph),
-                            &delta.touched_labels,
-                            delta.sids_stable,
-                        );
-                        snapshots.lock().unwrap().insert(epoch, delta.graph);
+                        let graph = writer.snapshot().graph;
+                        let epoch = server.update_data(Arc::clone(&graph), &[], false);
+                        snapshots.lock().unwrap().insert(epoch, graph);
                         let target = waves.load(Ordering::Acquire) + 1;
                         while waves.load(Ordering::Acquire) < target
                             && !reader_done.load(Ordering::Acquire)

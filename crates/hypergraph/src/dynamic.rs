@@ -26,10 +26,7 @@
 //!   previous one and re-issues only the envelope of every other, so its
 //!   cost follows the epoch's delta, not the graph (copy-on-write at
 //!   partition granularity; DESIGN.md §11.2). The returned
-//!   [`SnapshotDelta`] carries the labels touched since the previous epoch
-//!   and whether partition ids stayed stable, which is exactly what a plan
-//!   cache needs to invalidate selectively (`hgmatch-core`'s
-//!   `MatchServer::update_data`).
+//!   [`SnapshotDelta`] counts the partitions re-frozen and shared.
 //!
 //! Canonicalisation on snapshot means dynamic edge ids (returned by
 //! [`DynamicHypergraph::insert_hyperedge`]) are *not* the ids of the
@@ -41,7 +38,7 @@ use std::sync::Arc;
 
 use crate::bitmap::Bitmap;
 use crate::error::{HypergraphError, Result};
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::FxHashMap;
 use crate::hypergraph::{EdgeLocation, Hypergraph};
 use crate::ids::{EdgeId, Label, SignatureId, VertexId};
 use crate::inverted::{choose_repr, InvertedIndex, ReprKind};
@@ -151,22 +148,21 @@ pub fn write_update_stream(ops: &[UpdateOp]) -> String {
     out
 }
 
-/// A consistent published epoch: the frozen graph plus what a cache needs
-/// to know about how it differs from the previously published epoch.
+/// A consistent published epoch: the frozen graph plus how much of it
+/// this snapshot re-froze.
 #[derive(Debug, Clone)]
 pub struct SnapshotDelta {
     /// The immutable, canonical view of the live hyperedge set.
     pub graph: Arc<Hypergraph>,
     /// The writer's epoch counter at freeze time (one tick per mutation).
     pub epoch: u64,
-    /// Labels appearing in any signature touched since the previous
-    /// snapshot (sorted, deduplicated). A cached plan whose query labels
-    /// are disjoint from this set saw no cardinality change.
+    /// Always empty. A plan cache once used it to keep plans across a
+    /// publish; it now empties on every publish, and the field stays only
+    /// for callers that still pass it to `MatchServer::update_data`.
+    #[doc(hidden)]
     pub touched_labels: Vec<Label>,
-    /// Whether every signature live in both this and the previous snapshot
-    /// kept its [`SignatureId`]. When `false` (a signature went extinct or
-    /// re-ordered), plans compiled against the previous epoch may reference
-    /// re-numbered partitions and must all be dropped.
+    /// Always `false`; kept for the same callers as `touched_labels`.
+    #[doc(hidden)]
     pub sids_stable: bool,
     /// Partitions whose body (rows, index, stats) this snapshot rebuilt:
     /// those whose rows changed since the previous one. An exact count
@@ -518,14 +514,11 @@ impl DynPartition {
     }
 }
 
-/// What the previous snapshot looked like: republished while nothing
-/// changes, and the reference `sids_stable` is judged against.
+/// The previous snapshot, republished while nothing changes.
 #[derive(Debug)]
 struct SnapCache {
     graph: Arc<Hypergraph>,
     epoch: u64,
-    /// Canonical sid each dynamic sid froze to (`None` = extinct).
-    canon_of_dyn: Vec<Option<SignatureId>>,
 }
 
 /// A vertex-labelled hypergraph under online insertion and deletion of
@@ -562,8 +555,6 @@ pub struct DynamicHypergraph {
     edge_lookup: FxHashMap<Vec<u32>, u32>,
     live_edges: usize,
     epoch: u64,
-    /// Labels of signatures touched since the last snapshot.
-    touched: FxHashSet<Label>,
     cache: Option<SnapCache>,
     /// The sorted labels of the edge being inserted, kept to look its
     /// signature up without allocating.
@@ -610,7 +601,6 @@ impl DynamicHypergraph {
         }
         // Seeding is epoch 0, not a stream of updates.
         d.epoch = 0;
-        d.touched.clear();
         d
     }
 
@@ -683,7 +673,6 @@ impl DynamicHypergraph {
         signature.clear();
         signature.extend(vertices.iter().map(|&v| self.labels[v as usize]));
         signature.sort_unstable();
-        self.touched.extend(signature.iter().copied());
         let sid = self.interner.intern_sorted(signature);
         if sid.index() == self.parts.len() {
             self.parts.push(DynPartition::new(vertices.len() as u32));
@@ -713,13 +702,6 @@ impl DynamicHypergraph {
         let loc = self.locator[gid as usize]
             .take()
             .expect("lookup and locator agree");
-        self.touched.extend(
-            self.interner
-                .resolve(loc.signature)
-                .labels()
-                .iter()
-                .copied(),
-        );
         let part = &mut self.parts[loc.signature.index()];
         part.delete_row(loc.row, &self.labels);
         self.live_edges -= 1;
@@ -753,8 +735,8 @@ impl DynamicHypergraph {
     }
 
     /// Freezes the current live state into a canonical immutable
-    /// [`Hypergraph`] and returns it with the delta information a plan
-    /// cache needs ([`SnapshotDelta`]).
+    /// [`Hypergraph`] and returns it with its re-freeze counts
+    /// ([`SnapshotDelta`]).
     ///
     /// The result is exactly what [`crate::builder::HypergraphBuilder`]
     /// would produce from the live hyperedges replayed in insertion order —
@@ -779,7 +761,7 @@ impl DynamicHypergraph {
                     graph: Arc::clone(&cache.graph),
                     epoch: self.epoch,
                     touched_labels: Vec::new(),
-                    sids_stable: true,
+                    sids_stable: false,
                     partitions_frozen: 0,
                     partitions_shared: cache.graph.partitions().len(),
                 };
@@ -796,13 +778,13 @@ impl DynamicHypergraph {
         // Canonical renumbering: scan live edges in dynamic-gid (insertion)
         // order; signatures take canonical ids in first-encounter order and
         // edges take dense ids — the orders a fresh build would assign.
-        let mut canon_of_dyn: Vec<Option<SignatureId>> = vec![None; self.parts.len()];
+        let mut canon_sid_of: Vec<Option<SignatureId>> = vec![None; self.parts.len()];
         let mut dyn_of_canon: Vec<SignatureId> = Vec::new();
         let mut gid_remap = vec![u32::MAX; self.locator.len()];
         let mut next_gid = 0u32;
         for (gid, loc) in self.locator.iter().enumerate() {
             let Some(loc) = loc else { continue };
-            let canon = &mut canon_of_dyn[loc.signature.index()];
+            let canon = &mut canon_sid_of[loc.signature.index()];
             if canon.is_none() {
                 *canon = Some(SignatureId::from_index(dyn_of_canon.len()));
                 dyn_of_canon.push(loc.signature);
@@ -845,7 +827,7 @@ impl DynamicHypergraph {
             .iter()
             .flatten()
             .map(|loc| EdgeLocation {
-                signature: canon_of_dyn[loc.signature.index()].expect("live sid is canonical"),
+                signature: canon_sid_of[loc.signature.index()].expect("live sid is canonical"),
                 row: loc.row,
             })
             .collect();
@@ -857,29 +839,15 @@ impl DynamicHypergraph {
             locator,
         ));
 
-        let sids_stable = match &self.cache {
-            None => false,
-            Some(cache) => canon_of_dyn.iter().enumerate().all(|(dyn_sid, now)| {
-                match (cache.canon_of_dyn.get(dyn_sid).copied().flatten(), *now) {
-                    (Some(before), Some(now)) => before == now,
-                    // Extinct or newly-live signatures don't shift survivors
-                    // by themselves; their labels are in `touched_labels`.
-                    _ => true,
-                }
-            }),
-        };
-        let mut touched_labels: Vec<Label> = self.touched.drain().collect();
-        touched_labels.sort_unstable();
         self.cache = Some(SnapCache {
             graph: Arc::clone(&graph),
             epoch: self.epoch,
-            canon_of_dyn,
         });
         SnapshotDelta {
             graph,
             epoch: self.epoch,
-            touched_labels,
-            sids_stable,
+            touched_labels: Vec::new(),
+            sids_stable: false,
             partitions_frozen,
             partitions_shared,
         }
@@ -925,8 +893,6 @@ mod tests {
         }
         let snap = d.snapshot();
         assert_eq!(*snap.graph, rebuild(&labels, &edges));
-        assert!(!snap.sids_stable, "first snapshot has no predecessor");
-        assert!(!snap.touched_labels.is_empty());
     }
 
     #[test]
@@ -982,7 +948,6 @@ mod tests {
         // Touch only the {0,0,0} signature (new partition appended last).
         d.insert_hyperedge(vec![2, 3, 4]).unwrap();
         let second = d.snapshot();
-        assert!(second.sids_stable);
         assert!(shares_body(&first.graph, &second.graph, &[0, 0]));
         assert!(shares_body(&first.graph, &second.graph, &[0, 1]));
         assert_eq!((second.partitions_frozen, second.partitions_shared), (1, 2));
@@ -1024,7 +989,6 @@ mod tests {
         // {0,0} goes extinct: every other signature moves down one sid.
         d.delete_hyperedge(&[0, 1]).unwrap();
         let second = d.snapshot();
-        assert!(!second.sids_stable);
         assert_eq!(*second.graph, rebuild(&labels, &edges[1..]));
         for untouched in [&[1, 1][..], &[2, 2], &[1, 2]] {
             assert!(
@@ -1043,22 +1007,6 @@ mod tests {
         let a = d.snapshot();
         let b = d.snapshot();
         assert!(Arc::ptr_eq(&a.graph, &b.graph));
-        assert!(b.sids_stable && b.touched_labels.is_empty());
-    }
-
-    #[test]
-    fn extinction_reports_sids_unstable() {
-        let mut d = DynamicHypergraph::new();
-        d.add_vertices(2, Label::new(0));
-        d.add_vertices(2, Label::new(1));
-        d.insert_hyperedge(vec![0, 1]).unwrap(); // {0,0}
-        d.insert_hyperedge(vec![2, 3]).unwrap(); // {1,1}
-        d.snapshot();
-        d.delete_hyperedge(&[0, 1]).unwrap();
-        let snap = d.snapshot();
-        assert!(!snap.sids_stable, "{{1,1}} shifted from sid 1 to sid 0");
-        assert_eq!(snap.graph.partitions().len(), 1);
-        assert_eq!(snap.touched_labels, vec![Label::new(0)]);
     }
 
     #[test]
@@ -1073,23 +1021,8 @@ mod tests {
         // Deleting {0,1} makes {1,1}'s first live edge older than {0,0}'s.
         d.delete_hyperedge(&[0, 1]).unwrap();
         let snap = d.snapshot();
-        assert!(!snap.sids_stable);
         let labels: Vec<Label> = [0u32, 0, 0, 0, 1, 1].map(Label::new).to_vec();
         assert_eq!(*snap.graph, rebuild(&labels, &[vec![4, 5], vec![2, 3]]));
-    }
-
-    #[test]
-    fn touched_labels_cover_inserts_and_deletes() {
-        let mut d = DynamicHypergraph::new();
-        d.add_vertices(2, Label::new(3));
-        d.add_vertices(2, Label::new(7));
-        d.insert_hyperedge(vec![0, 1]).unwrap();
-        d.insert_hyperedge(vec![2, 3]).unwrap();
-        d.snapshot();
-        d.delete_hyperedge(&[2, 3]).unwrap();
-        d.insert_hyperedge(vec![0, 2]).unwrap(); // {3,7}
-        let snap = d.snapshot();
-        assert_eq!(snap.touched_labels, vec![Label::new(3), Label::new(7)]);
     }
 
     #[test]

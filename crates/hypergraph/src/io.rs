@@ -36,6 +36,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::builder::HypergraphBuilder;
 use crate::error::{HypergraphError, Result};
+use crate::fxhash::FxHashSet;
 use crate::hypergraph::{EdgeLocation, Hypergraph, Incidence};
 use crate::ids::{EdgeId, Label, SignatureId};
 use crate::inverted::InvertedIndex;
@@ -517,13 +518,24 @@ fn check_index(
 /// Decodes a snapshot of any readable version into a serving-ready
 /// [`Hypergraph`] without re-indexing. Section and whole-file checksums are
 /// verified, and every structural invariant the engine relies on is
-/// re-validated — each stored index is checked against its vertex table
-/// (`check_index`) — so corrupt input, truncated anywhere or with any bit
+/// re-validated, so corrupt input, truncated anywhere or with any bit
 /// flipped, returns a typed error rather than panicking at load or
-/// missing embeddings at query time. A v2/v3 one-row partition's index is
-/// checked and then dropped, as is a v2/v3 side table with no entry. The
-/// planner stats are derived from each checked index, never read: a
-/// v2–v4 stats record is checked for its row count and discarded.
+/// answering wrongly at query time:
+///
+/// * each row is strictly sorted, in range, labelled as its partition's
+///   signature says, and not repeated within its partition;
+/// * each stored index is checked against its vertex table
+///   (`check_index`);
+/// * the incidence CSR is checked against the rows in one pass rather
+///   than rebuilt: the lists total the tables' incidences, and each
+///   vertex's list holds exactly the edges that contain it, ascending.
+///
+/// The adjacency counts are read unchecked: checking one costs deriving
+/// it, and only the baselines' IHS filter reads them. A v2/v3 one-row
+/// partition's index is checked and then dropped, as is a v2/v3 side
+/// table with no entry. The planner stats are derived from each checked
+/// index, never read: a v2–v4 stats record is checked for its row count
+/// and discarded.
 pub fn decode_snapshot(data: &[u8]) -> Result<Hypergraph> {
     // Whether every record carries an index (v2/v3), and the histogram
     // words per label group of the stats record, if records carry one.
@@ -632,6 +644,11 @@ pub fn decode_snapshot(data: &[u8]) -> Result<Hypergraph> {
     // graph's one slab.
     let mut bodies: Vec<Arc<PartitionBody>> = Vec::with_capacity(num_parts);
     let mut gids: Vec<EdgeId> = Vec::new();
+    // Vertex-table entries over all partitions; a signature's distinct
+    // labels with their multiplicities, and one row's count of each.
+    let mut incidences = 0usize;
+    let mut runs: Vec<(Label, u32)> = Vec::new();
+    let mut counts: Vec<u32> = Vec::new();
     for i in 0..num_parts {
         let sid = SignatureId::from_index(i);
         need(d, 8, "partition header")?;
@@ -646,14 +663,45 @@ pub fn decode_snapshot(data: &[u8]) -> Result<Hypergraph> {
             .checked_mul(arity as usize)
             .ok_or_else(|| corrupt(format!("partition {i} size overflow")))?;
         let vertices = read_u32s(&mut d, num_verts, "partition vertex table")?;
-        for row in vertices.chunks(arity.max(1) as usize) {
-            if !crate::setops::is_strictly_sorted(row) {
-                return Err(corrupt(format!("partition {i} row not sorted")));
+        incidences += num_verts;
+        {
+            runs.clear();
+            for &l in interner.resolve(sid).labels() {
+                match runs.last_mut() {
+                    Some((last, n)) if *last == l => *n += 1,
+                    _ => runs.push((l, 1)),
+                }
             }
-            if row.last().is_some_and(|&v| v as usize >= nv) {
-                return Err(corrupt(format!(
-                    "partition {i} row references unknown vertex"
-                )));
+            let mut seen: FxHashSet<&[u32]> = FxHashSet::default();
+            for row in vertices.chunks(arity.max(1) as usize) {
+                if !crate::setops::is_strictly_sorted(row) {
+                    return Err(corrupt(format!("partition {i} row not sorted")));
+                }
+                if row.last().is_some_and(|&v| v as usize >= nv) {
+                    return Err(corrupt(format!(
+                        "partition {i} row references unknown vertex"
+                    )));
+                }
+                let mislabelled = || {
+                    corrupt(format!(
+                        "partition {i} row labels disagree with its signature"
+                    ))
+                };
+                counts.clear();
+                counts.resize(runs.len(), 0);
+                for &v in row {
+                    let label = labels[v as usize];
+                    let slot = runs
+                        .binary_search_by_key(&label, |&(l, _)| l)
+                        .map_err(|_| mislabelled())?;
+                    counts[slot] += 1;
+                }
+                if !runs.iter().map(|&(_, n)| n).eq(counts.iter().copied()) {
+                    return Err(mislabelled());
+                }
+                if rows > 1 && !seen.insert(row) {
+                    return Err(corrupt(format!("partition {i} repeats a row")));
+                }
             }
         }
         gids.extend(
@@ -723,18 +771,35 @@ pub fn decode_snapshot(data: &[u8]) -> Result<Hypergraph> {
         return Err(corrupt("partition rows do not cover the edge set".into()));
     }
 
-    // INCIDENCE.
+    // INCIDENCE: checked against the rows in one pass, never rebuilt.
+    // The lists total the tables' incidences, and walking the edges in id
+    // order, each vertex of an edge's row finds that edge next in its
+    // list: so each list is used up, holding exactly its vertex's edges,
+    // ascending.
     let mut d = payloads[4].0;
     let incidence_offsets = read_u64s(&mut d, nv + 1, "incidence offsets")?;
     if incidence_offsets[0] != 0 || incidence_offsets.windows(2).any(|w| w[0] > w[1]) {
         return Err(corrupt("incidence offsets not monotone from zero".into()));
     }
     let total64 = *incidence_offsets.last().unwrap();
-    let total =
-        usize::try_from(total64).map_err(|_| corrupt("incidence length overflow".into()))?;
-    let incidence_edges = read_u32s(&mut d, total, "incidence edges")?;
-    if incidence_edges.iter().any(|&e| e as usize >= ne) {
-        return Err(corrupt("incidence references unknown edge".into()));
+    if total64 != incidences as u64 {
+        return Err(corrupt(format!(
+            "{total64} incidences listed for tables of {incidences}"
+        )));
+    }
+    let incidence_edges = read_u32s(&mut d, incidences, "incidence edges")?;
+    let mut next = incidence_offsets[..nv].to_vec();
+    for (e, loc) in locator.iter().enumerate() {
+        for &v in partitions[loc.signature.index()].row(loc.row) {
+            let at = &mut next[v as usize];
+            if *at == incidence_offsets[v as usize + 1] || incidence_edges[*at as usize] != e as u32
+            {
+                return Err(corrupt(format!(
+                    "incidence list of vertex {v} lacks edge {e} in order"
+                )));
+            }
+            *at += 1;
+        }
     }
     if !d.is_empty() {
         return Err(corrupt("trailing bytes in incidence section".into()));
@@ -779,7 +844,7 @@ pub fn load_snapshot(path: &Path) -> Result<Hypergraph> {
 mod tests {
     use super::*;
     use crate::builder::HypergraphBuilder;
-    use crate::ids::EdgeId;
+    use crate::ids::{EdgeId, VertexId};
 
     fn sample() -> Hypergraph {
         let mut b = HypergraphBuilder::new();
@@ -983,9 +1048,13 @@ mod tests {
             let bytes = encode_snapshot(&h);
             let h2 = decode_snapshot(&bytes).unwrap();
             // Hypergraph PartialEq covers labels, interner, partitions
-            // (vertex tables, global ids, indices with every bitmap, stats),
-            // locator, incidence CSR, adjacency.
+            // (vertex tables, global ids, indices with every bitmap, stats)
+            // and locator; the derived incidence CSR and adjacency counts
+            // are compared apart.
             assert_eq!(h, h2);
+            let (a, b) = (h.incidence(), h2.incidence());
+            assert_eq!((&a.offsets, &a.edges), (&b.offsets, &b.edges));
+            assert_eq!(h.adj_counts(), h2.adj_counts());
             // decode_binary dispatches on the version header.
             assert_eq!(decode_binary(&bytes).unwrap(), h);
         }
@@ -1088,7 +1157,7 @@ mod tests {
     #[test]
     fn snapshot_rejects_stats_rows_mismatch() {
         for at in v4_stats_records() {
-            let bad = edit_partitions_section(V4_FIXTURE, |payload| {
+            let bad = edit_section(V4_FIXTURE, SECTION_PARTITIONS, |payload| {
                 let rows = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
                 payload[at..at + 8].copy_from_slice(&(rows + 1).to_le_bytes());
             });
@@ -1108,7 +1177,7 @@ mod tests {
         assert_eq!(want, rebuilt(&want));
         let mut forged = 0;
         for at in v4_stats_records() {
-            let bad = edit_partitions_section(V4_FIXTURE, |payload| {
+            let bad = edit_section(V4_FIXTURE, SECTION_PARTITIONS, |payload| {
                 let groups = u32::from_le_bytes(payload[at + 8..at + 12].try_into().unwrap());
                 if groups > 0 {
                     // The first group's `sum_sq_degrees`, after its label,
@@ -1131,7 +1200,7 @@ mod tests {
     /// partitions payload.
     fn v4_stats_records() -> Vec<usize> {
         let mut offsets = Vec::new();
-        edit_partitions_section(V4_FIXTURE, |payload| {
+        edit_section(V4_FIXTURE, SECTION_PARTITIONS, |payload| {
             let mut d = &payload[..];
             for _ in 0..d.get_u32_le() {
                 let arity = d.get_u32_le() as usize;
@@ -1210,9 +1279,9 @@ mod tests {
         assert_index_refused(&bad, "differs from its list");
     }
 
-    /// Rewrites the partitions section of snapshot `bytes` with `edit`,
+    /// Rewrites section `section` of snapshot `bytes` with `edit`,
     /// recomputing the section and file checksums.
-    fn edit_partitions_section(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    fn edit_section(bytes: &[u8], section: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
         let mut out = bytes[..8].to_vec();
         let mut cursor = &bytes[8..];
         let mut edit = Some(edit);
@@ -1221,7 +1290,7 @@ mod tests {
             let len = cursor.get_u64_le() as usize;
             let mut payload = cursor[..len].to_vec();
             cursor.advance(len + 4);
-            if tag == SECTION_PARTITIONS {
+            if tag == section {
                 (edit.take().unwrap())(&mut payload);
             }
             out.put_u32_le(tag);
@@ -1244,7 +1313,7 @@ mod tests {
         let h = b.build().unwrap();
         let bytes = encode_snapshot(&h);
         assert_eq!(decode_snapshot(&bytes).unwrap(), h);
-        let bad = edit_partitions_section(&bytes, |payload| {
+        let bad = edit_section(&bytes, SECTION_PARTITIONS, |payload| {
             // Partition count, arity, row count, 3 vertices, 1 global id:
             // the record ends there, and the index goes after it.
             let at = 4 + 4 + 4 + 3 * 4 + 4;
@@ -1267,7 +1336,7 @@ mod tests {
         let h = paper();
         let p = &h.partitions()[0];
         for extra in [5u32, 1000] {
-            let bad = edit_partitions_section(&encode_snapshot(&h), |payload| {
+            let bad = edit_section(&encode_snapshot(&h), SECTION_PARTITIONS, |payload| {
                 // Partition count, arity, row count, vertex table, global
                 // ids: partition 0's index starts there.
                 let at = 4 + 4 + 4 + 4 * p.len() * (p.arity() as usize + 1);
@@ -1307,7 +1376,7 @@ mod tests {
         let bytes = encode_snapshot(&h);
         let mut index = BytesMut::new();
         h.partitions()[0].index().encode(&mut index);
-        let bad = edit_partitions_section(&bytes, |payload| {
+        let bad = edit_section(&bytes, SECTION_PARTITIONS, |payload| {
             // The compressed-container count closes the index encoding.
             let at = payload
                 .windows(index.len())
@@ -1321,6 +1390,80 @@ mod tests {
             decode_snapshot(&bad),
             Err(HypergraphError::CompressedPostings)
         ));
+    }
+
+    /// Labels A A B B; edges {0,1} {2,3} {0,2} {1,3}: partitions {A,A},
+    /// {B,B} and a two-row {A,B}.
+    fn square() -> Hypergraph {
+        let mut b = HypergraphBuilder::new();
+        for &l in &[0u32, 0, 1, 1] {
+            b.add_vertex(Label::new(l));
+        }
+        for e in [[0u32, 1], [2, 3], [0, 2], [1, 3]] {
+            b.add_edge(e.to_vec()).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    fn assert_corrupt(bytes: &[u8], what: &str) {
+        match decode_snapshot(bytes) {
+            Err(HypergraphError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("expected Corrupt({what}), got {other:?}"),
+        }
+    }
+
+    /// A vertex relabelled A → B leaves every row and index intact, but
+    /// row {0,1} no longer carries its partition's labels: a matcher
+    /// would answer (A,B) with edge {1,3}, now (B,B). Refused, CRCs and
+    /// all.
+    #[test]
+    fn snapshot_rejects_a_row_whose_labels_disagree_with_its_signature() {
+        let bytes = encode_snapshot(&square());
+        assert_eq!(decode_snapshot(&bytes).unwrap(), square());
+        let bad = edit_section(&bytes, SECTION_LABELS, |payload| {
+            // Vertex count, then vertex 1's label.
+            payload[8..12].copy_from_slice(&1u32.to_le_bytes());
+        });
+        assert_corrupt(&bad, "row labels disagree with its signature");
+    }
+
+    /// A forged id in he(v0) = [0, 2] is refused, whether it names an
+    /// edge that lacks v0 and leaves the list unsorted (3, {1,3}) or keeps
+    /// it sorted (1, {2,3}).
+    #[test]
+    fn snapshot_rejects_a_forged_incidence_list() {
+        let h = square();
+        assert_eq!(h.incident_edges(VertexId::new(0)), &[0, 2]);
+        for forged in [3u32, 1] {
+            let bad = edit_section(&encode_snapshot(&h), SECTION_INCIDENCE, |payload| {
+                // Four vertices' offsets plus the end, then he(v0)'s first id.
+                let at = 8 * 5;
+                payload[at..at + 4].copy_from_slice(&forged.to_le_bytes());
+            });
+            assert_corrupt(&bad, "incidence list of vertex 0 lacks edge 0");
+        }
+    }
+
+    /// A partition whose second row repeats its first, with an index
+    /// built from those rows, is a graph the builder refuses: two edges
+    /// with one vertex set. Refused.
+    #[test]
+    fn snapshot_rejects_a_duplicate_row() {
+        let h = paper();
+        let p = &h.partitions()[0];
+        assert_eq!((p.row(0), p.row(1)), (&[2, 4][..], &[4, 6][..]));
+        let mut index = BytesMut::new();
+        p.index().encode(&mut index);
+        let mut forged = BytesMut::new();
+        InvertedIndex::build(&[&[2, 4], &[2, 4]]).encode(&mut forged);
+        let bad = edit_section(&encode_snapshot(&h), SECTION_PARTITIONS, |payload| {
+            // Partition count, arity, row count, then row 1 of the table.
+            payload.copy_within(4 + 8..4 + 16, 4 + 16);
+            // The global ids follow the table, then the index.
+            let at = 4 + 8 + 16 + 8;
+            payload.splice(at..at + index.len(), forged.to_vec());
+        });
+        assert_corrupt(&bad, "partition 0 repeats a row");
     }
 
     #[test]

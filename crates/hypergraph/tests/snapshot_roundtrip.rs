@@ -109,6 +109,7 @@ fn legacy_fixtures_load_and_reencode_as_current() {
             decoded
         );
         assert_eq!(decoded, fixture_graph(), "v{version}");
+        assert_derived_state_eq(&decoded, &fixture_graph());
         assert_eq!(
             &*encode_snapshot(&decoded),
             current.as_slice(),

@@ -181,12 +181,6 @@ pub fn render(
     );
     counter(
         &mut out,
-        "hgmatch_plans_replanned_total",
-        "Cached plans dropped for cardinality drift.",
-        stats.plans_replanned,
-    );
-    counter(
-        &mut out,
         "hgmatch_replans_midquery_total",
         "Suffix re-plans adopted mid-query.",
         stats.replans_midquery,
