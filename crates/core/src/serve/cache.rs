@@ -501,29 +501,43 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
-    /// A publish drops every resident entry and counts each; the next
-    /// submission of every shape misses at the new epoch, and a
-    /// correction pinned to the old epoch lands nowhere.
+    /// A publish (which once swept only when partition ids shifted, and
+    /// now always) drops every resident entry and counts each; the next
+    /// submission of every shape misses at the new epoch.
     #[test]
-    fn a_publish_clears_every_entry() {
+    fn revalidate_clears_everything_when_sids_shift() {
         let data = tiny_data();
         let cache = PlanCache::new(8);
         let (q1, q2) = (ab_query(1), ab_query(2));
-        let plan = cache.plan(&q1, &data, 0).unwrap().plan;
+        cache.plan(&q1, &data, 0).unwrap();
         cache.plan(&q2, &data, 0).unwrap();
         cache.clear();
         assert_eq!((cache.len(), cache.invalidated()), (0, 2));
         assert!(cache.resident().is_empty());
-        assert!(!cache.write_back(&QueryShape::from(&q1), Arc::clone(&plan), 0));
         for q in [&q1, &q2] {
             assert!(!cache.plan(q, &data, 1).unwrap().cached);
         }
-        assert!(!cache.write_back(&QueryShape::from(&q1), plan, 0));
-        assert_eq!((cache.len(), cache.corrections()), (2, 0));
         assert_eq!((cache.hits(), cache.misses()), (0, 4));
         // The next publish drops exactly what is resident again.
         cache.clear();
         assert_eq!(cache.invalidated(), 4);
+    }
+
+    /// A correction pinned to the epoch a publish cleared must not
+    /// re-insert a plan that may embed dangling partition ids, neither
+    /// into the emptied cache nor over the new epoch's entry.
+    #[test]
+    fn stale_write_back_after_revalidate_never_resurrects() {
+        let data = tiny_data();
+        let cache = PlanCache::new(4);
+        let q = ab_query(1);
+        let plan = cache.plan(&q, &data, 0).unwrap().plan;
+        cache.clear();
+        assert!(!cache.write_back(&QueryShape::from(&q), Arc::clone(&plan), 0));
+        assert_eq!((cache.len(), cache.corrections()), (0, 0));
+        assert!(!cache.plan(&q, &data, 1).unwrap().cached);
+        assert!(!cache.write_back(&QueryShape::from(&q), plan, 0));
+        assert_eq!((cache.len(), cache.corrections()), (1, 0));
     }
 
     #[test]
