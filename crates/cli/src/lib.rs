@@ -75,9 +75,9 @@ serve flags:
   --quantum N       fairness quantum in tasks (default 64)
   --plan-cache N    plan-cache capacity, 0 disables (default 128)
 
-snapshot save builds the index and writes a checksummed HGMB snapshot;
-snapshot load restores it (index included, no re-indexing) and prints
-stats. listen --snapshot serves straight from such a snapshot.
+snapshot save writes a graph as a checksummed HGMB snapshot; snapshot
+load restores it (rows included; the index is rebuilt on load) and
+prints stats. listen --snapshot serves straight from such a snapshot.
 
 listen starts the HTTP front door (POST /match, GET /metrics, GET
 /healthz) and drains gracefully on stdin EOF or a `quit` line.
@@ -101,8 +101,9 @@ update flags:
   --batch N         ops per epoch (default: the whole stream at once)
   --queries FILE    re-answer this query list after every epoch
   --threads N       worker threads for --queries (default 4)
-  --save FILE       write the final graph (index included) as an HGMB
-                    snapshot; `snapshot load` / `listen --snapshot` restore it
+  --save FILE       write the final graph (rows included; the index is
+                    rebuilt on load) as an HGMB snapshot; `snapshot load` /
+                    `listen --snapshot` restore it
 profiles: HC MA CH CP SB HB WT TC SA AR";
 
 /// Executes one CLI invocation; `args` excludes the program name.
@@ -724,8 +725,8 @@ impl UpdateCliOptions {
 /// scripts: closing the pipe is the drain request.
 fn do_listen(args: &[String]) -> Result<(), String> {
     // Data source: either the classic text pair, or `--snapshot FILE`
-    // restoring an HGMB snapshot (index included — no re-indexing on
-    // the serve path's cold start).
+    // restoring an HGMB snapshot (rows included; the index is rebuilt on
+    // load, which skips the text parse on the serve path's cold start).
     let (data, flags) = if args.first().map(String::as_str) == Some("--snapshot") {
         let path = args.get(1).ok_or("--snapshot needs a file")?;
         let graph = io::load_snapshot(Path::new(path))
@@ -978,9 +979,9 @@ fn do_update(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `snapshot save|load`: persist a built index as a checksummed HGMB
-/// snapshot, or restore one and print its stats — the restore path never
-/// re-runs indexing, it deserialises the postings verbatim.
+/// `snapshot save|load`: persist a graph as a checksummed HGMB snapshot,
+/// or restore one and print its stats — the restore path checks the
+/// stored rows and rebuilds each index from them.
 fn do_snapshot(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("save") => {
@@ -1012,7 +1013,7 @@ fn do_snapshot(args: &[String]) -> Result<(), String> {
                 io::load_snapshot(Path::new(file)).map_err(|e| format!("loading {file}: {e}"))?;
             let restore = begin.elapsed();
             println!(
-                "restored {file} in {:.4}s (no re-indexing)",
+                "restored {file} in {:.4}s (index rebuilt from rows)",
                 restore.as_secs_f64()
             );
             let stats = graph.stats();

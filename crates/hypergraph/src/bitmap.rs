@@ -188,44 +188,6 @@ impl Bitmap {
     pub fn size_bytes(&self) -> usize {
         self.words.len() * std::mem::size_of::<u64>()
     }
-
-    /// Appends the HGMB snapshot wire encoding: domain, word count, words.
-    pub(crate) fn encode_v2(&self, buf: &mut bytes::BytesMut) {
-        use bytes::BufMut;
-        buf.put_u32_le(self.domain);
-        buf.put_u32_le(self.words.len() as u32);
-        for &w in &self.words {
-            buf.put_u64_le(w);
-        }
-    }
-
-    /// Decodes the HGMB snapshot wire encoding, advancing `data` past it. The
-    /// word count must match the domain exactly — corrupt input errors,
-    /// never panics.
-    pub(crate) fn decode_v2(data: &mut &[u8]) -> crate::error::Result<Self> {
-        use bytes::Buf;
-        crate::io::need(data, 8, "bitmap header")?;
-        let domain = data.get_u32_le();
-        let num_words = data.get_u32_le() as usize;
-        if num_words != Self::words_for(domain) {
-            return Err(crate::error::HypergraphError::Corrupt(format!(
-                "bitmap of domain {domain} claims {num_words} words"
-            )));
-        }
-        let words = crate::io::read_u64s(data, num_words, "bitmap words")?;
-        // Bits past the domain must be clear, or count_ones/extract would
-        // disagree with the sorted-list side of a dense key.
-        if !domain.is_multiple_of(64) {
-            if let Some(&last) = words.last() {
-                if last >> (domain % 64) != 0 {
-                    return Err(crate::error::HypergraphError::Corrupt(
-                        "bitmap has bits set past its domain".into(),
-                    ));
-                }
-            }
-        }
-        Ok(Self { words, domain })
-    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,7 @@
 //! The builder performs the paper's offline preprocessing (§IV, §VII-A):
 //! vertices inside a hyperedge are deduplicated, repeated hyperedges are
 //! dropped (or rejected, per [`DuplicatePolicy`]), hyperedges are grouped
-//! into signature partitions, and the inverted indices plus the global
-//! incidence CSR are built.
+//! into signature partitions, and the inverted indices are built.
 
 use std::sync::Arc;
 
@@ -156,9 +155,10 @@ impl HypergraphBuilder {
         for (i, loc) in locator.iter().enumerate() {
             gids[first[loc.signature.index()] + loc.row as usize] = EdgeId::from_index(i);
         }
+        let mut counts = vec![0; labels.len()];
         let bodies = groups.into_iter().enumerate().map(|(sid, rows)| {
             let arity = interner.resolve(SignatureId::from_index(sid)).arity() as u32;
-            Arc::new(PartitionBody::build(arity, rows, &labels))
+            Arc::new(PartitionBody::build(arity, rows, &labels, &mut counts))
         });
         let partitions = Partition::envelopes(bodies, gids);
 

@@ -21,19 +21,15 @@ pub enum HypergraphError {
     DuplicateVertex { vertex: u32 },
     /// Parse error in a text-format file.
     Parse { line: usize, message: String },
-    /// Binary input does not start with the `HGMB` magic bytes.
+    /// Snapshot input does not start with the `HGMB` magic bytes.
     BadMagic,
-    /// Binary input declares a format version this build cannot decode.
+    /// Snapshot input declares a format version this build cannot decode.
     UnsupportedVersion(u32),
     /// A snapshot section (or the whole file) failed its CRC-32 check.
     ChecksumMismatch {
         /// Which section failed (`"file"` for the whole-file trailer).
         section: &'static str,
     },
-    /// A snapshot stores a key as delta-bitpacked ("compressed") blocks,
-    /// a representation this build no longer reads. Such a key keeps no
-    /// sorted list, so re-save the snapshot from the text files.
-    CompressedPostings,
     /// Binary format corruption.
     Corrupt(String),
     /// Underlying I/O failure.
@@ -59,18 +55,16 @@ impl fmt::Display for HypergraphError {
                 write!(f, "vertex {vertex} declared more than once")
             }
             Self::Parse { line, message } => write!(f, "parse error at line {line}: {message}"),
-            Self::BadMagic => write!(f, "not a hypergraph binary file (bad magic)"),
-            Self::UnsupportedVersion(v) => {
-                write!(f, "unsupported hypergraph binary version {v}")
-            }
+            Self::BadMagic => write!(f, "not a hypergraph snapshot (bad magic)"),
+            Self::UnsupportedVersion(v) => write!(
+                f,
+                "unsupported hypergraph snapshot version {v}: this build reads only \
+                 version {}; re-save the snapshot from the text files",
+                crate::io::SNAPSHOT_VERSION
+            ),
             Self::ChecksumMismatch { section } => {
                 write!(f, "checksum mismatch in snapshot section {section:?}")
             }
-            Self::CompressedPostings => write!(
-                f,
-                "snapshot stores compressed postings, which this build no longer \
-                 reads; re-save it from the text files"
-            ),
             Self::Corrupt(msg) => write!(f, "corrupt binary hypergraph: {msg}"),
             Self::Io(e) => write!(f, "i/o error: {e}"),
         }

@@ -48,9 +48,9 @@ pub struct EdgeLocation {
 /// Global incidence CSR: `offsets[v]..offsets[v+1]` indexes the sorted
 /// global edge ids incident to vertex `v`.
 #[derive(Debug, Clone)]
-pub(crate) struct Incidence {
-    pub(crate) offsets: Vec<u64>,
-    pub(crate) edges: Vec<u32>,
+struct Incidence {
+    offsets: Vec<u64>,
+    edges: Vec<u32>,
 }
 
 /// An immutable vertex-labelled hypergraph in HGMatch's partitioned layout.
@@ -112,31 +112,21 @@ impl Hypergraph {
         }
     }
 
-    /// Reassembles a hypergraph from fully serialized parts — the HGMB
-    /// snapshot load path ([`crate::io`]). Unlike [`Hypergraph::assemble`],
-    /// the incidence CSR and adjacency counts arrive precomputed and are
-    /// seeded directly, so no reader of a restored graph derives them.
-    /// The caller (the decoder) has already validated cross-structure
-    /// invariants.
-    pub(crate) fn from_serialized_parts(
-        labels: Vec<Label>,
-        interner: SignatureInterner,
-        partitions: Vec<Arc<Partition>>,
-        locator: Vec<EdgeLocation>,
-        incidence: Incidence,
-        adj_counts: Vec<u32>,
-    ) -> Self {
+    /// Seeds the adjacency counts, which the snapshot decoder
+    /// ([`crate::io`]) reads from the file rather than derive: they are the
+    /// one derived value that costs more to derive than to store
+    /// (DESIGN.md §17.2).
+    pub(crate) fn with_adj_counts(self, adj_counts: Vec<u32>) -> Self {
         Hypergraph {
-            incidence: OnceLock::from(incidence),
             adj_counts: OnceLock::from(adj_counts),
-            ..Self::assemble(labels, interner, partitions, locator)
+            ..self
         }
     }
 
     /// The global incidence CSR, built on first use by walking the locator
     /// — already in ascending global-id order, so per-vertex lists come
     /// out sorted.
-    pub(crate) fn incidence(&self) -> &Incidence {
+    fn incidence(&self) -> &Incidence {
         self.incidence.get_or_init(|| {
             let nv = self.labels.len();
             let mut offsets = vec![0u64; nv + 1];

@@ -289,35 +289,53 @@ impl InvertedIndex {
         bitmaps: Vec::new(),
     };
 
-    /// Builds the index from `(vertex, row)` incidences.
+    /// Builds the index of a table of `arity`-wide rows stored back to
+    /// back in `vertices`, each row a sorted vertex list, by one counting
+    /// scatter: count each key's incidences while collecting the distinct
+    /// keys, sort only the keys, take the prefix offsets, then scatter the
+    /// rows in ascending order, so each posting comes out sorted.
     ///
-    /// `rows[r]` must be the sorted vertex list of local row `r`; rows are
-    /// visited in ascending order so each posting list comes out sorted.
-    pub fn build(rows: &[&[u32]]) -> Self {
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for (row, vertices) in rows.iter().enumerate() {
-            let row = row as u32;
-            for &v in *vertices {
-                pairs.push((v, row));
-            }
-        }
-        pairs.sort_unstable();
-
+    /// `counts` is per-vertex scratch indexed by vertex id. It must be all
+    /// zero on entry and is all zero again on return, so one buffer of the
+    /// graph's vertex count serves every partition of a build or a
+    /// snapshot decode.
+    ///
+    /// # Panics
+    /// Panics if `arity` is 0 or a vertex is not below `counts.len()`.
+    pub fn build(vertices: &[u32], arity: usize, counts: &mut [u32]) -> Self {
+        assert!(arity > 0, "rows hold at least one vertex");
         let mut keys = Vec::new();
-        let mut offsets = vec![0u32];
-        let mut postings = Vec::with_capacity(pairs.len());
-        for (v, row) in pairs {
-            if keys.last() != Some(&v) {
-                // Close the previous key's range (offsets always ends with
-                // the running posting count) and open a new one.
+        for &v in vertices {
+            let count = &mut counts[v as usize];
+            if *count == 0 {
                 keys.push(v);
-                offsets.push(postings.len() as u32);
             }
-            postings.push(row);
-            *offsets.last_mut().unwrap() = postings.len() as u32;
+            *count += 1;
         }
-
-        Self::finish(keys, offsets, postings, rows.len() as u32)
+        keys.sort_unstable();
+        // Each key's count becomes its write cursor: where its range starts.
+        let mut offsets = Vec::with_capacity(keys.len() + 1);
+        offsets.push(0u32);
+        let mut end = 0;
+        for &k in &keys {
+            let cursor = &mut counts[k as usize];
+            let start = end;
+            end += *cursor;
+            *cursor = start;
+            offsets.push(end);
+        }
+        let mut postings = vec![0u32; vertices.len()];
+        for (row, vs) in vertices.chunks_exact(arity).enumerate() {
+            for &v in vs {
+                let cursor = &mut counts[v as usize];
+                postings[*cursor as usize] = row as u32;
+                *cursor += 1;
+            }
+        }
+        for &k in &keys {
+            counts[k as usize] = 0;
+        }
+        Self::finish(keys, offsets, postings, (vertices.len() / arity) as u32)
     }
 
     /// Builds the index from per-key sorted posting lists, visited in
@@ -404,10 +422,9 @@ impl InvertedIndex {
     }
 
     /// Whether every key carries the representation [`choose_repr`] gives
-    /// it in this process now. False for an index decoded from a snapshot
-    /// written under another [`set_forced_repr`], or built before it
-    /// changed; the dynamic writer adopts only canonical indices, so its
-    /// snapshots keep equalling a fresh build.
+    /// it in this process now. False for an index built before
+    /// [`set_forced_repr`] last changed; the dynamic writer adopts only
+    /// canonical indices, so its snapshots keep equalling a fresh build.
     pub(crate) fn is_canonical(&self) -> bool {
         (0..self.keys.len()).all(|i| {
             let posting = self.posting_at(i);
@@ -472,165 +489,68 @@ impl InvertedIndex {
             .enumerate()
             .map(move |(i, &v)| (v, self.posting_at(i)))
     }
-
-    /// Appends the HGMB snapshot wire encoding: every internal array verbatim, so
-    /// a loaded index is byte-for-byte the saved one — including which
-    /// representation each key carries (the adaptive rule is *not* re-run
-    /// on load; see DESIGN.md §17). The dense side table follows its
-    /// bitmap count and is written only when that count is non-zero; the
-    /// retired compressed-container count is written as 0.
-    pub(crate) fn encode(&self, buf: &mut bytes::BytesMut) {
-        use bytes::BufMut;
-        buf.put_u32_le(self.keys.len() as u32);
-        for &k in &self.keys {
-            buf.put_u32_le(k);
-        }
-        for &o in &self.offsets {
-            buf.put_u32_le(o);
-        }
-        buf.put_u32_le(self.postings.len() as u32);
-        for &p in &self.postings {
-            buf.put_u32_le(p);
-        }
-        buf.put_u32_le(self.num_rows);
-        buf.put_u32_le(self.bitmaps.len() as u32);
-        for &d in &self.dense_idx {
-            buf.put_u32_le(d);
-        }
-        for bm in &self.bitmaps {
-            bm.encode_v2(buf);
-        }
-        buf.put_u32_le(0);
-    }
-
-    /// Decodes the HGMB snapshot wire encoding, advancing `data` past it. All
-    /// structural invariants `posting_at` relies on (offset monotonicity,
-    /// side-table index ranges, row-space bounds) are re-validated so
-    /// corrupt input errors instead of panicking at query time.
-    /// `legacy_side_tables` reads the v2/v3 layout, where both side tables
-    /// are always present and precede their container counts; a table with
-    /// no container to point at is dropped. A non-zero compressed-container
-    /// count, from any version, is refused with
-    /// [`HypergraphError::CompressedPostings`](crate::error::HypergraphError::CompressedPostings):
-    /// such a key stores no list to read.
-    pub(crate) fn decode(data: &mut &[u8], legacy_side_tables: bool) -> crate::error::Result<Self> {
-        use crate::error::HypergraphError;
-        use bytes::Buf;
-        let corrupt = |msg: String| HypergraphError::Corrupt(format!("inverted index: {msg}"));
-        crate::io::need(data, 4, "index key count")?;
-        let num_keys = data.get_u32_le() as usize;
-        let keys = crate::io::read_u32s(data, num_keys, "index keys")?;
-        if !crate::setops::is_strictly_sorted(&keys) {
-            return Err(corrupt("keys not strictly sorted".into()));
-        }
-        let offsets = crate::io::read_u32s(data, num_keys + 1, "index offsets")?;
-        crate::io::need(data, 4, "index posting count")?;
-        let num_postings = data.get_u32_le() as usize;
-        let postings = crate::io::read_u32s(data, num_postings, "index postings")?;
-        crate::io::need(data, 4, "index row count")?;
-        let num_rows = data.get_u32_le();
-        let (dense_idx, num_bitmaps) = decode_dense_table(data, num_keys, legacy_side_tables)?;
-        let mut bitmaps = Vec::with_capacity(num_bitmaps.min(1024));
-        for _ in 0..num_bitmaps {
-            let bm = Bitmap::decode_v2(data)?;
-            if bm.domain() != num_rows {
-                return Err(corrupt(format!(
-                    "bitmap domain {} in a {num_rows}-row index",
-                    bm.domain()
-                )));
-            }
-            bitmaps.push(bm);
-        }
-        // The retired compressed containers: a v2/v3 side table, then their
-        // count, which is refused before anything it would count is read.
-        let comp_table = if legacy_side_tables {
-            crate::io::read_u32s(data, num_keys, "index side table")?
-        } else {
-            Vec::new()
-        };
-        crate::io::need(data, 4, "index container count")?;
-        if data.get_u32_le() != 0 {
-            return Err(HypergraphError::CompressedPostings);
-        }
-        if comp_table.iter().any(|&c| c != u32::MAX) {
-            return Err(corrupt(
-                "compressed table points past its containers".into(),
-            ));
-        }
-
-        if offsets[0] != 0 || *offsets.last().unwrap() as usize != postings.len() {
-            return Err(corrupt("offsets do not cover the posting array".into()));
-        }
-        for i in 0..num_keys {
-            if offsets[i] > offsets[i + 1] {
-                return Err(corrupt("offsets not monotone".into()));
-            }
-            let list = &postings[offsets[i] as usize..offsets[i + 1] as usize];
-            if !crate::setops::is_strictly_sorted(list) {
-                return Err(corrupt(format!("posting of key {} not sorted", keys[i])));
-            }
-            if list.last().is_some_and(|&r| r >= num_rows) {
-                return Err(corrupt(format!(
-                    "posting of key {} exceeds the {num_rows}-row space",
-                    keys[i]
-                )));
-            }
-            let d = dense_idx.get(i).copied().unwrap_or(NO_BITMAP);
-            if d != NO_BITMAP && d as usize >= bitmaps.len() {
-                return Err(corrupt("dense table points past the bitmaps".into()));
-            }
-        }
-        Ok(Self {
-            keys,
-            offsets,
-            postings,
-            num_rows,
-            dense_idx,
-            bitmaps,
-        })
-    }
-}
-
-/// Decodes the dense side table and the bitmap count: `(table, count)` in
-/// the legacy v2/v3 order, where the table is always present; `(count,
-/// table)` otherwise, with the table absent at count 0. A table with no
-/// bitmap to point at is returned empty, and must hold only [`NO_BITMAP`].
-fn decode_dense_table(
-    data: &mut &[u8],
-    num_keys: usize,
-    legacy: bool,
-) -> crate::error::Result<(Vec<u32>, usize)> {
-    use bytes::Buf;
-    let mut table = Vec::new();
-    if legacy {
-        table = crate::io::read_u32s(data, num_keys, "index side table")?;
-    }
-    crate::io::need(data, 4, "index container count")?;
-    let count = data.get_u32_le() as usize;
-    if count == 0 {
-        if table.iter().any(|&i| i != NO_BITMAP) {
-            return Err(crate::error::HypergraphError::Corrupt(
-                "inverted index: dense table points past its containers".into(),
-            ));
-        }
-        return Ok((Vec::new(), 0));
-    }
-    if !legacy {
-        table = crate::io::read_u32s(data, num_keys, "index side table")?;
-    }
-    Ok((table, count))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::setops::is_strictly_sorted;
+    use proptest::prelude::*;
+
+    /// [`InvertedIndex::build`] over rows of one arity, with scratch of its
+    /// own that must come back all zero.
+    fn build_rows(rows: &[&[u32]]) -> InvertedIndex {
+        let arity = rows.first().map_or(1, |r| r.len());
+        let vertices: Vec<u32> = rows.concat();
+        let mut counts = vec![0u32; vertices.iter().max().map_or(0, |&v| v as usize + 1)];
+        let index = InvertedIndex::build(&vertices, arity, &mut counts);
+        assert!(counts.iter().all(|&c| c == 0), "scratch left dirty");
+        index
+    }
+
+    /// The index by definition: for each key, the rows that contain it.
+    fn build_per_key(rows: &[&[u32]]) -> InvertedIndex {
+        let mut keys: Vec<u32> = rows.concat();
+        keys.sort_unstable();
+        keys.dedup();
+        let cells: Vec<(u32, Vec<u32>)> = keys
+            .into_iter()
+            .map(|k| {
+                let rows_of_k = (0..rows.len() as u32).filter(|&r| rows[r as usize].contains(&k));
+                (k, rows_of_k.collect())
+            })
+            .collect();
+        let cells = cells.iter().map(|(k, list)| (*k, list.as_slice()));
+        InvertedIndex::from_sorted_postings(cells, rows.len() as u32)
+    }
+
+    /// Tables of up to 600 rows (past [`MIN_BITMAP_ROWS`], so dense keys
+    /// get bitmaps) over a few dozen vertices.
+    fn table() -> impl Strategy<Value = Vec<Vec<u32>>> {
+        (1usize..5).prop_flat_map(|arity| {
+            proptest::collection::vec(
+                proptest::collection::btree_set(0u32..40, arity)
+                    .prop_map(|row| row.into_iter().collect::<Vec<u32>>()),
+                0..600,
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn build_matches_the_per_key_definition(rows in table()) {
+            let rows: Vec<&[u32]> = rows.iter().map(Vec::as_slice).collect();
+            prop_assert_eq!(build_rows(&rows), build_per_key(&rows));
+        }
+    }
 
     #[test]
     fn build_and_lookup() {
         // Partition 1 of the paper's Table I: e1 = {v2, v4}, e2 = {v4, v6}.
         let rows: Vec<&[u32]> = vec![&[2, 4], &[4, 6]];
-        let idx = InvertedIndex::build(&rows);
+        let idx = build_rows(&rows);
         assert_eq!(idx.posting(2).to_sorted(), &[0]);
         assert_eq!(idx.posting(4).to_sorted(), &[0, 1]);
         assert_eq!(idx.posting(6).to_sorted(), &[1]);
@@ -641,7 +561,7 @@ mod tests {
 
     #[test]
     fn empty_index() {
-        let idx = InvertedIndex::build(&[]);
+        let idx = build_rows(&[]);
         assert_eq!(idx.num_keys(), 0);
         assert!(idx.posting(0).is_empty());
         assert_eq!(idx.size_bytes(), 4); // the single offset sentinel
@@ -649,19 +569,19 @@ mod tests {
 
     #[test]
     fn posting_lists_are_sorted() {
-        let rows: Vec<&[u32]> = vec![&[1, 2, 3], &[2, 3], &[1, 3], &[3]];
-        let idx = InvertedIndex::build(&rows);
+        let rows: Vec<&[u32]> = vec![&[1, 3], &[2, 3], &[1, 2], &[3, 4]];
+        let idx = build_rows(&rows);
         for (_, posting) in idx.iter() {
             assert!(is_strictly_sorted(&posting.to_sorted()));
         }
-        assert_eq!(idx.posting(3).to_sorted(), &[0, 1, 2, 3]);
+        assert_eq!(idx.posting(3).to_sorted(), &[0, 1, 3]);
         assert_eq!(idx.posting(1).to_sorted(), &[0, 2]);
     }
 
     #[test]
     fn iter_visits_keys_in_order() {
         let rows: Vec<&[u32]> = vec![&[5, 9], &[1, 5]];
-        let idx = InvertedIndex::build(&rows);
+        let idx = build_rows(&rows);
         let keys: Vec<u32> = idx.iter().map(|(v, _)| v).collect();
         assert_eq!(keys, vec![1, 5, 9]);
     }
@@ -669,7 +589,7 @@ mod tests {
     #[test]
     fn size_accounts_all_arrays() {
         let rows: Vec<&[u32]> = vec![&[1, 2]];
-        let idx = InvertedIndex::build(&rows);
+        let idx = build_rows(&rows);
         // keys=2, offsets=3, postings=2 → 7 u32s; no bitmaps, so the side
         // table is not allocated.
         assert_eq!(idx.size_bytes(), 7 * 4);
@@ -680,7 +600,7 @@ mod tests {
     fn small_partitions_stay_list_only() {
         let rows: Vec<Vec<u32>> = (0..100).map(|_| vec![7u32]).collect();
         let refs: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
-        let idx = InvertedIndex::build(&refs);
+        let idx = build_rows(&refs);
         // Vertex 7 is in every row, but 100 rows < MIN_BITMAP_ROWS.
         assert_eq!(idx.num_dense_keys(), 0);
         assert_eq!(idx.posting(7).repr(), ReprKind::List);
@@ -693,7 +613,7 @@ mod tests {
         // per row (sparse).
         let rows: Vec<Vec<u32>> = (0..512u32).map(|r| vec![1, 1000 + r]).collect();
         let refs: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
-        let idx = InvertedIndex::build(&refs);
+        let idx = build_rows(&refs);
         assert_eq!(idx.num_rows(), 512);
         assert_eq!(idx.num_dense_keys(), 1);
 

@@ -63,13 +63,17 @@ static EMPTY_INDEX: InvertedIndex = InvertedIndex::EMPTY;
 
 impl PartitionBody {
     /// Builds the body of `rows`, each a sorted vertex list of `arity`
-    /// vertices: the inverted index (from two rows on) and the planner's
-    /// cardinality summaries from `labels` (the graph's vertex labels).
+    /// vertices: see [`PartitionBody::from_table`].
     ///
     /// # Panics
     /// Panics if any row's length differs from `arity`, or if row vertex
     /// lists are not strictly sorted (debug builds).
-    pub(crate) fn build(arity: u32, rows: Vec<Vec<u32>>, labels: &[Label]) -> Self {
+    pub(crate) fn build(
+        arity: u32,
+        rows: Vec<Vec<u32>>,
+        labels: &[Label],
+        counts: &mut [u32],
+    ) -> Self {
         let mut vertices = Vec::with_capacity(rows.len() * arity as usize);
         for row in &rows {
             assert_eq!(row.len(), arity as usize, "row arity mismatch");
@@ -79,27 +83,28 @@ impl PartitionBody {
             );
             vertices.extend_from_slice(row);
         }
-        let index = if indexed(rows.len()) {
-            let row_slices: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
-            InvertedIndex::build(&row_slices)
+        Self::from_table(arity, vertices, labels, counts)
+    }
+
+    /// Builds the body of the flattened vertex table `vertices` (rows of
+    /// `arity` sorted vertices back to back, `arity > 0`): the inverted
+    /// index from two rows on, and the planner's cardinality summaries
+    /// from `labels` (the graph's vertex labels). The builder and the
+    /// snapshot decoder ([`crate::io`]) both build here, so a decoded body
+    /// is a built one. `counts` is [`InvertedIndex::build`]'s per-vertex
+    /// scratch, all zero.
+    pub(crate) fn from_table(
+        arity: u32,
+        vertices: Vec<u32>,
+        labels: &[Label],
+        counts: &mut [u32],
+    ) -> Self {
+        let rows = vertices.len() / arity as usize;
+        let index = if indexed(rows) {
+            InvertedIndex::build(&vertices, arity as usize, counts)
         } else {
             InvertedIndex::EMPTY
         };
-        Self::from_index(arity, rows.len(), vertices, index, labels)
-    }
-
-    /// Assembles the body of `rows` rows from its flattened vertex table
-    /// and a prebuilt index — the snapshot decoder ([`crate::io`]) must not
-    /// rebuild it. The planner stats are derived from `index` and `labels`,
-    /// so a build and a decode cannot disagree on them. Every key of
-    /// `index` must be a vertex of `labels` with a non-empty posting.
-    pub(crate) fn from_index(
-        arity: u32,
-        rows: usize,
-        vertices: Vec<u32>,
-        index: InvertedIndex,
-        labels: &[Label],
-    ) -> Self {
         let degrees = index.iter().map(|(v, posting)| (v, posting.len()));
         let stats = PartitionStats::from_degrees(rows, degrees, labels);
         Self::from_parts(arity, vertices, index, stats)
@@ -185,7 +190,8 @@ impl Partition {
             global_ids.len(),
             "rows and global ids must align"
         );
-        let body = PartitionBody::build(arity, rows, labels);
+        let mut counts = vec![0; labels.len()];
+        let body = PartitionBody::build(arity, rows, labels, &mut counts);
         Self {
             signature,
             first: 0,

@@ -109,8 +109,8 @@ impl PartitionStats {
 
     /// The same summary computed from each distinct vertex's
     /// within-partition degree and the row count — for assembling a
-    /// partition from its index (`PartitionBody::from_index`, under both
-    /// [`Partition::new`] and the snapshot decoder). Below two rows the
+    /// partition from its index (`PartitionBody::from_table`, under the
+    /// builder, [`Partition::new`] and the snapshot decoder). Below two rows the
     /// degrees are not read and the summary holds no groups.
     pub(crate) fn from_degrees(
         rows: usize,

@@ -4,6 +4,7 @@
 
 use std::collections::BTreeSet;
 
+use hgmatch_datasets::testgen::assert_derived_state_eq;
 use hgmatch_hypergraph::{io, setops, HypergraphBuilder, Label, Signature};
 use proptest::prelude::*;
 
@@ -275,21 +276,20 @@ proptest! {
     #[test]
     fn binary_roundtrip((labels, edges) in hypergraph_parts()) {
         let h = build(&labels, &edges);
-        let bytes = io::encode_binary(&h);
-        let h2 = io::decode_binary(&bytes).unwrap();
-        prop_assert_eq!(h.labels(), h2.labels());
-        for (e, vs) in h.iter_edges() {
-            prop_assert_eq!(h2.edge_vertices(e), vs);
-        }
+        let bytes = io::encode_snapshot(&h);
+        let h2 = io::decode_snapshot(&bytes).unwrap();
+        prop_assert_eq!(&h2, &h);
+        assert_derived_state_eq(&h2, &h);
+        prop_assert_eq!(io::encode_snapshot(&h2), bytes);
     }
 
     #[test]
-    fn binary_truncation_never_panics((labels, edges) in hypergraph_parts(), cut in 0usize..64) {
+    fn binary_truncation_never_panics((labels, edges) in hypergraph_parts(), cut in 0usize..1 << 20) {
         let h = build(&labels, &edges);
-        let bytes = io::encode_binary(&h);
-        let cut = cut.min(bytes.len().saturating_sub(1));
+        let bytes = io::encode_snapshot(&h);
+        let cut = cut % bytes.len();
         // Any strict prefix must produce an error, not a panic or success.
-        prop_assert!(io::decode_binary(&bytes[..cut]).is_err());
+        prop_assert!(io::decode_snapshot(&bytes[..cut]).is_err());
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! Seeding a writer from a snapshot whose postings were written in a
-//! representation this process would not choose (another
-//! `set_forced_repr`): `DynamicHypergraph::from_hypergraph` must not
-//! adopt those bodies, or adopted and re-frozen partitions would disagree
-//! and `snapshot == rebuild-from-scratch` would fail.
+//! Seeding a writer from a graph whose postings were built in a
+//! representation this process no longer chooses (built before
+//! `set_forced_repr` changed): `DynamicHypergraph::from_hypergraph` must
+//! not adopt those bodies, or adopted and re-frozen partitions would
+//! disagree and `snapshot == rebuild-from-scratch` would fail.
 //!
 //! The only test in this file: it flips the process-wide forced
 //! representation, which must not race other tests.
 
 use hgmatch_hypergraph::inverted::{set_forced_repr, ReprKind};
-use hgmatch_hypergraph::io::{decode_snapshot, encode_snapshot};
 use hgmatch_hypergraph::{DynamicHypergraph, Hypergraph, HypergraphBuilder, Label};
 
 fn build(edges: &[Vec<u32>]) -> Hypergraph {
@@ -36,11 +35,10 @@ fn seed_in_a_foreign_representation_is_refrozen_not_adopted() {
     ];
     // Every key of this small graph is a list under the adaptive rule.
     set_forced_repr(Some(ReprKind::Bitmap));
-    let file = encode_snapshot(&build(&edges));
+    let seed = build(&edges);
     set_forced_repr(None);
 
-    // Postings decode verbatim, so the seed differs from a build here.
-    let seed = decode_snapshot(&file).unwrap();
+    // The seed keeps its bitmaps, so it differs from a build here.
     assert_ne!(seed, build(&edges));
 
     let mut d = DynamicHypergraph::from_hypergraph(&seed);

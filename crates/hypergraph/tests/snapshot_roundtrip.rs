@@ -6,13 +6,15 @@
 
 use hgmatch_datasets::testgen::{assert_derived_state_eq, random_arity_hypergraph};
 use hgmatch_datasets::update_stream::{generate_update_stream, UpdateStreamConfig};
-use hgmatch_hypergraph::io::{decode_binary, decode_snapshot, encode_snapshot, SNAPSHOT_VERSION};
-use hgmatch_hypergraph::{DynamicHypergraph, Hypergraph, HypergraphBuilder, Label, ReprBreakdown};
+use hgmatch_hypergraph::io::{decode_snapshot, encode_snapshot, SNAPSHOT_VERSION};
+use hgmatch_hypergraph::{
+    DynamicHypergraph, Hypergraph, HypergraphBuilder, HypergraphError, Label, ReprBreakdown,
+};
 
 /// The deterministic fixture graph: the paper's Fig. 1b data graph plus a
 /// hub block big enough that the adaptive index uses both posting
-/// representations (list and bitmap) — so the fixture pins the
-/// serialisation of every representation, not just lists
+/// representations (list and bitmap) — so the index rebuilt from the
+/// fixture's rows covers every representation, not just lists
 /// (`golden_fixture_is_byte_stable` checks that it does).
 fn fixture_graph() -> Hypergraph {
     let mut b = HypergraphBuilder::new();
@@ -40,11 +42,13 @@ fn fixture_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/paper.hgsnap")
 }
 
-/// The same graph as written by an older snapshot version: v2, whose
+/// The same graph as written by an older snapshot version, each of which
+/// stored the index and other derived state beside the rows: v2, whose
 /// stats also carried a per-label degree histogram, v3, which wrote an
-/// index for one-row partitions and both side tables of every index, or
-/// v4, which wrote a stats record per partition. Never regenerated: they
-/// pin the read paths of those versions.
+/// index for one-row partitions and both side tables of every index, v4,
+/// which wrote a stats record per partition, or v5, which wrote the
+/// signatures, the locator and the incidence CSR as sections of their own.
+/// Never regenerated: they pin the refusal of those versions.
 fn legacy_fixture_path(version: u32) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join(format!("tests/fixtures/paper.v{version}.hgsnap"))
@@ -71,7 +75,8 @@ fn golden_fixture_is_byte_stable() {
          regenerate tests/fixtures/paper.hgsnap with UPDATE_GOLDEN=1 deliberately"
     );
 
-    // The fixture pins every representation: some key is dense, some not.
+    // The index rebuilt on load covers every representation: some key is
+    // dense, some not.
     let mut repr = ReprBreakdown::default();
     for p in decoded.partitions() {
         repr.add(&p.index().repr_breakdown());
@@ -87,15 +92,13 @@ fn golden_fixture_is_byte_stable() {
     assert_derived_state_eq(&decoded, &fixture_graph());
 }
 
-/// v2, v3 and v4 files still load: each decodes to the fixture graph,
-/// stats included (derived, the stored ones discarded), its one-row
-/// partitions' indices checked and dropped, and re-encodes to the current
-/// fixture's bytes.
+/// v2–v5 files are refused with a typed error naming their version,
+/// before any of their body is read: they must be re-saved from text.
 #[test]
-fn legacy_fixtures_load_and_reencode_as_current() {
+fn legacy_fixtures_are_refused() {
     let current = std::fs::read(fixture_path()).expect("missing tests/fixtures/paper.hgsnap");
     assert_eq!(&current[4..8], &SNAPSHOT_VERSION.to_le_bytes());
-    for version in [2u32, 3, 4] {
+    for version in [2u32, 3, 4, 5] {
         let old = std::fs::read(legacy_fixture_path(version))
             .unwrap_or_else(|_| panic!("missing tests/fixtures/paper.v{version}.hgsnap"));
         assert_eq!(
@@ -103,25 +106,17 @@ fn legacy_fixtures_load_and_reencode_as_current() {
             &version.to_le_bytes(),
             "the v{version} fixture must stay v{version}"
         );
-        let decoded = decode_snapshot(&old).expect("legacy fixture must decode");
-        assert_eq!(
-            decode_binary(&old).expect("decode_binary reads it"),
-            decoded
-        );
-        assert_eq!(decoded, fixture_graph(), "v{version}");
-        assert_derived_state_eq(&decoded, &fixture_graph());
-        assert_eq!(
-            &*encode_snapshot(&decoded),
-            current.as_slice(),
-            "v{version} does not re-encode to the current fixture"
-        );
+        match decode_snapshot(&old) {
+            Err(HypergraphError::UnsupportedVersion(v)) => assert_eq!(v, version),
+            other => panic!("v{version} fixture: expected UnsupportedVersion, got {other:?}"),
+        }
     }
 }
 
 /// Save→load→rebuild differential over a dynamic update stream: at every
 /// checkpoint the decoded snapshot equals the in-memory snapshot field for
-/// field (indices in their chosen representations, stats, locator, CSR),
-/// and re-encoding it is byte-identical.
+/// field (indices in their chosen representations, stats, locator, CSR,
+/// adjacency), and re-encoding it is byte-identical.
 #[test]
 fn snapshot_roundtrips_across_dynamic_streams() {
     let base = random_arity_hypergraph(11, 40, 60, 3, 1, 4);
