@@ -31,8 +31,8 @@
 //!   the SCAN/EXPAND/SINK dataflow; `--json` emits a deterministic
 //!   machine-readable report; `--observed` also executes the query (sequential
 //!   reference run) and reports per-position observed candidate counts
-//!   next to the planner's estimates — the same observed/estimated ratios
-//!   the adaptive re-optimizer's trigger consumes (DESIGN.md §15).
+//!   next to the planner's estimates, with their observed/estimated
+//!   ratios.
 //! * `sample-query <labels.txt> <edges.txt> <setting> <seed>
 //!   <out-labels> <out-edges>` — draw a random-walk query (q2/q3/q4/q6).
 
@@ -1159,13 +1159,12 @@ pub fn explain_report(
 
 /// Builds the `explain --observed` report: compiles the chosen order,
 /// executes it once on a single thread (the sequential reference
-/// executor — never re-planned, so the recorded counts belong to exactly
-/// this order), and emits deterministic JSON pairing the planner's
-/// per-position estimate with the observed candidate count. `ratio` is
-/// `observed / max(estimated, 1)` — the exact quantity the adaptive
-/// trigger compares against `MatchConfig::replan_ratio` (default 8,
-/// DESIGN.md §15), so a position whose ratio exceeds the configured
-/// trigger here is a position a parallel run would re-plan at.
+/// executor, so the recorded counts belong to exactly this order), and
+/// emits deterministic JSON pairing the planner's per-position estimate
+/// with the observed candidate count. `ratio` is
+/// `observed / max(estimated, 1)`: a diagnostic of where the cost model
+/// misjudged this query, not a trigger — no run changes its order
+/// mid-query (DESIGN.md §15).
 pub fn explain_observed_report(
     labels: &str,
     edges: &str,

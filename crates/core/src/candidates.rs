@@ -704,8 +704,8 @@ mod tests {
 
     #[test]
     fn prepare_rewrites_codes_for_another_plan_version() {
-        // An adaptive re-plan (DESIGN.md §15) hands a worker the same
-        // embedding prefix under another plan version: the levels are
+        // A serving worker's scratch runs tasks of many queries, so it can
+        // see the same embedding prefix under another plan: the levels are
         // reused as they are, but the step — and with it every class code —
         // is another one. Orders (q0, q1, q2) and (q0, q2, q1) share
         // position 0 and differ at position 1.

@@ -28,13 +28,6 @@ pub struct MatchConfig {
     /// single-worker delivery order stays exactly the sequential
     /// executor's).
     pub split_threshold: usize,
-    /// Mid-query re-plan trigger (DESIGN.md §15): when the observed
-    /// candidate count at a plan position exceeds this factor times the
-    /// planner's estimate, the unmatched suffix is re-ordered with
-    /// observed cardinalities folded in. `0` disables adaptive
-    /// re-optimization entirely (no feedback state is allocated).
-    /// Defaults to 8.
-    pub replan_ratio: f64,
     /// How results are aggregated (DESIGN.md §18.2). `Materialize`
     /// preserves the pre-aggregation behaviour; the sink-construction
     /// helpers ([`crate::Matcher::aggregate`], the serve layer's
@@ -50,13 +43,6 @@ pub struct MatchConfig {
 /// branch-free blocks, so 2²⁰; `fig12_stealing --check` fails if a
 /// full-size sweep puts the crossover above it.
 pub const SPLIT_THRESHOLD: usize = 1_048_576;
-
-/// Default [`MatchConfig::replan_ratio`]: the observed/estimated
-/// candidate-count ratio past which the engine re-plans the unmatched
-/// suffix of an in-flight query (DESIGN.md §15). It sits well past the
-/// planner's 2× confidence margin: a blow-up the trigger fires on is a
-/// genuine misestimate, not model noise.
-const REPLAN_RATIO: f64 = 8.0;
 
 /// Confidence margin of the cost-based planner: the searched order
 /// replaces the greedy Algorithm 3 order only when its estimated cost is
@@ -85,7 +71,6 @@ impl Default for MatchConfig {
             timeout: None,
             work_stealing: true,
             split_threshold: SPLIT_THRESHOLD,
-            replan_ratio: REPLAN_RATIO,
             aggregate: AggregateMode::Materialize,
         }
     }
@@ -124,13 +109,6 @@ impl MatchConfig {
         self
     }
 
-    /// Sets the mid-query re-plan trigger ratio (0 disables adaptive
-    /// re-optimization), builder style.
-    pub fn with_replan_ratio(mut self, ratio: f64) -> Self {
-        self.replan_ratio = ratio.max(0.0);
-        self
-    }
-
     /// Sets the default aggregation mode, builder style.
     pub fn with_aggregate(mut self, mode: AggregateMode) -> Self {
         self.aggregate = mode;
@@ -149,7 +127,6 @@ mod tests {
         assert!(c.timeout.is_none());
         assert!(c.work_stealing);
         assert_eq!(c.split_threshold, SPLIT_THRESHOLD);
-        assert_eq!(c.replan_ratio, 8.0);
         assert_eq!(c.aggregate, AggregateMode::Materialize);
     }
 
@@ -165,10 +142,5 @@ mod tests {
         assert_eq!(MatchConfig::parallel(0).threads, 1);
         let c = MatchConfig::default().with_split_threshold(16);
         assert_eq!(c.split_threshold, 16);
-        // Negative ratios clamp to 0 (= adaptive re-optimization off).
-        let c = MatchConfig::default().with_replan_ratio(-1.0);
-        assert_eq!(c.replan_ratio, 0.0);
-        let c = MatchConfig::default().with_replan_ratio(0.5);
-        assert_eq!(c.replan_ratio, 0.5);
     }
 }

@@ -86,9 +86,6 @@ pub struct OrderEstimate {
 #[derive(Debug)]
 pub struct CostModel<'a> {
     query: &'a QueryGraph,
-    /// [`Hypergraph::uid`] of the snapshot the model was built on: the
-    /// partition ids below mean nothing in another.
-    data_uid: u64,
     /// Target partition per query edge (`None` = absent signature).
     partition: Vec<Option<SignatureId>>,
     /// Target partition rows per query edge (0 = absent signature).
@@ -134,7 +131,6 @@ impl<'a> CostModel<'a> {
         slot_start.push(selectivity.len());
         Self {
             query,
-            data_uid: data.uid(),
             partition,
             card,
             selectivity,
@@ -153,12 +149,6 @@ impl<'a> CostModel<'a> {
     #[inline]
     pub(crate) fn partition(&self, e: u32) -> Option<SignatureId> {
         self.partition[e as usize]
-    }
-
-    /// Whether the model was built on `data`, the one snapshot whose
-    /// partition ids it holds.
-    pub(crate) fn is_built_on(&self, data: &Hypergraph) -> bool {
-        self.data_uid == data.uid()
     }
 
     /// Algorithm 3 over the model's cardinalities: the smallest
@@ -207,19 +197,6 @@ impl<'a> CostModel<'a> {
             in_order |= 1 << next;
         }
         order
-    }
-
-    /// Multiplies the modelled candidate yield of query edge `e` by
-    /// `factor` — the feedback hook of the adaptive re-optimizer
-    /// (DESIGN.md §15). Every estimate involving `e` starts from
-    /// `card[e]` (both as a SCAN and as an extension), so scaling it
-    /// folds an observed/estimated candidate ratio into all downstream
-    /// step estimates. Non-finite and non-positive factors are ignored
-    /// (an observed count of zero says "done", not "free").
-    pub fn scale_edge(&mut self, e: u32, factor: f64) {
-        if factor.is_finite() && factor > 0.0 {
-            self.card[e as usize] *= factor;
-        }
     }
 
     /// Expected candidates per partial when matching `e` with the edges in
@@ -357,18 +334,13 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// The cheapest complete order *extending* a fixed prefix — the
-    /// suffix re-search of the adaptive re-optimizer (DESIGN.md §15): the
-    /// first `prefix.len()` positions are pinned (those partials already
-    /// exist in flight) and only the remaining edges are re-enumerated,
-    /// seeded with the prefix's estimated frontier. Uses the same bounds
-    /// and determinism rules as [`CostModel::best_order`], keyed on the
-    /// *suffix* length.
-    pub fn best_order_with_prefix(&self, prefix: &[u32]) -> Vec<u32> {
-        self.best_order_with_prefix_bounded(prefix, PLAN_BEAM, PLAN_EXHAUSTIVE)
-    }
-
-    /// [`CostModel::best_order_with_prefix`] with explicit search bounds.
+    /// The cheapest complete order *extending* a fixed prefix: the first
+    /// `prefix.len()` positions are pinned and only the remaining edges are
+    /// enumerated, seeded with the prefix's estimated frontier — exhaustive
+    /// branch-and-bound while the *suffix* has at most `exhaustive_max`
+    /// edges, a width-`beam` search above it, with the determinism rules of
+    /// [`CostModel::best_order_bounded`]. The beam path is the one the
+    /// planner's own search takes from an empty seed.
     pub fn best_order_with_prefix_bounded(
         &self,
         prefix: &[u32],
@@ -441,8 +413,8 @@ impl<'a> CostModel<'a> {
     }
 
     /// Beam search from an arbitrary seed state (empty seed = full search;
-    /// a prefix seed = the adaptive suffix re-search). Returns the final
-    /// frontier, cheapest first.
+    /// a prefix seed = [`CostModel::best_order_with_prefix_bounded`]).
+    /// Returns the final frontier, cheapest first.
     fn beam_from(
         &self,
         beam: usize,

@@ -47,20 +47,17 @@
 pub(crate) mod task;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
 use hgmatch_hypergraph::Hypergraph;
 use parking_lot::Mutex;
 
-use crate::adaptive::{resolve_task, AdaptiveState};
 use crate::config::MatchConfig;
 use crate::exec::{RunStats, WorkerStats};
 use crate::memory::MemoryTracker;
 use crate::metrics::MatchMetrics;
 use crate::plan::Plan;
-use crate::query::QueryGraph;
 use crate::sink::Sink;
 
 use task::{
@@ -72,11 +69,7 @@ use task::{
 pub struct ParallelEngine;
 
 struct Shared<'a, S: Sink> {
-    /// The base plan — the only plan of a static run, version 0 of an
-    /// adaptive one.
     plan: &'a Plan,
-    /// Adaptive re-optimization state (DESIGN.md §15); `None` = static.
-    adaptive: Option<&'a AdaptiveState>,
     data: &'a Hypergraph,
     sink: &'a S,
     config: &'a MatchConfig,
@@ -91,41 +84,9 @@ struct Shared<'a, S: Sink> {
 
 impl ParallelEngine {
     /// Runs `plan` against `data` with `config.threads` workers, delivering
-    /// results to `sink`. Static: the plan is executed as compiled, with no
-    /// mid-query re-optimization (the differential harnesses depend on
-    /// this entry point staying order-faithful).
+    /// results to `sink`. The plan is executed as compiled.
     pub fn run<S: Sink>(
         plan: &Plan,
-        data: &Hypergraph,
-        sink: &S,
-        config: &MatchConfig,
-    ) -> RunStats {
-        Self::run_inner(plan, None, data, sink, config)
-    }
-
-    /// Runs `plan` with mid-query adaptive re-optimization (DESIGN.md §15):
-    /// observed per-step candidate counts feed a trigger that, past
-    /// `config.replan_ratio × estimate`, re-orders the unmatched suffix and
-    /// adopts it for everything whose matched prefix still agrees. Falls
-    /// back to the static [`ParallelEngine::run`] when the ratio is 0, the
-    /// plan is trivial (≤ 1 step) or infeasible.
-    pub fn run_adaptive<S: Sink>(
-        query: &QueryGraph,
-        plan: &Arc<Plan>,
-        data: &Hypergraph,
-        sink: &S,
-        config: &MatchConfig,
-    ) -> RunStats {
-        if config.replan_ratio <= 0.0 || plan.len() <= 1 || plan.is_infeasible() {
-            return Self::run(plan, data, sink, config);
-        }
-        let state = AdaptiveState::new(query.clone(), Arc::clone(plan), config.replan_ratio);
-        Self::run_inner(plan, Some(&state), data, sink, config)
-    }
-
-    fn run_inner<S: Sink>(
-        plan: &Plan,
-        adaptive: Option<&AdaptiveState>,
         data: &Hypergraph,
         sink: &S,
         config: &MatchConfig,
@@ -145,7 +106,6 @@ impl ParallelEngine {
 
         let shared = Shared {
             plan,
-            adaptive,
             data,
             sink,
             config,
@@ -269,15 +229,12 @@ fn worker_loop<S: Sink>(
             let was_assist = matches!(task, Task::Assist { .. });
             let splits_before = tally.metrics.split_expansions;
             let assist_chunks_before = tally.metrics.assist_chunks;
-            let (resolved, ver) = resolve_task(shared.adaptive, &task);
             let env = QueryEnv {
-                plan: resolved.as_deref().unwrap_or(shared.plan),
+                plan: shared.plan,
                 data: shared.data,
                 sink: shared.sink,
                 config: shared.config,
                 tracker: shared.tracker,
-                ver,
-                adaptive: shared.adaptive,
             };
             let mut sched = EngineScheduler {
                 shared,
@@ -522,77 +479,5 @@ mod tests {
             assert_eq!(stats.embeddings(), oracle.count(), "threads={threads}");
             assert_eq!(sink.count(), oracle.count());
         }
-    }
-
-    /// The chain-with-branch fixture of `crate::adaptive`'s unit tests: a
-    /// stale plan (compiled from a model that believes the 30-row {C,D}
-    /// fan-out is tiny) walks into the junk branch first; honest statistics
-    /// put the selective {C,E} filter first.
-    fn branch_fixture() -> (Hypergraph, QueryGraph, Arc<Plan>) {
-        use crate::cost::CostModel;
-        use crate::plan::Planner;
-        let mut b = HypergraphBuilder::new();
-        b.add_vertices(1, Label::new(0)); // A
-        b.add_vertices(1, Label::new(1)); // B
-        b.add_vertices(1, Label::new(2)); // C
-        b.add_vertices(30, Label::new(3)); // D
-        b.add_vertices(1, Label::new(4)); // E
-        b.add_edge(vec![0, 1]).unwrap();
-        b.add_edge(vec![1, 2]).unwrap();
-        for i in 0..30u32 {
-            b.add_edge(vec![2, 3 + i]).unwrap();
-        }
-        b.add_edge(vec![2, 33]).unwrap();
-        let data = b.build().unwrap();
-
-        let mut q = HypergraphBuilder::new();
-        for &l in &[0u32, 1, 2, 3, 4] {
-            q.add_vertex(Label::new(l));
-        }
-        q.add_edge(vec![0, 1]).unwrap();
-        q.add_edge(vec![1, 2]).unwrap();
-        q.add_edge(vec![2, 3]).unwrap();
-        q.add_edge(vec![2, 4]).unwrap();
-        let query = QueryGraph::new(&q.build().unwrap()).unwrap();
-
-        let mut model = CostModel::new(&query, &data);
-        model.scale_edge(2, 1.0 / 1000.0);
-        let plan = Arc::new(
-            Planner::plan_with_order_costed(&query, &data, vec![0, 1, 2, 3], &model).unwrap(),
-        );
-        (data, query, plan)
-    }
-
-    #[test]
-    fn adaptive_run_matches_static_and_replans() {
-        let (data, query, plan) = branch_fixture();
-        let expected = {
-            let sink = CollectSink::new();
-            ParallelEngine::run(&plan, &data, &sink, &MatchConfig::parallel(2));
-            sink.into_results()
-        };
-        assert!(!expected.is_empty());
-        for threads in [1, 2, 4] {
-            let cfg = MatchConfig::parallel(threads).with_replan_ratio(1.0);
-            let sink = CollectSink::new();
-            let stats = ParallelEngine::run_adaptive(&query, &plan, &data, &sink, &cfg);
-            assert_eq!(sink.into_results(), expected, "threads={threads}");
-            assert!(
-                stats.metrics.replans >= 1,
-                "threads={threads}: the stale plan must adopt a re-plan"
-            );
-        }
-    }
-
-    #[test]
-    fn adaptive_ratio_zero_stays_static() {
-        let (data, query, plan) = branch_fixture();
-        let oracle = CountSink::new();
-        ParallelEngine::run(&plan, &data, &oracle, &MatchConfig::parallel(2));
-        let sink = CountSink::new();
-        let cfg = MatchConfig::parallel(2).with_replan_ratio(0.0);
-        let stats = ParallelEngine::run_adaptive(&query, &plan, &data, &sink, &cfg);
-        assert_eq!(stats.metrics.replans, 0, "ratio 0 disables the trigger");
-        assert_eq!(sink.count(), oracle.count());
     }
 }

@@ -37,7 +37,6 @@ use std::sync::Arc;
 use crossbeam::deque::{Steal, Stealer, Worker as Deque};
 use hgmatch_hypergraph::{Hypergraph, Partition};
 
-use crate::adaptive::AdaptiveState;
 use crate::candidates::{generate_candidates_with_abort, ExpansionState};
 use crate::config::MatchConfig;
 use crate::memory::MemoryTracker;
@@ -95,22 +94,14 @@ const POOL_CAP: usize = 64;
 #[derive(Debug)]
 pub(crate) enum Task {
     /// Scan rows `start..end` of the first step's partition; splits itself
-    /// while the range exceeds the configured chunk size. Scans carry no
-    /// plan-version tag: every adaptive re-plan pins position 0, so a scan
-    /// always runs the latest version.
+    /// while the range exceeds the configured chunk size.
     Scan { start: u32, end: u32 },
     /// Expand the partial embedding `emb[..depth]` (matching-order
     /// positions `0..depth`) at step `depth`. Inline: no allocation.
-    /// `ver` is the plan version the embedding was generated under
-    /// (DESIGN.md §15); the scheduler resolves which version to execute.
-    Expand {
-        depth: u8,
-        ver: u32,
-        emb: [u32; INLINE_EMB],
-    },
+    Expand { depth: u8, emb: [u32; INLINE_EMB] },
     /// Expansion deeper than [`INLINE_EMB`]; the buffer is recycled through
     /// the executing worker's pool.
-    ExpandSpilled { emb: Vec<u32>, ver: u32 },
+    ExpandSpilled { emb: Vec<u32> },
     /// An assist ticket for a splittable expansion (DESIGN.md §12): a
     /// claim on the shared candidate range of an expansion some other
     /// worker is (or was) validating. Executing it joins the work-assisting
@@ -144,10 +135,6 @@ pub(crate) struct SplitExpansion {
     /// Next unclaimed candidate index; `fetch_add(chunk)` claims
     /// `[old, old + chunk)`, with `chunk` = [`claim_chunk`] of the length.
     next: AtomicUsize,
-    /// Plan version the candidates were generated under. Tickets resolve
-    /// through the same rule as expansions (DESIGN.md §15.3): a version
-    /// agreeing on every matched position has the same last step.
-    pub(crate) ver: u32,
 }
 
 impl SplitExpansion {
@@ -168,13 +155,6 @@ pub(crate) struct QueryEnv<'a, S: Sink + ?Sized> {
     pub sink: &'a S,
     pub config: &'a MatchConfig,
     pub tracker: &'a MemoryTracker,
-    /// Version id of `plan` in the adaptive version table (0 when static).
-    /// Children spawned by this task are tagged with it.
-    pub ver: u32,
-    /// Adaptive re-optimization state (DESIGN.md §15), `None` for static
-    /// execution. When set, completed step boundaries feed observed counts
-    /// back and may adopt a re-planned suffix.
-    pub adaptive: Option<&'a AdaptiveState>,
 }
 
 /// The scheduler's side of one task execution.
@@ -311,12 +291,12 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
     fn execute(&mut self, task: Task) {
         match task {
             Task::Scan { start, end } => self.execute_scan(start, end),
-            Task::Expand { depth, ver: _, emb } => {
+            Task::Expand { depth, emb } => {
                 let depth = depth as usize;
                 self.release = MemoryTracker::embedding_bytes(depth);
                 self.execute_expand(depth, &emb[..depth]);
             }
-            Task::ExpandSpilled { emb, ver: _ } => {
+            Task::ExpandSpilled { emb } => {
                 self.release = MemoryTracker::embedding_bytes(emb.len());
                 self.execute_expand(emb.len(), &emb);
                 if self.scratch.pool.len() < POOL_CAP {
@@ -489,8 +469,7 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
             self.spawn_children(emb, valid.iter().rev().copied());
             self.scratch.valid = valid;
             // A completed expansion is a step boundary: attribute the
-            // counts to this position and give the adaptive trigger its
-            // chance (DESIGN.md §15).
+            // counts to this position.
             let partials = self.tally.metrics.validated - validated_before;
             self.note_step(depth, produced as u64, partials);
         }
@@ -507,7 +486,6 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
             emb: emb.to_vec(),
             cands,
             next: AtomicUsize::new(0),
-            ver: self.env.ver,
         });
         // The shared buffers are materialised state that outlives this
         // task (they stay live until the range drains), so they count
@@ -646,7 +624,6 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
             emb[parent.len()] = global;
             self.sched.push(Task::Expand {
                 depth: len as u8,
-                ver: self.env.ver,
                 emb,
             });
         } else {
@@ -655,24 +632,16 @@ impl<S: Sink + ?Sized> Exec<'_, '_, S> {
             buf.reserve(len);
             buf.extend_from_slice(parent);
             buf.push(global);
-            self.sched.push(Task::ExpandSpilled {
-                emb: buf,
-                ver: self.env.ver,
-            });
+            self.sched.push(Task::ExpandSpilled { emb: buf });
         }
     }
 
-    /// Records per-position feedback at a completed step boundary and, when
-    /// running adaptively, drives the re-plan trigger (DESIGN.md §15).
+    /// Records per-position counts at a completed step boundary (the
+    /// observed side of `explain --observed`).
     fn note_step(&mut self, pos: usize, candidates: u64, partials: u64) {
-        let metrics = &mut self.tally.metrics;
-        metrics.steps.record_candidates(pos, candidates);
-        metrics.steps.record_partials(pos, partials);
-        if let Some(ad) = self.env.adaptive {
-            if ad.observe(pos, candidates, partials) && ad.maybe_replan(pos, self.env.data) {
-                metrics.replans += 1;
-            }
-        }
+        let steps = &mut self.tally.metrics.steps;
+        steps.record_candidates(pos, candidates);
+        steps.record_partials(pos, partials);
     }
 
     /// Delivers `self.scratch.full` as a complete embedding to a sink that
@@ -823,8 +792,6 @@ mod tests {
             sink,
             config,
             tracker: &tracker,
-            ver: 0,
-            adaptive: None,
         };
         let scan = matches!(root, Task::Scan { .. });
         let mut tally = Tally::default();
@@ -848,7 +815,6 @@ mod tests {
         inline[..emb.len()].copy_from_slice(emb);
         Task::Expand {
             depth: emb.len() as u8,
-            ver: 0,
             emb: inline,
         }
     }
@@ -864,7 +830,6 @@ mod tests {
             emb,
             cands: std::mem::take(&mut state.candidates),
             next: AtomicUsize::new(0),
-            ver: 0,
         });
         (Task::Assist { shared }, produced)
     }
@@ -884,8 +849,6 @@ mod tests {
             sink: &sink,
             config: &config,
             tracker: &tracker,
-            ver: 0,
-            adaptive: None,
         };
         let run = |emb: &[u32]| {
             let mut tally = Tally::default();
@@ -1242,8 +1205,6 @@ mod tests {
             sink,
             config: &config,
             tracker: &tracker,
-            ver: 0,
-            adaptive: None,
         };
         let (mut tally, mut children) = (Tally::default(), Vec::new());
         let mut sched = Closures::new(|| false, |t| children.push(t));
@@ -1269,8 +1230,6 @@ mod tests {
             sink: &sink,
             config: &config,
             tracker: &tracker,
-            ver: 0,
-            adaptive: None,
         };
         let mut scratch = ExecScratch::new();
         let mut tally = Tally::default();

@@ -119,11 +119,9 @@ impl<S: Sink> Dfs<'_, S> {
             self.config,
         );
 
-        // Per-step observed counts (the same feedback the adaptive trigger
-        // consumes in the parallel engine — recorded here too so
-        // single-threaded runs report observed-vs-estimated cardinalities,
-        // e.g. for `explain --observed`, but never re-planned: the
-        // sequential executor is the reference semantics).
+        // Per-step observed counts, as the parallel engine records them, so
+        // single-threaded runs report observed-vs-estimated cardinalities
+        // (`explain --observed`).
         self.metrics.steps.record_candidates(depth, produced as u64);
         if depth == 0 {
             self.metrics.scan_rows += produced as u64;

@@ -69,7 +69,6 @@
 //! assert_eq!(matcher.count(&query).unwrap(), 2);
 //! ```
 
-pub(crate) mod adaptive;
 pub mod aggregate;
 pub mod candidates;
 pub mod config;

@@ -162,30 +162,14 @@ impl<'a> Matcher<'a> {
         })
     }
 
-    /// Runs `query` into `sink` with the configured executor. Parallel
-    /// runs additionally re-optimize mid-query when observed candidate
-    /// counts cross [`MatchConfig::replan_ratio`] × the plan's estimate
-    /// (DESIGN.md §15); set the ratio to 0 — or use
-    /// [`Matcher::run_plan`] — for a strictly static execution.
+    /// Runs `query` into `sink` with the configured executor: plans it,
+    /// then [`Matcher::run_plan`].
     pub fn run<S: Sink>(&self, query: &Hypergraph, sink: &S) -> Result<RunStats> {
-        let q = QueryGraph::new(query)?;
-        let plan = Planner::plan(&q, self.data)?;
-        if self.config.threads > 1 && self.config.replan_ratio > 0.0 {
-            let plan = std::sync::Arc::new(plan);
-            return Ok(ParallelEngine::run_adaptive(
-                &q,
-                &plan,
-                self.data,
-                sink,
-                &self.config,
-            ));
-        }
+        let plan = Planner::plan(&QueryGraph::new(query)?, self.data)?;
         Ok(self.run_plan(&plan, sink))
     }
 
-    /// Runs a pre-compiled plan into `sink`, exactly as compiled — never
-    /// adaptively (the order-invariance differential harnesses depend on
-    /// this executing the given order to completion).
+    /// Runs a pre-compiled plan into `sink`, exactly as compiled.
     pub fn run_plan<S: Sink>(&self, plan: &Plan, sink: &S) -> RunStats {
         if self.config.threads <= 1 {
             SequentialExecutor::run(plan, self.data, sink, &self.config)

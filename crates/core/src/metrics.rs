@@ -9,12 +9,11 @@
 //! contention.
 //!
 //! Beyond the aggregate counters, [`StepCounts`] attributes candidates and
-//! validated partials to the *plan position* that produced them — the
-//! runtime-feedback signal the adaptive re-optimizer (DESIGN.md §15)
-//! compares against the planner's per-step estimates. The storage is a
-//! fixed-capacity inline array (no heap allocation on the hot path): plan
-//! length is bounded by [`MAX_PLAN_STEPS`] because the engine tracks
-//! matched query edges in a `u64` bitmask.
+//! validated partials to the *plan position* that produced them — what
+//! `explain --observed` sets beside the planner's per-step estimates.
+//! The storage is a fixed-capacity inline array (no heap allocation on
+//! the hot path): plan length is bounded by [`MAX_PLAN_STEPS`] because the
+//! engine tracks matched query edges in a `u64` bitmask.
 
 use serde::{Deserialize, Serialize};
 
@@ -27,8 +26,7 @@ pub const MAX_PLAN_STEPS: usize = 64;
 /// Position `0` is the SCAN step (candidates = partials = scanned rows);
 /// position `d > 0` counts the candidates generated while extending
 /// depth-`d` partials and how many of them validated into depth-`d+1`
-/// partials. After a mid-query re-plan, counts at positions past the
-/// switch point aggregate over every plan version that executed there.
+/// partials.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StepCounts {
     len: u32,
@@ -129,13 +127,9 @@ pub struct MatchMetrics {
     /// joined a splittable expansion through a stolen assist ticket rather
     /// than having generated the candidates themselves.
     pub assist_chunks: u64,
-    /// Mid-query suffix re-plans adopted by the adaptive re-optimizer
-    /// (DESIGN.md §15); zero when `replan_ratio` is 0 or no estimate blew
-    /// past the trigger.
-    pub replans: u64,
     /// Candidates / validated partials attributed to the plan position that
-    /// produced them — observed cardinalities the adaptive re-optimizer
-    /// compares against [`crate::Plan::est_candidates`].
+    /// produced them — observed cardinalities `explain --observed` compares
+    /// against [`crate::Plan::est_candidates`].
     pub steps: StepCounts,
 }
 
@@ -151,7 +145,6 @@ impl MatchMetrics {
         self.expansions += other.expansions;
         self.split_expansions += other.split_expansions;
         self.assist_chunks += other.assist_chunks;
-        self.replans += other.replans;
         self.steps.merge(&other.steps);
     }
 
@@ -168,7 +161,6 @@ impl MatchMetrics {
             && self.expansions == 0
             && self.split_expansions == 0
             && self.assist_chunks == 0
-            && self.replans == 0
     }
 
     /// False-positive rate of candidate generation: the fraction of
@@ -207,7 +199,6 @@ mod tests {
             expansions: 5,
             split_expansions: 2,
             assist_chunks: 4,
-            replans: 1,
             ..Default::default()
         };
         a.steps.record_candidates(1, 10);
@@ -220,7 +211,6 @@ mod tests {
         assert_eq!(a.expansions, 10);
         assert_eq!(a.split_expansions, 4);
         assert_eq!(a.assist_chunks, 8);
-        assert_eq!(a.replans, 2);
         assert_eq!(a.steps.candidates(), &[0, 20]);
         assert_eq!(a.steps.partials(), &[0, 14]);
     }

@@ -107,8 +107,8 @@ pub struct Plan {
     /// compiled with ([`crate::cost::CostModel`]).
     cost: f64,
     /// Per-position estimated candidate counts (partials produced at each
-    /// step) under the same model — the baseline the adaptive re-optimizer
-    /// compares observed [`crate::StepCounts`] against (DESIGN.md §15).
+    /// step) under the same model — what `explain --observed` sets beside
+    /// the observed [`crate::StepCounts`].
     est_candidates: Vec<f64>,
 }
 
@@ -166,8 +166,8 @@ impl Plan {
 
     /// Estimated candidates (partials produced) per matching-order position
     /// under the plan's cost model — `est_candidates()[pos]` corresponds to
-    /// the observed [`crate::StepCounts::partials`] at `pos`. The adaptive
-    /// re-optimizer's trigger compares the two (DESIGN.md §15).
+    /// the observed [`crate::StepCounts::partials`] at `pos`, which
+    /// `explain --observed` prints beside it.
     #[inline]
     pub fn est_candidates(&self) -> &[f64] {
         &self.est_candidates
@@ -276,32 +276,6 @@ impl Planner {
         Self::compile_with_model(query, order, &CostModel::new(query, data))
     }
 
-    /// Like [`Planner::plan_with_order`], but compiles against a
-    /// caller-supplied cost model instead of fresh statistics. The adaptive
-    /// re-optimizer uses this to stamp a re-planned suffix with estimates
-    /// from the observation-corrected model (so the new plan's own
-    /// `est_candidates` reflect what the runtime has already measured and
-    /// the trigger does not immediately re-fire), and the `plan_adaptive`
-    /// bench uses it to simulate planning from deliberately stale
-    /// statistics.
-    ///
-    /// # Panics
-    /// When `model` was built on another snapshot than `data`: the plan
-    /// takes its partition ids from the model.
-    pub fn plan_with_order_costed(
-        query: &QueryGraph,
-        data: &Hypergraph,
-        order: Vec<u32>,
-        model: &CostModel<'_>,
-    ) -> Result<Plan> {
-        assert!(
-            model.is_built_on(data),
-            "the cost model was built on another snapshot"
-        );
-        Self::assert_permutation(query, &order);
-        Self::compile_with_model(query, order, model)
-    }
-
     fn assert_permutation(query: &QueryGraph, order: &[u32]) {
         assert_eq!(
             order.len(),
@@ -328,7 +302,7 @@ impl Planner {
     /// vertices of query degree ≥ 2, and no order gives it more (the earlier
     /// positions are a function of the incidence set), so the verdict does
     /// not depend on the order: a query that compiles once compiles under
-    /// any re-planned order too.
+    /// any other order too.
     fn check_profile_classes(query: &QueryGraph) -> Result<()> {
         for e in 0..query.num_edges() {
             let vs = query.edge(e);
@@ -690,26 +664,6 @@ mod tests {
         for (pos, step) in est.steps.iter().enumerate() {
             assert!((plan.est_candidates()[pos] - step.partials_out).abs() < 1e-9);
         }
-        // A doctored model changes the stamped estimates but not the
-        // compiled structure.
-        let mut scaled = CostModel::new(&q, &data);
-        scaled.scale_edge(plan.order()[0], 0.125);
-        let costed =
-            Planner::plan_with_order_costed(&q, &data, plan.order().to_vec(), &scaled).unwrap();
-        assert_eq!(costed.order(), plan.order());
-        assert!(costed.est_candidates()[0] < plan.est_candidates()[0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "another snapshot")]
-    fn a_cost_model_from_another_snapshot_is_refused() {
-        let data = paper_data();
-        let q = paper_query();
-        let model = CostModel::new(&q, &data);
-        // Equal content, another snapshot: its partition ids need not agree.
-        let rebuilt = paper_data();
-        assert!(rebuilt == data && rebuilt.uid() != data.uid());
-        let _ = Planner::plan_with_order_costed(&q, &rebuilt, vec![0, 1, 2], &model);
     }
 
     #[test]

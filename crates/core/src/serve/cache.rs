@@ -11,8 +11,9 @@
 //! they cannot distinguish any queries the key does not already
 //! distinguish — they are rebuilt (and interned) during planning on a
 //! miss, and a hit touches only the key comparison. The submission's
-//! shape *is* the key: the cache's map, its slot and [`Planned::key`]
-//! share its one allocation.
+//! shape *is* the key: the cache's map and its slot share its one
+//! allocation. A miss derives the shape's `QueryGraph` only to plan it;
+//! the entry keeps the plan alone.
 //!
 //! Plans are valid for exactly one data hypergraph (the planner orders by
 //! the data's signature cardinalities and steps embed `SignatureId`s of its
@@ -31,8 +32,6 @@
 //! invalidations are observable through [`MatchServer::stats`].
 //!
 //! [`MatchServer::update_data`]: super::MatchServer::update_data
-//!
-//! [`MatchServer`]: super::MatchServer
 //! [`MatchServer::stats`]: super::MatchServer::stats
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,17 +45,10 @@ use crate::error::Result;
 use crate::plan::{Plan, Planner};
 use crate::query::{QueryGraph, QueryShape};
 
-/// What [`PlanCache::plan_for`] hands a submission: the plan plus the
-/// per-shape values a hit would otherwise derive again per query.
+/// What [`PlanCache::plan_for`] hands a submission.
 #[derive(Debug)]
 pub(crate) struct Planned {
     pub(crate) plan: Arc<Plan>,
-    /// The query graph the plan was compiled from, shared with the cache
-    /// entry (mid-query re-planning needs it; a hit must not rebuild it).
-    pub(crate) query: Arc<QueryGraph>,
-    /// The submission's shape, the entry's key, for
-    /// [`PlanCache::write_back`]; `None` when caching is disabled.
-    pub(crate) key: Option<QueryShape>,
     /// Whether planning was skipped.
     pub(crate) cached: bool,
 }
@@ -64,9 +56,6 @@ pub(crate) struct Planned {
 #[derive(Debug)]
 struct Entry {
     plan: Arc<Plan>,
-    /// Built once per shape; epoch-independent (a function of the query
-    /// hypergraph alone), so it survives `write_back`.
-    query: Arc<QueryGraph>,
     /// Data epoch this plan is valid for. A key match at a stale epoch is
     /// a miss (the entry is replaced by the re-planned result).
     epoch: u64,
@@ -174,7 +163,6 @@ pub(crate) struct PlanCache {
     hits: AtomicU64,
     misses: AtomicU64,
     invalidated: AtomicU64,
-    corrections: AtomicU64,
 }
 
 impl PlanCache {
@@ -187,14 +175,13 @@ impl PlanCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             invalidated: AtomicU64::new(0),
-            corrections: AtomicU64::new(0),
         }
     }
 
     /// Returns the plan for the query `key` against `data` (the snapshot
     /// of `epoch`), reusing a cached one when the shape matches at the
     /// same epoch. A hit derives nothing from `key`; a miss derives its
-    /// `QueryGraph`.
+    /// `QueryGraph` to plan it.
     pub(crate) fn plan_for(
         &self,
         key: QueryShape,
@@ -202,12 +189,9 @@ impl PlanCache {
         epoch: u64,
     ) -> Result<Planned> {
         if self.capacity == 0 {
-            let q = Arc::new(QueryGraph::from_shape(&key)?);
             self.misses.fetch_add(1, Ordering::Relaxed);
             return Ok(Planned {
-                plan: Arc::new(Planner::plan(&q, data)?),
-                query: q,
-                key: None,
+                plan: Arc::new(Planner::plan(&QueryGraph::from_shape(&key)?, data)?),
                 cached: false,
             });
         }
@@ -217,16 +201,11 @@ impl PlanCache {
             if let Some(&i) = lru.map.get(&key) {
                 let entry = &lru.slots[i as usize].entry;
                 if entry.epoch == epoch {
-                    let (plan, query) = (Arc::clone(&entry.plan), Arc::clone(&entry.query));
+                    let plan = Arc::clone(&entry.plan);
                     lru.touch(i);
                     drop(lru);
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Planned {
-                        plan,
-                        query,
-                        key: Some(key),
-                        cached: true,
-                    });
+                    return Ok(Planned { plan, cached: true });
                 }
                 // Stale epoch (e.g. inserted by a submission racing an
                 // update): fall through to re-plan and overwrite.
@@ -236,11 +215,9 @@ impl PlanCache {
         // Plan outside the lock: planning is cheap but not free, and
         // submissions should not serialise behind each other's planning.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let q = Arc::new(QueryGraph::from_shape(&key)?);
-        let plan = Arc::new(Planner::plan(&q, data)?);
+        let plan = Arc::new(Planner::plan(&QueryGraph::from_shape(&key)?, data)?);
         let entry = Entry {
             plan: Arc::clone(&plan),
-            query: Arc::clone(&q),
             epoch,
         };
 
@@ -254,7 +231,7 @@ impl PlanCache {
                 (Some(stale), None)
             }
             Some(_) => (None, None),
-            None => (None, lru.insert(key.clone(), entry, self.capacity)),
+            None => (None, lru.insert(key, entry, self.capacity)),
         };
         drop(lru);
         // The replaced entry and the evicted slot release their plans here,
@@ -262,38 +239,8 @@ impl PlanCache {
         drop((stale, evicted));
         Ok(Planned {
             plan,
-            query: q,
-            key: Some(key),
             cached: false,
         })
-    }
-
-    /// Writes a mid-query corrected plan (DESIGN.md §15) back to `key`'s
-    /// entry, so repeated submissions of the shape start from the
-    /// observation-corrected order instead of re-walking into the same
-    /// misestimate. Overwrites only an entry still tagged with `epoch` —
-    /// the epoch the correcting query was pinned to — never one a newer
-    /// epoch has re-planned (its statistics supersede the observations),
-    /// and never inserts: an absent shape was evicted or dropped by a
-    /// publish. Returns whether the correction landed.
-    pub(crate) fn write_back(&self, key: &QueryShape, plan: Arc<Plan>, epoch: u64) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        let mut lru = self.lru.lock();
-        let Some(&i) = lru.map.get(key) else {
-            return false;
-        };
-        let entry = &mut lru.slots[i as usize].entry;
-        if entry.epoch != epoch {
-            return false;
-        }
-        let replaced = std::mem::replace(&mut entry.plan, plan);
-        lru.touch(i);
-        drop(lru);
-        drop(replaced);
-        self.corrections.fetch_add(1, Ordering::Relaxed);
-        true
     }
 
     /// Drops every entry: called by [`MatchServer::update_data`] under the
@@ -321,12 +268,6 @@ impl PlanCache {
     /// Entries dropped by [`PlanCache::clear`] so far.
     pub(crate) fn invalidated(&self) -> u64 {
         self.invalidated.load(Ordering::Relaxed)
-    }
-
-    /// Corrected plans written back by adaptive queries
-    /// ([`PlanCache::write_back`]) so far.
-    pub(crate) fn corrections(&self) -> u64 {
-        self.corrections.load(Ordering::Relaxed)
     }
 
     /// Plans currently cached.
@@ -427,13 +368,15 @@ mod tests {
         b.add_vertex(Label::new(0));
         b.add_edge(vec![1, 0]).unwrap();
         let query = b.build().unwrap();
-        let key = cache.plan(&query, &data, 0).unwrap().key.unwrap();
+        cache.plan(&query, &data, 0).unwrap();
+        let [key] = &cache.resident()[..] else {
+            panic!("one resident key");
+        };
         assert_eq!(key.num_vertices(), 2);
         assert_eq!(key.labels(), &[1, 0]);
         let edges: Vec<&[u32]> = key.edges().collect();
         assert_eq!(edges, [&[0, 1][..]]);
-        assert_eq!(key, QueryShape::from(&query));
-        assert_eq!(cache.resident(), [key]);
+        assert_eq!(*key, QueryShape::from(&query));
     }
 
     #[test]
@@ -523,91 +466,44 @@ mod tests {
         assert_eq!(cache.invalidated(), 4);
     }
 
-    /// A correction pinned to the epoch a publish cleared must not
-    /// re-insert a plan that may embed dangling partition ids, neither
-    /// into the emptied cache nor over the new epoch's entry.
+    /// The miss path's epoch guard: a submission pinned to the epoch a
+    /// publish cleared plans on that epoch's snapshot, and its plan (which
+    /// may embed partition ids the new epoch no longer has) must never be
+    /// served at the new epoch, nor overwrite the new epoch's entry.
     #[test]
     fn stale_write_back_after_revalidate_never_resurrects() {
         let data = tiny_data();
         let cache = PlanCache::new(4);
         let q = ab_query(1);
-        let plan = cache.plan(&q, &data, 0).unwrap().plan;
-        cache.clear();
-        assert!(!cache.write_back(&QueryShape::from(&q), Arc::clone(&plan), 0));
-        assert_eq!((cache.len(), cache.corrections()), (0, 0));
-        assert!(!cache.plan(&q, &data, 1).unwrap().cached);
-        assert!(!cache.write_back(&QueryShape::from(&q), plan, 0));
-        assert_eq!((cache.len(), cache.corrections()), (1, 0));
-    }
-
-    #[test]
-    fn write_back_replaces_same_epoch_entry() {
-        let data = tiny_data();
-        let cache = PlanCache::new(4);
-        let q = ab_query(1);
-        let original = cache.plan(&q, &data, 0).unwrap().plan;
-        let corrected = Arc::new({
-            let qg = QueryGraph::new(&q).unwrap();
-            Planner::plan(&qg, &data).unwrap()
-        });
-        assert!(cache.write_back(&QueryShape::from(&q), Arc::clone(&corrected), 0));
-        assert_eq!(cache.corrections(), 1);
-        let Planned {
-            plan: served,
-            cached: hit,
-            ..
-        } = cache.plan(&q, &data, 0).unwrap();
-        assert!(hit);
-        assert!(
-            Arc::ptr_eq(&served, &corrected) && !Arc::ptr_eq(&served, &original),
-            "subsequent hits must serve the corrected plan"
-        );
-    }
-
-    #[test]
-    fn write_back_never_clobbers_newer_epochs_or_absent_shapes() {
-        let data = tiny_data();
-        let cache = PlanCache::new(4);
-        let q = ab_query(1);
         cache.plan(&q, &data, 0).unwrap();
-        // The entry moved on to epoch 1 (re-planned against fresher
-        // statistics): a stale epoch-0 correction must not land.
-        let newer = cache.plan(&q, &data, 1).unwrap().plan;
-        let stale = Arc::new({
-            let qg = QueryGraph::new(&q).unwrap();
-            Planner::plan(&qg, &data).unwrap()
-        });
-        assert!(!cache.write_back(&QueryShape::from(&q), Arc::clone(&stale), 0));
-        let Planned {
-            plan: served,
-            cached: hit,
-            ..
-        } = cache.plan(&q, &data, 1).unwrap();
-        assert!(hit && Arc::ptr_eq(&served, &newer));
-        // Absent shapes and disabled caches are no-ops.
-        assert!(!cache.write_back(&QueryShape::from(&ab_query(0)), Arc::clone(&stale), 1));
-        assert!(!PlanCache::new(0).write_back(&QueryShape::from(&q), stale, 0));
-        assert_eq!(cache.corrections(), 0);
+        cache.clear();
+        // Pinned to epoch 0, racing the publish: misses and inserts.
+        let old = cache.plan(&q, &data, 0).unwrap();
+        assert!(!old.cached);
+        assert_eq!(cache.len(), 1);
+        // Epoch 1 is not served the epoch-0 plan.
+        let new = cache.plan(&q, &data, 1).unwrap();
+        assert!(!new.cached && !Arc::ptr_eq(&new.plan, &old.plan));
+        // A later epoch-0 submission misses and leaves epoch 1's entry.
+        assert!(!cache.plan(&q, &data, 0).unwrap().cached);
+        let served = cache.plan(&q, &data, 1).unwrap();
+        assert!(served.cached && Arc::ptr_eq(&served.plan, &new.plan));
+        assert_eq!(cache.len(), 1);
     }
 
-    /// Hammers `plan_for`, `write_back` and `clear` from racing
-    /// threads over a capacity-2 cache, so corrections land while their
-    /// entry is being evicted by other shapes and while the epoch moves
-    /// under them. No interleaving may deadlock, lose a counter update,
-    /// overgrow the capacity, or land a correction on a dead entry.
+    /// Hammers `plan_for` and `clear` from racing threads over a
+    /// capacity-2 cache, so misses insert while other shapes evict their
+    /// entry and while the epoch moves under them. No interleaving may
+    /// deadlock, lose a counter update or overgrow the capacity.
     #[test]
     fn write_back_races_eviction_and_epoch_bumps() {
-        use std::sync::atomic::AtomicU64;
-
         let data = tiny_data();
         let cache = PlanCache::new(2);
         let epoch = AtomicU64::new(0);
         let plan_calls = AtomicU64::new(0);
-        let landed = AtomicU64::new(0);
         std::thread::scope(|scope| {
             for t in 0..4u64 {
-                let (cache, data, epoch) = (&cache, &data, &epoch);
-                let (plan_calls, landed) = (&plan_calls, &landed);
+                let (cache, data, epoch, plan_calls) = (&cache, &data, &epoch, &plan_calls);
                 scope.spawn(move || {
                     let mut state = 0x9E3779B97F4A7C15u64.wrapping_mul(t + 1);
                     for _ in 0..300 {
@@ -616,11 +512,8 @@ mod tests {
                             .wrapping_add(1442695040888963407);
                         let shape = ab_query(((state >> 33) % 5) as u32);
                         let e = epoch.load(Ordering::Relaxed);
-                        let plan = cache.plan(&shape, data, e).unwrap().plan;
+                        cache.plan(&shape, data, e).unwrap();
                         plan_calls.fetch_add(1, Ordering::Relaxed);
-                        if state & 1 == 0 && cache.write_back(&QueryShape::from(&shape), plan, e) {
-                            landed.fetch_add(1, Ordering::Relaxed);
-                        }
                     }
                 });
             }
@@ -639,11 +532,6 @@ mod tests {
             cache.hits() + cache.misses(),
             plan_calls.load(Ordering::Relaxed),
             "every plan_for is exactly one hit or one miss"
-        );
-        assert_eq!(
-            cache.corrections(),
-            landed.load(Ordering::Relaxed),
-            "corrections counts exactly the write_backs that landed"
         );
     }
 
@@ -708,7 +596,6 @@ mod tests {
     struct ReferenceLru {
         resident: Vec<(usize, u64)>,
         invalidated: u64,
-        corrections: u64,
     }
 
     impl ReferenceLru {
@@ -738,27 +625,19 @@ mod tests {
             false
         }
 
-        fn write_back(&mut self, shape: usize, epoch: u64) -> bool {
-            let found = self.resident.iter().position(|&r| r == (shape, epoch));
-            if let Some(i) = found {
-                self.make_most_recent(i);
-                self.corrections += 1;
-            }
-            found.is_some()
-        }
-
         fn clear(&mut self) {
             self.invalidated += self.resident.len() as u64;
             self.resident.clear();
         }
     }
 
-    /// Drives one seeded sequence of `plan_for`, `write_back` and
-    /// `clear` through a cache of `capacity` and through the
-    /// reference, comparing them after every operation.
+    /// Drives one seeded sequence of `plan_for` and `clear` through a
+    /// cache of `capacity` and through the reference, comparing them after
+    /// every operation.
     fn agrees_with_reference(capacity: usize, seed: u64, ops: usize) -> TestCaseResult {
-        let shapes: Vec<Hypergraph> = (0..SHAPES.len()).map(shape).collect();
-        let keys: Vec<QueryShape> = shapes.iter().map(QueryShape::from).collect();
+        let keys: Vec<QueryShape> = (0..SHAPES.len())
+            .map(|i| QueryShape::from(&shape(i)))
+            .collect();
         let cache = PlanCache::new(capacity);
         let mut reference = ReferenceLru::default();
         let mut state = seed;
@@ -773,24 +652,17 @@ mod tests {
         for _ in 0..ops {
             let epoch = snapshots.len() as u64 - 1;
             // One operation in four is pinned to the previous epoch, as a
-            // submission or correction racing a publish is.
+            // submission racing a publish is.
             let pinned = epoch.saturating_sub(u64::from(draw(4) == 0));
             let data = &snapshots[pinned as usize];
             match draw(10) {
-                0..=5 => {
+                0..=7 => {
                     let s = draw(8) as usize;
                     let hit = cache
                         .plan_for(keys[s].clone(), data, pinned)
                         .unwrap()
                         .cached;
                     prop_assert_eq!(hit, reference.plan_for(capacity, s, pinned));
-                }
-                6 | 7 => {
-                    let s = draw(8) as usize;
-                    let q = QueryGraph::new(&shapes[s]).unwrap();
-                    let plan = Arc::new(Planner::plan(&q, data).unwrap());
-                    let landed = cache.write_back(&keys[s], plan, pinned);
-                    prop_assert_eq!(landed, reference.write_back(s, pinned));
                 }
                 _ => {
                     let counts: Vec<u64> = (0..SIGNATURES.len()).map(|_| draw(3)).collect();
@@ -811,10 +683,7 @@ mod tests {
             let expected: Vec<usize> = reference.resident.iter().map(|r| r.0).collect();
             prop_assert_eq!(resident, expected);
             prop_assert_eq!(cache.len(), reference.resident.len());
-            prop_assert_eq!(
-                (cache.invalidated(), cache.corrections()),
-                (reference.invalidated, reference.corrections)
-            );
+            prop_assert_eq!(cache.invalidated(), reference.invalidated);
         }
         Ok(())
     }

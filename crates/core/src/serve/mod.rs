@@ -99,7 +99,6 @@ use crossbeam::deque::{Stealer, Worker as Deque};
 use hgmatch_hypergraph::Hypergraph;
 use parking_lot::Mutex;
 
-use crate::adaptive::AdaptiveState;
 use crate::aggregate::{AggregateMode, AggregateSummary};
 use crate::config::MatchConfig;
 use crate::embedding::Embedding;
@@ -161,11 +160,10 @@ pub struct ServeConfig {
     /// result path to e.g. sampled estimates without touching clients.
     pub default_aggregate: Option<AggregateMode>,
     /// Execution settings shared by all queries (work stealing, the split
-    /// threshold, the re-plan ratio). Its `threads` and `timeout` fields
-    /// are ignored: the pool size is [`ServeConfig::threads`] and timeouts
-    /// are per-query. Disabling `work_stealing` pins each query to the
-    /// worker that claimed its seed (parallelism across queries, not
-    /// within one).
+    /// threshold). Its `threads` and `timeout` fields are ignored: the pool
+    /// size is [`ServeConfig::threads`] and timeouts are per-query.
+    /// Disabling `work_stealing` pins each query to the worker that claimed
+    /// its seed (parallelism across queries, not within one).
     pub match_config: MatchConfig,
 }
 
@@ -462,16 +460,6 @@ pub struct ServeStats {
     /// Plan-cache entries dropped by data updates
     /// ([`MatchServer::update_data`] empties the cache).
     pub plans_invalidated: u64,
-    /// Suffix re-plans adopted *mid-query* by the adaptive trigger
-    /// (DESIGN.md §15): executions whose observed candidate counts
-    /// crossed [`crate::MatchConfig::replan_ratio`] × the plan's estimate
-    /// and switched to a corrected order at a step boundary.
-    pub replans_midquery: u64,
-    /// Observation-corrected plans written back to the plan cache after a
-    /// mid-query re-plan, so repeated submissions of the shape start from
-    /// the corrected order (a consequence of
-    /// [`ServeStats::replans_midquery`], gated on the entry's epoch).
-    pub estimate_corrections: u64,
     /// Total time finished queries spent waiting for their first worker
     /// pickup (sum of [`QueryOutcome::queue_wait`] over finished queries).
     /// Divergence of this from [`ServeStats::execution_total`] under load
@@ -525,7 +513,6 @@ pub(crate) struct Counters {
     pub(crate) steals: AtomicU64,
     pub(crate) splits: AtomicU64,
     pub(crate) assists: AtomicU64,
-    pub(crate) replans_midquery: AtomicU64,
     pub(crate) queue_wait_ns: AtomicU64,
     pub(crate) execution_ns: AtomicU64,
     pub(crate) results_found: AtomicU64,
@@ -646,21 +633,6 @@ impl ServeShared {
         }
         .fetch_add(1, Ordering::Relaxed);
         let metrics = *query.metrics.lock();
-        if metrics.replans > 0 {
-            self.counters
-                .replans_midquery
-                .fetch_add(metrics.replans, Ordering::Relaxed);
-            // Convergence (DESIGN.md §15.4): feed the corrected order back
-            // into the cached plan for this shape, so repeated submissions
-            // start corrected instead of re-triggering the same re-plan.
-            // Gated on the entry's epoch still matching the epoch this
-            // query was pinned to — never clobber a newer epoch's plan.
-            if let (Some(ad), Some(key)) = (query.adaptive.as_ref(), query.cache_key.as_ref()) {
-                if let Some(corrected) = ad.corrected_plan() {
-                    self.cache.write_back(key, corrected, query.data_epoch);
-                }
-            }
-        }
         let (count, embeddings, aggregate) = query.sink.take_output();
         match aggregate {
             AggregateSummary::Materialized => &self.counters.queries_materialize,
@@ -909,31 +881,15 @@ impl MatchServer {
             let current = shared.data.lock();
             (Arc::clone(&current.graph), current.epoch)
         };
-        let Planned {
-            plan,
-            query,
-            key,
-            cached,
-        } = shared.cache.plan_for(query, &data, epoch)?;
+        let Planned { plan, cached } = shared.cache.plan_for(query, &data, epoch)?;
         let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
         let deadline = options
             .timeout
             .or(self.default_timeout)
             .map(|t| Instant::now() + t);
-        // Arm mid-query re-optimization (DESIGN.md §15) when the trigger
-        // is enabled and the plan has a suffix to re-order. The cache key
-        // is kept so finalisation can write a corrected plan back.
-        let (adaptive, cache_key) =
-            if shared.config.replan_ratio > 0.0 && plan.len() > 1 && !plan.is_infeasible() {
-                let state =
-                    AdaptiveState::new(query, Arc::clone(&plan), shared.config.replan_ratio);
-                (Some(state), key)
-            } else {
-                (None, None)
-            };
         let mode = options.effective_aggregate(self.default_aggregate);
         let active = Arc::new(ActiveQuery::new(
-            id, data, epoch, plan, &options, mode, cached, deadline, adaptive, cache_key,
+            id, data, epoch, plan, &options, mode, cached, deadline,
         ));
         shared.counters.admitted.fetch_add(1, Ordering::Relaxed);
 
@@ -1054,8 +1010,6 @@ impl MatchServer {
             plan_cache_misses: self.shared.cache.misses(),
             plan_cache_size: self.shared.cache.len(),
             plans_invalidated: self.shared.cache.invalidated(),
-            replans_midquery: c.replans_midquery.load(Ordering::Relaxed),
-            estimate_corrections: self.shared.cache.corrections(),
             queue_wait_total: Duration::from_nanos(c.queue_wait_ns.load(Ordering::Relaxed)),
             execution_total: Duration::from_nanos(c.execution_ns.load(Ordering::Relaxed)),
             data_epoch: self.shared.data.lock().epoch,

@@ -8,12 +8,10 @@ use parking_lot::Mutex;
 
 use hgmatch_hypergraph::Hypergraph;
 
-use crate::adaptive::AdaptiveState;
 use crate::aggregate::{AggregateMode, AggregateSink};
 use crate::memory::MemoryTracker;
 use crate::metrics::MatchMetrics;
 use crate::plan::Plan;
-use crate::query::QueryShape;
 use crate::sink::Sink;
 
 use crate::engine::task::Task;
@@ -52,13 +50,6 @@ pub(crate) struct ActiveQuery {
     /// Epoch of the pinned snapshot (reported on the outcome).
     pub(crate) data_epoch: u64,
     pub(crate) plan: Arc<Plan>,
-    /// Mid-query re-optimization state (DESIGN.md §15); `None` when
-    /// the replan ratio is 0 or the plan is trivial/infeasible. Re-plans
-    /// run against this query's pinned snapshot, never a newer epoch.
-    pub(crate) adaptive: Option<AdaptiveState>,
-    /// Plan-cache key of this query's shape, kept (only for adaptive
-    /// queries) so finalisation can write a corrected plan back.
-    pub(crate) cache_key: Option<QueryShape>,
     pub(crate) sink: AggregateSink,
     /// Tasks waiting for their first pool worker, as a LIFO stack (hot end
     /// last): the root scan of a pooled submission, or the unfinished
@@ -105,16 +96,12 @@ impl ActiveQuery {
         mode: AggregateMode,
         plan_cached: bool,
         deadline: Option<Instant>,
-        adaptive: Option<AdaptiveState>,
-        cache_key: Option<QueryShape>,
     ) -> Self {
         Self {
             id,
             data,
             data_epoch,
             plan,
-            adaptive,
-            cache_key,
             sink: AggregateSink::new(mode, options.max_results),
             seed: Mutex::new(Vec::new()),
             inline: AtomicBool::new(false),
@@ -357,8 +344,6 @@ mod tests {
             &QueryOptions::default(),
             AggregateMode::CountOnly,
             false,
-            None,
-            None,
             None,
         );
         assert_eq!(q.stop_cause(), None);

@@ -37,7 +37,6 @@ use std::time::{Duration, Instant};
 
 use crossbeam::deque::Worker as Deque;
 
-use crate::adaptive::resolve_task;
 use crate::engine::task::{
     execute_task, steal_from_victims, ExecScratch, QueryEnv, Scheduler, Tally, Task, CHECK_INTERVAL,
 };
@@ -323,17 +322,14 @@ pub(crate) fn run_one(
     let ran = catch_unwind(AssertUnwindSafe(|| {
         #[cfg(test)]
         shared.panic_hook.fire(query.id);
-        let (resolved, ver) = resolve_task(query.adaptive.as_ref(), &task);
         let env = QueryEnv {
-            plan: resolved.as_deref().unwrap_or(&query.plan),
+            plan: &query.plan,
             // Each task runs against the snapshot its query pinned at
             // submission, not whatever the server currently publishes.
             data: &query.data,
             sink: &query.sink,
             config: &shared.config,
             tracker: &query.tracker,
-            ver,
-            adaptive: query.adaptive.as_ref(),
         };
         execute_task(&env, scratch, tally, task, &mut sched);
     }));

@@ -15,6 +15,9 @@
 //! are checked out warm, so a caller-side run of a cached shape allocates
 //! no more — process-wide — than the pooled path does for the same query.
 //!
+//! The third counts that run exactly: one submission of a cached shape
+//! makes a fixed, small number of allocations.
+//!
 //! The last two hold whole workers to it: a one-shot engine worker and a
 //! warmed pool worker allocate while their buffers grow and never per
 //! task — their deque, scratch and held accounting (DESIGN.md §8.1) — so
@@ -264,6 +267,41 @@ fn a_warmed_up_caller_side_run_allocates_no_more_than_the_pooled_path() {
     );
 }
 
+/// The exact work of one submission of a cached two-edge shape through
+/// [`MatchServer::run`], counted process-wide: the submission's shape (the
+/// cache key) and the query's shared state (`Arc<ActiveQuery>`), and
+/// nothing per plan step, per task or per embedding. A change to this
+/// number is a change to the serving path's per-query work.
+const CACHED_RUN_ALLOCATIONS: u64 = 2;
+
+#[test]
+fn one_cached_caller_side_run_makes_a_fixed_number_of_allocations() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let data = Arc::new(band(16));
+    let mut b = HypergraphBuilder::new();
+    b.add_vertices(4, Label::new(0));
+    b.add_edge(vec![0, 1, 2]).unwrap();
+    b.add_edge(vec![0, 1, 3]).unwrap();
+    let query = b.build().unwrap();
+    let server = MatchServer::new(data, ServeConfig::default().with_threads(1));
+    let run = || {
+        let outcome = server.run(&query, QueryOptions::count()).unwrap();
+        assert!(outcome.plan_cached && outcome.inline, "{outcome:?}");
+        assert!(outcome.count > 0);
+    };
+    // Warm the plan cache and the caller's scratch and stack.
+    let miss = server.run(&query, QueryOptions::count()).unwrap();
+    assert!(!miss.plan_cached);
+    (0..4).for_each(|_| run());
+    // The smallest of three readings: the test harness's own threads may
+    // allocate beside a reading, never inside the run.
+    let allocations = (0..3)
+        .map(|_| allocations_of(run))
+        .min()
+        .expect("three readings");
+    assert_eq!(allocations, CACHED_RUN_ALLOCATIONS);
+}
+
 /// Process-wide allocations made while `run` runs.
 fn allocations_of(run: impl FnOnce()) -> u64 {
     let before = ALL_THREADS.load(Ordering::Relaxed);
@@ -322,11 +360,7 @@ fn a_warmed_pool_worker_allocates_nothing_per_task() {
         b.add_edge(vec![3, 4, 5]).unwrap();
         b.build().unwrap()
     };
-    // No re-plan: one would allocate in whichever run it fired.
-    let config = ServeConfig {
-        match_config: MatchConfig::default().with_replan_ratio(0.0),
-        ..ServeConfig::default().with_threads(1)
-    };
+    let config = ServeConfig::default().with_threads(1);
     let run = |n: u32| {
         let server = MatchServer::new(Arc::new(band(n)), config.clone());
         let pooled = || server.submit(&query, QueryOptions::count()).unwrap().wait();

@@ -1,10 +1,7 @@
-//! Serve-layer adaptive re-optimization (DESIGN.md §15) under concurrent
-//! data epochs: a cached plan whose order the planner misjudged is
-//! corrected *mid-query* by the runtime trigger; the re-planned suffix
-//! executes against the snapshot the query pinned at submission, never a
-//! newer epoch; and the corrected plan is written back to the cache only
-//! when the entry still belongs to the pinned epoch, converging repeated
-//! submissions onto the corrected order.
+//! Served queries on a misjudged plan under concurrent data epochs: a
+//! query executes against the snapshot it pinned at submission, never a
+//! newer epoch, and a cancellation mid-run leaves the pool serving the
+//! shape exactly. The plan runs as compiled (DESIGN.md §15).
 //!
 //! The fixture is the chain-with-branch adversary with its skew hidden by
 //! label averages: an A–B–C chain whose C (v2) fans out into 30 junk
@@ -13,15 +10,12 @@
 //! against 70 filter) and orders the junk edge first; the cost model's
 //! per-label size-biased degrees (15 junk, 2.3 filter, where v2 carries 30
 //! and 10) find the filter-first order cheaper, but by less than
-//! `PLAN_MARGIN`, so the plan keeps the junk-first order. Only runtime
-//! feedback corrects it: the eager trigger's suffix re-search has no
-//! margin. A publish empties the plan cache (DESIGN.md §13.4), so all of
-//! this happens within one epoch.
+//! `PLAN_MARGIN`, so the plan keeps the junk-first order.
 
 use std::sync::Arc;
 
 use hgmatch_core::serve::{MatchServer, QueryOptions, QueryStatus, ServeConfig};
-use hgmatch_core::{MatchConfig, Matcher, QueryOutcome};
+use hgmatch_core::{Matcher, QueryOutcome};
 use hgmatch_hypergraph::{DynamicHypergraph, Hypergraph, HypergraphBuilder, Label};
 
 /// Labels A=0 B=1 C=2 D=3 E=4; v0 A, v1 B and the hub v2 C.
@@ -62,15 +56,9 @@ fn branch_query() -> Hypergraph {
     b.build().unwrap()
 }
 
-/// A server with an eager trigger (ratio 0.5: any boundary may re-check).
-fn adaptive_server(data: Arc<Hypergraph>) -> MatchServer {
-    MatchServer::new(
-        data,
-        ServeConfig {
-            match_config: MatchConfig::default().with_replan_ratio(0.5),
-            ..ServeConfig::default().with_threads(2)
-        },
-    )
+/// A two-worker server.
+fn server(data: Arc<Hypergraph>) -> MatchServer {
+    MatchServer::new(data, ServeConfig::default().with_threads(2))
 }
 
 /// Sorted embeddings of a fresh sequential run on `data` — the oracle the
@@ -83,65 +71,19 @@ fn served_embeddings(outcome: &QueryOutcome) -> &[hgmatch_core::Embedding] {
     outcome.embeddings.as_deref().expect("collected")
 }
 
-/// The convergence loop end-to-end: misjudged cached entry → mid-query
-/// re-plan → write-back → subsequent submissions start corrected and stop
-/// re-planning.
-#[test]
-fn stale_cached_plan_replans_midquery_and_converges() {
-    let mut writer = base_writer();
-    let snap = writer.snapshot();
-    let server = adaptive_server(Arc::clone(&snap.graph));
-    let query = branch_query();
-    let oracle = fresh_embeddings(&snap.graph, &query);
-    assert_eq!(oracle.len(), 300);
-
-    // The miss caches the junk-first plan; the run corrects it mid-query
-    // and writes the correction back to the entry it just created.
-    let outcome = server.run(&query, QueryOptions::collect_all()).unwrap();
-    assert!(!outcome.plan_cached);
-    assert_eq!(served_embeddings(&outcome), oracle.as_slice());
-    assert!(
-        outcome.metrics.replans >= 1,
-        "a junk-first plan must adopt a mid-query re-plan"
-    );
-    let after = server.stats();
-    assert!(after.replans_midquery >= 1);
-    assert_eq!(
-        after.estimate_corrections, 1,
-        "the corrected plan must be written back to the same-epoch entry"
-    );
-
-    // Convergence: the next submission starts from the corrected plan —
-    // same results, and the (still eager) trigger only *confirms* now, so
-    // no further re-plan is adopted.
-    let converged = server.run(&query, QueryOptions::collect_all()).unwrap();
-    assert!(converged.plan_cached);
-    assert_eq!(served_embeddings(&converged), oracle.as_slice());
-    assert_eq!(
-        converged.metrics.replans, 0,
-        "a corrected plan must not re-trigger on the same observations"
-    );
-    assert_eq!(
-        server.stats().replans_midquery,
-        after.replans_midquery,
-        "converged submissions stop re-planning"
-    );
-}
-
-/// A mid-query re-plan races concurrently published epochs: the re-planned
-/// suffix keeps executing against the snapshot the query pinned at
-/// submission, and later submissions see the newer epoch's answer.
+/// A query in flight races a concurrently published epoch: it keeps
+/// executing against the snapshot it pinned at submission, and later
+/// submissions see the newer epoch's answer.
 #[test]
 fn midquery_replan_keeps_pinned_snapshot_across_epochs() {
     let mut writer = base_writer();
     let first = writer.snapshot();
-    let server = adaptive_server(Arc::clone(&first.graph));
+    let server = server(Arc::clone(&first.graph));
     let query = branch_query();
     server.run(&query, QueryOptions::count()).unwrap(); // prime
 
     // Each epoch adds one filter row on the hub, growing every count by
-    // 30. Pin a query to epoch 1, and while it runs (re-planning
-    // mid-flight), publish epoch 2.
+    // 30. Pin a query to epoch 1, and while it runs, publish epoch 2.
     add_branch(&mut writer, Some(HUB), 4);
     let epoch1 = writer.snapshot().graph;
     server.update_data(Arc::clone(&epoch1), &[], false);
@@ -154,7 +96,6 @@ fn midquery_replan_keeps_pinned_snapshot_across_epochs() {
     let outcome = handle.wait();
     assert_eq!(outcome.status, QueryStatus::Completed);
     assert_eq!(outcome.data_epoch, 1, "the query stays on its pinned epoch");
-    assert!(outcome.metrics.replans >= 1);
     let pinned_oracle = fresh_embeddings(&epoch1, &query);
     let newer_oracle = fresh_embeddings(&epoch2, &query);
     assert_eq!(pinned_oracle.len(), 330);
@@ -162,28 +103,26 @@ fn midquery_replan_keeps_pinned_snapshot_across_epochs() {
     assert_eq!(
         served_embeddings(&outcome),
         pinned_oracle.as_slice(),
-        "a re-planned suffix must not leak rows from a newer epoch"
+        "a query in flight must not see rows from a newer epoch"
     );
 
-    // Submissions after the updates see epoch 2's answer (whether or not
-    // the racing write-back landed before epoch 2 emptied the cache — the
-    // epoch gate makes both interleavings serve correct plans).
+    // Submissions after the updates see epoch 2's answer: the publish
+    // emptied the cache, so the shape re-plans on epoch 2.
     let fresh = server.run(&query, QueryOptions::collect_all()).unwrap();
     assert_eq!(fresh.data_epoch, 2);
     assert_eq!(served_embeddings(&fresh), newer_oracle.as_slice());
 }
 
-/// Cooperative cancellation landing while the query is re-planning (the
-/// trigger fires constantly at ratio 0.5 on a large fan-out): the query
-/// stops promptly, the pool survives, and subsequent submissions of the
-/// same shape are served correctly.
+/// Cooperative cancellation landing while the query runs its large
+/// fan-out: the query stops promptly, the pool survives, and subsequent
+/// submissions of the same shape are served correctly.
 #[test]
 fn cancellation_during_replans_leaves_server_consistent() {
     let mut writer = base_writer();
     // 600 junk rows on the hub: a run long enough to cancel into.
     (0..570).for_each(|_| add_branch(&mut writer, Some(HUB), 3));
     let snap = writer.snapshot();
-    let server = adaptive_server(Arc::clone(&snap.graph));
+    let server = server(Arc::clone(&snap.graph));
     let query = branch_query();
 
     let oracle = fresh_embeddings(&snap.graph, &query);

@@ -1,10 +1,10 @@
 //! The swarm: one seeded differential driver for the paper's contract — an
 //! exact embedding multiset whatever the schedule — across every stressor
-//! the engine has (DESIGN.md §8, §11, §12, §15, §18).
+//! the engine has (DESIGN.md §8, §11, §12, §18).
 //!
 //! Swarm testing (Groce et al., ISSTA 2012): instead of one CI job per
 //! environment axis, each case draws its own subset of features, so
-//! stressors meet — forced bitmaps under an eager re-plan, a limit
+//! stressors meet — forced bitmaps with stealing off, a limit
 //! during a split, an epoch race on a one-worker pool. A case draws
 //!
 //! * a data [`Profile`] built from `testgen` and up to three planted
@@ -12,13 +12,12 @@
 //!   data, the `blowup` clique and the underestimated `hub`);
 //! * the kernel family and the posting representation, set through the
 //!   process-wide switches before the data is built;
-//! * 1, 2, 4 or 8 workers, a re-plan ratio of 0 (off), 8 (the default)
-//!   or 0.5 (eager), a split threshold of 0 (off), 4 or the default, and
-//!   whether work stealing is on;
+//! * 1, 2, 4 or 8 workers, a split threshold of 0 (off), 4 or the
+//!   default, and whether work stealing is on;
 //! * an aggregation mode and an optional limit;
 //! * a [`Venue`]: `MatchServer::run` (caller first), `submit` (pooled),
-//!   the static `ParallelEngine`, `Matcher` (adaptive when it can be) or
-//!   `BfsExecutor`;
+//!   the one-shot `ParallelEngine`, `Matcher` (planning the query itself)
+//!   or `BfsExecutor`;
 //! * for the two serving venues, whether update epochs race the queries.
 //!
 //! Every outcome is held to the sequential executor on
@@ -32,7 +31,7 @@
 //!   fewer than it kept), all of them the oracle's, and a venue on the
 //!   task engine materializes at most one `ABORT_PROBE` block per
 //!   participant past it;
-//! * at one worker with no re-plan and no update, a first-k run returns
+//! * at one worker with no update, a first-k run returns
 //!   the sequential executor's first k;
 //! * a serving pool ends every case with its task accounting balanced.
 //!
@@ -165,10 +164,10 @@ enum Venue {
     Run,
     /// `MatchServer::submit` + `wait`: always pooled.
     Submit,
-    /// `ParallelEngine::run`: the one-shot pool on a static plan.
+    /// `ParallelEngine::run`: the one-shot pool on a given plan.
     Engine,
-    /// `Matcher::run`: the sequential executor at one worker, else the
-    /// one-shot pool, re-planning mid-query when the ratio allows.
+    /// `Matcher::run`: plans the query, then runs the sequential executor
+    /// at one worker, else the one-shot pool.
     Matcher,
     /// `BfsExecutor::run`: level at a time.
     Bfs,
@@ -193,7 +192,6 @@ struct Case {
     kernel: KernelMode,
     repr: Option<ReprKind>,
     workers: usize,
-    replan_ratio: f64,
     split_threshold: usize,
     work_stealing: bool,
     mode: AggregateMode,
@@ -211,7 +209,6 @@ impl Case {
         let kernel = [KernelMode::Auto, KernelMode::ForceScalar][rng.below(2) as usize];
         let repr = [None, Some(ReprKind::List), Some(ReprKind::Bitmap)][rng.below(3) as usize];
         let workers = [1, 2, 4, 8][rng.below(4) as usize];
-        let replan_ratio = [0.0, 8.0, 0.5][rng.below(3) as usize];
         let split_threshold = [0, 4, SPLIT_THRESHOLD][rng.below(3) as usize];
         let work_stealing = rng.below(4) != 0;
         let score = [ScoreFn::EdgeIdSum, ScoreFn::MinEdge][rng.below(2) as usize];
@@ -239,7 +236,6 @@ impl Case {
             kernel,
             repr,
             workers,
-            replan_ratio,
             split_threshold,
             work_stealing,
             mode,
@@ -251,7 +247,6 @@ impl Case {
 
     fn match_config(&self) -> MatchConfig {
         MatchConfig::parallel(self.workers)
-            .with_replan_ratio(self.replan_ratio)
             .with_split_threshold(self.split_threshold)
             .with_work_stealing(self.work_stealing)
     }
@@ -286,7 +281,7 @@ impl Case {
                 let (qi, limit) = (obs.query, limits[obs.query]);
                 let graph = &published[&obs.epoch];
                 let first_k = match limit {
-                    Some(k) if self.exact_prefix(obs) => Some(sequential_first_k(
+                    Some(k) if self.exact_prefix() => Some(sequential_first_k(
                         oracles.rebuilt(obs.epoch, graph),
                         &queries[qi],
                         k,
@@ -346,7 +341,6 @@ impl Case {
                 embeddings,
                 summary,
                 materialized: stats.metrics.materialized,
-                replans: stats.metrics.replans,
             });
         }
         observed
@@ -463,7 +457,6 @@ impl Case {
                 embeddings: o.embeddings,
                 summary: o.aggregate,
                 materialized: o.metrics.materialized,
-                replans: o.metrics.replans,
             })
             .collect();
         (observed, published)
@@ -472,9 +465,8 @@ impl Case {
     /// Whether a limited run must return exactly the sequential
     /// executor's first k: one worker delivering depth first, on the plan
     /// it was admitted with, with no update to make a cached plan stale.
-    fn exact_prefix(&self, obs: &Observed) -> bool {
+    fn exact_prefix(&self) -> bool {
         self.workers == 1
-            && obs.replans == 0
             && !self.updates
             && self.venue != Venue::Bfs
             && matches!(self.mode, AggregateMode::Materialize)
@@ -616,7 +608,6 @@ struct Observed {
     embeddings: Option<Vec<Embedding>>,
     summary: AggregateSummary,
     materialized: u64,
-    replans: u64,
 }
 
 /// The oracle side of a case: rebuilds of every pinned snapshot and the

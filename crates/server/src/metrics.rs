@@ -179,18 +179,6 @@ pub fn render(
         "Cached plans dropped by data updates.",
         stats.plans_invalidated,
     );
-    counter(
-        &mut out,
-        "hgmatch_replans_midquery_total",
-        "Suffix re-plans adopted mid-query.",
-        stats.replans_midquery,
-    );
-    counter(
-        &mut out,
-        "hgmatch_estimate_corrections_total",
-        "Corrected plans written back to the cache.",
-        stats.estimate_corrections,
-    );
 
     // Engine: latency split (the saturation signal).
     family(
